@@ -12,7 +12,6 @@ from .spectra import (
     HermitianMatrix,
     harmonic_spectrum,
     hydrogen_point_spectrum,
-    invert_spectrum,
     rabi_bound_check,
     rabi_hamiltonian,
 )
@@ -27,14 +26,13 @@ from .decompose import (
     verify_decomposition,
 )
 from .timeop import (
-    BlockOperator,
+    BlockDiagonal,
     MatrixKind,
     TimeOperatorMatrix,
     assemble_time_operator,
     ccr_residual,
     channel_time_operator,
     commutator_defect_columns,
-    direct_sum,
     galapon_matrix,
     osc_timeop_spectrum,
     project_to_difference_span,
@@ -46,27 +44,26 @@ from .uwform import (
     FormChannel,
     FunctionKind,
     FunctionSpec,
-    SesquilinearForm,
     UncertaintyResult,
     assemble_uwform,
-    direct_sum_form,
+    describe_domains,
+    evaluate_form,
     f_condition_check,
     f_transform_form,
+    in_ccr_domain,
+    project_to_ccr_domain,
     random_domain_vector,
+    require_ccr_domain,
     uncertainty_check,
     uw_ccr_residual,
-    uwform_point,
 )
 from .contspec import (
     AffineExpCombination,
     ExpCombination,
-    GAUSSIAN,
-    GaussianDensity,
     GridState,
     ab_apply,
     free_evolve,
     make_packet,
-    residual_sweep,
     s0_apply,
     s0_strong_relation_check,
     s0_symmetry_residual,

@@ -37,8 +37,8 @@ from .spectra import (
 from .timeop import assemble_time_operator, ccr_residual, osc_timeop_spectrum, random_difference_vector
 from .uwform import (
     FunctionSpec,
-    SesquilinearForm,
     assemble_uwform,
+    describe_domains,
     f_condition_check,
     f_transform_form,
     random_domain_vector,
@@ -79,6 +79,8 @@ class RunConfig:
         seed = int(self.seed)
         if seed < 0:
             raise ValueError("seed must be nonnegative")
+        if pipeline.get("vectors") is not None and int(pipeline["vectors"]) < 1:
+            raise ValueError("vectors must be at least 1; a sweep over no vectors checks nothing")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "pipeline", pipeline)
         object.__setattr__(self, "tolerances", tolerances)
@@ -181,9 +183,10 @@ def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
     deco, block = assemble_time_operator(s, p)
 
     def check_channel(i: int):
-        eigs, t = block.blocks[i]
+        t = block.blocks[i]
         worst = 0.0
-        if t.dimension >= 2 and vectors > 0:
+        if t.dimension >= 2:
+            eigs = t.pairing_eigenvalues
             rng = np.random.default_rng(config.seed + 10_000 + i)
             for _ in range(vectors):
                 v = random_difference_vector(rng, t.dimension)
@@ -198,7 +201,7 @@ def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
         }
         return entry, ok
 
-    results = _parallel(check_channel, range(block.block_count), jobs)
+    results = _parallel(check_channel, range(len(block.blocks)), jobs)
     channels = [entry for entry, _ in results]
     ok = all(flag for _, flag in results)
     return {
@@ -241,10 +244,10 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
         deco, form = assemble_uwform(s, p)
         channel_count = deco.channel_count
 
-    nontrivial = [i for i, ch in enumerate(form.channels) if ch.dimension >= 2]
+    nontrivial = [i for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
 
     def channel_sweep(i: int):
-        sub = SesquilinearForm(channels=(form.channels[i],), offsets=(0,))
+        sub = form.channel(i)
         rng = np.random.default_rng(config.seed + 20_000 + i)
         worst = 0.0
         for _ in range(vectors):
@@ -281,7 +284,7 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
         or (min_value >= 0.5 - tol["uncertainty_slack"] and im_defect <= tol["im_identity"])
     )
     channels = []
-    for entry in form.describe_domains():
+    for entry in describe_domains(form):
         entry["max_uw_ccr_residual"] = per_channel.get(entry["channel_id"], 0.0)
         channels.append(entry)
     report = {

@@ -43,9 +43,6 @@ __all__ = [
     "ab_apply",
     "free_evolve",
     "weak_weyl_residual",
-    "residual_sweep",
-    "GaussianDensity",
-    "GAUSSIAN",
     "ExpCombination",
     "AffineExpCombination",
     "s0_apply",
@@ -211,42 +208,14 @@ def weak_weyl_residual(state: GridState, t: float) -> float:
     return diff.norm() / state.norm()
 
 
-def residual_sweep(state: GridState, t_max: float, steps: int):
-    """Residuals at the equally spaced times j t_max / steps, j = 1..steps."""
-    if steps < 1:
-        raise ValueError("need at least one time step")
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    out = []
-    for j in range(1, steps + 1):
-        t = t_max * j / steps
-        out.append((t, weak_weyl_residual(state, t)))
-    return out
+def _gauss_hermite(order: int):
+    """Nodes and weights for integrals against rho = exp(-lambda^2)/sqrt(pi).
 
-
-class GaussianDensity:
-    """Reference density exp(-lambda^2)/sqrt(pi) on the line."""
-
-    def value(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.exp(-lam * lam) / math.sqrt(math.pi)
-
-    def log_derivative(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return -2.0 * lam
-
-    def quadrature(self, order: int):
-        """Nodes and weights for the rho-weighted integral.
-
-        Gauss-Hermite integrates against exp(-x^2); the weights carry
-        the 1/sqrt(pi) normalization so that sum(w) = 1.
-        """
-        nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-        return nodes, weights / math.sqrt(math.pi)
-
-
-#: The one density the symbolic action below is valid for.
-GAUSSIAN = GaussianDensity()
+    Gauss-Hermite integrates against exp(-x^2); the weights carry the
+    1/sqrt(pi) normalization so that sum(w) = 1.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
+    return nodes, weights / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -254,7 +223,6 @@ class ExpCombination:
     """Finite combination sum_j c_j exp(i s_j lambda)."""
 
     terms: tuple[tuple[complex, float], ...]
-    density: GaussianDensity = GAUSSIAN
 
     def __post_init__(self) -> None:
         packed = tuple((complex(c), float(s)) for c, s in self.terms)
@@ -302,11 +270,9 @@ def s0_apply(f: ExpCombination) -> AffineExpCombination:
     """Action of the model time operator on an exponential combination.
 
     Termwise, c exp(i s lambda) goes to (-s c - i c lambda) exp(i s lambda).
-    The coefficient map encodes the Gaussian log-derivative, so any other
-    reference density is refused rather than silently mishandled.
+    The coefficient map encodes the log-derivative -2 lambda of the
+    Gaussian reference density, the only density this class is defined on.
     """
-    if f.density is not GAUSSIAN:
-        raise ValueError("the symbolic action is only defined for the Gaussian density")
     return AffineExpCombination(
         terms=tuple((-s * c, -1j * c, s) for c, s in f.terms)
     )
@@ -355,7 +321,7 @@ def s0_symmetry_residual(f: ExpCombination, g: ExpCombination, order: int | None
             f"quadrature order {order} is below the safe floor {floor} "
             f"for maximum frequency {smax:.3g}"
         )
-    nodes, weights = GAUSSIAN.quadrature(order)
+    nodes, weights = _gauss_hermite(order)
     yf = s0_apply(f).evaluate(nodes)
     yg = s0_apply(g).evaluate(nodes)
     fv = f.evaluate(nodes)

@@ -23,7 +23,6 @@ __all__ = [
     "hydrogen_point_spectrum",
     "rabi_hamiltonian",
     "rabi_bound_check",
-    "invert_spectrum",
 ]
 
 #: Relative tolerance for the Hermiticity check on constructed matrices.
@@ -117,6 +116,17 @@ class DiscreteSpectrum:
         )
 
 
+def _require_hermitian(data: np.ndarray) -> None:
+    """Reject a matrix whose largest |A - A^H| entry exceeds the relative tolerance.
+
+    Written as ``not (defect <= bound)`` so that NaN entries fail.
+    """
+    scale = float(np.max(np.abs(data))) if data.size else 0.0
+    defect = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
+    if not defect <= HERMITICITY_RTOL * max(scale, 1e-300):
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Dense complex Hermitian matrix with labelled basis vectors."""
@@ -131,10 +141,7 @@ class HermitianMatrix:
             raise ValueError("data shape does not match declared dimension")
         if len(self.basis_labels) != self.dimension:
             raise ValueError("need one basis label per dimension")
-        scale = float(np.max(np.abs(data))) if data.size else 0.0
-        defect = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
-        if defect > HERMITICITY_RTOL * max(scale, 1e-300):
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+        _require_hermitian(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
@@ -301,27 +308,3 @@ def rabi_bound_check(
         nu = omega * n - g * g / omega
         out.append(bool(nu - mu <= ev[2 * n] <= nu + mu))
     return out
-
-
-def invert_spectrum(s: DiscreteSpectrum) -> DiscreteSpectrum:
-    """Map every eigenvalue to its reciprocal and re-sort.
-
-    Multiplicities are carried along and the accumulation tag flips.
-    A zero eigenvalue has no reciprocal and is rejected.
-    """
-    if any(v == 0.0 for v, _ in s.entries):
-        raise ValueError("cannot invert a spectrum containing zero")
-    flipped = (
-        Accumulation.TO_INFINITY
-        if s.accumulation is Accumulation.TO_ZERO
-        else Accumulation.TO_ZERO
-    )
-    entries = tuple(sorted((1.0 / v, m) for v, m in s.entries))
-    if flipped is Accumulation.TO_ZERO and entries[-1][0] > 0.0:
-        raise ValueError(
-            "inverted spectrum would accumulate at zero from above; the "
-            "to-zero sign convention only represents negative sequences"
-        )
-    return DiscreteSpectrum(
-        entries=entries, accumulation=flipped, label=f"invert({s.label})"
-    )

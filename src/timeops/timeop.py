@@ -18,25 +18,25 @@ infinity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
 from .decompose import decompose_spectrum
-from .spectra import Accumulation, DiscreteSpectrum
+from .spectra import Accumulation, DiscreteSpectrum, _require_hermitian
 
 __all__ = [
     "MatrixKind",
     "TimeOperatorMatrix",
-    "BlockOperator",
+    "BlockDiagonal",
     "galapon_matrix",
     "ccr_residual",
     "commutator_defect_columns",
     "project_to_difference_span",
     "random_difference_vector",
     "channel_time_operator",
-    "direct_sum",
     "assemble_time_operator",
     "osc_timeop_spectrum",
 ]
@@ -44,9 +44,6 @@ __all__ = [
 #: Hard cap on channel dimension; dense eigensolves and matrix products
 #: beyond this are not worth their O(N^3) cost in this toolkit.
 CHANNEL_DIMENSION_LIMIT = 4096
-
-#: Relative tolerance of the Hermiticity invariant.
-HERMITICITY_RTOL = 1e-12
 
 #: A vector belongs to the difference span when its coefficient sum is
 #: this small relative to its norm (the span is exactly the kernel of the
@@ -76,10 +73,7 @@ class TimeOperatorMatrix:
             raise ValueError("need one eigenvalue per basis vector")
         if np.any(np.diagonal(data) != 0.0):
             raise ValueError("time-operator matrix must have zero diagonal")
-        scale = float(np.max(np.abs(data))) if data.size else 0.0
-        defect = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
-        if defect > HERMITICITY_RTOL * max(scale, 1e-300):
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+        _require_hermitian(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "eigenvalues", tuple(float(e) for e in self.eigenvalues))
@@ -211,104 +205,72 @@ def ccr_residual(eigenvalues, t: TimeOperatorMatrix, v) -> float:
 
 
 @dataclass(frozen=True)
-class BlockOperator:
-    """Direct sum of per-channel Hamiltonians and time operators."""
+class BlockDiagonal:
+    """Direct sum of channel blocks, laid out one after the other.
 
-    blocks: tuple[tuple[tuple[float, ...], TimeOperatorMatrix], ...]
-    offsets: tuple[int, ...]
+    A block is a ``TimeOperatorMatrix`` or a ``uwform.FormChannel``; both
+    expose ``dimension`` and ``pairing_eigenvalues``.  Block i occupies
+    the coordinates ``block_slice(i)``, derived from the block dimensions.
+    """
+
+    blocks: tuple
+    _slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected = 0
-        for offset, (eigs, t) in zip(self.offsets, self.blocks):
-            if offset != expected:
-                raise ValueError("offsets are inconsistent with block sizes")
-            if len(eigs) != t.dimension:
-                raise ValueError("block eigenvalue count does not match its matrix")
-            expected += t.dimension
+        blocks = tuple(self.blocks)
+        if not blocks:
+            raise ValueError("a block-diagonal operator needs at least one block")
+        ends = accumulate(b.dimension for b in blocks)
+        slices = tuple(slice(end - b.dimension, end) for b, end in zip(blocks, ends))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_slices", slices)
 
     @property
     def total_dimension(self) -> int:
-        return sum(t.dimension for _, t in self.blocks)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def dense_hamiltonian(self) -> np.ndarray:
-        return np.concatenate([np.asarray(eigs, dtype=float) for eigs, _ in self.blocks])
-
-    def dense_time_operator(self) -> np.ndarray:
-        n = self.total_dimension
-        out = np.zeros((n, n), dtype=complex)
-        for offset, (_, t) in zip(self.offsets, self.blocks):
-            out[offset:offset + t.dimension, offset:offset + t.dimension] = t.data
-        return out
+        return self._slices[-1].stop
 
     def block_slice(self, index: int) -> slice:
-        offset = self.offsets[index]
-        return slice(offset, offset + self.blocks[index][1].dimension)
+        return self._slices[index]
 
-    def ccr_residual(self, v) -> float:
-        """Residual over the full space; v must be in every block's span.
+    def pieces(self, v: np.ndarray) -> list[np.ndarray]:
+        """The block slices of v, after checking its length."""
+        if v.shape != (self.total_dimension,):
+            raise ValueError("vector length does not match the block-diagonal dimension")
+        return [v[sl] for sl in self._slices]
 
-        The commutation domain of a direct sum is the direct sum of the
-        per-block difference spans, so each block slice of v must have a
-        vanishing coefficient sum on its own.
-        """
-        vec = np.asarray(v, dtype=complex)
-        if vec.shape != (self.total_dimension,):
-            raise ValueError("vector length does not match operator dimension")
-        total = 0.0
-        for i, (eigs, t) in enumerate(self.blocks):
-            piece = vec[self.block_slice(i)]
-            _require_difference_span(piece)
-            comm = commutator_defect_columns(eigs, t)
-            total += float(np.linalg.norm(comm @ piece + 1j * piece)) ** 2
-        return float(np.sqrt(total))
+    def hamiltonian_diagonal(self) -> np.ndarray:
+        """Concatenated diagonal of the Hamiltonian each block pairs with."""
+        return np.concatenate([np.asarray(b.pairing_eigenvalues, dtype=float) for b in self.blocks])
+
+    def channel(self, index: int) -> "BlockDiagonal":
+        """Block ``index`` on its own, as a one-block operator."""
+        return BlockDiagonal((self.blocks[index],))
 
 
-def direct_sum(blocks) -> BlockOperator:
-    """Assemble per-channel (eigenvalues, matrix) pairs into one operator."""
-    packed = []
-    offsets = []
-    position = 0
-    for eigs, t in blocks:
-        eigs = tuple(float(e) for e in eigs)
-        if len(eigs) != t.dimension:
-            raise ValueError("block eigenvalue count does not match its matrix")
-        packed.append((eigs, t))
-        offsets.append(position)
-        position += t.dimension
-    return BlockOperator(blocks=tuple(packed), offsets=tuple(offsets))
+def channel_time_operator(values, accumulation: Accumulation) -> TimeOperatorMatrix:
+    """Time-operator matrix for one simple channel of a spectrum.
 
-
-def channel_time_operator(values, accumulation: Accumulation):
-    """Time-operator block for one simple channel of a spectrum.
-
-    Returns (pairing eigenvalues, matrix).  Spectra accumulating at zero
-    get the inverse-conjugate matrix, whose conjugate Hamiltonian is the
-    reciprocal diagonal; spectra growing to infinity get the direct one.
+    Spectra accumulating at zero get the inverse-conjugate matrix, whose
+    conjugate Hamiltonian is the reciprocal diagonal (its
+    ``pairing_eigenvalues``); spectra growing to infinity get the direct one.
     """
     ev = np.sort(np.asarray(values, dtype=float))
     if Accumulation(accumulation) is Accumulation.TO_ZERO:
-        t = galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE)
-    else:
-        t = galapon_matrix(ev, MatrixKind.DIRECT)
-    return t.pairing_eigenvalues, t
+        return galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE)
+    return galapon_matrix(ev, MatrixKind.DIRECT)
 
 
 def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):
     """Decompose a spectrum and build the block time operator.
 
-    Returns (decomposition, BlockOperator) with one block per channel, in
+    Returns (decomposition, BlockDiagonal) with one matrix per channel, in
     decomposition order.
     """
     deco = decompose_spectrum(s, p)
-    blocks = [
+    return deco, BlockDiagonal(tuple(
         channel_time_operator(deco.channel_values(i), s.accumulation)
         for i in range(deco.channel_count)
-    ]
-    return deco, direct_sum(blocks)
+    ))
 
 
 def osc_timeop_spectrum(omega: float, n: int):

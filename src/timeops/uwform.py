@@ -37,21 +37,23 @@ import numpy as np
 
 from .decompose import channel_partition, decompose_spectrum
 from .spectra import Accumulation, DiscreteSpectrum
-from .timeop import MatrixKind, galapon_matrix
+from .timeop import BlockDiagonal, MatrixKind, galapon_matrix
 
 __all__ = [
     "FormChannel",
-    "SesquilinearForm",
     "UncertaintyResult",
     "FunctionKind",
     "FunctionSpec",
     "AdmissibilityReport",
     "AdmissibilityError",
-    "uwform_point",
+    "evaluate_form",
+    "in_ccr_domain",
+    "require_ccr_domain",
+    "project_to_ccr_domain",
+    "describe_domains",
     "assemble_uwform",
     "random_domain_vector",
     "uw_ccr_residual",
-    "direct_sum_form",
     "uncertainty_check",
     "f_condition_check",
     "f_transform_form",
@@ -77,7 +79,8 @@ class FormChannel:
     inverse-conjugate matrix S, and the evaluator A = -(S D + D S)/2 with
     D = diag(1/E^2).  The two D-products are applied by row and column
     scaling, which keeps A Hermitian to the last bit: the (n, m) and
-    (m, n) entries are built from the same float products.
+    (m, n) entries are built from the same float products.  A form is a
+    ``BlockDiagonal`` of these channels.
     """
 
     def __init__(self, eigenvalues) -> None:
@@ -98,6 +101,11 @@ class FormChannel:
         self.s_matrix = s
         self.evaluator = a
 
+    @property
+    def pairing_eigenvalues(self) -> np.ndarray:
+        """The form pairs with H = diag(E) itself."""
+        return self.eigenvalues
+
     def domain_defect(self, v: np.ndarray) -> float:
         """|sum E_n v_n|, the distance of v from the commutation domain."""
         return abs(complex(np.dot(self.eigenvalues, v)))
@@ -112,139 +120,73 @@ class FormChannel:
         return w - (np.dot(e, w) / np.dot(e, e)) * e
 
 
-@dataclass(frozen=True)
-class SesquilinearForm:
-    """Direct sum of form channels, evaluated blockwise."""
-
-    channels: tuple[FormChannel, ...]
-    offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.channels:
-            raise ValueError("a form needs at least one channel")
-        expected = 0
-        for offset, ch in zip(self.offsets, self.channels):
-            if offset != expected:
-                raise ValueError("offsets are inconsistent with channel sizes")
-            expected += ch.dimension
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(ch.dimension for ch in self.channels)
-
-    def block_slice(self, index: int) -> slice:
-        offset = self.offsets[index]
-        return slice(offset, offset + self.channels[index].dimension)
-
-    def hamiltonian_diagonal(self) -> np.ndarray:
-        return np.concatenate([ch.eigenvalues for ch in self.channels])
-
-    def _check_shape(self, v: np.ndarray) -> None:
-        if v.shape != (self.total_dimension,):
-            raise ValueError("vector length does not match the form dimension")
-
-    def evaluate(self, phi, psi) -> complex:
-        """t[phi, psi], antilinear in phi."""
-        phi = np.asarray(phi, dtype=complex)
-        psi = np.asarray(psi, dtype=complex)
-        self._check_shape(phi)
-        self._check_shape(psi)
-        total = 0.0 + 0.0j
-        for i, ch in enumerate(self.channels):
-            sl = self.block_slice(i)
-            total += np.vdot(phi[sl], ch.evaluator @ psi[sl])
-        return complex(total)
-
-    def apply_hamiltonian(self, v) -> np.ndarray:
-        vec = np.asarray(v, dtype=complex)
-        self._check_shape(vec)
-        return self.hamiltonian_diagonal() * vec
-
-    def in_ccr_domain(self, v) -> bool:
-        vec = np.asarray(v, dtype=complex)
-        self._check_shape(vec)
-        # the block tolerance is anchored to the norm of the whole vector:
-        # a nearly annihilated block piece is round-off, not a violation
-        whole = float(np.linalg.norm(vec))
-        for i, ch in enumerate(self.channels):
-            piece = vec[self.block_slice(i)]
-            scale = float(np.linalg.norm(ch.eigenvalues)) * whole
-            if ch.domain_defect(piece) > CCR_DOMAIN_RTOL * max(scale, 1e-300):
-                return False
-        return True
-
-    def require_ccr_domain(self, v) -> None:
-        if not self.in_ccr_domain(v):
-            raise ValueError(
-                "vector lies outside the form's commutation domain "
-                "(some block is not orthogonal to its eigenvalue vector)"
-            )
-
-    def project_to_ccr_domain(self, v) -> np.ndarray:
-        vec = np.asarray(v, dtype=complex)
-        self._check_shape(vec)
-        out = vec.copy()
-        for i, ch in enumerate(self.channels):
-            sl = self.block_slice(i)
-            out[sl] = ch.project_to_ccr_domain(out[sl])
-        return out
-
-    def describe_domains(self) -> list[dict]:
-        """Per-channel summary of sizes and eigenvalue ranges."""
-        out = []
-        for i, ch in enumerate(self.channels):
-            out.append({
-                "channel_id": i,
-                "dimension": ch.dimension,
-                "eigenvalue_min": float(ch.eigenvalues[0]),
-                "eigenvalue_max": float(ch.eigenvalues[-1]),
-            })
-        return out
+def evaluate_form(form: BlockDiagonal, phi, psi) -> complex:
+    """t[phi, psi], antilinear in phi, summed block by block."""
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    total = 0.0 + 0.0j
+    for ch, phi_i, psi_i in zip(form.blocks, form.pieces(phi), form.pieces(psi)):
+        total += np.vdot(phi_i, ch.evaluator @ psi_i)
+    return complex(total)
 
 
-def uwform_point(eigenvalues) -> SesquilinearForm:
-    """Single-channel form over strictly increasing negative eigenvalues."""
-    ev = np.asarray(eigenvalues, dtype=float)
-    if np.any(ev >= 0.0):
-        raise ValueError("point form expects strictly negative eigenvalues")
-    return SesquilinearForm(channels=(FormChannel(ev),), offsets=(0,))
+def in_ccr_domain(form: BlockDiagonal, v) -> bool:
+    """Whether every block piece of v is orthogonal to its eigenvalue vector."""
+    vec = np.asarray(v, dtype=complex)
+    pieces = form.pieces(vec)
+    # the block tolerance is anchored to the norm of the whole vector:
+    # a nearly annihilated block piece is round-off, not a violation
+    whole = float(np.linalg.norm(vec))
+    for ch, piece in zip(form.blocks, pieces):
+        scale = float(np.linalg.norm(ch.eigenvalues)) * whole
+        if ch.domain_defect(piece) > CCR_DOMAIN_RTOL * max(scale, 1e-300):
+            return False
+    return True
 
 
-def direct_sum_form(forms) -> SesquilinearForm:
-    """Concatenate the channels of several forms into one."""
-    channels = []
-    for f in forms:
-        channels.extend(f.channels)
-    offsets = []
-    position = 0
-    for ch in channels:
-        offsets.append(position)
-        position += ch.dimension
-    return SesquilinearForm(channels=tuple(channels), offsets=tuple(offsets))
+def require_ccr_domain(form: BlockDiagonal, v) -> None:
+    if not in_ccr_domain(form, v):
+        raise ValueError(
+            "vector lies outside the form's commutation domain "
+            "(some block is not orthogonal to its eigenvalue vector)"
+        )
+
+
+def project_to_ccr_domain(form: BlockDiagonal, v) -> np.ndarray:
+    """Project v onto the commutation domain, block by block."""
+    pieces = form.pieces(np.asarray(v, dtype=complex))
+    return np.concatenate([ch.project_to_ccr_domain(p) for ch, p in zip(form.blocks, pieces)])
+
+
+def describe_domains(form: BlockDiagonal) -> list[dict]:
+    """Per-channel summary of sizes and eigenvalue ranges."""
+    return [
+        {
+            "channel_id": i,
+            "dimension": ch.dimension,
+            "eigenvalue_min": float(ch.eigenvalues[0]),
+            "eigenvalue_max": float(ch.eigenvalues[-1]),
+        }
+        for i, ch in enumerate(form.blocks)
+    ]
 
 
 def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
     """Decompose a zero-accumulating spectrum into an ultra-weak form.
 
-    Returns (decomposition, SesquilinearForm) with one form channel per
+    Returns (decomposition, BlockDiagonal) with one form channel per
     decomposition channel, eigenvalues sorted ascending within each.
     """
     if s.accumulation is not Accumulation.TO_ZERO:
         raise ValueError("ultra-weak forms are built over spectra accumulating at zero")
     deco = decompose_spectrum(s, p)
-    channels = tuple(
+    return deco, BlockDiagonal(tuple(
         FormChannel(np.sort(np.asarray(deco.channel_values(i), dtype=float)))
         for i in range(deco.channel_count)
-    )
-    offsets = []
-    position = 0
-    for ch in channels:
-        offsets.append(position)
-        position += ch.dimension
-    return deco, SesquilinearForm(channels=channels, offsets=tuple(offsets))
+    ))
 
 
-def random_domain_vector(rng: np.random.Generator, form: SesquilinearForm) -> np.ndarray:
+def random_domain_vector(rng: np.random.Generator, form: BlockDiagonal) -> np.ndarray:
     """Seeded random unit vector in the form's commutation domain.
 
     Uniform complex coefficients projected blockwise and normalized;
@@ -253,20 +195,21 @@ def random_domain_vector(rng: np.random.Generator, form: SesquilinearForm) -> np
     dim = form.total_dimension
     while True:
         v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
-        v = form.project_to_ccr_domain(v)
+        v = project_to_ccr_domain(form, v)
         norm = float(np.linalg.norm(v))
         if norm > 1e-8:
             return v / norm
 
 
-def uw_ccr_residual(form: SesquilinearForm, phi, psi) -> float:
+def uw_ccr_residual(form: BlockDiagonal, phi, psi) -> float:
     """|t[H phi, psi] - t[phi, H psi] + i (phi, psi)| on the form domain."""
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    form.require_ccr_domain(phi)
-    form.require_ccr_domain(psi)
-    lhs = form.evaluate(form.apply_hamiltonian(phi), psi)
-    rhs = form.evaluate(phi, form.apply_hamiltonian(psi))
+    require_ccr_domain(form, phi)
+    require_ccr_domain(form, psi)
+    h = form.hamiltonian_diagonal()
+    lhs = evaluate_form(form, h * phi, psi)
+    rhs = evaluate_form(form, phi, h * psi)
     return abs(lhs - rhs + 1j * np.vdot(phi, psi))
 
 
@@ -291,7 +234,7 @@ class UncertaintyResult:
         }
 
 
-def uncertainty_check(form: SesquilinearForm, psi, a: float = 0.0, b: float = 0.0) -> UncertaintyResult:
+def uncertainty_check(form: BlockDiagonal, psi, a: float = 0.0, b: float = 0.0) -> UncertaintyResult:
     """Evaluate (t - a)[(H - b) psi, psi] for a unit domain vector psi.
 
     The imaginary part equals -1/2 identically on the domain, so the
@@ -302,11 +245,11 @@ def uncertainty_check(form: SesquilinearForm, psi, a: float = 0.0, b: float = 0.
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise ValueError("psi must be a unit vector")
-    form.require_ccr_domain(psi)
+    require_ccr_domain(form, psi)
     a = float(a)
     b = float(b)
-    shifted = form.apply_hamiltonian(psi) - b * psi
-    z = form.evaluate(shifted, psi) - a * np.vdot(shifted, psi)
+    shifted = form.hamiltonian_diagonal() * psi - b * psi
+    z = evaluate_form(form, shifted, psi) - a * np.vdot(shifted, psi)
     z = complex(z)
     imaginary_ok = abs(z.imag + 0.5) <= UNCERTAINTY_ATOL
     value_ok = abs(z) >= 0.5 - UNCERTAINTY_ATOL
@@ -499,7 +442,7 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     census tolerance by adding their multiplicities, partitions the
     resulting value set, and assembles the channel forms.
 
-    Returns (report, partition, SesquilinearForm).
+    Returns (report, partition, BlockDiagonal).
     """
     report = f_condition_check(f, s)
     if not report.admissible:
@@ -524,14 +467,8 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
 
     values = np.asarray(merged_values, dtype=float)
     partition = channel_partition(values, merged_mults, p)
-    channels = []
-    for channel in partition.channels:
-        members = np.sort(values[[value_index for value_index, _ in channel]])
-        channels.append(FormChannel(members))
-    offsets = []
-    position = 0
-    for ch in channels:
-        offsets.append(position)
-        position += ch.dimension
-    form = SesquilinearForm(channels=tuple(channels), offsets=tuple(offsets))
+    form = BlockDiagonal(tuple(
+        FormChannel(np.sort(values[[value_index for value_index, _ in channel]]))
+        for channel in partition.channels
+    ))
     return report, partition, form

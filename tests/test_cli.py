@@ -149,6 +149,19 @@ class TestSubcommands:
         report = _read(tmp_path / "timeop_report.json")
         assert report["spectrum"]["entries"] == [list(e) for e in s.entries]
 
+    @pytest.mark.parametrize("command", ["timeop", "uwform"])
+    @pytest.mark.parametrize("vectors", ["0", "-3"])
+    def test_sweep_over_no_vectors_is_a_usage_error(self, tmp_path, command, vectors):
+        code = main([command, "--model", "hydrogen", "--n-max", "3",
+                     "--vectors", vectors, "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / f"{command}_report.json").exists()
+
+    def test_timeop_rabi_rejects_infinite_coupling(self, tmp_path):
+        with np.errstate(invalid="ignore"):
+            code = main(["timeop", "--model", "rabi", "--g", "inf", "--out", str(tmp_path)])
+        assert code == 2
+
     def test_timeop_rabi(self, tmp_path):
         code = main(["timeop", "--model", "rabi", "--cutoff", "120",
                      "--count", "12", "--out", str(tmp_path)])

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from timeops.cli import RunConfig, run
 from timeops.contspec import (
-    GAUSSIAN,
     ExpCombination,
-    GaussianDensity,
     GridState,
+    _gauss_hermite,
     ab_apply,
     free_evolve,
     make_packet,
-    residual_sweep,
     s0_apply,
     s0_strong_relation_check,
     s0_symmetry_residual,
@@ -169,32 +168,33 @@ class TestWeakWeyl:
         with pytest.raises(ValueError, match="box boundary"):
             weak_weyl_residual(default_packet(), 200.0)
 
+    @staticmethod
+    def _abweyl(**grid):
+        return run(RunConfig(model={}, pipeline={"kind": "abweyl", **grid}, tolerances={}))
+
     def test_sweep_matches_single_evaluations(self):
-        state = default_packet()
-        rows = residual_sweep(state, 1.0, 4)
+        # the abweyl pipeline's defaults describe default_packet()
+        rows = self._abweyl(tmax=1.0, steps=4)["sweep"]
         assert [t for t, _ in rows] == pytest.approx([0.25, 0.5, 0.75, 1.0])
         for t, r in rows:
-            assert r == weak_weyl_residual(state, t)
+            assert r == weak_weyl_residual(default_packet(), t)
 
     def test_sweep_validation(self):
-        state = default_packet()
         with pytest.raises(ValueError):
-            residual_sweep(state, 1.0, 0)
+            self._abweyl(tmax=1.0, steps=0)
         with pytest.raises(ValueError):
-            residual_sweep(state, -1.0, 4)
+            self._abweyl(tmax=-1.0, steps=4)
 
 
 class TestGaussianDensity:
-    def test_value_and_log_derivative(self):
-        assert GAUSSIAN.value(0.0) == pytest.approx(1.0 / math.sqrt(math.pi))
-        assert GAUSSIAN.log_derivative(1.5) == -3.0
+    """Gauss-Hermite quadrature against the reference density exp(-x^2)/sqrt(pi)."""
 
     def test_quadrature_weights_are_normalized(self):
-        _, weights = GAUSSIAN.quadrature(64)
+        _, weights = _gauss_hermite(64)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_second_moment(self):
-        nodes, weights = GAUSSIAN.quadrature(64)
+        nodes, weights = _gauss_hermite(64)
         assert np.sum(weights * nodes ** 2) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -213,12 +213,6 @@ class TestS0Class:
         lam = 0.7
         expected = (-1.0 - 1j * lam) * np.exp(1j * lam)
         assert out.evaluate(np.array([lam]))[0] == pytest.approx(expected, abs=1e-15)
-
-    def test_rejects_non_gaussian_density(self):
-        other = GaussianDensity()  # same law, but not the blessed instance
-        f = ExpCombination(terms=((1.0 + 0.0j, 0.0),), density=other)
-        with pytest.raises(ValueError, match="Gaussian"):
-            s0_apply(f)
 
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,12 @@ from hypothesis import given, strategies as st
 from timeops.spectra import Accumulation, hydrogen_point_spectrum
 from timeops.timeop import (
     CHANNEL_DIMENSION_LIMIT,
-    BlockOperator,
+    BlockDiagonal,
     MatrixKind,
     assemble_time_operator,
     ccr_residual,
     channel_time_operator,
     commutator_defect_columns,
-    direct_sum,
     galapon_matrix,
     osc_timeop_spectrum,
     project_to_difference_span,
@@ -81,6 +80,8 @@ class TestGalaponMatrix:
     def test_rejects_unsorted_and_zero_and_oversized(self):
         with pytest.raises(ValueError, match="increasing"):
             galapon_matrix((2.0, 1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            galapon_matrix([math.nan, 1.0])
         with pytest.raises(ValueError, match="nonzero"):
             galapon_matrix((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match="exceeds"):
@@ -171,27 +172,36 @@ class TestCcrResidual:
 
 
 class TestBlockOperator:
+    """The block time operator: a BlockDiagonal of per-channel matrices."""
+
     @staticmethod
     def _two_blocks():
         a = channel_time_operator([-1.0, -0.25, -1.0 / 9.0], Accumulation.TO_ZERO)
         b = channel_time_operator([-0.0625, -0.04], Accumulation.TO_ZERO)
-        return direct_sum([a, b])
+        return BlockDiagonal((a, b))
+
+    @staticmethod
+    def _blockwise_residual(op, v):
+        total = 0.0
+        for t, piece in zip(op.blocks, op.pieces(v)):
+            total += ccr_residual(t.pairing_eigenvalues, t, piece) ** 2
+        return math.sqrt(total)
 
     def test_shapes_and_slices(self):
         op = self._two_blocks()
         assert op.total_dimension == 5
-        assert op.block_count == 2
-        assert op.offsets == (0, 3)
+        assert len(op.blocks) == 2
+        assert op.block_slice(0) == slice(0, 3)
         assert op.block_slice(1) == slice(3, 5)
-
-    def test_dense_assembly(self):
-        op = self._two_blocks()
-        h = op.dense_hamiltonian()
-        assert h.shape == (5,)
-        dense = op.dense_time_operator()
-        assert np.array_equal(dense[:3, :3], op.blocks[0][1].data)
-        assert np.array_equal(dense[3:, 3:], op.blocks[1][1].data)
-        assert np.all(dense[:3, 3:] == 0.0)
+        assert op.channel(1).blocks == (op.blocks[1],)
+        assert op.channel(1).block_slice(0) == slice(0, 2)
+        np.testing.assert_array_equal(
+            op.hamiltonian_diagonal(), [-1.0, -4.0, -9.0, -16.0, -25.0]
+        )
+        with pytest.raises(ValueError, match="vector length"):
+            op.pieces(np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match="at least one block"):
+            BlockDiagonal(())
 
     def test_full_residual_with_per_block_membership(self):
         op = self._two_blocks()
@@ -199,31 +209,26 @@ class TestBlockOperator:
         v = np.concatenate(
             [random_difference_vector(rng, 3), random_difference_vector(rng, 2)]
         )
-        assert op.ccr_residual(v) <= 1e-10
+        assert self._blockwise_residual(op, v) <= 1e-10
 
     def test_globally_balanced_but_blockwise_unbalanced_vector_is_rejected(self):
         op = self._two_blocks()
         v = np.array([1.0, 0.0, 0.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="difference span"):
-            op.ccr_residual(v)
-
-    def test_inconsistent_offsets_rejected(self):
-        op = self._two_blocks()
-        with pytest.raises(ValueError, match="offsets"):
-            BlockOperator(blocks=op.blocks, offsets=(0, 4))
+            self._blockwise_residual(op, v)
 
 
 class TestChannelTimeOperator:
     def test_zero_accumulation_routes_to_inverse_conjugate(self):
-        _, t = channel_time_operator([-0.5, -0.125], Accumulation.TO_ZERO)
+        t = channel_time_operator([-0.5, -0.125], Accumulation.TO_ZERO)
         assert t.kind is MatrixKind.INVERSE_CONJUGATE
 
     def test_infinity_accumulation_routes_to_direct(self):
-        _, t = channel_time_operator([0.5, 1.5], Accumulation.TO_INFINITY)
+        t = channel_time_operator([0.5, 1.5], Accumulation.TO_INFINITY)
         assert t.kind is MatrixKind.DIRECT
 
     def test_values_are_sorted_before_building(self):
-        _, t = channel_time_operator([2.5, 0.5, 1.5], Accumulation.TO_INFINITY)
+        t = channel_time_operator([2.5, 0.5, 1.5], Accumulation.TO_INFINITY)
         assert t.eigenvalues == (0.5, 1.5, 2.5)
 
 
@@ -231,15 +236,15 @@ class TestAssembleTimeOperator:
     def test_hydrogen_end_to_end(self):
         deco, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 3))
         assert deco.channel_count == 9
-        assert op.block_count == 9
+        assert len(op.blocks) == 9
         assert op.total_dimension == 14
         rng = np.random.default_rng(13)
         worst = 0.0
-        for eigs, t in op.blocks:
+        for t in op.blocks:
             if t.dimension < 2:
                 continue
             v = random_difference_vector(rng, t.dimension)
-            worst = max(worst, ccr_residual(eigs, t, v))
+            worst = max(worst, ccr_residual(t.pairing_eigenvalues, t, v))
         assert worst <= 1e-12
 
 

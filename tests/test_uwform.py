@@ -4,20 +4,29 @@ import numpy as np
 import pytest
 
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
+from timeops.timeop import BlockDiagonal
 from timeops.uwform import (
     AdmissibilityError,
     FormChannel,
     FunctionKind,
     FunctionSpec,
     assemble_uwform,
-    direct_sum_form,
+    describe_domains,
+    evaluate_form,
     f_condition_check,
     f_transform_form,
+    in_ccr_domain,
+    project_to_ccr_domain,
     random_domain_vector,
+    require_ccr_domain,
     uncertainty_check,
     uw_ccr_residual,
-    uwform_point,
 )
+
+
+def form_of(*channels):
+    """Direct sum of form channels, one per eigenvalue list."""
+    return BlockDiagonal(tuple(FormChannel(np.array(ev, dtype=float)) for ev in channels))
 
 
 def _domain_vector_2d():
@@ -27,42 +36,38 @@ def _domain_vector_2d():
 
 class TestFormChannel:
     def test_two_by_two_evaluator_entry(self):
-        form = uwform_point([-1.0, -0.5])
+        form = form_of([-1.0, -0.5])
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
-        assert form.evaluate(e0, e1) == -2.5j
-        assert form.evaluate(e1, e0) == 2.5j
+        assert evaluate_form(form, e0, e1) == -2.5j
+        assert evaluate_form(form, e1, e0) == 2.5j
 
     def test_evaluator_is_exactly_hermitian(self):
         ch = FormChannel(np.array([-1.0, -0.31, -0.17, -0.056]))
         assert np.array_equal(ch.evaluator, ch.evaluator.conj().T)
 
     def test_form_symmetry_and_sesquilinearity(self):
-        form = uwform_point([-2.0, -0.7, -0.3, -0.11])
+        form = form_of([-2.0, -0.7, -0.3, -0.11])
         rng = np.random.default_rng(0)
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        scale = abs(form.evaluate(phi, psi)) + 1.0
-        assert form.evaluate(phi, psi) == pytest.approx(
-            np.conj(form.evaluate(psi, phi)), abs=1e-13 * scale
-        )
+
+        def t(a, b):
+            return evaluate_form(form, a, b)
+
+        scale = abs(t(phi, psi)) + 1.0
+        assert t(phi, psi) == pytest.approx(np.conj(t(psi, phi)), abs=1e-13 * scale)
         z = 0.6 - 1.9j
-        assert form.evaluate(z * phi, psi) == pytest.approx(
-            np.conj(z) * form.evaluate(phi, psi), abs=1e-13 * scale
-        )
-        assert form.evaluate(phi, z * psi) == pytest.approx(
-            z * form.evaluate(phi, psi), abs=1e-13 * scale
-        )
+        assert t(z * phi, psi) == pytest.approx(np.conj(z) * t(phi, psi), abs=1e-13 * scale)
+        assert t(phi, z * psi) == pytest.approx(z * t(phi, psi), abs=1e-13 * scale)
+        with pytest.raises(ValueError, match="vector length"):
+            t(phi[:3], psi)
 
     def test_rejects_zero_or_unsorted_eigenvalues(self):
         with pytest.raises(ValueError):
             FormChannel(np.array([-1.0, 0.0]))
         with pytest.raises(ValueError):
             FormChannel(np.array([-0.5, -1.0]))
-
-    def test_point_form_requires_negative_values(self):
-        with pytest.raises(ValueError):
-            uwform_point([-1.0, 0.5])
 
 
 class TestCommutationDomain:
@@ -72,34 +77,32 @@ class TestCommutationDomain:
         assert np.all(ch.project_to_ccr_domain(v) == 0.0)
 
     def test_projection_lands_in_the_domain(self):
-        form = uwform_point([-1.0, -0.44, -0.2, -0.09])
+        form = form_of([-1.0, -0.44, -0.2, -0.09])
         rng = np.random.default_rng(1)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        w = form.project_to_ccr_domain(v)
-        assert form.in_ccr_domain(w)
+        w = project_to_ccr_domain(form, v)
+        assert in_ccr_domain(form, w)
 
     def test_membership_tolerance_is_anchored_to_the_whole_vector(self):
         # A direct sum with a one-dimensional channel: any mass there is a
         # domain defect in that block, but round-off-sized mass relative to
         # the whole vector must not disqualify a projected vector.
-        big = uwform_point([-1.0, -0.5, -0.25])
-        small = uwform_point([-0.04])
-        form = direct_sum_form([big, small])
+        form = form_of([-1.0, -0.5, -0.25], [-0.04])
         v = np.zeros(4, dtype=complex)
-        v[:3] = random_domain_vector(np.random.default_rng(2), big)
+        v[:3] = random_domain_vector(np.random.default_rng(2), form.channel(0))
         v[3] = 1e-12
-        assert form.in_ccr_domain(v)
+        assert in_ccr_domain(form, v)
         v[3] = 1e-3
-        assert not form.in_ccr_domain(v)
+        assert not in_ccr_domain(form, v)
 
     def test_random_domain_vector_is_unit_and_accepted(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
         v = random_domain_vector(np.random.default_rng(3), form)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        form.require_ccr_domain(v)
+        require_ccr_domain(form, v)
 
     def test_out_of_domain_vector_is_rejected(self):
-        form = uwform_point([-1.0, -0.5])
+        form = form_of([-1.0, -0.5])
         e0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="commutation domain"):
             uw_ccr_residual(form, e0, _domain_vector_2d())
@@ -107,7 +110,7 @@ class TestCommutationDomain:
 
 class TestUltraWeakCcr:
     def test_residual_on_a_single_wide_channel(self):
-        form = uwform_point([-1.0 / n ** 2 for n in range(1, 9)])
+        form = form_of([-1.0 / n ** 2 for n in range(1, 9)])
         rng = np.random.default_rng(4)
         worst = max(
             uw_ccr_residual(
@@ -133,17 +136,15 @@ class TestUltraWeakCcr:
         assert worst <= 1e-10
 
     def test_blocks_do_not_couple(self):
-        a = uwform_point([-1.0, -0.5])
-        b = uwform_point([-0.25, -0.125])
-        form = direct_sum_form([a, b])
+        form = form_of([-1.0, -0.5], [-0.25, -0.125])
         phi = np.array([1.0, -2.0, 0.0, 0.0], dtype=complex) / math.sqrt(5.0)
         psi = np.array([0.0, 0.0, 1.0, -2.0], dtype=complex) / math.sqrt(5.0)
-        assert form.evaluate(phi, psi) == 0.0
+        assert evaluate_form(form, phi, psi) == 0.0
         assert abs(np.vdot(phi, psi)) == 0.0
 
     def test_describe_domains(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 2))
-        rows = form.describe_domains()
+        rows = describe_domains(form)
         assert [r["dimension"] for r in rows] == [2, 1, 1, 1]
         assert rows[0]["eigenvalue_min"] == -0.5
         assert rows[0]["eigenvalue_max"] == -0.125
@@ -151,14 +152,14 @@ class TestUltraWeakCcr:
 
 class TestUncertainty:
     def test_imaginary_part_is_exactly_minus_half(self):
-        form = uwform_point([-1.0, -0.5])
+        form = form_of([-1.0, -0.5])
         result = uncertainty_check(form, _domain_vector_2d(), a=0.3, b=-0.7)
         assert result.imaginary_part == pytest.approx(-0.5, abs=1e-12)
         assert result.value >= 0.5 - 1e-12
         assert result.passes
 
     def test_json_document(self):
-        form = uwform_point([-1.0, -0.5])
+        form = form_of([-1.0, -0.5])
         doc = uncertainty_check(form, _domain_vector_2d()).to_json()
         assert set(doc) == {
             "value", "imaginary_part", "value_ok", "imaginary_ok", "passes",
@@ -174,12 +175,12 @@ class TestUncertainty:
             assert uncertainty_check(form, psi, a, b).passes
 
     def test_rejects_non_unit_vector(self):
-        form = uwform_point([-1.0, -0.5])
+        form = form_of([-1.0, -0.5])
         with pytest.raises(ValueError, match="unit"):
             uncertainty_check(form, 2.0 * _domain_vector_2d())
 
     def test_rejects_out_of_domain_vector(self):
-        form = uwform_point([-1.0, -0.5])
+        form = form_of([-1.0, -0.5])
         e0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="commutation domain"):
             uncertainty_check(form, e0)
@@ -193,12 +194,12 @@ class TestAssembleUwform:
 
     def test_channel_count_matches_decomposition(self):
         deco, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
-        assert len(form.channels) == deco.channel_count
+        assert len(form.blocks) == deco.channel_count
         assert form.total_dimension == len(deco.slots) == 30
 
     def test_block_eigenvalues_ascend(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
-        for ch in form.channels:
+        for ch in form.blocks:
             assert np.all(np.diff(ch.eigenvalues) > 0.0)
 
 
@@ -319,8 +320,8 @@ class TestTransformForm:
         identity = FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1.0))
         _, _, transformed = f_transform_form(identity, s)
         _, plain = assemble_uwform(s)
-        assert len(transformed.channels) == len(plain.channels)
-        for a, b in zip(transformed.channels, plain.channels):
+        assert len(transformed.blocks) == len(plain.blocks)
+        for a, b in zip(transformed.blocks, plain.blocks):
             assert np.array_equal(a.evaluator, b.evaluator)
 
     def test_transformed_form_satisfies_the_ccr(self):
@@ -344,9 +345,9 @@ class TestTransformForm:
         # x + x^2 sends both eigenvalues to -0.1875
         assert report.distinct_count == 1
         assert form.total_dimension == 2
-        assert len(form.channels) == 2
-        assert all(ch.dimension == 1 for ch in form.channels)
-        assert form.channels[0].eigenvalues[0] == pytest.approx(-0.1875)
+        assert len(form.blocks) == 2
+        assert all(ch.dimension == 1 for ch in form.blocks)
+        assert form.blocks[0].eigenvalues[0] == pytest.approx(-0.1875)
 
     def test_failing_condition_raises_with_report_attached(self):
         s = hydrogen_point_spectrum(1.0, 1.0, 4)
