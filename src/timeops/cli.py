@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +53,56 @@ MODEL_KINDS = ("oscillator", "hydrogen", "rabi", "custom")
 PIPELINE_KINDS = ("timeop", "uwform", "ftransform", "oscspec", "abweyl", "s0check")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+#: What each type named in the field tables admits.
+_FIELD_TYPES = {
+    "a number": _is_number,
+    "an integer": _is_integer,
+    "a string": lambda x: isinstance(x, str),
+    "a list of numbers": lambda x: isinstance(x, (list, tuple)) and all(map(_is_number, x)),
+    "a list of integers": lambda x: isinstance(x, (list, tuple)) and all(map(_is_integer, x)),
+    "null or a {kind: string, params: [numbers]} object": lambda x: x is None or (
+        isinstance(x, dict) and isinstance(x.get("kind"), str)
+        and isinstance(x.get("params"), list) and all(map(_is_number, x["params"]))
+    ),
+}
+
+#: Type of every field a model kind reads; other fields are ignored.
+_MODEL_FIELDS = {
+    "oscillator": {"omega": "a list of numbers", "n_max": "an integer"},
+    "hydrogen": {"m": "a number", "gamma": "a number", "n_max": "an integer"},
+    "rabi": {"mu": "a number", "omega": "a number", "g": "a number",
+             "cutoff": "an integer", "count": "an integer"},
+    "custom": {"path": "a string"},
+}
+
+#: Type of every field a pipeline reads; other fields are ignored.
+_PIPELINE_FIELDS = {
+    "p": "a number", "vectors": "an integer", "omega": "a number", "sizes": "a list of integers",
+    "function": "null or a {kind: string, params: [numbers]} object",
+    "L": "a number", "N": "an integer", "m": "a number", "x0": "a number", "k0": "a number",
+    "sigma": "a number", "tmax": "a number", "steps": "an integer",
+}
+
+
+def _check_fields(section: str, values: dict, expected: dict) -> None:
+    for key, kind in expected.items():
+        if key in values and not _FIELD_TYPES[kind](values[key]):
+            raise ValueError(f"{section} field {key!r} must be {kind}, not {type(values[key]).__name__}")
+
+
+def _check_tolerances_and_seed(tolerances: dict, seed) -> None:
+    _check_fields("tolerances", tolerances, dict.fromkeys(tolerances, "a number"))
+    _check_fields("config", {"seed": seed}, {"seed": "an integer"})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One reproducible pipeline run: model, pipeline, tolerances, seed."""
@@ -68,6 +119,9 @@ class RunConfig:
             raise ValueError(f"pipeline kind must be one of {PIPELINE_KINDS}")
         if model and model.get("kind") not in MODEL_KINDS:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}")
+        _check_fields("model", model, _MODEL_FIELDS.get(model.get("kind"), {}))
+        _check_fields("pipeline", pipeline, _PIPELINE_FIELDS)
+        _check_tolerances_and_seed(self.tolerances or {}, self.seed)
         tolerances = {}
         for name, value in (self.tolerances or {}).items():
             if name not in DEFAULT_TOLERANCES:
@@ -186,11 +240,9 @@ def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
         t = block.blocks[i]
         worst = 0.0
         if t.dimension >= 2:
-            eigs = t.pairing_eigenvalues
             rng = np.random.default_rng(config.seed + 10_000 + i)
-            for _ in range(vectors):
-                v = random_difference_vector(rng, t.dimension)
-                worst = max(worst, ccr_residual(eigs, t, v))
+            stack = [random_difference_vector(rng, t.dimension) for _ in range(vectors)]
+            worst = ccr_residual(t.pairing_eigenvalues, t, stack)
         scale = float(np.max(np.abs(t.data))) if t.dimension > 1 else 0.0
         ok = worst <= tol["ccr_relative"] * scale if t.dimension > 1 else True
         entry = {
@@ -312,19 +364,20 @@ def _pipeline_oscspec(config: RunConfig, tol: dict, jobs: int) -> dict:
     pl = config.pipeline
     omega = float(pl.get("omega", 1.0))
     sizes = sorted(int(n) for n in pl.get("sizes", (100, 200, 400, 800)))
+    if not sizes:
+        raise ValueError("sizes must name at least one matrix size; an empty sweep checks nothing")
     slack = tol["toeplitz_bound_slack"]
-    bound = math.pi / omega
-
-    def one(n: int) -> dict:
-        _, low, high = osc_timeop_spectrum(omega, n)
-        return {
+    extremes = _parallel(lambda n: osc_timeop_spectrum(omega, n)[1:], sizes, jobs)
+    bound = math.pi / omega   # omega was validated by osc_timeop_spectrum
+    rows = [
+        {
             "size": n,
             "lambda_min": low,
             "lambda_max": high,
             "within_bound": bool(high <= bound + slack and low >= -bound - slack),
         }
-
-    rows = _parallel(one, sizes, jobs)
+        for n, (low, high) in zip(sizes, extremes)
+    ]
     maxima = [row["lambda_max"] for row in rows]
     monotone = all(b >= a for a, b in zip(maxima, maxima[1:]))
     passed = monotone and all(row["within_bound"] for row in rows)
@@ -352,8 +405,8 @@ def _pipeline_abweyl(config: RunConfig, tol: dict, jobs: int) -> dict:
     sigma = float(pl.get("sigma", 2.0))
     t_max = float(pl.get("tmax", 1.0))
     steps = int(pl.get("steps", 4))
-    if steps < 1 or t_max <= 0.0:
-        raise ValueError("need steps >= 1 and tmax > 0")
+    if steps < 1 or not 0.0 < t_max < math.inf:
+        raise ValueError("need steps >= 1 and a finite tmax > 0")
 
     base = make_packet(box, n, m, x0, k0, sigma)
     fine = make_packet(box, 2 * n, m, x0, k0, sigma)
@@ -425,7 +478,13 @@ def _load_config_file(args) -> dict:
     path = getattr(args, "config", None)
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError("a config file must hold a JSON object")
+    for section in ("model", "pipeline", "tolerances"):
+        if not isinstance(raw.get(section) or {}, dict):
+            raise ValueError(f"config section {section!r} must be a JSON object")
+    return raw
 
 
 def _function_payload(raw: str | None):
@@ -507,7 +566,7 @@ def _write_report(args, name: str, report: dict) -> int:
 
 def _run_and_write(args, name: str, pipeline: dict, needs_model: bool = True) -> int:
     config = _make_config(args, pipeline, needs_model)
-    report = run(config, jobs=max(1, int(getattr(args, "jobs", 1) or 1)))
+    report = run(config, jobs=args.jobs)
     return _write_report(args, name, report)
 
 
@@ -597,6 +656,7 @@ def cmd_selftest(args) -> int:
             raise ValueError("tolerance overrides look like name=value")
         overrides[name] = float(value)
     seed = args.seed if args.seed is not None else raw.get("seed", 7)
+    _check_tolerances_and_seed(overrides, seed)
     results = run_all(overrides or None, int(seed))
 
     criteria = []
@@ -714,6 +774,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
         return args.handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

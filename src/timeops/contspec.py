@@ -125,6 +125,8 @@ def make_packet(box_half_width: float, size: int, mass: float,
     singularity, and the envelope must fit the box with a six-sigma
     margin on both sides.
     """
+    if not np.all(np.isfinite([box_half_width, mass, center, carrier, width])):
+        raise ValueError("packet parameters must be finite")
     if width <= 0.0:
         raise ValueError("packet width must be positive")
     if abs(carrier) < CARRIER_WIDTH_FACTOR / width:

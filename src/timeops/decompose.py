@@ -148,8 +148,8 @@ def channel_partition(
         raise ValueError("need one multiplicity per value")
     if any(m < 1 for m in mults):
         raise ValueError("multiplicities must be >= 1")
-    if float(p) <= 1.0:
-        raise ValueError("summability exponent must exceed 1")
+    if not 1.0 < float(p) < np.inf:   # written so that NaN fails
+        raise ValueError("summability exponent must be finite and exceed 1")
     if np.any(vals == 0.0):
         raise ValueError("values must be nonzero")
     if np.unique(vals).size != vals.size:

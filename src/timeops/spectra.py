@@ -73,6 +73,8 @@ class DiscreteSpectrum:
         accumulation = Accumulation(self.accumulation)
         object.__setattr__(self, "accumulation", accumulation)
         values = [v for v, _ in entries]
+        if not all(np.isfinite(values)):
+            raise ValueError("spectrum values must be finite")
         if any(m < 1 for _, m in entries):
             raise ValueError("multiplicities must be >= 1")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -147,7 +149,13 @@ class HermitianMatrix:
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (dense Hermitian solve)."""
+        """Eigenvalues in ascending order (dense Hermitian solve).
+
+        A matrix whose imaginary part is identically zero, such as the
+        Rabi Hamiltonian, is solved as the real symmetric matrix it is.
+        """
+        if not np.any(self.data.imag):
+            return np.linalg.eigvalsh(self.data.real)
         return np.linalg.eigvalsh(self.data)
 
     def to_json(self) -> dict:
@@ -199,8 +207,8 @@ def harmonic_spectrum(omega: "list[float]", n_max: int) -> DiscreteSpectrum:
     freqs = [float(w) for w in omega]
     if not freqs:
         raise ValueError("need at least one frequency")
-    if any(w <= 0.0 for w in freqs):
-        raise ValueError("frequencies must be positive")
+    if not all(np.isfinite(freqs)) or any(w <= 0.0 for w in freqs):
+        raise ValueError("frequencies must be finite and positive")
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -235,8 +243,8 @@ def hydrogen_point_spectrum(m: float, gamma: float, n_max: int) -> DiscreteSpect
     m = float(m)
     gamma = float(gamma)
     n_max = int(n_max)
-    if m <= 0.0 or gamma <= 0.0:
-        raise ValueError("mass and coupling must be positive")
+    if not (np.isfinite(m) and np.isfinite(gamma) and m > 0.0 and gamma > 0.0):
+        raise ValueError("mass and coupling must be finite and positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     entries = tuple(

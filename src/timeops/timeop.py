@@ -18,6 +18,7 @@ infinity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -188,20 +189,27 @@ def commutator_defect_columns(eigenvalues, t: TimeOperatorMatrix) -> np.ndarray:
 
 
 def ccr_residual(eigenvalues, t: TimeOperatorMatrix, v) -> float:
-    """Norm of ([H,T] + i)v for a vector v in the difference span.
+    """Worst norm of ([H,T] + i)v over one vector v or the rows of a (k, n) stack.
 
     H is diag(eigenvalues).  The residual is zero in exact arithmetic for
     any v with zero coefficient sum, because the commutator equals
     i(J - I) and the all-ones contribution is annihilated on that span.
     Vectors whose coefficient sum exceeds the membership tolerance are
-    rejected rather than silently measured.
+    rejected rather than silently measured.  The commutator is formed
+    once per call and applied one row at a time, so each row's residual
+    has the same bits as a single-vector call.
     """
-    vec = np.asarray(v, dtype=complex)
-    if vec.shape != (t.dimension,):
+    vecs = np.asarray(v, dtype=complex)
+    if vecs.ndim == 1:
+        vecs = vecs[None, :]
+    if vecs.ndim != 2 or vecs.shape[1] != t.dimension:
         raise ValueError("vector length does not match matrix dimension")
-    _require_difference_span(vec)
+    if vecs.shape[0] == 0:
+        raise ValueError("need at least one vector")
+    for vec in vecs:
+        _require_difference_span(vec)
     comm = commutator_defect_columns(eigenvalues, t)
-    return float(np.linalg.norm(comm @ vec + 1j * vec))
+    return float(np.max([np.linalg.norm(comm @ vec + 1j * vec) for vec in vecs]))
 
 
 @dataclass(frozen=True)
@@ -280,15 +288,42 @@ def osc_timeop_spectrum(omega: float, n: int):
     range (-pi/omega, pi/omega), so the truncation eigenvalues fill that
     interval from the inside as the size grows.
 
+    The spectrum comes from a real SVD of half the size (the even/odd
+    split of Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Write
+    T = iA/omega with A[n, m] = a(n - m), a(k) = 1/k, a(0) = 0: A is real
+    antisymmetric Toeplitz, so J A J = -A for the exchange matrix J and A
+    maps J-even vectors to J-odd ones.  Take the orthonormal bases
+    e_p = (d_p + d_{n-1-p})/sqrt(2) for p < ceil(n/2), with the middle
+    e_p = d_p alone when n is odd, and o_q = (d_q - d_{n-1-q})/sqrt(2) for
+    q < floor(n/2).  In the basis (e, o),
+
+        A = [[0, B], [-B^T, 0]],   B[p, q] = e_p . A o_q = a(p - q) + a(n-1-p-q),
+
+    with the middle row of B scaled by 1/sqrt(2) when n is odd.  The
+    Hermitian matrix [[0, iB], [-iB^T, 0]] has eigenvalues +-sigma(B) and
+    one 0 when n is odd, so spec(T) = +-sigma(B)/omega (and 0).  No n x n
+    matrix is formed.
+
     Returns (ascending eigenvalue array, min, max).
     """
     omega = float(omega)
     n = int(n)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    # written so that NaN fails; pi/omega is the symbol bound the spectrum is checked against
+    if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(math.pi / omega)):
+        raise ValueError("omega must be finite and positive, with pi/omega finite")
     if n < 2:
         raise ValueError("need a matrix of size at least 2")
-    levels = omega * (np.arange(n) + 0.5)
-    t = galapon_matrix(levels, MatrixKind.DIRECT)
-    ev = np.linalg.eigvalsh(t.data)
+    if n > CHANNEL_DIMENSION_LIMIT:
+        raise ValueError(
+            f"matrix size {n} exceeds the dense-solver limit {CHANNEL_DIMENSION_LIMIT}"
+        )
+    lags = np.arange(1, n, dtype=float)
+    a = np.concatenate([-1.0 / lags[::-1], [0.0], 1.0 / lags])   # a[n - 1 + k] = a(k)
+    p = np.arange((n + 1) // 2)[:, None]
+    q = np.arange(n // 2)[None, :]
+    b = a[n - 1 + p - q] + a[2 * n - 2 - p - q]
+    if n % 2:
+        b[-1] /= math.sqrt(2.0)
+    sigma = np.linalg.svd(b, compute_uv=False) / omega           # descending
+    ev = np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]])
     return ev, float(ev[0]), float(ev[-1])

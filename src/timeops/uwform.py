@@ -283,6 +283,8 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         kind = FunctionKind(self.kind)
         params = tuple(float(x) for x in self.params)
+        if not all(np.isfinite(params)):
+            raise ValueError(f"{kind.value} parameters must be finite")
         if kind in (FunctionKind.EXP, FunctionKind.SIN):
             if len(params) != 1:
                 raise ValueError(f"{kind.value} takes exactly one parameter")

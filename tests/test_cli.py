@@ -254,6 +254,54 @@ class TestSubcommands:
         code = main(["timeop", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("omega", ["inf", "nan", "1e-320"])
+    def test_oscspec_rejects_non_finite_frequency(self, tmp_path, capsys, omega):
+        code = main(["oscspec", "--omega", omega, "--sizes", "10", "--out", str(tmp_path)])
+        assert code == 2
+        assert "omega must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "oscspec_report.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["oscspec", "--sizes", "10"],
+        ["timeop", "--model", "hydrogen", "--n-max", "3"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, command, jobs):
+        code = main([*command, "--jobs", jobs, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_report.json"))
+
+    @pytest.mark.parametrize("command,config", [
+        (["timeop"], {"model": {"kind": "hydrogen", "n_max": [3]}}),
+        (["timeop"], {"model": {"kind": "oscillator", "omega": 2.0}}),
+        (["timeop"], {"model": {"kind": "rabi", "g": "0.3"}}),
+        (["timeop"], {"model": {"kind": "hydrogen", "n_max": 3}, "seed": [1]}),
+        (["timeop"], {"model": {"kind": "hydrogen", "n_max": 3}, "tolerances": {"ccr_relative": [1]}}),
+        (["timeop"], {"model": {"kind": "hydrogen", "n_max": 3.5}}),
+        (["timeop"], {"model": {"kind": "hydrogen", "n_max": True}}),
+        (["timeop"], {"model": 5}),
+        (["timeop"], [1, 2]),
+        (["uwform"], {"model": {"kind": "hydrogen", "n_max": 3},
+                      "pipeline": {"kind": "uwform", "vectors": "5"}}),
+        (["uwform"], {"model": {"kind": "hydrogen", "n_max": 3},
+                      "pipeline": {"kind": "uwform", "function": {"kind": "exp", "params": 3}}}),
+        (["oscspec"], {"pipeline": {"kind": "oscspec", "sizes": 100}}),
+        (["oscspec"], {"pipeline": {"kind": "oscspec", "sizes": []}}),
+        (["abweyl"], {"pipeline": {"kind": "abweyl", "N": 512.0}}),
+        (["selftest"], {"tolerances": {"uw_ccr": [1e-9]}}),
+        (["selftest"], {"seed": "7"}),
+    ])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([*command, "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*_report.json"))
+
     def test_config_file_drives_a_run(self, tmp_path):
         cfg = {
             "model": {"kind": "hydrogen", "n_max": 3},

@@ -84,6 +84,15 @@ class TestMakePacket:
         with pytest.raises(ValueError, match="carrier"):
             make_packet(50.0, 1024, 1.0, 0.0, 0.5, 2.0)
 
+    @pytest.mark.parametrize("index", range(5))
+    def test_rejects_non_finite_parameters(self, index):
+        # box, mass, center, carrier, width; the grid size is an integer
+        params = [50.0, 1.0, 0.0, 5.0, 2.0]
+        params[index] = math.nan
+        box, mass, center, carrier, width = params
+        with pytest.raises(ValueError, match="finite"):
+            make_packet(box, 1024, mass, center, carrier, width)
+
     def test_rejects_packet_touching_the_boundary(self):
         with pytest.raises(ValueError, match="six-sigma"):
             make_packet(50.0, 1024, 1.0, 45.0, 5.0, 2.0)
@@ -184,6 +193,8 @@ class TestWeakWeyl:
             self._abweyl(tmax=1.0, steps=0)
         with pytest.raises(ValueError):
             self._abweyl(tmax=-1.0, steps=4)
+        with pytest.raises(ValueError, match="finite tmax"):
+            self._abweyl(tmax=math.nan, steps=4)
 
 
 class TestGaussianDensity:

@@ -104,6 +104,9 @@ class TestChannelPartition:
             channel_partition([0.5, 0.25], [1, 0])
         with pytest.raises(ValueError):
             channel_partition([0.5, 0.25], [1, 1], p=1.0)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                channel_partition([0.5, 0.25], [1, 1], p=p)
         with pytest.raises(ValueError):
             channel_partition([], [])
 

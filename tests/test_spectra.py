@@ -52,6 +52,11 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic_spectrum([1.0], 0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            harmonic_spectrum([omega], 3)
+
 
 class TestHydrogen:
     def test_standard_parameters(self):
@@ -77,6 +82,10 @@ class TestHydrogen:
             hydrogen_point_spectrum(1.0, -1.0, 3)
         with pytest.raises(ValueError):
             hydrogen_point_spectrum(1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            hydrogen_point_spectrum(math.nan, 1.0, 3)
+        with pytest.raises(ValueError, match="finite"):
+            hydrogen_point_spectrum(1.0, math.inf, 3)
 
 
 class TestDiscreteSpectrum:
@@ -98,6 +107,12 @@ class TestDiscreteSpectrum:
     def test_rejects_positive_value_in_zero_accumulating_spectrum(self):
         with pytest.raises(ValueError):
             DiscreteSpectrum(((-0.5, 1), (0.5, 1)), Accumulation.TO_ZERO)
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteSpectrum(((math.nan, 1), (-1.0, 1)), Accumulation.TO_INFINITY)
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteSpectrum(((1.0, 1), (math.inf, 1)), Accumulation.TO_INFINITY)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from timeops.spectra import Accumulation, hydrogen_point_spectrum
+from timeops.spectra import Accumulation, HermitianMatrix, hydrogen_point_spectrum, rabi_hamiltonian
 from timeops.timeop import (
     CHANNEL_DIMENSION_LIMIT,
     BlockDiagonal,
@@ -169,6 +169,32 @@ class TestCcrResidual:
         t = galapon_matrix(ev)
         with pytest.raises(ValueError):
             ccr_residual(ev, t, np.zeros(3, dtype=complex))
+        with pytest.raises(ValueError):
+            ccr_residual(ev, t, np.zeros((4, 3), dtype=complex))
+        with pytest.raises(ValueError, match="at least one vector"):
+            ccr_residual(ev, t, np.zeros((0, 2), dtype=complex))
+
+    @pytest.mark.parametrize("kind,values", [
+        (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(60)),
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 41) ** 2),
+    ])
+    def test_stack_is_the_worst_single_vector_bit_for_bit(self, kind, values):
+        t = galapon_matrix(values, kind)
+        h = t.pairing_eigenvalues
+        rng = np.random.default_rng(21)
+        stack = np.array([random_difference_vector(rng, t.dimension) for _ in range(12)])
+        singles = [ccr_residual(h, t, v.copy()) for v in stack]
+        assert ccr_residual(h, t, stack) == max(singles)
+        assert ccr_residual(h, t, list(stack)) == max(singles)
+
+    def test_stack_rejects_any_row_outside_the_span(self):
+        ev = np.array([1.0, 2.0, 3.0])
+        t = galapon_matrix(ev)
+        rng = np.random.default_rng(4)
+        stack = np.array([random_difference_vector(rng, 3) for _ in range(3)])
+        stack[1] = [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="difference span"):
+            ccr_residual(ev, t, stack)
 
 
 class TestBlockOperator:
@@ -275,3 +301,38 @@ class TestOscillatorSpectrum:
             osc_timeop_spectrum(0.0, 10)
         with pytest.raises(ValueError):
             osc_timeop_spectrum(1.0, 1)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 1e-320])
+    def test_rejects_non_finite_frequency(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            osc_timeop_spectrum(omega, 10)
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            osc_timeop_spectrum(1.0, CHANNEL_DIMENSION_LIMIT + 1)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 100, 101, 400, 801])
+    def test_matches_the_dense_reference(self, omega, n):
+        ev, lo, hi = osc_timeop_spectrum(omega, n)
+        reference = np.linalg.eigvalsh(galapon_matrix(omega * (np.arange(n) + 0.5)).data)
+        assert ev.shape == (n,)
+        assert np.all(np.diff(ev) >= 0.0)
+        assert (lo, hi) == (ev[0], ev[-1])
+        assert np.max(np.abs(ev - reference)) <= 1e-14 * math.pi / omega
+
+
+class TestRealHermitianSolve:
+    """A Hermitian matrix with zero imaginary part is solved as real symmetric."""
+
+    def test_rabi_matches_the_complex_solve(self):
+        h = rabi_hamiltonian(0.5, 1.0, 0.3, 150)
+        assert not np.any(h.data.imag)
+        reference = np.linalg.eigvalsh(h.data)
+        ev = h.eigenvalues()
+        assert np.max(np.abs(ev - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_complex_data_keeps_the_complex_solve(self):
+        data = np.array([[1.0, 2.0j], [-2.0j, -1.0]])
+        ev = HermitianMatrix(2, data, ("a", "b")).eigenvalues()
+        np.testing.assert_allclose(ev, [-math.sqrt(5.0), math.sqrt(5.0)], rtol=1e-14)

@@ -212,6 +212,12 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             FunctionSpec(FunctionKind.SIN, (0.0,))
 
+    @pytest.mark.parametrize("kind", list(FunctionKind))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, kind, value):
+        with pytest.raises(ValueError, match="finite"):
+            FunctionSpec(kind, (value,))
+
     def test_polynomial_coefficient_validation(self):
         with pytest.raises(ValueError):
             FunctionSpec(FunctionKind.POLYNOMIAL, ())
