@@ -68,6 +68,7 @@ from .contspec import (
     s0_strong_relation_check,
     s0_symmetry_residual,
     weak_weyl_residual,
+    weak_weyl_residuals,
 )
 from .acceptance import DEFAULT_TOLERANCES, CriterionResult, run_all
 from .cli import RunConfig, run

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contspec import ExpCombination, make_packet, s0_strong_relation_check, s0_symmetry_residual, weak_weyl_residual
+from .contspec import ExpCombination, make_packet, s0_strong_relation_check, s0_symmetry_residual, weak_weyl_residuals
 from .decompose import partition_null_sequence, verify_decomposition
 from .spectra import harmonic_spectrum, hydrogen_point_spectrum, rabi_bound_check, rabi_hamiltonian
 from .timeop import (
@@ -322,13 +322,13 @@ def criterion_weak_weyl(tol: dict, seed: int) -> CriterionResult:
     times = (0.25, 0.5, 1.0)
 
     default_packet = make_packet(50.0, 1024, 1.0, 0.0, 5.0, 2.0)
-    default_residuals = [weak_weyl_residual(default_packet, t) for t in times]
+    default_residuals = weak_weyl_residuals(default_packet, times)
     defaults_ok = all(r <= tol["grid_residual"] for r in default_residuals)
 
     coarse = make_packet(50.0, 1024, 1.0, -19.0, 19.0, 0.3)
     fine = make_packet(50.0, 2048, 1.0, -19.0, 19.0, 0.3)
-    coarse_residuals = [weak_weyl_residual(coarse, t) for t in times]
-    fine_residuals = [weak_weyl_residual(fine, t) for t in times]
+    coarse_residuals = weak_weyl_residuals(coarse, times)
+    fine_residuals = weak_weyl_residuals(fine, times)
     refinement_ok = all(f <= c for c, f in zip(coarse_residuals, fine_residuals))
 
     ok = defaults_ok and refinement_ok

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import DEFAULT_TOLERANCES, run_all
-from .contspec import make_packet, weak_weyl_residual
+from .contspec import make_packet, weak_weyl_residuals
 from .decompose import decompose_spectrum, verify_decomposition
 from .spectra import (
     DiscreteSpectrum,
@@ -411,10 +411,9 @@ def _pipeline_abweyl(config: RunConfig, tol: dict, jobs: int) -> dict:
     base = make_packet(box, n, m, x0, k0, sigma)
     fine = make_packet(box, 2 * n, m, x0, k0, sigma)
     times = [t_max * j / steps for j in range(1, steps + 1)]
-    rows = _parallel(lambda t: (t, weak_weyl_residual(base, t)), times, jobs)
-    fine_rows = _parallel(lambda t: (t, weak_weyl_residual(fine, t)), times, jobs)
+    rows = [[t, r] for t, r in zip(times, weak_weyl_residuals(base, times))]
     max_residual = max(r for _, r in rows)
-    max_fine = max(r for _, r in fine_rows)
+    max_fine = max(weak_weyl_residuals(fine, times))
     # ratio < 1 means refinement helped; near the round-off floor it
     # hovers around 1 and carries no information, so it is reported but
     # not gated on.
@@ -422,14 +421,14 @@ def _pipeline_abweyl(config: RunConfig, tol: dict, jobs: int) -> dict:
     return {
         "grid": {"L": box, "N": n, "m": m, "x0": x0, "k0": k0, "sigma": sigma,
                  "tmax": t_max, "steps": steps},
-        "sweep": [[t, r] for t, r in rows],
+        "sweep": rows,
         "max_residual": max_residual,
         "refinement_ratio": ratio,
         "passed": max_residual <= tol["grid_residual"],
         "csv": {
             "name": "abweyl_sweep.csv",
             "header": ["t", "residual"],
-            "rows": [[t, r] for t, r in rows],
+            "rows": rows,
         },
     }
 
@@ -586,7 +585,7 @@ def cmd_spectrum(args) -> int:
 def cmd_decompose(args) -> int:
     config = _make_config(args, {"kind": "timeop", "p": args.p}, needs_model=True)
     s = _spectrum_from_model(config.model)
-    deco = decompose_spectrum(s, float(args.p if args.p is not None else 2.0))
+    deco = decompose_spectrum(s, float(config.pipeline.get("p", 2.0)))
     verification = verify_decomposition(deco)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

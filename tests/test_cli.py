@@ -129,6 +129,20 @@ class TestSubcommands:
         assert report["passed"] is True
         assert report["channel_count"] == 9
 
+    def test_decompose_reads_the_config_exponent(self, tmp_path):
+        cfg = {
+            "model": {"kind": "hydrogen", "n_max": 3},
+            "pipeline": {"kind": "timeop", "p": 50.0},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["decompose", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert _read(tmp_path / "decomposition.json")["p"] == 50.0
+        # a flag overrides the file, as it does for timeop
+        assert main(["decompose", "--config", str(path), "--p", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert _read(tmp_path / "decomposition.json")["p"] == 3.0
+
     def test_timeop_oscillator(self, tmp_path):
         code = main(["timeop", "--model", "oscillator", "--omega", "1.0",
                      "--n-max", "20", "--out", str(tmp_path)])

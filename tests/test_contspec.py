@@ -15,6 +15,7 @@ from timeops.contspec import (
     s0_strong_relation_check,
     s0_symmetry_residual,
     weak_weyl_residual,
+    weak_weyl_residuals,
 )
 
 
@@ -26,6 +27,19 @@ def narrow_packet(size):
     # resolution-limited packet: residuals sit far above the round-off
     # floor, so grid refinement actually shows
     return make_packet(50.0, size, 1.0, -19.0, 19.0, 0.3)
+
+
+def reference_residual(state, t):
+    """The weak Weyl residual composed from the public operators.
+
+    Two evolutions and two applications of T per time, with no transform
+    shared between times; the sweep must agree with it.
+    """
+    evolved = free_evolve(state, t)
+    lhs = ab_apply(evolved).samples
+    shifted = ab_apply(state).samples + t * state.samples
+    rhs = free_evolve(state.with_samples(shifted), t).samples
+    return state.with_samples(lhs - rhs).norm() / state.norm()
 
 
 class TestGridState:
@@ -47,6 +61,19 @@ class TestGridState:
             GridState(50.0, 16, 0.0, np.zeros(16))
         with pytest.raises(ValueError, match="sample count"):
             GridState(50.0, 16, 1.0, np.zeros(17))
+
+    @pytest.mark.parametrize("field", ["box", "mass", "samples"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        box, mass, samples = 50.0, 1.0, np.ones(16, dtype=complex)
+        if field == "box":
+            box = bad
+        elif field == "mass":
+            mass = bad
+        else:
+            samples[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridState(box, 16, mass, samples)
 
     def test_samples_are_frozen(self):
         state = default_packet()
@@ -119,6 +146,16 @@ class TestAbApply:
         with pytest.raises(ValueError, match="zero-mode"):
             ab_apply(flat)
 
+    def test_rejects_an_overflowing_spectrum(self):
+        # finite samples whose spectral mass overflows: the zero-mode
+        # fraction is inf/inf = NaN, which must fail the gate
+        huge = GridState(50.0, 64, 1.0, np.full(64, 1e200, dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="zero-mode"):
+                ab_apply(huge)
+            with pytest.raises(ValueError, match="zero-mode"):
+                weak_weyl_residuals(huge, [0.5])
+
     def test_stationary_phase_window(self):
         # On the window where the envelope is slowly varying, T acts like
         # multiplication by (m/k0) x to within a few percent.
@@ -176,6 +213,32 @@ class TestWeakWeyl:
     def test_escaping_packet_is_rejected(self):
         with pytest.raises(ValueError, match="box boundary"):
             weak_weyl_residual(default_packet(), 200.0)
+
+    @pytest.mark.parametrize("state", [default_packet(), narrow_packet(1024), narrow_packet(2048)],
+                             ids=["default-1024", "narrow-1024", "narrow-2048"])
+    def test_sweep_matches_the_composed_reference(self, state):
+        times = [0.0, 0.25, 0.5, 1.0]
+        swept = weak_weyl_residuals(state, times)
+        for t, r in zip(times, swept):
+            assert abs(r - reference_residual(state, t)) <= 1e-14
+        assert swept == [weak_weyl_residual(state, t) for t in times]
+
+    def test_sweep_keeps_every_rejection(self):
+        flat = GridState(50.0, 64, 1.0, np.ones(64, dtype=complex))
+        with pytest.raises(ValueError, match="zero-mode"):
+            weak_weyl_residuals(flat, [0.5])
+        with pytest.raises(ValueError, match="box boundary"):
+            weak_weyl_residuals(default_packet(), [0.5, 200.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            weak_weyl_residuals(GridState(50.0, 64, 1.0, np.zeros(64)), [0.5])
+        assert weak_weyl_residuals(default_packet(), []) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sweep_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            weak_weyl_residuals(default_packet(), [0.25, bad])
+        with pytest.raises(ValueError, match="finite"):
+            weak_weyl_residual(default_packet(), bad)
 
     @staticmethod
     def _abweyl(**grid):
