@@ -55,7 +55,9 @@ from .uwform import (
     random_domain_vector,
     require_ccr_domain,
     uncertainty_check,
+    uncertainty_sweep,
     uw_ccr_residual,
+    uw_ccr_sweep,
 )
 from .contspec import (
     AffineExpCombination,
@@ -70,7 +72,7 @@ from .contspec import (
     weak_weyl_residual,
     weak_weyl_residuals,
 )
-from .acceptance import DEFAULT_TOLERANCES, CriterionResult, run_all
+from .acceptance import DEFAULT_TOLERANCES, CriterionResult, resolve_tolerances, run_all
 from .cli import RunConfig, run
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ reflects arithmetic, ``runtime_ok`` reflects the machine.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -35,16 +36,16 @@ from .uwform import (
     assemble_uwform,
     f_condition_check,
     f_transform_form,
-    random_domain_vector,
-    uncertainty_check,
-    uw_ccr_residual,
+    uncertainty_sweep,
+    uw_ccr_sweep,
 )
 
-__all__ = ["CriterionResult", "DEFAULT_TOLERANCES", "run_all"]
+__all__ = ["CriterionResult", "DEFAULT_TOLERANCES", "resolve_tolerances", "run_all"]
 
 #: Every threshold used anywhere in the suite, by name.  Reports echo the
 #: values they actually used; overriding one here (or per run) moves the
-#: goalposts everywhere at once.
+#: goalposts everywhere at once.  ``resolve_tolerances`` is the one place
+#: that applies and checks overrides.
 DEFAULT_TOLERANCES = {
     "ccr_relative": 1e-12,
     "uw_ccr": 1e-10,
@@ -55,7 +56,6 @@ DEFAULT_TOLERANCES = {
     "grid_residual": 1e-6,
     "s0_symmetry": 1e-9,
     "scaling_entrywise": 1e-13,
-    "difference_span": 1e-10,
 }
 
 
@@ -75,17 +75,22 @@ class CriterionResult:
         return {"name": self.name, "passed": self.passed, "details": dict(self.details)}
 
 
-def _merged(tolerances: dict | None) -> dict:
+def resolve_tolerances(overrides: dict | None = None) -> dict:
+    """DEFAULT_TOLERANCES with ``overrides`` applied, every name and value checked.
+
+    A value must be a finite, nonnegative real number (not a bool): an
+    infinite tolerance would switch its check off, and the comparison is
+    written so that NaN fails it too.
+    """
     out = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(out)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        for name, value in tolerances.items():
-            value = float(value)
-            if value < 0.0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
-            out[name] = value
+    for name, value in (overrides or {}).items():
+        if name not in out:
+            raise ValueError(f"unknown tolerance {name!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"tolerance {name!r} must be a number, not {type(value).__name__}")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {name!r} must be finite and nonnegative, not {value!r}")
+        out[name] = float(value)
     return out
 
 
@@ -157,10 +162,8 @@ def criterion_ultraweak_ccr(tol: dict, seed: int) -> CriterionResult:
     start = time.perf_counter()
     hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
     _, form = assemble_uwform(hyd)
-    rng = np.random.default_rng(seed + 2000)
     pairs = 100
-    worst = _uw_worst_residual(form, rng, pairs)
-
+    worst = uw_ccr_sweep(np.random.default_rng(seed + 2000), _sweep_forms(form, pairs))
     ok = worst <= tol["uw_ccr"]
     runtime = time.perf_counter() - start
     return CriterionResult(
@@ -182,17 +185,7 @@ def criterion_uncertainty(tol: dict, seed: int) -> CriterionResult:
     hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
     _, form = assemble_uwform(hyd)
     rng = np.random.default_rng(seed + 3000)
-
-    min_value = math.inf
-    worst_im = 0.0
-    for _ in range(100):
-        a = float(rng.uniform(-2.0, 2.0))
-        b = float(rng.uniform(-2.0, 2.0))
-        psi = random_domain_vector(rng, form)
-        res = uncertainty_check(form, psi, a, b)
-        min_value = min(min_value, res.value)
-        worst_im = max(worst_im, abs(res.imaginary_part + 0.5))
-
+    min_value, worst_im = uncertainty_sweep(rng, form, 100)
     ok = (min_value >= 0.5 - tol["uncertainty_slack"]) and (worst_im <= tol["im_identity"])
     runtime = time.perf_counter() - start
     return CriterionResult(
@@ -386,24 +379,10 @@ def criterion_s0(tol: dict, seed: int) -> CriterionResult:
     )
 
 
-def _uw_worst_residual(form: BlockDiagonal, rng: np.random.Generator, pairs: int) -> float:
-    """Worst ultra-weak CCR residual over 2 * pairs random domain pairs.
-
-    The first ``pairs`` go round-robin over the channels of dimension two
-    or more, each taken on its own; the rest are drawn on the whole form.
-    """
-    worst = 0.0
-    single_forms = [form.channel(i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
-    for i in range(pairs):
-        sub = single_forms[i % len(single_forms)] if single_forms else form
-        phi = random_domain_vector(rng, sub)
-        psi = random_domain_vector(rng, sub)
-        worst = max(worst, uw_ccr_residual(sub, phi, psi))
-    for _ in range(pairs):
-        phi = random_domain_vector(rng, form)
-        psi = random_domain_vector(rng, form)
-        worst = max(worst, uw_ccr_residual(form, phi, psi))
-    return worst
+def _sweep_forms(form: BlockDiagonal, pairs: int) -> list[BlockDiagonal]:
+    """``pairs`` channels of dimension >= 2, round-robin, then ``pairs`` copies of the whole form."""
+    singles = [form.channel(i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2] or [form]
+    return [singles[i % len(singles)] for i in range(pairs)] + [form] * pairs
 
 
 def criterion_transforms(tol: dict, seed: int) -> CriterionResult:
@@ -424,7 +403,7 @@ def criterion_transforms(tol: dict, seed: int) -> CriterionResult:
         report, partition, form = f_transform_form(spec, hyd)
         admissible_ok = admissible_ok and report.admissible
         channel_counts[name] = len(partition.channels)
-        residuals[name] = _uw_worst_residual(form, rng, 20)
+        residuals[name] = uw_ccr_sweep(rng, _sweep_forms(form, 20))
 
     # the resonant parameter beta = 1/(2 E_1) sends the ground state to zero
     e1 = float(hyd.values[0])
@@ -501,5 +480,5 @@ _CRITERIA = (
 
 def run_all(tolerances: dict | None = None, seed: int = 7) -> list[CriterionResult]:
     """Run every acceptance criterion; returns results in suite order."""
-    tol = _merged(tolerances)
+    tol = resolve_tolerances(tolerances)
     return [fn(tol, int(seed)) for fn in _CRITERIA]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .acceptance import DEFAULT_TOLERANCES, run_all
+from .acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 from .contspec import make_packet, weak_weyl_residuals
 from .decompose import decompose_spectrum, verify_decomposition
 from .spectra import (
@@ -42,9 +42,8 @@ from .uwform import (
     describe_domains,
     f_condition_check,
     f_transform_form,
-    random_domain_vector,
-    uncertainty_check,
-    uw_ccr_residual,
+    uncertainty_sweep,
+    uw_ccr_sweep,
 )
 
 __all__ = ["RunConfig", "run", "main", "DEFAULT_TOLERANCES"]
@@ -98,11 +97,6 @@ def _check_fields(section: str, values: dict, expected: dict) -> None:
             raise ValueError(f"{section} field {key!r} must be {kind}, not {type(values[key]).__name__}")
 
 
-def _check_tolerances_and_seed(tolerances: dict, seed) -> None:
-    _check_fields("tolerances", tolerances, dict.fromkeys(tolerances, "a number"))
-    _check_fields("config", {"seed": seed}, {"seed": "an integer"})
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One reproducible pipeline run: model, pipeline, tolerances, seed."""
@@ -121,15 +115,9 @@ class RunConfig:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}")
         _check_fields("model", model, _MODEL_FIELDS.get(model.get("kind"), {}))
         _check_fields("pipeline", pipeline, _PIPELINE_FIELDS)
-        _check_tolerances_and_seed(self.tolerances or {}, self.seed)
-        tolerances = {}
-        for name, value in (self.tolerances or {}).items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance {name!r}")
-            value = float(value)
-            if value < 0.0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
-            tolerances[name] = value
+        _check_fields("config", {"seed": self.seed}, {"seed": "an integer"})
+        resolved = resolve_tolerances(self.tolerances)
+        tolerances = {name: resolved[name] for name in self.tolerances or {}}
         seed = int(self.seed)
         if seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -141,7 +129,7 @@ class RunConfig:
         object.__setattr__(self, "seed", seed)
 
     def resolved_tolerances(self) -> dict:
-        return {**DEFAULT_TOLERANCES, **self.tolerances}
+        return resolve_tolerances(self.tolerances)
 
     def to_json(self) -> dict:
         return {
@@ -235,6 +223,8 @@ def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
     p = float(config.pipeline.get("p", 2.0))
     vectors = int(config.pipeline.get("vectors", 20))
     deco, block = assemble_time_operator(s, p)
+    if all(t.dimension < 2 for t in block.blocks):
+        raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
     def check_channel(i: int):
         t = block.blocks[i]
@@ -296,49 +286,24 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
         deco, form = assemble_uwform(s, p)
         channel_count = deco.channel_count
 
+    # with no channel of dimension 2 or more, the whole-form sweep raises
     nontrivial = [i for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
 
     def channel_sweep(i: int):
-        sub = form.channel(i)
         rng = np.random.default_rng(config.seed + 20_000 + i)
-        worst = 0.0
-        for _ in range(vectors):
-            phi = random_domain_vector(rng, sub)
-            psi = random_domain_vector(rng, sub)
-            worst = max(worst, uw_ccr_residual(sub, phi, psi))
-        return i, worst
+        return i, uw_ccr_sweep(rng, [form.channel(i)] * vectors)
 
     per_channel = dict(_parallel(channel_sweep, nontrivial, jobs))
-    worst = max(per_channel.values(), default=0.0)
-
-    min_value = None
-    im_defect = None
-    if nontrivial:
-        rng = np.random.default_rng(config.seed + 30_000)
-        for _ in range(vectors):
-            phi = random_domain_vector(rng, form)
-            psi = random_domain_vector(rng, form)
-            worst = max(worst, uw_ccr_residual(form, phi, psi))
-        rng = np.random.default_rng(config.seed + 40_000)
-        min_value = math.inf
-        im_defect = 0.0
-        for _ in range(vectors):
-            a = float(rng.uniform(-2.0, 2.0))
-            b = float(rng.uniform(-2.0, 2.0))
-            psi = random_domain_vector(rng, form)
-            res = uncertainty_check(form, psi, a, b)
-            min_value = min(min_value, res.value)
-            im_defect = max(im_defect, abs(res.imaginary_part + 0.5))
+    whole = uw_ccr_sweep(np.random.default_rng(config.seed + 30_000), [form] * vectors)
+    worst = float(np.max([*per_channel.values(), whole]))
+    min_value, im_defect = uncertainty_sweep(np.random.default_rng(config.seed + 40_000), form, vectors)
 
     residual_ok = worst <= tol["uw_ccr"]
-    uncertainty_ok = (
-        min_value is None
-        or (min_value >= 0.5 - tol["uncertainty_slack"] and im_defect <= tol["im_identity"])
-    )
-    channels = []
-    for entry in describe_domains(form):
-        entry["max_uw_ccr_residual"] = per_channel.get(entry["channel_id"], 0.0)
-        channels.append(entry)
+    uncertainty_ok = min_value >= 0.5 - tol["uncertainty_slack"] and im_defect <= tol["im_identity"]
+    channels = [
+        {**entry, "max_uw_ccr_residual": per_channel.get(entry["channel_id"], 0.0)}
+        for entry in describe_domains(form)
+    ]
     report = {
         "spectrum": s.to_json(),
         "admissible": True,
@@ -655,8 +620,9 @@ def cmd_selftest(args) -> int:
             raise ValueError("tolerance overrides look like name=value")
         overrides[name] = float(value)
     seed = args.seed if args.seed is not None else raw.get("seed", 7)
-    _check_tolerances_and_seed(overrides, seed)
-    results = run_all(overrides or None, int(seed))
+    _check_fields("config", {"seed": seed}, {"seed": "an integer"})
+    tolerances = resolve_tolerances(overrides)
+    results = run_all(tolerances, int(seed))
 
     criteria = []
     timings = {}
@@ -674,7 +640,7 @@ def cmd_selftest(args) -> int:
         }
     report = {
         "criteria": criteria,
-        "tolerances": {**DEFAULT_TOLERANCES, **{k: float(v) for k, v in overrides.items()}},
+        "tolerances": tolerances,
         "seed": int(seed),
         "passed": all(result.passed for result in results),
         "timings": timings,

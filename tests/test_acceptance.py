@@ -7,7 +7,8 @@ criterion misses either its numeric tolerance or its runtime limit.
 
 import pytest
 
-from timeops.acceptance import DEFAULT_TOLERANCES, run_all
+from timeops import acceptance
+from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 
 EXPECTED_ORDER = (
     "exact-ccr",
@@ -80,3 +81,47 @@ def test_results_serialize_without_timing_fields(results):
 
 def test_every_tolerance_has_a_positive_default():
     assert all(v > 0.0 for v in DEFAULT_TOLERANCES.values())
+
+
+class RecordingTable(dict):
+    """A tolerance table that records every name read from it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def test_every_tolerance_is_read_by_run_all(monkeypatch):
+    table = RecordingTable(DEFAULT_TOLERANCES)
+    monkeypatch.setattr(acceptance, "resolve_tolerances", lambda overrides: table)
+    run_all()
+    assert table.read == set(DEFAULT_TOLERANCES)
+
+
+@pytest.fixture(scope="module")
+def readers():
+    """Tolerance name -> the criteria that read it."""
+    out = {}
+    for criterion in acceptance._CRITERIA:
+        table = RecordingTable(DEFAULT_TOLERANCES)
+        criterion(table, 7)
+        for name in table.read:
+            out.setdefault(name, []).append(criterion)
+    return out
+
+
+# Residual tolerances: a measured residual is never exactly zero, so a zero
+# tolerance must fail some criterion.  uncertainty_slack and
+# toeplitz_bound_slack are slacks under bounds that the measured values
+# clear, so zero does not flip them.
+@pytest.mark.parametrize("name", [
+    "ccr_relative", "uw_ccr", "im_identity", "rabi_stability",
+    "grid_residual", "s0_symmetry", "scaling_entrywise",
+])
+def test_zero_residual_tolerance_fails_a_criterion(name, readers):
+    tol = resolve_tolerances({name: 0.0})
+    assert any(not criterion(tol, 7).passed for criterion in readers[name])

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.cli import RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
 
@@ -50,6 +52,11 @@ class TestRunConfig:
         cfg = RunConfig(model={}, pipeline={"kind": "s0check"},
                         tolerances={"uw_ccr": 0.0})
         assert cfg.resolved_tolerances()["uw_ccr"] == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1e-9", None])
+    def test_rejects_non_finite_and_non_numeric_tolerances(self, value):
+        with pytest.raises(ValueError, match="tolerance 'uw_ccr'"):
+            RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={"uw_ccr": value})
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -170,6 +177,27 @@ class TestSubcommands:
                      "--vectors", vectors, "--out", str(tmp_path)])
         assert code == 2
         assert not (tmp_path / f"{command}_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["timeop", "uwform"])
+    def test_trivial_domain_is_a_usage_error(self, tmp_path, capsys, command):
+        # hydrogen n_max = 1 is one level: one channel of dimension 1
+        code = main([command, "--model", "hydrogen", "--n-max", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "no channel has dimension 2 or more" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}_report.json").exists()
+
+    def test_uwform_rejects_an_overflowing_form(self, tmp_path, capsys):
+        src = tmp_path / "tiny.json"
+        src.write_text(json.dumps({
+            "accumulation": "to_zero",
+            "entries": [[-3e-170, 1], [-2e-170, 1], [-1e-170, 1]],
+        }))
+        code = main(["uwform", "--input", str(src), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "uwform_report.json").exists()
 
     def test_timeop_rabi_rejects_infinite_coupling(self, tmp_path):
         with np.errstate(invalid="ignore"):
@@ -304,6 +332,9 @@ class TestSubcommands:
         (["oscspec"], {"pipeline": {"kind": "oscspec", "sizes": []}}),
         (["abweyl"], {"pipeline": {"kind": "abweyl", "N": 512.0}}),
         (["selftest"], {"tolerances": {"uw_ccr": [1e-9]}}),
+        (["selftest"], {"tolerances": {"uw_ccr": True}}),
+        (["uwform"], {"model": {"kind": "hydrogen", "n_max": 3}, "tolerances": {"uw_ccr": math.inf}}),
+        (["uwform"], {"model": {"kind": "hydrogen", "n_max": 3}, "tolerances": {"uw_ccr": math.nan}}),
         (["selftest"], {"seed": "7"}),
     ])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, command, config):
@@ -348,13 +379,23 @@ class TestSelftestCommand:
         assert code == 1
         report = _read(tmp_path / "selftest_report.json")
         assert report["passed"] is False
-        assert report["tolerances"]["uw_ccr"] == 0.0
+        assert report["tolerances"] == {**DEFAULT_TOLERANCES, "uw_ccr": 0.0}
 
     def test_malformed_override_is_a_usage_error(self, tmp_path):
         assert main(["selftest", "--tolerance", "uw_ccr",
                      "--out", str(tmp_path)]) == 2
         assert main(["selftest", "--tolerance", "bogus=1",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "uw_ccr=nan", "uw_ccr=inf", "uw_ccr=-inf", "grid_residual=inf", "difference_span=1e-10",
+    ])
+    def test_unusable_tolerance_is_a_usage_error(self, tmp_path, capsys, override):
+        code = main(["selftest", "--tolerance", override, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "selftest_report.json").exists()
 
     def test_reports_are_byte_deterministic(self, tmp_path):
         a_dir = tmp_path / "a"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from timeops import uwform
+from timeops.acceptance import _sweep_forms
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
 from timeops.timeop import BlockDiagonal
 from timeops.uwform import (
@@ -20,7 +22,9 @@ from timeops.uwform import (
     random_domain_vector,
     require_ccr_domain,
     uncertainty_check,
+    uncertainty_sweep,
     uw_ccr_residual,
+    uw_ccr_sweep,
 )
 
 
@@ -69,6 +73,11 @@ class TestFormChannel:
         with pytest.raises(ValueError):
             FormChannel(np.array([-0.5, -1.0]))
 
+    def test_rejects_an_overflowing_evaluator(self):
+        # 1/E^2 overflows; the evaluator would hold inf and NaN entries
+        with pytest.raises(ValueError, match="not finite"):
+            FormChannel(np.array([-3e-170, -2e-170, -1e-170]))
+
 
 class TestCommutationDomain:
     def test_one_dimensional_projection_is_exactly_zero(self):
@@ -100,6 +109,11 @@ class TestCommutationDomain:
         v = random_domain_vector(np.random.default_rng(3), form)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         require_ccr_domain(form, v)
+
+    @pytest.mark.parametrize("channels", [([-1.0],), ([-1.0], [-0.5], [-0.25])])
+    def test_random_domain_vector_rejects_a_trivial_domain(self, channels):
+        with pytest.raises(ValueError, match="trivial"):
+            random_domain_vector(np.random.default_rng(0), form_of(*channels))
 
     def test_out_of_domain_vector_is_rejected(self):
         form = form_of([-1.0, -0.5])
@@ -156,15 +170,6 @@ class TestUncertainty:
         result = uncertainty_check(form, _domain_vector_2d(), a=0.3, b=-0.7)
         assert result.imaginary_part == pytest.approx(-0.5, abs=1e-12)
         assert result.value >= 0.5 - 1e-12
-        assert result.passes
-
-    def test_json_document(self):
-        form = form_of([-1.0, -0.5])
-        doc = uncertainty_check(form, _domain_vector_2d()).to_json()
-        assert set(doc) == {
-            "value", "imaginary_part", "value_ok", "imaginary_ok", "passes",
-        }
-        assert doc["passes"] is True
 
     def test_random_centers_pass(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 3))
@@ -172,7 +177,9 @@ class TestUncertainty:
         for _ in range(25):
             psi = random_domain_vector(rng, form)
             a, b = rng.uniform(-2.0, 2.0, 2)
-            assert uncertainty_check(form, psi, a, b).passes
+            result = uncertainty_check(form, psi, a, b)
+            assert result.value >= 0.5 - 1e-10
+            assert abs(result.imaginary_part + 0.5) <= 1e-10
 
     def test_rejects_non_unit_vector(self):
         form = form_of([-1.0, -0.5])
@@ -184,6 +191,88 @@ class TestUncertainty:
         e0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="commutation domain"):
             uncertainty_check(form, e0)
+
+
+def reference_uw_ccr_sweep(rng, forms):
+    """The hand-written pair loop the sweep kernel replaced."""
+    worst = 0.0
+    for form in forms:
+        phi = random_domain_vector(rng, form)
+        psi = random_domain_vector(rng, form)
+        worst = max(worst, uw_ccr_residual(form, phi, psi))
+    return worst
+
+
+def reference_round_robin_sweep(form, rng, pairs):
+    """The acceptance suite's loop: round-robin channel pairs, then whole-form pairs."""
+    worst = 0.0
+    single_forms = [form.channel(i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
+    for i in range(pairs):
+        sub = single_forms[i % len(single_forms)] if single_forms else form
+        phi = random_domain_vector(rng, sub)
+        psi = random_domain_vector(rng, sub)
+        worst = max(worst, uw_ccr_residual(sub, phi, psi))
+    for _ in range(pairs):
+        phi = random_domain_vector(rng, form)
+        psi = random_domain_vector(rng, form)
+        worst = max(worst, uw_ccr_residual(form, phi, psi))
+    return worst
+
+
+def reference_uncertainty_sweep(rng, form, count):
+    """The hand-written uncertainty loop the sweep kernel replaced."""
+    min_value = math.inf
+    im_defect = 0.0
+    for _ in range(count):
+        a = float(rng.uniform(-2.0, 2.0))
+        b = float(rng.uniform(-2.0, 2.0))
+        psi = random_domain_vector(rng, form)
+        res = uncertainty_check(form, psi, a, b)
+        min_value = min(min_value, res.value)
+        im_defect = max(im_defect, abs(res.imaginary_part + 0.5))
+    return min_value, im_defect
+
+
+def _sweep_cases():
+    s = hydrogen_point_spectrum(1.0, 1.0, 4)
+    _, hydrogen = assemble_uwform(s)
+    _, _, transformed = f_transform_form(FunctionSpec(FunctionKind.SIN, (0.3,)), s)
+    return {"hydrogen": hydrogen, "channel": hydrogen.channel(0), "sin": transformed}
+
+
+class TestSweepKernels:
+    @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
+    def test_uw_ccr_sweep_matches_the_loop_bit_for_bit(self, case):
+        form = _sweep_cases()[case]
+        forms = [form] * 20
+        expected = reference_uw_ccr_sweep(np.random.default_rng(11), forms)
+        assert uw_ccr_sweep(np.random.default_rng(11), forms) == expected
+        assert expected <= 1e-10
+
+    @pytest.mark.parametrize("case", ["hydrogen", "sin"])
+    def test_round_robin_sweep_matches_the_loop_bit_for_bit(self, case):
+        form = _sweep_cases()[case]
+        expected = reference_round_robin_sweep(form, np.random.default_rng(12), 20)
+        assert uw_ccr_sweep(np.random.default_rng(12), _sweep_forms(form, 20)) == expected
+
+    @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
+    def test_uncertainty_sweep_matches_the_loop_bit_for_bit(self, case):
+        form = _sweep_cases()[case]
+        expected = reference_uncertainty_sweep(np.random.default_rng(13), form, 20)
+        assert uncertainty_sweep(np.random.default_rng(13), form, 20) == expected
+
+    def test_empty_sweeps_are_rejected(self):
+        form = form_of([-1.0, -0.5])
+        with pytest.raises(ValueError, match="checks nothing"):
+            uw_ccr_sweep(np.random.default_rng(0), [])
+        with pytest.raises(ValueError, match="checks nothing"):
+            uncertainty_sweep(np.random.default_rng(0), form, 0)
+
+    def test_a_nan_residual_propagates(self, monkeypatch):
+        residuals = iter([1e-17, math.nan, 2e-17])
+        monkeypatch.setattr(uwform, "uw_ccr_residual", lambda form, phi, psi: next(residuals))
+        form = form_of([-1.0, -0.5])
+        assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form] * 3))
 
 
 class TestAssembleUwform:
