@@ -30,6 +30,7 @@ from .contspec import make_packet, weak_weyl_residuals
 from .decompose import decompose_spectrum, verify_decomposition
 from .spectra import (
     DiscreteSpectrum,
+    _is_integer,
     harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_bound_check,
@@ -54,10 +55,6 @@ PIPELINE_KINDS = ("timeop", "uwform", "ftransform", "oscspec", "abweyl", "s0chec
 
 def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 #: What each type named in the field tables admits.

@@ -17,9 +17,9 @@ actual zero-mode mass before touching a state.  The weak Weyl relation
 is then a measurable identity: its residual is limited by the grid, not
 by the algebra, and refining the grid must push it down whenever the
 truncation error dominates round-off.  ``weak_weyl_residuals`` checks it
-at many times on one grid: the t-independent transforms of psi and
-T psi are taken once, after which each time costs six FFTs.
-``weak_weyl_residual`` is the one-time case of the same sweep.
+at many times on one grid in Fourier space: the transforms of psi and
+T psi take four FFTs per grid, and each time four more.  Both the k = 0
+gate and the box-containment gate run on every evolved state.
 
 Symbolic side.  On the weighted line with Gaussian reference density
 rho = exp(-lambda^2)/sqrt(pi), the span of exponentials exp(i s lambda)
@@ -43,9 +43,6 @@ import numpy as np
 __all__ = [
     "GridState",
     "make_packet",
-    "ab_apply",
-    "free_evolve",
-    "weak_weyl_residual",
     "weak_weyl_residuals",
     "ExpCombination",
     "AffineExpCombination",
@@ -125,14 +122,6 @@ def _zero_mode_mass(hat: np.ndarray) -> float:
     return float(np.abs(hat[0]) ** 2) / total
 
 
-def _inverse_k(k: np.ndarray) -> np.ndarray:
-    """1/k on a grid's Fourier axis, with the k = 0 mode dropped."""
-    invk = np.zeros_like(k)
-    nonzero = k != 0.0
-    invk[nonzero] = 1.0 / k[nonzero]
-    return invk
-
-
 def make_packet(box_half_width: float, size: int, mass: float,
                 center: float, carrier: float, width: float) -> GridState:
     """Normalized Gaussian packet exp(i k0 x) exp(-(x-x0)^2 / (2 sigma^2)).
@@ -157,52 +146,20 @@ def make_packet(box_half_width: float, size: int, mass: float,
     state = GridState(box_half_width, size, mass,
                       np.zeros(size, dtype=complex))
     x = state.x
-    psi = np.exp(1j * carrier * x) * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+    psi = _cis(carrier * x, np.empty(size, dtype=complex))
+    psi *= np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * state.dx)
     return state.with_samples(psi)
 
 
-def _apply_t(psi: np.ndarray, x: np.ndarray, invk: np.ndarray, mass: float) -> np.ndarray:
-    """T psi = (m/2)(x . ifft(fft(psi)/k) + ifft(fft(x psi)/k)); see ab_apply.
-
-    The zero-mode gate reads the transform the first term uses and is
-    written so that a NaN mass (an overflowing spectrum) fails it.
-    """
-    hat = np.fft.fft(psi)
+def _require_no_zero_mode(hat: np.ndarray) -> None:
+    """Refuse visible k = 0 weight, which the 1/k factors drop; NaN fails too."""
     mass0 = _zero_mode_mass(hat)
     if not mass0 < ZERO_MODE_MASS_LIMIT:
         raise ValueError(
             f"state has relative zero-mode mass {mass0:.3e}; "
             "the 1/k factors are not defined on it"
         )
-    # psi is spent here; a temporary passed by the caller is freed
-    second = x * psi
-    del psi
-    second = np.fft.fft(second)
-    second *= invk
-    hat *= invk
-    out = np.fft.ifft(hat)
-    del hat
-    out *= x
-    out += np.fft.ifft(second)
-    out *= mass / 2.0
-    return out
-
-
-def ab_apply(state: GridState) -> GridState:
-    """Apply T = (m/2)(x . 1/k + 1/k . x) in mixed position/Fourier form.
-
-    Refuses states with visible k = 0 mass: dropping the zero mode would
-    silently change the operator on them.
-    """
-    return state.with_samples(
-        _apply_t(state.samples, state.x, _inverse_k(state.k), state.mass))
-
-
-def free_evolve(state: GridState, t: float) -> GridState:
-    """exp(-i t k^2 / 2m) in Fourier space; exactly unitary on the grid."""
-    phase = np.exp(-1j * float(t) * state.k ** 2 / (2.0 * state.mass))
-    return state.with_samples(np.fft.ifft(phase * np.fft.fft(state.samples)))
 
 
 def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float) -> None:
@@ -230,11 +187,11 @@ def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float
 def weak_weyl_residuals(state: GridState, times) -> list[float]:
     """Relative norms of T e^{-itH} psi - e^{-itH} (T + t) psi, one per t.
 
-    The t-independent pieces (k^2/2m, 1/k, x, fft(psi), fft(T psi)) take
-    six FFTs once per grid; each t then costs six more.  Both sides use
-    one evolution each, so round-off enters symmetrically.  Raises
-    ValueError for a non-finite time, a zero state, zero-mode mass, or
-    an evolved packet that reaches the box boundary.
+    With s = (m/2)/k, zero mode dropped, T psi = x . F^-1(s psi^) +
+    F^-1(s F(x psi)), so psi^ and (T psi)^ take four FFTs per grid; each t
+    takes four more (see ``_weyl_defect``).  Raises ValueError for a
+    non-finite time, a zero state, zero-mode mass, or an evolved packet
+    that reaches the box boundary.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
@@ -242,59 +199,84 @@ def weak_weyl_residuals(state: GridState, times) -> list[float]:
     norm = state.norm()
     if not norm > 0.0:
         raise ValueError("the weak Weyl residual needs a nonzero state")
-    # the arrays that live through the sweep are made before T's
-    # temporaries, so the heap the temporaries leave behind can be reused
+    # psi^, (T psi)^, x, s and E live through the sweep and are made
+    # before T's temporaries, so the heap those leave behind can be reused
     hat = np.fft.fft(state.samples)
-    energy = state.k ** 2 / (2.0 * state.mass)
+    t_hat = np.empty_like(hat)
     x = state.x
-    invk = _inverse_k(state.k)
-    t_hat = np.fft.fft(_apply_t(state.samples, x, invk, state.mass))
-    return [_weyl_defect(state, t, hat, t_hat, energy, x, invk) / norm for t in times]
+    k = state.k
+    scale = np.divide(state.mass / 2.0, k, out=np.zeros_like(k), where=k != 0.0)
+    # in fftfreq order k[N-j] = -k[j] exactly, so E = k^2/2m is even bit
+    # for bit and _phase needs it on indices 0..N/2 only
+    energy = k[: state.size // 2 + 1] ** 2 / (2.0 * state.mass)
+    del k
+    _require_no_zero_mode(hat)
+    np.multiply(hat, scale, out=t_hat)
+    work = np.fft.ifft(t_hat)
+    work *= x
+    t_hat[:] = np.fft.fft(work)
+    np.multiply(x, state.samples, out=work)
+    work = np.fft.fft(work)
+    work *= scale
+    t_hat += work
+    del work
+    return [_weyl_defect(state, t, hat, t_hat, energy, x, scale) / norm for t in times]
 
 
 def _weyl_defect(state: GridState, t: float, hat: np.ndarray, t_hat: np.ndarray,
-                 energy: np.ndarray, x: np.ndarray, invk: np.ndarray) -> float:
-    """||T e^{-itH} psi - e^{-itH} (T + t) psi|| from psi's transforms.
+                 energy: np.ndarray, x: np.ndarray, scale: np.ndarray) -> float:
+    """||T e^{-itH} psi - e^{-itH} (T + t) psi|| in four FFTs.
 
-    The phase is built once per side rather than held while T runs, and
-    the evolved state reaches T as a temporary T can drop, so the peak
-    stays at a few grid vectors.
+    h^ = phi_t psi^ is the transform of the evolved state e and the one
+    the first term of T e reads, so the defect is
+    x . F^-1(s h^) + F^-1[s F(x e) - phi_t (T psi)^ - t h^].  Its norm is
+    taken in position space: a Parseval or Gram expansion would cancel
+    away the round-off being measured.  The phase is built twice rather
+    than held, so the peak stays at a few grid vectors.
     """
-    lhs = _apply_t(_contained_evolution(state, t, hat, energy, x), x, invk, state.mass)
-    rhs = hat * t
-    rhs += t_hat
-    rhs *= _phase(energy, t)
-    lhs -= np.fft.ifft(rhs)
+    h_hat = _phase(energy, t)
+    h_hat *= hat
+    _require_no_zero_mode(h_hat)
+    evolved = np.fft.ifft(h_hat)
+    _require_contained(evolved, x, state.box_half_width)
+    evolved *= x
+    rhs = np.fft.fft(evolved)
+    del evolved
+    rhs *= scale
+    shifted = _phase(energy, t)
+    shifted *= t_hat
+    rhs -= shifted
+    np.multiply(h_hat, t, out=shifted)
+    rhs -= shifted
+    del shifted
+    h_hat *= scale
+    lhs = np.fft.ifft(h_hat)
+    del h_hat
+    lhs *= x
+    lhs += np.fft.ifft(rhs)
     return math.sqrt(np.vdot(lhs, lhs).real * state.dx)
 
 
-def _contained_evolution(state: GridState, t: float, hat: np.ndarray,
-                         energy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^{-itH} psi from hat = fft(psi), refused if it reaches the box edge."""
-    evolved = _phase(energy, t)
-    evolved *= hat
-    evolved = np.fft.ifft(evolved)
-    _require_contained(evolved, x, state.box_half_width)
-    return evolved
-
-
 def _phase(energy: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t E) from cos and sin, half the cost of a complex exp.
-
-    Both run on contiguous arrays: buffered ufunc output into the strided
-    ``.real``/``.imag`` views left the heap unable to shrink after a sweep.
-    """
-    angle = energy * -t
-    phase = np.empty(angle.shape, dtype=complex)
-    phase.imag = np.sin(angle)
-    np.cos(angle, out=angle)
-    phase.real = angle
+    """exp(-i t E) on the fftfreq axis, mirrored from E on indices 0..N/2."""
+    half = energy.size
+    phase = np.empty(2 * (half - 1), dtype=complex)
+    _cis(energy * -t, phase[:half])
+    phase[half:] = phase[half - 2:0:-1]
     return phase
 
 
-def weak_weyl_residual(state: GridState, t: float) -> float:
-    """Relative norm of T e^{-itH} psi - e^{-itH} (T + t) psi at one t."""
-    return weak_weyl_residuals(state, [t])[0]
+def _cis(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i angle) into ``out`` as cos + i sin, spending ``angle``.
+
+    The same bits as the complex exp at about half the cost.  cos and
+    sin run on contiguous arrays: buffered ufunc output into the strided
+    ``.real``/``.imag`` views left the heap unable to shrink after a sweep.
+    """
+    out.imag = np.sin(angle)
+    np.cos(angle, out=angle)
+    out.real = angle
+    return out
 
 
 def _gauss_hermite(order: int):

@@ -10,6 +10,7 @@ the one model here that requires an actual eigensolve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +34,11 @@ HERMITICITY_RTOL = 1e-12
 #: summation of incommensurate frequencies never collides beyond round-off,
 #: so this only fires for genuine degeneracies.
 DEGENERACY_MERGE_RTOL = 1e-10
+
+
+def _is_integer(x) -> bool:
+    """An integer in the JSON sense: not a float, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class Accumulation(str, Enum):
@@ -68,6 +74,9 @@ class DiscreteSpectrum:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("spectrum must contain at least one entry")
+        for v, m in self.entries:
+            if not _is_integer(m):
+                raise ValueError(f"multiplicity {m!r} of the value {v!r} is not an integer")
         entries = tuple((float(v), int(m)) for v, m in self.entries)
         object.__setattr__(self, "entries", entries)
         accumulation = Accumulation(self.accumulation)
@@ -112,7 +121,7 @@ class DiscreteSpectrum:
     @classmethod
     def from_json(cls, doc: dict) -> "DiscreteSpectrum":
         return cls(
-            entries=tuple((float(v), int(m)) for v, m in doc["entries"]),
+            entries=tuple((float(v), m) for v, m in doc["entries"]),
             accumulation=Accumulation(doc["accumulation"]),
             label=str(doc.get("label", "")),
         )

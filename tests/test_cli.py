@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timeops
+from timeops import cli
 from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.cli import RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
@@ -121,6 +127,18 @@ class TestSubcommands:
         doc = _read(tmp_path / "spectrum.json")
         assert doc["accumulation"] == "to_zero"
         assert len(doc["entries"]) == 3
+
+    @pytest.mark.parametrize("multiplicity", [1.5, 2.0, math.nan, "2", True, None])
+    def test_spectrum_rejects_a_non_integer_multiplicity(self, tmp_path, capsys, multiplicity):
+        src = tmp_path / "custom.json"
+        src.write_text(json.dumps({"accumulation": "to_zero",
+                                   "entries": [[-2.0, 1], [-1.0, multiplicity]]}))
+        code = main(["spectrum", "--input", str(src), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not an integer" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "spectrum.json").exists()
 
     def test_spectrum_rejects_rabi(self, tmp_path):
         code = main(["spectrum", "--model", "rabi", "--out", str(tmp_path)])
@@ -405,3 +423,27 @@ class TestSelftestCommand:
         a = _strip_timings(_read(a_dir / "selftest_report.json"))
         b = _strip_timings(_read(b_dir / "selftest_report.json"))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestEntryPoints:
+    def test_package_reaches_the_cli_lazily(self):
+        assert timeops.run is cli.run
+        assert timeops.RunConfig is cli.RunConfig
+        with pytest.raises(AttributeError, match="no attribute"):
+            timeops.not_a_name
+
+    @pytest.mark.parametrize("module", ["timeops", "timeops.cli"])
+    def test_module_runs_without_a_runtime_warning(self, tmp_path, module):
+        # importing the package must not import the CLI, or running it as
+        # a module warns that it was found in sys.modules first
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "s0check",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert _read(tmp_path / "s0check_report.json")["passed"] is True

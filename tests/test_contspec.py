@@ -1,20 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from timeops import contspec
 from timeops.cli import RunConfig, run
 from timeops.contspec import (
     ExpCombination,
     GridState,
     _gauss_hermite,
-    ab_apply,
-    free_evolve,
+    _phase,
+    _require_no_zero_mode,
     make_packet,
     s0_apply,
     s0_strong_relation_check,
     s0_symmetry_residual,
-    weak_weyl_residual,
     weak_weyl_residuals,
 )
 
@@ -29,8 +30,53 @@ def narrow_packet(size):
     return make_packet(50.0, size, 1.0, -19.0, 19.0, 0.3)
 
 
+# ----------------------------------------------------------- references
+#
+# T and the free evolution composed in position space, one operator at a
+# time.  The sweep fuses them in Fourier space and must agree with them.
+
+
+def _inverse_k(k):
+    """1/k on a grid's Fourier axis, with the k = 0 mode dropped."""
+    invk = np.zeros_like(k)
+    nonzero = k != 0.0
+    invk[nonzero] = 1.0 / k[nonzero]
+    return invk
+
+
+def _apply_t(psi, x, invk, mass):
+    """T psi = (m/2)(x . ifft(fft(psi)/k) + ifft(fft(x psi)/k))."""
+    hat = np.fft.fft(psi)
+    _require_no_zero_mode(hat)
+    second = np.fft.fft(x * psi)
+    second *= invk
+    hat *= invk
+    out = np.fft.ifft(hat)
+    out *= x
+    out += np.fft.ifft(second)
+    out *= mass / 2.0
+    return out
+
+
+def ab_apply(state):
+    """T = (m/2)(x . 1/k + 1/k . x) in mixed position/Fourier form."""
+    return state.with_samples(
+        _apply_t(state.samples, state.x, _inverse_k(state.k), state.mass))
+
+
+def free_evolve(state, t):
+    """exp(-i t k^2 / 2m) in Fourier space; exactly unitary on the grid."""
+    phase = np.exp(-1j * float(t) * state.k ** 2 / (2.0 * state.mass))
+    return state.with_samples(np.fft.ifft(phase * np.fft.fft(state.samples)))
+
+
+def weak_weyl_residual(state, t):
+    """The one-time case of the sweep."""
+    return weak_weyl_residuals(state, [t])[0]
+
+
 def reference_residual(state, t):
-    """The weak Weyl residual composed from the public operators.
+    """The weak Weyl residual composed from the reference operators.
 
     Two evolutions and two applications of T per time, with no transform
     shared between times; the sweep must agree with it.
@@ -40,6 +86,24 @@ def reference_residual(state, t):
     shifted = ab_apply(state).samples + t * state.samples
     rhs = free_evolve(state.with_samples(shifted), t).samples
     return state.with_samples(lhs - rhs).norm() / state.norm()
+
+
+def reference_phase(energy, t):
+    """exp(-i t E) from cos and sin over the whole axis."""
+    angle = energy * -t
+    phase = np.empty(angle.shape, dtype=complex)
+    phase.imag = np.sin(angle)
+    np.cos(angle, out=angle)
+    phase.real = angle
+    return phase
+
+
+def reference_packet(box, size, mass, center, carrier, width):
+    """make_packet's samples with the carrier from the complex exp."""
+    x = GridState(box, size, mass, np.zeros(size)).x
+    psi = np.exp(1j * carrier * x) * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (2.0 * box / size))
+    return psi
 
 
 class TestGridState:
@@ -119,6 +183,13 @@ class TestMakePacket:
         box, mass, center, carrier, width = params
         with pytest.raises(ValueError, match="finite"):
             make_packet(box, 1024, mass, center, carrier, width)
+
+    @pytest.mark.parametrize("params", [(50.0, 1024, 1.0, 0.0, 5.0, 2.0),
+                                        (50.0, 2048, 1.0, 7.0, -6.0, 1.5),
+                                        (50.0, 4096, 2.5, -19.0, 19.0, 0.3)],
+                             ids=["default", "negative-carrier", "narrow"])
+    def test_carrier_matches_the_complex_exp_bit_for_bit(self, params):
+        assert np.array_equal(make_packet(*params).samples, reference_packet(*params))
 
     def test_rejects_packet_touching_the_boundary(self):
         with pytest.raises(ValueError, match="six-sigma"):
@@ -214,8 +285,10 @@ class TestWeakWeyl:
         with pytest.raises(ValueError, match="box boundary"):
             weak_weyl_residual(default_packet(), 200.0)
 
-    @pytest.mark.parametrize("state", [default_packet(), narrow_packet(1024), narrow_packet(2048)],
-                             ids=["default-1024", "narrow-1024", "narrow-2048"])
+    @pytest.mark.parametrize("state", [default_packet(), narrow_packet(1024), narrow_packet(2048),
+                                       make_packet(50.0, 2048, 1.0, 7.0, -6.0, 1.5)],
+                             ids=["default-1024", "narrow-1024", "narrow-2048",
+                                  "offcentre-negative-2048"])
     def test_sweep_matches_the_composed_reference(self, state):
         times = [0.0, 0.25, 0.5, 1.0]
         swept = weak_weyl_residuals(state, times)
@@ -232,6 +305,63 @@ class TestWeakWeyl:
         with pytest.raises(ValueError, match="nonzero"):
             weak_weyl_residuals(GridState(50.0, 64, 1.0, np.zeros(64)), [0.5])
         assert weak_weyl_residuals(default_packet(), []) == []
+
+    @pytest.mark.parametrize("times", [[], [0.5], [0.25, 0.5, 0.75, 1.0]])
+    def test_sweep_takes_four_ffts_per_grid_and_four_per_time(self, monkeypatch, times):
+        state = default_packet()
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        weak_weyl_residuals(state, times)
+        assert len(calls) == 4 + 4 * len(times)
+
+    def test_gates_read_psi_and_every_evolved_state(self, monkeypatch):
+        seen = {"_zero_mode_mass": 0, "_require_contained": 0}
+
+        def counted(name):
+            fn = getattr(contspec, name)
+
+            def wrapper(*args):
+                seen[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(contspec, name, counted(name))
+        times = [0.25, 0.5, 0.75, 1.0]
+        weak_weyl_residuals(default_packet(), times)
+        assert seen == {"_zero_mode_mass": 1 + len(times), "_require_contained": len(times)}
+
+    @pytest.mark.parametrize("size", [16, 1024, 2 ** 19])
+    def test_half_phase_equals_the_full_phase_bit_for_bit(self, size):
+        for box, mass in ((50.0, 1.0), (80.0, 2.5)):
+            k = GridState(box, size, mass, np.zeros(size)).k
+            full = k ** 2 / (2.0 * mass)
+            half = k[: size // 2 + 1] ** 2 / (2.0 * mass)
+            for t in (0.25, 0.75, 1.0, -3.7):
+                assert np.array_equal(_phase(half, t), reference_phase(full, t))
+
+    def test_sweep_peak_memory_stays_at_the_parent_bound(self):
+        # the six-FFT-per-time sweep this one replaced peaked at 7 865 984
+        # traced bytes here (numpy 2.4): 7.5 complex grid vectors, 120 a point
+        size = 2 ** 16
+        state = make_packet(50.0, size, 1.0, 0.0, 5.0, 2.0)
+        times = [0.25, 0.5, 0.75, 1.0]
+        weak_weyl_residuals(state, times)
+        tracemalloc.start()
+        try:
+            weak_weyl_residuals(state, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120 * size
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_sweep_rejects_non_finite_times(self, bad):

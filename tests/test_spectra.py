@@ -104,6 +104,18 @@ class TestDiscreteSpectrum:
         with pytest.raises(ValueError):
             DiscreteSpectrum(((-0.5, 0),), Accumulation.TO_ZERO)
 
+    @pytest.mark.parametrize("multiplicity", [1.5, 2.0, math.nan, "2", True])
+    def test_rejects_non_integer_multiplicity(self, multiplicity):
+        doc = {"accumulation": "to_zero", "entries": [[-1.0, multiplicity]]}
+        with pytest.raises(ValueError, match="not an integer"):
+            DiscreteSpectrum.from_json(doc)
+        with pytest.raises(ValueError, match="not an integer"):
+            DiscreteSpectrum(((-1.0, multiplicity),), Accumulation.TO_ZERO)
+
+    def test_accepts_numpy_integer_multiplicity(self):
+        s = DiscreteSpectrum(((-1.0, np.int64(3)),), Accumulation.TO_ZERO)
+        assert s.multiplicities == (3,) and type(s.multiplicities[0]) is int
+
     def test_rejects_positive_value_in_zero_accumulating_spectrum(self):
         with pytest.raises(ValueError):
             DiscreteSpectrum(((-0.5, 1), (0.5, 1)), Accumulation.TO_ZERO)
