@@ -70,13 +70,6 @@ from .contspec import (
     weak_weyl_residuals,
 )
 from .acceptance import DEFAULT_TOLERANCES, CriterionResult, resolve_tolerances, run_all
+from .cli import RunConfig, run
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # the CLI loads on first use, so ``python -m timeops.cli`` runs it once
-    if name in ("RunConfig", "run"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
