@@ -18,11 +18,9 @@ from .spectra import (
 from .decompose import (
     ChannelDecomposition,
     DecompositionReport,
-    PartitionResult,
     bucket_index,
     channel_partition,
     decompose_spectrum,
-    partition_null_sequence,
     verify_decomposition,
 )
 from .timeop import (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contspec import ExpCombination, make_packet, s0_strong_relation_check, s0_symmetry_residual, weak_weyl_residuals
-from .decompose import partition_null_sequence, verify_decomposition
+from .decompose import channel_partition, verify_decomposition
 from .spectra import harmonic_spectrum, hydrogen_point_spectrum, rabi_bound_check, rabi_hamiltonian
 from .timeop import (
     BlockDiagonal,
@@ -235,12 +235,11 @@ def criterion_oscillator_bound(tol: dict, seed: int) -> CriterionResult:
 def criterion_partition(tol: dict, seed: int) -> CriterionResult:
     """Hand-traced partitions plus invariants on random null sequences."""
     start = time.perf_counter()
-    harmonic_tail = partition_null_sequence([-1.0 / n for n in range(1, 9)])
-    trace_one = tuple(tuple(ch) for ch in harmonic_tail.channels) == ((0, 1, 2, 3, 4, 5, 6, 7),)
+    harmonic_tail = channel_partition([-1.0 / n for n in range(1, 9)], [1] * 8)
+    trace_one = harmonic_tail.channels == ((0, 1, 2, 3, 4, 5, 6, 7),)
 
-    sqrt_tail = partition_null_sequence([-1.0 / math.sqrt(n) for n in range(1, 9)])
-    expected = ((0, 3), (1, 4), (2, 5), (6,), (7,))
-    trace_two = tuple(tuple(ch) for ch in sqrt_tail.channels) == expected
+    sqrt_tail = channel_partition([-1.0 / math.sqrt(n) for n in range(1, 9)], [1] * 8)
+    trace_two = sqrt_tail.channels == ((0, 3), (1, 4), (2, 5), (6,), (7,))
 
     rng = np.random.default_rng(seed + 5000)
     zeta_two = math.pi ** 2 / 6.0
@@ -252,7 +251,7 @@ def criterion_partition(tol: dict, seed: int) -> CriterionResult:
         values = magnitudes * signs
         while np.unique(values).size < size:
             values = 10.0 ** rng.uniform(-5.0, 0.0, size) * rng.choice([-1.0, 1.0], size)
-        deco = partition_null_sequence(values)
+        deco = channel_partition(values, [1] * size)
         report = verify_decomposition(deco)
         sums_ok = all(s <= zeta_two + 1e-12 for s in report.certificate_sums)
         random_ok = random_ok and report.ok and sums_ok
@@ -400,9 +399,9 @@ def criterion_transforms(tol: dict, seed: int) -> CriterionResult:
     channel_counts = {}
     admissible_ok = True
     for name, spec in specs.items():
-        report, partition, form = f_transform_form(spec, hyd)
+        report, deco, form = f_transform_form(spec, hyd)
         admissible_ok = admissible_ok and report.admissible
-        channel_counts[name] = len(partition.channels)
+        channel_counts[name] = deco.channel_count
         residuals[name] = uw_ccr_sweep(rng, _sweep_forms(form, 20))
 
     # the resonant parameter beta = 1/(2 E_1) sends the ground state to zero

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +30,7 @@ from .decompose import decompose_spectrum, verify_decomposition
 from .spectra import (
     DiscreteSpectrum,
     _is_integer,
+    _is_number,
     harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_bound_check,
@@ -52,9 +52,9 @@ __all__ = ["RunConfig", "run", "main", "DEFAULT_TOLERANCES"]
 MODEL_KINDS = ("oscillator", "hydrogen", "rabi", "custom")
 PIPELINE_KINDS = ("timeop", "uwform", "ftransform", "oscspec", "abweyl", "s0check")
 
-
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+#: Largest random-vector count a pipeline accepts.  At CHANNEL_DIMENSION_LIMIT
+#: a timeop stack this deep is 10^4 x 4096 complex entries, about 655 MB.
+VECTORS_LIMIT = 10_000
 
 
 #: What each type named in the field tables admits.
@@ -120,6 +120,8 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if pipeline.get("vectors") is not None and int(pipeline["vectors"]) < 1:
             raise ValueError("vectors must be at least 1; a sweep over no vectors checks nothing")
+        if pipeline.get("vectors") is not None and int(pipeline["vectors"]) > VECTORS_LIMIT:
+            raise ValueError(f"vectors must be at most {VECTORS_LIMIT}")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "pipeline", pipeline)
         object.__setattr__(self, "tolerances", tolerances)
@@ -277,11 +279,9 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
                 "im_identity_defect": None,
                 "passed": False,
             }
-        _, partition, form = f_transform_form(f, s, p)
-        channel_count = len(partition.channels)
+        _, deco, form = f_transform_form(f, s, p)
     else:
         deco, form = assemble_uwform(s, p)
-        channel_count = deco.channel_count
 
     # with no channel of dimension 2 or more, the whole-form sweep raises
     nontrivial = [i for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
@@ -305,7 +305,7 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
         "spectrum": s.to_json(),
         "admissible": True,
         "witnesses": witnesses,
-        "channel_count": channel_count,
+        "channel_count": deco.channel_count,
         "channels": channels,
         "vectors_per_channel": vectors,
         "max_uw_ccr_residual": worst,

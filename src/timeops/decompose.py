@@ -25,7 +25,8 @@ construction above is the entire algorithm here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,10 +35,8 @@ from .spectra import Accumulation, DiscreteSpectrum
 __all__ = [
     "ChannelDecomposition",
     "DecompositionReport",
-    "PartitionResult",
     "bucket_index",
     "channel_partition",
-    "partition_null_sequence",
     "decompose_spectrum",
     "verify_decomposition",
 ]
@@ -75,20 +74,61 @@ def bucket_index(a: float) -> int:
 
 
 @dataclass(frozen=True)
-class PartitionResult:
-    """Channel assignment at the level of raw (value, copy) pairs.
+class ChannelDecomposition:
+    """Assignment of the multiplicity slots of a value multiset to simple channels.
 
-    ``channels`` lists, per channel, the (value index, copy index) pairs it
-    owns; ``certificates`` gives the strictly increasing bucket levels the
-    channel occupies.  ``prescale`` is the reciprocal of the largest
-    bucketed magnitude (of the values themselves, or of their reciprocals
-    when ``reciprocals`` was set).
+    ``values`` and ``multiplicities`` describe the multiset; ``slots``,
+    derived from them, enumerates its (value index, copy index) pairs
+    value-major.  ``channels`` lists slot indices per channel.
+    ``certificates`` records, channel by channel, the strictly increasing
+    bucket levels occupied (certifying the p-power summability bound), and
+    ``prescale`` is the reciprocal of the largest bucketed magnitude (of the
+    values themselves, or of their reciprocals for spectra accumulating at
+    infinity).
     """
 
-    channels: tuple[tuple[tuple[int, int], ...], ...]
+    values: tuple[float, ...]
+    multiplicities: tuple[int, ...]
+    channels: tuple[tuple[int, ...], ...]
     certificates: tuple[tuple[int, ...], ...]
-    prescale: float
     p: float
+    prescale: float
+    slots: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        slots = tuple(
+            (n, copy) for n, m in enumerate(self.multiplicities) for copy in range(m)
+        )
+        object.__setattr__(self, "slots", slots)
+        for chan in self.channels:
+            for slot in chan:
+                if not 0 <= slot < len(slots):
+                    raise ValueError("channel references an unknown slot")
+        if len(self.certificates) != len(self.channels):
+            raise ValueError("need one certificate per channel")
+
+    @property
+    def channel_count(self) -> int:
+        return len(self.channels)
+
+    def slot_value(self, slot: int) -> float:
+        eig, _ = self.slots[slot]
+        return self.values[eig]
+
+    def channel_values(self, index: int) -> np.ndarray:
+        """Values of one channel, in extraction order."""
+        return np.array([self.slot_value(s) for s in self.channels[index]])
+
+    def channel_eigenvalue_indices(self, index: int) -> tuple[int, ...]:
+        return tuple(self.slots[s][0] for s in self.channels[index])
+
+    def to_json(self) -> dict:
+        return {
+            "prescale": self.prescale,
+            "p": self.p,
+            "channels": [list(c) for c in self.channels],
+            "certificates": [list(c) for c in self.certificates],
+        }
 
 
 def _extraction_rounds(scaled: "list[float]") -> "tuple[list[list[int]], list[list[int]]]":
@@ -121,12 +161,12 @@ def channel_partition(
     p: float = DEFAULT_EXPONENT,
     *,
     reciprocals: bool = False,
-) -> PartitionResult:
+) -> ChannelDecomposition:
     """Partition a multiset of distinct nonzero values into simple channels.
 
-    This is the core shared by :func:`decompose_spectrum` (which wraps the
-    result around a source spectrum) and by transformed-spectrum pipelines
-    whose value sets need not obey any sign convention.
+    This is the core shared by :func:`decompose_spectrum` and by
+    transformed-spectrum pipelines whose value sets need not obey any sign
+    convention.  With every multiplicity 1, slot i is input position i.
 
     Parameters
     ----------
@@ -162,108 +202,23 @@ def channel_partition(
     divisor = float(np.max(np.abs(seq)))
     scaled = np.abs(seq) / divisor
 
-    channels: list[tuple[tuple[int, int], ...]] = []
+    # Slots are value-major, so copy c of value n is slot first_slot[n] + c.
+    first_slot = [0, *accumulate(mults[:-1])]
+    channels: list[tuple[int, ...]] = []
     certificates: list[tuple[int, ...]] = []
     for column in range(max(mults)):
         members = [n for n, m in enumerate(mults) if m > column]
         per_column, levels = _extraction_rounds([scaled[n] for n in members])
         for chan, ks in zip(per_column, levels):
-            channels.append(tuple((members[pos], column) for pos in chan))
+            channels.append(tuple(first_slot[members[pos]] + column for pos in chan))
             certificates.append(tuple(ks))
-    return PartitionResult(
+    return ChannelDecomposition(
+        values=tuple(vals.tolist()),
+        multiplicities=tuple(mults),
         channels=tuple(channels),
         certificates=tuple(certificates),
-        prescale=1.0 / divisor,
         p=float(p),
-    )
-
-
-@dataclass(frozen=True)
-class ChannelDecomposition:
-    """Assignment of multiplicity slots of a spectrum to simple channels.
-
-    ``slots`` enumerates the (eigenvalue index, copy index) pairs of the
-    source spectrum, eigenvalue-major; ``channels`` lists slot indices per
-    channel.  ``bucket_certificates`` records, channel by channel, the
-    strictly increasing bucket levels occupied (certifying the p-power
-    summability bound), ``prescale`` the shared rescaling factor.
-    """
-
-    source: DiscreteSpectrum
-    slots: tuple[tuple[int, int], ...]
-    channels: tuple[tuple[int, ...], ...]
-    bucket_certificates: tuple[tuple[int, ...], ...]
-    p: float
-    prescale: float
-
-    def __post_init__(self) -> None:
-        n_slots = len(self.slots)
-        for chan in self.channels:
-            for slot in chan:
-                if not 0 <= slot < n_slots:
-                    raise ValueError("channel references an unknown slot")
-        if len(self.bucket_certificates) != len(self.channels):
-            raise ValueError("need one certificate per channel")
-
-    @property
-    def channel_count(self) -> int:
-        return len(self.channels)
-
-    def slot_value(self, slot: int) -> float:
-        eig, _ = self.slots[slot]
-        return self.source.entries[eig][0]
-
-    def channel_values(self, index: int) -> np.ndarray:
-        """Eigenvalues of one channel, in extraction order."""
-        return np.array([self.slot_value(s) for s in self.channels[index]])
-
-    def channel_eigenvalue_indices(self, index: int) -> tuple[int, ...]:
-        return tuple(self.slots[s][0] for s in self.channels[index])
-
-    def to_json(self) -> dict:
-        return {
-            "prescale": self.prescale,
-            "p": self.p,
-            "channels": [list(c) for c in self.channels],
-            "certificates": [list(c) for c in self.bucket_certificates],
-        }
-
-
-def partition_null_sequence(values, p: float = DEFAULT_EXPONENT) -> ChannelDecomposition:
-    """Partition a list of distinct nonzero reals into channels.
-
-    The values are rescaled by the reciprocal of their largest magnitude
-    and split by the bucket procedure described in the module docstring.
-    The result is wrapped around a synthetic single-multiplicity spectrum
-    holding the sorted values; slots stay in the original input order, so
-    channel entries refer to positions in ``values`` as given.
-    """
-    vals = np.asarray(values, dtype=float)
-    part = channel_partition(vals, [1] * vals.size, p)
-
-    order = np.argsort(vals)
-    rank = {int(orig): pos for pos, orig in enumerate(order)}
-    accumulation = (
-        Accumulation.TO_ZERO if vals.max() < 0.0 else Accumulation.TO_INFINITY
-    )
-    source = DiscreteSpectrum(
-        entries=tuple((float(vals[i]), 1) for i in order),
-        accumulation=accumulation,
-        label=f"null-sequence(n={vals.size})",
-    )
-    # Slot i describes input position i; its eigenvalue index is the rank
-    # of values[i] in the sorted spectrum.
-    slots = tuple((rank[i], 0) for i in range(vals.size))
-    channels = tuple(
-        tuple(index for index, _ in chan) for chan in part.channels
-    )
-    return ChannelDecomposition(
-        source=source,
-        slots=slots,
-        channels=channels,
-        bucket_certificates=part.certificates,
-        p=part.p,
-        prescale=part.prescale,
+        prescale=1.0 / divisor,
     )
 
 
@@ -278,24 +233,7 @@ def decompose_spectrum(s: DiscreteSpectrum, p: float = DEFAULT_EXPONENT) -> Chan
     reciprocals = s.accumulation is Accumulation.TO_INFINITY
     if reciprocals and any(v == 0.0 for v, _ in s.entries):
         raise ValueError("cannot take reciprocals of a spectrum containing zero")
-    mults = s.multiplicities
-    part = channel_partition(s.values, mults, p, reciprocals=reciprocals)
-
-    slots = tuple(
-        (n, copy) for n in range(len(mults)) for copy in range(mults[n])
-    )
-    slot_of = {pair: i for i, pair in enumerate(slots)}
-    channels = tuple(
-        tuple(slot_of[pair] for pair in chan) for chan in part.channels
-    )
-    return ChannelDecomposition(
-        source=s,
-        slots=slots,
-        channels=channels,
-        bucket_certificates=part.certificates,
-        p=part.p,
-        prescale=part.prescale,
-    )
+    return channel_partition(s.values, s.multiplicities, p, reciprocals=reciprocals)
 
 
 @dataclass(frozen=True)
@@ -347,14 +285,14 @@ def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
             violations.append(f"channel {i} repeats an eigenvalue")
 
     increasing = True
-    for i, cert in enumerate(c.bucket_certificates):
+    for i, cert in enumerate(c.certificates):
         if any(b <= a for a, b in zip(cert, cert[1:])):
             increasing = False
             violations.append(f"channel {i} certificate is not strictly increasing")
 
     sums = tuple(
         float(sum(1.0 / float(k) ** c.p for k in cert))
-        for cert in c.bucket_certificates
+        for cert in c.certificates
     )
     return DecompositionReport(
         disjoint_cover=disjoint_cover,

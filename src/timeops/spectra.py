@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,11 @@ DEGENERACY_MERGE_RTOL = 1e-10
 def _is_integer(x) -> bool:
     """An integer in the JSON sense: not a float, not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A number in the JSON sense: not a string, not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class Accumulation(str, Enum):
@@ -120,9 +126,23 @@ class DiscreteSpectrum:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DiscreteSpectrum":
+        """Read ``{"entries": [[finite number, integer], ...], "accumulation": ...}``.
+
+        A document of any other shape raises ValueError; values are never
+        coerced, so ``"-1"`` is rejected rather than read as -1.0.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("a spectrum document must be a JSON object")
+        entries = doc.get("entries")
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and _is_number(e[0])
+            and abs(e[0]) <= sys.float_info.max   # written so that NaN fails
+            for e in entries
+        ):
+            raise ValueError("spectrum entries must be a list of [finite number, integer] pairs")
         return cls(
-            entries=tuple((float(v), m) for v, m in doc["entries"]),
-            accumulation=Accumulation(doc["accumulation"]),
+            entries=tuple((float(v), m) for v, m in entries),
+            accumulation=Accumulation(doc.get("accumulation")),
             label=str(doc.get("label", "")),
         )
 

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .decompose import channel_partition, decompose_spectrum
+from .decompose import ChannelDecomposition, channel_partition, decompose_spectrum
 from .spectra import Accumulation, DiscreteSpectrum
 from .timeop import BlockDiagonal, MatrixKind, galapon_matrix
 
@@ -182,9 +182,13 @@ def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
     if s.accumulation is not Accumulation.TO_ZERO:
         raise ValueError("ultra-weak forms are built over spectra accumulating at zero")
     deco = decompose_spectrum(s, p)
-    return deco, BlockDiagonal(tuple(
-        FormChannel(np.sort(np.asarray(deco.channel_values(i), dtype=float)))
-        for i in range(deco.channel_count)
+    return deco, _form_of(deco)
+
+
+def _form_of(deco: ChannelDecomposition) -> BlockDiagonal:
+    """One form channel per decomposition channel, eigenvalues ascending."""
+    return BlockDiagonal(tuple(
+        FormChannel(np.sort(deco.channel_values(i))) for i in range(deco.channel_count)
     ))
 
 
@@ -383,12 +387,21 @@ def f_condition_check(f: FunctionSpec, s: DiscreteSpectrum) -> AdmissibilityRepo
     checked here within SIN_RESONANCE_ATOL.  For polynomials the derived
     condition is that g(x) = sum_{j>=1} a_j x^{j-1} has no zero on the
     closed positive half-line, probed conservatively by a sign scan plus
-    the real nonnegative roots of g.
+    the real nonnegative roots of g.  A shifted value that overflows is
+    not a witness but an input error: ValueError names its eigenvalue index.
     """
     if s.accumulation is not Accumulation.TO_ZERO:
         raise ValueError("transforms are defined over spectra accumulating at zero")
     ev = s.values
-    shifted = np.asarray(f.shifted(ev), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = np.asarray(f.shifted(ev), dtype=float)
+    overflowed = np.flatnonzero(~np.isfinite(shifted))
+    if overflowed.size:
+        n = int(overflowed[0]) + 1
+        raise ValueError(
+            f"the shifted function overflows to {shifted[n - 1]} at eigenvalue index {n} "
+            f"(eigenvalue {float(ev[n - 1])!r}); no form can be built from non-finite values"
+        )
     scale = float(np.max(np.abs(shifted))) if shifted.size else 0.0
     zero_tol = 1e-12 * max(scale, 1e-300)
     witnesses: list[dict] = []
@@ -455,7 +468,7 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     census tolerance by adding their multiplicities, partitions the
     resulting value set, and assembles the channel forms.
 
-    Returns (report, partition, BlockDiagonal).
+    Returns (report, ChannelDecomposition, BlockDiagonal).
     """
     report = f_condition_check(f, s)
     if not report.admissible:
@@ -478,10 +491,5 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
             merged_values.append(value)
             merged_mults.append(mult)
 
-    values = np.asarray(merged_values, dtype=float)
-    partition = channel_partition(values, merged_mults, p)
-    form = BlockDiagonal(tuple(
-        FormChannel(np.sort(values[[value_index for value_index, _ in channel]]))
-        for channel in partition.channels
-    ))
-    return report, partition, form
+    deco = channel_partition(merged_values, merged_mults, p)
+    return report, deco, _form_of(deco)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import timeops
 from timeops import cli
@@ -140,6 +145,21 @@ class TestSubcommands:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out" / "spectrum.json").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"accumulation": "to_zero", "entries": [5]},
+        {"accumulation": "to_zero", "entries": 5},
+        [[-1.0, 1]],
+        {"accumulation": "to_zero", "entries": [["-1", 1]]},
+    ])
+    def test_spectrum_rejects_a_malformed_document(self, tmp_path, capsys, doc):
+        src = tmp_path / "custom.json"
+        src.write_text(json.dumps(doc))
+        code = main(["spectrum", "--input", str(src), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "spectrum.json").exists()
+
     def test_spectrum_rejects_rabi(self, tmp_path):
         code = main(["spectrum", "--model", "rabi", "--out", str(tmp_path)])
         assert code == 2
@@ -195,6 +215,22 @@ class TestSubcommands:
                      "--vectors", vectors, "--out", str(tmp_path)])
         assert code == 2
         assert not (tmp_path / f"{command}_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["timeop", "uwform"])
+    def test_vectors_above_the_cap_are_a_usage_error(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        for vectors in (cli.VECTORS_LIMIT + 1, 10 ** 12):
+            config.write_text(json.dumps({
+                "model": {"kind": "hydrogen", "n_max": 3},
+                "pipeline": {"kind": command, "vectors": vectors},
+            }))
+            for source in (["--vectors", str(vectors), "--model", "hydrogen", "--n-max", "3"],
+                           ["--config", str(config)]):
+                code = main([command, *source, "--out", str(tmp_path)])
+                err = capsys.readouterr().err
+                assert code == 2
+                assert err == f"error: vectors must be at most {cli.VECTORS_LIMIT}\n"
+                assert not (tmp_path / f"{command}_report.json").exists()
 
     @pytest.mark.parametrize("command", ["timeop", "uwform"])
     def test_trivial_domain_is_a_usage_error(self, tmp_path, capsys, command):
@@ -265,6 +301,15 @@ class TestSubcommands:
         assert report["witnesses"][0]["reason"] == "sine resonance"
         assert report["admissibility_details"]["scanned_integer_range"] == 2
         assert report["max_uw_ccr_residual"] is None
+
+    def test_ftransform_rejects_an_overflowing_transform(self, tmp_path, capsys):
+        code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
+                     "--function", "exp:1e308", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the shifted function overflows to inf at eigenvalue index 1 ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ftransform_report.json").exists()
 
     def test_ftransform_requires_function(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -378,6 +423,47 @@ class TestSubcommands:
         report = _read(tmp_path / "uwform_report.json")
         assert report["config"]["seed"] == 3
         assert report["vectors_per_channel"] == 5
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+)
+_ENTRIES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(st.one_of(
+        _JSON_SCALARS,
+        st.lists(_JSON_SCALARS, max_size=3),
+        st.tuples(st.floats(max_value=-1e-3), st.integers(0, 3)).map(list),
+    ), max_size=4),
+)
+_SPECTRUM_DOCUMENTS = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.fixed_dictionaries(
+        {"entries": _ENTRIES},
+        optional={
+            "accumulation": st.one_of(st.sampled_from(["to_zero", "to_infinity"]), _JSON_SCALARS),
+            "label": _JSON_SCALARS,
+        },
+    ),
+)
+
+
+class TestSpectrumDocumentFuzz:
+    @settings(max_examples=150, deadline=timedelta(seconds=2))
+    @given(doc=_SPECTRUM_DOCUMENTS)
+    def test_any_document_exits_zero_or_two_without_a_traceback(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "custom.json"
+            src.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["spectrum", "--input", str(src), "--out", tmp])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert not (Path(tmp) / "spectrum.json").exists()
 
 
 class TestSelftestCommand:

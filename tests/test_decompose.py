@@ -9,7 +9,6 @@ from timeops.decompose import (
     bucket_index,
     channel_partition,
     decompose_spectrum,
-    partition_null_sequence,
     verify_decomposition,
 )
 from timeops.spectra import (
@@ -56,42 +55,42 @@ class TestBucketIndex:
 
 
 class TestPartitionNullSequence:
+    """Simple null sequences: channel_partition with every multiplicity 1."""
+
+    @staticmethod
+    def partition(values):
+        return channel_partition(values, [1] * len(values))
+
     def test_harmonic_reciprocals_fill_one_channel(self):
-        deco = partition_null_sequence([-1.0 / n for n in range(1, 9)])
+        deco = self.partition([-1.0 / n for n in range(1, 9)])
         assert deco.channels == ((0, 1, 2, 3, 4, 5, 6, 7),)
-        assert deco.bucket_certificates == ((1, 2, 3, 4, 5, 6, 7, 8),)
+        assert deco.certificates == ((1, 2, 3, 4, 5, 6, 7, 8),)
 
     def test_slow_sequence_needs_five_channels(self):
-        deco = partition_null_sequence([-1.0 / math.sqrt(n) for n in range(1, 9)])
+        deco = self.partition([-1.0 / math.sqrt(n) for n in range(1, 9)])
         assert deco.channels == ((0, 3), (1, 4), (2, 5), (6,), (7,))
-        assert deco.bucket_certificates == ((1, 2), (1, 2), (1, 2), (2,), (2,))
+        assert deco.certificates == ((1, 2), (1, 2), (1, 2), (2,), (2,))
 
     def test_channels_reference_original_input_positions(self):
-        deco = partition_null_sequence([-0.3, -1.0])
+        deco = self.partition([-0.3, -1.0])
         assert deco.channels == ((1, 0),)
         assert deco.slot_value(1) == -1.0
         np.testing.assert_allclose(deco.channel_values(0), [-1.0, -0.3])
 
     def test_deterministic(self):
         vals = [-1.0 / math.sqrt(n) for n in range(1, 20)]
-        a = partition_null_sequence(vals)
-        b = partition_null_sequence(vals)
+        a = self.partition(vals)
+        b = self.partition(vals)
         assert a.channels == b.channels
-        assert a.bucket_certificates == b.bucket_certificates
+        assert a.certificates == b.certificates
         assert a.prescale == b.prescale
 
     def test_certificate_sums_stay_below_zeta_two(self):
-        deco = partition_null_sequence([-1.0 / n for n in range(1, 101)])
+        deco = self.partition([-1.0 / n for n in range(1, 101)])
         report = verify_decomposition(deco)
         assert report.ok
         assert deco.channel_count == 1
         assert report.certificate_sums[0] <= ZETA_2
-
-    def test_accumulation_side_follows_the_signs(self):
-        neg = partition_null_sequence([-0.5, -0.25])
-        pos = partition_null_sequence([0.5, 0.25, -0.1])
-        assert neg.source.accumulation is Accumulation.TO_ZERO
-        assert pos.source.accumulation is Accumulation.TO_INFINITY
 
 
 class TestChannelPartition:
@@ -132,6 +131,15 @@ class TestChannelPartition:
         assert scaled.certificates == base.certificates
         assert scaled.prescale == pytest.approx(base.prescale / alpha)
 
+    def test_slots_are_value_major(self):
+        part = channel_partition([-1.0], [3])
+        assert part.slots == ((0, 0), (0, 1), (0, 2))
+        assert part.channels == ((0,), (1,), (2,))
+        part = channel_partition([-1.0, -0.5], [2, 1])
+        assert part.slots == ((0, 0), (0, 1), (1, 0))
+        assert part.channels == ((0, 2), (1,))
+        np.testing.assert_array_equal(part.channel_values(1), [-1.0])
+
     def test_spot_check_generic_rescaling(self):
         vals = [-0.5, -0.125, -1.0 / 18.0, -0.03125]
         mults = [1, 4, 9, 16]
@@ -167,7 +175,7 @@ class TestDecomposeSpectrum:
     def test_infinity_side_buckets_reciprocals(self):
         deco = decompose_spectrum(harmonic_spectrum([1.0], 3))
         assert deco.channels == ((0, 1, 2, 3),)
-        assert deco.bucket_certificates == ((1, 3, 5, 7),)
+        assert deco.certificates == ((1, 3, 5, 7),)
         assert deco.prescale == pytest.approx(0.5)
 
     def test_rejects_zero_eigenvalue_on_the_infinity_side(self):
@@ -198,7 +206,7 @@ class TestVerifyDecomposition:
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
         bad = dataclasses.replace(
             deco,
-            bucket_certificates=((9, 4, 1),) + deco.bucket_certificates[1:],
+            certificates=((9, 4, 1),) + deco.certificates[1:],
         )
         report = verify_decomposition(bad)
         assert not report.increasing_certificates

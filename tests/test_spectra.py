@@ -112,6 +112,27 @@ class TestDiscreteSpectrum:
         with pytest.raises(ValueError, match="not an integer"):
             DiscreteSpectrum(((-1.0, multiplicity),), Accumulation.TO_ZERO)
 
+    @pytest.mark.parametrize("doc", [
+        [[-1.0, 1]],
+        {"accumulation": "to_zero"},
+        {"accumulation": "to_zero", "entries": 5},
+        {"accumulation": "to_zero", "entries": [5]},
+        {"accumulation": "to_zero", "entries": [[-1.0]]},
+        {"accumulation": "to_zero", "entries": [[-1.0, 1, 1]]},
+        {"accumulation": "to_zero", "entries": [["-1", 1]]},
+        {"accumulation": "to_zero", "entries": [[True, 1]]},
+        {"accumulation": "to_zero", "entries": [[None, 1]]},
+        {"accumulation": "to_zero", "entries": [[math.nan, 1]]},
+        {"accumulation": "to_zero", "entries": [[-(10 ** 400), 1]]},
+    ])
+    def test_from_json_rejects_a_malformed_document(self, doc):
+        with pytest.raises(ValueError, match="JSON object|pairs"):
+            DiscreteSpectrum.from_json(doc)
+
+    def test_from_json_rejects_an_unknown_accumulation(self):
+        with pytest.raises(ValueError, match="Accumulation"):
+            DiscreteSpectrum.from_json({"entries": [[-1.0, 1]]})
+
     def test_accepts_numpy_integer_multiplicity(self):
         s = DiscreteSpectrum(((-1.0, np.int64(3)),), Accumulation.TO_ZERO)
         assert s.multiplicities == (3,) and type(s.multiplicities[0]) is int

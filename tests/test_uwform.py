@@ -396,6 +396,15 @@ class TestAdmissibility:
         w = next(w for w in report.witnesses if "root" in w)
         assert w["root"] == pytest.approx(7.0, rel=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        FunctionSpec(FunctionKind.EXP, (1e308,)),
+        FunctionSpec(FunctionKind.SIN, (1e308,)),
+    ])
+    def test_overflowing_values_are_rejected_by_index(self, spec):
+        s = hydrogen_point_spectrum(1.0, 1.0, 4)
+        with pytest.raises(ValueError, match="overflows to .* at eigenvalue index 1 "):
+            f_condition_check(spec, s)
+
     def test_requires_zero_accumulating_spectrum(self):
         s = DiscreteSpectrum(((1.0, 1), (2.0, 1)), Accumulation.TO_INFINITY)
         with pytest.raises(ValueError, match="accumulating at zero"):
@@ -451,3 +460,13 @@ class TestTransformForm:
             f_transform_form(resonant, s)
         assert not err.value.report.admissible
         assert err.value.report.witnesses[0]["reason"] == "sine resonance"
+
+    def test_returns_the_decomposition_of_the_merged_values(self):
+        s = DiscreteSpectrum(((-0.75, 1), (-0.25, 2), (-0.1, 1)), Accumulation.TO_ZERO)
+        quad = FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1.0, 1.0))
+        _, deco, form = f_transform_form(quad, s)
+        # -0.75 and -0.25 both map to -0.1875, so their copies merge
+        assert deco.values == pytest.approx((-0.1875, -0.09))
+        assert deco.multiplicities == (3, 1)
+        assert deco.channel_count == len(form.blocks)
+        assert sum(len(ch) for ch in deco.channels) == form.total_dimension == 4
