@@ -32,7 +32,7 @@ from .timeop import (
     channel_time_operator,
     commutator_defect_columns,
     galapon_matrix,
-    osc_timeop_spectrum,
+    osc_timeop_extremes,
     project_to_difference_span,
     random_difference_vector,
 )

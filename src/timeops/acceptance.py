@@ -28,7 +28,7 @@ from .timeop import (
     assemble_time_operator,
     commutator_defect_columns,
     galapon_matrix,
-    osc_timeop_spectrum,
+    osc_timeop_extremes,
 )
 from .uwform import (
     FunctionKind,
@@ -102,7 +102,6 @@ def _block_pair_residuals(t) -> tuple[float, float, int]:
     Returns (worst residual, matrix max-entry scale, pairs checked).
     """
     comm = commutator_defect_columns(t.pairing_eigenvalues, t)
-    scale = float(np.max(np.abs(t.data))) if t.dimension > 1 else 0.0
     worst = 0.0
     pairs = 0
     for k in range(t.dimension):
@@ -112,7 +111,7 @@ def _block_pair_residuals(t) -> tuple[float, float, int]:
             diff[l] -= 1j
             worst = max(worst, float(np.linalg.norm(diff)))
             pairs += 1
-    return worst, scale, pairs
+    return worst, t.scale, pairs
 
 
 def criterion_exact_ccr(tol: dict, seed: int) -> CriterionResult:
@@ -211,7 +210,7 @@ def criterion_oscillator_bound(tol: dict, seed: int) -> CriterionResult:
     maxima = []
     ok = True
     for n in sizes:
-        _, low, high = osc_timeop_spectrum(1.0, n)
+        low, high = osc_timeop_extremes(1.0, n)
         maxima.append(high)
         ok = ok and (high <= math.pi + slack) and (low >= -math.pi - slack)
     for previous, current in zip(maxima, maxima[1:]):
@@ -279,10 +278,8 @@ def criterion_rabi(tol: dict, seed: int) -> CriterionResult:
     start = time.perf_counter()
     mu, omega, g = 0.5, 1.0, 0.3
     count = 20
-    big = rabi_hamiltonian(mu, omega, g, 200)
-    small = rabi_hamiltonian(mu, omega, g, 150)
-    ev_big = big.eigenvalues()
-    ev_small = small.eigenvalues()
+    ev_big = rabi_hamiltonian(mu, omega, g, 200).eigenvalues()
+    ev_small = rabi_hamiltonian(mu, omega, g, 150).eigenvalues()
     bounds = rabi_bound_check(ev_big, mu, omega, g, count)
     stability = float(np.max(np.abs(ev_big[: 2 * count] - ev_small[: 2 * count])))
     ok = all(bounds) and stability < tol["rabi_stability"]

@@ -36,7 +36,7 @@ from .spectra import (
     rabi_bound_check,
     rabi_hamiltonian,
 )
-from .timeop import assemble_time_operator, ccr_residual, osc_timeop_spectrum, random_difference_vector
+from .timeop import assemble_time_operator, ccr_residual, osc_timeop_extremes, random_difference_vector
 from .uwform import (
     FunctionSpec,
     assemble_uwform,
@@ -232,8 +232,7 @@ def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
             rng = np.random.default_rng(config.seed + 10_000 + i)
             stack = [random_difference_vector(rng, t.dimension) for _ in range(vectors)]
             worst = ccr_residual(t.pairing_eigenvalues, t, stack)
-        scale = float(np.max(np.abs(t.data))) if t.dimension > 1 else 0.0
-        ok = worst <= tol["ccr_relative"] * scale if t.dimension > 1 else True
+        ok = worst <= tol["ccr_relative"] * t.scale if t.dimension > 1 else True
         entry = {
             "channel_id": i,
             "dimension": t.dimension,
@@ -329,8 +328,8 @@ def _pipeline_oscspec(config: RunConfig, tol: dict, jobs: int) -> dict:
     if not sizes:
         raise ValueError("sizes must name at least one matrix size; an empty sweep checks nothing")
     slack = tol["toeplitz_bound_slack"]
-    extremes = _parallel(lambda n: osc_timeop_spectrum(omega, n)[1:], sizes, jobs)
-    bound = math.pi / omega   # omega was validated by osc_timeop_spectrum
+    extremes = _parallel(lambda n: osc_timeop_extremes(omega, n), sizes, jobs)
+    bound = math.pi / omega   # omega was validated by osc_timeop_extremes
     rows = [
         {
             "size": n,

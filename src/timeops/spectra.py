@@ -147,59 +147,54 @@ class DiscreteSpectrum:
         )
 
 
-def _require_hermitian(data: np.ndarray) -> None:
-    """Reject a matrix whose largest |A - A^H| entry exceeds the relative tolerance.
+#: Rows per band of the Hermiticity pass, which builds no n x n temporary.
+HERMITICITY_BAND_ROWS = 32
 
-    Written as ``not (defect <= bound)`` so that NaN entries fail.
+
+def _require_hermitian(data: np.ndarray) -> tuple[float, float]:
+    """Return (scale, defect): the largest |A| and |A - A^H| entries of a square A.
+
+    Raises ValueError when the defect exceeds ``HERMITICITY_RTOL`` times the
+    scale, written as ``not (defect <= bound)`` so that NaN entries fail.
     """
-    scale = float(np.max(np.abs(data))) if data.size else 0.0
-    defect = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
+    scale = defect = 0.0
+    rows = HERMITICITY_BAND_ROWS
+    with np.errstate(invalid="ignore"):   # inf - inf is a NaN defect, rejected below
+        for start in range(0, data.shape[0], rows):
+            band = data[start:start + rows]
+            # np.maximum, unlike max(), carries a NaN forward
+            scale = np.maximum(scale, np.max(np.abs(band)))
+            defect = np.maximum(defect, np.max(np.abs(band - data[:, start:start + rows].conj().T)))
     if not defect <= HERMITICITY_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    return float(scale), float(defect)
 
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense complex Hermitian matrix with labelled basis vectors."""
+    """Block-diagonal Hermitian matrix; ``basis_labels`` lists the basis in block order."""
 
     dimension: int
-    data: np.ndarray
+    blocks: tuple[np.ndarray, ...]
     basis_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=complex)
-        if data.shape != (self.dimension, self.dimension):
-            raise ValueError("data shape does not match declared dimension")
+        blocks = tuple(np.array(b, dtype=complex if np.iscomplexobj(b) else float) for b in self.blocks)
+        if any(b.ndim != 2 or b.shape[0] != b.shape[1] for b in blocks):
+            raise ValueError("every block must be a square matrix")
+        if sum(b.shape[0] for b in blocks) != self.dimension:
+            raise ValueError("block sizes do not add up to the declared dimension")
         if len(self.basis_labels) != self.dimension:
             raise ValueError("need one basis label per dimension")
-        _require_hermitian(data)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        for b in blocks:
+            _require_hermitian(b)
+            b.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (dense Hermitian solve).
-
-        A matrix whose imaginary part is identically zero, such as the
-        Rabi Hamiltonian, is solved as the real symmetric matrix it is.
-        """
-        if not np.any(self.data.imag):
-            return np.linalg.eigvalsh(self.data.real)
-        return np.linalg.eigvalsh(self.data)
-
-    def to_json(self) -> dict:
-        flat = self.data.reshape(-1)
-        return {
-            "dimension": self.dimension,
-            "basis_labels": list(self.basis_labels),
-            "data": [[z.real, z.imag] for z in flat],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "HermitianMatrix":
-        n = int(doc["dimension"])
-        flat = np.array([complex(re, im) for re, im in doc["data"]])
-        return cls(n, flat.reshape(n, n), tuple(doc["basis_labels"]))
+        """Eigenvalues of all blocks, merged in ascending order."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in self.blocks]))
 
 
 def _lattice_points(dims: int, total: int):
@@ -295,34 +290,31 @@ def rabi_hamiltonian(
     would leave the retained number states are dropped, which keeps the
     matrix exactly Hermitian (variational truncation).
 
-    Returns the 2(fock_cutoff+1)-dimensional matrix in the product basis
-    spin (x) number state, spin-up block first.
+    H commutes with the parity sz (x) (-1)^N, so the 2(fock_cutoff+1)-
+    dimensional matrix is returned as its two parity blocks, each a real
+    symmetric tridiagonal chain of fock_cutoff+1 states: |up,0>, |down,1>,
+    |up,2>, ... and |down,0>, |up,1>, |down,2>, ...  Chain state n has
+    diagonal +-mu(-1)^n + omega*n, and g*sqrt(n) couples it to state n-1.
     """
-    mu = float(mu)
-    omega = float(omega)
-    g = float(g)
-    fock_cutoff = int(fock_cutoff)
+    mu, omega, g, fock_cutoff = float(mu), float(omega), float(g), int(fock_cutoff)
+    for name, value in (("mu", mu), ("omega", omega), ("g", g)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value!r}")
     if mu <= 0.0 or omega <= 0.0:
         raise ValueError("mu and omega must be positive")
     if fock_cutoff < 2:
         raise ValueError("fock_cutoff must be >= 2")
 
-    dim = fock_cutoff + 1
-    lower = np.zeros((dim, dim))
-    for n in range(1, dim):
-        lower[n - 1, n] = math.sqrt(n)
-    number = lower.T @ lower
-    quad = lower + lower.T
-
-    sz = np.diag([1.0, -1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = (
-        mu * np.kron(sz, np.eye(dim))
-        + omega * np.kron(np.eye(2), number)
-        + g * np.kron(sx, quad)
-    )
-    labels = tuple(f"{s}|n={n}" for s in ("up", "down") for n in range(dim))
-    return HermitianMatrix(2 * dim, h.astype(complex), labels)
+    n = np.arange(fock_cutoff + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonals = [omega * n + sign * mu * (-1.0) ** n for sign in (1.0, -1.0)]
+        coupling = g * np.sqrt(n[1:])
+    if not np.all(np.isfinite(np.concatenate([coupling, *diagonals]))):
+        raise ValueError("the Rabi matrix entries overflow for these parameters")
+    chains = [np.diag(d) + np.diag(coupling, 1) + np.diag(coupling, -1) for d in diagonals]
+    spins = ("up", "down")
+    labels = tuple(f"{spins[(n + first) % 2]}|n={n}" for first in (0, 1) for n in range(fock_cutoff + 1))
+    return HermitianMatrix(2 * (fock_cutoff + 1), tuple(chains), labels)
 
 
 def rabi_bound_check(

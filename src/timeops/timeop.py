@@ -39,7 +39,7 @@ __all__ = [
     "random_difference_vector",
     "channel_time_operator",
     "assemble_time_operator",
-    "osc_timeop_spectrum",
+    "osc_timeop_extremes",
 ]
 
 #: Hard cap on channel dimension; dense eigensolves and matrix products
@@ -65,6 +65,9 @@ class TimeOperatorMatrix:
     data: np.ndarray
     eigenvalues: tuple[float, ...]
     kind: MatrixKind
+    #: Largest |entry| and largest |T - T^H| entry, from the one Hermiticity pass.
+    scale: float = field(init=False, repr=False, compare=False)
+    _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         data = np.array(self.data, dtype=complex)
@@ -74,7 +77,9 @@ class TimeOperatorMatrix:
             raise ValueError("need one eigenvalue per basis vector")
         if np.any(np.diagonal(data) != 0.0):
             raise ValueError("time-operator matrix must have zero diagonal")
-        _require_hermitian(data)
+        scale, defect = _require_hermitian(data)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_defect", defect)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "eigenvalues", tuple(float(e) for e in self.eigenvalues))
@@ -93,10 +98,7 @@ class TimeOperatorMatrix:
 
     def hermiticity_defect(self) -> float:
         """Max entrywise deviation from the conjugate transpose, relative."""
-        scale = float(np.max(np.abs(self.data))) if self.data.size else 0.0
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.data - self.data.conj().T))) / scale
+        return self._defect / self.scale if self.scale else 0.0
 
     def to_json(self) -> dict:
         flat = self.data.reshape(-1)
@@ -134,6 +136,9 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
         raise ValueError("eigenvalues must be strictly increasing")
     if kind is MatrixKind.INVERSE_CONJUGATE and np.any(ev == 0.0):
         raise ValueError("inverse-conjugate kind requires nonzero eigenvalues")
+    largest = float(np.max(np.abs(ev)))
+    if kind is MatrixKind.INVERSE_CONJUGATE and not math.isfinite(largest * largest):
+        raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
     gaps = np.subtract.outer(ev, ev)          # gaps[n, m] = E_n - E_m
     np.fill_diagonal(gaps, 1.0)               # placeholder, diagonal is zeroed below
@@ -169,7 +174,8 @@ def random_difference_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _require_difference_span(v: np.ndarray) -> None:
     defect = abs(v.sum())
-    if defect > DIFFERENCE_SPAN_RTOL * max(float(np.linalg.norm(v)), 1e-300):
+    # written so that NaN fails
+    if not defect <= DIFFERENCE_SPAN_RTOL * max(float(np.linalg.norm(v)), 1e-300):
         raise ValueError(
             "vector lies outside the difference span "
             f"(coefficient sum {defect:.3e})"
@@ -281,14 +287,14 @@ def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):
     ))
 
 
-def osc_timeop_spectrum(omega: float, n: int):
-    """Eigenvalues of the oscillator time-operator truncation.
+def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the oscillator time-operator truncation.
 
     The matrix is Toeplitz with entries (i/omega)/(n - m); its symbol has
     range (-pi/omega, pi/omega), so the truncation eigenvalues fill that
     interval from the inside as the size grows.
 
-    The spectrum comes from a real SVD of half the size (the even/odd
+    The extremes come from a real matrix of half the size (the even/odd
     split of Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Write
     T = iA/omega with A[n, m] = a(n - m), a(k) = 1/k, a(0) = 0: A is real
     antisymmetric Toeplitz, so J A J = -A for the exchange matrix J and A
@@ -301,10 +307,11 @@ def osc_timeop_spectrum(omega: float, n: int):
 
     with the middle row of B scaled by 1/sqrt(2) when n is odd.  The
     Hermitian matrix [[0, iB], [-iB^T, 0]] has eigenvalues +-sigma(B) and
-    one 0 when n is odd, so spec(T) = +-sigma(B)/omega (and 0).  No n x n
-    matrix is formed.
+    one 0 when n is odd, so the extremes of spec(T) are +-sigma_max(B)/omega,
+    and sigma_max(B)^2 is the largest eigenvalue of the floor(n/2)-square
+    Gram matrix B^T B.  No n x n matrix is formed.
 
-    Returns (ascending eigenvalue array, min, max).
+    Returns (lambda_min, lambda_max) = (-sigma_max/omega, sigma_max/omega).
     """
     omega = float(omega)
     n = int(n)
@@ -324,6 +331,5 @@ def osc_timeop_spectrum(omega: float, n: int):
     b = a[n - 1 + p - q] + a[2 * n - 2 - p - q]
     if n % 2:
         b[-1] /= math.sqrt(2.0)
-    sigma = np.linalg.svd(b, compute_uv=False) / omega           # descending
-    ev = np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]])
-    return ev, float(ev[0]), float(ev[-1])
+    high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
+    return -high, high

@@ -141,7 +141,8 @@ def in_ccr_domain(form: BlockDiagonal, v) -> bool:
     whole = float(np.linalg.norm(vec))
     for ch, piece in zip(form.blocks, pieces):
         scale = float(np.linalg.norm(ch.eigenvalues)) * whole
-        if ch.domain_defect(piece) > CCR_DOMAIN_RTOL * max(scale, 1e-300):
+        # written so that NaN fails
+        if not ch.domain_defect(piece) <= CCR_DOMAIN_RTOL * max(scale, 1e-300):
             return False
     return True
 
@@ -428,9 +429,13 @@ def f_condition_check(f: FunctionSpec, s: DiscreteSpectrum) -> AdmissibilityRepo
         else:
             grid = np.linspace(0.0, 10.0 * float(np.max(np.abs(ev))), 1000)
             gvals = np.zeros_like(grid)
-            for coeff in reversed(g):
-                gvals = gvals * grid + coeff
-            if np.any(gvals == 0.0) or np.any(gvals[:-1] * gvals[1:] < 0.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for coeff in reversed(g):
+                    gvals = gvals * grid + coeff
+            if not np.all(np.isfinite(gvals)):
+                raise ValueError("the derivative factor of the polynomial overflows on the sign-scan "
+                                 f"grid [0, {float(grid[-1])!r}]; no form can be built from non-finite values")
+            if np.any(gvals == 0.0) or np.any(np.sign(gvals[:-1]) != np.sign(gvals[1:])):
                 witnesses.append({"reason": "derivative factor changes sign on [0, inf)"})
             elif g.size > 1:
                 roots = np.roots(g[::-1])

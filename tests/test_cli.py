@@ -258,6 +258,13 @@ class TestSubcommands:
             code = main(["timeop", "--model", "rabi", "--g", "inf", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--omega", "nan"), ("--g", "inf")])
+    def test_timeop_rabi_names_the_non_finite_parameter(self, tmp_path, capsys, flag, value):
+        code = main(["timeop", "--model", "rabi", flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {flag[2:]} must be finite, not {float(value)!r}\n"
+
     def test_timeop_rabi(self, tmp_path):
         code = main(["timeop", "--model", "rabi", "--cutoff", "120",
                      "--count", "12", "--out", str(tmp_path)])
@@ -308,6 +315,19 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: the shifted function overflows to inf at eigenvalue index 1 ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ftransform_report.json").exists()
+
+    @pytest.mark.parametrize("function,message", [
+        ("poly:0,1e300,1e300", "error: the products E_n*E_m overflow"),
+        ("poly:0,1,1e308", "error: the derivative factor of the polynomial overflows"),
+    ])
+    def test_ftransform_rejects_an_overflowing_polynomial(self, tmp_path, capsys, function, message):
+        code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
+                     "--function", function, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(message)
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "ftransform_report.json").exists()
 

@@ -152,6 +152,59 @@ class TestDiscreteSpectrum:
             DiscreteSpectrum((), Accumulation.TO_ZERO)
 
 
+def dense_rabi(mu: float, omega: float, g: float, cutoff: int) -> tuple[np.ndarray, list[str]]:
+    """Reference: the Rabi matrix built densely from Kronecker products.
+
+    Product basis spin (x) number state, spin-up block first, with the
+    ladder entries that leave the retained number states dropped.
+    """
+    dim = cutoff + 1
+    lower = np.zeros((dim, dim))
+    for n in range(1, dim):
+        lower[n - 1, n] = math.sqrt(n)
+    number = lower.T @ lower
+    quad = lower + lower.T
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = mu * np.kron(sz, np.eye(dim)) + omega * np.kron(np.eye(2), number) + g * np.kron(sx, quad)
+    labels = [f"{s}|n={n}" for s in ("up", "down") for n in range(dim)]
+    return h, labels
+
+
+class TestRabiParityBlocks:
+    """The two parity chains against the dense Kronecker-product matrix."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 150, 600])
+    def test_eigenvalues_match_the_dense_reference(self, cutoff, g):
+        h = rabi_hamiltonian(0.5, 1.0, g, cutoff)
+        dense, _ = dense_rabi(0.5, 1.0, g, cutoff)
+        reference = np.linalg.eigvalsh(dense)
+        ev = h.eigenvalues()
+        assert h.dimension == ev.size == 2 * (cutoff + 1)
+        assert np.max(np.abs(ev - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 10])
+    def test_labels_permute_the_dense_matrix_into_the_blocks(self, cutoff):
+        h = rabi_hamiltonian(0.5, 1.3, 0.7, cutoff)
+        dense, labels = dense_rabi(0.5, 1.3, 0.7, cutoff)
+        assert sorted(h.basis_labels) == sorted(labels)
+        order = [labels.index(label) for label in h.basis_labels]
+        permuted = dense[np.ix_(order, order)]
+        size = cutoff + 1
+        expected = np.zeros_like(dense)
+        expected[:size, :size], expected[size:, size:] = h.blocks
+        assert [b.shape for b in h.blocks] == [(size, size), (size, size)]
+        np.testing.assert_allclose(permuted, expected, rtol=0.0, atol=1e-14 * np.max(np.abs(dense)))
+
+    def test_chains_alternate_the_spin(self):
+        h = rabi_hamiltonian(0.5, 1.0, 0.3, 3)
+        assert h.basis_labels == (
+            "up|n=0", "down|n=1", "up|n=2", "down|n=3",
+            "down|n=0", "up|n=1", "down|n=2", "up|n=3",
+        )
+
+
 class TestRabi:
     def test_dimension_and_labels(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 5)
@@ -182,28 +235,51 @@ class TestRabi:
             rabi_hamiltonian(0.5, 1.0, 0.3, 1)
 
     def test_rejects_infinite_coupling(self):
-        # inf * 0 fills the matrix with NaN, which no Hermiticity bound admits
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+        # the coupling is rejected by name before any matrix entry is formed
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="g must be finite"):
             rabi_hamiltonian(0.5, 1.0, math.inf, 10)
 
-    def test_matrix_json_roundtrip(self):
-        h = rabi_hamiltonian(0.5, 1.0, 0.3, 3)
-        back = HermitianMatrix.from_json(h.to_json())
-        assert np.array_equal(back.data, h.data)
-        assert back.basis_labels == h.basis_labels
+    @pytest.mark.parametrize("name,args", [
+        ("mu", (math.nan, 1.0, 0.3)),
+        ("omega", (0.5, math.nan, 0.3)),
+        ("g", (0.5, 1.0, -math.inf)),
+        ("mu", (math.inf, 1.0, 0.3)),
+    ])
+    def test_rejects_a_non_finite_parameter_by_name(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            rabi_hamiltonian(*args, 10)
+
+    def test_rejects_overflowing_entries(self):
+        with pytest.raises(ValueError, match="overflow"):
+            rabi_hamiltonian(0.5, 1e308, 0.3, 10)
 
 
 class TestHermitianMatrix:
     def test_rejects_non_hermitian_data(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
-            HermitianMatrix(2, bad, ("a", "b"))
+            HermitianMatrix(2, (bad,), ("a", "b"))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianMatrix(3, (np.eye(1), bad), ("a", "b", "c"))
+
+    def test_rejects_nan_data(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianMatrix(2, (np.eye(1), [[math.nan]]), ("a", "b"))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            HermitianMatrix(3, np.zeros((2, 2), dtype=complex), ("a", "b", "c"))
+            HermitianMatrix(3, (np.zeros((2, 2), dtype=complex),), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="square"):
+            HermitianMatrix(2, (np.zeros((1, 2)),), ("a", "b"))
+        with pytest.raises(ValueError, match="label"):
+            HermitianMatrix(2, (np.eye(2),), ("a",))
 
     def test_data_is_read_only(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 3)
-        with pytest.raises(ValueError):
-            h.data[0, 0] = 5.0
+        for block in h.blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 5.0
+
+    def test_eigenvalues_merge_the_blocks(self):
+        h = HermitianMatrix(3, (np.diag([4.0, -1.0]), [[2.0]]), ("a", "b", "c"))
+        assert np.array_equal(h.eigenvalues(), [-1.0, 2.0, 4.0])

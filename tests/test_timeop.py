@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from timeops.spectra import Accumulation, HermitianMatrix, hydrogen_point_spectrum, rabi_hamiltonian
+from timeops.spectra import (
+    HERMITICITY_BAND_ROWS,
+    Accumulation,
+    HermitianMatrix,
+    _require_hermitian,
+    hydrogen_point_spectrum,
+    rabi_hamiltonian,
+)
 from timeops.timeop import (
     CHANNEL_DIMENSION_LIMIT,
     BlockDiagonal,
@@ -14,7 +21,8 @@ from timeops.timeop import (
     channel_time_operator,
     commutator_defect_columns,
     galapon_matrix,
-    osc_timeop_spectrum,
+    TimeOperatorMatrix,
+    osc_timeop_extremes,
     project_to_difference_span,
     random_difference_vector,
 )
@@ -84,6 +92,8 @@ class TestGalaponMatrix:
             galapon_matrix([math.nan, 1.0])
         with pytest.raises(ValueError, match="nonzero"):
             galapon_matrix((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
+        with pytest.raises(ValueError, match="overflow"):
+            galapon_matrix((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match="exceeds"):
             galapon_matrix(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
 
@@ -187,6 +197,12 @@ class TestCcrResidual:
         assert ccr_residual(h, t, stack) == max(singles)
         assert ccr_residual(h, t, list(stack)) == max(singles)
 
+    def test_nan_vector_is_rejected(self):
+        ev = np.array([1.0, 2.0, 3.0])
+        v = np.array([1.0, -1.0, math.nan], dtype=complex)
+        with pytest.raises(ValueError, match="difference span"):
+            ccr_residual(ev, galapon_matrix(ev), v)
+
     def test_stack_rejects_any_row_outside_the_span(self):
         ev = np.array([1.0, 2.0, 3.0])
         t = galapon_matrix(ev)
@@ -274,10 +290,31 @@ class TestAssembleTimeOperator:
         assert worst <= 1e-12
 
 
+def svd_spectrum(omega: float, n: int) -> np.ndarray:
+    """Reference: the whole oscillator truncation spectrum, +-sigma(B)/omega (and 0).
+
+    B is the real half-size block of the even/odd split that
+    ``osc_timeop_extremes`` documents; one SVD gives every eigenvalue.
+    """
+    lags = np.arange(1, n, dtype=float)
+    a = np.concatenate([-1.0 / lags[::-1], [0.0], 1.0 / lags])
+    p = np.arange((n + 1) // 2)[:, None]
+    q = np.arange(n // 2)[None, :]
+    b = a[n - 1 + p - q] + a[2 * n - 2 - p - q]
+    if n % 2:
+        b[-1] /= math.sqrt(2.0)
+    sigma = np.linalg.svd(b, compute_uv=False) / omega
+    return np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]])
+
+
+def dense_spectrum(omega: float, n: int) -> np.ndarray:
+    """Reference: eigvalsh of the dense n x n Toeplitz matrix."""
+    return np.linalg.eigvalsh(galapon_matrix(omega * (np.arange(n) + 0.5)).data)
+
+
 class TestOscillatorSpectrum:
     def test_smallest_truncation(self):
-        ev, lo, hi = osc_timeop_spectrum(1.0, 2)
-        np.testing.assert_allclose(ev, [-1.0, 1.0], atol=1e-12)
+        lo, hi = osc_timeop_extremes(1.0, 2)
         assert lo == pytest.approx(-1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
@@ -285,54 +322,104 @@ class TestOscillatorSpectrum:
         omega = 2.0
         tops = []
         for n in (4, 16, 64):
-            ev, lo, hi = osc_timeop_spectrum(omega, n)
+            lo, hi = osc_timeop_extremes(omega, n)
             assert hi < math.pi / omega
             assert lo > -math.pi / omega
             tops.append(hi)
         assert tops[0] < tops[1] < tops[2]
 
     def test_scales_like_inverse_frequency(self):
-        _, _, hi1 = osc_timeop_spectrum(1.0, 50)
-        _, _, hi2 = osc_timeop_spectrum(2.0, 50)
+        _, hi1 = osc_timeop_extremes(1.0, 50)
+        _, hi2 = osc_timeop_extremes(2.0, 50)
         assert hi2 == pytest.approx(hi1 / 2.0, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            osc_timeop_spectrum(0.0, 10)
+            osc_timeop_extremes(0.0, 10)
         with pytest.raises(ValueError):
-            osc_timeop_spectrum(1.0, 1)
+            osc_timeop_extremes(1.0, 1)
 
     @pytest.mark.parametrize("omega", [math.inf, math.nan, 1e-320])
     def test_rejects_non_finite_frequency(self, omega):
         with pytest.raises(ValueError, match="omega must be finite and positive"):
-            osc_timeop_spectrum(omega, 10)
+            osc_timeop_extremes(omega, 10)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="exceeds"):
-            osc_timeop_spectrum(1.0, CHANNEL_DIMENSION_LIMIT + 1)
+            osc_timeop_extremes(1.0, CHANNEL_DIMENSION_LIMIT + 1)
 
     @pytest.mark.parametrize("omega", [1.0, 2.5])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 100, 101, 400, 801])
     def test_matches_the_dense_reference(self, omega, n):
-        ev, lo, hi = osc_timeop_spectrum(omega, n)
-        reference = np.linalg.eigvalsh(galapon_matrix(omega * (np.arange(n) + 0.5)).data)
-        assert ev.shape == (n,)
-        assert np.all(np.diff(ev) >= 0.0)
-        assert (lo, hi) == (ev[0], ev[-1])
-        assert np.max(np.abs(ev - reference)) <= 1e-14 * math.pi / omega
+        lo, hi = osc_timeop_extremes(omega, n)
+        reference = dense_spectrum(omega, n)
+        assert lo == -hi
+        assert abs(lo - reference[0]) <= 1e-14 * math.pi / omega
+        assert abs(hi - reference[-1]) <= 1e-14 * math.pi / omega
+
+    @pytest.mark.parametrize("n", [1600, 1601, 3200, 4096])
+    def test_matches_the_svd_reference(self, n):
+        lo, hi = osc_timeop_extremes(1.0, n)
+        reference = svd_spectrum(1.0, n)
+        assert abs(hi - reference[-1]) <= 1e-14 * reference[-1]
+        assert abs(lo - reference[0]) <= 1e-14 * reference[-1]
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 101])
+    def test_svd_reference_is_the_dense_spectrum(self, n):
+        assert np.max(np.abs(svd_spectrum(2.5, n) - dense_spectrum(2.5, n))) <= 1e-14 * math.pi / 2.5
 
 
 class TestRealHermitianSolve:
-    """A Hermitian matrix with zero imaginary part is solved as real symmetric."""
+    """Blocks are solved as given: real symmetric stays real, complex stays complex."""
 
     def test_rabi_matches_the_complex_solve(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 150)
-        assert not np.any(h.data.imag)
-        reference = np.linalg.eigvalsh(h.data)
+        assert all(b.dtype == np.float64 for b in h.blocks)
+        reference = np.sort(np.concatenate([np.linalg.eigvalsh(b.astype(complex)) for b in h.blocks]))
         ev = h.eigenvalues()
         assert np.max(np.abs(ev - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_complex_data_keeps_the_complex_solve(self):
         data = np.array([[1.0, 2.0j], [-2.0j, -1.0]])
-        ev = HermitianMatrix(2, data, ("a", "b")).eigenvalues()
+        ev = HermitianMatrix(2, (data,), ("a", "b")).eigenvalues()
         np.testing.assert_allclose(ev, [-math.sqrt(5.0), math.sqrt(5.0)], rtol=1e-14)
+
+
+def full_hermiticity(data: np.ndarray) -> tuple[float, float]:
+    """Reference: (max |A|, max |A - A^H|) over the whole matrix at once."""
+    return float(np.max(np.abs(data))), float(np.max(np.abs(data - data.conj().T)))
+
+
+class TestHermiticityPass:
+    """One banded pass gives the scale and defect that a full recomputation gives."""
+
+    @pytest.mark.parametrize("kind,values", [
+        (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(101)),
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 71) ** 2),
+    ])
+    def test_stored_values_match_a_full_recomputation(self, kind, values):
+        t = galapon_matrix(values, kind)
+        scale, defect = full_hermiticity(t.data)
+        assert t.scale == scale
+        assert t.hermiticity_defect() == defect / scale == 0.0
+
+    def test_banded_defect_of_a_perturbed_matrix(self):
+        assert 2 * HERMITICITY_BAND_ROWS < 77 <= 3 * HERMITICITY_BAND_ROWS
+        # the perturbations sit in the first band and in the last
+        data = np.array(galapon_matrix(0.5 + 0.37 * np.arange(77)).data)
+        data[70, 3] += 1e-14 * abs(data[70, 3])
+        data[5, 60] *= 1.0 + 3e-15
+        assert _require_hermitian(data) == full_hermiticity(data)
+        t = TimeOperatorMatrix(77, data, tuple(0.5 + 0.37 * np.arange(77)), MatrixKind.DIRECT)
+        scale, defect = full_hermiticity(data)
+        assert (t.scale, t.hermiticity_defect()) == (scale, defect / scale)
+        assert t.hermiticity_defect() > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0])
+    def test_nan_or_non_hermitian_entry_in_a_late_band_raises(self, bad):
+        data = np.array(galapon_matrix(0.5 + 0.37 * np.arange(77)).data)
+        data[76, 2] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _require_hermitian(data)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TimeOperatorMatrix(77, data, tuple(0.5 + 0.37 * np.arange(77)), MatrixKind.DIRECT)

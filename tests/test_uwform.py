@@ -104,6 +104,13 @@ class TestCommutationDomain:
         v[3] = 1e-3
         assert not in_ccr_domain(form, v)
 
+    def test_nan_entry_is_outside_the_domain(self):
+        form = form_of([-1.0, -0.44, -0.2, -0.09])
+        v = project_to_ccr_domain(form, np.array([1.0, 2.0, -1.0, 0.5], dtype=complex))
+        assert in_ccr_domain(form, v)
+        v[2] = math.nan
+        assert not in_ccr_domain(form, v)
+
     def test_random_domain_vector_is_unit_and_accepted(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
         v = random_domain_vector(np.random.default_rng(3), form)
@@ -326,6 +333,18 @@ class TestFunctionSpec:
 
 
 class TestAdmissibility:
+    def test_polynomial_overflowing_on_the_scan_grid_is_an_input_error(self):
+        s = hydrogen_point_spectrum(1.0, 1.0, 4)
+        with pytest.raises(ValueError, match="overflows on the sign-scan grid"):
+            f_condition_check(FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1.0, 1e308)), s)
+
+    def test_sign_scan_compares_signs_not_products(self):
+        # g(x) = 1e300 (1 + x) is positive on the grid, but neighbouring
+        # products overflow; the scan must neither warn nor find a sign change
+        s = hydrogen_point_spectrum(1.0, 1.0, 4)
+        report = f_condition_check(FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1e300, 1e300)), s)
+        assert report.admissible
+
     def test_exp_shift_matches_expm1(self):
         s = hydrogen_point_spectrum(1.0, 1.0, 4)
         report = f_condition_check(FunctionSpec(FunctionKind.EXP, (1.0,)), s)
