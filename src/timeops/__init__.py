@@ -13,6 +13,7 @@ from .spectra import (
     harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_bound_check,
+    rabi_check,
     rabi_hamiltonian,
 )
 from .decompose import (
@@ -30,9 +31,9 @@ from .timeop import (
     assemble_time_operator,
     ccr_residual,
     channel_time_operator,
-    commutator_defect_columns,
     galapon_matrix,
     osc_timeop_extremes,
+    oscillator_bound_rows,
     project_to_difference_span,
     random_difference_vector,
 )

@@ -105,17 +105,9 @@ class GridState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.dx))
 
-    def inner(self, other: "GridState") -> complex:
-        if (other.size, other.box_half_width) != (self.size, self.box_half_width):
-            raise ValueError("states live on different grids")
-        return complex(np.vdot(self.samples, other.samples) * self.dx)
-
-    def zero_mode_mass(self) -> float:
-        """Relative weight of the k = 0 Fourier coefficient."""
-        return _zero_mode_mass(np.fft.fft(self.samples))
-
 
 def _zero_mode_mass(hat: np.ndarray) -> float:
+    """Relative weight of the k = 0 coefficient of a Fourier transform ``hat``."""
     total = float(np.vdot(hat, hat).real)
     if total == 0.0:
         return 0.0

@@ -24,7 +24,6 @@ construction above is the entire algorithm here.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -44,6 +43,10 @@ __all__ = [
 #: Exponent used when no explicit summability exponent is requested.
 DEFAULT_EXPONENT = 2.0
 
+#: Bucket levels at or above 2**53 are not distinct floats: 1/k and
+#: 1/(k + 1) round alike, so no magnitude can be placed between them.
+BUCKET_LEVEL_LIMIT = 2.0 ** 53
+
 
 def bucket_index(a: float) -> int:
     """Bucket level of a magnitude in (0, 1].
@@ -54,15 +57,21 @@ def bucket_index(a: float) -> int:
     Raises
     ------
     ValueError
-        If |a| is zero, exceeds 1, or is so small that its reciprocal
-        overflows a float (no representable bucket level).
+        If |a| is zero, exceeds 1, or is so small that 1/|a| >= 2**53:
+        beyond that, neighbouring levels k and k + 1 round to the same
+        float 1/k and cannot be told apart.
     """
     mag = abs(float(a))
     if not 0.0 < mag <= 1.0:
         raise ValueError(f"bucket_index needs 0 < |a| <= 1, got {a!r}")
     inverse = 1.0 / mag
-    if math.isinf(inverse):
-        raise ValueError(f"magnitude {mag!r} too small to bucket")
+    # written so that an infinite reciprocal fails too
+    if not inverse < BUCKET_LEVEL_LIMIT:
+        raise ValueError(
+            f"scaled magnitude {mag!r} is too small to bucket: the dynamic range "
+            f"{inverse:.3e} of the bucketed magnitudes reaches 2**53, beyond which "
+            "float bucket levels cannot be told apart"
+        )
     k = int(inverse)
     # Float division can land on either side of an integer boundary; nudge
     # k until the defining inequality holds for the actual float value.

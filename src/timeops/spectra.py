@@ -25,7 +25,13 @@ __all__ = [
     "hydrogen_point_spectrum",
     "rabi_hamiltonian",
     "rabi_bound_check",
+    "rabi_check",
 ]
+
+#: Hard cap on the dimension of any dense block (a time-operator channel,
+#: an oscillator truncation, a Rabi parity chain); dense eigensolves and
+#: matrix products beyond this are not worth their O(N^3) cost here.
+CHANNEL_DIMENSION_LIMIT = 4096
 
 #: Relative tolerance for the Hermiticity check on constructed matrices.
 HERMITICITY_RTOL = 1e-12
@@ -304,6 +310,11 @@ def rabi_hamiltonian(
         raise ValueError("mu and omega must be positive")
     if fock_cutoff < 2:
         raise ValueError("fock_cutoff must be >= 2")
+    if fock_cutoff + 1 > CHANNEL_DIMENSION_LIMIT:
+        raise ValueError(
+            f"fock_cutoff {fock_cutoff} gives parity blocks of dimension {fock_cutoff + 1}, "
+            f"beyond the dense-solver limit {CHANNEL_DIMENSION_LIMIT}"
+        )
 
     n = np.arange(fock_cutoff + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,3 +348,12 @@ def rabi_bound_check(
         nu = omega * n - g * g / omega
         out.append(bool(nu - mu <= ev[2 * n] <= nu + mu))
     return out
+
+
+def rabi_check(mu: float, omega: float, g: float, fock_cutoff: int, count: int):
+    """Build and solve the truncated Rabi matrix, then run ``rabi_bound_check``.
+
+    Returns (eigenvalues ascending, list of ``count`` bound verdicts).
+    """
+    eigenvalues = rabi_hamiltonian(mu, omega, g, fock_cutoff).eigenvalues()
+    return eigenvalues, rabi_bound_check(eigenvalues, mu, omega, g, count)

@@ -26,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .decompose import decompose_spectrum
-from .spectra import Accumulation, DiscreteSpectrum, _require_hermitian
+from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum, _require_hermitian
 
 __all__ = [
     "MatrixKind",
@@ -34,17 +34,13 @@ __all__ = [
     "BlockDiagonal",
     "galapon_matrix",
     "ccr_residual",
-    "commutator_defect_columns",
     "project_to_difference_span",
     "random_difference_vector",
     "channel_time_operator",
     "assemble_time_operator",
     "osc_timeop_extremes",
+    "oscillator_bound_rows",
 ]
-
-#: Hard cap on channel dimension; dense eigensolves and matrix products
-#: beyond this are not worth their O(N^3) cost in this toolkit.
-CHANNEL_DIMENSION_LIMIT = 4096
 
 #: A vector belongs to the difference span when its coefficient sum is
 #: this small relative to its norm (the span is exactly the kernel of the
@@ -99,15 +95,6 @@ class TimeOperatorMatrix:
     def hermiticity_defect(self) -> float:
         """Max entrywise deviation from the conjugate transpose, relative."""
         return self._defect / self.scale if self.scale else 0.0
-
-    def to_json(self) -> dict:
-        flat = self.data.reshape(-1)
-        return {
-            "dimension": self.dimension,
-            "eigenvalues": list(self.eigenvalues),
-            "kind": self.kind.value,
-            "data": [[z.real, z.imag] for z in flat],
-        }
 
 
 def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOperatorMatrix:
@@ -182,24 +169,22 @@ def _require_difference_span(v: np.ndarray) -> None:
         )
 
 
-def commutator_defect_columns(eigenvalues, t: TimeOperatorMatrix) -> np.ndarray:
-    """Dense commutator [H, T] with H = diag(eigenvalues).
+def _commutator(t: TimeOperatorMatrix) -> np.ndarray:
+    """Dense commutator [H, T] with H = diag(t.pairing_eigenvalues).
 
     Computed entrywise as (h_n - h_m) T[n, m], which involves no summation
     and keeps round-off at a few ulp per entry.
     """
-    h = np.asarray(eigenvalues, dtype=float)
-    if h.size != t.dimension:
-        raise ValueError("eigenvalue count does not match matrix dimension")
+    h = np.asarray(t.pairing_eigenvalues, dtype=float)
     return h[:, None] * t.data - t.data * h[None, :]
 
 
-def ccr_residual(eigenvalues, t: TimeOperatorMatrix, v) -> float:
+def ccr_residual(t: TimeOperatorMatrix, v) -> float:
     """Worst norm of ([H,T] + i)v over one vector v or the rows of a (k, n) stack.
 
-    H is diag(eigenvalues).  The residual is zero in exact arithmetic for
-    any v with zero coefficient sum, because the commutator equals
-    i(J - I) and the all-ones contribution is annihilated on that span.
+    H is diag(t.pairing_eigenvalues).  The residual is zero in exact
+    arithmetic for any v with zero coefficient sum, because the commutator
+    equals i(J - I) and the all-ones contribution is annihilated on that span.
     Vectors whose coefficient sum exceeds the membership tolerance are
     rejected rather than silently measured.  The commutator is formed
     once per call and applied one row at a time, so each row's residual
@@ -214,7 +199,7 @@ def ccr_residual(eigenvalues, t: TimeOperatorMatrix, v) -> float:
         raise ValueError("need at least one vector")
     for vec in vecs:
         _require_difference_span(vec)
-    comm = commutator_defect_columns(eigenvalues, t)
+    comm = _commutator(t)
     return float(np.max([np.linalg.norm(comm @ vec + 1j * vec) for vec in vecs]))
 
 
@@ -223,8 +208,8 @@ class BlockDiagonal:
     """Direct sum of channel blocks, laid out one after the other.
 
     A block is a ``TimeOperatorMatrix`` or a ``uwform.FormChannel``; both
-    expose ``dimension`` and ``pairing_eigenvalues``.  Block i occupies
-    the coordinates ``block_slice(i)``, derived from the block dimensions.
+    expose ``dimension`` and ``pairing_eigenvalues``.  The blocks occupy
+    consecutive coordinate slices, derived from the block dimensions.
     """
 
     blocks: tuple
@@ -242,9 +227,6 @@ class BlockDiagonal:
     @property
     def total_dimension(self) -> int:
         return self._slices[-1].stop
-
-    def block_slice(self, index: int) -> slice:
-        return self._slices[index]
 
     def pieces(self, v: np.ndarray) -> list[np.ndarray]:
         """The block slices of v, after checking its length."""
@@ -333,3 +315,25 @@ def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:
         b[-1] /= math.sqrt(2.0)
     high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
     return -high, high
+
+
+def oscillator_bound_rows(sizes, extremes, omega: float, slack: float) -> tuple[list[dict], bool]:
+    """Check oscillator truncation extremes against the symbol bound pi/omega.
+
+    ``extremes`` holds one ``osc_timeop_extremes(omega, n)`` pair per size,
+    sizes ascending.  Returns one row per size (size, lambda_min, lambda_max
+    and whether both lie within pi/omega + slack) and whether lambda_max is
+    nondecreasing in the size.
+    """
+    bound = math.pi / omega
+    rows = [
+        {
+            "size": n,
+            "lambda_min": low,
+            "lambda_max": high,
+            "within_bound": bool(high <= bound + slack and low >= -bound - slack),
+        }
+        for n, (low, high) in zip(sizes, extremes)
+    ]
+    maxima = [row["lambda_max"] for row in rows]
+    return rows, all(b >= a for a, b in zip(maxima, maxima[1:]))

@@ -74,8 +74,8 @@ SIN_RESONANCE_ATOL = 1e-9
 class FormChannel:
     """One simple channel of an ultra-weak form.
 
-    Holds the channel eigenvalues (strictly increasing, nonzero), the
-    inverse-conjugate matrix S, and the evaluator A = -(S D + D S)/2 with
+    Holds the channel eigenvalues (strictly increasing, nonzero) and the
+    evaluator A = -(S D + D S)/2, with S the inverse-conjugate matrix and
     D = diag(1/E^2).  The two D-products are applied by row and column
     scaling, which keeps A Hermitian to the last bit: the (n, m) and
     (m, n) entries are built from the same float products.  A form is a
@@ -100,7 +100,6 @@ class FormChannel:
         if not np.all(np.isfinite(a)):
             raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
         a.flags.writeable = False
-        self.s_matrix = s
         self.evaluator = a
 
     @property

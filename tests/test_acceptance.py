@@ -5,10 +5,14 @@ line for its criterion (visible even under capture) and fails if the
 criterion misses either its numeric tolerance or its runtime limit.
 """
 
+import numpy as np
 import pytest
 
 from timeops import acceptance
 from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
+from timeops.cli import RunConfig, run
+from timeops.spectra import harmonic_spectrum, hydrogen_point_spectrum
+from timeops.timeop import _commutator, assemble_time_operator, ccr_residual
 
 EXPECTED_ORDER = (
     "exact-ccr",
@@ -73,6 +77,12 @@ def test_suite_covers_all_criteria(results):
     assert tuple(results) == EXPECTED_ORDER
 
 
+def test_run_all_times_each_criterion_against_its_limit(results):
+    for name, _, limit in acceptance._CRITERIA:
+        assert results[name].runtime_limit == limit
+        assert results[name].runtime > 0.0
+
+
 def test_results_serialize_without_timing_fields(results):
     for result in results.values():
         doc = result.to_json()
@@ -106,7 +116,7 @@ def test_every_tolerance_is_read_by_run_all(monkeypatch):
 def readers():
     """Tolerance name -> the criteria that read it."""
     out = {}
-    for criterion in acceptance._CRITERIA:
+    for _, criterion, _ in acceptance._CRITERIA:
         table = RecordingTable(DEFAULT_TOLERANCES)
         criterion(table, 7)
         for name in table.read:
@@ -124,4 +134,83 @@ def readers():
 ])
 def test_zero_residual_tolerance_fails_a_criterion(name, readers):
     tol = resolve_tolerances({name: 0.0})
-    assert any(not criterion(tol, 7).passed for criterion in readers[name])
+    assert any(not criterion(tol, 7)[0] for criterion in readers[name])
+
+
+# ------------------------------------------------ one check per identity
+
+
+def reference_block_pair_residuals(t):
+    """Reference: worst CCR residual over every e_k - e_l of a block, one pair at a time.
+
+    Acting on e_k - e_l subtracts two columns of the commutator.
+    Returns (worst residual, matrix max-entry scale, pairs checked).
+    """
+    comm = _commutator(t)
+    worst = 0.0
+    pairs = 0
+    for k in range(t.dimension):
+        for l in range(k + 1, t.dimension):
+            diff = comm[:, k] - comm[:, l]
+            diff[k] += 1j
+            diff[l] -= 1j
+            worst = max(worst, float(np.linalg.norm(diff)))
+            pairs += 1
+    return worst, t.scale, pairs
+
+
+def _exact_ccr_blocks():
+    _, hydrogen = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))
+    _, oscillator = assemble_time_operator(harmonic_spectrum([1.0], 50))
+    return [t for t in hydrogen.blocks + oscillator.blocks if t.dimension >= 2]
+
+
+def test_difference_stack_matches_the_pair_loop_bit_for_bit():
+    blocks = _exact_ccr_blocks()
+    assert len(blocks) >= 2 and max(t.dimension for t in blocks) == 51
+    for t in blocks:
+        stack = acceptance._difference_stack(t.dimension)
+        assert (ccr_residual(t, stack), t.scale, len(stack)) == reference_block_pair_residuals(t)
+
+
+def test_exact_ccr_details_match_the_pair_loop():
+    tol = resolve_tolerances()
+    passed, details = acceptance.criterion_exact_ccr(tol, 7)
+    worst = ratio = 0.0
+    pairs = 0
+    for t in _exact_ccr_blocks():
+        residual, scale, count = reference_block_pair_residuals(t)
+        worst = max(worst, residual)
+        ratio = max(ratio, residual / (tol["ccr_relative"] * scale))
+        pairs += count
+    assert passed is True
+    assert details["worst_residual"] == worst
+    assert details["worst_residual_over_allowed"] == ratio
+    assert details["difference_pairs_checked"] == pairs
+
+
+def test_oscillator_criterion_is_the_oscspec_verdict(tmp_path):
+    tol = resolve_tolerances()
+    passed, details = acceptance.criterion_oscillator_bound(tol, 7)
+    report = run(RunConfig(model={}, pipeline={"kind": "oscspec", "omega": 1.0, "sizes": details["sizes"]},
+                           tolerances={}))
+    assert passed is report["passed"] is True
+    assert details["lambda_max"] == [row["lambda_max"] for row in report["rows"]]
+
+
+def test_rabi_criterion_is_the_timeop_bound_check():
+    tol = resolve_tolerances()
+    passed, details = acceptance.criterion_rabi(tol, 7)
+    model = {"kind": "rabi", "mu": 0.5, "omega": 1.0, "g": 0.3, "cutoff": 200, "count": 20}
+    report = run(RunConfig(model=model, pipeline={"kind": "timeop"}, tolerances={}))
+    assert passed is report["passed"] is True
+    assert details["ground_energy"] == report["ground_energy"]
+    assert details["bounds_true"] == sum(report["bound_checks"]) == details["bounds_checked"]
+
+
+def test_s0check_reports_the_s0_criterion():
+    tol = resolve_tolerances()
+    passed, details = acceptance.criterion_s0(tol, 11)
+    report = run(RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={}, seed=11))
+    assert report["passed"] is passed
+    assert report["symmetry_max_residual"] == details["symmetry_max_residual"]

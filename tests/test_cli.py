@@ -32,6 +32,43 @@ def _read(path):
     return json.loads(path.read_text())
 
 
+#: Address-space cap for ``run_module``: a run that asks for a huge matrix
+#: fails at once instead of exhausting the host's memory.
+MODULE_ADDRESS_SPACE = 2 * 1024 ** 3
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (MODULE_ADDRESS_SPACE, MODULE_ADDRESS_SPACE))
+
+
+def run_module(*args, timeout=60.0):
+    """``python -W error::RuntimeWarning -m timeops *args`` in a subprocess.
+
+    BLAS runs on one thread and the address space is capped.  A run still
+    going after ``timeout`` seconds is killed and raises
+    ``subprocess.TimeoutExpired``, so a hang fails one test, not the job.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "timeops", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_cap_address_space if os.name == "posix" else None,
+    )
+
+
+def assert_usage_error(*args, match, timeout=60.0):
+    """``python -m timeops *args`` exits 2 with one ``error:`` line containing ``match``."""
+    proc = run_module(*args, timeout=timeout)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert match in lines[0]
+
+
 class TestRunConfig:
     def test_roundtrip(self):
         cfg = RunConfig(
@@ -538,14 +575,23 @@ class TestEntryPoints:
 
     def test_module_runs_without_a_runtime_warning(self, tmp_path):
         # ``python -m timeops.cli`` still warns: the package imports the CLI
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "timeops", "s0check",
-             "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module("s0check", "--out", tmp_path, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert _read(tmp_path / "s0check_report.json")["passed"] is True
+
+
+class TestSubprocessBoundaries:
+    """Inputs that once hung or exhausted memory, run in a time-limited subprocess."""
+
+    def test_spectrum_beyond_the_bucket_range_is_a_usage_error(self, tmp_path):
+        doc = {"accumulation": "to_zero", "entries": [[-1e-200, 1], [-1e-300, 1]]}
+        src = tmp_path / "wide.json"
+        src.write_text(json.dumps(doc))
+        assert_usage_error("timeop", "--input", src, "--out", tmp_path, match="dynamic range", timeout=30)
+        assert not (tmp_path / "timeop_report.json").exists()
+
+    def test_rabi_cutoff_beyond_the_dimension_limit_is_a_usage_error(self, tmp_path):
+        assert_usage_error("timeop", "--model", "rabi", "--cutoff", 100000, "--out", tmp_path,
+                           match="dense-solver limit 4096", timeout=30)
+        assert not (tmp_path / "timeop_report.json").exists()

@@ -53,6 +53,16 @@ class TestBucketIndex:
         with pytest.raises(ValueError):
             bucket_index(bad)
 
+    @pytest.mark.parametrize("mag", [2.0 ** -53, 1e-16, -1e-100, 1e-300])
+    def test_rejects_magnitudes_whose_levels_are_not_distinct_floats(self, mag):
+        with pytest.raises(ValueError, match="dynamic range"):
+            bucket_index(mag)
+
+    def test_largest_distinct_levels(self):
+        assert bucket_index(2.0 ** -52) == 2 ** 52
+        k = bucket_index(math.nextafter(2.0 ** -53, 1.0))
+        assert 2 ** 53 - 2 <= k < 2 ** 53
+
 
 class TestPartitionNullSequence:
     """Simple null sequences: channel_partition with every multiplicity 1."""
@@ -177,6 +187,11 @@ class TestDecomposeSpectrum:
         assert deco.channels == ((0, 1, 2, 3),)
         assert deco.certificates == ((1, 3, 5, 7),)
         assert deco.prescale == pytest.approx(0.5)
+
+    def test_rejects_a_dynamic_range_beyond_the_bucket_levels(self):
+        s = DiscreteSpectrum(((-1e-200, 1), (-1e-300, 1)), Accumulation.TO_ZERO)
+        with pytest.raises(ValueError, match="dynamic range"):
+            decompose_spectrum(s)
 
     def test_rejects_zero_eigenvalue_on_the_infinity_side(self):
         s = DiscreteSpectrum(((0.0, 1), (1.0, 1)), Accumulation.TO_INFINITY)

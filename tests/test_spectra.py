@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from timeops import timeop
 from timeops.spectra import (
+    CHANNEL_DIMENSION_LIMIT,
     Accumulation,
     DiscreteSpectrum,
     HermitianMatrix,
     harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_bound_check,
+    rabi_check,
     rabi_hamiltonian,
 )
 
@@ -233,6 +236,22 @@ class TestRabi:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError):
             rabi_hamiltonian(0.5, 1.0, 0.3, 1)
+
+    def test_rejects_a_cutoff_beyond_the_dimension_limit(self):
+        # the subprocess test in test_cli.py covers a cutoff far beyond it
+        with pytest.raises(ValueError, match="dimension 4097, beyond the dense-solver limit 4096"):
+            rabi_hamiltonian(0.5, 1.0, 0.3, CHANNEL_DIMENSION_LIMIT)
+
+    def test_one_dimension_limit_for_every_dense_block(self):
+        assert timeop.CHANNEL_DIMENSION_LIMIT is CHANNEL_DIMENSION_LIMIT
+
+    def test_check_solves_and_bounds(self):
+        ev, bounds = rabi_check(0.5, 1.0, 0.3, 120, 15)
+        np.testing.assert_array_equal(ev, rabi_hamiltonian(0.5, 1.0, 0.3, 120).eigenvalues())
+        assert bounds == rabi_bound_check(ev, 0.5, 1.0, 0.3, 15)
+        assert all(bounds)
+        with pytest.raises(ValueError, match="count too large"):
+            rabi_check(0.5, 1.0, 0.3, 10, 12)
 
     def test_rejects_infinite_coupling(self):
         # the coupling is rejected by name before any matrix entry is formed

@@ -17,12 +17,13 @@ from timeops.timeop import (
     BlockDiagonal,
     MatrixKind,
     assemble_time_operator,
+    _commutator,
     ccr_residual,
     channel_time_operator,
-    commutator_defect_columns,
     galapon_matrix,
     TimeOperatorMatrix,
     osc_timeop_extremes,
+    oscillator_bound_rows,
     project_to_difference_span,
     random_difference_vector,
 )
@@ -97,13 +98,6 @@ class TestGalaponMatrix:
         with pytest.raises(ValueError, match="exceeds"):
             galapon_matrix(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
 
-    def test_json_document(self):
-        t = galapon_matrix((1.0, 2.0))
-        doc = t.to_json()
-        assert doc["kind"] == "direct"
-        assert doc["dimension"] == 2
-        assert doc["data"][1] == [0.0, -1.0]
-
     @given(
         st.lists(
             st.floats(min_value=0.01, max_value=10.0),
@@ -116,7 +110,7 @@ class TestGalaponMatrix:
         t = galapon_matrix(ev)
         assert np.array_equal(t.data, t.data.conj().T)
         v = random_difference_vector(np.random.default_rng(11), ev.size)
-        assert ccr_residual(ev, t, v) <= 1e-10
+        assert ccr_residual(t, v) <= 1e-10
 
 
 class TestDifferenceSpan:
@@ -144,7 +138,7 @@ class TestDifferenceSpan:
 class TestCcrResidual:
     def test_commutator_is_i_times_hollow_ones(self):
         ev = np.array([0.5, 1.7, 3.1])
-        comm = commutator_defect_columns(ev, galapon_matrix(ev))
+        comm = _commutator(galapon_matrix(ev))
         expected = 1j * (np.ones((3, 3)) - np.eye(3))
         assert np.max(np.abs(comm - expected)) <= 1e-13
 
@@ -154,23 +148,22 @@ class TestCcrResidual:
         e0 = np.zeros(3, dtype=complex)
         e0[0] = 1.0
         with pytest.raises(ValueError, match="difference span"):
-            ccr_residual(ev, t, e0)
+            ccr_residual(t, e0)
 
     def test_difference_of_basis_vectors(self):
         vals = np.array([-1.0 / n ** 2 for n in range(1, 7)])
         t = galapon_matrix(vals, MatrixKind.INVERSE_CONJUGATE)
-        h = np.array(t.pairing_eigenvalues)
         v = np.zeros(6, dtype=complex)
         v[0], v[3] = 1.0, -1.0
         v /= np.linalg.norm(v)
-        assert ccr_residual(h, t, v) <= 1e-12
+        assert ccr_residual(t, v) <= 1e-12
 
     def test_random_vectors_on_a_wide_channel(self):
         ev = 0.5 + 0.37 * np.arange(50)
         t = galapon_matrix(ev)
         rng = np.random.default_rng(7)
         worst = max(
-            ccr_residual(ev, t, random_difference_vector(rng, 50)) for _ in range(20)
+            ccr_residual(t, random_difference_vector(rng, 50)) for _ in range(20)
         )
         assert worst <= 1e-12
 
@@ -178,11 +171,11 @@ class TestCcrResidual:
         ev = np.array([1.0, 2.0])
         t = galapon_matrix(ev)
         with pytest.raises(ValueError):
-            ccr_residual(ev, t, np.zeros(3, dtype=complex))
+            ccr_residual(t, np.zeros(3, dtype=complex))
         with pytest.raises(ValueError):
-            ccr_residual(ev, t, np.zeros((4, 3), dtype=complex))
+            ccr_residual(t, np.zeros((4, 3), dtype=complex))
         with pytest.raises(ValueError, match="at least one vector"):
-            ccr_residual(ev, t, np.zeros((0, 2), dtype=complex))
+            ccr_residual(t, np.zeros((0, 2), dtype=complex))
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(60)),
@@ -190,18 +183,17 @@ class TestCcrResidual:
     ])
     def test_stack_is_the_worst_single_vector_bit_for_bit(self, kind, values):
         t = galapon_matrix(values, kind)
-        h = t.pairing_eigenvalues
         rng = np.random.default_rng(21)
         stack = np.array([random_difference_vector(rng, t.dimension) for _ in range(12)])
-        singles = [ccr_residual(h, t, v.copy()) for v in stack]
-        assert ccr_residual(h, t, stack) == max(singles)
-        assert ccr_residual(h, t, list(stack)) == max(singles)
+        singles = [ccr_residual(t, v.copy()) for v in stack]
+        assert ccr_residual(t, stack) == max(singles)
+        assert ccr_residual(t, list(stack)) == max(singles)
 
     def test_nan_vector_is_rejected(self):
         ev = np.array([1.0, 2.0, 3.0])
         v = np.array([1.0, -1.0, math.nan], dtype=complex)
         with pytest.raises(ValueError, match="difference span"):
-            ccr_residual(ev, galapon_matrix(ev), v)
+            ccr_residual(galapon_matrix(ev), v)
 
     def test_stack_rejects_any_row_outside_the_span(self):
         ev = np.array([1.0, 2.0, 3.0])
@@ -210,7 +202,7 @@ class TestCcrResidual:
         stack = np.array([random_difference_vector(rng, 3) for _ in range(3)])
         stack[1] = [1.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="difference span"):
-            ccr_residual(ev, t, stack)
+            ccr_residual(t, stack)
 
 
 class TestBlockOperator:
@@ -226,17 +218,18 @@ class TestBlockOperator:
     def _blockwise_residual(op, v):
         total = 0.0
         for t, piece in zip(op.blocks, op.pieces(v)):
-            total += ccr_residual(t.pairing_eigenvalues, t, piece) ** 2
+            total += ccr_residual(t, piece) ** 2
         return math.sqrt(total)
 
     def test_shapes_and_slices(self):
         op = self._two_blocks()
         assert op.total_dimension == 5
         assert len(op.blocks) == 2
-        assert op.block_slice(0) == slice(0, 3)
-        assert op.block_slice(1) == slice(3, 5)
+        first, second = op.pieces(np.arange(5.0))
+        np.testing.assert_array_equal(first, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(second, [3.0, 4.0])
         assert op.channel(1).blocks == (op.blocks[1],)
-        assert op.channel(1).block_slice(0) == slice(0, 2)
+        assert op.channel(1).total_dimension == 2
         np.testing.assert_array_equal(
             op.hamiltonian_diagonal(), [-1.0, -4.0, -9.0, -16.0, -25.0]
         )
@@ -286,7 +279,7 @@ class TestAssembleTimeOperator:
             if t.dimension < 2:
                 continue
             v = random_difference_vector(rng, t.dimension)
-            worst = max(worst, ccr_residual(t.pairing_eigenvalues, t, v))
+            worst = max(worst, ccr_residual(t, v))
         assert worst <= 1e-12
 
 
@@ -367,6 +360,34 @@ class TestOscillatorSpectrum:
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 101])
     def test_svd_reference_is_the_dense_spectrum(self, n):
         assert np.max(np.abs(svd_spectrum(2.5, n) - dense_spectrum(2.5, n))) <= 1e-14 * math.pi / 2.5
+
+
+class TestOscillatorBoundRows:
+    """The one bound-and-monotone verdict that oscspec and the acceptance suite share."""
+
+    def test_rows_from_measured_extremes(self):
+        sizes = (4, 16, 64)
+        extremes = [osc_timeop_extremes(2.0, n) for n in sizes]
+        rows, monotone = oscillator_bound_rows(sizes, extremes, 2.0, 1e-9)
+        assert [row["size"] for row in rows] == list(sizes)
+        assert [(row["lambda_min"], row["lambda_max"]) for row in rows] == extremes
+        assert all(row["within_bound"] is True for row in rows)
+        assert monotone is True
+
+    def test_bound_is_pi_over_omega_plus_slack(self):
+        bound = math.pi / 2.0
+        rows, _ = oscillator_bound_rows(
+            (2, 3, 4), [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, bound + 1e-3)], 2.0, 2e-3)
+        assert [row["within_bound"] for row in rows] == [True, True, True]
+        rows, _ = oscillator_bound_rows(
+            (2, 3, 4), [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, 1.0)], 2.0, 0.0)
+        assert [row["within_bound"] for row in rows] == [False, False, True]
+
+    def test_a_falling_maximum_is_not_monotone(self):
+        _, monotone = oscillator_bound_rows((2, 3, 4), [(-1.0, 1.0), (-1.1, 1.1), (-1.05, 1.05)], 1.0, 0.0)
+        assert monotone is False
+        _, monotone = oscillator_bound_rows((2, 3), [(-1.0, 1.0), (-1.0, 1.0)], 1.0, 0.0)
+        assert monotone is True
 
 
 class TestRealHermitianSolve:
