@@ -6,6 +6,10 @@ numeric fields are reproducible bit for bit for a fixed seed.  Wall-clock
 numbers are quarantined under "timings" keys so two runs of the same
 configuration can be compared byte-wise after dropping those.
 
+Model and pipeline fields, with their JSON types and defaults, live in
+one table (MODEL_FIELDS, PIPELINE_FIELDS): the flags, the --config type
+checks and the values each pipeline reads all derive from it.
+
 Exit codes: 0 when every check in the report passed, 1 when a check
 failed, 2 for configuration or input errors.
 """
@@ -20,6 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,49 +59,126 @@ from .uwform import (
 
 __all__ = ["RunConfig", "run", "main", "DEFAULT_TOLERANCES"]
 
-MODEL_KINDS = ("oscillator", "hydrogen", "rabi", "custom")
-PIPELINE_KINDS = ("timeop", "uwform", "ftransform", "oscspec", "abweyl", "s0check")
-
 #: Largest random-vector count a pipeline accepts.  At CHANNEL_DIMENSION_LIMIT
 #: a timeop stack this deep is 10^4 x 4096 complex entries, about 655 MB.
 VECTORS_LIMIT = 10_000
 
+#: Largest ``abweyl`` grid size N; the refinement grid has 2N points.
+GRID_POINTS_LIMIT = 2 ** 20
 
-#: What each type named in the field tables admits.
-_FIELD_TYPES = {
-    "a number": _is_number,
-    "an integer": _is_integer,
-    "a string": lambda x: isinstance(x, str),
-    "a list of numbers": lambda x: isinstance(x, (list, tuple)) and all(map(_is_number, x)),
-    "a list of integers": lambda x: isinstance(x, (list, tuple)) and all(map(_is_integer, x)),
-    "null or a {kind: string, params: [numbers]} object": lambda x: x is None or (
-        isinstance(x, dict) and isinstance(x.get("kind"), str)
-        and isinstance(x.get("params"), list) and all(map(_is_number, x["params"]))
-    ),
+#: Largest ``abweyl`` time count; each time costs a fixed number of FFTs.
+TIME_STEPS_LIMIT = 10_000
+
+#: Largest steps x N of one ``abweyl`` run: 4 times on the largest grid,
+#: 4096 on the default 1024-point grid.
+SWEEP_POINTS_LIMIT = 2 ** 22
+
+
+class FieldType(NamedTuple):
+    """A JSON field type: how errors name it, what it admits, how it is read.
+
+    ``text`` parses a flag's text for types that argparse cannot convert
+    with ``read`` (lists and ``--function``); it is None for scalars.
+    """
+
+    name: str
+    admits: Callable[[object], bool]
+    read: Callable[[object], object]
+    text: Callable[[str], object] | None = None
+
+
+def _list_of(admits):
+    return lambda x: isinstance(x, (list, tuple)) and all(map(admits, x))
+
+
+def _function_payload(text: str):
+    """Parse --function: inline JSON, shorthand kind:p1,p2, or a file path."""
+    text = text.strip()
+    if text.startswith("{"):
+        return json.loads(text)
+    if ":" in text:
+        kind, _, params = text.partition(":")
+        return {"kind": kind.strip(), "params": [float(x) for x in params.split(",")]}
+    return json.loads(Path(text).read_text())
+
+
+NUMBER = FieldType("a number", _is_number, float)
+INTEGER = FieldType("an integer", _is_integer, int)
+STRING = FieldType("a string", lambda x: isinstance(x, str), str)
+NUMBERS = FieldType("a list of numbers", _list_of(_is_number), lambda x: [float(v) for v in x],
+                    lambda text: [float(v) for v in text.split(",")])
+INTEGERS = FieldType("a list of integers", _list_of(_is_integer), lambda x: [int(v) for v in x],
+                     lambda text: [int(v) for v in text.split(",")])
+FUNCTION = FieldType(
+    "null or a {kind: string, params: [numbers]} object",
+    lambda x: x is None or (isinstance(x, dict) and isinstance(x.get("kind"), str)
+                            and _list_of(_is_number)(x.get("params"))),
+    lambda x: x,
+    _function_payload,
+)
+
+#: Default of a field that has none and must be given.
+REQUIRED = object()
+
+_FORM_FIELDS = {"p": (NUMBER, 2.0), "vectors": (INTEGER, 20)}
+
+#: Every field a model kind reads: name -> (type, default).  This table is
+#: the one place a field's type and default live; flags, --config checks
+#: and the values a run receives all derive from it.  Other fields are
+#: ignored.
+MODEL_FIELDS = {
+    "oscillator": {"omega": (NUMBERS, [1.0]), "n_max": (INTEGER, 20)},
+    "hydrogen": {"m": (NUMBER, 1.0), "gamma": (NUMBER, 1.0), "n_max": (INTEGER, 4)},
+    "rabi": {"mu": (NUMBER, 0.5), "omega": (NUMBER, 1.0), "g": (NUMBER, 0.3),
+             "cutoff": (INTEGER, 200), "count": (INTEGER, 20)},
+    "custom": {"path": (STRING, REQUIRED)},
 }
 
-#: Type of every field a model kind reads; other fields are ignored.
-_MODEL_FIELDS = {
-    "oscillator": {"omega": "a list of numbers", "n_max": "an integer"},
-    "hydrogen": {"m": "a number", "gamma": "a number", "n_max": "an integer"},
-    "rabi": {"mu": "a number", "omega": "a number", "g": "a number",
-             "cutoff": "an integer", "count": "an integer"},
-    "custom": {"path": "a string"},
+#: Every field a pipeline reads, as in MODEL_FIELDS; each one is a flag of
+#: the pipeline's subcommand.
+PIPELINE_FIELDS = {
+    "timeop": _FORM_FIELDS,
+    "uwform": {**_FORM_FIELDS, "function": (FUNCTION, None)},
+    "ftransform": {**_FORM_FIELDS, "function": (FUNCTION, REQUIRED)},
+    "oscspec": {"omega": (NUMBER, 1.0), "sizes": (INTEGERS, [100, 200, 400, 800])},
+    "abweyl": {"L": (NUMBER, 50.0), "N": (INTEGER, 1024), "m": (NUMBER, 1.0), "x0": (NUMBER, 0.0),
+               "k0": (NUMBER, 5.0), "sigma": (NUMBER, 2.0), "tmax": (NUMBER, 1.0),
+               "steps": (INTEGER, 4)},
+    "s0check": {},
 }
 
-#: Type of every field a pipeline reads; other fields are ignored.
-_PIPELINE_FIELDS = {
-    "p": "a number", "vectors": "an integer", "omega": "a number", "sizes": "a list of integers",
-    "function": "null or a {kind: string, params: [numbers]} object",
-    "L": "a number", "N": "an integer", "m": "a number", "x0": "a number", "k0": "a number",
-    "sigma": "a number", "tmax": "a number", "steps": "an integer",
-}
+MODEL_KINDS = tuple(MODEL_FIELDS)
+PIPELINE_KINDS = tuple(PIPELINE_FIELDS)
+
+#: A config's pipeline fields are type-checked whatever its kind.
+_ANY_PIPELINE_FIELDS = {name: spec for fields in PIPELINE_FIELDS.values() for name, spec in fields.items()}
+
+#: Model flags whose name differs from their field.
+_MODEL_FLAGS = {"m": "mass", "path": "input"}
 
 
-def _check_fields(section: str, values: dict, expected: dict) -> None:
-    for key, kind in expected.items():
-        if key in values and not _FIELD_TYPES[kind](values[key]):
-            raise ValueError(f"{section} field {key!r} must be {kind}, not {type(values[key]).__name__}")
+def _check_fields(section: str, values: dict, fields: dict) -> None:
+    for key, (ftype, _) in fields.items():
+        if key in values and not ftype.admits(values[key]):
+            raise ValueError(f"{section} field {key!r} must be {ftype.name}, not {type(values[key]).__name__}")
+
+
+def _check_seed(seed) -> None:
+    _check_fields("config", {"seed": seed}, {"seed": (INTEGER, None)})
+
+
+def _resolve(section: str, values: dict) -> dict:
+    """Every field of a checked model or pipeline section, read, with defaults filled in."""
+    kind = values["kind"]
+    table = MODEL_FIELDS if section == "model" else PIPELINE_FIELDS
+    out = {}
+    for key, (ftype, default) in table[kind].items():
+        value = default if values.get(key) is None else values[key]
+        if value is REQUIRED:
+            flag = _MODEL_FLAGS.get(key, key) if section == "model" else key
+            raise ValueError(f"the {kind} {section} needs --{flag} or {section}.{key}")
+        out[key] = None if value is None else ftype.read(value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,17 +197,18 @@ class RunConfig:
             raise ValueError(f"pipeline kind must be one of {PIPELINE_KINDS}")
         if model and model.get("kind") not in MODEL_KINDS:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}")
-        _check_fields("model", model, _MODEL_FIELDS.get(model.get("kind"), {}))
-        _check_fields("pipeline", pipeline, _PIPELINE_FIELDS)
-        _check_fields("config", {"seed": self.seed}, {"seed": "an integer"})
+        _check_fields("model", model, MODEL_FIELDS.get(model.get("kind"), {}))
+        _check_fields("pipeline", pipeline, _ANY_PIPELINE_FIELDS)
+        _check_seed(self.seed)
         resolved = resolve_tolerances(self.tolerances)
         tolerances = {name: resolved[name] for name in self.tolerances or {}}
         seed = int(self.seed)
         if seed < 0:
             raise ValueError("seed must be nonnegative")
-        if pipeline.get("vectors") is not None and int(pipeline["vectors"]) < 1:
+        vectors = pipeline.get("vectors")
+        if vectors is not None and vectors < 1:
             raise ValueError("vectors must be at least 1; a sweep over no vectors checks nothing")
-        if pipeline.get("vectors") is not None and int(pipeline["vectors"]) > VECTORS_LIMIT:
+        if vectors is not None and vectors > VECTORS_LIMIT:
             raise ValueError(f"vectors must be at most {VECTORS_LIMIT}")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "pipeline", pipeline)
@@ -154,13 +237,7 @@ class RunConfig:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
@@ -184,31 +261,22 @@ def _parallel(fn, items, jobs: int) -> list:
 
 def _spectrum_from_model(model: dict) -> DiscreteSpectrum:
     kind = model.get("kind")
+    if kind not in ("oscillator", "hydrogen", "custom"):
+        raise ValueError(f"model kind {kind!r} does not define a point spectrum")
+    v = _resolve("model", model)
     if kind == "oscillator":
-        omega = model.get("omega", [1.0])
-        return harmonic_spectrum(omega, int(model.get("n_max", 20)))
+        return harmonic_spectrum(v["omega"], v["n_max"])
     if kind == "hydrogen":
-        return hydrogen_point_spectrum(
-            float(model.get("m", 1.0)),
-            float(model.get("gamma", 1.0)),
-            int(model.get("n_max", 4)),
-        )
-    if kind == "custom":
-        payload = json.loads(Path(model["path"]).read_text())
-        return DiscreteSpectrum.from_json(payload)
-    raise ValueError(f"model kind {kind!r} does not define a point spectrum")
+        return hydrogen_point_spectrum(v["m"], v["gamma"], v["n_max"])
+    return DiscreteSpectrum.from_json(json.loads(Path(v["path"]).read_text()))
 
 
 # ---------------------------------------------------------------- pipelines
 
 
-def _rabi_report(model: dict, tol: dict) -> dict:
-    mu = float(model.get("mu", 0.5))
-    omega = float(model.get("omega", 1.0))
-    g = float(model.get("g", 0.3))
-    cutoff = int(model.get("cutoff", 200))
-    count = int(model.get("count", 20))
-    ev, checks = rabi_check(mu, omega, g, cutoff, count)
+def _rabi_report(model: dict) -> dict:
+    v = _resolve("model", model)
+    ev, checks = rabi_check(v["mu"], v["omega"], v["g"], v["cutoff"], v["count"])
     return {
         "model_dimension": ev.size,
         "ground_energy": float(ev[0]),
@@ -218,13 +286,12 @@ def _rabi_report(model: dict, tol: dict) -> dict:
     }
 
 
-def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
+def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     if config.model.get("kind") == "rabi":
-        return _rabi_report(config.model, tol)
+        return _rabi_report(config.model)
     s = _spectrum_from_model(config.model)
-    p = float(config.pipeline.get("p", 2.0))
-    vectors = int(config.pipeline.get("vectors", 20))
-    deco, block = assemble_time_operator(s, p)
+    vectors = pl["vectors"]
+    deco, block = assemble_time_operator(s, pl["p"])
     if all(t.dimension < 2 for t in block.blocks):
         raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
@@ -257,13 +324,10 @@ def _pipeline_timeop(config: RunConfig, tol: dict, jobs: int) -> dict:
     }
 
 
-def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: bool = False) -> dict:
+def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     s = _spectrum_from_model(config.model)
-    p = float(config.pipeline.get("p", 2.0))
-    vectors = int(config.pipeline.get("vectors", 20))
-    payload = config.pipeline.get("function")
-    if require_function and payload is None:
-        raise ValueError("this pipeline requires --function")
+    vectors = pl["vectors"]
+    payload = pl["function"]
 
     witnesses: list[dict] = []
     if payload is not None:
@@ -281,9 +345,9 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
                 "im_identity_defect": None,
                 "passed": False,
             }
-        _, deco, form = f_transform_form(f, s, p)
+        _, deco, form = f_transform_form(f, s, pl["p"])
     else:
-        deco, form = assemble_uwform(s, p)
+        deco, form = assemble_uwform(s, pl["p"])
 
     # with no channel of dimension 2 or more, the whole-form sweep raises
     nontrivial = [i for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
@@ -320,14 +384,9 @@ def _pipeline_uwform(config: RunConfig, tol: dict, jobs: int, require_function: 
     return report
 
 
-def _pipeline_ftransform(config: RunConfig, tol: dict, jobs: int) -> dict:
-    return _pipeline_uwform(config, tol, jobs, require_function=True)
-
-
-def _pipeline_oscspec(config: RunConfig, tol: dict, jobs: int) -> dict:
-    pl = config.pipeline
-    omega = float(pl.get("omega", 1.0))
-    sizes = sorted(int(n) for n in pl.get("sizes", (100, 200, 400, 800)))
+def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+    omega = pl["omega"]
+    sizes = sorted(pl["sizes"])
     if not sizes:
         raise ValueError("sizes must name at least one matrix size; an empty sweep checks nothing")
     slack = tol["toeplitz_bound_slack"]
@@ -348,21 +407,20 @@ def _pipeline_oscspec(config: RunConfig, tol: dict, jobs: int) -> dict:
     }
 
 
-def _pipeline_abweyl(config: RunConfig, tol: dict, jobs: int) -> dict:
-    pl = config.pipeline
-    box = float(pl.get("L", 50.0))
-    n = int(pl.get("N", 1024))
-    m = float(pl.get("m", 1.0))
-    x0 = float(pl.get("x0", 0.0))
-    k0 = float(pl.get("k0", 5.0))
-    sigma = float(pl.get("sigma", 2.0))
-    t_max = float(pl.get("tmax", 1.0))
-    steps = int(pl.get("steps", 4))
+def _pipeline_abweyl(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+    n, steps, t_max = pl["N"], pl["steps"], pl["tmax"]
     if steps < 1 or not 0.0 < t_max < math.inf:
         raise ValueError("need steps >= 1 and a finite tmax > 0")
+    if n > GRID_POINTS_LIMIT:
+        raise ValueError(f"N must be at most {GRID_POINTS_LIMIT}; the refinement grid has 2N points")
+    if steps > TIME_STEPS_LIMIT:
+        raise ValueError(f"steps must be at most {TIME_STEPS_LIMIT}")
+    if steps * n > SWEEP_POINTS_LIMIT:
+        raise ValueError(f"steps x N = {steps * n} exceeds the sweep limit {SWEEP_POINTS_LIMIT}")
 
-    base = make_packet(box, n, m, x0, k0, sigma)
-    fine = make_packet(box, 2 * n, m, x0, k0, sigma)
+    packet = (pl["m"], pl["x0"], pl["k0"], pl["sigma"])
+    base = make_packet(pl["L"], n, *packet)
+    fine = make_packet(pl["L"], 2 * n, *packet)
     times = [t_max * j / steps for j in range(1, steps + 1)]
     rows = [[t, r] for t, r in zip(times, weak_weyl_residuals(base, times))]
     max_residual = max(r for _, r in rows)
@@ -372,8 +430,7 @@ def _pipeline_abweyl(config: RunConfig, tol: dict, jobs: int) -> dict:
     # not gated on.
     ratio = max_fine / max_residual if max_residual > 0.0 else 0.0
     return {
-        "grid": {"L": box, "N": n, "m": m, "x0": x0, "k0": k0, "sigma": sigma,
-                 "tmax": t_max, "steps": steps},
+        "grid": pl,
         "sweep": rows,
         "max_residual": max_residual,
         "refinement_ratio": ratio,
@@ -386,7 +443,7 @@ def _pipeline_abweyl(config: RunConfig, tol: dict, jobs: int) -> dict:
     }
 
 
-def _pipeline_s0check(config: RunConfig, tol: dict, jobs: int) -> dict:
+def _pipeline_s0check(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     passed, details = acceptance.criterion_s0(tol, config.seed)
     return {
         "strong_relation_samples": details["strong_relation_samples"],
@@ -400,7 +457,7 @@ def _pipeline_s0check(config: RunConfig, tol: dict, jobs: int) -> dict:
 _PIPELINES = {
     "timeop": _pipeline_timeop,
     "uwform": _pipeline_uwform,
-    "ftransform": _pipeline_ftransform,
+    "ftransform": _pipeline_uwform,
     "oscspec": _pipeline_oscspec,
     "abweyl": _pipeline_abweyl,
     "s0check": _pipeline_s0check,
@@ -411,11 +468,12 @@ def run(config: RunConfig, jobs: int = 1) -> dict:
     """Execute one pipeline and return its report document."""
     tol = config.resolved_tolerances()
     start = time.perf_counter()
-    body = _PIPELINES[config.pipeline["kind"]](config, tol, jobs)
+    kind = config.pipeline["kind"]
+    body = _PIPELINES[kind](config, _resolve("pipeline", config.pipeline), tol, jobs)
     report = {
         "config": config.to_json(),
         "tolerances": tol,
-        "pipeline": config.pipeline["kind"],
+        "pipeline": kind,
     }
     report.update(body)
     report["timings"] = {"total_seconds": time.perf_counter() - start}
@@ -438,58 +496,37 @@ def _load_config_file(args) -> dict:
     return raw
 
 
-def _function_payload(raw: str | None):
-    """Parse --function: inline JSON, shorthand kind:p1,p2, or a file path."""
-    if raw is None:
-        return None
-    text = raw.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    if ":" in text:
-        kind, _, params = text.partition(":")
-        return {"kind": kind.strip(), "params": [float(x) for x in params.split(",")]}
-    return json.loads(Path(text).read_text())
-
-
 def _model_from_args(args, base: dict | None) -> dict | None:
     model = dict(base or {})
     kind = getattr(args, "model", None) or model.get("kind")
     if getattr(args, "input", None) is not None:
         kind = "custom"
-        model["path"] = str(args.input)
     if kind is None:
         return None
     model["kind"] = kind
-    if kind == "oscillator":
-        if getattr(args, "omega", None):
-            model["omega"] = [float(w) for w in str(args.omega).split(",")]
-        if getattr(args, "n_max", None) is not None:
-            model["n_max"] = args.n_max
-    elif kind == "hydrogen":
-        if getattr(args, "mass", None) is not None:
-            model["m"] = args.mass
-        if getattr(args, "gamma", None) is not None:
-            model["gamma"] = args.gamma
-        if getattr(args, "n_max", None) is not None:
-            model["n_max"] = args.n_max
-    elif kind == "rabi":
-        for flag, key in (("mu", "mu"), ("g", "g"), ("cutoff", "cutoff"), ("count", "count")):
-            value = getattr(args, flag, None)
-            if value is not None:
-                model[key] = value
-        if getattr(args, "omega", None):
-            model["omega"] = float(str(args.omega).split(",")[0])
+    for key, (ftype, _) in MODEL_FIELDS.get(kind, {}).items():
+        value = getattr(args, _MODEL_FLAGS.get(key, key), None)
+        if value is None:
+            continue
+        if key == "omega":   # one flag: the oscillator's comma list, the Rabi model's first number
+            value = ftype.text(value) if ftype.text else float(value.split(",")[0])
+        model[key] = value
     return model
 
 
-def _make_config(args, pipeline: dict, needs_model: bool) -> RunConfig:
+def _make_config(args, kind: str) -> RunConfig:
+    """Merge a pipeline kind's flags over the --config file; subcommands with model flags need a model."""
     raw = _load_config_file(args)
     model = _model_from_args(args, raw.get("model"))
-    if needs_model and not model:
+    if hasattr(args, "model") and not model:
         raise ValueError("no model given; pass --model/--input or a --config file")
     base_pipeline = raw.get("pipeline") or {}
-    merged = dict(base_pipeline) if base_pipeline.get("kind") == pipeline["kind"] else {}
-    merged.update({k: v for k, v in pipeline.items() if v is not None})
+    merged = dict(base_pipeline) if base_pipeline.get("kind") == kind else {}
+    merged["kind"] = kind
+    for key, (ftype, _) in PIPELINE_FIELDS[kind].items():
+        value = getattr(args, key, None)
+        if value is not None:
+            merged[key] = ftype.text(value) if ftype.text else value
     seed = args.seed if args.seed is not None else raw.get("seed", 7)
     return RunConfig(
         model=model or {},
@@ -499,9 +536,14 @@ def _make_config(args, pipeline: dict, needs_model: bool) -> RunConfig:
     )
 
 
-def _write_report(args, name: str, report: dict) -> int:
-    out = Path(getattr(args, "out", ".") or ".")
+def _out_dir(args) -> Path:
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_report(args, name: str, report: dict) -> int:
+    out = _out_dir(args)
     csv_spec = report.pop("csv", None)
     path = out / f"{name}_report.json"
     path.write_text(_dumps(report) + "\n")
@@ -515,33 +557,29 @@ def _write_report(args, name: str, report: dict) -> int:
     return 0 if passed else 1
 
 
-def _run_and_write(args, name: str, pipeline: dict, needs_model: bool = True) -> int:
-    config = _make_config(args, pipeline, needs_model)
-    report = run(config, jobs=args.jobs)
-    return _write_report(args, name, report)
+def cmd_pipeline(args) -> int:
+    """Run the pipeline named by the subcommand and write its report."""
+    report = run(_make_config(args, args.command), jobs=args.jobs)
+    return _write_report(args, args.command, report)
 
 
 def cmd_spectrum(args) -> int:
-    config = _make_config(args, {"kind": "timeop"}, needs_model=True)
+    config = _make_config(args, "timeop")
     if config.model.get("kind") == "rabi":
         raise ValueError("the Rabi model is a matrix, not a point spectrum; use the timeop subcommand")
     s = _spectrum_from_model(config.model)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "spectrum.json"
+    path = _out_dir(args) / "spectrum.json"
     path.write_text(_dumps(s.to_json()) + "\n")
     print(f"PASS spectrum: {s.label or 'custom'}, {s.total_states} states -> {path}")
     return 0
 
 
 def cmd_decompose(args) -> int:
-    config = _make_config(args, {"kind": "timeop", "p": args.p}, needs_model=True)
+    config = _make_config(args, "timeop")
     s = _spectrum_from_model(config.model)
-    deco = decompose_spectrum(s, float(config.pipeline.get("p", 2.0)))
+    deco = decompose_spectrum(s, _resolve("pipeline", config.pipeline)["p"])
     verification = verify_decomposition(deco)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    doc = out / "decomposition.json"
+    doc = _out_dir(args) / "decomposition.json"
     doc.write_text(_dumps(deco.to_json()) + "\n")
     report = {
         "spectrum": s.to_json(),
@@ -555,49 +593,6 @@ def cmd_decompose(args) -> int:
     return code
 
 
-def cmd_timeop(args) -> int:
-    return _run_and_write(args, "timeop", {"kind": "timeop", "p": args.p, "vectors": args.vectors})
-
-
-def cmd_uwform(args) -> int:
-    return _run_and_write(args, "uwform", {
-        "kind": "uwform",
-        "p": args.p,
-        "vectors": args.vectors,
-        "function": _function_payload(args.function),
-    })
-
-
-def cmd_ftransform(args) -> int:
-    return _run_and_write(args, "ftransform", {
-        "kind": "ftransform",
-        "p": args.p,
-        "vectors": args.vectors,
-        "function": _function_payload(args.function),
-    })
-
-
-def cmd_oscspec(args) -> int:
-    sizes = None
-    if args.sizes:
-        sizes = [int(x) for x in str(args.sizes).split(",")]
-    pipeline = {"kind": "oscspec", "omega": args.omega, "sizes": sizes}
-    return _run_and_write(args, "oscspec", pipeline, needs_model=False)
-
-
-def cmd_abweyl(args) -> int:
-    pipeline = {"kind": "abweyl"}
-    for flag in ("L", "N", "m", "x0", "k0", "sigma", "tmax", "steps"):
-        value = getattr(args, flag)
-        if value is not None:
-            pipeline[flag] = value
-    return _run_and_write(args, "abweyl", pipeline, needs_model=False)
-
-
-def cmd_s0check(args) -> int:
-    return _run_and_write(args, "s0check", {"kind": "s0check"}, needs_model=False)
-
-
 def cmd_selftest(args) -> int:
     raw = _load_config_file(args)
     overrides = dict(raw.get("tolerances") or {})
@@ -607,7 +602,7 @@ def cmd_selftest(args) -> int:
             raise ValueError("tolerance overrides look like name=value")
         overrides[name] = float(value)
     seed = args.seed if args.seed is not None else raw.get("seed", 7)
-    _check_fields("config", {"seed": seed}, {"seed": "an integer"})
+    _check_seed(seed)
     tolerances = resolve_tolerances(overrides)
     results = run_all(tolerances, int(seed))
 
@@ -632,12 +627,36 @@ def cmd_selftest(args) -> int:
         "passed": all(result.passed for result in results),
         "timings": timings,
     }
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "selftest_report.json"
+    path = _out_dir(args) / "selftest_report.json"
     path.write_text(_dumps(report) + "\n")
     print(f"{'PASS' if exit_ok else 'FAIL'} selftest: {path}")
     return 0 if exit_ok else 1
+
+
+def _describe(ftype: FieldType, default) -> str:
+    return ftype.name + ("" if default in (None, REQUIRED) else f", default {default}")
+
+
+def _add_field_flags(parser, fields: dict) -> None:
+    """One flag per pipeline field: argparse reads numbers, ``FieldType.text`` the rest."""
+    for key, (ftype, default) in fields.items():
+        parser.add_argument(f"--{key}", type=None if ftype.text else ftype.read,
+                            required=default is REQUIRED, help=_describe(ftype, default))
+
+
+def _add_model_flags(parser) -> None:
+    """--model, then one flag per model field name; argparse reads it when every kind agrees on its type."""
+    parser.add_argument("--model", choices=MODEL_KINDS)
+    uses: dict[str, list] = {}
+    for kind, fields in MODEL_FIELDS.items():
+        for key, (ftype, default) in fields.items():
+            uses.setdefault(key, []).append((kind, ftype, default))
+    for key, specs in uses.items():
+        ftypes = {ftype for _, ftype, _ in specs}
+        (ftype,) = ftypes if len(ftypes) == 1 else (STRING,)
+        dest = _MODEL_FLAGS.get(key, key)
+        parser.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=None if ftype.text else ftype.read,
+                            help="; ".join(f"{kind}: {_describe(t, d)}" for kind, t, d in specs))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -648,20 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed for random test vectors")
 
     model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--model", choices=MODEL_KINDS)
-    model_flags.add_argument("--omega", help="frequency, or comma list for the oscillator")
-    model_flags.add_argument("--n-max", dest="n_max", type=int)
-    model_flags.add_argument("--mass", type=float, help="hydrogen mass parameter")
-    model_flags.add_argument("--gamma", type=float, help="hydrogen coupling parameter")
-    model_flags.add_argument("--mu", type=float, help="Rabi level splitting")
-    model_flags.add_argument("--g", type=float, help="Rabi coupling")
-    model_flags.add_argument("--cutoff", type=int, help="Rabi Fock cutoff")
-    model_flags.add_argument("--count", type=int, help="Rabi bound-check count")
-    model_flags.add_argument("--input", type=Path, help="custom spectrum JSON file")
-
-    form_flags = argparse.ArgumentParser(add_help=False)
-    form_flags.add_argument("--p", type=float, default=None, help="summability exponent")
-    form_flags.add_argument("--vectors", type=int, default=None, help="random vectors per channel")
+    _add_model_flags(model_flags)
 
     parser = argparse.ArgumentParser(
         prog="timeops",
@@ -675,44 +681,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dp = sub.add_parser("decompose", parents=[common, model_flags],
                         help="partition a spectrum into simple channels")
-    dp.add_argument("--p", type=float, default=None)
+    _add_field_flags(dp, {"p": PIPELINE_FIELDS["timeop"]["p"]})
     dp.set_defaults(handler=cmd_decompose)
 
-    tp = sub.add_parser("timeop", parents=[common, model_flags, form_flags],
-                        help="build time operators and check the commutation identity")
-    tp.set_defaults(handler=cmd_timeop)
-
-    up = sub.add_parser("uwform", parents=[common, model_flags, form_flags],
-                        help="build the ultra-weak form and check its identities")
-    up.add_argument("--function", help="optional transform: JSON, kind:params, or a file")
-    up.set_defaults(handler=cmd_uwform)
-
-    fp = sub.add_parser("ftransform", parents=[common, model_flags, form_flags],
-                        help="transform a spectrum through a function of the Hamiltonian")
-    fp.add_argument("--function", required=True, help="JSON, kind:params, or a file")
-    fp.set_defaults(handler=cmd_ftransform)
-
-    op = sub.add_parser("oscspec", parents=[common],
-                        help="oscillator time-operator spectra across truncation sizes")
-    op.add_argument("--omega", type=float, default=None)
-    op.add_argument("--sizes", help="comma list of matrix sizes")
-    op.set_defaults(handler=cmd_oscspec)
-
-    ap = sub.add_parser("abweyl", parents=[common],
-                        help="weak Weyl residual sweep on the grid")
-    ap.add_argument("--L", type=float, default=None)
-    ap.add_argument("--N", type=int, default=None)
-    ap.add_argument("--m", type=float, default=None)
-    ap.add_argument("--x0", type=float, default=None)
-    ap.add_argument("--k0", type=float, default=None)
-    ap.add_argument("--sigma", type=float, default=None)
-    ap.add_argument("--tmax", type=float, default=None)
-    ap.add_argument("--steps", type=int, default=None)
-    ap.set_defaults(handler=cmd_abweyl)
-
-    s0 = sub.add_parser("s0check", parents=[common],
-                        help="symbolic strong relation and quadrature symmetry checks")
-    s0.set_defaults(handler=cmd_s0check)
+    for kind, parents, text in (
+        ("timeop", [common, model_flags], "build time operators and check the commutation identity"),
+        ("uwform", [common, model_flags], "build the ultra-weak form and check its identities"),
+        ("ftransform", [common, model_flags], "transform a spectrum through a function of the Hamiltonian"),
+        ("oscspec", [common], "oscillator time-operator spectra across truncation sizes"),
+        ("abweyl", [common], "weak Weyl residual sweep on the grid"),
+        ("s0check", [common], "symbolic strong relation and quadrature symmetry checks"),
+    ):
+        pp = sub.add_parser(kind, parents=parents, help=text)
+        _add_field_flags(pp, PIPELINE_FIELDS[kind])
+        pp.set_defaults(handler=cmd_pipeline)
 
     st = sub.add_parser("selftest", parents=[common],
                         help="run the full acceptance suite")

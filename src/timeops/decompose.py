@@ -140,30 +140,6 @@ class ChannelDecomposition:
         }
 
 
-def _extraction_rounds(scaled: "list[float]") -> "tuple[list[list[int]], list[list[int]]]":
-    """Greedy rounds over prescaled magnitudes; returns channels and levels.
-
-    Each round groups the remaining positions by bucket level and extracts
-    the lowest-index element per nonempty bucket into a new channel.
-    """
-    remaining = list(range(len(scaled)))
-    channels: list[list[int]] = []
-    levels: list[list[int]] = []
-    while remaining:
-        first_in_bucket: dict[int, int] = {}
-        for pos in remaining:
-            k = bucket_index(scaled[pos])
-            if k not in first_in_bucket:
-                first_in_bucket[k] = pos
-        occupied = sorted(first_in_bucket)
-        chosen = [first_in_bucket[k] for k in occupied]
-        channels.append(chosen)
-        levels.append(occupied)
-        taken = set(chosen)
-        remaining = [pos for pos in remaining if pos not in taken]
-    return channels, levels
-
-
 def channel_partition(
     values,
     multiplicities,
@@ -213,14 +189,23 @@ def channel_partition(
 
     # Slots are value-major, so copy c of value n is slot first_slot[n] + c.
     first_slot = [0, *accumulate(mults[:-1])]
+    levels = [bucket_index(a) for a in scaled]
     channels: list[tuple[int, ...]] = []
     certificates: list[tuple[int, ...]] = []
     for column in range(max(mults)):
-        members = [n for n, m in enumerate(mults) if m > column]
-        per_column, levels = _extraction_rounds([scaled[n] for n in members])
-        for chan, ks in zip(per_column, levels):
-            channels.append(tuple(first_slot[members[pos]] + column for pos in chan))
-            certificates.append(tuple(ks))
+        # the column's members per bucket level, in input order
+        buckets: dict[int, list[int]] = {}
+        for n, m in enumerate(mults):
+            if m > column:
+                buckets.setdefault(levels[n], []).append(n)
+        # round r takes the r-th member of every bucket that still has one
+        occupied = sorted(buckets)
+        rank = 0
+        while occupied:
+            channels.append(tuple(first_slot[buckets[k][rank]] + column for k in occupied))
+            certificates.append(tuple(occupied))
+            rank += 1
+            occupied = [k for k in occupied if len(buckets[k]) > rank]
     return ChannelDecomposition(
         values=tuple(vals.tolist()),
         multiplicities=tuple(mults),

@@ -33,6 +33,10 @@ __all__ = [
 #: matrix products beyond this are not worth their O(N^3) cost here.
 CHANNEL_DIMENSION_LIMIT = 4096
 
+#: Hard cap on the states of a spectrum, counted with multiplicity (hydrogen
+#: n_max = 143, say).  Generators check it before they enumerate a level.
+STATE_COUNT_LIMIT = 10 ** 6
+
 #: Relative tolerance for the Hermiticity check on constructed matrices.
 HERMITICITY_RTOL = 1e-12
 
@@ -89,6 +93,9 @@ class DiscreteSpectrum:
         for v, m in self.entries:
             if not _is_integer(m):
                 raise ValueError(f"multiplicity {m!r} of the value {v!r} is not an integer")
+        states = sum(m for _, m in self.entries)
+        if states > STATE_COUNT_LIMIT:
+            raise ValueError(f"spectrum has {states} states, beyond the limit {STATE_COUNT_LIMIT}")
         entries = tuple((float(v), int(m)) for v, m in self.entries)
         object.__setattr__(self, "entries", entries)
         accumulation = Accumulation(self.accumulation)
@@ -214,6 +221,24 @@ def _lattice_points(dims: int, total: int):
             yield (n, *rest)
 
 
+def _lattice_point_count(dims: int, total: int) -> int:
+    """The size of ``_lattice_points(dims, total)``, math.comb(total + dims, dims).
+
+    Exact up to STATE_COUNT_LIMIT; beyond it, some value above the limit.
+    Built as C(r, j) = C(r - 1, j - 1) r / j for j up to min(dims, total).
+    Each factor at least doubles the count, so the loop passes the limit
+    within ~20 factors however large the arguments, where math.comb on a
+    large min(dims, total) takes seconds.
+    """
+    k = min(dims, total)
+    count = 1
+    for j in range(1, k + 1):
+        count = count * (dims + total - k + j) // j
+        if count > STATE_COUNT_LIMIT:
+            break
+    return count
+
+
 def harmonic_spectrum(omega: "list[float]", n_max: int) -> DiscreteSpectrum:
     """Truncated spectrum of a d-dimensional harmonic oscillator.
 
@@ -242,6 +267,8 @@ def harmonic_spectrum(omega: "list[float]", n_max: int) -> DiscreteSpectrum:
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if _lattice_point_count(len(freqs), n_max) > STATE_COUNT_LIMIT:
+        raise ValueError(f"n_max = {n_max} in {len(freqs)} dimensions gives more than {STATE_COUNT_LIMIT} states")
 
     base = 0.5 * math.fsum(freqs)
     levels = sorted(
@@ -277,6 +304,8 @@ def hydrogen_point_spectrum(m: float, gamma: float, n_max: int) -> DiscreteSpect
         raise ValueError("mass and coupling must be finite and positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max * (n_max + 1) * (2 * n_max + 1) // 6 > STATE_COUNT_LIMIT:
+        raise ValueError(f"n_max = {n_max} gives more than {STATE_COUNT_LIMIT} states")
     entries = tuple(
         (-m * gamma * gamma / (2.0 * n * n), n * n) for n in range(1, n_max + 1)
     )

@@ -159,13 +159,16 @@ def random_difference_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
             return v / norm
 
 
-def _require_difference_span(v: np.ndarray) -> None:
-    defect = abs(v.sum())
+def _require_difference_span(vecs: np.ndarray) -> None:
+    """Refuse any row of a (k, n) stack whose coefficient sum is off the difference span."""
+    defects = np.abs(vecs.sum(axis=1))
+    bounds = DIFFERENCE_SPAN_RTOL * np.maximum(np.linalg.norm(vecs, axis=1), 1e-300)
     # written so that NaN fails
-    if not defect <= DIFFERENCE_SPAN_RTOL * max(float(np.linalg.norm(v)), 1e-300):
+    outside = ~(defects <= bounds)
+    if outside.any():
         raise ValueError(
             "vector lies outside the difference span "
-            f"(coefficient sum {defect:.3e})"
+            f"(coefficient sum {defects[np.argmax(outside)]:.3e})"
         )
 
 
@@ -197,8 +200,7 @@ def ccr_residual(t: TimeOperatorMatrix, v) -> float:
         raise ValueError("vector length does not match matrix dimension")
     if vecs.shape[0] == 0:
         raise ValueError("need at least one vector")
-    for vec in vecs:
-        _require_difference_span(vec)
+    _require_difference_span(vecs)
     comm = _commutator(t)
     return float(np.max([np.linalg.norm(comm @ vec + 1j * vec) for vec in vecs]))
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import timeops
 from timeops import cli
@@ -481,6 +482,76 @@ class TestSubcommands:
         assert report["config"]["seed"] == 3
         assert report["vectors_per_channel"] == 5
 
+    @pytest.mark.parametrize("command", ["spectrum", "decompose", "timeop", "uwform"])
+    def test_custom_model_without_a_path_names_the_flag_and_the_field(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"kind": "custom"}}))
+        for source in (["--model", "custom"], ["--config", str(path)]):
+            code = main([command, *source, "--out", str(tmp_path)])
+            assert code == 2
+            assert capsys.readouterr().err == "error: the custom model needs --input or model.path\n"
+        assert not list(tmp_path.glob("*_report.json"))
+
+    def test_ftransform_config_without_a_function_is_a_usage_error(self):
+        config = RunConfig(model={"kind": "hydrogen", "n_max": 3}, pipeline={"kind": "ftransform"},
+                           tolerances={})
+        with pytest.raises(ValueError, match="the ftransform pipeline needs --function or pipeline.function"):
+            run(config)
+
+    @pytest.mark.parametrize("command,flags,fields", [
+        ("abweyl",
+         ["--L", "60", "--N", "2048", "--m", "2", "--x0", "1", "--k0", "6", "--sigma", "2.5",
+          "--tmax", "0.5", "--steps", "3"],
+         {"L": 60.0, "N": 2048, "m": 2.0, "x0": 1.0, "k0": 6.0, "sigma": 2.5, "tmax": 0.5, "steps": 3}),
+        ("oscspec", ["--omega", "2", "--sizes", "64,32,48"], {"omega": 2.0, "sizes": [64, 32, 48]}),
+    ])
+    def test_flags_and_config_give_the_same_report(self, tmp_path, command, flags, fields):
+        assert set(fields) == set(cli.PIPELINE_FIELDS[command])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pipeline": {"kind": command, **fields}}))
+        outputs = []
+        for name, source in (("flags", flags), ("config", ["--config", str(path)])):
+            assert main([command, *source, "--out", str(tmp_path / name)]) == 0
+            outputs.append({f.name: _strip_timings(_read(f)) if f.suffix == ".json" else f.read_bytes()
+                            for f in (tmp_path / name).iterdir()})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 2   # the report and its CSV
+
+
+class TestFieldTable:
+    """The model and pipeline tables are the one source of flags, checks and defaults."""
+
+    @staticmethod
+    def _subcommands():
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
+        return sub.choices
+
+    @pytest.mark.parametrize("kind", cli.PIPELINE_KINDS)
+    def test_pipeline_flags_are_exactly_its_fields(self, kind):
+        common = {"help", "config", "out", "jobs", "seed"}
+        model = {"model", "omega", "n_max", "mass", "gamma", "mu", "g", "cutoff", "count", "input"}
+        takes_model = kind in ("timeop", "uwform", "ftransform")
+        dests = {a.dest for a in self._subcommands()[kind]._actions}
+        assert dests == common | (model if takes_model else set()) | set(cli.PIPELINE_FIELDS[kind])
+        required = {a.dest for a in self._subcommands()[kind]._actions if a.required}
+        assert required == {k for k, (_, d) in cli.PIPELINE_FIELDS[kind].items() if d is cli.REQUIRED}
+
+    @pytest.mark.parametrize("kind", cli.PIPELINE_KINDS)
+    def test_an_empty_pipeline_section_reads_the_defaults(self, kind):
+        fields = cli.PIPELINE_FIELDS[kind]
+        section = {"kind": kind, "function": {"kind": "sin", "params": [0.3]}}
+        values = cli._resolve("pipeline", section)
+        assert set(values) == set(fields)
+        for key, (ftype, default) in fields.items():
+            if key != "function":
+                assert values[key] == default and ftype.admits(values[key])
+
+    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    def test_model_defaults_are_admitted_by_their_types(self, kind):
+        for ftype, default in cli.MODEL_FIELDS[kind].values():
+            assert default is cli.REQUIRED or ftype.admits(default)
+
 
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
@@ -521,6 +592,110 @@ class TestSpectrumDocumentFuzz:
         if code == 2:
             assert err.getvalue().startswith("error: ")
             assert not (Path(tmp) / "spectrum.json").exists()
+
+
+class CaseTimeout(Exception):
+    """A fuzz case outlived its time limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise CaseTimeout in the main thread once ``seconds`` have passed."""
+    def stop(signum, frame):
+        raise CaseTimeout(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: A time limit per fuzz case, far above what any small case needs.
+FUZZ_CASE_SECONDS = 20
+
+#: The spectrum a drawn custom model reads; ``{tmp}`` is the case's directory.
+_SPECTRUM_PATH = "{tmp}/spectrum.json"
+
+_WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.fixed_dictionaries({"x": st.integers(0, 3)}),
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_BEYOND_CAPS = [10 ** 7, 2 ** 31, 10 ** 12, 10 ** 30]
+
+#: Per field type: small valid values, and hostile ones (wrong JSON types,
+#: non-finite numbers, sizes below one or beyond every cap).
+_VALID = {
+    cli.NUMBER: st.floats(0.1, 10.0),
+    cli.INTEGER: st.one_of(st.integers(1, 6), st.just(16)),   # 16: the smallest grid
+    cli.STRING: st.just(_SPECTRUM_PATH),
+    cli.NUMBERS: st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+    cli.INTEGERS: st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    cli.FUNCTION: st.fixed_dictionaries({"kind": st.sampled_from(["exp", "sin", "poly"]),
+                                         "params": st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2)}),
+}
+_HOSTILE = {
+    cli.NUMBER: st.one_of(_NON_FINITE, _WRONG_TYPES),
+    cli.INTEGER: st.sampled_from([*_BEYOND_CAPS, -2, 0, 3.0, math.nan, True, "3", [3], None]),
+    cli.STRING: st.one_of(st.just("no-such-spectrum.json"), _WRONG_TYPES),
+    cli.NUMBERS: st.one_of(st.lists(st.one_of(_NON_FINITE, _WRONG_TYPES), min_size=1, max_size=2),
+                           st.just([]), _WRONG_TYPES),
+    cli.INTEGERS: st.one_of(st.lists(st.sampled_from([*_BEYOND_CAPS, -2, 0]), min_size=1, max_size=2),
+                            st.just([]), _WRONG_TYPES),
+    cli.FUNCTION: st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["exp", "sin", "poly", "bogus"]),
+                               "params": st.lists(_NON_FINITE, min_size=1, max_size=2)}),
+        _WRONG_TYPES,
+    ),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand and a config whose sections draw valid fields, then spoil at most one each."""
+    command = draw(st.sampled_from(["spectrum", "decompose", *cli.PIPELINE_KINDS]))
+    sections = {
+        "model": (cli.MODEL_FIELDS, draw(st.sampled_from(cli.MODEL_KINDS))),
+        "pipeline": (cli.PIPELINE_FIELDS, command if command in cli.PIPELINE_KINDS else "timeop"),
+    }
+    doc = {}
+    for name, (table, kind) in sections.items():
+        fields = {key: _VALID[ftype] for key, (ftype, _) in table[kind].items()}
+        doc[name] = draw(st.fixed_dictionaries({"kind": st.just(kind)}, optional=fields))
+        spoiled = draw(st.sampled_from([None, *table[kind]]))
+        if spoiled is not None:
+            doc[name][spoiled] = draw(_HOSTILE[table[kind][spoiled][0]])
+    flags = ["--function", "sin:0.3"] if command == "ftransform" else []
+    return command, doc, flags
+
+
+class TestConfigFuzz:
+    """Config documents drawn from the field table, each run under a time limit."""
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+    @settings(max_examples=500, deadline=None)
+    @given(case=_invocations())
+    def test_any_config_exits_zero_one_or_two_without_a_traceback(self, case):
+        command, doc, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            spectrum = hydrogen_point_spectrum(1.0, 1.0, 3).to_json()
+            Path(_SPECTRUM_PATH.format(tmp=tmp)).write_text(json.dumps(spectrum))
+            if doc["model"].get("path") == _SPECTRUM_PATH:
+                doc["model"]["path"] = _SPECTRUM_PATH.format(tmp=tmp)
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                with time_limit(FUZZ_CASE_SECONDS):
+                    code = main([command, "--config", str(path), *flags, "--out", str(Path(tmp) / "out")])
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
 class TestSelftestCommand:
@@ -590,6 +765,29 @@ class TestSubprocessBoundaries:
         src.write_text(json.dumps(doc))
         assert_usage_error("timeop", "--input", src, "--out", tmp_path, match="dynamic range", timeout=30)
         assert not (tmp_path / "timeop_report.json").exists()
+
+    @pytest.mark.parametrize("args,match", [
+        (["abweyl", "--steps", 100_000_000], "steps must be at most 10000"),
+        (["abweyl", "--steps", 100_000, "--tmax", 0.001], "steps must be at most 10000"),
+        (["abweyl", "--N", 2 ** 30], "N must be at most 1048576"),
+        (["abweyl", "--N", 2 ** 20, "--steps", 5], "exceeds the sweep limit"),
+        (["timeop", "--model", "hydrogen", "--n-max", 100_000], "more than 1000000 states"),
+        (["uwform", "--model", "hydrogen", "--n-max", 3000, "--vectors", 1], "more than 1000000 states"),
+        (["timeop", "--model", "oscillator", "--omega", "1,1,1,1,1,1", "--n-max", 60],
+         "n_max = 60 in 6 dimensions gives more than 1000000 states"),
+        (["spectrum", "--model", "hydrogen", "--n-max", 100_000_000], "more than 1000000 states"),
+        (["timeop", "--model", "custom"], "needs --input or model.path"),
+    ])
+    def test_oversized_or_incomplete_runs_are_usage_errors(self, tmp_path, args, match):
+        assert_usage_error(*args, "--out", tmp_path, match=match, timeout=30)
+        assert not list(tmp_path.glob("*"))
+
+    def test_a_document_beyond_the_state_cap_is_a_usage_error(self, tmp_path):
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps({"accumulation": "to_zero", "entries": [[-1, 10 ** 12]]}))
+        assert_usage_error("decompose", "--input", src, "--out", tmp_path / "out",
+                           match="spectrum has 1000000000000 states, beyond the limit 1000000", timeout=30)
+        assert not (tmp_path / "out").exists()
 
     def test_rabi_cutoff_beyond_the_dimension_limit_is_a_usage_error(self, tmp_path):
         assert_usage_error("timeop", "--model", "rabi", "--cutoff", 100000, "--out", tmp_path,

@@ -159,6 +159,54 @@ class TestChannelPartition:
         assert scaled.certificates == base.certificates
 
 
+def greedy_partition(values, multiplicities, reciprocals=False):
+    """Reference: the extraction rounds run literally, one bucket_index call per element and round.
+
+    Each round groups a column's remaining members by bucket level and takes
+    the lowest-index member of every occupied bucket.  Returns (channels,
+    certificates) as ``channel_partition`` lays them out.
+    """
+    vals = np.asarray(values, dtype=float)
+    seq = 1.0 / vals if reciprocals else vals
+    scaled = np.abs(seq) / float(np.max(np.abs(seq)))
+    first_slot = np.concatenate([[0], np.cumsum(multiplicities)[:-1]])
+    channels, certificates = [], []
+    for column in range(max(multiplicities)):
+        remaining = [n for n, m in enumerate(multiplicities) if m > column]
+        while remaining:
+            first_in_bucket = {}
+            for n in remaining:
+                first_in_bucket.setdefault(bucket_index(scaled[n]), n)
+            occupied = sorted(first_in_bucket)
+            chosen = [first_in_bucket[k] for k in occupied]
+            channels.append(tuple(int(first_slot[n]) + column for n in chosen))
+            certificates.append(tuple(occupied))
+            taken = set(chosen)
+            remaining = [n for n in remaining if n not in taken]
+    return tuple(channels), tuple(certificates)
+
+
+class TestPartitionMatchesTheGreedyRounds:
+    def test_random_multisets(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            size = int(rng.integers(1, 301))
+            values = rng.permutation(np.unique(-rng.uniform(1e-4, 1.0, size)))
+            mults = rng.integers(1, 6, values.size).tolist()
+            part = channel_partition(values, mults)
+            assert (part.channels, part.certificates) == greedy_partition(values, mults)
+
+    @pytest.mark.parametrize("spectrum", [
+        hydrogen_point_spectrum(1.0, 1.0, 30),
+        harmonic_spectrum([1.0, 1.0], 30),
+    ], ids=["hydrogen-30", "oscillator-2d-30"])
+    def test_model_spectra(self, spectrum):
+        deco = decompose_spectrum(spectrum)
+        reciprocals = spectrum.accumulation is Accumulation.TO_INFINITY
+        reference = greedy_partition(spectrum.values, list(spectrum.multiplicities), reciprocals)
+        assert (deco.channels, deco.certificates) == reference
+
+
 class TestDecomposeSpectrum:
     def test_hydrogen_column_structure(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))

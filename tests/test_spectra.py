@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from timeops import timeop
+from timeops import spectra
 from timeops.spectra import (
     CHANNEL_DIMENSION_LIMIT,
+    STATE_COUNT_LIMIT,
     Accumulation,
     DiscreteSpectrum,
     HermitianMatrix,
@@ -172,6 +174,37 @@ def dense_rabi(mu: float, omega: float, g: float, cutoff: int) -> tuple[np.ndarr
     h = mu * np.kron(sz, np.eye(dim)) + omega * np.kron(np.eye(2), number) + g * np.kron(sx, quad)
     labels = [f"{s}|n={n}" for s in ("up", "down") for n in range(dim)]
     return h, labels
+
+
+class TestStateCountLimit:
+    def test_hydrogen_admits_the_last_level_below_the_cap(self):
+        assert 143 * 144 * 287 // 6 <= STATE_COUNT_LIMIT < 144 * 145 * 289 // 6
+        assert hydrogen_point_spectrum(1.0, 1.0, 143).total_states == 143 * 144 * 287 // 6
+        with pytest.raises(ValueError, match="n_max = 144 gives more than 1000000 states"):
+            hydrogen_point_spectrum(1.0, 1.0, 144)
+
+    def test_oscillator_counts_lattice_points_before_enumerating(self):
+        # C(130, 2) = 8385 points fit; C(1416, 2) = 1001820 do not
+        assert harmonic_spectrum([1.0, 1.3], 128).total_states == math.comb(130, 2)
+        with pytest.raises(ValueError, match="in 2 dimensions gives more than"):
+            harmonic_spectrum([1.0, 1.3], 1414)
+        with pytest.raises(ValueError, match="in 6 dimensions"):
+            harmonic_spectrum([1.0] * 6, 60)
+        with pytest.raises(ValueError, match="in 1 dimensions"):
+            harmonic_spectrum([1.0], 10 ** 30)
+
+    def test_lattice_point_count_is_the_binomial_up_to_the_cap(self):
+        for dims in range(1, 8):
+            for total in range(1, 60):
+                exact = math.comb(total + dims, dims)
+                count = spectra._lattice_point_count(dims, total)
+                assert count == exact if exact <= STATE_COUNT_LIMIT else count > STATE_COUNT_LIMIT
+        assert spectra._lattice_point_count(10 ** 6, 10 ** 6) > STATE_COUNT_LIMIT
+
+    def test_document_beyond_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="spectrum has 1000001 states, beyond the limit 1000000"):
+            DiscreteSpectrum(((-1.0, 10 ** 6), (-0.5, 1)), Accumulation.TO_ZERO)
+        assert DiscreteSpectrum(((-1.0, 10 ** 6),), Accumulation.TO_ZERO).total_states == 10 ** 6
 
 
 class TestRabiParityBlocks:

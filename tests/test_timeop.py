@@ -204,6 +204,19 @@ class TestCcrResidual:
         with pytest.raises(ValueError, match="difference span"):
             ccr_residual(t, stack)
 
+    def test_stack_error_names_the_first_bad_row(self):
+        t = galapon_matrix(np.array([1.0, 2.0, 3.0]))
+        rng = np.random.default_rng(4)
+        stack = np.array([random_difference_vector(rng, 3) for _ in range(4)])
+        stack[1] = [0.25, 0.0, 0.0]
+        stack[2] = [math.nan, 0.0, 0.0]
+        stack[3] = [2.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"coefficient sum 2\.500e-01\)"):
+            ccr_residual(t, stack)
+        stack[1] = stack[0]
+        with pytest.raises(ValueError, match=r"coefficient sum nan\)"):
+            ccr_residual(t, stack)
+
 
 class TestBlockOperator:
     """The block time operator: a BlockDiagonal of per-channel matrices."""
