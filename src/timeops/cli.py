@@ -33,6 +33,7 @@ from .acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 from .contspec import make_packet, weak_weyl_residuals
 from .decompose import decompose_spectrum, verify_decomposition
 from .spectra import (
+    CHANNEL_DIMENSION_LIMIT,
     DiscreteSpectrum,
     _is_integer,
     _is_number,
@@ -72,6 +73,10 @@ TIME_STEPS_LIMIT = 10_000
 #: Largest steps x N of one ``abweyl`` run: 4 times on the largest grid,
 #: 4096 on the default 1024-point grid.
 SWEEP_POINTS_LIMIT = 2 ** 22
+
+#: Largest summed n^3 over an ``oscspec`` size list: two solves at the
+#: size cap, about 2.5 s on one core.
+OSCSPEC_WORK_LIMIT = 2 * CHANNEL_DIMENSION_LIMIT ** 3
 
 
 class FieldType(NamedTuple):
@@ -389,6 +394,10 @@ def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict
     sizes = sorted(pl["sizes"])
     if not sizes:
         raise ValueError("sizes must name at least one matrix size; an empty sweep checks nothing")
+    # |n|: a negative size, refused later, must not cancel a large one here
+    work = sum(abs(n) ** 3 for n in sizes)
+    if work > OSCSPEC_WORK_LIMIT:
+        raise ValueError(f"sizes sum to n^3 = {work}, beyond the limit {OSCSPEC_WORK_LIMIT}")
     slack = tol["toeplitz_bound_slack"]
     extremes = _parallel(lambda n: osc_timeop_extremes(omega, n), sizes, jobs)
     rows, monotone = oscillator_bound_rows(sizes, extremes, omega, slack)
@@ -419,12 +428,13 @@ def _pipeline_abweyl(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
         raise ValueError(f"steps x N = {steps * n} exceeds the sweep limit {SWEEP_POINTS_LIMIT}")
 
     packet = (pl["m"], pl["x0"], pl["k0"], pl["sigma"])
-    base = make_packet(pl["L"], n, *packet)
-    fine = make_packet(pl["L"], 2 * n, *packet)
     times = [t_max * j / steps for j in range(1, steps + 1)]
+    base = make_packet(pl["L"], n, *packet)
     rows = [[t, r] for t, r in zip(times, weak_weyl_residuals(base, times))]
+    # the 2N sweep holds the peak; the N-grid samples are gone by then
+    del base
     max_residual = max(r for _, r in rows)
-    max_fine = max(weak_weyl_residuals(fine, times))
+    max_fine = max(weak_weyl_residuals(make_packet(pl["L"], 2 * n, *packet), times))
     # ratio < 1 means refinement helped; near the round-off floor it
     # hovers around 1 and carries no information, so it is reported but
     # not gated on.
@@ -638,10 +648,14 @@ def _describe(ftype: FieldType, default) -> str:
 
 
 def _add_field_flags(parser, fields: dict) -> None:
-    """One flag per pipeline field: argparse reads numbers, ``FieldType.text`` the rest."""
+    """One flag per pipeline field: argparse reads numbers, ``FieldType.text`` the rest.
+
+    No flag is argparse-required: a REQUIRED field may come from the
+    config file instead, and ``_resolve`` refuses it when neither gives it.
+    """
     for key, (ftype, default) in fields.items():
         parser.add_argument(f"--{key}", type=None if ftype.text else ftype.read,
-                            required=default is REQUIRED, help=_describe(ftype, default))
+                            help=_describe(ftype, default))
 
 
 def _add_model_flags(parser) -> None:

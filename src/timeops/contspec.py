@@ -19,7 +19,12 @@ by the algebra, and refining the grid must push it down whenever the
 truncation error dominates round-off.  ``weak_weyl_residuals`` checks it
 at many times on one grid in Fourier space: the transforms of psi and
 T psi take four FFTs per grid, and each time four more.  Both the k = 0
-gate and the box-containment gate run on every evolved state.
+gate and the box-containment gate run on every evolved state.  The FFTs
+are cache-blocked four-step transforms (``_FourStep``) that leave k-space
+in a transposed order; every k-space step of the sweep is diagonal, so
+the multipliers 1/k and k^2/2m are simply built in that order.  Packet
+parameters, multipliers and defects that overflow on the grid are
+refused where they are formed.
 
 Symbolic side.  On the weighted line with Gaussian reference density
 rho = exp(-lambda^2)/sqrt(pi), the span of exponentials exp(i s lambda)
@@ -79,6 +84,8 @@ class GridState:
         n = self.size
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError("grid size must be a power of two, at least 16")
+        if not 0.0 < 2.0 * self.box_half_width / n < math.inf:
+            raise ValueError("grid spacing 2L/N must be finite and positive")
         samples = np.array(self.samples, dtype=complex)
         if samples.shape != (n,):
             raise ValueError("sample count does not match the grid size")
@@ -95,10 +102,6 @@ class GridState:
     def x(self) -> np.ndarray:
         return -self.box_half_width + self.dx * np.arange(self.size)
 
-    @property
-    def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.size, d=self.dx)
-
     def with_samples(self, samples) -> "GridState":
         return GridState(self.box_half_width, self.size, self.mass, samples)
 
@@ -107,11 +110,21 @@ class GridState:
 
 
 def _zero_mode_mass(hat: np.ndarray) -> float:
-    """Relative weight of the k = 0 coefficient of a Fourier transform ``hat``."""
+    """Relative weight of the k = 0 coefficient of a Fourier transform ``hat``.
+
+    ``hat[0]`` is k = 0 in fftfreq order and in the sweep's transposed
+    order alike.
+    """
     total = float(np.vdot(hat, hat).real)
     if total == 0.0:
         return 0.0
     return float(np.abs(hat[0]) ** 2) / total
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Refuse a grid quantity that overflowed where it was formed; NaN fails too."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} overflows on this grid; rescale the packet parameters")
 
 
 def make_packet(box_half_width: float, size: int, mass: float,
@@ -122,7 +135,9 @@ def make_packet(box_half_width: float, size: int, mass: float,
     positive, the carrier must satisfy |k0| >= 4/sigma so the momentum
     distribution (spectral width 1/sigma) stays clear of the k = 0
     singularity, and the envelope must fit the box with a six-sigma
-    margin on both sides.
+    margin on both sides.  Parameters whose k0 x or (x - x0)^2 overflow
+    on the grid, whose 2 sigma^2 underflows, or whose envelope vanishes on
+    every grid point are refused as well.
     """
     if not np.all(np.isfinite([box_half_width, mass, center, carrier, width])):
         raise ValueError("packet parameters must be finite")
@@ -138,9 +153,22 @@ def make_packet(box_half_width: float, size: int, mass: float,
     state = GridState(box_half_width, size, mass,
                       np.zeros(size, dtype=complex))
     x = state.x
-    psi = _cis(carrier * x, np.empty(size, dtype=complex))
-    psi *= np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * state.dx)
+    with np.errstate(over="ignore"):   # an overflow leaves inf, refused below
+        angle = carrier * x
+        offset = (x - center) ** 2
+    _require_finite("k0 x", angle)
+    _require_finite("(x - x0)^2", offset)
+    # max |x - x0| exceeds L > 6 sigma, so 2 sigma^2 is finite here
+    if not 2.0 * width ** 2 > 0.0:
+        raise ValueError("2 sigma^2 underflows to zero; the packet is too narrow for floating point")
+    with np.errstate(over="ignore"):   # the envelope's far tail is exp(-inf) = 0
+        envelope = -offset / (2.0 * width ** 2)
+    psi = _cis(angle, np.empty(size, dtype=complex))
+    psi *= np.exp(envelope)
+    norm = np.sqrt(np.sum(np.abs(psi) ** 2) * state.dx)
+    if not norm > 0.0:
+        raise ValueError("packet vanishes on every grid point; its width is far below the grid spacing")
+    psi /= norm
     return state.with_samples(psi)
 
 
@@ -159,13 +187,17 @@ def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float
 
     A packet that wraps around the periodic boundary still has a finite
     residual, but the number stops meaning anything about the line
-    problem, so it is rejected.
+    problem, so it is rejected.  The moments weight x by the real
+    density |e|^2, one real temporary; NaN fails the gate.
     """
-    total = np.vdot(samples, samples).real
-    weighted = x * samples
-    mean = np.vdot(samples, weighted).real / total
-    weighted -= mean * samples
-    spread = math.sqrt(np.vdot(weighted, weighted).real / total)
+    density = np.abs(samples)
+    density *= density
+    total = density.sum()
+    mean = np.dot(density, x) / total
+    density *= x
+    variance = np.dot(density, x) / total - mean * mean
+    # round-off can leave a point mass a variance just below zero; NaN stays NaN
+    spread = math.sqrt(max(variance, 0.0))
     reach = abs(mean) + 6.0 * spread
     if not reach < box_half_width:
         raise ValueError(
@@ -176,14 +208,93 @@ def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float
         )
 
 
+#: Longest column transform of the four-step FFT: N = n1 n2 with
+#: n1 = min(256, 2^floor(log2(N)/2)), so a column transform runs in cache.
+FOUR_STEP_ROWS = 256
+
+
+class _FourStep:
+    """FFT of length N = n1 n2 in transposed k-order (Bailey's four steps).
+
+    ``forward`` takes samples in natural position order, viewed as an
+    (n1, n2) array, through length-n1 transforms down the columns, a
+    twiddle multiply by w^(k1 j2) with w = exp(-2 pi i/N), and length-n2
+    transforms along the rows.  That leaves X[k1 + n1 k2] at [k1, k2],
+    with no transpose: the sweep's k-space steps are all diagonal, so
+    its k-space arrays simply live in that order.  ``inverse`` runs the
+    stages backwards, back to natural position order.
+
+    The twiddle factors through j2 = j2a nb + j2b into an (n1, na) and an
+    (n1, nb) table, not one of N entries.  Each stage is one ``np.fft``
+    call, so a transform costs two.  The first stage reads the input as
+    it is: a transform into a new array copies nothing, an in-place one
+    copies each stage's result back.  The twiddle runs in place once the
+    first stage's temporary is gone, because numpy buffers broadcast
+    products and that buffer must not meet the temporary at the peak.
+    """
+
+    def __init__(self, size: int) -> None:
+        n1 = min(FOUR_STEP_ROWS, 1 << ((size.bit_length() - 1) // 2))
+        n2 = size // n1
+        nb = 1 << ((n2.bit_length() - 1) // 2)
+        self.shape = (n1, n2)
+        self._blocks = (n1, n2 // nb, nb)
+        rows = np.arange(n1)[:, None]
+        step = -2.0 * np.pi / size
+        self._outer = _cis(step * (rows * (nb * np.arange(n2 // nb))), np.empty((n1, n2 // nb), dtype=complex))
+        self._inner = _cis(step * (rows * np.arange(nb)), np.empty((n1, nb), dtype=complex))
+
+    def forward(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Transform of ``a`` in transposed k-order, into ``out`` (a new array if None; ``a`` itself is fine)."""
+        grid = self._store(np.fft.fft(a.reshape(self.shape), axis=0), out)
+        self._twiddle(grid, self._outer, self._inner)
+        return self._store(np.fft.fft(grid, axis=1), out).reshape(-1)
+
+    def inverse(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of ``forward``: transposed k-order in, natural position order out."""
+        grid = self._store(np.fft.ifft(a.reshape(self.shape), axis=1), out)
+        self._twiddle(grid, self._outer.conj(), self._inner.conj())
+        stage = np.fft.ifft(grid, axis=0)
+        # numpy 1.x returns this stage as a transposed view, which the
+        # flattening below copies; grid must be gone by then
+        del grid
+        return self._store(stage, out).reshape(-1)
+
+    def _store(self, stage: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """A stage's result as (n1, n2): ``stage`` itself, or ``out`` holding it."""
+        if out is None:
+            return stage
+        grid = out.reshape(self.shape)
+        grid[...] = stage
+        return grid
+
+    def _twiddle(self, grid: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> None:
+        # splitting the row axis is a view in any layout, so this works in place
+        blocks = grid.reshape(self._blocks)
+        blocks *= outer[:, :, None]
+        blocks *= inner[:, None, :]
+
+    def wavenumbers(self, dx: float) -> np.ndarray:
+        """2 pi fftfreq(N, dx) in transposed order, the same bits at every k."""
+        n1, n2 = self.shape
+        size = n1 * n2
+        index = np.arange(n1)[:, None] + n1 * np.arange(n2)
+        index[index >= size // 2] -= size
+        k = index * (1.0 / (size * dx))
+        k *= 2.0 * np.pi
+        return k
+
+
 def weak_weyl_residuals(state: GridState, times) -> list[float]:
     """Relative norms of T e^{-itH} psi - e^{-itH} (T + t) psi, one per t.
 
     With s = (m/2)/k, zero mode dropped, T psi = x . F^-1(s psi^) +
-    F^-1(s F(x psi)), so psi^ and (T psi)^ take four FFTs per grid; each t
-    takes four more (see ``_weyl_defect``).  Raises ValueError for a
-    non-finite time, a zero state, zero-mode mass, or an evolved packet
-    that reaches the box boundary.
+    F^-1(s F(x psi)), so psi^ and (T psi)^ take four transforms per grid;
+    each t takes four more (see ``_weyl_defect``).  Every transform is a
+    ``_FourStep`` one, so k-space arrays are held in its transposed
+    order.  Raises ValueError for a non-finite time, a zero state, an
+    overflowing (m/2)/k, k^2/2m or defect, zero-mode mass, or an evolved
+    packet that reaches the box boundary.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
@@ -191,71 +302,85 @@ def weak_weyl_residuals(state: GridState, times) -> list[float]:
     norm = state.norm()
     if not norm > 0.0:
         raise ValueError("the weak Weyl residual needs a nonzero state")
+    plan = _FourStep(state.size)
     # psi^, (T psi)^, x, s and E live through the sweep and are made
     # before T's temporaries, so the heap those leave behind can be reused
-    hat = np.fft.fft(state.samples)
+    hat = plan.forward(state.samples)
     t_hat = np.empty_like(hat)
     x = state.x
-    k = state.k
-    scale = np.divide(state.mass / 2.0, k, out=np.zeros_like(k), where=k != 0.0)
-    # in fftfreq order k[N-j] = -k[j] exactly, so E = k^2/2m is even bit
-    # for bit and _phase needs it on indices 0..N/2 only
-    energy = k[: state.size // 2 + 1] ** 2 / (2.0 * state.mass)
-    del k
+    scale, energy = _multipliers(plan, state)
     _require_no_zero_mode(hat)
     np.multiply(hat, scale, out=t_hat)
-    work = np.fft.ifft(t_hat)
-    work *= x
-    t_hat[:] = np.fft.fft(work)
-    np.multiply(x, state.samples, out=work)
-    work = np.fft.fft(work)
+    plan.inverse(t_hat, out=t_hat)
+    t_hat *= x
+    plan.forward(t_hat, out=t_hat)
+    work = np.multiply(x, state.samples)
+    plan.forward(work, out=work)
     work *= scale
     t_hat += work
     del work
-    return [_weyl_defect(state, t, hat, t_hat, energy, x, scale) / norm for t in times]
+    return [_weyl_defect(state, plan, t, hat, t_hat, energy, x, scale) / norm for t in times]
 
 
-def _weyl_defect(state: GridState, t: float, hat: np.ndarray, t_hat: np.ndarray,
+def _multipliers(plan: _FourStep, state: GridState) -> tuple[np.ndarray, np.ndarray]:
+    """s = (m/2)/k with k = 0 dropped, and E = k^2/2m on rows 0..n1/2, in transposed order."""
+    k = plan.wavenumbers(state.dx)
+    with np.errstate(over="ignore"):   # an overflow leaves inf, refused below
+        scale = np.divide(state.mass / 2.0, k, out=np.zeros_like(k), where=k != 0.0)
+        # k at [k1, k2] and [n1 - k1, n2 - 1 - k2] are negatives bit for
+        # bit, so E is even and _phase mirrors the rows past n1/2
+        energy = k[: plan.shape[0] // 2 + 1] ** 2 / (2.0 * state.mass)
+    _require_finite("(m/2)/k", scale)
+    _require_finite("k^2/2m", energy)
+    return scale.reshape(-1), energy
+
+
+def _weyl_defect(state: GridState, plan: _FourStep, t: float, hat: np.ndarray, t_hat: np.ndarray,
                  energy: np.ndarray, x: np.ndarray, scale: np.ndarray) -> float:
-    """||T e^{-itH} psi - e^{-itH} (T + t) psi|| in four FFTs.
+    """||T e^{-itH} psi - e^{-itH} (T + t) psi|| in four transforms.
 
     h^ = phi_t psi^ is the transform of the evolved state e and the one
     the first term of T e reads, so the defect is
     x . F^-1(s h^) + F^-1[s F(x e) - phi_t (T psi)^ - t h^].  Its norm is
     taken in position space: a Parseval or Gram expansion would cancel
-    away the round-off being measured.  The phase is built twice rather
-    than held, so the peak stays at a few grid vectors.
+    away the round-off being measured.  The phase is built once and
+    spent on phi_t (T psi)^ while h^ is still whole.
     """
-    h_hat = _phase(energy, t)
-    h_hat *= hat
+    shifted = _phase(energy, t)
+    h_hat = shifted * hat
     _require_no_zero_mode(h_hat)
-    evolved = np.fft.ifft(h_hat)
+    shifted *= t_hat
+    evolved = plan.inverse(h_hat)
     _require_contained(evolved, x, state.box_half_width)
     evolved *= x
-    rhs = np.fft.fft(evolved)
+    rhs = plan.forward(evolved, out=evolved)
     del evolved
     rhs *= scale
-    shifted = _phase(energy, t)
-    shifted *= t_hat
     rhs -= shifted
     np.multiply(h_hat, t, out=shifted)
     rhs -= shifted
     del shifted
     h_hat *= scale
-    lhs = np.fft.ifft(h_hat)
+    lhs = plan.inverse(h_hat, out=h_hat)
     del h_hat
     lhs *= x
-    lhs += np.fft.ifft(rhs)
-    return math.sqrt(np.vdot(lhs, lhs).real * state.dx)
+    lhs += plan.inverse(rhs, out=rhs)
+    defect = math.sqrt(np.vdot(lhs, lhs).real * state.dx)
+    if not defect < math.inf:
+        raise ValueError("the weak Weyl defect overflows on this grid; rescale the packet parameters")
+    return defect
 
 
 def _phase(energy: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t E) on the fftfreq axis, mirrored from E on indices 0..N/2."""
-    half = energy.size
-    phase = np.empty(2 * (half - 1), dtype=complex)
+    """exp(-i t E) in transposed k-order, mirrored from E on rows 0..n1/2.
+
+    Row n1 - k1 is row k1 reversed, [k1, k2] <-> [n1 - k1, n2 - 1 - k2].
+    """
+    half, n2 = energy.shape
+    phase = np.empty((2 * (half - 1), n2), dtype=complex)
     _cis(energy * -t, phase[:half])
-    phase[half:] = phase[half - 2:0:-1]
-    return phase
+    phase[half:] = phase[half - 2:0:-1, ::-1]
+    return phase.reshape(-1)
 
 
 def _cis(angle: np.ndarray, out: np.ndarray) -> np.ndarray:

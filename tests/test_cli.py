@@ -369,10 +369,23 @@ class TestSubcommands:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "ftransform_report.json").exists()
 
-    def test_ftransform_requires_function(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["ftransform", "--model", "hydrogen", "--out", str(tmp_path)])
-        assert err.value.code == 2
+    def test_ftransform_requires_function(self, tmp_path, capsys):
+        code = main(["ftransform", "--model", "hydrogen", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the ftransform pipeline needs --function or pipeline.function\n"
+        assert not list(tmp_path.glob("*_report.json"))
+
+    @pytest.mark.parametrize("command,config", [
+        ("ftransform", {"model": {"kind": "hydrogen", "n_max": 3},
+                        "pipeline": {"kind": "ftransform", "function": {"kind": "sin", "params": [0.3]}}}),
+        ("timeop", {"model": {"kind": "custom", "path": "{tmp}/spectrum.json"}}),
+    ], ids=["ftransform-function", "custom-path"])
+    def test_a_required_field_may_come_from_the_config_alone(self, tmp_path, command, config):
+        (tmp_path / "spectrum.json").write_text(json.dumps(hydrogen_point_spectrum(1.0, 1.0, 3).to_json()))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / f"{command}_report.json").exists()
 
     def test_oscspec(self, tmp_path):
         code = main(["oscspec", "--sizes", "50,100", "--jobs", "2",
@@ -399,6 +412,24 @@ class TestSubcommands:
     def test_abweyl_rejects_bad_packet(self, tmp_path):
         code = main(["abweyl", "--sigma", "-1.0", "--out", str(tmp_path)])
         assert code == 2
+
+    # a negative size must not cancel the work of the others
+    @pytest.mark.parametrize("sizes", ["4096,4096,4096", "-100000000,4096"])
+    def test_oscspec_work_beyond_the_cap_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, sizes):
+        def no_solve(omega, n):
+            raise AssertionError("an over-cap size list reached the solver")
+
+        monkeypatch.setattr(cli, "osc_timeop_extremes", no_solve)
+        code = main(["oscspec", f"--sizes={sizes}", "--jobs", "2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        work = sum(abs(int(n)) ** 3 for n in sizes.split(","))
+        assert code == 2
+        assert err == f"error: sizes sum to n^3 = {work}, beyond the limit {cli.OSCSPEC_WORK_LIMIT}\n"
+        assert not (tmp_path / "oscspec_report.json").exists()
+
+    def test_oscspec_cap_admits_the_dense_benchmark_sizes(self, tmp_path):
+        assert 400 ** 3 + 800 ** 3 + 1600 ** 3 <= cli.OSCSPEC_WORK_LIMIT
+        assert main(["oscspec", "--sizes", "400,800,1600", "--out", str(tmp_path)]) == 0
 
     def test_s0check(self, tmp_path):
         code = main(["s0check", "--out", str(tmp_path)])
@@ -534,8 +565,8 @@ class TestFieldTable:
         takes_model = kind in ("timeop", "uwform", "ftransform")
         dests = {a.dest for a in self._subcommands()[kind]._actions}
         assert dests == common | (model if takes_model else set()) | set(cli.PIPELINE_FIELDS[kind])
-        required = {a.dest for a in self._subcommands()[kind]._actions if a.required}
-        assert required == {k for k, (_, d) in cli.PIPELINE_FIELDS[kind].items() if d is cli.REQUIRED}
+        # a REQUIRED field may come from --config, so _resolve, not argparse, demands it
+        assert not [a.dest for a in self._subcommands()[kind]._actions if a.required]
 
     @pytest.mark.parametrize("kind", cli.PIPELINE_KINDS)
     def test_an_empty_pipeline_section_reads_the_defaults(self, kind):
@@ -780,6 +811,16 @@ class TestSubprocessBoundaries:
     ])
     def test_oversized_or_incomplete_runs_are_usage_errors(self, tmp_path, args, match):
         assert_usage_error(*args, "--out", tmp_path, match=match, timeout=30)
+        assert not list(tmp_path.glob("*"))
+
+    @pytest.mark.parametrize("flag,value,match", [
+        ("--m", "1e308", "(m/2)/k overflows"),
+        ("--m", "5e-324", "k^2/2m overflows"),
+        ("--L", "1e308", "grid spacing 2L/N must be finite"),
+        ("--k0", "1e308", "k0 x overflows"),
+    ])
+    def test_abweyl_values_that_overflow_on_the_grid_are_usage_errors(self, tmp_path, flag, value, match):
+        assert_usage_error("abweyl", flag, value, "--out", tmp_path, match=match, timeout=30)
         assert not list(tmp_path.glob("*"))
 
     def test_a_document_beyond_the_state_cap_is_a_usage_error(self, tmp_path):
