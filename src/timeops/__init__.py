@@ -34,8 +34,7 @@ from .timeop import (
     galapon_matrix,
     osc_timeop_extremes,
     oscillator_bound_rows,
-    project_to_difference_span,
-    random_difference_vector,
+    random_difference_stack,
 )
 from .uwform import (
     AdmissibilityError,
@@ -43,19 +42,12 @@ from .uwform import (
     FormChannel,
     FunctionKind,
     FunctionSpec,
-    UncertaintyResult,
     assemble_uwform,
     describe_domains,
-    evaluate_form,
     f_condition_check,
     f_transform_form,
-    in_ccr_domain,
-    project_to_ccr_domain,
-    random_domain_vector,
-    require_ccr_domain,
-    uncertainty_check,
     uncertainty_sweep,
-    uw_ccr_residual,
+    uw_ccr_channel_sweep,
     uw_ccr_sweep,
 )
 from .contspec import (

@@ -46,7 +46,7 @@ from .timeop import (
     ccr_residual,
     osc_timeop_extremes,
     oscillator_bound_rows,
-    random_difference_vector,
+    random_difference_stack,
 )
 from .uwform import (
     FunctionSpec,
@@ -55,6 +55,7 @@ from .uwform import (
     f_condition_check,
     f_transform_form,
     uncertainty_sweep,
+    uw_ccr_channel_sweep,
     uw_ccr_sweep,
 )
 
@@ -252,7 +253,7 @@ def _dumps(payload: dict) -> str:
 
 
 def _parallel(fn, items, jobs: int) -> list:
-    """Order-preserving map, threaded when jobs > 1.
+    """Order-preserving map, threaded when jobs > 1; only ``oscspec``'s sizes use it.
 
     Each work item must carry its own seed; nothing here may depend on
     scheduling order, or reports stop being reproducible.
@@ -300,25 +301,20 @@ def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     if all(t.dimension < 2 for t in block.blocks):
         raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
-    def check_channel(i: int):
-        t = block.blocks[i]
+    channels = []
+    ok = True
+    for i, t in enumerate(block.blocks):
         worst = 0.0
         if t.dimension >= 2:
             rng = np.random.default_rng(config.seed + 10_000 + i)
-            stack = [random_difference_vector(rng, t.dimension) for _ in range(vectors)]
-            worst = ccr_residual(t, stack)
-        ok = worst <= tol["ccr_relative"] * t.scale if t.dimension > 1 else True
-        entry = {
+            worst = ccr_residual(t, random_difference_stack(rng, t.dimension, vectors))
+            ok = ok and worst <= tol["ccr_relative"] * t.scale
+        channels.append({
             "channel_id": i,
             "dimension": t.dimension,
             "max_ccr_residual": worst,
             "hermiticity_defect": t.hermiticity_defect(),
-        }
-        return entry, ok
-
-    results = _parallel(check_channel, range(len(block.blocks)), jobs)
-    channels = [entry for entry, _ in results]
-    ok = all(flag for _, flag in results)
+        })
     return {
         "spectrum": s.to_json(),
         "decomposition": deco.to_json(),
@@ -355,21 +351,17 @@ def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
         deco, form = assemble_uwform(s, pl["p"])
 
     # with no channel of dimension 2 or more, the whole-form sweep raises
-    nontrivial = [i for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
-
-    def channel_sweep(i: int):
-        rng = np.random.default_rng(config.seed + 20_000 + i)
-        return i, uw_ccr_sweep(rng, [form.channel(i)] * vectors)
-
-    per_channel = dict(_parallel(channel_sweep, nontrivial, jobs))
+    rngs = {i: np.random.default_rng(config.seed + 20_000 + i)
+            for i, ch in enumerate(form.blocks) if ch.dimension >= 2}
+    per_channel = uw_ccr_channel_sweep(rngs, form, vectors)
     whole = uw_ccr_sweep(np.random.default_rng(config.seed + 30_000), [form] * vectors)
-    worst = float(np.max([*per_channel.values(), whole]))
+    worst = float(np.max([*per_channel[list(rngs)], whole]))
     min_value, im_defect = uncertainty_sweep(np.random.default_rng(config.seed + 40_000), form, vectors)
 
     residual_ok = worst <= tol["uw_ccr"]
     uncertainty_ok = min_value >= 0.5 - tol["uncertainty_slack"] and im_defect <= tol["im_identity"]
     channels = [
-        {**entry, "max_uw_ccr_residual": per_channel.get(entry["channel_id"], 0.0)}
+        {**entry, "max_uw_ccr_residual": float(per_channel[entry["channel_id"]])}
         for entry in describe_domains(form)
     ]
     report = {
@@ -677,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="RunConfig JSON file")
     common.add_argument("--out", type=Path, default=Path("."), help="report directory")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for independent sweeps")
+    common.add_argument("--jobs", type=int, default=1, help="worker threads for oscspec's sizes")
     common.add_argument("--seed", type=int, default=None, help="seed for random test vectors")
 
     model_flags = argparse.ArgumentParser(add_help=False)

@@ -40,6 +40,7 @@ once the order clears a frequency-dependent floor.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -396,14 +397,19 @@ def _cis(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _gauss_hermite(order: int):
     """Nodes and weights for integrals against rho = exp(-lambda^2)/sqrt(pi).
 
     Gauss-Hermite integrates against exp(-x^2); the weights carry the
-    1/sqrt(pi) normalization so that sum(w) = 1.
+    1/sqrt(pi) normalization so that sum(w) = 1.  The rule is built once
+    per order and shared, so both arrays are read-only.
     """
     nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-    return nodes, weights / math.sqrt(math.pi)
+    weights = weights / math.sqrt(math.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

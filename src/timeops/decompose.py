@@ -255,6 +255,14 @@ class DecompositionReport:
         }
 
 
+def _certificate_term(k: int, p: float) -> float:
+    """1/k^p; when k^p overflows, k^-p, which underflows gracefully instead."""
+    try:
+        return 1.0 / float(k) ** p
+    except OverflowError:
+        return float(k) ** -p
+
+
 def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
     """Check the structural invariants of a decomposition.
 
@@ -284,10 +292,10 @@ def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
             increasing = False
             violations.append(f"channel {i} certificate is not strictly increasing")
 
-    sums = tuple(
-        float(sum(1.0 / float(k) ** c.p for k in cert))
-        for cert in c.certificates
-    )
+    try:
+        sums = tuple(float(sum(1.0 / float(k) ** c.p for k in cert)) for cert in c.certificates)
+    except OverflowError:
+        sums = tuple(float(sum(_certificate_term(k, c.p) for k in cert)) for cert in c.certificates)
     return DecompositionReport(
         disjoint_cover=disjoint_cover,
         simple_channels=simple,

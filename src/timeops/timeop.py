@@ -34,8 +34,7 @@ __all__ = [
     "BlockDiagonal",
     "galapon_matrix",
     "ccr_residual",
-    "project_to_difference_span",
-    "random_difference_vector",
+    "random_difference_stack",
     "channel_time_operator",
     "assemble_time_operator",
     "osc_timeop_extremes",
@@ -129,34 +128,40 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
 
     gaps = np.subtract.outer(ev, ev)          # gaps[n, m] = E_n - E_m
     np.fill_diagonal(gaps, 1.0)               # placeholder, diagonal is zeroed below
-    if kind is MatrixKind.DIRECT:
-        data = 1j / gaps
-    else:
-        data = 1j * np.multiply.outer(ev, ev) / (-gaps)
+    # a subnormal gap overflows the quotient; finite eigenvalues must give finite entries
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind is MatrixKind.DIRECT:
+            data = 1j / gaps
+        else:
+            data = 1j * np.multiply.outer(ev, ev) / (-gaps)
     np.fill_diagonal(data, 0.0)
+    if np.all(np.isfinite(ev)) and not np.all(np.isfinite(data)):
+        entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
+        raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
+                         f"(smallest gap {float(np.min(np.diff(ev)))!r})")
     return TimeOperatorMatrix(ev.size, data, tuple(ev), kind)
 
 
-def project_to_difference_span(v) -> np.ndarray:
-    """Remove the mean so the coefficient sum is zero."""
-    vec = np.asarray(v, dtype=complex)
-    return vec - vec.mean()
+def random_difference_stack(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` seeded random unit vectors with zero coefficient sum, one per row.
 
-
-def random_difference_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Seeded random unit vector with zero coefficient sum.
-
-    Coefficients are drawn uniformly from the complex square [-1,1]^2,
-    projected, and normalized; the rare near-zero projection is redrawn.
+    All coefficients come from one draw of shape (count, 2, dim), uniform
+    in [-1, 1]: row by row, the real parts, then the imaginary parts.
+    Each row has its mean removed and is normalized; a row whose
+    projection is near zero is redrawn after the batch, one at a time.
     """
     if dim < 2:
         raise ValueError("the difference span is trivial below dimension 2")
-    while True:
-        v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
-        v = project_to_difference_span(v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-8:
-            return v / norm
+    draws = rng.uniform(-1.0, 1.0, (count, 2, dim))
+    stack = draws[:, 0] + 1j * draws[:, 1]
+    stack -= stack.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(stack, axis=1)
+    for row in np.flatnonzero(norms <= 1e-8):
+        while norms[row] <= 1e-8:
+            v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
+            stack[row] = v - v.mean()
+            norms[row] = np.linalg.norm(stack[row])
+    return stack / norms[:, None]
 
 
 def _require_difference_span(vecs: np.ndarray) -> None:
@@ -190,8 +195,10 @@ def ccr_residual(t: TimeOperatorMatrix, v) -> float:
     equals i(J - I) and the all-ones contribution is annihilated on that span.
     Vectors whose coefficient sum exceeds the membership tolerance are
     rejected rather than silently measured.  The commutator is formed
-    once per call and applied one row at a time, so each row's residual
-    has the same bits as a single-vector call.
+    once per call and applied to the whole stack in one matrix product.
+    A stack of 0 and +-1 entries (differences of basis vectors) gets the
+    same bits as one matrix-vector product per row: each entry of the
+    product is one subtraction of two commutator entries.
     """
     vecs = np.asarray(v, dtype=complex)
     if vecs.ndim == 1:
@@ -202,7 +209,7 @@ def ccr_residual(t: TimeOperatorMatrix, v) -> float:
         raise ValueError("need at least one vector")
     _require_difference_span(vecs)
     comm = _commutator(t)
-    return float(np.max([np.linalg.norm(comm @ vec + 1j * vec) for vec in vecs]))
+    return float(np.max(np.linalg.norm(vecs @ comm.T + 1j * vecs, axis=1)))
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,14 @@ nonzero and the accumulation at zero survives, the transformed form is
 built by the same channel machinery.  Admissibility is checked before any
 matrix is touched, with witnesses naming the offending eigenvalues.
 
-Inner products are antilinear in the first slot throughout (np.vdot).
+Inner products are antilinear in the first slot throughout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,21 +42,14 @@ from .timeop import BlockDiagonal, MatrixKind, galapon_matrix
 
 __all__ = [
     "FormChannel",
-    "UncertaintyResult",
     "FunctionKind",
     "FunctionSpec",
     "AdmissibilityReport",
     "AdmissibilityError",
-    "evaluate_form",
-    "in_ccr_domain",
-    "require_ccr_domain",
-    "project_to_ccr_domain",
     "describe_domains",
     "assemble_uwform",
-    "random_domain_vector",
-    "uw_ccr_residual",
     "uw_ccr_sweep",
-    "uncertainty_check",
+    "uw_ccr_channel_sweep",
     "uncertainty_sweep",
     "f_condition_check",
     "f_transform_form",
@@ -69,6 +63,11 @@ UNIT_NORM_ATOL = 1e-12
 
 #: Sin-resonance detector: 2*beta*E within this of a nonzero integer fails.
 SIN_RESONANCE_ATOL = 1e-9
+
+#: Coordinates a sweep draws and checks at once (rows x vector length).
+#: Longer sweeps run in chunks of rows, drawn in the same order, so their
+#: memory grows with the chunk, not with the number of vectors.
+SWEEP_CHUNK = 2 ** 18
 
 
 class FormChannel:
@@ -107,58 +106,6 @@ class FormChannel:
         """The form pairs with H = diag(E) itself."""
         return self.eigenvalues
 
-    def domain_defect(self, v: np.ndarray) -> float:
-        """|sum E_n v_n|, the distance of v from the commutation domain."""
-        return abs(complex(np.dot(self.eigenvalues, v)))
-
-    def project_to_ccr_domain(self, v: np.ndarray) -> np.ndarray:
-        if self.dimension == 1:
-            # the constraint kills everything; avoid leaving round-off dust
-            return np.zeros_like(v)
-        e = self.eigenvalues
-        w = v - (np.dot(e, v) / np.dot(e, e)) * e
-        # second pass scrubs the cancellation residue of the first
-        return w - (np.dot(e, w) / np.dot(e, e)) * e
-
-
-def evaluate_form(form: BlockDiagonal, phi, psi) -> complex:
-    """t[phi, psi], antilinear in phi, summed block by block."""
-    phi = np.asarray(phi, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    total = 0.0 + 0.0j
-    for ch, phi_i, psi_i in zip(form.blocks, form.pieces(phi), form.pieces(psi)):
-        total += np.vdot(phi_i, ch.evaluator @ psi_i)
-    return complex(total)
-
-
-def in_ccr_domain(form: BlockDiagonal, v) -> bool:
-    """Whether every block piece of v is orthogonal to its eigenvalue vector."""
-    vec = np.asarray(v, dtype=complex)
-    pieces = form.pieces(vec)
-    # the block tolerance is anchored to the norm of the whole vector:
-    # a nearly annihilated block piece is round-off, not a violation
-    whole = float(np.linalg.norm(vec))
-    for ch, piece in zip(form.blocks, pieces):
-        scale = float(np.linalg.norm(ch.eigenvalues)) * whole
-        # written so that NaN fails
-        if not ch.domain_defect(piece) <= CCR_DOMAIN_RTOL * max(scale, 1e-300):
-            return False
-    return True
-
-
-def require_ccr_domain(form: BlockDiagonal, v) -> None:
-    if not in_ccr_domain(form, v):
-        raise ValueError(
-            "vector lies outside the form's commutation domain "
-            "(some block is not orthogonal to its eigenvalue vector)"
-        )
-
-
-def project_to_ccr_domain(form: BlockDiagonal, v) -> np.ndarray:
-    """Project v onto the commutation domain, block by block."""
-    pieces = form.pieces(np.asarray(v, dtype=complex))
-    return np.concatenate([ch.project_to_ccr_domain(p) for ch, p in zip(form.blocks, pieces)])
-
 
 def describe_domains(form: BlockDiagonal) -> list[dict]:
     """Per-channel summary of sizes and eigenvalue ranges."""
@@ -192,88 +139,264 @@ def _form_of(deco: ChannelDecomposition) -> BlockDiagonal:
     ))
 
 
-def random_domain_vector(rng: np.random.Generator, form: BlockDiagonal) -> np.ndarray:
-    """Seeded random unit vector in the form's commutation domain.
+# ------------------------------------------------------------ sweep kernels
+#
+# A sweep checks an identity on stacks of random unit vectors in the
+# commutation domain.  The channels of one dimension d >= 2 are stacked
+# into a group, and the vectors of a sweep are held group by group as
+# (c, k, d) arrays: c channels, k rows.  A row is one vector: a
+# whole-form vector spans every group, a channel vector only its own
+# channel.  Channels of dimension 1 have a trivial domain and hold no
+# coefficients.
 
-    Uniform complex coefficients projected blockwise and normalized;
-    a near-zero projection is redrawn.  A form whose channels all have
-    dimension 1 has a trivial domain and is rejected.
-    """
-    if all(ch.dimension < 2 for ch in form.blocks):
+
+class _Group(NamedTuple):
+    """The c channels of one dimension d >= 2 of a form, stacked."""
+
+    blocks: np.ndarray        # (c,) block positions in the form
+    index: np.ndarray         # (c, d) coordinates of each block in a whole-form vector
+    eigenvalues: np.ndarray   # (c, d)
+    evaluators: np.ndarray    # (c, d, d)
+
+
+def _groups(form: BlockDiagonal) -> list[_Group]:
+    """The form's channels of dimension 2 or more, grouped by dimension."""
+    members: dict[int, list[int]] = {}
+    for i, ch in enumerate(form.blocks):
+        if ch.dimension >= 2:
+            members.setdefault(ch.dimension, []).append(i)
+    coordinates = form.pieces(np.arange(form.total_dimension))
+    return [
+        _Group(
+            np.array(ids),
+            np.stack([coordinates[i] for i in ids]),
+            np.stack([form.blocks[i].eigenvalues for i in ids]),
+            np.stack([form.blocks[i].evaluator for i in ids]),
+        )
+        for ids in members.values()
+    ]
+
+
+def _nontrivial_groups(form: BlockDiagonal) -> list[_Group]:
+    groups = _groups(form)
+    if not groups:
         raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
-    dim = form.total_dimension
-    while True:
-        v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
-        v = project_to_ccr_domain(form, v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-8:
-            return v / norm
+    return groups
 
 
-def uw_ccr_residual(form: BlockDiagonal, phi, psi) -> float:
-    """|t[H phi, psi] - t[phi, H psi] + i (phi, psi)| on the form domain."""
-    phi = np.asarray(phi, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    require_ccr_domain(form, phi)
-    require_ccr_domain(form, psi)
-    h = form.hamiltonian_diagonal()
-    lhs = evaluate_form(form, h * phi, psi)
-    rhs = evaluate_form(form, phi, h * psi)
-    return abs(lhs - rhs + 1j * np.vdot(phi, psi))
+def _project(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Remove from each (c, k, d) row its component along its channel's eigenvalue row of e (c, d).
+
+    The second pass scrubs the cancellation residue of the first.
+    """
+    ee = np.einsum("cd,cd->c", e, e)[:, None, None]
+    w = v - np.einsum("cd,ckd->ck", e, v)[..., None] / ee * e[:, None, :]
+    return w - np.einsum("cd,ckd->ck", e, w)[..., None] / ee * e[:, None, :]
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """|row|^2 of each (c, k, d) row, shape (c, k)."""
+    return np.einsum("ckd,ckd->ck", v.real, v.real) + np.einsum("ckd,ckd->ck", v.imag, v.imag)
+
+
+def _whole_norms(pieces: list[np.ndarray]) -> np.ndarray:
+    """Norm of each whole-form row, shape (k,)."""
+    return np.sqrt(sum(_squared_norms(p).sum(axis=0) for p in pieces))
+
+
+def _random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+
+
+def _whole_rows(groups: list[_Group], v: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Project the (k, n) whole-form vectors v blockwise and normalize each one.
+
+    A row whose projection has norm <= 1e-8 is replaced by a fresh draw
+    from ``rng`` until it clears that, one row at a time after the batch.
+    A NaN row is kept, so the domain check refuses it.
+    """
+    pieces = [_project(g.eigenvalues, v[:, g.index].transpose(1, 0, 2)) for g in groups]
+    norms = _whole_norms(pieces)
+    for row in np.flatnonzero(norms <= 1e-8):
+        while norms[row] <= 1e-8:
+            fresh_row = _random_vector(rng, v.shape[1])
+            fresh = [_project(g.eigenvalues, fresh_row[g.index][:, None, :]) for g in groups]
+            norms[row] = _whole_norms(fresh)[0]
+        for p, f in zip(pieces, fresh):
+            p[:, row] = f[:, 0]
+    with np.errstate(invalid="ignore"):   # a NaN row stays NaN
+        units = [p / norms[:, None] for p in pieces]
+    _require_domain(groups, units, [_whole_norms(units)] * len(groups))
+    return units
+
+
+def _channel_rows(groups: list[_Group], v: list[np.ndarray], rngs) -> list[np.ndarray]:
+    """Project each group's (c, k, d) channel vectors and normalize each one on its own.
+
+    A vector whose projection has norm <= 1e-8 is replaced by a fresh
+    draw from its block's generator in ``rngs`` until it clears that, one
+    at a time after the batch.
+    """
+    units = []
+    for g, raw in zip(groups, v):
+        p = _project(g.eigenvalues, raw)
+        norms = np.sqrt(_squared_norms(p))
+        for c, row in zip(*np.nonzero(norms <= 1e-8)):
+            while norms[c, row] <= 1e-8:
+                fresh_row = _random_vector(rngs[g.blocks[c]], raw.shape[2])
+                fresh = _project(g.eigenvalues[c:c + 1], fresh_row[None, None, :])
+                norms[c, row] = math.sqrt(float(_squared_norms(fresh)[0, 0]))
+            p[c, row] = fresh[0, 0]
+        with np.errstate(invalid="ignore"):   # a NaN row stays NaN
+            units.append(p / norms[..., None])
+    _require_domain(groups, units, [np.sqrt(_squared_norms(u)) for u in units])
+    return units
+
+
+def _require_domain(groups: list[_Group], units: list[np.ndarray], row_norms: list[np.ndarray]) -> None:
+    """Refuse a vector with any channel piece off its channel's commutation domain.
+
+    The tolerance of a piece is anchored to the norm of its whole row
+    (``row_norms``, broadcast to (c, k)): a nearly annihilated piece is
+    round-off, not a violation.
+    """
+    for g, u, whole in zip(groups, units, row_norms):
+        defects = np.abs(np.einsum("cd,ckd->ck", g.eigenvalues, u))
+        scale = np.linalg.norm(g.eigenvalues, axis=1)[:, None] * whole
+        # written so that NaN fails
+        if not np.all(defects <= CCR_DOMAIN_RTOL * np.maximum(scale, 1e-300)):
+            raise ValueError(
+                "vector lies outside the form's commutation domain "
+                "(some block is not orthogonal to its eigenvalue vector)"
+            )
+
+
+def _apply(g: _Group, v: np.ndarray) -> np.ndarray:
+    """Each channel's evaluator applied to its (c, k, d) rows: one matrix product per channel."""
+    return v @ g.evaluators.transpose(0, 2, 1)
+
+
+def _ccr_terms(groups: list[_Group], phi: list[np.ndarray], psi: list[np.ndarray]) -> list[np.ndarray]:
+    """t[H phi, psi] - t[phi, H psi] + i (phi, psi) per channel and row, (c, k) per group."""
+    terms = []
+    for g, f, s in zip(groups, phi, psi):
+        h = g.eigenvalues[:, None, :]
+        a_psi, a_h_psi = np.split(_apply(g, np.concatenate([s, h * s], axis=1)), 2, axis=1)
+        lhs = np.einsum("ckd,ckd->ck", (h * f).conj(), a_psi)
+        rhs = np.einsum("ckd,ckd->ck", f.conj(), a_h_psi)
+        terms.append(lhs - rhs + 1j * np.einsum("ckd,ckd->ck", f.conj(), s))
+    return terms
+
+
+def _whole_pair_residuals(form: BlockDiagonal, draws: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Ultra-weak CCR residual of each pair of whole-form vectors in draws (k, 2, 2, n)."""
+    groups = _nontrivial_groups(form)
+    phi = _whole_rows(groups, draws[:, 0, 0] + 1j * draws[:, 0, 1], rng)
+    psi = _whole_rows(groups, draws[:, 1, 0] + 1j * draws[:, 1, 1], rng)
+    return np.abs(sum(t.sum(axis=0) for t in _ccr_terms(groups, phi, psi)))
+
+
+def _chunks(widths: list[int]):
+    """Consecutive (start, stop) ranges of rows whose widths sum to at most SWEEP_CHUNK; a wider row alone."""
+    start = total = 0
+    for i, width in enumerate(widths):
+        if i > start and total + width > SWEEP_CHUNK:
+            yield start, i
+            start, total = i, 0
+        total += width
+    yield start, len(widths)
+
+
+def _uw_ccr_worst(rng: np.random.Generator, forms: list[BlockDiagonal]) -> float:
+    """Worst residual over one pair per form, every coefficient from one draw."""
+    sizes = [4 * f.total_dimension for f in forms]
+    per_pair = np.split(rng.uniform(-1.0, 1.0, sum(sizes)), np.cumsum(sizes)[:-1])
+    pairs: dict[BlockDiagonal, list[np.ndarray]] = {}
+    for f, draw in zip(forms, per_pair):
+        pairs.setdefault(f, []).append(draw.reshape(2, 2, -1))
+    return np.max(np.concatenate([_whole_pair_residuals(f, np.stack(draws), rng) for f, draws in pairs.items()]))
 
 
 def uw_ccr_sweep(rng: np.random.Generator, forms) -> float:
     """Worst ultra-weak CCR residual over one random domain pair per form.
 
-    Draws phi, then psi, for each form in order.  The reduction is
-    ``np.max``, so a NaN residual propagates instead of being skipped.
+    |t[H phi, psi] - t[phi, H psi] + i (phi, psi)| for unit vectors phi,
+    psi in the commutation domain.  Every coefficient comes from one draw
+    (one per chunk of SWEEP_CHUNK coordinates, in the same order): for
+    each form in order, phi's real then imaginary parts, then psi's.  The
+    pairs of each distinct form are then checked together.  The reduction
+    is ``np.max``, so a NaN residual propagates instead of being skipped.
     """
-    residuals = [uw_ccr_residual(f, random_domain_vector(rng, f), random_domain_vector(rng, f)) for f in forms]
-    if not residuals:
+    forms = list(forms)
+    if not forms:
         raise ValueError("need at least one form; a sweep over no pairs checks nothing")
-    return float(np.max(residuals))
+    chunks = _chunks([f.total_dimension for f in forms])
+    return float(np.max([_uw_ccr_worst(rng, forms[start:stop]) for start, stop in chunks]))
 
 
-@dataclass(frozen=True)
-class UncertaintyResult:
-    value: float
-    imaginary_part: float
+def uw_ccr_channel_sweep(rngs, form: BlockDiagonal, count: int) -> np.ndarray:
+    """Worst ultra-weak CCR residual of each channel over ``count`` random pairs of its own.
 
-
-def uncertainty_check(form: BlockDiagonal, psi, a: float = 0.0, b: float = 0.0) -> UncertaintyResult:
-    """Evaluate (t - a)[(H - b) psi, psi] for a unit domain vector psi.
-
-    The imaginary part equals -1/2 identically on the domain, so the
-    modulus is bounded below by 1/2 for every real center pair (a, b).
-    The caller gates both facts against its own tolerances.
+    ``rngs[i]`` draws the pairs of block i, for every block of dimension
+    2 or more, in one call (one per chunk of pairs, in the same order):
+    pair by pair, phi's real then imaginary parts, then psi's.  The
+    channels of one dimension are then checked together.  Returns one
+    value per block, 0 for blocks of dimension 1; a NaN residual
+    propagates.
     """
-    psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > UNIT_NORM_ATOL:
+    if count < 1:
+        raise ValueError("need at least one pair; a sweep over none checks nothing")
+    worst = np.zeros(len(form.blocks))
+    groups = _groups(form)
+    if not groups:
+        return worst
+    for start, stop in _chunks([sum(g.index.size for g in groups)] * count):
+        draws = [np.stack([rngs[i].uniform(-1.0, 1.0, (stop - start, 2, 2, g.index.shape[1])) for i in g.blocks])
+                 for g in groups]
+        phi = _channel_rows(groups, [x[:, :, 0, 0] + 1j * x[:, :, 0, 1] for x in draws], rngs)
+        psi = _channel_rows(groups, [x[:, :, 1, 0] + 1j * x[:, :, 1, 1] for x in draws], rngs)
+        for g, terms in zip(groups, _ccr_terms(groups, phi, psi)):
+            # np.maximum, not np.fmax: a NaN stays
+            worst[g.blocks] = np.maximum(worst[g.blocks], np.max(np.abs(terms), axis=1))
+    return worst
+
+
+def _uncertainty_extremes(rng: np.random.Generator, groups: list[_Group], n: int, count: int):
+    """(smallest |z|, worst |Im z + 1/2|) over ``count`` checks, every number from one draw."""
+    draws = rng.uniform(-1.0, 1.0, (count, 2 + 2 * n))
+    # 2 u(-1, 1) has the bits of u(-2, 2): scaling by 2 commutes with rounding
+    a, b = 2.0 * draws[:, 0], 2.0 * draws[:, 1]
+    psi = _whole_rows(groups, draws[:, 2:2 + n] + 1j * draws[:, 2 + n:], rng)
+    # written so that NaN fails
+    if not np.all(np.abs(_whole_norms(psi) - 1.0) <= UNIT_NORM_ATOL):
         raise ValueError("psi must be a unit vector")
-    require_ccr_domain(form, psi)
-    a = float(a)
-    b = float(b)
-    shifted = form.hamiltonian_diagonal() * psi - b * psi
-    z = evaluate_form(form, shifted, psi) - a * np.vdot(shifted, psi)
-    z = complex(z)
-    return UncertaintyResult(value=abs(z), imaginary_part=z.imag)
+    form_value = inner = 0.0
+    for g, p in zip(groups, psi):
+        shifted = (g.eigenvalues[:, None, :] * p - b[:, None] * p).conj()
+        form_value = form_value + np.einsum("ckd,ckd->k", shifted, _apply(g, p))
+        inner = inner + np.einsum("ckd,ckd->k", shifted, p)
+    z = form_value - a * inner
+    return np.min(np.abs(z)), np.max(np.abs(z.imag + 0.5))
 
 
 def uncertainty_sweep(rng: np.random.Generator, form: BlockDiagonal, count: int) -> tuple[float, float]:
     """(smallest value, worst |Im + 1/2|) over ``count`` random checks.
 
-    Each check draws centers a and b from [-2, 2], then a unit domain
-    vector psi.  NaN propagates through both reductions.
+    Each check takes centers a and b from [-2, 2] and a unit domain
+    vector psi, and evaluates z = (t - a)[(H - b) psi, psi]: its
+    imaginary part equals -1/2 identically on the domain, so |z| is
+    bounded below by 1/2 for every real center pair.  Every number comes
+    from one draw (one per chunk of checks, in the same order): check by
+    check, a, b, then psi's real and imaginary parts.  NaN propagates
+    through both reductions.
     """
     if count < 1:
         raise ValueError("need at least one sample; a sweep over none checks nothing")
-    results = []
-    for _ in range(count):
-        a, b = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))
-        results.append(uncertainty_check(form, random_domain_vector(rng, form), a, b))
-    defects = [abs(r.imaginary_part + 0.5) for r in results]
-    return float(np.min([r.value for r in results])), float(np.max(defects))
+    groups = _nontrivial_groups(form)
+    n = form.total_dimension
+    lows, defects = zip(*(_uncertainty_extremes(rng, groups, n, stop - start)
+                          for start, stop in _chunks([n] * count)))
+    return float(np.min(lows)), float(np.max(defects))
 
 
 class FunctionKind(str, Enum):

@@ -655,6 +655,9 @@ _WRONG_TYPES = st.one_of(
     st.fixed_dictionaries({"x": st.integers(0, 3)}),
 )
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Finite but extreme: near the overflow threshold, and down to the smallest subnormal.
+_EXTREME = st.sampled_from([1e308, -1e308, 1e-308, -1e-308, 1e300, -1e300, 1e-300, -1e-300,
+                            1e200, -1e200, 1e-200, -1e-200, 5e-324, -5e-324])
 _BEYOND_CAPS = [10 ** 7, 2 ** 31, 10 ** 12, 10 ** 30]
 
 #: Per field type: small valid values, and hostile ones (wrong JSON types,
@@ -669,10 +672,10 @@ _VALID = {
                                          "params": st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2)}),
 }
 _HOSTILE = {
-    cli.NUMBER: st.one_of(_NON_FINITE, _WRONG_TYPES),
+    cli.NUMBER: st.one_of(_NON_FINITE, _EXTREME, _WRONG_TYPES),
     cli.INTEGER: st.sampled_from([*_BEYOND_CAPS, -2, 0, 3.0, math.nan, True, "3", [3], None]),
     cli.STRING: st.one_of(st.just("no-such-spectrum.json"), _WRONG_TYPES),
-    cli.NUMBERS: st.one_of(st.lists(st.one_of(_NON_FINITE, _WRONG_TYPES), min_size=1, max_size=2),
+    cli.NUMBERS: st.one_of(st.lists(st.one_of(_NON_FINITE, _EXTREME, _WRONG_TYPES), min_size=1, max_size=2),
                            st.just([]), _WRONG_TYPES),
     cli.INTEGERS: st.one_of(st.lists(st.sampled_from([*_BEYOND_CAPS, -2, 0]), min_size=1, max_size=2),
                             st.just([]), _WRONG_TYPES),
@@ -828,6 +831,23 @@ class TestSubprocessBoundaries:
         src.write_text(json.dumps({"accumulation": "to_zero", "entries": [[-1, 10 ** 12]]}))
         assert_usage_error("decompose", "--input", src, "--out", tmp_path / "out",
                            match="spectrum has 1000000000000 states, beyond the limit 1000000", timeout=30)
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_exponent_decomposes_without_overflow(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"kind": "oscillator"}, "pipeline": {"kind": "timeop", "p": 1e308}}))
+        proc = run_module("decompose", "--config", config, "--out", tmp_path, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert _read(tmp_path / "decompose_report.json")["verification"]["ok"] is True
+
+    def test_subnormal_transform_coefficient_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        function = {"kind": "poly", "params": [0.0, 2.225073858507203e-309]}
+        config.write_text(json.dumps({"model": {"kind": "hydrogen"},
+                                      "pipeline": {"kind": "uwform", "function": function}}))
+        assert_usage_error("uwform", "--config", config, "--out", tmp_path / "out",
+                           match="overflow to a non-finite value", timeout=30)
         assert not (tmp_path / "out").exists()
 
     def test_rabi_cutoff_beyond_the_dimension_limit_is_a_usage_error(self, tmp_path):

@@ -532,6 +532,35 @@ class TestGaussianDensity:
         nodes, weights = _gauss_hermite(64)
         assert np.sum(weights * nodes ** 2) == pytest.approx(0.5, abs=1e-12)
 
+    def test_rule_is_built_once_per_order_and_read_only(self, monkeypatch):
+        built = []
+        hermgauss = np.polynomial.hermite.hermgauss
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: built.append(n) or hermgauss(n))
+        _gauss_hermite.cache_clear()
+        try:
+            nodes, weights = _gauss_hermite(64)
+            assert _gauss_hermite(64)[0] is nodes
+            _gauss_hermite(96)
+            assert built == [64, 96]
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 0.0
+            expected_nodes, expected_weights = hermgauss(64)
+            assert np.array_equal(nodes, expected_nodes)
+            assert np.array_equal(weights, expected_weights / math.sqrt(math.pi))
+        finally:
+            _gauss_hermite.cache_clear()
+
+    def test_cached_rule_gives_the_uncached_residual_bits(self):
+        f = ExpCombination(terms=((1.0 + 0.0j, -2.5), (0.3 - 0.2j, 1.1), (-0.7j, 4.0)))
+        g = ExpCombination(terms=((0.2 + 0.0j, -4.0), (1.0j, 0.5), (0.5 + 0.0j, 3.3)))
+        first = s0_symmetry_residual(f, g)
+        nodes, weights = np.polynomial.hermite.hermgauss(64)
+        weights = weights / math.sqrt(math.pi)
+        yf, yg = s0_apply(f).evaluate(nodes), s0_apply(g).evaluate(nodes)
+        left = np.sum(weights * np.conj(yf) * g.evaluate(nodes))
+        right = np.sum(weights * np.conj(f.evaluate(nodes)) * yg)
+        assert first == s0_symmetry_residual(f, g) == float(abs(left - right))
+
 
 class TestS0Class:
     def test_constant_maps_to_minus_i_lambda(self):

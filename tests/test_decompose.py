@@ -275,6 +275,19 @@ class TestVerifyDecomposition:
         assert not report.increasing_certificates
         assert not report.ok
 
+    @pytest.mark.parametrize("p", [1e308, 1e300, 1100.0])
+    def test_huge_exponent_terms_underflow_instead_of_raising(self, p):
+        deco = decompose_spectrum(harmonic_spectrum([1.0], 6), p)
+        report = verify_decomposition(deco)
+        assert report.ok
+        # 1/1^p is 1 and every other 1/k^p underflows to 0
+        assert report.certificate_sums == tuple(1.0 if cert[0] == 1 else 0.0 for cert in deco.certificates)
+
+    def test_certificate_terms_keep_their_bits_below_overflow(self):
+        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 6), 2.5)
+        expected = tuple(float(sum(1.0 / float(k) ** 2.5 for k in cert)) for cert in deco.certificates)
+        assert verify_decomposition(deco).certificate_sums == expected
+
     def test_report_json_carries_ok_flag(self):
         deco = decompose_spectrum(harmonic_spectrum([1.0], 5))
         doc = verify_decomposition(deco).to_json()

@@ -24,9 +24,50 @@ from timeops.timeop import (
     TimeOperatorMatrix,
     osc_timeop_extremes,
     oscillator_bound_rows,
-    project_to_difference_span,
-    random_difference_vector,
+    random_difference_stack,
 )
+
+
+# ------------------------------------------------ per-vector references
+#
+# The one-vector-at-a-time draw that random_difference_stack replaced.
+
+
+def project_to_difference_span(v):
+    """Remove the mean so the coefficient sum is zero."""
+    vec = np.asarray(v, dtype=complex)
+    return vec - vec.mean()
+
+
+def random_difference_vector(rng, dim):
+    """Seeded random unit vector with zero coefficient sum; a near-zero projection is redrawn."""
+    if dim < 2:
+        raise ValueError("the difference span is trivial below dimension 2")
+    while True:
+        v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
+        v = project_to_difference_span(v)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-8:
+            return v / norm
+
+
+class RecordingRng:
+    """A generator that records every number ``uniform`` hands out; ``replace`` plants a draw."""
+
+    def __init__(self, seed, replace=None):
+        self.rng = np.random.default_rng(seed)
+        self.replace = dict(replace or {})
+        self.calls = 0
+        self.drawn = []
+
+    def uniform(self, low, high, size=None):
+        out = self.replace.get(self.calls, self.rng.uniform(low, high, size))
+        self.calls += 1
+        self.drawn.append(np.ravel(out))
+        return out
+
+    def stream(self):
+        return np.concatenate(self.drawn)
 
 
 class TestGalaponMatrix:
@@ -98,6 +139,17 @@ class TestGalaponMatrix:
         with pytest.raises(ValueError, match="exceeds"):
             galapon_matrix(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
 
+    @pytest.mark.parametrize("kind,values", [
+        # E_n*E_m/(E_m - E_n) with subnormal eigenvalues: the complex quotient overflows
+        (MatrixKind.INVERSE_CONJUGATE, [-1.1125369292536007e-309, -2.781342323134002e-310]),
+        # 1/(E_n - E_m) with a subnormal gap
+        (MatrixKind.DIRECT, [0.0, 5e-324]),
+    ])
+    def test_overflowing_entries_are_refused_without_a_warning(self, kind, values):
+        # the suite turns RuntimeWarnings into errors, so a warning fails this test
+        with pytest.raises(ValueError, match=r"entries .* overflow to a non-finite value"):
+            galapon_matrix(values, kind)
+
     @given(
         st.lists(
             st.floats(min_value=0.01, max_value=10.0),
@@ -133,6 +185,30 @@ class TestDifferenceSpan:
     def test_trivial_dimension_rejected(self):
         with pytest.raises(ValueError):
             random_difference_vector(np.random.default_rng(0), 1)
+        with pytest.raises(ValueError, match="trivial"):
+            random_difference_stack(np.random.default_rng(0), 1, 3)
+
+    @pytest.mark.parametrize("dim", [2, 17, 600])
+    def test_stack_draws_match_the_loop_bit_for_bit(self, dim):
+        batched = RecordingRng(8)
+        stack = random_difference_stack(batched, dim, 12)
+        looped = RecordingRng(8)
+        rows = [random_difference_vector(looped, dim) for _ in range(12)]
+        assert batched.calls == 1
+        assert np.array_equal(batched.stream(), looped.stream())
+        # the rows are the loop's vectors up to the rounding of the norm
+        assert np.max(np.abs(stack - np.array(rows))) <= 1e-15
+        assert np.all(np.abs(stack.sum(axis=1)) <= 1e-13)
+        assert np.allclose(np.linalg.norm(stack, axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+    def test_stack_redraws_a_near_zero_row_after_the_batch(self):
+        draw = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 4))
+        draw[1] = 0.25   # mean removal leaves exactly zero
+        rng = RecordingRng(2, {0: draw})
+        stack = random_difference_stack(rng, 4, 3)
+        assert rng.calls == 3   # the batch, then one redraw: real, imaginary
+        assert np.allclose(np.linalg.norm(stack, axis=1), 1.0, rtol=0.0, atol=1e-14)
+        assert np.all(np.abs(stack.sum(axis=1)) <= 1e-13)
 
 
 class TestCcrResidual:
@@ -181,13 +257,17 @@ class TestCcrResidual:
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(60)),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 41) ** 2),
     ])
-    def test_stack_is_the_worst_single_vector_bit_for_bit(self, kind, values):
+    def test_stack_is_the_worst_single_vector(self, kind, values):
+        # one matrix product sums in another order than one product per row
         t = galapon_matrix(values, kind)
         rng = np.random.default_rng(21)
         stack = np.array([random_difference_vector(rng, t.dimension) for _ in range(12)])
         singles = [ccr_residual(t, v.copy()) for v in stack]
-        assert ccr_residual(t, stack) == max(singles)
-        assert ccr_residual(t, list(stack)) == max(singles)
+        reference = max(np.linalg.norm(_commutator(t) @ v + 1j * v) for v in stack)
+        assert max(singles) == pytest.approx(reference, rel=0.0, abs=1e-13 * t.scale)
+        assert ccr_residual(t, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * t.scale)
+        assert ccr_residual(t, list(stack)) == ccr_residual(t, stack)
+        assert ccr_residual(t, stack) <= 1e-12 * t.scale
 
     def test_nan_vector_is_rejected(self):
         ev = np.array([1.0, 2.0, 3.0])

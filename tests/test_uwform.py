@@ -3,27 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import dataclass
+
 from timeops import uwform
 from timeops.acceptance import _sweep_forms
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
 from timeops.timeop import BlockDiagonal
 from timeops.uwform import (
+    CCR_DOMAIN_RTOL,
+    UNIT_NORM_ATOL,
     AdmissibilityError,
     FormChannel,
     FunctionKind,
     FunctionSpec,
     assemble_uwform,
     describe_domains,
-    evaluate_form,
     f_condition_check,
     f_transform_form,
-    in_ccr_domain,
-    project_to_ccr_domain,
-    random_domain_vector,
-    require_ccr_domain,
-    uncertainty_check,
     uncertainty_sweep,
-    uw_ccr_residual,
+    uw_ccr_channel_sweep,
     uw_ccr_sweep,
 )
 
@@ -31,6 +29,97 @@ from timeops.uwform import (
 def form_of(*channels):
     """Direct sum of form channels, one per eigenvalue list."""
     return BlockDiagonal(tuple(FormChannel(np.array(ev, dtype=float)) for ev in channels))
+
+
+# ------------------------------------------------ per-vector references
+#
+# The per-vector functions the batched sweep kernels replaced, operation
+# for operation: one vector, one block, one np.vdot at a time.
+
+
+def project_channel(ch, v):
+    """One channel's two-pass projection onto its commutation domain."""
+    if ch.dimension == 1:
+        # the constraint kills everything; avoid leaving round-off dust
+        return np.zeros_like(v)
+    e = ch.eigenvalues
+    w = v - (np.dot(e, v) / np.dot(e, e)) * e
+    return w - (np.dot(e, w) / np.dot(e, e)) * e
+
+
+def evaluate_form(form, phi, psi):
+    """t[phi, psi], antilinear in phi, summed block by block."""
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    total = 0.0 + 0.0j
+    for ch, phi_i, psi_i in zip(form.blocks, form.pieces(phi), form.pieces(psi)):
+        total += np.vdot(phi_i, ch.evaluator @ psi_i)
+    return complex(total)
+
+
+def in_ccr_domain(form, v):
+    """Whether every block piece of v is orthogonal to its eigenvalue vector."""
+    vec = np.asarray(v, dtype=complex)
+    whole = float(np.linalg.norm(vec))
+    for ch, piece in zip(form.blocks, form.pieces(vec)):
+        scale = float(np.linalg.norm(ch.eigenvalues)) * whole
+        # written so that NaN fails
+        if not abs(complex(np.dot(ch.eigenvalues, piece))) <= CCR_DOMAIN_RTOL * max(scale, 1e-300):
+            return False
+    return True
+
+
+def require_ccr_domain(form, v):
+    if not in_ccr_domain(form, v):
+        raise ValueError("vector lies outside the form's commutation domain")
+
+
+def project_to_ccr_domain(form, v):
+    """Project v onto the commutation domain, block by block."""
+    pieces = form.pieces(np.asarray(v, dtype=complex))
+    return np.concatenate([project_channel(ch, p) for ch, p in zip(form.blocks, pieces)])
+
+
+def random_domain_vector(rng, form):
+    """Seeded random unit vector in the commutation domain; a near-zero projection is redrawn."""
+    if all(ch.dimension < 2 for ch in form.blocks):
+        raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
+    dim = form.total_dimension
+    while True:
+        v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
+        v = project_to_ccr_domain(form, v)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-8:
+            return v / norm
+
+
+def uw_ccr_residual(form, phi, psi):
+    """|t[H phi, psi] - t[phi, H psi] + i (phi, psi)| on the form domain."""
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    require_ccr_domain(form, phi)
+    require_ccr_domain(form, psi)
+    h = form.hamiltonian_diagonal()
+    lhs = evaluate_form(form, h * phi, psi)
+    rhs = evaluate_form(form, phi, h * psi)
+    return abs(lhs - rhs + 1j * np.vdot(phi, psi))
+
+
+@dataclass(frozen=True)
+class UncertaintyResult:
+    value: float
+    imaginary_part: float
+
+
+def uncertainty_check(form, psi, a=0.0, b=0.0):
+    """(t - a)[(H - b) psi, psi] for a unit domain vector psi."""
+    psi = np.asarray(psi, dtype=complex)
+    if abs(float(np.linalg.norm(psi)) - 1.0) > UNIT_NORM_ATOL:
+        raise ValueError("psi must be a unit vector")
+    require_ccr_domain(form, psi)
+    shifted = form.hamiltonian_diagonal() * psi - float(b) * psi
+    z = complex(evaluate_form(form, shifted, psi) - float(a) * np.vdot(shifted, psi))
+    return UncertaintyResult(value=abs(z), imaginary_part=z.imag)
 
 
 def _domain_vector_2d():
@@ -83,7 +172,7 @@ class TestCommutationDomain:
     def test_one_dimensional_projection_is_exactly_zero(self):
         ch = FormChannel(np.array([-0.04]))
         v = np.array([0.3 + 0.7j])
-        assert np.all(ch.project_to_ccr_domain(v) == 0.0)
+        assert np.all(project_channel(ch, v) == 0.0)
 
     def test_projection_lands_in_the_domain(self):
         form = form_of([-1.0, -0.44, -0.2, -0.09])
@@ -240,6 +329,18 @@ def reference_uncertainty_sweep(rng, form, count):
     return min_value, im_defect
 
 
+def reference_channel_sweep(form, seed, count):
+    """The CLI's per-channel loop: one generator and ``count`` pairs per channel of dimension >= 2."""
+    return {
+        i: reference_uw_ccr_sweep(np.random.default_rng(seed + i), [form.channel(i)] * count)
+        for i, ch in enumerate(form.blocks) if ch.dimension >= 2
+    }
+
+
+def _channel_rngs(form, seed, factory=np.random.default_rng):
+    return {i: factory(seed + i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2}
+
+
 def _sweep_cases():
     s = hydrogen_point_spectrum(1.0, 1.0, 4)
     _, hydrogen = assemble_uwform(s)
@@ -247,26 +348,163 @@ def _sweep_cases():
     return {"hydrogen": hydrogen, "channel": hydrogen.channel(0), "sin": transformed}
 
 
+#: The batched kernels sum in another order than the per-vector loops;
+#: both sit at the round-off floor, far under the 1e-10 tolerances.
+AGREEMENT = 1e-13
+
+TRANSFORMS = {
+    "none": None,
+    "exp": FunctionSpec(FunctionKind.EXP, (1.0,)),
+    "identity": FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1.0)),
+    "sin": FunctionSpec(FunctionKind.SIN, (0.3,)),
+}
+
+
+def _hydrogen_form(n_max, transform):
+    s = hydrogen_point_spectrum(1.0, 1.0, n_max)
+    if TRANSFORMS[transform] is None:
+        return assemble_uwform(s)[1]
+    return f_transform_form(TRANSFORMS[transform], s)[2]
+
+
+class RecordingRng:
+    """A generator that records every number ``uniform`` hands out, in order.
+
+    ``replace`` maps a call index to an array returned in place of that
+    call's draw, so a test can plant a NaN or a degenerate vector.
+    """
+
+    def __init__(self, seed, replace=None):
+        self.rng = np.random.default_rng(seed)
+        self.replace = dict(replace or {})
+        self.calls = 0
+        self.drawn = []
+
+    def uniform(self, low, high, size=None):
+        out = self.rng.uniform(low, high, size)
+        out = self.replace.get(self.calls, out)
+        self.calls += 1
+        self.drawn.append(np.ravel(out))
+        return out
+
+    def stream(self):
+        return np.concatenate(self.drawn)
+
+
 class TestSweepKernels:
     @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
-    def test_uw_ccr_sweep_matches_the_loop_bit_for_bit(self, case):
+    def test_uw_ccr_sweep_matches_the_loop(self, case):
         form = _sweep_cases()[case]
         forms = [form] * 20
         expected = reference_uw_ccr_sweep(np.random.default_rng(11), forms)
-        assert uw_ccr_sweep(np.random.default_rng(11), forms) == expected
+        assert uw_ccr_sweep(np.random.default_rng(11), forms) == pytest.approx(expected, abs=AGREEMENT)
         assert expected <= 1e-10
 
     @pytest.mark.parametrize("case", ["hydrogen", "sin"])
-    def test_round_robin_sweep_matches_the_loop_bit_for_bit(self, case):
+    def test_round_robin_sweep_matches_the_loop(self, case):
         form = _sweep_cases()[case]
         expected = reference_round_robin_sweep(form, np.random.default_rng(12), 20)
-        assert uw_ccr_sweep(np.random.default_rng(12), _sweep_forms(form, 20)) == expected
+        got = uw_ccr_sweep(np.random.default_rng(12), _sweep_forms(form, 20))
+        assert got == pytest.approx(expected, abs=AGREEMENT)
 
     @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
-    def test_uncertainty_sweep_matches_the_loop_bit_for_bit(self, case):
+    def test_uncertainty_sweep_matches_the_loop(self, case):
         form = _sweep_cases()[case]
         expected = reference_uncertainty_sweep(np.random.default_rng(13), form, 20)
-        assert uncertainty_sweep(np.random.default_rng(13), form, 20) == expected
+        got = uncertainty_sweep(np.random.default_rng(13), form, 20)
+        assert got == pytest.approx(expected, abs=AGREEMENT)
+
+    @pytest.mark.parametrize("n_max", [4, 16])
+    @pytest.mark.parametrize("transform", list(TRANSFORMS))
+    def test_kernels_match_the_references_under_tolerance(self, n_max, transform):
+        form = _hydrogen_form(n_max, transform)
+        pairs = 20 if n_max == 4 else 8
+        checks = [
+            (uw_ccr_sweep(np.random.default_rng(1), [form] * pairs),
+             reference_uw_ccr_sweep(np.random.default_rng(1), [form] * pairs)),
+            (uw_ccr_sweep(np.random.default_rng(2), _sweep_forms(form, pairs)),
+             reference_round_robin_sweep(form, np.random.default_rng(2), pairs)),
+        ]
+        per_channel = uw_ccr_channel_sweep(_channel_rngs(form, 100), form, 2)
+        for i, expected in reference_channel_sweep(form, 100, 2).items():
+            checks.append((per_channel[i], expected))
+        for got, expected in checks:
+            assert got == pytest.approx(expected, abs=AGREEMENT)
+            assert max(got, expected) <= 1e-10
+        (low, im), (ref_low, ref_im) = (uncertainty_sweep(np.random.default_rng(3), form, pairs),
+                                        reference_uncertainty_sweep(np.random.default_rng(3), form, pairs))
+        assert low == pytest.approx(ref_low, abs=AGREEMENT) and im == pytest.approx(ref_im, abs=AGREEMENT)
+        assert min(low, ref_low) >= 0.5 - 1e-10 and max(im, ref_im) <= 1e-10
+
+    def test_draws_match_the_loop_bit_for_bit(self, monkeypatch):
+        form = _sweep_cases()["hydrogen"]
+        raw = []
+        whole_rows = uwform._whole_rows
+        monkeypatch.setattr(uwform, "_whole_rows", lambda groups, v, redraw: raw.append(v) or whole_rows(groups, v, redraw))
+        forms = _sweep_forms(form, 6)
+
+        batched = RecordingRng(5)
+        uw_ccr_sweep(batched, forms)
+        looped = RecordingRng(5)
+        reference_uw_ccr_sweep(looped, forms)
+        assert np.array_equal(batched.stream(), looped.stream())
+        # the whole-form pairs, as projected: phi of every pair, then psi of every pair
+        vectors = looped.stream()[-6 * 4 * form.total_dimension:].reshape(6, 2, 2, -1)
+        whole = [v for v in raw if v.shape[1] == form.total_dimension]
+        assert np.array_equal(whole[0], vectors[:, 0, 0] + 1j * vectors[:, 0, 1])
+        assert np.array_equal(whole[1], vectors[:, 1, 0] + 1j * vectors[:, 1, 1])
+
+    def test_uncertainty_draws_match_the_loop_bit_for_bit(self):
+        form = _sweep_cases()["sin"]
+        batched = RecordingRng(6)
+        uncertainty_sweep(batched, form, 9)
+        looped = RecordingRng(6)
+        reference_uncertainty_sweep(looped, form, 9)
+        rows = batched.stream().reshape(9, -1)
+        centers = rows[:, :2] * 2.0   # drawn from [-1, 1], used doubled
+        expected = looped.stream().reshape(9, -1)
+        assert np.array_equal(centers, expected[:, :2])
+        assert np.array_equal(rows[:, 2:], expected[:, 2:])
+
+    def test_channel_draws_match_the_loop_bit_for_bit(self):
+        form = _sweep_cases()["hydrogen"]
+        batched = _channel_rngs(form, 40, RecordingRng)
+        uw_ccr_channel_sweep(batched, form, 3)
+        looped = _channel_rngs(form, 40, RecordingRng)
+        for i, rng in looped.items():
+            reference_uw_ccr_sweep(rng, [form.channel(i)] * 3)
+            assert np.array_equal(batched[i].stream(), rng.stream())
+            assert batched[i].calls == 1
+
+    def test_long_sweeps_run_in_chunks_of_the_same_stream(self, monkeypatch):
+        form = _sweep_cases()["hydrogen"]
+
+        def sweeps():
+            rngs = (RecordingRng(4), RecordingRng(5), _channel_rngs(form, 6, RecordingRng))
+            values = (uw_ccr_sweep(rngs[0], [form] * 7), *uncertainty_sweep(rngs[1], form, 7),
+                      *uw_ccr_channel_sweep(rngs[2], form, 7))
+            return values, rngs
+
+        whole, whole_rngs = sweeps()
+        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 2 * form.total_dimension)
+        chunked, chunked_rngs = sweeps()
+        assert chunked == pytest.approx(whole, abs=AGREEMENT)
+        assert [r.calls for r in chunked_rngs[:2]] == [4, 4] and [r.calls for r in whole_rngs[:2]] == [1, 1]
+        for a, b in zip([*whole_rngs[:2], *whole_rngs[2].values()], [*chunked_rngs[:2], *chunked_rngs[2].values()]):
+            assert np.array_equal(a.stream(), b.stream())
+        assert all(r.calls > 1 for r in chunked_rngs[2].values())
+
+    def test_chunks_hold_at_most_the_budget_or_one_wider_row(self, monkeypatch):
+        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 10)
+        assert list(uwform._chunks([5, 5, 20, 1, 4, 6])) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+
+    def test_channel_sweep_reads_zero_on_one_dimensional_blocks(self):
+        form = form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1])
+        worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 4)
+        assert worst.shape == (3,) and worst[1] == 0.0
+        assert 0.0 < worst[0] <= 1e-10 and 0.0 < worst[2] <= 1e-10
+        trivial = form_of([-1.0], [-0.5])
+        assert np.array_equal(uw_ccr_channel_sweep({}, trivial, 4), [0.0, 0.0])
 
     def test_empty_sweeps_are_rejected(self):
         form = form_of([-1.0, -0.5])
@@ -274,12 +512,74 @@ class TestSweepKernels:
             uw_ccr_sweep(np.random.default_rng(0), [])
         with pytest.raises(ValueError, match="checks nothing"):
             uncertainty_sweep(np.random.default_rng(0), form, 0)
+        with pytest.raises(ValueError, match="checks nothing"):
+            uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 0)
 
-    def test_a_nan_residual_propagates(self, monkeypatch):
-        residuals = iter([1e-17, math.nan, 2e-17])
-        monkeypatch.setattr(uwform, "uw_ccr_residual", lambda form, phi, psi: next(residuals))
-        form = form_of([-1.0, -0.5])
+    @pytest.mark.parametrize("channels", [([-1.0],), ([-1.0], [-0.5], [-0.25])])
+    def test_trivial_domains_are_rejected(self, channels):
+        form = form_of(*channels)
+        with pytest.raises(ValueError, match="trivial"):
+            uw_ccr_sweep(np.random.default_rng(0), [form])
+        with pytest.raises(ValueError, match="trivial"):
+            uncertainty_sweep(np.random.default_rng(0), form, 1)
+
+    def test_a_nan_residual_propagates(self):
+        # a NaN evaluator entry makes every residual it touches NaN, never a pass
+        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
+        poisoned = form.blocks[1].evaluator.copy()
+        poisoned[0, 1] = math.nan
+        form.blocks[1].evaluator = poisoned
         assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form] * 3))
+        assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form.channel(0), form]))
+        worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 3)
+        assert worst[0] <= 1e-10 and math.isnan(worst[1])
+        assert all(math.isnan(x) for x in uncertainty_sweep(np.random.default_rng(0), form, 3))
+
+    def test_a_nan_vector_is_refused(self):
+        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
+        nan_draw = np.full((2, 2, 2, 5), 0.5)
+        nan_draw[1, 0, 1, 3] = math.nan
+        with pytest.raises(ValueError, match="commutation domain"):
+            uw_ccr_sweep(RecordingRng(0, {0: nan_draw.ravel()}), [form] * 2)
+        channel_draw = np.full((2, 2, 2, 3), 0.5)
+        channel_draw[0, 1, 0, 2] = math.nan
+        rngs = {0: RecordingRng(0, {0: channel_draw}), 1: RecordingRng(1)}
+        with pytest.raises(ValueError, match="commutation domain"):
+            uw_ccr_channel_sweep(rngs, form, 2)
+        unc_draw = np.full((2, 12), 0.5)
+        unc_draw[1, 4] = math.nan
+        with pytest.raises(ValueError, match="commutation domain"):
+            uncertainty_sweep(RecordingRng(0, {0: unc_draw}), form, 2)
+
+    def test_a_near_zero_projection_is_redrawn_after_the_batch(self):
+        # pair 0's phi is parallel to the eigenvalue vector: its projection is round-off
+        form = form_of([-1.0, -0.5, -0.25])
+        draw = np.random.default_rng(9).uniform(-1.0, 1.0, (2, 2, 2, 3))
+        draw[0, 0, 0] = form.blocks[0].eigenvalues
+        draw[0, 0, 1] = 0.0
+        rng = RecordingRng(3, {0: draw.ravel()})
+        assert uw_ccr_sweep(rng, [form] * 2) <= 1e-10
+        assert rng.calls == 3   # the batch, then one redraw: real, imaginary
+        rngs = {0: RecordingRng(3, {0: draw})}
+        assert uw_ccr_channel_sweep(rngs, form, 2)[0] <= 1e-10
+        assert rngs[0].calls == 3
+
+    def test_batched_domain_check_anchors_to_the_whole_row(self):
+        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
+        groups = uwform._groups(form)
+        v = np.zeros((1, 5), dtype=complex)
+        v[0, :3] = random_domain_vector(np.random.default_rng(2), form.channel(0))
+        units = [v[:, g.index].transpose(1, 0, 2) for g in groups]
+        norms = [uwform._whole_norms(units)] * len(groups)
+        uwform._require_domain(groups, units, norms)
+        units[1][0, 0] = [1e-3, 0.0]
+        with pytest.raises(ValueError, match="commutation domain"):
+            uwform._require_domain(groups, units, norms)
+        units[1][0, 0] = [1e-12, 0.0]
+        uwform._require_domain(groups, units, norms)
+        units[0][0, 0, 1] = math.nan
+        with pytest.raises(ValueError, match="commutation domain"):
+            uwform._require_domain(groups, units, norms)
 
 
 class TestAssembleUwform:
