@@ -292,10 +292,7 @@ def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
             increasing = False
             violations.append(f"channel {i} certificate is not strictly increasing")
 
-    try:
-        sums = tuple(float(sum(1.0 / float(k) ** c.p for k in cert)) for cert in c.certificates)
-    except OverflowError:
-        sums = tuple(float(sum(_certificate_term(k, c.p) for k in cert)) for cert in c.certificates)
+    sums = tuple(float(sum(_certificate_term(k, c.p) for k in cert)) for cert in c.certificates)
     return DecompositionReport(
         disjoint_cover=disjoint_cover,
         simple_channels=simple,

@@ -122,6 +122,9 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
         raise ValueError("eigenvalues must be strictly increasing")
     if kind is MatrixKind.INVERSE_CONJUGATE and np.any(ev == 0.0):
         raise ValueError("inverse-conjugate kind requires nonzero eigenvalues")
+    # An overflowing product E_n*E_m, a diagonal one included, and an infinite
+    # eigenvalue are refused here; the entry gate below sees neither, since the
+    # diagonal is overwritten and non-finite eigenvalues pass to the Hermiticity check.
     largest = float(np.max(np.abs(ev)))
     if kind is MatrixKind.INVERSE_CONJUGATE and not math.isfinite(largest * largest):
         raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")

@@ -30,6 +30,7 @@ Inner products are antilinear in the first slot throughout.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -79,9 +80,15 @@ class FormChannel:
     scaling, which keeps A Hermitian to the last bit: the (n, m) and
     (m, n) entries are built from the same float products.  A form is a
     ``BlockDiagonal`` of these channels.
+
+    The evaluator is row ``row`` of ``stack``, a (c, d, d) array.  A
+    channel built on its own gets a stack of one; pass a writable
+    ``stack`` and a ``row`` to write the evaluator there instead, so
+    that channels of one dimension share one stack, which the sweeps
+    read without copying it.
     """
 
-    def __init__(self, eigenvalues) -> None:
+    def __init__(self, eigenvalues, stack: np.ndarray | None = None, row: int = 0) -> None:
         ev = np.asarray(eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d array")
@@ -98,8 +105,16 @@ class FormChannel:
             a = -0.5 * (s * d[None, :] + d[:, None] * s)
         if not np.all(np.isfinite(a)):
             raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
-        a.flags.writeable = False
-        self.evaluator = a
+        if stack is None:
+            stack = a[None]
+            stack.flags.writeable = False
+        else:
+            stack[row] = a
+        self.stack, self.row = stack, row
+
+    @property
+    def evaluator(self) -> np.ndarray:
+        return self.stack[self.row]
 
     @property
     def pairing_eigenvalues(self) -> np.ndarray:
@@ -133,10 +148,21 @@ def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
 
 
 def _form_of(deco: ChannelDecomposition) -> BlockDiagonal:
-    """One form channel per decomposition channel, eigenvalues ascending."""
-    return BlockDiagonal(tuple(
-        FormChannel(np.sort(deco.channel_values(i))) for i in range(deco.channel_count)
-    ))
+    """One form channel per decomposition channel, eigenvalues ascending.
+
+    The evaluators of the channels of one dimension are written into one
+    (c, d, d) stack, in channel order.
+    """
+    values = [np.sort(deco.channel_values(i)) for i in range(deco.channel_count)]
+    stacks = {d: np.empty((c, d, d), dtype=complex) for d, c in Counter(v.size for v in values).items()}
+    filled: Counter = Counter()
+    channels = []
+    for v in values:
+        channels.append(FormChannel(v, stacks[v.size], filled[v.size]))
+        filled[v.size] += 1
+    for stack in stacks.values():
+        stack.flags.writeable = False
+    return BlockDiagonal(tuple(channels))
 
 
 # ------------------------------------------------------------ sweep kernels
@@ -151,7 +177,7 @@ def _form_of(deco: ChannelDecomposition) -> BlockDiagonal:
 
 
 class _Group(NamedTuple):
-    """The c channels of one dimension d >= 2 of a form, stacked."""
+    """The c channels of dimension d >= 2 of a form that share one evaluator stack."""
 
     blocks: np.ndarray        # (c,) block positions in the form
     index: np.ndarray         # (c, d) coordinates of each block in a whole-form vector
@@ -160,21 +186,29 @@ class _Group(NamedTuple):
 
 
 def _groups(form: BlockDiagonal) -> list[_Group]:
-    """The form's channels of dimension 2 or more, grouped by dimension."""
+    """The form's channels of dimension 2 or more, grouped by the evaluator stack they share.
+
+    A group whose channels hold consecutive rows of their stack reads
+    them as a view: an assembled form's evaluators are never copied.
+    """
     members: dict[int, list[int]] = {}
     for i, ch in enumerate(form.blocks):
         if ch.dimension >= 2:
-            members.setdefault(ch.dimension, []).append(i)
+            members.setdefault(id(ch.stack), []).append(i)
     coordinates = form.pieces(np.arange(form.total_dimension))
-    return [
-        _Group(
+    groups = []
+    for ids in members.values():
+        channels = [form.blocks[i] for i in ids]
+        rows = [ch.row for ch in channels]
+        stack = channels[0].stack
+        consecutive = rows == list(range(rows[0], rows[0] + len(rows)))
+        groups.append(_Group(
             np.array(ids),
             np.stack([coordinates[i] for i in ids]),
-            np.stack([form.blocks[i].eigenvalues for i in ids]),
-            np.stack([form.blocks[i].evaluator for i in ids]),
-        )
-        for ids in members.values()
-    ]
+            np.stack([ch.eigenvalues for ch in channels]),
+            stack[rows[0]:rows[-1] + 1] if consecutive else stack[rows],
+        ))
+    return groups
 
 
 def _nontrivial_groups(form: BlockDiagonal) -> list[_Group]:
@@ -288,9 +322,8 @@ def _ccr_terms(groups: list[_Group], phi: list[np.ndarray], psi: list[np.ndarray
     return terms
 
 
-def _whole_pair_residuals(form: BlockDiagonal, draws: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _whole_pair_residuals(groups: list[_Group], draws: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ultra-weak CCR residual of each pair of whole-form vectors in draws (k, 2, 2, n)."""
-    groups = _nontrivial_groups(form)
     phi = _whole_rows(groups, draws[:, 0, 0] + 1j * draws[:, 0, 1], rng)
     psi = _whole_rows(groups, draws[:, 1, 0] + 1j * draws[:, 1, 1], rng)
     return np.abs(sum(t.sum(axis=0) for t in _ccr_terms(groups, phi, psi)))
@@ -307,14 +340,16 @@ def _chunks(widths: list[int]):
     yield start, len(widths)
 
 
-def _uw_ccr_worst(rng: np.random.Generator, forms: list[BlockDiagonal]) -> float:
+def _uw_ccr_worst(rng: np.random.Generator, forms: list[BlockDiagonal],
+                  groups: dict[BlockDiagonal, list[_Group]]) -> float:
     """Worst residual over one pair per form, every coefficient from one draw."""
     sizes = [4 * f.total_dimension for f in forms]
     per_pair = np.split(rng.uniform(-1.0, 1.0, sum(sizes)), np.cumsum(sizes)[:-1])
     pairs: dict[BlockDiagonal, list[np.ndarray]] = {}
     for f, draw in zip(forms, per_pair):
         pairs.setdefault(f, []).append(draw.reshape(2, 2, -1))
-    return np.max(np.concatenate([_whole_pair_residuals(f, np.stack(draws), rng) for f, draws in pairs.items()]))
+    return np.max(np.concatenate([_whole_pair_residuals(groups[f], np.stack(draws), rng)
+                                  for f, draws in pairs.items()]))
 
 
 def uw_ccr_sweep(rng: np.random.Generator, forms) -> float:
@@ -330,8 +365,9 @@ def uw_ccr_sweep(rng: np.random.Generator, forms) -> float:
     forms = list(forms)
     if not forms:
         raise ValueError("need at least one form; a sweep over no pairs checks nothing")
+    groups = {f: _nontrivial_groups(f) for f in dict.fromkeys(forms)}
     chunks = _chunks([f.total_dimension for f in forms])
-    return float(np.max([_uw_ccr_worst(rng, forms[start:stop]) for start, stop in chunks]))
+    return float(np.max([_uw_ccr_worst(rng, forms[start:stop], groups) for start, stop in chunks]))
 
 
 def uw_ccr_channel_sweep(rngs, form: BlockDiagonal, count: int) -> np.ndarray:

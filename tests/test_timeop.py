@@ -27,6 +27,8 @@ from timeops.timeop import (
     random_difference_stack,
 )
 
+from recording_rng import RecordingRng
+
 
 # ------------------------------------------------ per-vector references
 #
@@ -49,25 +51,6 @@ def random_difference_vector(rng, dim):
         norm = float(np.linalg.norm(v))
         if norm > 1e-8:
             return v / norm
-
-
-class RecordingRng:
-    """A generator that records every number ``uniform`` hands out; ``replace`` plants a draw."""
-
-    def __init__(self, seed, replace=None):
-        self.rng = np.random.default_rng(seed)
-        self.replace = dict(replace or {})
-        self.calls = 0
-        self.drawn = []
-
-    def uniform(self, low, high, size=None):
-        out = self.replace.get(self.calls, self.rng.uniform(low, high, size))
-        self.calls += 1
-        self.drawn.append(np.ravel(out))
-        return out
-
-    def stream(self):
-        return np.concatenate(self.drawn)
 
 
 class TestGalaponMatrix:

@@ -25,6 +25,8 @@ from timeops.uwform import (
     uw_ccr_sweep,
 )
 
+from recording_rng import RecordingRng
+
 
 def form_of(*channels):
     """Direct sum of form channels, one per eigenvalue list."""
@@ -367,30 +369,6 @@ def _hydrogen_form(n_max, transform):
     return f_transform_form(TRANSFORMS[transform], s)[2]
 
 
-class RecordingRng:
-    """A generator that records every number ``uniform`` hands out, in order.
-
-    ``replace`` maps a call index to an array returned in place of that
-    call's draw, so a test can plant a NaN or a degenerate vector.
-    """
-
-    def __init__(self, seed, replace=None):
-        self.rng = np.random.default_rng(seed)
-        self.replace = dict(replace or {})
-        self.calls = 0
-        self.drawn = []
-
-    def uniform(self, low, high, size=None):
-        out = self.rng.uniform(low, high, size)
-        out = self.replace.get(self.calls, out)
-        self.calls += 1
-        self.drawn.append(np.ravel(out))
-        return out
-
-    def stream(self):
-        return np.concatenate(self.drawn)
-
-
 class TestSweepKernels:
     @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
     def test_uw_ccr_sweep_matches_the_loop(self, case):
@@ -498,6 +476,31 @@ class TestSweepKernels:
         monkeypatch.setattr(uwform, "SWEEP_CHUNK", 10)
         assert list(uwform._chunks([5, 5, 20, 1, 4, 6])) == [(0, 2), (2, 3), (3, 5), (5, 6)]
 
+    @pytest.mark.parametrize("transform", ["none", "sin"])
+    def test_an_assembled_form_is_swept_without_copying_its_evaluators(self, transform):
+        form = _hydrogen_form(8, transform)
+        stacks = {id(ch.stack) for ch in form.blocks}
+        assert len(stacks) == len({ch.dimension for ch in form.blocks})
+        sparse = BlockDiagonal(form.blocks[::2])
+        for f in (form, form.channel(len(form.blocks) // 2), sparse):
+            for g in uwform._groups(f):
+                channels = [f.blocks[i] for i in g.blocks]
+                assert np.array_equal(g.evaluators, np.stack([ch.evaluator for ch in channels]))
+                # rows of one stack in a run are read in place; a sparse pick is copied
+                assert np.shares_memory(g.evaluators, channels[0].stack) == (f is not sparse or len(channels) == 1)
+        expected = reference_uw_ccr_sweep(np.random.default_rng(14), [sparse] * 4)
+        assert uw_ccr_sweep(np.random.default_rng(14), [sparse] * 4) == pytest.approx(expected, abs=AGREEMENT)
+
+    def test_groups_are_built_once_per_distinct_form(self, monkeypatch):
+        form = _sweep_cases()["hydrogen"]
+        built = []
+        groups = uwform._groups
+        monkeypatch.setattr(uwform, "_groups", lambda f: built.append(f) or groups(f))
+        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 2 * form.total_dimension)
+        forms = _sweep_forms(form, 12)
+        uw_ccr_sweep(np.random.default_rng(0), forms)
+        assert len(built) == len(set(forms)) < len(forms)
+
     def test_channel_sweep_reads_zero_on_one_dimensional_blocks(self):
         form = form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1])
         worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 4)
@@ -528,7 +531,7 @@ class TestSweepKernels:
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
         poisoned = form.blocks[1].evaluator.copy()
         poisoned[0, 1] = math.nan
-        form.blocks[1].evaluator = poisoned
+        form.blocks[1].stack, form.blocks[1].row = poisoned[None], 0
         assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form] * 3))
         assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form.channel(0), form]))
         worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 3)
