@@ -367,9 +367,9 @@ def criterion_scaling(tol: dict, seed: int) -> tuple[bool, dict]:
     ]
     worst = 0.0
     for base in bases:
-        reference = galapon_matrix(base, MatrixKind.DIRECT).data
+        reference = 1j * galapon_matrix(base, MatrixKind.DIRECT).generator
         for alpha in (0.5, 2.0, 10.0):
-            scaled = galapon_matrix(alpha * base, MatrixKind.DIRECT).data
+            scaled = 1j * galapon_matrix(alpha * base, MatrixKind.DIRECT).generator
             worst = max(worst, float(np.max(np.abs(scaled - reference / alpha))))
     ok = worst <= tol["scaling_entrywise"]
     return ok, {

@@ -164,9 +164,11 @@ class DiscreteSpectrum:
 HERMITICITY_BAND_ROWS = 32
 
 
-def _require_hermitian(data: np.ndarray) -> tuple[float, float]:
+def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple[float, float]:
     """Return (scale, defect): the largest |A| and |A - A^H| entries of a square A.
 
+    With ``skew``, ``data`` is the real generator A of T = iA and the
+    defect is the largest |A + A^T| entry, which is the |T - T^H| entry.
     Raises ValueError when the defect exceeds ``HERMITICITY_RTOL`` times the
     scale, written as ``not (defect <= bound)`` so that NaN entries fail.
     """
@@ -175,9 +177,10 @@ def _require_hermitian(data: np.ndarray) -> tuple[float, float]:
     with np.errstate(invalid="ignore"):   # inf - inf is a NaN defect, rejected below
         for start in range(0, data.shape[0], rows):
             band = data[start:start + rows]
+            mirror = data[:, start:start + rows].T
             # np.maximum, unlike max(), carries a NaN forward
             scale = np.maximum(scale, np.max(np.abs(band)))
-            defect = np.maximum(defect, np.max(np.abs(band - data[:, start:start + rows].conj().T)))
+            defect = np.maximum(defect, np.max(np.abs(band + mirror if skew else band - mirror.conj())))
     if not defect <= HERMITICITY_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return float(scale), float(defect)

@@ -9,6 +9,11 @@ identically on the span of eigenvector differences.  That cancellation is
 algebraic, not asymptotic, which is why the residual checks here demand
 machine precision rather than convergence.
 
+Every entry is purely imaginary, so a matrix is stored as T = iA with A
+real and antisymmetric: one real n x n array per channel.  The residual
+kernel streams the commutator [H, T] = i(hA - Ah) in row bands and never
+holds it whole.
+
 Two entry conventions are provided.  ``DIRECT`` pairs with diag(E) itself
 and suits spectra growing to infinity.  ``INVERSE_CONJUGATE`` has entries
 i E_n E_m / (E_m - E_n) = i/(1/E_n - 1/E_m): it is the direct matrix of
@@ -52,31 +57,42 @@ class MatrixKind(str, Enum):
     INVERSE_CONJUGATE = "inverse_conjugate"
 
 
+#: Rows per band of the commutator that ``ccr_residual`` streams, and of the
+#: products E_n*E_m that ``galapon_matrix`` forms.
+CCR_BAND_ROWS = 128
+
+
 @dataclass(frozen=True)
 class TimeOperatorMatrix:
-    """Dense Hermitian time-operator matrix over one simple channel."""
+    """Hermitian time-operator matrix T = iA over one simple channel.
+
+    ``generator`` is the real antisymmetric A.  The constructor takes
+    ownership of a float64 array, without copying it, and makes it read-only.
+    """
 
     dimension: int
-    data: np.ndarray
+    generator: np.ndarray
     eigenvalues: tuple[float, ...]
     kind: MatrixKind
-    #: Largest |entry| and largest |T - T^H| entry, from the one Hermiticity pass.
+    #: Largest |entry| and largest |T - T^H| = |A + A^T| entry, from the one antisymmetry pass.
     scale: float = field(init=False, repr=False, compare=False)
     _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=complex)
-        if data.shape != (self.dimension, self.dimension):
-            raise ValueError("data shape does not match dimension")
+        if np.iscomplexobj(self.generator):
+            raise ValueError("the generator A of T = iA must be real")
+        generator = np.asarray(self.generator, dtype=float)
+        if generator.shape != (self.dimension, self.dimension):
+            raise ValueError("generator shape does not match dimension")
         if len(self.eigenvalues) != self.dimension:
             raise ValueError("need one eigenvalue per basis vector")
-        if np.any(np.diagonal(data) != 0.0):
+        if np.any(np.diagonal(generator) != 0.0):
             raise ValueError("time-operator matrix must have zero diagonal")
-        scale, defect = _require_hermitian(data)
+        scale, defect = _require_hermitian(generator, skew=True)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_defect", defect)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        generator.flags.writeable = False
+        object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "eigenvalues", tuple(float(e) for e in self.eigenvalues))
         object.__setattr__(self, "kind", MatrixKind(self.kind))
 
@@ -108,6 +124,9 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
         ``DIRECT`` gives entries i/(E_n - E_m); ``INVERSE_CONJUGATE``
         gives i E_n E_m/(E_m - E_n), the direct matrix of the reciprocal
         spectrum in the original basis order.
+
+    The generator A = -iT is built in the buffer of the gap array E_n - E_m,
+    so the build holds one real n x n array and a band of products.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     kind = MatrixKind(kind)
@@ -122,27 +141,31 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
         raise ValueError("eigenvalues must be strictly increasing")
     if kind is MatrixKind.INVERSE_CONJUGATE and np.any(ev == 0.0):
         raise ValueError("inverse-conjugate kind requires nonzero eigenvalues")
-    # An overflowing product E_n*E_m, a diagonal one included, and an infinite
-    # eigenvalue are refused here; the entry gate below sees neither, since the
-    # diagonal is overwritten and non-finite eigenvalues pass to the Hermiticity check.
-    largest = float(np.max(np.abs(ev)))
-    if kind is MatrixKind.INVERSE_CONJUGATE and not math.isfinite(largest * largest):
+    # An overflowing product E_n*E_m and an infinite eigenvalue are refused
+    # here; the entry gate below sees neither, since non-finite eigenvalues
+    # pass to the antisymmetry check.  The largest off-diagonal product is
+    # that of the two largest magnitudes; diagonal ones are overwritten.
+    top = np.sort(np.abs(ev))[-2:]            # one magnitude, squared, for a single eigenvalue
+    second, largest = float(top[0]), float(top[-1])
+    if kind is MatrixKind.INVERSE_CONJUGATE and not math.isfinite(second * largest):
         raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
-    gaps = np.subtract.outer(ev, ev)          # gaps[n, m] = E_n - E_m
-    np.fill_diagonal(gaps, 1.0)               # placeholder, diagonal is zeroed below
+    a = np.subtract.outer(ev, ev)             # gaps[n, m] = E_n - E_m, turned into A in place
+    np.fill_diagonal(a, 1.0)                  # placeholder, diagonal is zeroed below
     # a subnormal gap overflows the quotient; finite eigenvalues must give finite entries
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if kind is MatrixKind.DIRECT:
-            data = 1j / gaps
-        else:
-            data = 1j * np.multiply.outer(ev, ev) / (-gaps)
-    np.fill_diagonal(data, 0.0)
-    if np.all(np.isfinite(ev)) and not np.all(np.isfinite(data)):
+        np.reciprocal(a, out=a)
+        if kind is MatrixKind.INVERSE_CONJUGATE:
+            # E_n*E_m * (-1/gap): the bits of the complex quotient i E_n E_m / (-gap)
+            np.negative(a, out=a)
+            for start in range(0, ev.size, CCR_BAND_ROWS):
+                a[start:start + CCR_BAND_ROWS] *= np.multiply.outer(ev[start:start + CCR_BAND_ROWS], ev)
+    np.fill_diagonal(a, 0.0)
+    if np.all(np.isfinite(ev)) and not np.all(np.isfinite(a)):
         entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
         raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
                          f"(smallest gap {float(np.min(np.diff(ev)))!r})")
-    return TimeOperatorMatrix(ev.size, data, tuple(ev), kind)
+    return TimeOperatorMatrix(ev.size, a, tuple(ev), kind)
 
 
 def random_difference_stack(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -180,16 +203,6 @@ def _require_difference_span(vecs: np.ndarray) -> None:
         )
 
 
-def _commutator(t: TimeOperatorMatrix) -> np.ndarray:
-    """Dense commutator [H, T] with H = diag(t.pairing_eigenvalues).
-
-    Computed entrywise as (h_n - h_m) T[n, m], which involves no summation
-    and keeps round-off at a few ulp per entry.
-    """
-    h = np.asarray(t.pairing_eigenvalues, dtype=float)
-    return h[:, None] * t.data - t.data * h[None, :]
-
-
 def ccr_residual(t: TimeOperatorMatrix, v) -> float:
     """Worst norm of ([H,T] + i)v over one vector v or the rows of a (k, n) stack.
 
@@ -197,11 +210,14 @@ def ccr_residual(t: TimeOperatorMatrix, v) -> float:
     arithmetic for any v with zero coefficient sum, because the commutator
     equals i(J - I) and the all-ones contribution is annihilated on that span.
     Vectors whose coefficient sum exceeds the membership tolerance are
-    rejected rather than silently measured.  The commutator is formed
-    once per call and applied to the whole stack in one matrix product.
-    A stack of 0 and +-1 entries (differences of basis vectors) gets the
-    same bits as one matrix-vector product per row: each entry of the
-    product is one subtraction of two commutator entries.
+    rejected rather than silently measured.
+
+    The commutator is streamed in bands of at most ``CCR_BAND_ROWS`` rows.
+    A band is c = h_n A - A h_m, built entrywise with no summation, and it
+    gives its columns of the product as ``vecs @ (1j*c).T``; no n x n
+    temporary exists.  A stack of 0 and +-1 entries (differences of basis vectors)
+    gets the same bits as one matrix-vector product per row: each entry
+    of the product is one subtraction of two commutator entries.
     """
     vecs = np.asarray(v, dtype=complex)
     if vecs.ndim == 1:
@@ -211,8 +227,19 @@ def ccr_residual(t: TimeOperatorMatrix, v) -> float:
     if vecs.shape[0] == 0:
         raise ValueError("need at least one vector")
     _require_difference_span(vecs)
-    comm = _commutator(t)
-    return float(np.max(np.linalg.norm(vecs @ comm.T + 1j * vecs, axis=1)))
+    h = np.asarray(t.pairing_eigenvalues, dtype=float)
+    a = t.generator
+    out = np.empty(vecs.shape, dtype=complex)
+    # near-equal bands: a one-row band would go to a dot product, which sums in another order
+    bands = -(-t.dimension // CCR_BAND_ROWS)
+    edges = [t.dimension * i // bands for i in range(bands + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        c = h[rows, None] * a[rows]
+        c -= a[rows] * h[None, :]
+        out[:, rows] = vecs @ (1j * c).T
+    out += 1j * vecs
+    return float(np.max(np.linalg.norm(out, axis=1)))
 
 
 @dataclass(frozen=True)

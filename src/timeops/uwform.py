@@ -99,7 +99,7 @@ class FormChannel:
         self.eigenvalues = ev.copy()
         self.eigenvalues.flags.writeable = False
         self.dimension = int(ev.size)
-        s = galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).data
+        s = 1j * galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).generator
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             d = 1.0 / (ev * ev)
             a = -0.5 * (s * d[None, :] + d[:, None] * s)

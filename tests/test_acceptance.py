@@ -12,7 +12,9 @@ from timeops import acceptance
 from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 from timeops.cli import RunConfig, run
 from timeops.spectra import harmonic_spectrum, hydrogen_point_spectrum
-from timeops.timeop import _commutator, assemble_time_operator, ccr_residual
+from timeops.timeop import assemble_time_operator, ccr_residual
+
+from dense_reference import dense_commutator
 
 EXPECTED_ORDER = (
     "exact-ccr",
@@ -146,7 +148,7 @@ def reference_block_pair_residuals(t):
     Acting on e_k - e_l subtracts two columns of the commutator.
     Returns (worst residual, matrix max-entry scale, pairs checked).
     """
-    comm = _commutator(t)
+    comm = dense_commutator(t)
     worst = 0.0
     pairs = 0
     for k in range(t.dimension):

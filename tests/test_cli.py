@@ -19,6 +19,7 @@ from timeops import cli
 from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.cli import RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
+from timeops.timeop import BlockDiagonal, TimeOperatorMatrix, assemble_time_operator
 
 
 def _strip_timings(obj):
@@ -236,6 +237,23 @@ class TestSubcommands:
         assert set(first) == {
             "channel_id", "dimension", "max_ccr_residual", "hermiticity_defect",
         }
+
+    def test_timeop_fails_on_a_perturbed_pairing_diagonal(self, tmp_path, monkeypatch):
+        # one pairing eigenvalue off by a relative 1e-9: its commutator row no longer cancels
+        def perturbed(s, p):
+            deco, block = assemble_time_operator(s, p)
+            t = block.blocks[0]
+            ev = list(t.eigenvalues)
+            ev[7] *= 1.0 + 1e-9
+            return deco, BlockDiagonal((TimeOperatorMatrix(t.dimension, t.generator, ev, t.kind),))
+
+        monkeypatch.setattr(cli, "assemble_time_operator", perturbed)
+        code = main(["timeop", "--model", "oscillator", "--n-max", "20", "--out", str(tmp_path)])
+        assert code == 1
+        report = _read(tmp_path / "timeop_report.json")
+        assert report["passed"] is False
+        assert report["channel_reports"][0]["hermiticity_defect"] == 0.0
+        assert report["max_ccr_residual"] > 1e-12
 
     def test_timeop_custom_input(self, tmp_path):
         s = hydrogen_point_spectrum(1.0, 1.0, 3)

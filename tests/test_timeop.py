@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from timeops.spectra import (
     HERMITICITY_BAND_ROWS,
+    HERMITICITY_RTOL,
     Accumulation,
     HermitianMatrix,
     _require_hermitian,
@@ -13,11 +15,11 @@ from timeops.spectra import (
     rabi_hamiltonian,
 )
 from timeops.timeop import (
+    CCR_BAND_ROWS,
     CHANNEL_DIMENSION_LIMIT,
     BlockDiagonal,
     MatrixKind,
     assemble_time_operator,
-    _commutator,
     ccr_residual,
     channel_time_operator,
     galapon_matrix,
@@ -27,6 +29,7 @@ from timeops.timeop import (
     random_difference_stack,
 )
 
+from dense_reference import dense_commutator, dense_residual_rows
 from recording_rng import RecordingRng
 
 
@@ -57,25 +60,26 @@ class TestGalaponMatrix:
     def test_two_by_two_direct_entries(self):
         t = galapon_matrix((1.0, 2.0))
         expected = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        assert np.array_equal(t.data, expected)
+        assert t.generator.dtype == np.float64
+        assert np.array_equal(1j * t.generator, expected)
 
     def test_wide_gap_entry(self):
         t = galapon_matrix((1.0, 7.0))
-        assert t.data[0, 1] == 1j / -6.0
-        assert t.data[1, 0] == 1j / 6.0
+        assert 1j * t.generator[0, 1] == 1j / -6.0
+        assert 1j * t.generator[1, 0] == 1j / 6.0
 
     def test_inverse_conjugate_entries(self):
         t = galapon_matrix((1.0, 2.0), MatrixKind.INVERSE_CONJUGATE)
-        assert t.data[0, 1] == 2.0j
+        assert t.generator[0, 1] == 2.0
         assert t.kind is MatrixKind.INVERSE_CONJUGATE
 
     def test_diagonal_is_exactly_zero(self):
         t = galapon_matrix(np.linspace(0.3, 9.7, 40))
-        assert np.all(np.diag(t.data) == 0.0)
+        assert np.all(np.diag(t.generator) == 0.0)
 
     def test_exactly_hermitian_by_construction(self):
         t = galapon_matrix(np.cumsum(np.linspace(0.1, 2.0, 25)))
-        assert np.array_equal(t.data, t.data.conj().T)
+        assert np.array_equal(t.generator, -t.generator.T)
         assert t.hermiticity_defect() == 0.0
 
     def test_pairing_eigenvalues(self):
@@ -93,21 +97,21 @@ class TestGalaponMatrix:
             for m in range(4):
                 if n != m:
                     expected[n, m] = 1j / (inv[n] - inv[m])
-        scale = np.max(np.abs(ic.data))
-        assert np.max(np.abs(ic.data - expected)) <= 1e-12 * scale
+        scale = np.max(np.abs(ic.generator))
+        assert np.max(np.abs(1j * ic.generator - expected)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_direct_kind_scales_inversely(self, alpha):
         ev = np.array([0.5, 1.1, 2.9, 4.0])
-        base = galapon_matrix(ev).data
-        scaled = galapon_matrix(alpha * ev).data
+        base = galapon_matrix(ev).generator
+        scaled = galapon_matrix(alpha * ev).generator
         assert np.max(np.abs(scaled - base / alpha)) <= 1e-13 * np.max(np.abs(base))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_inverse_conjugate_kind_scales_directly(self, alpha):
         ev = np.array([-2.0, -1.0, -0.4])
-        base = galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).data
-        scaled = galapon_matrix(alpha * ev, MatrixKind.INVERSE_CONJUGATE).data
+        base = galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).generator
+        scaled = galapon_matrix(alpha * ev, MatrixKind.INVERSE_CONJUGATE).generator
         assert np.max(np.abs(scaled - alpha * base)) <= 1e-13 * np.max(np.abs(scaled))
 
     def test_rejects_unsorted_and_zero_and_oversized(self):
@@ -117,13 +121,18 @@ class TestGalaponMatrix:
             galapon_matrix([math.nan, 1.0])
         with pytest.raises(ValueError, match="nonzero"):
             galapon_matrix((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
-        with pytest.raises(ValueError, match="overflow"):
-            galapon_matrix((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE)
+        # the one off-diagonal product E_n*E_m is finite, though (1e300)^2 overflows
+        t = galapon_matrix((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE)
+        assert np.array_equal(t.generator, [[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"products E_n\*E_m overflow .*largest \|eigenvalue\| inf\)"):
+            galapon_matrix((1.0, math.inf), MatrixKind.INVERSE_CONJUGATE)
+        with pytest.raises(ValueError, match=r"products E_n\*E_m overflow"):
+            galapon_matrix((-1e300, -1e10), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match="exceeds"):
             galapon_matrix(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
 
     @pytest.mark.parametrize("kind,values", [
-        # E_n*E_m/(E_m - E_n) with subnormal eigenvalues: the complex quotient overflows
+        # E_n*E_m/(E_m - E_n) with subnormal eigenvalues: 1/gap overflows
         (MatrixKind.INVERSE_CONJUGATE, [-1.1125369292536007e-309, -2.781342323134002e-310]),
         # 1/(E_n - E_m) with a subnormal gap
         (MatrixKind.DIRECT, [0.0, 5e-324]),
@@ -143,7 +152,7 @@ class TestGalaponMatrix:
     def test_random_channels_are_hermitian_with_small_residual(self, gaps):
         ev = 0.5 + np.cumsum(gaps)
         t = galapon_matrix(ev)
-        assert np.array_equal(t.data, t.data.conj().T)
+        assert np.array_equal(t.generator, -t.generator.T)
         v = random_difference_vector(np.random.default_rng(11), ev.size)
         assert ccr_residual(t, v) <= 1e-10
 
@@ -197,7 +206,7 @@ class TestDifferenceSpan:
 class TestCcrResidual:
     def test_commutator_is_i_times_hollow_ones(self):
         ev = np.array([0.5, 1.7, 3.1])
-        comm = _commutator(galapon_matrix(ev))
+        comm = dense_commutator(galapon_matrix(ev))
         expected = 1j * (np.ones((3, 3)) - np.eye(3))
         assert np.max(np.abs(comm - expected)) <= 1e-13
 
@@ -246,7 +255,7 @@ class TestCcrResidual:
         rng = np.random.default_rng(21)
         stack = np.array([random_difference_vector(rng, t.dimension) for _ in range(12)])
         singles = [ccr_residual(t, v.copy()) for v in stack]
-        reference = max(np.linalg.norm(_commutator(t) @ v + 1j * v) for v in stack)
+        reference = max(np.linalg.norm(dense_commutator(t) @ v + 1j * v) for v in stack)
         assert max(singles) == pytest.approx(reference, rel=0.0, abs=1e-13 * t.scale)
         assert ccr_residual(t, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * t.scale)
         assert ccr_residual(t, list(stack)) == ccr_residual(t, stack)
@@ -378,7 +387,7 @@ def svd_spectrum(omega: float, n: int) -> np.ndarray:
 
 def dense_spectrum(omega: float, n: int) -> np.ndarray:
     """Reference: eigvalsh of the dense n x n Toeplitz matrix."""
-    return np.linalg.eigvalsh(galapon_matrix(omega * (np.arange(n) + 0.5)).data)
+    return np.linalg.eigvalsh(1j * galapon_matrix(omega * (np.arange(n) + 0.5)).generator)
 
 
 class TestOscillatorSpectrum:
@@ -482,13 +491,24 @@ class TestRealHermitianSolve:
         np.testing.assert_allclose(ev, [-math.sqrt(5.0), math.sqrt(5.0)], rtol=1e-14)
 
 
+def full_antisymmetry(a: np.ndarray) -> tuple[float, float]:
+    """Reference: (max |A|, max |A + A^T|) over the whole generator at once."""
+    return float(np.max(np.abs(a))), float(np.max(np.abs(a + a.T)))
+
+
 def full_hermiticity(data: np.ndarray) -> tuple[float, float]:
-    """Reference: (max |A|, max |A - A^H|) over the whole matrix at once."""
+    """Reference: (max |T|, max |T - T^H|) over the whole matrix at once."""
     return float(np.max(np.abs(data))), float(np.max(np.abs(data - data.conj().T)))
 
 
+def _generator(dim: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """A writable copy of a direct generator and its eigenvalues."""
+    ev = 0.5 + 0.37 * np.arange(dim)
+    return np.array(galapon_matrix(ev).generator), tuple(ev)
+
+
 class TestHermiticityPass:
-    """One banded pass gives the scale and defect that a full recomputation gives."""
+    """One banded antisymmetry pass over the generator gives the scale and defect of a full recomputation."""
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(101)),
@@ -496,27 +516,100 @@ class TestHermiticityPass:
     ])
     def test_stored_values_match_a_full_recomputation(self, kind, values):
         t = galapon_matrix(values, kind)
-        scale, defect = full_hermiticity(t.data)
+        scale, defect = full_antisymmetry(t.generator)
+        assert (scale, defect) == full_hermiticity(1j * t.generator)
         assert t.scale == scale
         assert t.hermiticity_defect() == defect / scale == 0.0
 
     def test_banded_defect_of_a_perturbed_matrix(self):
         assert 2 * HERMITICITY_BAND_ROWS < 77 <= 3 * HERMITICITY_BAND_ROWS
         # the perturbations sit in the first band and in the last
-        data = np.array(galapon_matrix(0.5 + 0.37 * np.arange(77)).data)
-        data[70, 3] += 1e-14 * abs(data[70, 3])
-        data[5, 60] *= 1.0 + 3e-15
-        assert _require_hermitian(data) == full_hermiticity(data)
-        t = TimeOperatorMatrix(77, data, tuple(0.5 + 0.37 * np.arange(77)), MatrixKind.DIRECT)
-        scale, defect = full_hermiticity(data)
+        a, ev = _generator(77)
+        a[70, 3] += 1e-14 * abs(a[70, 3])
+        a[5, 60] *= 1.0 + 3e-15
+        assert _require_hermitian(a, skew=True) == full_antisymmetry(a)
+        assert _require_hermitian(1j * a) == full_hermiticity(1j * a) == full_antisymmetry(a)
+        scale, defect = full_antisymmetry(a)
+        t = TimeOperatorMatrix(77, a, ev, MatrixKind.DIRECT)
         assert (t.scale, t.hermiticity_defect()) == (scale, defect / scale)
         assert t.hermiticity_defect() > 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, 1.0])
     def test_nan_or_non_hermitian_entry_in_a_late_band_raises(self, bad):
-        data = np.array(galapon_matrix(0.5 + 0.37 * np.arange(77)).data)
-        data[76, 2] = bad
+        a, ev = _generator(77)
+        a[76, 2] = bad
         with pytest.raises(ValueError, match="not Hermitian"):
-            _require_hermitian(data)
+            _require_hermitian(a, skew=True)
         with pytest.raises(ValueError, match="not Hermitian"):
-            TimeOperatorMatrix(77, data, tuple(0.5 + 0.37 * np.arange(77)), MatrixKind.DIRECT)
+            TimeOperatorMatrix(77, a, ev, MatrixKind.DIRECT)
+
+    def test_one_entry_breaking_antisymmetry_raises(self):
+        # a symmetric perturbation just above the tolerance, in one entry
+        a, ev = _generator(300)
+        a[200, 17] += 2.0 * HERMITICITY_RTOL * np.max(np.abs(a))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TimeOperatorMatrix(300, a, ev, MatrixKind.DIRECT)
+
+    def test_constructor_takes_ownership_of_a_real_generator(self):
+        a, ev = _generator(5)
+        t = TimeOperatorMatrix(5, a, ev, MatrixKind.DIRECT)
+        assert t.generator is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="must be real"):
+            TimeOperatorMatrix(5, 1j * a, ev, MatrixKind.DIRECT)
+
+
+def _channel(n: int, kind: MatrixKind):
+    """The oscillator channel (direct) or the hydrogen-like -1/k^2 one (inverse-conjugate) of size n."""
+    if kind is MatrixKind.DIRECT:
+        return galapon_matrix(np.arange(n) + 0.5, kind)
+    return galapon_matrix(-1.0 / np.arange(1, n + 1) ** 2, kind)
+
+
+class TestBandedCommutator:
+    """``ccr_residual`` streams the commutator in bands; the dense product is the reference."""
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("n", [2, CCR_BAND_ROWS - 1, CCR_BAND_ROWS, CCR_BAND_ROWS + 1, 300, 1501])
+    def test_matches_the_dense_commutator_row_by_row(self, n, kind):
+        t = _channel(n, kind)
+        comm = dense_commutator(t)
+        for k in (1, 20):
+            stack = random_difference_stack(np.random.default_rng(n + k), n, k)
+            # a single row goes to a matrix-vector product, a stack to a matrix product
+            for v in stack:
+                assert abs(ccr_residual(t, v) - dense_residual_rows(comm, v[None])[0]) <= 1e-15 * t.scale
+            assert abs(ccr_residual(t, stack) - np.max(dense_residual_rows(comm, stack))) <= 1e-15 * t.scale
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("row", [0, 299])
+    def test_nan_in_one_row_gives_a_nan_residual_and_fails(self, kind, row):
+        t = _channel(300, kind)
+        ev = list(t.eigenvalues)
+        ev[row] = math.nan
+        broken = TimeOperatorMatrix(300, t.generator, ev, kind)
+        worst = ccr_residual(broken, random_difference_stack(np.random.default_rng(3), 300, 20))
+        assert math.isnan(worst)
+        assert not worst <= 1e-12 * broken.scale
+
+
+class TestMemory:
+    """The oscillator channel at n = 1501 holds one real n x n array and no complex one."""
+
+    def test_build_and_residual_stay_within_their_budgets(self):
+        n = 1501
+        square = 8 * n * n
+        ev = np.arange(n) + 0.5
+        stack = random_difference_stack(np.random.default_rng(1), n, 20)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            t = galapon_matrix(ev)
+            held, peak = tracemalloc.get_traced_memory()
+            assert peak - before < 1.5 * square
+            tracemalloc.reset_peak()
+            ccr_residual(t, stack)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - held < 0.5 * square
+        finally:
+            tracemalloc.stop()
