@@ -25,7 +25,6 @@ from .decompose import (
     verify_decomposition,
 )
 from .timeop import (
-    BlockDiagonal,
     MatrixKind,
     TimeOperatorMatrix,
     assemble_time_operator,
@@ -39,9 +38,9 @@ from .timeop import (
 from .uwform import (
     AdmissibilityError,
     AdmissibilityReport,
-    FormChannel,
     FunctionKind,
     FunctionSpec,
+    UltraWeakForm,
     assemble_uwform,
     describe_domains,
     f_condition_check,

@@ -26,7 +26,6 @@ from .contspec import ExpCombination, make_packet, s0_strong_relation_check, s0_
 from .decompose import channel_partition, verify_decomposition
 from .spectra import harmonic_spectrum, hydrogen_point_spectrum, rabi_check, rabi_hamiltonian
 from .timeop import (
-    BlockDiagonal,
     MatrixKind,
     assemble_time_operator,
     ccr_residual,
@@ -37,6 +36,7 @@ from .timeop import (
 from .uwform import (
     FunctionKind,
     FunctionSpec,
+    UltraWeakForm,
     assemble_uwform,
     f_condition_check,
     f_transform_form,
@@ -114,17 +114,17 @@ def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
     Every difference e_k - e_l of every block of dimension >= 2 is checked.
     """
     hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
-    deco, block_op = assemble_time_operator(hyd)
+    deco, hyd_matrices = assemble_time_operator(hyd)
     structure_ok = (hyd.total_states == 30 and deco.channel_count == 16)
 
     osc = harmonic_spectrum([1.0], 50)
-    deco_osc, block_osc = assemble_time_operator(osc)
+    deco_osc, osc_matrices = assemble_time_operator(osc)
 
     worst_ratio = 0.0
     worst_abs = 0.0
     pairs_total = 0
     ok = structure_ok
-    for t in block_op.blocks + block_osc.blocks:
+    for t in hyd_matrices + osc_matrices:
         if t.dimension < 2:
             continue
         stack = _difference_stack(t.dimension)
@@ -310,9 +310,9 @@ def criterion_s0(tol: dict, seed: int) -> tuple[bool, dict]:
     }
 
 
-def _sweep_forms(form: BlockDiagonal, pairs: int) -> list[BlockDiagonal]:
+def _sweep_forms(form: UltraWeakForm, pairs: int) -> list[UltraWeakForm]:
     """``pairs`` channels of dimension >= 2, round-robin, then ``pairs`` copies of the whole form."""
-    singles = [form.channel(i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2] or [form]
+    singles = [form.channel(i) for i, ev in enumerate(form.eigenvalues) if ev.size >= 2] or [form]
     return [singles[i % len(singles)] for i in range(pairs)] + [form] * pairs
 
 

@@ -297,13 +297,13 @@ def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
         return _rabi_report(config.model)
     s = _spectrum_from_model(config.model)
     vectors = pl["vectors"]
-    deco, block = assemble_time_operator(s, pl["p"])
-    if all(t.dimension < 2 for t in block.blocks):
+    deco, matrices = assemble_time_operator(s, pl["p"])
+    if all(t.dimension < 2 for t in matrices):
         raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
     channels = []
     ok = True
-    for i, t in enumerate(block.blocks):
+    for i, t in enumerate(matrices):
         worst = 0.0
         if t.dimension >= 2:
             rng = np.random.default_rng(config.seed + 10_000 + i)
@@ -352,7 +352,7 @@ def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
 
     # with no channel of dimension 2 or more, the whole-form sweep raises
     rngs = {i: np.random.default_rng(config.seed + 20_000 + i)
-            for i, ch in enumerate(form.blocks) if ch.dimension >= 2}
+            for i, ev in enumerate(form.eigenvalues) if ev.size >= 2}
     per_channel = uw_ccr_channel_sweep(rngs, form, vectors)
     whole = uw_ccr_sweep(np.random.default_rng(config.seed + 30_000), [form] * vectors)
     worst = float(np.max([*per_channel[list(rngs)], whole]))

@@ -164,26 +164,29 @@ class DiscreteSpectrum:
 HERMITICITY_BAND_ROWS = 32
 
 
-def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple[float, float]:
+def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple:
     """Return (scale, defect): the largest |A| and |A - A^H| entries of a square A.
 
     With ``skew``, ``data`` is the real generator A of T = iA and the
     defect is the largest |A + A^T| entry, which is the |T - T^H| entry.
-    Raises ValueError when the defect exceeds ``HERMITICITY_RTOL`` times the
-    scale, written as ``not (defect <= bound)`` so that NaN entries fail.
+    A (c, d, d) stack is checked matrix by matrix, and gives one scale
+    and one defect per matrix.  Raises ValueError when a defect exceeds
+    ``HERMITICITY_RTOL`` times its scale, written as
+    ``not (defect <= bound)`` so that NaN entries fail.
     """
-    scale = defect = 0.0
+    scale = defect = np.zeros(data.shape[:-2])
     rows = HERMITICITY_BAND_ROWS
     with np.errstate(invalid="ignore"):   # inf - inf is a NaN defect, rejected below
-        for start in range(0, data.shape[0], rows):
-            band = data[start:start + rows]
-            mirror = data[:, start:start + rows].T
+        for start in range(0, data.shape[-2], rows):
+            band = data[..., start:start + rows, :]
+            mirror = np.swapaxes(data[..., start:start + rows], -1, -2)
             # np.maximum, unlike max(), carries a NaN forward
-            scale = np.maximum(scale, np.max(np.abs(band)))
-            defect = np.maximum(defect, np.max(np.abs(band + mirror if skew else band - mirror.conj())))
-    if not defect <= HERMITICITY_RTOL * max(scale, 1e-300):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return float(scale), float(defect)
+            scale = np.maximum(scale, np.max(np.abs(band), axis=(-2, -1)))
+            defect = np.maximum(defect, np.max(np.abs(band + mirror if skew else band - mirror.conj()), axis=(-2, -1)))
+    failed = ~(defect <= HERMITICITY_RTOL * np.maximum(scale, 1e-300))
+    if np.any(failed):
+        raise ValueError(f"matrix is not Hermitian (defect {np.ravel(defect)[np.argmax(failed)]:.3e})")
+    return scale, defect
 
 
 @dataclass(frozen=True)

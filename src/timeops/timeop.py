@@ -1,4 +1,4 @@
-"""Time-operator matrices on simple channels and their direct sums.
+"""Time-operator matrices on simple channels.
 
 In the eigenbasis of a simple (multiplicity-free) channel the canonical
 time-operator candidate is the Hermitian matrix with zero diagonal and
@@ -7,7 +7,8 @@ off-diagonal entries i/(E_n - E_m).  Against H = diag(E) it satisfies
 ([H,T]v + iv) collapses to i*(sum of coefficients)*ones: it vanishes
 identically on the span of eigenvector differences.  That cancellation is
 algebraic, not asymptotic, which is why the residual checks here demand
-machine precision rather than convergence.
+machine precision rather than convergence.  The time operator of a whole
+spectrum is the tuple of its channel matrices, in decomposition order.
 
 Every entry is purely imaginary, so a matrix is stored as T = iA with A
 real and antisymmetric: one real n x n array per channel.  The residual
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum, _r
 __all__ = [
     "MatrixKind",
     "TimeOperatorMatrix",
-    "BlockDiagonal",
     "galapon_matrix",
     "ccr_residual",
     "random_difference_stack",
@@ -88,7 +87,7 @@ class TimeOperatorMatrix:
             raise ValueError("need one eigenvalue per basis vector")
         if np.any(np.diagonal(generator) != 0.0):
             raise ValueError("time-operator matrix must have zero diagonal")
-        scale, defect = _require_hermitian(generator, skew=True)
+        scale, defect = map(float, _require_hermitian(generator, skew=True))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_defect", defect)
         generator.flags.writeable = False
@@ -125,19 +124,30 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
         gives i E_n E_m/(E_m - E_n), the direct matrix of the reciprocal
         spectrum in the original basis order.
 
-    The generator A = -iT is built in the buffer of the gap array E_n - E_m,
-    so the build holds one real n x n array and a band of products.
+    The generator A = -iT is the one-row case of ``_generator_stack``.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     kind = MatrixKind(kind)
     if ev.ndim != 1 or ev.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-d array")
-    if ev.size > CHANNEL_DIMENSION_LIMIT:
+    return TimeOperatorMatrix(ev.size, _generator_stack(ev[None], kind)[0], tuple(ev), kind)
+
+
+def _generator_stack(ev: np.ndarray, kind: MatrixKind) -> np.ndarray:
+    """Real generators A = -iT of the channels whose eigenvalues are the rows of a (c, d) float array.
+
+    Returns a (c, d, d) stack, A[r] built from row r as ``galapon_matrix``
+    documents.  Each generator is built in the buffer of the gap array
+    E_n - E_m, so the build holds the stack and one band of products.  A
+    refusal names the first row that fails it.
+    """
+    c, d = ev.shape
+    if d > CHANNEL_DIMENSION_LIMIT:
         raise ValueError(
-            f"channel dimension {ev.size} exceeds the dense-solver limit "
+            f"channel dimension {d} exceeds the dense-solver limit "
             f"{CHANNEL_DIMENSION_LIMIT}"
         )
-    if np.any(np.diff(ev) <= 0.0):
+    if np.any(np.diff(ev, axis=1) <= 0.0):
         raise ValueError("eigenvalues must be strictly increasing")
     if kind is MatrixKind.INVERSE_CONJUGATE and np.any(ev == 0.0):
         raise ValueError("inverse-conjugate kind requires nonzero eigenvalues")
@@ -145,27 +155,33 @@ def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOpe
     # here; the entry gate below sees neither, since non-finite eigenvalues
     # pass to the antisymmetry check.  The largest off-diagonal product is
     # that of the two largest magnitudes; diagonal ones are overwritten.
-    top = np.sort(np.abs(ev))[-2:]            # one magnitude, squared, for a single eigenvalue
-    second, largest = float(top[0]), float(top[-1])
-    if kind is MatrixKind.INVERSE_CONJUGATE and not math.isfinite(second * largest):
-        raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
+    if kind is MatrixKind.INVERSE_CONJUGATE:
+        top = np.sort(np.abs(ev), axis=1)[:, -2:]   # one magnitude, squared, for a single eigenvalue
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = ~np.isfinite(top[:, 0] * top[:, -1])
+        if np.any(overflow):
+            largest = float(top[np.argmax(overflow), -1])
+            raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
-    a = np.subtract.outer(ev, ev)             # gaps[n, m] = E_n - E_m, turned into A in place
-    np.fill_diagonal(a, 1.0)                  # placeholder, diagonal is zeroed below
+    a = ev[:, :, None] - ev[:, None, :]       # gaps[r, n, m] = E_n - E_m, turned into A in place
+    diagonal = a.reshape(c, d * d)[:, ::d + 1]
+    diagonal[...] = 1.0                       # placeholder, zeroed below
     # a subnormal gap overflows the quotient; finite eigenvalues must give finite entries
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.reciprocal(a, out=a)
         if kind is MatrixKind.INVERSE_CONJUGATE:
             # E_n*E_m * (-1/gap): the bits of the complex quotient i E_n E_m / (-gap)
             np.negative(a, out=a)
-            for start in range(0, ev.size, CCR_BAND_ROWS):
-                a[start:start + CCR_BAND_ROWS] *= np.multiply.outer(ev[start:start + CCR_BAND_ROWS], ev)
-    np.fill_diagonal(a, 0.0)
-    if np.all(np.isfinite(ev)) and not np.all(np.isfinite(a)):
+            for start in range(0, d, CCR_BAND_ROWS):
+                band = slice(start, start + CCR_BAND_ROWS)
+                a[:, band] *= ev[:, band, None] * ev[:, None, :]
+    diagonal[...] = 0.0
+    overflow = np.all(np.isfinite(ev), axis=1) & ~np.all(np.isfinite(a), axis=(1, 2))
+    if np.any(overflow):
         entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
         raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
-                         f"(smallest gap {float(np.min(np.diff(ev)))!r})")
-    return TimeOperatorMatrix(ev.size, a, tuple(ev), kind)
+                         f"(smallest gap {float(np.min(np.diff(ev[np.argmax(overflow)])))!r})")
+    return a
 
 
 def random_difference_stack(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -242,46 +258,6 @@ def ccr_residual(t: TimeOperatorMatrix, v) -> float:
     return float(np.max(np.linalg.norm(out, axis=1)))
 
 
-@dataclass(frozen=True)
-class BlockDiagonal:
-    """Direct sum of channel blocks, laid out one after the other.
-
-    A block is a ``TimeOperatorMatrix`` or a ``uwform.FormChannel``; both
-    expose ``dimension`` and ``pairing_eigenvalues``.  The blocks occupy
-    consecutive coordinate slices, derived from the block dimensions.
-    """
-
-    blocks: tuple
-    _slices: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValueError("a block-diagonal operator needs at least one block")
-        ends = accumulate(b.dimension for b in blocks)
-        slices = tuple(slice(end - b.dimension, end) for b, end in zip(blocks, ends))
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_slices", slices)
-
-    @property
-    def total_dimension(self) -> int:
-        return self._slices[-1].stop
-
-    def pieces(self, v: np.ndarray) -> list[np.ndarray]:
-        """The block slices of v, after checking its length."""
-        if v.shape != (self.total_dimension,):
-            raise ValueError("vector length does not match the block-diagonal dimension")
-        return [v[sl] for sl in self._slices]
-
-    def hamiltonian_diagonal(self) -> np.ndarray:
-        """Concatenated diagonal of the Hamiltonian each block pairs with."""
-        return np.concatenate([np.asarray(b.pairing_eigenvalues, dtype=float) for b in self.blocks])
-
-    def channel(self, index: int) -> "BlockDiagonal":
-        """Block ``index`` on its own, as a one-block operator."""
-        return BlockDiagonal((self.blocks[index],))
-
-
 def channel_time_operator(values, accumulation: Accumulation) -> TimeOperatorMatrix:
     """Time-operator matrix for one simple channel of a spectrum.
 
@@ -298,14 +274,14 @@ def channel_time_operator(values, accumulation: Accumulation) -> TimeOperatorMat
 def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):
     """Decompose a spectrum and build the block time operator.
 
-    Returns (decomposition, BlockDiagonal) with one matrix per channel, in
-    decomposition order.
+    Returns (decomposition, matrices): one ``TimeOperatorMatrix`` per
+    channel, in decomposition order.
     """
     deco = decompose_spectrum(s, p)
-    return deco, BlockDiagonal(tuple(
+    return deco, tuple(
         channel_time_operator(deco.channel_values(i), s.accumulation)
         for i in range(deco.channel_count)
-    ))
+    )
 
 
 def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:

@@ -18,6 +18,11 @@ unit vector in that domain the quantity (t - a)[(H - b) psi, psi] has
 imaginary part exactly -1/2 for every choice of real centers a, b, hence
 modulus at least 1/2.
 
+A form over a direct sum of simple channels is one ``UltraWeakForm``.
+It stacks the channels of each dimension d >= 2 into one group, whose
+evaluators are built in one vectorized pass and read in place by every
+sweep.  A channel of dimension 1 has a trivial domain and no evaluator.
+
 The second half of the module transports the construction along functions
 of the Hamiltonian.  A shifted symbol f~(x) = f(x) - f(0) applied to the
 spectrum yields a new eigenvalue multiset; when the shifted values are
@@ -30,19 +35,17 @@ Inner products are antilinear in the first slot throughout.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 from .decompose import ChannelDecomposition, channel_partition, decompose_spectrum
-from .spectra import Accumulation, DiscreteSpectrum
-from .timeop import BlockDiagonal, MatrixKind, galapon_matrix
+from .spectra import Accumulation, DiscreteSpectrum, _require_hermitian
+from .timeop import MatrixKind, _generator_stack
 
 __all__ = [
-    "FormChannel",
+    "UltraWeakForm",
     "FunctionKind",
     "FunctionSpec",
     "AdmissibilityReport",
@@ -71,74 +74,131 @@ SIN_RESONANCE_ATOL = 1e-9
 SWEEP_CHUNK = 2 ** 18
 
 
-class FormChannel:
-    """One simple channel of an ultra-weak form.
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The c channels of dimension d >= 2 of a form, stacked."""
 
-    Holds the channel eigenvalues (strictly increasing, nonzero) and the
-    evaluator A = -(S D + D S)/2, with S the inverse-conjugate matrix and
-    D = diag(1/E^2).  The two D-products are applied by row and column
-    scaling, which keeps A Hermitian to the last bit: the (n, m) and
-    (m, n) entries are built from the same float products.  A form is a
-    ``BlockDiagonal`` of these channels.
+    blocks: np.ndarray        # (c,) block positions in the form
+    index: np.ndarray         # (c, d) coordinates of each block in a whole-form vector
+    eigenvalues: np.ndarray   # (c, d)
+    evaluators: np.ndarray    # (c, d, d)
 
-    The evaluator is row ``row`` of ``stack``, a (c, d, d) array.  A
-    channel built on its own gets a stack of one; pass a writable
-    ``stack`` and a ``row`` to write the evaluator there instead, so
-    that channels of one dimension share one stack, which the sweeps
-    read without copying it.
+
+@dataclass(frozen=True, eq=False)
+class UltraWeakForm:
+    """Ultra-weak form of a direct sum of simple channels.
+
+    Built from one eigenvalue array per channel, each strictly increasing,
+    finite and nonzero; ``eigenvalues`` keeps them, read-only.  The
+    evaluator of a channel is A = -(S D + D S)/2, with S the
+    inverse-conjugate matrix and D = diag(1/E^2).  For every dimension
+    d >= 2, in the order the dimensions first appear, ``groups`` holds a
+    ``_Group`` of the channels of that dimension, in channel order, with
+    their evaluators in one read-only (c, d, d) stack.
+
+    Frozen and hashed by identity, so the sweeps check the pairs of each
+    distinct form together.
     """
 
-    def __init__(self, eigenvalues, stack: np.ndarray | None = None, row: int = 0) -> None:
-        ev = np.asarray(eigenvalues, dtype=float)
-        if ev.ndim != 1 or ev.size == 0:
+    eigenvalues: tuple = field(init=False, repr=False)
+    groups: tuple = field(init=False, repr=False)
+    total_dimension: int = field(init=False)
+
+    def __init__(self, channels) -> None:
+        channels = [np.asarray(ev, dtype=float) for ev in channels]
+        if not channels:
+            raise ValueError("a form needs at least one channel")
+        if any(ev.ndim != 1 or ev.size == 0 for ev in channels):
             raise ValueError("eigenvalues must be a nonempty 1-d array")
-        if np.any(ev == 0.0):
-            raise ValueError("form channels require nonzero eigenvalues")
-        if np.any(np.diff(ev) <= 0.0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        self.eigenvalues = ev.copy()
-        self.eigenvalues.flags.writeable = False
-        self.dimension = int(ev.size)
-        s = 1j * galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).generator
+        dims = np.array([ev.size for ev in channels])
+        eigenvalues = [None] * len(channels)
+        stacks = {}
+        for d in dict.fromkeys(dims.tolist()):   # dimensions in order of first appearance
+            blocks = np.flatnonzero(dims == d)
+            e = np.stack([channels[i] for i in blocks])
+            # written so that NaN fails
+            if not np.all(np.isfinite(e) & (e != 0.0)):
+                raise ValueError("form channels require finite, nonzero eigenvalues")
+            e.flags.writeable = False
+            for i, row in zip(blocks, e):
+                eigenvalues[i] = row
+            stacks[d] = blocks, e
+        del channels   # an iterable's arrays are released before the evaluators are built
+        starts = np.cumsum(dims) - dims
+        groups = tuple(_Group(blocks, starts[blocks, None] + np.arange(d), e, _evaluator_stack(e))
+                       for d, (blocks, e) in stacks.items() if d >= 2)
+        self._freeze(tuple(eigenvalues), groups)
+
+    def _freeze(self, eigenvalues: tuple, groups: tuple) -> None:
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "total_dimension", sum(ev.size for ev in eigenvalues))
+
+    def channel(self, index: int) -> "UltraWeakForm":
+        """Channel ``index`` on its own, as a one-channel form that views its group's row."""
+        index = range(len(self.eigenvalues))[index]
+        ev = self.eigenvalues[index]
+        groups = []
+        for g in self.groups:
+            for row in np.flatnonzero(g.blocks == index):
+                rows = slice(row, row + 1)
+                groups.append(_Group(np.array([0]), np.arange(ev.size)[None], g.eigenvalues[rows], g.evaluators[rows]))
+        view = object.__new__(UltraWeakForm)
+        view._freeze((ev,), tuple(groups))
+        return view
+
+
+def _evaluator_stack(e: np.ndarray) -> np.ndarray:
+    """Read-only (c, d, d) stack of the evaluators of the channels whose eigenvalues are the rows of e.
+
+    The two D-products are applied by row and column scaling, which keeps
+    each evaluator Hermitian to the last bit: the (n, m) and (m, n)
+    entries are built from the same float products.  The channels are
+    built SWEEP_CHUNK entries at a time, so the temporaries grow with the
+    chunk, not with the stack.
+    """
+    c, d = e.shape
+    rows = max(1, SWEEP_CHUNK // (d * d))
+    stack = None
+    for start in range(0, c, rows):
+        chunk = slice(start, start + rows)
+        a = _generator_stack(e[chunk], MatrixKind.INVERSE_CONJUGATE)
+        _require_hermitian(a, skew=True)
+        if stack is None:   # only once the kernel has accepted the dimension
+            stack = np.empty((c, d, d), dtype=complex)
+        s = stack[chunk]
+        np.multiply(1j, a, out=s)   # S = iA
+        del a
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = 1.0 / (ev * ev)
-            a = -0.5 * (s * d[None, :] + d[:, None] * s)
-        if not np.all(np.isfinite(a)):
+            inv = 1.0 / (e[chunk] * e[chunk])
+            sd = s * inv[:, None, :]
+            np.multiply(inv[:, :, None], s, out=s)
+            np.add(sd, s, out=s)
+            np.multiply(-0.5, s, out=s)
+        del sd
+        if not np.all(np.isfinite(s)):
             raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
-        if stack is None:
-            stack = a[None]
-            stack.flags.writeable = False
-        else:
-            stack[row] = a
-        self.stack, self.row = stack, row
-
-    @property
-    def evaluator(self) -> np.ndarray:
-        return self.stack[self.row]
-
-    @property
-    def pairing_eigenvalues(self) -> np.ndarray:
-        """The form pairs with H = diag(E) itself."""
-        return self.eigenvalues
+    stack.flags.writeable = False
+    return stack
 
 
-def describe_domains(form: BlockDiagonal) -> list[dict]:
+def describe_domains(form: UltraWeakForm) -> list[dict]:
     """Per-channel summary of sizes and eigenvalue ranges."""
     return [
         {
             "channel_id": i,
-            "dimension": ch.dimension,
-            "eigenvalue_min": float(ch.eigenvalues[0]),
-            "eigenvalue_max": float(ch.eigenvalues[-1]),
+            "dimension": ev.size,
+            "eigenvalue_min": float(ev[0]),
+            "eigenvalue_max": float(ev[-1]),
         }
-        for i, ch in enumerate(form.blocks)
+        for i, ev in enumerate(form.eigenvalues)
     ]
 
 
 def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
     """Decompose a zero-accumulating spectrum into an ultra-weak form.
 
-    Returns (decomposition, BlockDiagonal) with one form channel per
+    Returns (decomposition, UltraWeakForm) with one form channel per
     decomposition channel, eigenvalues sorted ascending within each.
     """
     if s.accumulation is not Accumulation.TO_ZERO:
@@ -147,75 +207,25 @@ def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
     return deco, _form_of(deco)
 
 
-def _form_of(deco: ChannelDecomposition) -> BlockDiagonal:
-    """One form channel per decomposition channel, eigenvalues ascending.
-
-    The evaluators of the channels of one dimension are written into one
-    (c, d, d) stack, in channel order.
-    """
-    values = [np.sort(deco.channel_values(i)) for i in range(deco.channel_count)]
-    stacks = {d: np.empty((c, d, d), dtype=complex) for d, c in Counter(v.size for v in values).items()}
-    filled: Counter = Counter()
-    channels = []
-    for v in values:
-        channels.append(FormChannel(v, stacks[v.size], filled[v.size]))
-        filled[v.size] += 1
-    for stack in stacks.values():
-        stack.flags.writeable = False
-    return BlockDiagonal(tuple(channels))
+def _form_of(deco: ChannelDecomposition) -> UltraWeakForm:
+    """One form channel per decomposition channel, eigenvalues ascending."""
+    return UltraWeakForm(np.sort(deco.channel_values(i)) for i in range(deco.channel_count))
 
 
 # ------------------------------------------------------------ sweep kernels
 #
 # A sweep checks an identity on stacks of random unit vectors in the
-# commutation domain.  The channels of one dimension d >= 2 are stacked
-# into a group, and the vectors of a sweep are held group by group as
-# (c, k, d) arrays: c channels, k rows.  A row is one vector: a
-# whole-form vector spans every group, a channel vector only its own
-# channel.  Channels of dimension 1 have a trivial domain and hold no
-# coefficients.
+# commutation domain, group by group.  The vectors of a sweep are held as
+# (c, k, d) arrays, one per group: c channels, k rows.  A row is one
+# vector: a whole-form vector spans every group, a channel vector only
+# its own channel.  Channels of dimension 1 have a trivial domain and
+# hold no coefficients.
 
 
-class _Group(NamedTuple):
-    """The c channels of dimension d >= 2 of a form that share one evaluator stack."""
-
-    blocks: np.ndarray        # (c,) block positions in the form
-    index: np.ndarray         # (c, d) coordinates of each block in a whole-form vector
-    eigenvalues: np.ndarray   # (c, d)
-    evaluators: np.ndarray    # (c, d, d)
-
-
-def _groups(form: BlockDiagonal) -> list[_Group]:
-    """The form's channels of dimension 2 or more, grouped by the evaluator stack they share.
-
-    A group whose channels hold consecutive rows of their stack reads
-    them as a view: an assembled form's evaluators are never copied.
-    """
-    members: dict[int, list[int]] = {}
-    for i, ch in enumerate(form.blocks):
-        if ch.dimension >= 2:
-            members.setdefault(id(ch.stack), []).append(i)
-    coordinates = form.pieces(np.arange(form.total_dimension))
-    groups = []
-    for ids in members.values():
-        channels = [form.blocks[i] for i in ids]
-        rows = [ch.row for ch in channels]
-        stack = channels[0].stack
-        consecutive = rows == list(range(rows[0], rows[0] + len(rows)))
-        groups.append(_Group(
-            np.array(ids),
-            np.stack([coordinates[i] for i in ids]),
-            np.stack([ch.eigenvalues for ch in channels]),
-            stack[rows[0]:rows[-1] + 1] if consecutive else stack[rows],
-        ))
-    return groups
-
-
-def _nontrivial_groups(form: BlockDiagonal) -> list[_Group]:
-    groups = _groups(form)
-    if not groups:
+def _nontrivial_groups(form: UltraWeakForm) -> tuple[_Group, ...]:
+    if not form.groups:
         raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
-    return groups
+    return form.groups
 
 
 def _project(e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -242,7 +252,7 @@ def _random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
 
-def _whole_rows(groups: list[_Group], v: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+def _whole_rows(groups: tuple[_Group, ...], v: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
     """Project the (k, n) whole-form vectors v blockwise and normalize each one.
 
     A row whose projection has norm <= 1e-8 is replaced by a fresh draw
@@ -264,7 +274,7 @@ def _whole_rows(groups: list[_Group], v: np.ndarray, rng: np.random.Generator) -
     return units
 
 
-def _channel_rows(groups: list[_Group], v: list[np.ndarray], rngs) -> list[np.ndarray]:
+def _channel_rows(groups: tuple[_Group, ...], v: list[np.ndarray], rngs) -> list[np.ndarray]:
     """Project each group's (c, k, d) channel vectors and normalize each one on its own.
 
     A vector whose projection has norm <= 1e-8 is replaced by a fresh
@@ -287,7 +297,7 @@ def _channel_rows(groups: list[_Group], v: list[np.ndarray], rngs) -> list[np.nd
     return units
 
 
-def _require_domain(groups: list[_Group], units: list[np.ndarray], row_norms: list[np.ndarray]) -> None:
+def _require_domain(groups: tuple[_Group, ...], units: list[np.ndarray], row_norms: list[np.ndarray]) -> None:
     """Refuse a vector with any channel piece off its channel's commutation domain.
 
     The tolerance of a piece is anchored to the norm of its whole row
@@ -310,7 +320,7 @@ def _apply(g: _Group, v: np.ndarray) -> np.ndarray:
     return v @ g.evaluators.transpose(0, 2, 1)
 
 
-def _ccr_terms(groups: list[_Group], phi: list[np.ndarray], psi: list[np.ndarray]) -> list[np.ndarray]:
+def _ccr_terms(groups: tuple[_Group, ...], phi: list[np.ndarray], psi: list[np.ndarray]) -> list[np.ndarray]:
     """t[H phi, psi] - t[phi, H psi] + i (phi, psi) per channel and row, (c, k) per group."""
     terms = []
     for g, f, s in zip(groups, phi, psi):
@@ -322,7 +332,7 @@ def _ccr_terms(groups: list[_Group], phi: list[np.ndarray], psi: list[np.ndarray
     return terms
 
 
-def _whole_pair_residuals(groups: list[_Group], draws: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _whole_pair_residuals(groups: tuple[_Group, ...], draws: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ultra-weak CCR residual of each pair of whole-form vectors in draws (k, 2, 2, n)."""
     phi = _whole_rows(groups, draws[:, 0, 0] + 1j * draws[:, 0, 1], rng)
     psi = _whole_rows(groups, draws[:, 1, 0] + 1j * draws[:, 1, 1], rng)
@@ -340,12 +350,12 @@ def _chunks(widths: list[int]):
     yield start, len(widths)
 
 
-def _uw_ccr_worst(rng: np.random.Generator, forms: list[BlockDiagonal],
-                  groups: dict[BlockDiagonal, list[_Group]]) -> float:
+def _uw_ccr_worst(rng: np.random.Generator, forms: list[UltraWeakForm],
+                  groups: dict[UltraWeakForm, tuple[_Group, ...]]) -> float:
     """Worst residual over one pair per form, every coefficient from one draw."""
     sizes = [4 * f.total_dimension for f in forms]
     per_pair = np.split(rng.uniform(-1.0, 1.0, sum(sizes)), np.cumsum(sizes)[:-1])
-    pairs: dict[BlockDiagonal, list[np.ndarray]] = {}
+    pairs: dict[UltraWeakForm, list[np.ndarray]] = {}
     for f, draw in zip(forms, per_pair):
         pairs.setdefault(f, []).append(draw.reshape(2, 2, -1))
     return np.max(np.concatenate([_whole_pair_residuals(groups[f], np.stack(draws), rng)
@@ -370,7 +380,7 @@ def uw_ccr_sweep(rng: np.random.Generator, forms) -> float:
     return float(np.max([_uw_ccr_worst(rng, forms[start:stop], groups) for start, stop in chunks]))
 
 
-def uw_ccr_channel_sweep(rngs, form: BlockDiagonal, count: int) -> np.ndarray:
+def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
     """Worst ultra-weak CCR residual of each channel over ``count`` random pairs of its own.
 
     ``rngs[i]`` draws the pairs of block i, for every block of dimension
@@ -382,8 +392,8 @@ def uw_ccr_channel_sweep(rngs, form: BlockDiagonal, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("need at least one pair; a sweep over none checks nothing")
-    worst = np.zeros(len(form.blocks))
-    groups = _groups(form)
+    worst = np.zeros(len(form.eigenvalues))
+    groups = form.groups
     if not groups:
         return worst
     for start, stop in _chunks([sum(g.index.size for g in groups)] * count):
@@ -397,7 +407,7 @@ def uw_ccr_channel_sweep(rngs, form: BlockDiagonal, count: int) -> np.ndarray:
     return worst
 
 
-def _uncertainty_extremes(rng: np.random.Generator, groups: list[_Group], n: int, count: int):
+def _uncertainty_extremes(rng: np.random.Generator, groups: tuple[_Group, ...], n: int, count: int):
     """(smallest |z|, worst |Im z + 1/2|) over ``count`` checks, every number from one draw."""
     draws = rng.uniform(-1.0, 1.0, (count, 2 + 2 * n))
     # 2 u(-1, 1) has the bits of u(-2, 2): scaling by 2 commutes with rounding
@@ -415,7 +425,7 @@ def _uncertainty_extremes(rng: np.random.Generator, groups: list[_Group], n: int
     return np.min(np.abs(z)), np.max(np.abs(z.imag + 0.5))
 
 
-def uncertainty_sweep(rng: np.random.Generator, form: BlockDiagonal, count: int) -> tuple[float, float]:
+def uncertainty_sweep(rng: np.random.Generator, form: UltraWeakForm, count: int) -> tuple[float, float]:
     """(smallest value, worst |Im + 1/2|) over ``count`` random checks.
 
     Each check takes centers a and b from [-2, 2] and a unit domain
@@ -631,7 +641,7 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     census tolerance by adding their multiplicities, partitions the
     resulting value set, and assembles the channel forms.
 
-    Returns (report, ChannelDecomposition, BlockDiagonal).
+    Returns (report, ChannelDecomposition, UltraWeakForm).
     """
     report = f_condition_check(f, s)
     if not report.admissible:

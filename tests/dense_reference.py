@@ -1,6 +1,8 @@
-"""Dense references for the banded time-operator kernels."""
+"""Dense references for the banded time-operator kernels and the stacked form evaluators."""
 
 import numpy as np
+
+from timeops.timeop import MatrixKind, galapon_matrix
 
 
 def dense_commutator(t) -> np.ndarray:
@@ -17,3 +19,15 @@ def dense_commutator(t) -> np.ndarray:
 def dense_residual_rows(comm: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Norm of (comm + i)v for each row v of a (k, n) stack, against the whole commutator."""
     return np.linalg.norm(vecs @ comm.T + 1j * vecs, axis=1)
+
+
+def form_evaluator(eigenvalues) -> np.ndarray:
+    """One channel's ultra-weak form evaluator A = -(S D + D S)/2, built on its own.
+
+    S = i * the inverse-conjugate generator and D = diag(1/E^2), the two
+    D-products applied by column and row scaling.
+    """
+    ev = np.asarray(eigenvalues, dtype=float)
+    s = 1j * galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).generator
+    d = 1.0 / (ev * ev)
+    return -0.5 * (s * d[None, :] + d[:, None] * s)

@@ -164,7 +164,7 @@ def reference_block_pair_residuals(t):
 def _exact_ccr_blocks():
     _, hydrogen = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))
     _, oscillator = assemble_time_operator(harmonic_spectrum([1.0], 50))
-    return [t for t in hydrogen.blocks + oscillator.blocks if t.dimension >= 2]
+    return [t for t in hydrogen + oscillator if t.dimension >= 2]
 
 
 def test_difference_stack_matches_the_pair_loop_bit_for_bit():

@@ -17,8 +17,8 @@ from timeops.spectra import (
 from timeops.timeop import (
     CCR_BAND_ROWS,
     CHANNEL_DIMENSION_LIMIT,
-    BlockDiagonal,
     MatrixKind,
+    _generator_stack,
     assemble_time_operator,
     ccr_residual,
     channel_time_operator,
@@ -130,6 +130,25 @@ class TestGalaponMatrix:
             galapon_matrix((-1e300, -1e10), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match="exceeds"):
             galapon_matrix(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
+
+    @pytest.mark.parametrize("kind,rows", [
+        (MatrixKind.DIRECT, np.arange(15.0).reshape(3, 5) + 0.5),
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 16).reshape(3, 5) ** 2),
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 2 * CCR_BAND_ROWS + 3).reshape(2, -1) ** 2),
+    ])
+    def test_a_stack_builds_every_row_as_its_own_matrix(self, kind, rows):
+        stack = _generator_stack(rows, kind)
+        assert stack.shape == (*rows.shape, rows.shape[1])
+        for row, a in zip(rows, stack):
+            assert np.array_equal(a, galapon_matrix(row, kind).generator)
+
+    def test_a_stack_refusal_names_the_first_failing_row(self):
+        rows = np.array([[-1.0, -0.5], [-1e300, -1e10], [-1e301, -1e300]])
+        with pytest.raises(ValueError, match=r"largest \|eigenvalue\| 1e\+300\)$"):
+            _generator_stack(rows, MatrixKind.INVERSE_CONJUGATE)
+        rows = np.array([[1.0, 2.0], [0.0, 5e-324], [0.0, 1e-323]])
+        with pytest.raises(ValueError, match=r"smallest gap 5e-324\)$"):
+            _generator_stack(rows, MatrixKind.DIRECT)
 
     @pytest.mark.parametrize("kind,values", [
         # E_n*E_m/(E_m - E_n) with subnormal eigenvalues: 1/gap overflows
@@ -291,37 +310,34 @@ class TestCcrResidual:
 
 
 class TestBlockOperator:
-    """The block time operator: a BlockDiagonal of per-channel matrices."""
+    """The block time operator: a tuple of per-channel matrices, laid out one after the other."""
 
     @staticmethod
     def _two_blocks():
         a = channel_time_operator([-1.0, -0.25, -1.0 / 9.0], Accumulation.TO_ZERO)
         b = channel_time_operator([-0.0625, -0.04], Accumulation.TO_ZERO)
-        return BlockDiagonal((a, b))
+        return a, b
 
     @staticmethod
-    def _blockwise_residual(op, v):
+    def _pieces(op, v):
+        return np.split(v, np.cumsum([t.dimension for t in op])[:-1])
+
+    @classmethod
+    def _blockwise_residual(cls, op, v):
         total = 0.0
-        for t, piece in zip(op.blocks, op.pieces(v)):
+        for t, piece in zip(op, cls._pieces(op, v)):
             total += ccr_residual(t, piece) ** 2
         return math.sqrt(total)
 
     def test_shapes_and_slices(self):
         op = self._two_blocks()
-        assert op.total_dimension == 5
-        assert len(op.blocks) == 2
-        first, second = op.pieces(np.arange(5.0))
+        assert [t.dimension for t in op] == [3, 2]
+        first, second = self._pieces(op, np.arange(5.0))
         np.testing.assert_array_equal(first, [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(second, [3.0, 4.0])
-        assert op.channel(1).blocks == (op.blocks[1],)
-        assert op.channel(1).total_dimension == 2
         np.testing.assert_array_equal(
-            op.hamiltonian_diagonal(), [-1.0, -4.0, -9.0, -16.0, -25.0]
+            np.concatenate([t.pairing_eigenvalues for t in op]), [-1.0, -4.0, -9.0, -16.0, -25.0]
         )
-        with pytest.raises(ValueError, match="vector length"):
-            op.pieces(np.zeros(4, dtype=complex))
-        with pytest.raises(ValueError, match="at least one block"):
-            BlockDiagonal(())
 
     def test_full_residual_with_per_block_membership(self):
         op = self._two_blocks()
@@ -356,11 +372,11 @@ class TestAssembleTimeOperator:
     def test_hydrogen_end_to_end(self):
         deco, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 3))
         assert deco.channel_count == 9
-        assert len(op.blocks) == 9
-        assert op.total_dimension == 14
+        assert isinstance(op, tuple) and len(op) == 9
+        assert sum(t.dimension for t in op) == 14
         rng = np.random.default_rng(13)
         worst = 0.0
-        for t in op.blocks:
+        for t in op:
             if t.dimension < 2:
                 continue
             v = random_difference_vector(rng, t.dimension)
@@ -542,6 +558,16 @@ class TestHermiticityPass:
             _require_hermitian(a, skew=True)
         with pytest.raises(ValueError, match="not Hermitian"):
             TimeOperatorMatrix(77, a, ev, MatrixKind.DIRECT)
+
+    def test_a_stack_is_checked_matrix_by_matrix(self):
+        a = np.stack([_generator(77)[0] for _ in range(3)])
+        a[1, 70, 3] += 1e-14 * abs(a[1, 70, 3])
+        scale, defect = _require_hermitian(a, skew=True)
+        assert [(s, d) for s, d in zip(scale, defect)] == [full_antisymmetry(m) for m in a]
+        assert defect[0] == defect[2] == 0.0 < defect[1]
+        a[2, 76, 2] = math.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _require_hermitian(a, skew=True)
 
     def test_one_entry_breaking_antisymmetry_raises(self):
         # a symmetric perturbation just above the tolerance, in one entry

@@ -1,21 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from timeops import uwform
-from timeops.acceptance import _sweep_forms
+from timeops.acceptance import DEFAULT_TOLERANCES, _sweep_forms
+from timeops.decompose import decompose_spectrum
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
-from timeops.timeop import BlockDiagonal
 from timeops.uwform import (
     CCR_DOMAIN_RTOL,
     UNIT_NORM_ATOL,
     AdmissibilityError,
-    FormChannel,
     FunctionKind,
     FunctionSpec,
+    UltraWeakForm,
     assemble_uwform,
     describe_domains,
     f_condition_check,
@@ -25,12 +26,36 @@ from timeops.uwform import (
     uw_ccr_sweep,
 )
 
+from dense_reference import form_evaluator
 from recording_rng import RecordingRng
 
 
 def form_of(*channels):
-    """Direct sum of form channels, one per eigenvalue list."""
-    return BlockDiagonal(tuple(FormChannel(np.array(ev, dtype=float)) for ev in channels))
+    """Ultra-weak form of a direct sum of channels, one per eigenvalue list."""
+    return UltraWeakForm(channels)
+
+
+def with_groups(form, groups):
+    """``form`` with its groups swapped for ``groups``, evaluators and eigenvalues as given."""
+    changed = object.__new__(UltraWeakForm)
+    changed._freeze(form.eigenvalues, tuple(groups))
+    return changed
+
+
+def channel_evaluators(form):
+    """Each channel's evaluator, read from its group's row; a dimension-1 channel's is zero."""
+    evaluators = [np.zeros((1, 1), dtype=complex)] * len(form.eigenvalues)
+    for g in form.groups:
+        for block, a in zip(g.blocks, g.evaluators):
+            evaluators[block] = a
+    return evaluators
+
+
+def pieces(form, v):
+    """The channel slices of a whole-form vector, after checking its length."""
+    if v.shape != (form.total_dimension,):
+        raise ValueError("vector length does not match the form dimension")
+    return np.split(v, np.cumsum([ev.size for ev in form.eigenvalues])[:-1])
 
 
 # ------------------------------------------------ per-vector references
@@ -39,12 +64,11 @@ def form_of(*channels):
 # for operation: one vector, one block, one np.vdot at a time.
 
 
-def project_channel(ch, v):
-    """One channel's two-pass projection onto its commutation domain."""
-    if ch.dimension == 1:
+def project_channel(e, v):
+    """One channel's two-pass projection onto its commutation domain, e its eigenvalues."""
+    if e.size == 1:
         # the constraint kills everything; avoid leaving round-off dust
         return np.zeros_like(v)
-    e = ch.eigenvalues
     w = v - (np.dot(e, v) / np.dot(e, e)) * e
     return w - (np.dot(e, w) / np.dot(e, e)) * e
 
@@ -54,8 +78,8 @@ def evaluate_form(form, phi, psi):
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     total = 0.0 + 0.0j
-    for ch, phi_i, psi_i in zip(form.blocks, form.pieces(phi), form.pieces(psi)):
-        total += np.vdot(phi_i, ch.evaluator @ psi_i)
+    for a, phi_i, psi_i in zip(channel_evaluators(form), pieces(form, phi), pieces(form, psi)):
+        total += np.vdot(phi_i, a @ psi_i)
     return complex(total)
 
 
@@ -63,10 +87,10 @@ def in_ccr_domain(form, v):
     """Whether every block piece of v is orthogonal to its eigenvalue vector."""
     vec = np.asarray(v, dtype=complex)
     whole = float(np.linalg.norm(vec))
-    for ch, piece in zip(form.blocks, form.pieces(vec)):
-        scale = float(np.linalg.norm(ch.eigenvalues)) * whole
+    for e, piece in zip(form.eigenvalues, pieces(form, vec)):
+        scale = float(np.linalg.norm(e)) * whole
         # written so that NaN fails
-        if not abs(complex(np.dot(ch.eigenvalues, piece))) <= CCR_DOMAIN_RTOL * max(scale, 1e-300):
+        if not abs(complex(np.dot(e, piece))) <= CCR_DOMAIN_RTOL * max(scale, 1e-300):
             return False
     return True
 
@@ -78,13 +102,13 @@ def require_ccr_domain(form, v):
 
 def project_to_ccr_domain(form, v):
     """Project v onto the commutation domain, block by block."""
-    pieces = form.pieces(np.asarray(v, dtype=complex))
-    return np.concatenate([project_channel(ch, p) for ch, p in zip(form.blocks, pieces)])
+    vec = np.asarray(v, dtype=complex)
+    return np.concatenate([project_channel(e, p) for e, p in zip(form.eigenvalues, pieces(form, vec))])
 
 
 def random_domain_vector(rng, form):
     """Seeded random unit vector in the commutation domain; a near-zero projection is redrawn."""
-    if all(ch.dimension < 2 for ch in form.blocks):
+    if all(e.size < 2 for e in form.eigenvalues):
         raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
     dim = form.total_dimension
     while True:
@@ -101,7 +125,7 @@ def uw_ccr_residual(form, phi, psi):
     psi = np.asarray(psi, dtype=complex)
     require_ccr_domain(form, phi)
     require_ccr_domain(form, psi)
-    h = form.hamiltonian_diagonal()
+    h = np.concatenate(form.eigenvalues)
     lhs = evaluate_form(form, h * phi, psi)
     rhs = evaluate_form(form, phi, h * psi)
     return abs(lhs - rhs + 1j * np.vdot(phi, psi))
@@ -119,7 +143,7 @@ def uncertainty_check(form, psi, a=0.0, b=0.0):
     if abs(float(np.linalg.norm(psi)) - 1.0) > UNIT_NORM_ATOL:
         raise ValueError("psi must be a unit vector")
     require_ccr_domain(form, psi)
-    shifted = form.hamiltonian_diagonal() * psi - float(b) * psi
+    shifted = np.concatenate(form.eigenvalues) * psi - float(b) * psi
     z = complex(evaluate_form(form, shifted, psi) - float(a) * np.vdot(shifted, psi))
     return UncertaintyResult(value=abs(z), imaginary_part=z.imag)
 
@@ -138,8 +162,8 @@ class TestFormChannel:
         assert evaluate_form(form, e1, e0) == 2.5j
 
     def test_evaluator_is_exactly_hermitian(self):
-        ch = FormChannel(np.array([-1.0, -0.31, -0.17, -0.056]))
-        assert np.array_equal(ch.evaluator, ch.evaluator.conj().T)
+        (a,) = form_of([-1.0, -0.31, -0.17, -0.056]).groups[0].evaluators
+        assert np.array_equal(a, a.conj().T)
 
     def test_form_symmetry_and_sesquilinearity(self):
         form = form_of([-2.0, -0.7, -0.3, -0.11])
@@ -159,22 +183,31 @@ class TestFormChannel:
             t(phi[:3], psi)
 
     def test_rejects_zero_or_unsorted_eigenvalues(self):
-        with pytest.raises(ValueError):
-            FormChannel(np.array([-1.0, 0.0]))
-        with pytest.raises(ValueError):
-            FormChannel(np.array([-0.5, -1.0]))
+        with pytest.raises(ValueError, match="nonzero"):
+            form_of([-1.0, 0.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            form_of([-1.0, -0.5], [0.0])
+        with pytest.raises(ValueError, match="increasing"):
+            form_of([-0.5, -1.0])
+        with pytest.raises(ValueError, match="finite"):
+            form_of([-0.5, -0.25], [math.nan])
+        with pytest.raises(ValueError, match="nonempty"):
+            form_of([-0.5, -0.25], [])
+        with pytest.raises(ValueError, match="at least one channel"):
+            form_of()
 
     def test_rejects_an_overflowing_evaluator(self):
         # 1/E^2 overflows; the evaluator would hold inf and NaN entries
         with pytest.raises(ValueError, match="not finite"):
-            FormChannel(np.array([-3e-170, -2e-170, -1e-170]))
+            form_of([-0.5, -0.25], [-3e-170, -2e-170, -1e-170])
+        # a channel of dimension 1 has a trivial domain and no evaluator to overflow
+        assert [g.blocks.tolist() for g in form_of([-0.5, -0.25], [-1e-170]).groups] == [[0]]
 
 
 class TestCommutationDomain:
     def test_one_dimensional_projection_is_exactly_zero(self):
-        ch = FormChannel(np.array([-0.04]))
         v = np.array([0.3 + 0.7j])
-        assert np.all(project_channel(ch, v) == 0.0)
+        assert np.all(project_channel(np.array([-0.04]), v) == 0.0)
 
     def test_projection_lands_in_the_domain(self):
         form = form_of([-1.0, -0.44, -0.2, -0.09])
@@ -304,7 +337,7 @@ def reference_uw_ccr_sweep(rng, forms):
 def reference_round_robin_sweep(form, rng, pairs):
     """The acceptance suite's loop: round-robin channel pairs, then whole-form pairs."""
     worst = 0.0
-    single_forms = [form.channel(i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2]
+    single_forms = [form.channel(i) for i, e in enumerate(form.eigenvalues) if e.size >= 2]
     for i in range(pairs):
         sub = single_forms[i % len(single_forms)] if single_forms else form
         phi = random_domain_vector(rng, sub)
@@ -335,12 +368,12 @@ def reference_channel_sweep(form, seed, count):
     """The CLI's per-channel loop: one generator and ``count`` pairs per channel of dimension >= 2."""
     return {
         i: reference_uw_ccr_sweep(np.random.default_rng(seed + i), [form.channel(i)] * count)
-        for i, ch in enumerate(form.blocks) if ch.dimension >= 2
+        for i, e in enumerate(form.eigenvalues) if e.size >= 2
     }
 
 
 def _channel_rngs(form, seed, factory=np.random.default_rng):
-    return {i: factory(seed + i) for i, ch in enumerate(form.blocks) if ch.dimension >= 2}
+    return {i: factory(seed + i) for i, e in enumerate(form.eigenvalues) if e.size >= 2}
 
 
 def _sweep_cases():
@@ -479,27 +512,32 @@ class TestSweepKernels:
     @pytest.mark.parametrize("transform", ["none", "sin"])
     def test_an_assembled_form_is_swept_without_copying_its_evaluators(self, transform):
         form = _hydrogen_form(8, transform)
-        stacks = {id(ch.stack) for ch in form.blocks}
-        assert len(stacks) == len({ch.dimension for ch in form.blocks})
-        sparse = BlockDiagonal(form.blocks[::2])
-        for f in (form, form.channel(len(form.blocks) // 2), sparse):
-            for g in uwform._groups(f):
-                channels = [f.blocks[i] for i in g.blocks]
-                assert np.array_equal(g.evaluators, np.stack([ch.evaluator for ch in channels]))
-                # rows of one stack in a run are read in place; a sparse pick is copied
-                assert np.shares_memory(g.evaluators, channels[0].stack) == (f is not sparse or len(channels) == 1)
+        dims = [g.eigenvalues.shape[1] for g in form.groups]
+        assert len(dims) == len(set(dims)) == len({e.size for e in form.eigenvalues} - {1})
+        assert all(not g.evaluators.flags.writeable for g in form.groups)
+        # a channel on its own views its row of the group stack
+        middle = len(form.eigenvalues) // 2
+        (g,) = [g for g in form.groups if middle in g.blocks]
+        (view,) = form.channel(middle).groups
+        assert np.shares_memory(view.evaluators, g.evaluators)
+        assert np.array_equal(view.evaluators[0], g.evaluators[list(g.blocks).index(middle)])
+        # every other channel, built again: the same rows in new stacks
+        sparse = UltraWeakForm(form.eigenvalues[::2])
+        old = channel_evaluators(form)[::2]
+        assert all(np.array_equal(a, b) for a, b in zip(channel_evaluators(sparse), old))
         expected = reference_uw_ccr_sweep(np.random.default_rng(14), [sparse] * 4)
         assert uw_ccr_sweep(np.random.default_rng(14), [sparse] * 4) == pytest.approx(expected, abs=AGREEMENT)
 
     def test_groups_are_built_once_per_distinct_form(self, monkeypatch):
         form = _sweep_cases()["hydrogen"]
-        built = []
-        groups = uwform._groups
-        monkeypatch.setattr(uwform, "_groups", lambda f: built.append(f) or groups(f))
+        looked_up = []
+        groups = uwform._nontrivial_groups
+        monkeypatch.setattr(uwform, "_nontrivial_groups", lambda f: looked_up.append(f) or groups(f))
+        monkeypatch.setattr(uwform, "_evaluator_stack", None)   # a sweep builds no evaluator
         monkeypatch.setattr(uwform, "SWEEP_CHUNK", 2 * form.total_dimension)
         forms = _sweep_forms(form, 12)
         uw_ccr_sweep(np.random.default_rng(0), forms)
-        assert len(built) == len(set(forms)) < len(forms)
+        assert len(looked_up) == len(set(forms)) < len(forms)
 
     def test_channel_sweep_reads_zero_on_one_dimensional_blocks(self):
         form = form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1])
@@ -529,14 +567,39 @@ class TestSweepKernels:
     def test_a_nan_residual_propagates(self):
         # a NaN evaluator entry makes every residual it touches NaN, never a pass
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
-        poisoned = form.blocks[1].evaluator.copy()
-        poisoned[0, 1] = math.nan
-        form.blocks[1].stack, form.blocks[1].row = poisoned[None], 0
+        d3, d2 = form.groups
+        poisoned = d2.evaluators.copy()
+        poisoned[0, 0, 1] = math.nan
+        form = with_groups(form, [d3, replace(d2, evaluators=poisoned)])
         assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form] * 3))
         assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form.channel(0), form]))
         worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 3)
         assert worst[0] <= 1e-10 and math.isnan(worst[1])
         assert all(math.isnan(x) for x in uncertainty_sweep(np.random.default_rng(0), form, 3))
+
+    @pytest.mark.parametrize("field", ["evaluators", "eigenvalues"])
+    def test_a_perturbed_channel_fails_every_gate(self, field):
+        # an evaluator entry off by a relative 1e-6, or an eigenvalue of H by 1e-9:
+        # the identities no longer hold, and only the perturbed channel fails on its own
+        tol = DEFAULT_TOLERANCES
+        form = _sweep_cases()["hydrogen"]
+        k = next(k for k, g in enumerate(form.groups) if len(g.blocks) > 1)
+        groups = list(form.groups)
+        changed = getattr(groups[k], field).copy()
+        if field == "evaluators":
+            changed[1, 0, 1] *= 1.0 + 1e-6
+        else:
+            changed[1, 1] *= 1.0 + 1e-9
+        groups[k] = replace(groups[k], **{field: changed})
+        perturbed = with_groups(form, groups)
+        target = groups[k].blocks[1]
+        assert uw_ccr_sweep(np.random.default_rng(0), [form] * 20) <= tol["uw_ccr"]
+        assert uw_ccr_sweep(np.random.default_rng(0), [perturbed] * 20) > tol["uw_ccr"]
+        assert uncertainty_sweep(np.random.default_rng(1), form, 20)[1] <= tol["im_identity"]
+        assert uncertainty_sweep(np.random.default_rng(1), perturbed, 20)[1] > tol["im_identity"]
+        worst = uw_ccr_channel_sweep(_channel_rngs(perturbed, 2), perturbed, 20)
+        assert worst[target] > tol["uw_ccr"]
+        assert np.all(np.delete(worst, target) <= tol["uw_ccr"])
 
     def test_a_nan_vector_is_refused(self):
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
@@ -558,7 +621,7 @@ class TestSweepKernels:
         # pair 0's phi is parallel to the eigenvalue vector: its projection is round-off
         form = form_of([-1.0, -0.5, -0.25])
         draw = np.random.default_rng(9).uniform(-1.0, 1.0, (2, 2, 2, 3))
-        draw[0, 0, 0] = form.blocks[0].eigenvalues
+        draw[0, 0, 0] = form.eigenvalues[0]
         draw[0, 0, 1] = 0.0
         rng = RecordingRng(3, {0: draw.ravel()})
         assert uw_ccr_sweep(rng, [form] * 2) <= 1e-10
@@ -569,7 +632,7 @@ class TestSweepKernels:
 
     def test_batched_domain_check_anchors_to_the_whole_row(self):
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
-        groups = uwform._groups(form)
+        groups = form.groups
         v = np.zeros((1, 5), dtype=complex)
         v[0, :3] = random_domain_vector(np.random.default_rng(2), form.channel(0))
         units = [v[:, g.index].transpose(1, 0, 2) for g in groups]
@@ -593,13 +656,67 @@ class TestAssembleUwform:
 
     def test_channel_count_matches_decomposition(self):
         deco, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
-        assert len(form.blocks) == deco.channel_count
+        assert len(form.eigenvalues) == deco.channel_count
         assert form.total_dimension == len(deco.slots) == 30
 
     def test_block_eigenvalues_ascend(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
-        for ch in form.blocks:
-            assert np.all(np.diff(ch.eigenvalues) > 0.0)
+        for e in form.eigenvalues:
+            assert np.all(np.diff(e) > 0.0)
+            assert not e.flags.writeable
+
+
+class TestEvaluatorStacks:
+    """Each dimension's evaluators come from one vectorized pass; every row is the channel built on its own."""
+
+    @staticmethod
+    def _assert_rows_match_the_reference(form):
+        for g in form.groups:
+            for block, row, a in zip(g.blocks, g.eigenvalues, g.evaluators):
+                assert np.array_equal(row, form.eigenvalues[block])
+                assert np.array_equal(a, form_evaluator(row))
+
+    @pytest.mark.parametrize("n_max,transform", [
+        (4, "none"), (16, "none"), (40, "none"), (16, "exp"), (16, "identity"), (16, "sin"),
+    ])
+    def test_every_row_equals_the_channel_built_alone(self, n_max, transform):
+        self._assert_rows_match_the_reference(_hydrogen_form(n_max, transform))
+
+    def test_dimensions_arriving_out_of_order_keep_group_and_row_order(self):
+        channels = [[-1.0, -0.5, -0.25], [-0.3], [-0.2, -0.1], [-0.09, -0.08, -0.07]]
+        form = form_of(*channels)
+        assert [g.blocks.tolist() for g in form.groups] == [[0, 3], [2]]
+        assert [g.index.tolist() for g in form.groups] == [[[0, 1, 2], [6, 7, 8]], [[4, 5]]]
+        assert [e.tolist() for e in form.eigenvalues] == channels
+        assert form.total_dimension == 9
+        self._assert_rows_match_the_reference(form)
+
+    def test_chunked_build_gives_the_same_rows(self, monkeypatch):
+        whole = _hydrogen_form(8, "none")
+        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 20)
+        chunked = _hydrogen_form(8, "none")
+        for a, b in zip(whole.groups, chunked.groups):
+            assert np.array_equal(a.evaluators, b.evaluators)
+
+    def test_assembly_peak_stays_near_the_stack_bytes(self):
+        # hydrogen n_max = 40: 1600 channels whose stacks hold 6.8 MiB
+        s = hydrogen_point_spectrum(1.0, 1.0, 40)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            deco = decompose_spectrum(s)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            del deco
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _, form = assemble_uwform(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stacks = sum(g.evaluators.nbytes for g in form.groups)
+        assert stacks > 6.5 * 2 ** 20
+        # beyond the decomposition it keeps, assembly peaks at the stacks and a little more
+        assert peak - before - kept < 1.25 * stacks
 
 
 class TestFunctionSpec:
@@ -746,9 +863,9 @@ class TestTransformForm:
         identity = FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1.0))
         _, _, transformed = f_transform_form(identity, s)
         _, plain = assemble_uwform(s)
-        assert len(transformed.blocks) == len(plain.blocks)
-        for a, b in zip(transformed.blocks, plain.blocks):
-            assert np.array_equal(a.evaluator, b.evaluator)
+        assert len(transformed.eigenvalues) == len(plain.eigenvalues)
+        for a, b in zip(channel_evaluators(transformed), channel_evaluators(plain)):
+            assert np.array_equal(a, b)
 
     def test_transformed_form_satisfies_the_ccr(self):
         s = hydrogen_point_spectrum(1.0, 1.0, 4)
@@ -771,9 +888,9 @@ class TestTransformForm:
         # x + x^2 sends both eigenvalues to -0.1875
         assert report.distinct_count == 1
         assert form.total_dimension == 2
-        assert len(form.blocks) == 2
-        assert all(ch.dimension == 1 for ch in form.blocks)
-        assert form.blocks[0].eigenvalues[0] == pytest.approx(-0.1875)
+        assert len(form.eigenvalues) == 2
+        assert all(e.size == 1 for e in form.eigenvalues) and not form.groups
+        assert form.eigenvalues[0][0] == pytest.approx(-0.1875)
 
     def test_failing_condition_raises_with_report_attached(self):
         s = hydrogen_point_spectrum(1.0, 1.0, 4)
@@ -790,5 +907,5 @@ class TestTransformForm:
         # -0.75 and -0.25 both map to -0.1875, so their copies merge
         assert deco.values == pytest.approx((-0.1875, -0.09))
         assert deco.multiplicities == (3, 1)
-        assert deco.channel_count == len(form.blocks)
+        assert deco.channel_count == len(form.eigenvalues)
         assert sum(len(ch) for ch in deco.channels) == form.total_dimension == 4
