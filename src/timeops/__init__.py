@@ -47,6 +47,7 @@ from .uwform import (
     f_transform_form,
     uncertainty_sweep,
     uw_ccr_channel_sweep,
+    uw_ccr_check,
     uw_ccr_sweep,
 )
 from .contspec import (

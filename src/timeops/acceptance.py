@@ -36,12 +36,11 @@ from .timeop import (
 from .uwform import (
     FunctionKind,
     FunctionSpec,
-    UltraWeakForm,
     assemble_uwform,
     f_condition_check,
     f_transform_form,
     uncertainty_sweep,
-    uw_ccr_sweep,
+    uw_ccr_check,
 )
 
 __all__ = ["CriterionResult", "DEFAULT_TOLERANCES", "resolve_tolerances", "run_all"]
@@ -147,14 +146,15 @@ def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
 
 
 def criterion_ultraweak_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Ultra-weak CCR on hydrogen channels and their direct sum."""
+    """Ultra-weak CCR on hydrogen channels and their direct sum, by the ``uwform`` pipeline's sweeps."""
     hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
     _, form = assemble_uwform(hyd)
     pairs = 100
-    worst = uw_ccr_sweep(np.random.default_rng(seed + 2000), _sweep_forms(form, pairs))
+    per_channel, whole = uw_ccr_check(form, seed + 2000, pairs)
+    worst = float(np.max([*per_channel, whole]))
     ok = worst <= tol["uw_ccr"]
     return ok, {
-        "pairs_checked": 2 * pairs,
+        "pairs_checked": pairs * (sum(g.blocks.size for g in form.groups) + 1),
         "max_uw_ccr_residual": worst,
         "tolerance_uw_ccr": tol["uw_ccr"],
     }
@@ -310,16 +310,9 @@ def criterion_s0(tol: dict, seed: int) -> tuple[bool, dict]:
     }
 
 
-def _sweep_forms(form: UltraWeakForm, pairs: int) -> list[UltraWeakForm]:
-    """``pairs`` channels of dimension >= 2, round-robin, then ``pairs`` copies of the whole form."""
-    singles = [form.channel(i) for i, ev in enumerate(form.eigenvalues) if ev.size >= 2] or [form]
-    return [singles[i % len(singles)] for i in range(pairs)] + [form] * pairs
-
-
 def criterion_transforms(tol: dict, seed: int) -> tuple[bool, dict]:
     """Transformed hydrogen forms: admissibility gates and uw-CCR residuals."""
     hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
-    rng = np.random.default_rng(seed + 9000)
 
     specs = {
         "exp": FunctionSpec(FunctionKind.EXP, (1.0,)),
@@ -329,11 +322,12 @@ def criterion_transforms(tol: dict, seed: int) -> tuple[bool, dict]:
     residuals = {}
     channel_counts = {}
     admissible_ok = True
-    for name, spec in specs.items():
+    for k, (name, spec) in enumerate(specs.items()):
         report, deco, form = f_transform_form(spec, hyd)
         admissible_ok = admissible_ok and report.admissible
         channel_counts[name] = deco.channel_count
-        residuals[name] = uw_ccr_sweep(rng, _sweep_forms(form, 20))
+        per_channel, whole = uw_ccr_check(form, seed + 9000 + 1000 * k, 20)
+        residuals[name] = float(np.max([*per_channel, whole]))
 
     # the resonant parameter beta = 1/(2 E_1) sends the ground state to zero
     e1 = float(hyd.values[0])

@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -55,8 +54,7 @@ from .uwform import (
     f_condition_check,
     f_transform_form,
     uncertainty_sweep,
-    uw_ccr_channel_sweep,
-    uw_ccr_sweep,
+    uw_ccr_check,
 )
 
 __all__ = ["RunConfig", "run", "main", "DEFAULT_TOLERANCES"]
@@ -252,19 +250,6 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
 
 
-def _parallel(fn, items, jobs: int) -> list:
-    """Order-preserving map, threaded when jobs > 1; only ``oscspec``'s sizes use it.
-
-    Each work item must carry its own seed; nothing here may depend on
-    scheduling order, or reports stop being reproducible.
-    """
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _spectrum_from_model(model: dict) -> DiscreteSpectrum:
     kind = model.get("kind")
     if kind not in ("oscillator", "hydrogen", "custom"):
@@ -292,7 +277,7 @@ def _rabi_report(model: dict) -> dict:
     }
 
 
-def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict) -> dict:
     if config.model.get("kind") == "rabi":
         return _rabi_report(config.model)
     s = _spectrum_from_model(config.model)
@@ -325,7 +310,7 @@ def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     }
 
 
-def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict) -> dict:
     s = _spectrum_from_model(config.model)
     vectors = pl["vectors"]
     payload = pl["function"]
@@ -351,11 +336,8 @@ def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
         deco, form = assemble_uwform(s, pl["p"])
 
     # with no channel of dimension 2 or more, the whole-form sweep raises
-    rngs = {i: np.random.default_rng(config.seed + 20_000 + i)
-            for i, ev in enumerate(form.eigenvalues) if ev.size >= 2}
-    per_channel = uw_ccr_channel_sweep(rngs, form, vectors)
-    whole = uw_ccr_sweep(np.random.default_rng(config.seed + 30_000), [form] * vectors)
-    worst = float(np.max([*per_channel[list(rngs)], whole]))
+    per_channel, whole = uw_ccr_check(form, config.seed, vectors)
+    worst = float(np.max([*per_channel, whole]))
     min_value, im_defect = uncertainty_sweep(np.random.default_rng(config.seed + 40_000), form, vectors)
 
     residual_ok = worst <= tol["uw_ccr"]
@@ -381,7 +363,7 @@ def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     return report
 
 
-def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict) -> dict:
     omega = pl["omega"]
     sizes = sorted(pl["sizes"])
     if not sizes:
@@ -391,7 +373,7 @@ def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict
     if work > OSCSPEC_WORK_LIMIT:
         raise ValueError(f"sizes sum to n^3 = {work}, beyond the limit {OSCSPEC_WORK_LIMIT}")
     slack = tol["toeplitz_bound_slack"]
-    extremes = _parallel(lambda n: osc_timeop_extremes(omega, n), sizes, jobs)
+    extremes = [osc_timeop_extremes(omega, n) for n in sizes]
     rows, monotone = oscillator_bound_rows(sizes, extremes, omega, slack)
     passed = monotone and all(row["within_bound"] for row in rows)
     return {
@@ -408,7 +390,7 @@ def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict
     }
 
 
-def _pipeline_abweyl(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+def _pipeline_abweyl(config: RunConfig, pl: dict, tol: dict) -> dict:
     n, steps, t_max = pl["N"], pl["steps"], pl["tmax"]
     if steps < 1 or not 0.0 < t_max < math.inf:
         raise ValueError("need steps >= 1 and a finite tmax > 0")
@@ -445,7 +427,7 @@ def _pipeline_abweyl(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
     }
 
 
-def _pipeline_s0check(config: RunConfig, pl: dict, tol: dict, jobs: int) -> dict:
+def _pipeline_s0check(config: RunConfig, pl: dict, tol: dict) -> dict:
     passed, details = acceptance.criterion_s0(tol, config.seed)
     return {
         "strong_relation_samples": details["strong_relation_samples"],
@@ -466,12 +448,12 @@ _PIPELINES = {
 }
 
 
-def run(config: RunConfig, jobs: int = 1) -> dict:
+def run(config: RunConfig) -> dict:
     """Execute one pipeline and return its report document."""
     tol = config.resolved_tolerances()
     start = time.perf_counter()
     kind = config.pipeline["kind"]
-    body = _PIPELINES[kind](config, _resolve("pipeline", config.pipeline), tol, jobs)
+    body = _PIPELINES[kind](config, _resolve("pipeline", config.pipeline), tol)
     report = {
         "config": config.to_json(),
         "tolerances": tol,
@@ -561,7 +543,7 @@ def _write_report(args, name: str, report: dict) -> int:
 
 def cmd_pipeline(args) -> int:
     """Run the pipeline named by the subcommand and write its report."""
-    report = run(_make_config(args, args.command), jobs=args.jobs)
+    report = run(_make_config(args, args.command))
     return _write_report(args, args.command, report)
 
 
@@ -669,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="RunConfig JSON file")
     common.add_argument("--out", type=Path, default=Path("."), help="report directory")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for oscspec's sizes")
+    common.add_argument("--jobs", type=int, default=1, help="ignored: every run is serial (N >= 1)")
     common.add_argument("--seed", type=int, default=None, help="seed for random test vectors")
 
     model_flags = argparse.ArgumentParser(add_help=False)

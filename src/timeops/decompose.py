@@ -180,7 +180,15 @@ def channel_partition(
     if np.unique(vals).size != vals.size:
         raise ValueError("values must be pairwise distinct")
 
-    seq = 1.0 / vals if reciprocals else vals
+    seq = vals
+    if reciprocals:
+        with np.errstate(over="ignore"):
+            seq = 1.0 / vals
+        overflowed = np.flatnonzero(np.isinf(seq))
+        if overflowed.size:
+            raise ValueError(f"the reciprocal of value {float(vals[overflowed[0]])!r} overflows; "
+                             "its bucket level cannot be computed")
+
     # Dividing by the largest magnitude (rather than multiplying by its
     # reciprocal) makes the extremal ratio exactly 1.0, so every scaled
     # magnitude is a valid bucket argument.

@@ -54,6 +54,7 @@ __all__ = [
     "assemble_uwform",
     "uw_ccr_sweep",
     "uw_ccr_channel_sweep",
+    "uw_ccr_check",
     "uncertainty_sweep",
     "f_condition_check",
     "f_transform_form",
@@ -96,8 +97,8 @@ class UltraWeakForm:
     ``_Group`` of the channels of that dimension, in channel order, with
     their evaluators in one read-only (c, d, d) stack.
 
-    Frozen and hashed by identity, so the sweeps check the pairs of each
-    distinct form together.
+    Frozen, and compared by identity: a field-wise ``__eq__`` over arrays
+    is unusable.
     """
 
     eigenvalues: tuple = field(init=False, repr=False)
@@ -127,25 +128,9 @@ class UltraWeakForm:
         starts = np.cumsum(dims) - dims
         groups = tuple(_Group(blocks, starts[blocks, None] + np.arange(d), e, _evaluator_stack(e))
                        for d, (blocks, e) in stacks.items() if d >= 2)
-        self._freeze(tuple(eigenvalues), groups)
-
-    def _freeze(self, eigenvalues: tuple, groups: tuple) -> None:
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "total_dimension", sum(ev.size for ev in eigenvalues))
-
-    def channel(self, index: int) -> "UltraWeakForm":
-        """Channel ``index`` on its own, as a one-channel form that views its group's row."""
-        index = range(len(self.eigenvalues))[index]
-        ev = self.eigenvalues[index]
-        groups = []
-        for g in self.groups:
-            for row in np.flatnonzero(g.blocks == index):
-                rows = slice(row, row + 1)
-                groups.append(_Group(np.array([0]), np.arange(ev.size)[None], g.eigenvalues[rows], g.evaluators[rows]))
-        view = object.__new__(UltraWeakForm)
-        view._freeze((ev,), tuple(groups))
-        return view
+        object.__setattr__(self, "total_dimension", int(dims.sum()))
 
 
 def _evaluator_stack(e: np.ndarray) -> np.ndarray:
@@ -339,45 +324,33 @@ def _whole_pair_residuals(groups: tuple[_Group, ...], draws: np.ndarray, rng: np
     return np.abs(sum(t.sum(axis=0) for t in _ccr_terms(groups, phi, psi)))
 
 
-def _chunks(widths: list[int]):
-    """Consecutive (start, stop) ranges of rows whose widths sum to at most SWEEP_CHUNK; a wider row alone."""
-    start = total = 0
-    for i, width in enumerate(widths):
-        if i > start and total + width > SWEEP_CHUNK:
-            yield start, i
-            start, total = i, 0
-        total += width
-    yield start, len(widths)
+def _chunks(width: int, count: int):
+    """Consecutive (start, stop) ranges of ``count`` rows of ``width`` coordinates each.
+
+    A range holds as many rows as fit in SWEEP_CHUNK coordinates, and at
+    least one.
+    """
+    rows = max(1, SWEEP_CHUNK // width)
+    for start in range(0, count, rows):
+        yield start, min(start + rows, count)
 
 
-def _uw_ccr_worst(rng: np.random.Generator, forms: list[UltraWeakForm],
-                  groups: dict[UltraWeakForm, tuple[_Group, ...]]) -> float:
-    """Worst residual over one pair per form, every coefficient from one draw."""
-    sizes = [4 * f.total_dimension for f in forms]
-    per_pair = np.split(rng.uniform(-1.0, 1.0, sum(sizes)), np.cumsum(sizes)[:-1])
-    pairs: dict[UltraWeakForm, list[np.ndarray]] = {}
-    for f, draw in zip(forms, per_pair):
-        pairs.setdefault(f, []).append(draw.reshape(2, 2, -1))
-    return np.max(np.concatenate([_whole_pair_residuals(groups[f], np.stack(draws), rng)
-                                  for f, draws in pairs.items()]))
-
-
-def uw_ccr_sweep(rng: np.random.Generator, forms) -> float:
-    """Worst ultra-weak CCR residual over one random domain pair per form.
+def uw_ccr_sweep(rng: np.random.Generator, form: UltraWeakForm, count: int) -> float:
+    """Worst ultra-weak CCR residual over ``count`` random domain pairs of the whole form.
 
     |t[H phi, psi] - t[phi, H psi] + i (phi, psi)| for unit vectors phi,
     psi in the commutation domain.  Every coefficient comes from one draw
-    (one per chunk of SWEEP_CHUNK coordinates, in the same order): for
-    each form in order, phi's real then imaginary parts, then psi's.  The
-    pairs of each distinct form are then checked together.  The reduction
-    is ``np.max``, so a NaN residual propagates instead of being skipped.
+    (one per chunk of pairs, in the same order): pair by pair, phi's real
+    then imaginary parts, then psi's.  The reduction is ``np.max``, so a
+    NaN residual propagates instead of being skipped.
     """
-    forms = list(forms)
-    if not forms:
-        raise ValueError("need at least one form; a sweep over no pairs checks nothing")
-    groups = {f: _nontrivial_groups(f) for f in dict.fromkeys(forms)}
-    chunks = _chunks([f.total_dimension for f in forms])
-    return float(np.max([_uw_ccr_worst(rng, forms[start:stop], groups) for start, stop in chunks]))
+    if count < 1:
+        raise ValueError("need at least one pair; a sweep over none checks nothing")
+    groups = _nontrivial_groups(form)
+    n = form.total_dimension
+    residuals = [_whole_pair_residuals(groups, rng.uniform(-1.0, 1.0, (stop - start, 2, 2, n)), rng)
+                 for start, stop in _chunks(n, count)]
+    return float(np.max(np.concatenate(residuals)))
 
 
 def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
@@ -396,7 +369,7 @@ def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
     groups = form.groups
     if not groups:
         return worst
-    for start, stop in _chunks([sum(g.index.size for g in groups)] * count):
+    for start, stop in _chunks(sum(g.index.size for g in groups), count):
         draws = [np.stack([rngs[i].uniform(-1.0, 1.0, (stop - start, 2, 2, g.index.shape[1])) for i in g.blocks])
                  for g in groups]
         phi = _channel_rows(groups, [x[:, :, 0, 0] + 1j * x[:, :, 0, 1] for x in draws], rngs)
@@ -405,6 +378,19 @@ def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
             # np.maximum, not np.fmax: a NaN stays
             worst[g.blocks] = np.maximum(worst[g.blocks], np.max(np.abs(terms), axis=1))
     return worst
+
+
+def uw_ccr_check(form: UltraWeakForm, seed: int, count: int) -> tuple[np.ndarray, float]:
+    """The ultra-weak CCR sweeps of the ``uwform`` pipeline: (worst per channel, worst over the whole form).
+
+    ``count`` pairs per channel of dimension 2 or more, channel i drawing
+    from a generator seeded ``seed + 20_000 + i`` (``uw_ccr_channel_sweep``,
+    0 for channels of dimension 1), then ``count`` whole-form pairs from
+    one seeded ``seed + 30_000`` (``uw_ccr_sweep``, which refuses a
+    trivial domain).
+    """
+    rngs = {i: np.random.default_rng(seed + 20_000 + i) for i, ev in enumerate(form.eigenvalues) if ev.size >= 2}
+    return uw_ccr_channel_sweep(rngs, form, count), uw_ccr_sweep(np.random.default_rng(seed + 30_000), form, count)
 
 
 def _uncertainty_extremes(rng: np.random.Generator, groups: tuple[_Group, ...], n: int, count: int):
@@ -441,7 +427,7 @@ def uncertainty_sweep(rng: np.random.Generator, form: UltraWeakForm, count: int)
     groups = _nontrivial_groups(form)
     n = form.total_dimension
     lows, defects = zip(*(_uncertainty_extremes(rng, groups, n, stop - start)
-                          for start, stop in _chunks([n] * count)))
+                          for start, stop in _chunks(n, count)))
     return float(np.min(lows)), float(np.max(defects))
 
 

@@ -8,7 +8,7 @@ criterion misses either its numeric tolerance or its runtime limit.
 import numpy as np
 import pytest
 
-from timeops import acceptance
+from timeops import acceptance, cli
 from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 from timeops.cli import RunConfig, run
 from timeops.spectra import harmonic_spectrum, hydrogen_point_spectrum
@@ -216,3 +216,33 @@ def test_s0check_reports_the_s0_criterion():
     report = run(RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={}, seed=11))
     assert report["passed"] is passed
     assert report["symmetry_max_residual"] == details["symmetry_max_residual"]
+
+
+def test_ultraweak_criteria_and_pipelines_share_one_ccr_check(monkeypatch):
+    calls = []
+    check = acceptance.uw_ccr_check
+
+    def spy(form, seed, count):
+        per_channel, whole = check(form, seed, count)
+        calls.append((seed, count, float(np.max([*per_channel, whole]))))
+        return per_channel, whole
+
+    monkeypatch.setattr(acceptance, "uw_ccr_check", spy)
+    monkeypatch.setattr(cli, "uw_ccr_check", spy)
+    results = {r.name: r.details for r in run_all(None, seed=7)}
+    # ultraweak-ccr at seed + 2000, then the transforms exp, identity and sin
+    assert [c[:2] for c in calls] == [(2007, 100), (9007, 20), (10007, 20), (11007, 20)]
+    ultraweak, exp, identity, sin = (worst for _, _, worst in calls)
+    assert results["ultraweak-ccr"]["max_uw_ccr_residual"] == ultraweak
+    assert results["transforms"]["per_transform_residuals"] == {"exp": exp, "identity": identity, "sin": sin}
+
+    # the pipelines reach the same check: at the criteria's seeds and counts, the same residuals
+    hydrogen = {"kind": "hydrogen", "n_max": 4}
+    uwform_report = run(RunConfig(model=hydrogen, pipeline={"kind": "uwform", "vectors": 100},
+                                  tolerances={}, seed=2007))
+    sin_report = run(RunConfig(model=hydrogen, pipeline={"kind": "ftransform", "vectors": 20,
+                                                         "function": {"kind": "sin", "params": [0.3]}},
+                               tolerances={}, seed=11007))
+    assert [c[:2] for c in calls[4:]] == [(2007, 100), (11007, 20)]
+    assert uwform_report["max_uw_ccr_residual"] == ultraweak
+    assert sin_report["max_uw_ccr_residual"] == sin

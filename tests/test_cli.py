@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import timeops
-from timeops import cli
+from timeops import cli, uwform
 from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.cli import RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
@@ -151,16 +151,6 @@ class TestRunExamples:
         assert len(report["bound_checks"]) == 20
         assert report["model_dimension"] == 402
         assert report["ground_energy"] == pytest.approx(-0.546035244863, abs=1e-9)
-
-    def test_report_is_independent_of_job_count(self):
-        cfg = RunConfig(
-            model={"kind": "hydrogen", "n_max": 4},
-            pipeline={"kind": "uwform"},
-            tolerances={},
-        )
-        serial = _strip_timings(run(cfg, jobs=1))
-        threaded = _strip_timings(run(cfg, jobs=4))
-        assert serial == threaded
 
 
 class TestSubcommands:
@@ -345,6 +335,30 @@ class TestSubcommands:
         assert code == 0
         report = _read(tmp_path / "uwform_report.json")
         assert report["function"] == {"kind": "exp", "params": [1.0]}
+
+    @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
+    def test_ultraweak_pipelines_fail_on_a_perturbed_evaluator_entry(self, tmp_path, monkeypatch, command):
+        # one evaluator entry of one hydrogen channel off by a relative 1e-6: that channel alone fails
+        build = uwform._evaluator_stack
+        perturbed_dimension = []
+
+        def perturbed(e):
+            stack = build(e)
+            if len(e) > 1 and not perturbed_dimension:
+                stack = stack.copy()
+                stack[1, 0, 1] *= 1.0 + 1e-6
+                perturbed_dimension.append(e.shape[1])
+            return stack
+
+        monkeypatch.setattr(uwform, "_evaluator_stack", perturbed)
+        code = main([*command, "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)])
+        assert code == 1
+        report = _read(tmp_path / f"{command[0]}_report.json")
+        tol = report["tolerances"]["uw_ccr"]
+        assert report["passed"] is False and report["max_uw_ccr_residual"] > tol
+        # the stack's second row is the second channel of that dimension, in channel order
+        target = [c["channel_id"] for c in report["channels"] if c["dimension"] == perturbed_dimension[0]][1]
+        assert [c["channel_id"] for c in report["channels"] if not c["max_uw_ccr_residual"] <= tol] == [target]
 
     def test_ftransform_admissible_sine(self, tmp_path):
         code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
@@ -828,6 +842,7 @@ class TestSubprocessBoundaries:
          "n_max = 60 in 6 dimensions gives more than 1000000 states"),
         (["spectrum", "--model", "hydrogen", "--n-max", 100_000_000], "more than 1000000 states"),
         (["timeop", "--model", "custom"], "needs --input or model.path"),
+        (["decompose", "--model", "oscillator", "--omega", "1e-308"], "reciprocal of value 5e-309 overflows"),
     ])
     def test_oversized_or_incomplete_runs_are_usage_errors(self, tmp_path, args, match):
         assert_usage_error(*args, "--out", tmp_path, match=match, timeout=30)

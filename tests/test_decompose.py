@@ -246,6 +246,11 @@ class TestDecomposeSpectrum:
         with pytest.raises(ValueError, match="reciprocals"):
             decompose_spectrum(s)
 
+    def test_rejects_a_reciprocal_that_overflows(self):
+        # omega = 1e-308: the ground level omega/2 is subnormal, and its reciprocal is beyond the float range
+        with pytest.raises(ValueError, match="reciprocal of value 5e-309 overflows"):
+            decompose_spectrum(harmonic_spectrum([1e-308], 3))
+
     def test_json_document_shape(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 2))
         doc = deco.to_json()

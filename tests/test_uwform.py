@@ -7,7 +7,7 @@ import pytest
 from dataclasses import dataclass, replace
 
 from timeops import uwform
-from timeops.acceptance import DEFAULT_TOLERANCES, _sweep_forms
+from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.decompose import decompose_spectrum
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
 from timeops.uwform import (
@@ -38,7 +38,9 @@ def form_of(*channels):
 def with_groups(form, groups):
     """``form`` with its groups swapped for ``groups``, evaluators and eigenvalues as given."""
     changed = object.__new__(UltraWeakForm)
-    changed._freeze(form.eigenvalues, tuple(groups))
+    for name, value in (("eigenvalues", form.eigenvalues), ("groups", tuple(groups)),
+                        ("total_dimension", form.total_dimension)):
+        object.__setattr__(changed, name, value)
     return changed
 
 
@@ -49,6 +51,11 @@ def channel_evaluators(form):
         for block, a in zip(g.blocks, g.evaluators):
             evaluators[block] = a
     return evaluators
+
+
+def channel_form(form, i):
+    """Channel ``i`` of ``form`` as a one-channel form of its own."""
+    return UltraWeakForm([form.eigenvalues[i]])
 
 
 def pieces(form, v):
@@ -222,7 +229,7 @@ class TestCommutationDomain:
         # the whole vector must not disqualify a projected vector.
         form = form_of([-1.0, -0.5, -0.25], [-0.04])
         v = np.zeros(4, dtype=complex)
-        v[:3] = random_domain_vector(np.random.default_rng(2), form.channel(0))
+        v[:3] = random_domain_vector(np.random.default_rng(2), channel_form(form, 0))
         v[3] = 1e-12
         assert in_ccr_domain(form, v)
         v[3] = 1e-3
@@ -324,26 +331,10 @@ class TestUncertainty:
             uncertainty_check(form, e0)
 
 
-def reference_uw_ccr_sweep(rng, forms):
+def reference_uw_ccr_sweep(rng, form, count):
     """The hand-written pair loop the sweep kernel replaced."""
     worst = 0.0
-    for form in forms:
-        phi = random_domain_vector(rng, form)
-        psi = random_domain_vector(rng, form)
-        worst = max(worst, uw_ccr_residual(form, phi, psi))
-    return worst
-
-
-def reference_round_robin_sweep(form, rng, pairs):
-    """The acceptance suite's loop: round-robin channel pairs, then whole-form pairs."""
-    worst = 0.0
-    single_forms = [form.channel(i) for i, e in enumerate(form.eigenvalues) if e.size >= 2]
-    for i in range(pairs):
-        sub = single_forms[i % len(single_forms)] if single_forms else form
-        phi = random_domain_vector(rng, sub)
-        psi = random_domain_vector(rng, sub)
-        worst = max(worst, uw_ccr_residual(sub, phi, psi))
-    for _ in range(pairs):
+    for _ in range(count):
         phi = random_domain_vector(rng, form)
         psi = random_domain_vector(rng, form)
         worst = max(worst, uw_ccr_residual(form, phi, psi))
@@ -367,7 +358,7 @@ def reference_uncertainty_sweep(rng, form, count):
 def reference_channel_sweep(form, seed, count):
     """The CLI's per-channel loop: one generator and ``count`` pairs per channel of dimension >= 2."""
     return {
-        i: reference_uw_ccr_sweep(np.random.default_rng(seed + i), [form.channel(i)] * count)
+        i: reference_uw_ccr_sweep(np.random.default_rng(seed + i), channel_form(form, i), count)
         for i, e in enumerate(form.eigenvalues) if e.size >= 2
     }
 
@@ -380,7 +371,7 @@ def _sweep_cases():
     s = hydrogen_point_spectrum(1.0, 1.0, 4)
     _, hydrogen = assemble_uwform(s)
     _, _, transformed = f_transform_form(FunctionSpec(FunctionKind.SIN, (0.3,)), s)
-    return {"hydrogen": hydrogen, "channel": hydrogen.channel(0), "sin": transformed}
+    return {"hydrogen": hydrogen, "channel": channel_form(hydrogen, 0), "sin": transformed}
 
 
 #: The batched kernels sum in another order than the per-vector loops;
@@ -406,17 +397,9 @@ class TestSweepKernels:
     @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
     def test_uw_ccr_sweep_matches_the_loop(self, case):
         form = _sweep_cases()[case]
-        forms = [form] * 20
-        expected = reference_uw_ccr_sweep(np.random.default_rng(11), forms)
-        assert uw_ccr_sweep(np.random.default_rng(11), forms) == pytest.approx(expected, abs=AGREEMENT)
+        expected = reference_uw_ccr_sweep(np.random.default_rng(11), form, 20)
+        assert uw_ccr_sweep(np.random.default_rng(11), form, 20) == pytest.approx(expected, abs=AGREEMENT)
         assert expected <= 1e-10
-
-    @pytest.mark.parametrize("case", ["hydrogen", "sin"])
-    def test_round_robin_sweep_matches_the_loop(self, case):
-        form = _sweep_cases()[case]
-        expected = reference_round_robin_sweep(form, np.random.default_rng(12), 20)
-        got = uw_ccr_sweep(np.random.default_rng(12), _sweep_forms(form, 20))
-        assert got == pytest.approx(expected, abs=AGREEMENT)
 
     @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
     def test_uncertainty_sweep_matches_the_loop(self, case):
@@ -430,12 +413,8 @@ class TestSweepKernels:
     def test_kernels_match_the_references_under_tolerance(self, n_max, transform):
         form = _hydrogen_form(n_max, transform)
         pairs = 20 if n_max == 4 else 8
-        checks = [
-            (uw_ccr_sweep(np.random.default_rng(1), [form] * pairs),
-             reference_uw_ccr_sweep(np.random.default_rng(1), [form] * pairs)),
-            (uw_ccr_sweep(np.random.default_rng(2), _sweep_forms(form, pairs)),
-             reference_round_robin_sweep(form, np.random.default_rng(2), pairs)),
-        ]
+        checks = [(uw_ccr_sweep(np.random.default_rng(1), form, pairs),
+                   reference_uw_ccr_sweep(np.random.default_rng(1), form, pairs))]
         per_channel = uw_ccr_channel_sweep(_channel_rngs(form, 100), form, 2)
         for i, expected in reference_channel_sweep(form, 100, 2).items():
             checks.append((per_channel[i], expected))
@@ -452,18 +431,17 @@ class TestSweepKernels:
         raw = []
         whole_rows = uwform._whole_rows
         monkeypatch.setattr(uwform, "_whole_rows", lambda groups, v, redraw: raw.append(v) or whole_rows(groups, v, redraw))
-        forms = _sweep_forms(form, 6)
 
         batched = RecordingRng(5)
-        uw_ccr_sweep(batched, forms)
+        uw_ccr_sweep(batched, form, 6)
         looped = RecordingRng(5)
-        reference_uw_ccr_sweep(looped, forms)
+        reference_uw_ccr_sweep(looped, form, 6)
         assert np.array_equal(batched.stream(), looped.stream())
-        # the whole-form pairs, as projected: phi of every pair, then psi of every pair
-        vectors = looped.stream()[-6 * 4 * form.total_dimension:].reshape(6, 2, 2, -1)
-        whole = [v for v in raw if v.shape[1] == form.total_dimension]
-        assert np.array_equal(whole[0], vectors[:, 0, 0] + 1j * vectors[:, 0, 1])
-        assert np.array_equal(whole[1], vectors[:, 1, 0] + 1j * vectors[:, 1, 1])
+        assert batched.calls == 1
+        # the pairs, as projected: phi of every pair, then psi of every pair
+        vectors = looped.stream().reshape(6, 2, 2, -1)
+        assert np.array_equal(raw[0], vectors[:, 0, 0] + 1j * vectors[:, 0, 1])
+        assert np.array_equal(raw[1], vectors[:, 1, 0] + 1j * vectors[:, 1, 1])
 
     def test_uncertainty_draws_match_the_loop_bit_for_bit(self):
         form = _sweep_cases()["sin"]
@@ -483,7 +461,7 @@ class TestSweepKernels:
         uw_ccr_channel_sweep(batched, form, 3)
         looped = _channel_rngs(form, 40, RecordingRng)
         for i, rng in looped.items():
-            reference_uw_ccr_sweep(rng, [form.channel(i)] * 3)
+            reference_uw_ccr_sweep(rng, channel_form(form, i), 3)
             assert np.array_equal(batched[i].stream(), rng.stream())
             assert batched[i].calls == 1
 
@@ -492,7 +470,7 @@ class TestSweepKernels:
 
         def sweeps():
             rngs = (RecordingRng(4), RecordingRng(5), _channel_rngs(form, 6, RecordingRng))
-            values = (uw_ccr_sweep(rngs[0], [form] * 7), *uncertainty_sweep(rngs[1], form, 7),
+            values = (uw_ccr_sweep(rngs[0], form, 7), *uncertainty_sweep(rngs[1], form, 7),
                       *uw_ccr_channel_sweep(rngs[2], form, 7))
             return values, rngs
 
@@ -507,37 +485,24 @@ class TestSweepKernels:
 
     def test_chunks_hold_at_most_the_budget_or_one_wider_row(self, monkeypatch):
         monkeypatch.setattr(uwform, "SWEEP_CHUNK", 10)
-        assert list(uwform._chunks([5, 5, 20, 1, 4, 6])) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+        assert list(uwform._chunks(3, 7)) == [(0, 3), (3, 6), (6, 7)]
+        assert list(uwform._chunks(5, 4)) == [(0, 2), (2, 4)]
+        assert list(uwform._chunks(10, 2)) == [(0, 1), (1, 2)]
+        assert list(uwform._chunks(20, 3)) == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize("transform", ["none", "sin"])
-    def test_an_assembled_form_is_swept_without_copying_its_evaluators(self, transform):
+    def test_an_assembled_form_is_swept_without_copying_its_evaluators(self, transform, monkeypatch):
         form = _hydrogen_form(8, transform)
         dims = [g.eigenvalues.shape[1] for g in form.groups]
         assert len(dims) == len(set(dims)) == len({e.size for e in form.eigenvalues} - {1})
         assert all(not g.evaluators.flags.writeable for g in form.groups)
-        # a channel on its own views its row of the group stack
-        middle = len(form.eigenvalues) // 2
-        (g,) = [g for g in form.groups if middle in g.blocks]
-        (view,) = form.channel(middle).groups
-        assert np.shares_memory(view.evaluators, g.evaluators)
-        assert np.array_equal(view.evaluators[0], g.evaluators[list(g.blocks).index(middle)])
         # every other channel, built again: the same rows in new stacks
         sparse = UltraWeakForm(form.eigenvalues[::2])
         old = channel_evaluators(form)[::2]
         assert all(np.array_equal(a, b) for a, b in zip(channel_evaluators(sparse), old))
-        expected = reference_uw_ccr_sweep(np.random.default_rng(14), [sparse] * 4)
-        assert uw_ccr_sweep(np.random.default_rng(14), [sparse] * 4) == pytest.approx(expected, abs=AGREEMENT)
-
-    def test_groups_are_built_once_per_distinct_form(self, monkeypatch):
-        form = _sweep_cases()["hydrogen"]
-        looked_up = []
-        groups = uwform._nontrivial_groups
-        monkeypatch.setattr(uwform, "_nontrivial_groups", lambda f: looked_up.append(f) or groups(f))
+        expected = reference_uw_ccr_sweep(np.random.default_rng(14), sparse, 4)
         monkeypatch.setattr(uwform, "_evaluator_stack", None)   # a sweep builds no evaluator
-        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 2 * form.total_dimension)
-        forms = _sweep_forms(form, 12)
-        uw_ccr_sweep(np.random.default_rng(0), forms)
-        assert len(looked_up) == len(set(forms)) < len(forms)
+        assert uw_ccr_sweep(np.random.default_rng(14), sparse, 4) == pytest.approx(expected, abs=AGREEMENT)
 
     def test_channel_sweep_reads_zero_on_one_dimensional_blocks(self):
         form = form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1])
@@ -550,7 +515,7 @@ class TestSweepKernels:
     def test_empty_sweeps_are_rejected(self):
         form = form_of([-1.0, -0.5])
         with pytest.raises(ValueError, match="checks nothing"):
-            uw_ccr_sweep(np.random.default_rng(0), [])
+            uw_ccr_sweep(np.random.default_rng(0), form, 0)
         with pytest.raises(ValueError, match="checks nothing"):
             uncertainty_sweep(np.random.default_rng(0), form, 0)
         with pytest.raises(ValueError, match="checks nothing"):
@@ -560,7 +525,7 @@ class TestSweepKernels:
     def test_trivial_domains_are_rejected(self, channels):
         form = form_of(*channels)
         with pytest.raises(ValueError, match="trivial"):
-            uw_ccr_sweep(np.random.default_rng(0), [form])
+            uw_ccr_sweep(np.random.default_rng(0), form, 1)
         with pytest.raises(ValueError, match="trivial"):
             uncertainty_sweep(np.random.default_rng(0), form, 1)
 
@@ -571,8 +536,7 @@ class TestSweepKernels:
         poisoned = d2.evaluators.copy()
         poisoned[0, 0, 1] = math.nan
         form = with_groups(form, [d3, replace(d2, evaluators=poisoned)])
-        assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form] * 3))
-        assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), [form.channel(0), form]))
+        assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), form, 3))
         worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 3)
         assert worst[0] <= 1e-10 and math.isnan(worst[1])
         assert all(math.isnan(x) for x in uncertainty_sweep(np.random.default_rng(0), form, 3))
@@ -593,8 +557,8 @@ class TestSweepKernels:
         groups[k] = replace(groups[k], **{field: changed})
         perturbed = with_groups(form, groups)
         target = groups[k].blocks[1]
-        assert uw_ccr_sweep(np.random.default_rng(0), [form] * 20) <= tol["uw_ccr"]
-        assert uw_ccr_sweep(np.random.default_rng(0), [perturbed] * 20) > tol["uw_ccr"]
+        assert uw_ccr_sweep(np.random.default_rng(0), form, 20) <= tol["uw_ccr"]
+        assert uw_ccr_sweep(np.random.default_rng(0), perturbed, 20) > tol["uw_ccr"]
         assert uncertainty_sweep(np.random.default_rng(1), form, 20)[1] <= tol["im_identity"]
         assert uncertainty_sweep(np.random.default_rng(1), perturbed, 20)[1] > tol["im_identity"]
         worst = uw_ccr_channel_sweep(_channel_rngs(perturbed, 2), perturbed, 20)
@@ -606,7 +570,7 @@ class TestSweepKernels:
         nan_draw = np.full((2, 2, 2, 5), 0.5)
         nan_draw[1, 0, 1, 3] = math.nan
         with pytest.raises(ValueError, match="commutation domain"):
-            uw_ccr_sweep(RecordingRng(0, {0: nan_draw.ravel()}), [form] * 2)
+            uw_ccr_sweep(RecordingRng(0, {0: nan_draw}), form, 2)
         channel_draw = np.full((2, 2, 2, 3), 0.5)
         channel_draw[0, 1, 0, 2] = math.nan
         rngs = {0: RecordingRng(0, {0: channel_draw}), 1: RecordingRng(1)}
@@ -623,8 +587,8 @@ class TestSweepKernels:
         draw = np.random.default_rng(9).uniform(-1.0, 1.0, (2, 2, 2, 3))
         draw[0, 0, 0] = form.eigenvalues[0]
         draw[0, 0, 1] = 0.0
-        rng = RecordingRng(3, {0: draw.ravel()})
-        assert uw_ccr_sweep(rng, [form] * 2) <= 1e-10
+        rng = RecordingRng(3, {0: draw})
+        assert uw_ccr_sweep(rng, form, 2) <= 1e-10
         assert rng.calls == 3   # the batch, then one redraw: real, imaginary
         rngs = {0: RecordingRng(3, {0: draw})}
         assert uw_ccr_channel_sweep(rngs, form, 2)[0] <= 1e-10
@@ -634,7 +598,7 @@ class TestSweepKernels:
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
         groups = form.groups
         v = np.zeros((1, 5), dtype=complex)
-        v[0, :3] = random_domain_vector(np.random.default_rng(2), form.channel(0))
+        v[0, :3] = random_domain_vector(np.random.default_rng(2), channel_form(form, 0))
         units = [v[:, g.index].transpose(1, 0, 2) for g in groups]
         norms = [uwform._whole_norms(units)] * len(groups)
         uwform._require_domain(groups, units, norms)
