@@ -25,12 +25,11 @@ from .decompose import (
     verify_decomposition,
 )
 from .timeop import (
+    ChannelStack,
     MatrixKind,
-    TimeOperatorMatrix,
     assemble_time_operator,
-    ccr_residual,
-    channel_time_operator,
-    galapon_matrix,
+    ccr_check,
+    ccr_residuals,
     osc_timeop_extremes,
     oscillator_bound_rows,
     random_difference_stack,
@@ -40,7 +39,6 @@ from .uwform import (
     AdmissibilityReport,
     FunctionKind,
     FunctionSpec,
-    UltraWeakForm,
     assemble_uwform,
     describe_domains,
     f_condition_check,

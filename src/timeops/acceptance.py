@@ -26,10 +26,10 @@ from .contspec import ExpCombination, make_packet, s0_strong_relation_check, s0_
 from .decompose import channel_partition, verify_decomposition
 from .spectra import harmonic_spectrum, hydrogen_point_spectrum, rabi_check, rabi_hamiltonian
 from .timeop import (
+    ChannelStack,
     MatrixKind,
     assemble_time_operator,
-    ccr_residual,
-    galapon_matrix,
+    ccr_residuals,
     osc_timeop_extremes,
     oscillator_bound_rows,
 )
@@ -110,30 +110,31 @@ def _difference_stack(dimension: int) -> np.ndarray:
 def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
     """Exact commutation on difference spans, hydrogen and oscillator.
 
-    Every difference e_k - e_l of every block of dimension >= 2 is checked.
+    Every difference e_k - e_l of every block of dimension >= 2 is checked:
+    one stack of them per dimension, shared by the channels of its group.
     """
     hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
-    deco, hyd_matrices = assemble_time_operator(hyd)
+    deco, hyd_op = assemble_time_operator(hyd)
     structure_ok = (hyd.total_states == 30 and deco.channel_count == 16)
 
     osc = harmonic_spectrum([1.0], 50)
-    deco_osc, osc_matrices = assemble_time_operator(osc)
+    deco_osc, osc_op = assemble_time_operator(osc)
 
     worst_ratio = 0.0
     worst_abs = 0.0
     pairs_total = 0
     ok = structure_ok
-    for t in hyd_matrices + osc_matrices:
-        if t.dimension < 2:
-            continue
-        stack = _difference_stack(t.dimension)
-        worst = ccr_residual(t, stack)
-        pairs_total += len(stack)
-        allowed = tol["ccr_relative"] * t.scale
-        ok = ok and worst <= allowed
-        worst_abs = max(worst_abs, worst)
-        if allowed > 0:
-            worst_ratio = max(worst_ratio, worst / allowed)
+    for op in (hyd_op, osc_op):
+        for g in op.groups:
+            c, d = g.eigenvalues.shape
+            stack = _difference_stack(d)
+            worst = ccr_residuals(g, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
+            pairs_total += c * len(stack)
+            allowed = tol["ccr_relative"] * g.scale
+            ok = ok and bool(np.all(worst <= allowed))
+            worst_abs = max(worst_abs, float(np.max(worst)))
+            ratio = np.divide(worst, allowed, out=np.zeros_like(worst), where=allowed > 0.0)
+            worst_ratio = max(worst_ratio, float(np.max(ratio)))
     return ok, {
         "hydrogen_states": hyd.total_states,
         "hydrogen_channels": deco.channel_count,
@@ -354,20 +355,24 @@ def criterion_transforms(tol: dict, seed: int) -> tuple[bool, dict]:
 
 
 def criterion_scaling(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Entrywise scaling covariance of the direct matrix."""
+    """Entrywise scaling covariance of the direct matrix.
+
+    Each base channel and its rescalings are the rows of one group.
+    """
     bases = [
         np.arange(20, dtype=float) + 0.5,
         np.sort(np.array([-1.0 / n ** 2 for n in range(1, 7)])),
     ]
+    alphas = (0.5, 2.0, 10.0)
     worst = 0.0
     for base in bases:
-        reference = 1j * galapon_matrix(base, MatrixKind.DIRECT).generator
-        for alpha in (0.5, 2.0, 10.0):
-            scaled = 1j * galapon_matrix(alpha * base, MatrixKind.DIRECT).generator
-            worst = max(worst, float(np.max(np.abs(scaled - reference / alpha))))
+        (g,) = ChannelStack([base, *(alpha * base for alpha in alphas)], MatrixKind.DIRECT).groups
+        reference = 1j * g.stack[0]
+        for alpha, generator in zip(alphas, g.stack[1:]):
+            worst = max(worst, float(np.max(np.abs(1j * generator - reference / alpha))))
     ok = worst <= tol["scaling_entrywise"]
     return ok, {
-        "alphas": [0.5, 2.0, 10.0],
+        "alphas": list(alphas),
         "worst_entrywise_defect": worst,
         "tolerance_scaling_entrywise": tol["scaling_entrywise"],
     }

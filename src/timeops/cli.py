@@ -40,13 +40,7 @@ from .spectra import (
     hydrogen_point_spectrum,
     rabi_check,
 )
-from .timeop import (
-    assemble_time_operator,
-    ccr_residual,
-    osc_timeop_extremes,
-    oscillator_bound_rows,
-    random_difference_stack,
-)
+from .timeop import assemble_time_operator, ccr_check, osc_timeop_extremes, oscillator_bound_rows
 from .uwform import (
     FunctionSpec,
     assemble_uwform,
@@ -282,24 +276,18 @@ def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict) -> dict:
         return _rabi_report(config.model)
     s = _spectrum_from_model(config.model)
     vectors = pl["vectors"]
-    deco, matrices = assemble_time_operator(s, pl["p"])
-    if all(t.dimension < 2 for t in matrices):
+    deco, op = assemble_time_operator(s, pl["p"])
+    if not op.groups:
         raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
-    channels = []
+    worst = ccr_check(op, config.seed, vectors)
+    defect = np.zeros(len(op.eigenvalues))
     ok = True
-    for i, t in enumerate(matrices):
-        worst = 0.0
-        if t.dimension >= 2:
-            rng = np.random.default_rng(config.seed + 10_000 + i)
-            worst = ccr_residual(t, random_difference_stack(rng, t.dimension, vectors))
-            ok = ok and worst <= tol["ccr_relative"] * t.scale
-        channels.append({
-            "channel_id": i,
-            "dimension": t.dimension,
-            "max_ccr_residual": worst,
-            "hermiticity_defect": t.hermiticity_defect(),
-        })
+    for g in op.groups:
+        defect[g.blocks] = g.hermiticity_defect()
+        ok = ok and bool(np.all(worst[g.blocks] <= tol["ccr_relative"] * g.scale))
+    channels = [{"channel_id": i, "dimension": ev.size, "max_ccr_residual": float(worst[i]),
+                 "hermiticity_defect": float(defect[i])} for i, ev in enumerate(op.eigenvalues)]
     return {
         "spectrum": s.to_json(),
         "decomposition": deco.to_json(),

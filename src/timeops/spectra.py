@@ -276,11 +276,12 @@ def harmonic_spectrum(omega: "list[float]", n_max: int) -> DiscreteSpectrum:
     if _lattice_point_count(len(freqs), n_max) > STATE_COUNT_LIMIT:
         raise ValueError(f"n_max = {n_max} in {len(freqs)} dimensions gives more than {STATE_COUNT_LIMIT} states")
 
-    base = 0.5 * math.fsum(freqs)
-    levels = sorted(
-        math.fsum(w * n for w, n in zip(freqs, point)) + base
-        for point in _lattice_points(len(freqs), n_max)
-    )
+    try:   # fsum raises on an overflowing partial sum
+        base = 0.5 * math.fsum(freqs)
+        levels = sorted(math.fsum(w * n for w, n in zip(freqs, point)) + base
+                        for point in _lattice_points(len(freqs), n_max))
+    except OverflowError:
+        raise ValueError(f"the oscillator levels of omega = {freqs} overflow to a non-finite value") from None
     tol = DEGENERACY_MERGE_RTOL * max(freqs)
     entries: list[list] = []
     for value in levels:

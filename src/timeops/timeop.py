@@ -1,4 +1,4 @@
-"""Time-operator matrices on simple channels.
+"""Time operators and ultra-weak form evaluators of simple channels, stacked by dimension.
 
 In the eigenbasis of a simple (multiplicity-free) channel the canonical
 time-operator candidate is the Hermitian matrix with zero diagonal and
@@ -7,39 +7,44 @@ off-diagonal entries i/(E_n - E_m).  Against H = diag(E) it satisfies
 ([H,T]v + iv) collapses to i*(sum of coefficients)*ones: it vanishes
 identically on the span of eigenvector differences.  That cancellation is
 algebraic, not asymptotic, which is why the residual checks here demand
-machine precision rather than convergence.  The time operator of a whole
-spectrum is the tuple of its channel matrices, in decomposition order.
+machine precision rather than convergence.
 
 Every entry is purely imaginary, so a matrix is stored as T = iA with A
-real and antisymmetric: one real n x n array per channel.  The residual
-kernel streams the commutator [H, T] = i(hA - Ah) in row bands and never
-holds it whole.
+real and antisymmetric.  The residual kernel streams the commutator
+[H, T] = i(hA - Ah) in row bands and never holds it whole.
 
 Two entry conventions are provided.  ``DIRECT`` pairs with diag(E) itself
 and suits spectra growing to infinity.  ``INVERSE_CONJUGATE`` has entries
 i E_n E_m / (E_m - E_n) = i/(1/E_n - 1/E_m): it is the direct matrix of
 the reciprocal eigenvalues, pairs with diag(1/E), and suits spectra
 accumulating at zero, whose reciprocals are the ones marching off to
-infinity.
+infinity.  The ultra-weak form of ``uwform`` is built from the
+inverse-conjugate generator A: its evaluator is iR with
+R = -(A D + D A)/2 and D = diag(1/E^2), again real and antisymmetric.
+
+A direct sum of simple channels is one ``ChannelStack`` of one of these
+three kinds.  It stacks the channels of each dimension d >= 2 into one
+group, whose real (c, d, d) stack is built in one vectorized pass and
+read in place by every kernel.  A channel of dimension 1 has a trivial
+difference span and no stack row.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .decompose import decompose_spectrum
+from .decompose import ChannelDecomposition, decompose_spectrum
 from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum, _require_hermitian
 
 __all__ = [
     "MatrixKind",
-    "TimeOperatorMatrix",
-    "galapon_matrix",
-    "ccr_residual",
+    "ChannelStack",
+    "ccr_residuals",
+    "ccr_check",
     "random_difference_stack",
-    "channel_time_operator",
     "assemble_time_operator",
     "osc_timeop_extremes",
     "oscillator_bound_rows",
@@ -50,96 +55,172 @@ __all__ = [
 #: summation functional).
 DIFFERENCE_SPAN_RTOL = 1e-10
 
-
-class MatrixKind(str, Enum):
-    DIRECT = "direct"
-    INVERSE_CONJUGATE = "inverse_conjugate"
-
-
-#: Rows per band of the commutator that ``ccr_residual`` streams, and of the
-#: products E_n*E_m that ``galapon_matrix`` forms.
+#: Rows per band of the commutator that ``ccr_residuals`` streams, and of the
+#: products E_n*E_m that ``_generator_stack`` forms.
 CCR_BAND_ROWS = 128
 
+#: Entries a stack build or a kernel handles at once (rows x width).  Longer
+#: work runs in chunks of rows, in the same order, so its memory grows with
+#: the chunk, not with the stack or the number of vectors.
+SWEEP_CHUNK = 2 ** 18
 
-@dataclass(frozen=True)
-class TimeOperatorMatrix:
-    """Hermitian time-operator matrix T = iA over one simple channel.
 
-    ``generator`` is the real antisymmetric A.  The constructor takes
-    ownership of a float64 array, without copying it, and makes it read-only.
+class MatrixKind(str, Enum):
+    """What the stack row of a channel holds.
+
+    ``DIRECT`` and ``INVERSE_CONJUGATE``: the real generator A of the
+    time-operator matrix T = iA of that kind.  ``FORM``: the real R of the
+    ultra-weak form evaluator iR, R = -(A D + D A)/2 with A the
+    inverse-conjugate generator and D = diag(1/E^2).
     """
 
-    dimension: int
-    generator: np.ndarray
-    eigenvalues: tuple[float, ...]
+    DIRECT = "direct"
+    INVERSE_CONJUGATE = "inverse_conjugate"
+    FORM = "form"
+
+
+def _chunks(width: int, count: int):
+    """Consecutive (start, stop) ranges of ``count`` rows of ``width`` entries each.
+
+    A range holds as many rows as fit in SWEEP_CHUNK entries, and at
+    least one.
+    """
+    rows = max(1, SWEEP_CHUNK // width)
+    for start in range(0, count, rows):
+        yield start, min(start + rows, count)
+
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The c channels of dimension d >= 2 of a ``ChannelStack``, stacked.
+
+    ``scale`` and ``defect`` are each row's largest |entry| and largest
+    |A + A^T| entry, from the one antisymmetry pass of the build.
+    """
+
+    blocks: np.ndarray        # (c,) channel positions in the stack
+    index: np.ndarray         # (c, d) coordinates of each channel in a whole vector
+    eigenvalues: np.ndarray   # (c, d)
+    stack: np.ndarray         # (c, d, d) real, antisymmetric, read-only
+    scale: np.ndarray         # (c,)
+    defect: np.ndarray        # (c,)
+
+    def __getitem__(self, rows: slice) -> "_Group":
+        """The channels ``rows`` of this group, as views."""
+        return _Group(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def hermiticity_defect(self) -> np.ndarray:
+        """Each row's max entrywise deviation from antisymmetry, relative to its scale."""
+        return np.divide(self.defect, self.scale, out=np.zeros_like(self.defect), where=self.scale != 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelStack:
+    """A direct sum of simple channels of one ``MatrixKind``, stacked by dimension.
+
+    Built from one eigenvalue array per channel, each strictly increasing;
+    ``eigenvalues`` keeps them, read-only.  For every dimension d >= 2, in
+    the order the dimensions first appear, ``groups`` holds a ``_Group``
+    of the channels of that dimension, in channel order, with their rows
+    in one read-only real (c, d, d) stack.  A form's channels must have
+    finite, nonzero eigenvalues, dimension 1 included.
+
+    Frozen, and compared by identity: a field-wise ``__eq__`` over arrays
+    is unusable.
+    """
+
     kind: MatrixKind
-    #: Largest |entry| and largest |T - T^H| = |A + A^T| entry, from the one antisymmetry pass.
-    scale: float = field(init=False, repr=False, compare=False)
-    _defect: float = field(init=False, repr=False, compare=False)
+    eigenvalues: tuple = field(init=False, repr=False)
+    groups: tuple = field(init=False, repr=False)
+    total_dimension: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        if np.iscomplexobj(self.generator):
-            raise ValueError("the generator A of T = iA must be real")
-        generator = np.asarray(self.generator, dtype=float)
-        if generator.shape != (self.dimension, self.dimension):
-            raise ValueError("generator shape does not match dimension")
-        if len(self.eigenvalues) != self.dimension:
-            raise ValueError("need one eigenvalue per basis vector")
-        if np.any(np.diagonal(generator) != 0.0):
-            raise ValueError("time-operator matrix must have zero diagonal")
-        scale, defect = map(float, _require_hermitian(generator, skew=True))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_defect", defect)
-        generator.flags.writeable = False
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "eigenvalues", tuple(float(e) for e in self.eigenvalues))
-        object.__setattr__(self, "kind", MatrixKind(self.kind))
+    def __init__(self, channels, kind: MatrixKind) -> None:
+        kind = MatrixKind(kind)
+        channels = [np.asarray(ev, dtype=float) for ev in channels]
+        if not channels:
+            raise ValueError("a channel stack needs at least one channel")
+        if any(ev.ndim != 1 or ev.size == 0 for ev in channels):
+            raise ValueError("eigenvalues must be a nonempty 1-d array")
+        dims = np.array([ev.size for ev in channels])
+        eigenvalues = [None] * len(channels)
+        rows = {}
+        for d in dict.fromkeys(dims.tolist()):   # dimensions in order of first appearance
+            blocks = np.flatnonzero(dims == d)
+            e = np.stack([channels[i] for i in blocks])
+            # written so that NaN fails
+            if kind is MatrixKind.FORM and not np.all(np.isfinite(e) & (e != 0.0)):
+                raise ValueError("form channels require finite, nonzero eigenvalues")
+            e.flags.writeable = False
+            for i, row in zip(blocks, e):
+                eigenvalues[i] = row
+            rows[d] = blocks, e
+        del channels   # an iterable's arrays are released before the stacks are built
+        starts = np.cumsum(dims) - dims
+        groups = tuple(_Group(blocks, starts[blocks, None] + np.arange(d), e, *_build_stack(e, kind))
+                       for d, (blocks, e) in rows.items() if d >= 2)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "total_dimension", int(dims.sum()))
 
-    @property
-    def pairing_eigenvalues(self) -> tuple[float, ...]:
-        """Diagonal of the Hamiltonian this matrix is conjugate to.
-
-        The commutation relation holds against diag(E) for the direct kind
-        and against diag(1/E) for the inverse-conjugate kind.
-        """
-        if self.kind is MatrixKind.DIRECT:
-            return self.eigenvalues
-        return tuple(1.0 / e for e in self.eigenvalues)
-
-    def hermiticity_defect(self) -> float:
-        """Max entrywise deviation from the conjugate transpose, relative."""
-        return self._defect / self.scale if self.scale else 0.0
+    @classmethod
+    def of_decomposition(cls, deco: ChannelDecomposition, kind: MatrixKind) -> "ChannelStack":
+        """One channel per decomposition channel, eigenvalues ascending."""
+        return cls((np.sort(deco.channel_values(i)) for i in range(deco.channel_count)), kind)
 
 
-def galapon_matrix(eigenvalues, kind: MatrixKind = MatrixKind.DIRECT) -> TimeOperatorMatrix:
-    """Build the time-operator matrix of a simple channel.
+def _build_stack(e: np.ndarray, kind: MatrixKind):
+    """(stack, scale, defect) of the channels whose eigenvalues are the rows of e (c, d).
 
-    Parameters
-    ----------
-    eigenvalues : array-like of float
-        Strictly increasing channel eigenvalues.  Must be nonzero for the
-        inverse-conjugate kind.
-    kind : MatrixKind
-        ``DIRECT`` gives entries i/(E_n - E_m); ``INVERSE_CONJUGATE``
-        gives i E_n E_m/(E_m - E_n), the direct matrix of the reciprocal
-        spectrum in the original basis order.
-
-    The generator A = -iT is the one-row case of ``_generator_stack``.
+    The rows are built SWEEP_CHUNK entries at a time, and a stack built in
+    one chunk is that chunk's array, not a copy.  The one antisymmetry
+    pass of each chunk gives the scale and defect of its rows.
     """
-    ev = np.asarray(eigenvalues, dtype=float)
-    kind = MatrixKind(kind)
-    if ev.ndim != 1 or ev.size == 0:
-        raise ValueError("eigenvalues must be a nonempty 1-d array")
-    return TimeOperatorMatrix(ev.size, _generator_stack(ev[None], kind)[0], tuple(ev), kind)
+    c, d = e.shape
+    stack = None
+    scale, defect = np.empty(c), np.empty(c)
+    for start, stop in _chunks(d * d, c):
+        rows = slice(start, stop)
+        a = _generator_stack(e[rows], MatrixKind.INVERSE_CONJUGATE if kind is MatrixKind.FORM else kind)
+        if kind is MatrixKind.FORM:
+            _form_stack(e[rows], a)
+        scale[rows], defect[rows] = _require_hermitian(a, skew=True)
+        if stop - start == c:
+            stack = a
+        else:
+            if stack is None:   # only once the kernel has accepted the dimension
+                stack = np.empty((c, d, d))
+            stack[rows] = a
+    stack.flags.writeable = False
+    return stack, scale, defect
+
+
+def _form_stack(e: np.ndarray, a: np.ndarray) -> None:
+    """Turn the generator stack a into R = -(A D + D A)/2, D = diag(1/E^2), in place.
+
+    The two D-products are applied by column and row scaling, which keeps
+    each R antisymmetric to the last bit: the (n, m) and (m, n) entries
+    are built from the same float products.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / (e * e)
+        ad = a * inv[:, None, :]
+        np.multiply(inv[:, :, None], a, out=a)
+        np.add(ad, a, out=a)
+        np.multiply(-0.5, a, out=a)
+    del ad
+    if not np.all(np.isfinite(a)):
+        raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
 
 
 def _generator_stack(ev: np.ndarray, kind: MatrixKind) -> np.ndarray:
     """Real generators A = -iT of the channels whose eigenvalues are the rows of a (c, d) float array.
 
-    Returns a (c, d, d) stack, A[r] built from row r as ``galapon_matrix``
-    documents.  Each generator is built in the buffer of the gap array
-    E_n - E_m, so the build holds the stack and one band of products.  A
-    refusal names the first row that fails it.
+    Returns a (c, d, d) stack: A[r] has entries 1/(E_n - E_m) for the
+    direct kind and E_n E_m/(E_m - E_n) for the inverse-conjugate kind,
+    with a zero diagonal.  Each generator is built in the buffer of the
+    gap array E_n - E_m, so the build holds the stack and one band of
+    products.  A refusal names the first row that fails it.
     """
     c, d = ev.shape
     if d > CHANNEL_DIMENSION_LIMIT:
@@ -207,81 +288,91 @@ def random_difference_stack(rng: np.random.Generator, dim: int, count: int) -> n
 
 
 def _require_difference_span(vecs: np.ndarray) -> None:
-    """Refuse any row of a (k, n) stack whose coefficient sum is off the difference span."""
-    defects = np.abs(vecs.sum(axis=1))
-    bounds = DIFFERENCE_SPAN_RTOL * np.maximum(np.linalg.norm(vecs, axis=1), 1e-300)
+    """Refuse any vector of a (..., n) stack whose coefficient sum is off the difference span."""
+    defects = np.abs(vecs.sum(axis=-1))
+    bounds = DIFFERENCE_SPAN_RTOL * np.maximum(np.linalg.norm(vecs, axis=-1), 1e-300)
     # written so that NaN fails
     outside = ~(defects <= bounds)
     if outside.any():
         raise ValueError(
             "vector lies outside the difference span "
-            f"(coefficient sum {defects[np.argmax(outside)]:.3e})"
+            f"(coefficient sum {defects.flat[np.argmax(outside)]:.3e})"
         )
 
 
-def ccr_residual(t: TimeOperatorMatrix, v) -> float:
-    """Worst norm of ([H,T] + i)v over one vector v or the rows of a (k, n) stack.
+def ccr_residuals(g: _Group, kind: MatrixKind, vecs) -> np.ndarray:
+    """Worst norm of ([H,T] + i)v of each channel of g over its k rows of a (c, k, d) stack.
 
-    H is diag(t.pairing_eigenvalues).  The residual is zero in exact
-    arithmetic for any v with zero coefficient sum, because the commutator
-    equals i(J - I) and the all-ones contribution is annihilated on that span.
-    Vectors whose coefficient sum exceeds the membership tolerance are
-    rejected rather than silently measured.
+    H is diag(E) for the direct kind and diag(1/E) for the
+    inverse-conjugate kind.  The residual is zero in exact arithmetic for
+    any v with zero coefficient sum, because the commutator equals
+    i(J - I); vectors off that span are rejected rather than measured.
 
-    The commutator is streamed in bands of at most ``CCR_BAND_ROWS`` rows.
-    A band is c = h_n A - A h_m, built entrywise with no summation, and it
-    gives its columns of the product as ``vecs @ (1j*c).T``; no n x n
-    temporary exists.  A stack of 0 and +-1 entries (differences of basis vectors)
-    gets the same bits as one matrix-vector product per row: each entry
-    of the product is one subtraction of two commutator entries.
+    The commutator is streamed in bands of at most ``CCR_BAND_ROWS`` rows,
+    for SWEEP_CHUNK entries of channels at a time.  A band c = h_n A - A h_m
+    is built entrywise and gives its columns as ``v @ (1j*c).T``, one
+    matrix product per channel, so a stack of 0 and +-1 entries gets the
+    bits of one matrix-vector product per row.  NaN propagates.
     """
-    vecs = np.asarray(v, dtype=complex)
-    if vecs.ndim == 1:
-        vecs = vecs[None, :]
-    if vecs.ndim != 2 or vecs.shape[1] != t.dimension:
-        raise ValueError("vector length does not match matrix dimension")
-    if vecs.shape[0] == 0:
+    kind = MatrixKind(kind)
+    if kind is MatrixKind.FORM:
+        raise ValueError("a form's stack is not a time-operator generator")
+    vecs = np.asarray(vecs, dtype=complex)
+    c, d = g.eigenvalues.shape
+    if vecs.ndim != 3 or vecs.shape[0] != c or vecs.shape[2] != d:
+        raise ValueError(f"a ({c}, k, {d}) vector stack is needed for this group, not {vecs.shape}")
+    if vecs.shape[1] == 0:
         raise ValueError("need at least one vector")
     _require_difference_span(vecs)
-    h = np.asarray(t.pairing_eigenvalues, dtype=float)
-    a = t.generator
+    h = g.eigenvalues if kind is MatrixKind.DIRECT else 1.0 / g.eigenvalues
     out = np.empty(vecs.shape, dtype=complex)
     # near-equal bands: a one-row band would go to a dot product, which sums in another order
-    bands = -(-t.dimension // CCR_BAND_ROWS)
-    edges = [t.dimension * i // bands for i in range(bands + 1)]
-    for start, stop in zip(edges, edges[1:]):
-        rows = slice(start, stop)
-        c = h[rows, None] * a[rows]
-        c -= a[rows] * h[None, :]
-        out[:, rows] = vecs @ (1j * c).T
+    bands = -(-d // CCR_BAND_ROWS)
+    edges = [d * i // bands for i in range(bands + 1)]
+    for first, last in _chunks(edges[1] * d, c):
+        ch = slice(first, last)
+        for start, stop in zip(edges, edges[1:]):
+            rows = slice(start, stop)
+            band = h[ch, rows, None] * g.stack[ch, rows]
+            band -= g.stack[ch, rows] * h[ch, None, :]
+            out[ch, :, rows] = vecs[ch] @ (1j * band).transpose(0, 2, 1)
     out += 1j * vecs
-    return float(np.max(np.linalg.norm(out, axis=1)))
+    return np.max(np.linalg.norm(out, axis=2), axis=1)
 
 
-def channel_time_operator(values, accumulation: Accumulation) -> TimeOperatorMatrix:
-    """Time-operator matrix for one simple channel of a spectrum.
+def ccr_check(op: ChannelStack, seed: int, count: int) -> np.ndarray:
+    """The exact-CCR sweep of the ``timeop`` pipeline: the worst residual of each channel.
 
-    Spectra accumulating at zero get the inverse-conjugate matrix, whose
-    conjugate Hamiltonian is the reciprocal diagonal (its
-    ``pairing_eigenvalues``); spectra growing to infinity get the direct one.
+    ``count`` vectors per channel of dimension 2 or more, channel i drawing
+    them with ``random_difference_stack`` from a generator seeded
+    ``seed + 10_000 + i``, checked by group, SWEEP_CHUNK coordinates at a
+    time; 0 for channels of dimension 1.
     """
-    ev = np.sort(np.asarray(values, dtype=float))
-    if Accumulation(accumulation) is Accumulation.TO_ZERO:
-        return galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE)
-    return galapon_matrix(ev, MatrixKind.DIRECT)
+    if count < 1:
+        raise ValueError("need at least one vector; a sweep over none checks nothing")
+    worst = np.zeros(len(op.eigenvalues))
+    for g in op.groups:
+        c, d = g.eigenvalues.shape
+        for start, stop in _chunks(count * d, c):
+            part = g[start:stop]
+            vecs = np.stack([random_difference_stack(np.random.default_rng(seed + 10_000 + i), d, count)
+                             for i in part.blocks])
+            worst[part.blocks] = ccr_residuals(part, op.kind, vecs)
+    return worst
 
 
 def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):
-    """Decompose a spectrum and build the block time operator.
+    """Decompose a spectrum and build its block time operator.
 
-    Returns (decomposition, matrices): one ``TimeOperatorMatrix`` per
-    channel, in decomposition order.
+    Returns (decomposition, ChannelStack) with one channel per
+    decomposition channel, eigenvalues ascending.  Spectra accumulating
+    at zero get the inverse-conjugate kind, whose conjugate Hamiltonian is
+    the reciprocal diagonal; spectra growing to infinity get the direct one.
     """
     deco = decompose_spectrum(s, p)
-    return deco, tuple(
-        channel_time_operator(deco.channel_values(i), s.accumulation)
-        for i in range(deco.channel_count)
-    )
+    if s.accumulation is Accumulation.TO_ZERO:
+        return deco, ChannelStack.of_decomposition(deco, MatrixKind.INVERSE_CONJUGATE)
+    return deco, ChannelStack.of_decomposition(deco, MatrixKind.DIRECT)
 
 
 def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:

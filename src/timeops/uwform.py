@@ -2,10 +2,10 @@
 
 When a spectrum accumulates at zero the time-operator matrix of a channel
 has no dense-domain conjugate Hamiltonian, but the pairing survives as a
-sesquilinear form.  With S the inverse-conjugate matrix and D = diag(1/E^2)
-the form is
+sesquilinear form.  With S = iA the inverse-conjugate matrix and
+D = diag(1/E^2) the form is
 
-    t[phi, psi] = phi^H A psi,    A = -(S D + D S) / 2,
+    t[phi, psi] = phi^H (iR) psi,    iR = -(S D + D S) / 2,
 
 Hermitian by construction.  On the domain of vectors whose coefficients
 are orthogonal to the eigenvalue vector (per channel) it obeys the
@@ -18,10 +18,11 @@ unit vector in that domain the quantity (t - a)[(H - b) psi, psi] has
 imaginary part exactly -1/2 for every choice of real centers a, b, hence
 modulus at least 1/2.
 
-A form over a direct sum of simple channels is one ``UltraWeakForm``.
-It stacks the channels of each dimension d >= 2 into one group, whose
-evaluators are built in one vectorized pass and read in place by every
-sweep.  A channel of dimension 1 has a trivial domain and no evaluator.
+A form over a direct sum of simple channels is a ``timeop.ChannelStack``
+of kind ``FORM``: for every dimension d >= 2 one group whose channels'
+evaluators iR, R real and antisymmetric, are built in one vectorized
+pass and read in place by every sweep.  A channel of dimension 1 has a
+trivial domain and no evaluator.
 
 The second half of the module transports the construction along functions
 of the Hamiltonian.  A shifted symbol f~(x) = f(x) - f(0) applied to the
@@ -35,17 +36,16 @@ Inner products are antilinear in the first slot throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .decompose import ChannelDecomposition, channel_partition, decompose_spectrum
-from .spectra import Accumulation, DiscreteSpectrum, _require_hermitian
-from .timeop import MatrixKind, _generator_stack
+from .decompose import channel_partition, decompose_spectrum
+from .spectra import Accumulation, DiscreteSpectrum
+from .timeop import ChannelStack, MatrixKind, _chunks, _Group
 
 __all__ = [
-    "UltraWeakForm",
     "FunctionKind",
     "FunctionSpec",
     "AdmissibilityReport",
@@ -69,105 +69,8 @@ UNIT_NORM_ATOL = 1e-12
 #: Sin-resonance detector: 2*beta*E within this of a nonzero integer fails.
 SIN_RESONANCE_ATOL = 1e-9
 
-#: Coordinates a sweep draws and checks at once (rows x vector length).
-#: Longer sweeps run in chunks of rows, drawn in the same order, so their
-#: memory grows with the chunk, not with the number of vectors.
-SWEEP_CHUNK = 2 ** 18
 
-
-@dataclass(frozen=True, eq=False)
-class _Group:
-    """The c channels of dimension d >= 2 of a form, stacked."""
-
-    blocks: np.ndarray        # (c,) block positions in the form
-    index: np.ndarray         # (c, d) coordinates of each block in a whole-form vector
-    eigenvalues: np.ndarray   # (c, d)
-    evaluators: np.ndarray    # (c, d, d)
-
-
-@dataclass(frozen=True, eq=False)
-class UltraWeakForm:
-    """Ultra-weak form of a direct sum of simple channels.
-
-    Built from one eigenvalue array per channel, each strictly increasing,
-    finite and nonzero; ``eigenvalues`` keeps them, read-only.  The
-    evaluator of a channel is A = -(S D + D S)/2, with S the
-    inverse-conjugate matrix and D = diag(1/E^2).  For every dimension
-    d >= 2, in the order the dimensions first appear, ``groups`` holds a
-    ``_Group`` of the channels of that dimension, in channel order, with
-    their evaluators in one read-only (c, d, d) stack.
-
-    Frozen, and compared by identity: a field-wise ``__eq__`` over arrays
-    is unusable.
-    """
-
-    eigenvalues: tuple = field(init=False, repr=False)
-    groups: tuple = field(init=False, repr=False)
-    total_dimension: int = field(init=False)
-
-    def __init__(self, channels) -> None:
-        channels = [np.asarray(ev, dtype=float) for ev in channels]
-        if not channels:
-            raise ValueError("a form needs at least one channel")
-        if any(ev.ndim != 1 or ev.size == 0 for ev in channels):
-            raise ValueError("eigenvalues must be a nonempty 1-d array")
-        dims = np.array([ev.size for ev in channels])
-        eigenvalues = [None] * len(channels)
-        stacks = {}
-        for d in dict.fromkeys(dims.tolist()):   # dimensions in order of first appearance
-            blocks = np.flatnonzero(dims == d)
-            e = np.stack([channels[i] for i in blocks])
-            # written so that NaN fails
-            if not np.all(np.isfinite(e) & (e != 0.0)):
-                raise ValueError("form channels require finite, nonzero eigenvalues")
-            e.flags.writeable = False
-            for i, row in zip(blocks, e):
-                eigenvalues[i] = row
-            stacks[d] = blocks, e
-        del channels   # an iterable's arrays are released before the evaluators are built
-        starts = np.cumsum(dims) - dims
-        groups = tuple(_Group(blocks, starts[blocks, None] + np.arange(d), e, _evaluator_stack(e))
-                       for d, (blocks, e) in stacks.items() if d >= 2)
-        object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "total_dimension", int(dims.sum()))
-
-
-def _evaluator_stack(e: np.ndarray) -> np.ndarray:
-    """Read-only (c, d, d) stack of the evaluators of the channels whose eigenvalues are the rows of e.
-
-    The two D-products are applied by row and column scaling, which keeps
-    each evaluator Hermitian to the last bit: the (n, m) and (m, n)
-    entries are built from the same float products.  The channels are
-    built SWEEP_CHUNK entries at a time, so the temporaries grow with the
-    chunk, not with the stack.
-    """
-    c, d = e.shape
-    rows = max(1, SWEEP_CHUNK // (d * d))
-    stack = None
-    for start in range(0, c, rows):
-        chunk = slice(start, start + rows)
-        a = _generator_stack(e[chunk], MatrixKind.INVERSE_CONJUGATE)
-        _require_hermitian(a, skew=True)
-        if stack is None:   # only once the kernel has accepted the dimension
-            stack = np.empty((c, d, d), dtype=complex)
-        s = stack[chunk]
-        np.multiply(1j, a, out=s)   # S = iA
-        del a
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = 1.0 / (e[chunk] * e[chunk])
-            sd = s * inv[:, None, :]
-            np.multiply(inv[:, :, None], s, out=s)
-            np.add(sd, s, out=s)
-            np.multiply(-0.5, s, out=s)
-        del sd
-        if not np.all(np.isfinite(s)):
-            raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
-    stack.flags.writeable = False
-    return stack
-
-
-def describe_domains(form: UltraWeakForm) -> list[dict]:
+def describe_domains(form: ChannelStack) -> list[dict]:
     """Per-channel summary of sizes and eigenvalue ranges."""
     return [
         {
@@ -183,18 +86,14 @@ def describe_domains(form: UltraWeakForm) -> list[dict]:
 def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
     """Decompose a zero-accumulating spectrum into an ultra-weak form.
 
-    Returns (decomposition, UltraWeakForm) with one form channel per
-    decomposition channel, eigenvalues sorted ascending within each.
+    Returns (decomposition, form): a ``ChannelStack`` of kind ``FORM``
+    with one channel per decomposition channel, eigenvalues sorted
+    ascending within each.
     """
     if s.accumulation is not Accumulation.TO_ZERO:
         raise ValueError("ultra-weak forms are built over spectra accumulating at zero")
     deco = decompose_spectrum(s, p)
-    return deco, _form_of(deco)
-
-
-def _form_of(deco: ChannelDecomposition) -> UltraWeakForm:
-    """One form channel per decomposition channel, eigenvalues ascending."""
-    return UltraWeakForm(np.sort(deco.channel_values(i)) for i in range(deco.channel_count))
+    return deco, ChannelStack.of_decomposition(deco, MatrixKind.FORM)
 
 
 # ------------------------------------------------------------ sweep kernels
@@ -207,8 +106,10 @@ def _form_of(deco: ChannelDecomposition) -> UltraWeakForm:
 # hold no coefficients.
 
 
-def _nontrivial_groups(form: UltraWeakForm) -> tuple[_Group, ...]:
-    if not form.groups:
+def _form_groups(form: ChannelStack, nontrivial: bool = True) -> tuple[_Group, ...]:
+    if form.kind is not MatrixKind.FORM:
+        raise ValueError(f"the sweeps read an ultra-weak form, not a {form.kind.value} channel stack")
+    if nontrivial and not form.groups:
         raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
     return form.groups
 
@@ -301,8 +202,17 @@ def _require_domain(groups: tuple[_Group, ...], units: list[np.ndarray], row_nor
 
 
 def _apply(g: _Group, v: np.ndarray) -> np.ndarray:
-    """Each channel's evaluator applied to its (c, k, d) rows: one matrix product per channel."""
-    return v @ g.evaluators.transpose(0, 2, 1)
+    """Each channel's evaluator iR applied to its (c, k, d) rows.
+
+    R is real, so one real matrix product per channel takes the real and
+    imaginary parts of the rows stacked, and iR(x + iy) = -Ry + iRx.
+    """
+    k = v.shape[1]
+    parts = np.concatenate([v.real, v.imag], axis=1) @ g.stack.transpose(0, 2, 1)
+    out = np.empty(v.shape, dtype=complex)
+    np.negative(parts[:, k:], out=out.real)
+    out.imag = parts[:, :k]
+    return out
 
 
 def _ccr_terms(groups: tuple[_Group, ...], phi: list[np.ndarray], psi: list[np.ndarray]) -> list[np.ndarray]:
@@ -324,18 +234,7 @@ def _whole_pair_residuals(groups: tuple[_Group, ...], draws: np.ndarray, rng: np
     return np.abs(sum(t.sum(axis=0) for t in _ccr_terms(groups, phi, psi)))
 
 
-def _chunks(width: int, count: int):
-    """Consecutive (start, stop) ranges of ``count`` rows of ``width`` coordinates each.
-
-    A range holds as many rows as fit in SWEEP_CHUNK coordinates, and at
-    least one.
-    """
-    rows = max(1, SWEEP_CHUNK // width)
-    for start in range(0, count, rows):
-        yield start, min(start + rows, count)
-
-
-def uw_ccr_sweep(rng: np.random.Generator, form: UltraWeakForm, count: int) -> float:
+def uw_ccr_sweep(rng: np.random.Generator, form: ChannelStack, count: int) -> float:
     """Worst ultra-weak CCR residual over ``count`` random domain pairs of the whole form.
 
     |t[H phi, psi] - t[phi, H psi] + i (phi, psi)| for unit vectors phi,
@@ -346,14 +245,14 @@ def uw_ccr_sweep(rng: np.random.Generator, form: UltraWeakForm, count: int) -> f
     """
     if count < 1:
         raise ValueError("need at least one pair; a sweep over none checks nothing")
-    groups = _nontrivial_groups(form)
+    groups = _form_groups(form)
     n = form.total_dimension
     residuals = [_whole_pair_residuals(groups, rng.uniform(-1.0, 1.0, (stop - start, 2, 2, n)), rng)
                  for start, stop in _chunks(n, count)]
     return float(np.max(np.concatenate(residuals)))
 
 
-def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
+def uw_ccr_channel_sweep(rngs, form: ChannelStack, count: int) -> np.ndarray:
     """Worst ultra-weak CCR residual of each channel over ``count`` random pairs of its own.
 
     ``rngs[i]`` draws the pairs of block i, for every block of dimension
@@ -366,7 +265,7 @@ def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("need at least one pair; a sweep over none checks nothing")
     worst = np.zeros(len(form.eigenvalues))
-    groups = form.groups
+    groups = _form_groups(form, nontrivial=False)
     if not groups:
         return worst
     for start, stop in _chunks(sum(g.index.size for g in groups), count):
@@ -380,7 +279,7 @@ def uw_ccr_channel_sweep(rngs, form: UltraWeakForm, count: int) -> np.ndarray:
     return worst
 
 
-def uw_ccr_check(form: UltraWeakForm, seed: int, count: int) -> tuple[np.ndarray, float]:
+def uw_ccr_check(form: ChannelStack, seed: int, count: int) -> tuple[np.ndarray, float]:
     """The ultra-weak CCR sweeps of the ``uwform`` pipeline: (worst per channel, worst over the whole form).
 
     ``count`` pairs per channel of dimension 2 or more, channel i drawing
@@ -396,8 +295,9 @@ def uw_ccr_check(form: UltraWeakForm, seed: int, count: int) -> tuple[np.ndarray
 def _uncertainty_extremes(rng: np.random.Generator, groups: tuple[_Group, ...], n: int, count: int):
     """(smallest |z|, worst |Im z + 1/2|) over ``count`` checks, every number from one draw."""
     draws = rng.uniform(-1.0, 1.0, (count, 2 + 2 * n))
-    # 2 u(-1, 1) has the bits of u(-2, 2): scaling by 2 commutes with rounding
-    a, b = 2.0 * draws[:, 0], 2.0 * draws[:, 1]
+    spans = 2.0 * np.array([max(float(np.max(g.scale)) for g in groups),
+                            max(float(np.max(np.abs(g.eigenvalues))) for g in groups)])
+    a, b = spans[0] * draws[:, 0], spans[1] * draws[:, 1]
     psi = _whole_rows(groups, draws[:, 2:2 + n] + 1j * draws[:, 2 + n:], rng)
     # written so that NaN fails
     if not np.all(np.abs(_whole_norms(psi) - 1.0) <= UNIT_NORM_ATOL):
@@ -411,20 +311,22 @@ def _uncertainty_extremes(rng: np.random.Generator, groups: tuple[_Group, ...], 
     return np.min(np.abs(z)), np.max(np.abs(z.imag + 0.5))
 
 
-def uncertainty_sweep(rng: np.random.Generator, form: UltraWeakForm, count: int) -> tuple[float, float]:
+def uncertainty_sweep(rng: np.random.Generator, form: ChannelStack, count: int) -> tuple[float, float]:
     """(smallest value, worst |Im + 1/2|) over ``count`` random checks.
 
-    Each check takes centers a and b from [-2, 2] and a unit domain
-    vector psi, and evaluates z = (t - a)[(H - b) psi, psi]: its
-    imaginary part equals -1/2 identically on the domain, so |z| is
-    bounded below by 1/2 for every real center pair.  Every number comes
+    Each check takes a unit domain vector psi and centers a and b, drawn
+    from [-2, 2] in units of the form's largest |R| entry and largest
+    |E| (over channels of dimension 2 or more), so that they scale with
+    the form.  It evaluates z = (t - a)[(H - b) psi, psi]: its imaginary
+    part equals -1/2 identically on the domain, so |z| is bounded below
+    by 1/2 for every real center pair.  Every number comes
     from one draw (one per chunk of checks, in the same order): check by
     check, a, b, then psi's real and imaginary parts.  NaN propagates
     through both reductions.
     """
     if count < 1:
         raise ValueError("need at least one sample; a sweep over none checks nothing")
-    groups = _nontrivial_groups(form)
+    groups = _form_groups(form)
     n = form.total_dimension
     lows, defects = zip(*(_uncertainty_extremes(rng, groups, n, stop - start)
                           for start, stop in _chunks(n, count)))
@@ -627,7 +529,7 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     census tolerance by adding their multiplicities, partitions the
     resulting value set, and assembles the channel forms.
 
-    Returns (report, ChannelDecomposition, UltraWeakForm).
+    Returns (report, ChannelDecomposition, ChannelStack).
     """
     report = f_condition_check(f, s)
     if not report.admissible:
@@ -651,4 +553,4 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
             merged_mults.append(mult)
 
     deco = channel_partition(merged_values, merged_mults, p)
-    return report, deco, _form_of(deco)
+    return report, deco, ChannelStack.of_decomposition(deco, MatrixKind.FORM)

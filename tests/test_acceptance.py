@@ -5,16 +5,18 @@ line for its criterion (visible even under capture) and fails if the
 criterion misses either its numeric tolerance or its runtime limit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from timeops import acceptance, cli
+from timeops import acceptance, cli, spectra, timeop
 from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 from timeops.cli import RunConfig, run
-from timeops.spectra import harmonic_spectrum, hydrogen_point_spectrum
-from timeops.timeop import assemble_time_operator, ccr_residual
+from timeops.spectra import HermitianMatrix, harmonic_spectrum, hydrogen_point_spectrum
+from timeops.timeop import assemble_time_operator, ccr_residuals
 
-from dense_reference import dense_commutator
+from dense_reference import dense_commutator, pairing
 
 EXPECTED_ORDER = (
     "exact-ccr",
@@ -139,40 +141,92 @@ def test_zero_residual_tolerance_fails_a_criterion(name, readers):
     assert any(not criterion(tol, 7)[0] for criterion in readers[name])
 
 
+class TestEveryCriterionCanFail:
+    """A perturbed kernel or input makes each of these criteria report passed: false."""
+
+    @pytest.mark.parametrize("perturb", [
+        lambda deco: replace(deco, channels=deco.channels[:-1], certificates=deco.certificates[:-1]),
+        lambda deco: replace(deco, certificates=tuple(cert[::-1] for cert in deco.certificates)),
+    ], ids=["a channel dropped", "certificates reversed"])
+    def test_partition(self, monkeypatch, perturb):
+        partition = acceptance.channel_partition
+        monkeypatch.setattr(acceptance, "channel_partition", lambda *args: perturb(partition(*args)))
+        passed, details = acceptance.criterion_partition(resolve_tolerances(), 7)
+        assert passed is False and details["random_invariants_ok"] is False
+
+    @staticmethod
+    def _shifted(build, shift):
+        """``build`` with every eigenvalue of its Rabi matrix moved by ``shift``."""
+        def shifted(*args):
+            h = build(*args)
+            return HermitianMatrix(h.dimension, tuple(b + shift * np.eye(len(b)) for b in h.blocks), h.basis_labels)
+        return shifted
+
+    def test_rabi_bounds(self, monkeypatch):
+        # the cutoff-200 spectrum moved by mu + 0.5 leaves every bound interval
+        monkeypatch.setattr(spectra, "rabi_hamiltonian", self._shifted(spectra.rabi_hamiltonian, 1.0))
+        passed, details = acceptance.criterion_rabi(resolve_tolerances(), 7)
+        assert passed is False and details["bounds_true"] == 0
+
+    def test_rabi_stability(self, monkeypatch):
+        # the cutoff-150 spectrum moved by 1e-6: the bounds hold, the cutoff drift does not
+        monkeypatch.setattr(acceptance, "rabi_hamiltonian", self._shifted(acceptance.rabi_hamiltonian, 1e-6))
+        passed, details = acceptance.criterion_rabi(resolve_tolerances(), 7)
+        assert passed is False and details["bounds_true"] == details["bounds_checked"]
+        assert details["cutoff_stability"] > details["tolerance_rabi_stability"]
+
+    def test_scaling(self, monkeypatch):
+        # every rescaled generator off by a relative 1e-11, still antisymmetric
+        build = timeop._generator_stack
+
+        def perturbed(ev, kind):
+            a = build(ev, kind)
+            a[1:] *= 1.0 + 1e-11
+            return a
+
+        monkeypatch.setattr(timeop, "_generator_stack", perturbed)
+        passed, details = acceptance.criterion_scaling(resolve_tolerances(), 7)
+        assert passed is False
+        assert details["worst_entrywise_defect"] > details["tolerance_scaling_entrywise"]
+
+
 # ------------------------------------------------ one check per identity
 
 
-def reference_block_pair_residuals(t):
+def reference_block_pair_residuals(h, a):
     """Reference: worst CCR residual over every e_k - e_l of a block, one pair at a time.
 
-    Acting on e_k - e_l subtracts two columns of the commutator.
-    Returns (worst residual, matrix max-entry scale, pairs checked).
+    H = diag(h) and T = iA.  Acting on e_k - e_l subtracts two columns of
+    the commutator.  Returns (worst residual, matrix max-entry scale, pairs checked).
     """
-    comm = dense_commutator(t)
+    comm = dense_commutator(h, a)
     worst = 0.0
     pairs = 0
-    for k in range(t.dimension):
-        for l in range(k + 1, t.dimension):
+    for k in range(len(h)):
+        for l in range(k + 1, len(h)):
             diff = comm[:, k] - comm[:, l]
             diff[k] += 1j
             diff[l] -= 1j
             worst = max(worst, float(np.linalg.norm(diff)))
             pairs += 1
-    return worst, t.scale, pairs
+    return worst, float(np.max(np.abs(a))), pairs
 
 
 def _exact_ccr_blocks():
-    _, hydrogen = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))
-    _, oscillator = assemble_time_operator(harmonic_spectrum([1.0], 50))
-    return [t for t in hydrogen + oscillator if t.dimension >= 2]
+    """(group, kind, row) of every channel of dimension >= 2 that the exact-CCR criterion checks."""
+    ops = [assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))[1],
+           assemble_time_operator(harmonic_spectrum([1.0], 50))[1]]
+    return [(g, op.kind, r) for op in ops for g in op.groups for r in range(len(g.blocks))]
 
 
 def test_difference_stack_matches_the_pair_loop_bit_for_bit():
     blocks = _exact_ccr_blocks()
-    assert len(blocks) >= 2 and max(t.dimension for t in blocks) == 51
-    for t in blocks:
-        stack = acceptance._difference_stack(t.dimension)
-        assert (ccr_residual(t, stack), t.scale, len(stack)) == reference_block_pair_residuals(t)
+    assert len(blocks) >= 2 and max(g.stack.shape[1] for g, _, _ in blocks) == 51
+    for g, kind, r in blocks:
+        one = g[r:r + 1]
+        stack = acceptance._difference_stack(one.stack.shape[1])
+        got = (float(ccr_residuals(one, kind, stack[None])[0]), float(one.scale[0]), len(stack))
+        assert got == reference_block_pair_residuals(pairing(one.eigenvalues[0], kind), one.stack[0])
 
 
 def test_exact_ccr_details_match_the_pair_loop():
@@ -180,8 +234,8 @@ def test_exact_ccr_details_match_the_pair_loop():
     passed, details = acceptance.criterion_exact_ccr(tol, 7)
     worst = ratio = 0.0
     pairs = 0
-    for t in _exact_ccr_blocks():
-        residual, scale, count = reference_block_pair_residuals(t)
+    for g, kind, r in _exact_ccr_blocks():
+        residual, scale, count = reference_block_pair_residuals(pairing(g.eigenvalues[r], kind), g.stack[r])
         worst = max(worst, residual)
         ratio = max(ratio, residual / (tol["ccr_relative"] * scale))
         pairs += count

@@ -7,19 +7,20 @@ import signal
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import timeops
-from timeops import cli, uwform
+from timeops import acceptance, cli, timeop
 from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.cli import RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
-from timeops.timeop import TimeOperatorMatrix, assemble_time_operator
+from timeops.timeop import assemble_time_operator
 
 
 def _strip_timings(obj):
@@ -231,10 +232,12 @@ class TestSubcommands:
     def test_timeop_fails_on_a_perturbed_pairing_diagonal(self, tmp_path, monkeypatch):
         # one pairing eigenvalue off by a relative 1e-9: its commutator row no longer cancels
         def perturbed(s, p):
-            deco, (t,) = assemble_time_operator(s, p)
-            ev = list(t.eigenvalues)
-            ev[7] *= 1.0 + 1e-9
-            return deco, (TimeOperatorMatrix(t.dimension, t.generator, ev, t.kind),)
+            deco, op = assemble_time_operator(s, p)
+            (g,) = op.groups
+            ev = g.eigenvalues.copy()
+            ev[0, 7] *= 1.0 + 1e-9
+            object.__setattr__(op, "groups", (replace(g, eigenvalues=ev),))
+            return deco, op
 
         monkeypatch.setattr(cli, "assemble_time_operator", perturbed)
         code = main(["timeop", "--model", "oscillator", "--n-max", "20", "--out", str(tmp_path)])
@@ -339,18 +342,18 @@ class TestSubcommands:
     @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
     def test_ultraweak_pipelines_fail_on_a_perturbed_evaluator_entry(self, tmp_path, monkeypatch, command):
         # one evaluator entry of one hydrogen channel off by a relative 1e-6: that channel alone fails
-        build = uwform._evaluator_stack
+        build = timeop._build_stack
         perturbed_dimension = []
 
-        def perturbed(e):
-            stack = build(e)
+        def perturbed(e, kind):
+            stack, scale, defect = build(e, kind)
             if len(e) > 1 and not perturbed_dimension:
                 stack = stack.copy()
                 stack[1, 0, 1] *= 1.0 + 1e-6
                 perturbed_dimension.append(e.shape[1])
-            return stack
+            return stack, scale, defect
 
-        monkeypatch.setattr(uwform, "_evaluator_stack", perturbed)
+        monkeypatch.setattr(timeop, "_build_stack", perturbed)
         code = main([*command, "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)])
         assert code == 1
         report = _read(tmp_path / f"{command[0]}_report.json")
@@ -359,6 +362,17 @@ class TestSubcommands:
         # the stack's second row is the second channel of that dimension, in channel order
         target = [c["channel_id"] for c in report["channels"] if c["dimension"] == perturbed_dimension[0]][1]
         assert [c["channel_id"] for c in report["channels"] if not c["max_uw_ccr_residual"] <= tol] == [target]
+
+    def test_uwform_verdict_is_scale_covariant(self, tmp_path):
+        # E -> gamma^2 E: the uncertainty centers scale with the form, so every gamma passes alike
+        values = []
+        for gamma in ("0.01", "1", "100"):
+            out = tmp_path / gamma
+            assert main(["uwform", "--model", "hydrogen", "--n-max", "16", "--gamma", gamma, "--out", str(out)]) == 0
+            report = _read(out / "uwform_report.json")
+            assert report["passed"] is True and report["im_identity_defect"] <= 1e-12
+            values.append(report["min_uncertainty_value"])
+        assert values == pytest.approx([values[1]] * 3, rel=1e-12)
 
     def test_ftransform_admissible_sine(self, tmp_path):
         code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
@@ -580,6 +594,56 @@ class TestSubcommands:
         assert len(outputs[0]) == 2   # the report and its CSV
 
 
+class TestEveryVerdictCanFail:
+    """A perturbed kernel makes each of these runs exit 1, with a report that says FAIL."""
+
+    @staticmethod
+    def _run(tmp_path, command):
+        code = main([command, "--out", str(tmp_path)])
+        report = _read(tmp_path / f"{command}_report.json")
+        assert code == 1 and report["passed"] is False
+        return report
+
+    @pytest.mark.parametrize("perturb,failing", [
+        # every extreme 10 % wider: past the symbol bound pi/omega at the largest sizes
+        (lambda low, high, n: (1.1 * low, 1.1 * high), "within_bound"),
+        # the largest size's maximum below the one before it
+        (lambda low, high, n: (low, high - 0.1) if n == 800 else (low, high), "monotone_nondecreasing"),
+    ])
+    def test_oscspec(self, tmp_path, monkeypatch, perturb, failing):
+        extremes = cli.osc_timeop_extremes
+        monkeypatch.setattr(cli, "osc_timeop_extremes", lambda omega, n: perturb(*extremes(omega, n), n))
+        report = self._run(tmp_path, "oscspec")
+        if failing == "within_bound":
+            assert not all(row["within_bound"] for row in report["rows"]) and report["monotone_nondecreasing"]
+        else:
+            assert all(row["within_bound"] for row in report["rows"]) and not report["monotone_nondecreasing"]
+
+    def test_abweyl(self, tmp_path, monkeypatch):
+        # a weak Weyl residual just over the 1e-6 gate at every time
+        residuals = cli.weak_weyl_residuals
+        monkeypatch.setattr(cli, "weak_weyl_residuals",
+                            lambda state, times: [r + 2e-6 for r in residuals(state, times)])
+        report = self._run(tmp_path, "abweyl")
+        assert report["max_residual"] > report["tolerances"]["grid_residual"]
+
+    @pytest.mark.parametrize("kernel", ["s0_strong_relation_check", "s0_symmetry_residual"])
+    def test_s0check(self, tmp_path, monkeypatch, kernel):
+        real = getattr(acceptance, kernel)
+        if kernel == "s0_strong_relation_check":
+            # the 50th of 100 samples of the strong relation off by one ulp
+            samples = iter(range(100))
+            perturbed = lambda s, t: (False, 2.0 ** -52) if next(samples) == 49 else real(s, t)
+        else:
+            perturbed = lambda f, g, *rest: real(f, g, *rest) + 1e-8
+        monkeypatch.setattr(acceptance, kernel, perturbed)
+        report = self._run(tmp_path, "s0check")
+        if kernel == "s0_strong_relation_check":
+            assert report["strong_relation_all_exact"] is False
+        else:
+            assert report["strong_relation_all_exact"] is True and report["symmetry_max_residual"] > 1e-8
+
+
 class TestFieldTable:
     """The model and pipeline tables are the one source of flags, checks and defaults."""
 
@@ -743,6 +807,9 @@ class TestConfigFuzz:
     @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
     @settings(max_examples=500, deadline=None)
     @given(case=_invocations())
+    # found by the fuzz: two frequencies whose sum overflows in math.fsum
+    @example(case=("spectrum", {"model": {"kind": "oscillator", "omega": [1e308, 1e308]},
+                                "pipeline": {"kind": "timeop"}}, []))
     def test_any_config_exits_zero_one_or_two_without_a_traceback(self, case):
         command, doc, flags = case
         with tempfile.TemporaryDirectory() as tmp:

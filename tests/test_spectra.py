@@ -62,6 +62,12 @@ class TestHarmonic:
         with pytest.raises(ValueError, match="finite"):
             harmonic_spectrum([omega], 3)
 
+    @pytest.mark.parametrize("omega,match", [([1e308, 1e308], "overflow"), ([1e308], "finite")])
+    def test_overflowing_levels_are_an_input_error(self, omega, match):
+        # two frequencies near the float maximum overflow inside math.fsum, one in a level
+        with pytest.raises(ValueError, match=match):
+            harmonic_spectrum(omega, 2)
+
 
 class TestHydrogen:
     def test_standard_parameters(self):

@@ -1,35 +1,39 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from timeops import timeop
+from timeops.decompose import channel_partition
 from timeops.spectra import (
     HERMITICITY_BAND_ROWS,
     HERMITICITY_RTOL,
     Accumulation,
+    DiscreteSpectrum,
     HermitianMatrix,
     _require_hermitian,
+    harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_hamiltonian,
 )
 from timeops.timeop import (
     CCR_BAND_ROWS,
     CHANNEL_DIMENSION_LIMIT,
+    ChannelStack,
     MatrixKind,
     _generator_stack,
     assemble_time_operator,
-    ccr_residual,
-    channel_time_operator,
-    galapon_matrix,
-    TimeOperatorMatrix,
+    ccr_check,
+    ccr_residuals,
     osc_timeop_extremes,
     oscillator_bound_rows,
     random_difference_stack,
 )
 
-from dense_reference import dense_commutator, dense_residual_rows
+from dense_reference import ccr_residual, dense_commutator, dense_residual_rows, generator, pairing
 from recording_rng import RecordingRng
 
 
@@ -56,80 +60,99 @@ def random_difference_vector(rng, dim):
             return v / norm
 
 
+def channel(eigenvalues, kind=MatrixKind.DIRECT):
+    """The group of a one-channel stack: its row, scale and defect."""
+    (g,) = ChannelStack([eigenvalues], kind).groups
+    return g
+
+
+def residual(g, kind, v):
+    """``ccr_residuals`` of a one-channel group over one vector or the rows of a (k, n) stack."""
+    vecs = np.asarray(v)
+    return float(ccr_residuals(g, kind, vecs.reshape(1, -1, vecs.shape[-1]))[0])
+
+
 class TestGalaponMatrix:
+    """The time-operator matrix of one channel, as the row of a one-channel stack."""
+
     def test_two_by_two_direct_entries(self):
-        t = galapon_matrix((1.0, 2.0))
+        a = channel((1.0, 2.0)).stack[0]
         expected = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        assert t.generator.dtype == np.float64
-        assert np.array_equal(1j * t.generator, expected)
+        assert a.dtype == np.float64
+        assert np.array_equal(1j * a, expected)
 
     def test_wide_gap_entry(self):
-        t = galapon_matrix((1.0, 7.0))
-        assert 1j * t.generator[0, 1] == 1j / -6.0
-        assert 1j * t.generator[1, 0] == 1j / 6.0
+        a = channel((1.0, 7.0)).stack[0]
+        assert 1j * a[0, 1] == 1j / -6.0
+        assert 1j * a[1, 0] == 1j / 6.0
 
     def test_inverse_conjugate_entries(self):
-        t = galapon_matrix((1.0, 2.0), MatrixKind.INVERSE_CONJUGATE)
-        assert t.generator[0, 1] == 2.0
-        assert t.kind is MatrixKind.INVERSE_CONJUGATE
+        op = ChannelStack([(1.0, 2.0)], MatrixKind.INVERSE_CONJUGATE)
+        assert op.groups[0].stack[0, 0, 1] == 2.0
+        assert op.kind is MatrixKind.INVERSE_CONJUGATE
 
     def test_diagonal_is_exactly_zero(self):
-        t = galapon_matrix(np.linspace(0.3, 9.7, 40))
-        assert np.all(np.diag(t.generator) == 0.0)
+        a = channel(np.linspace(0.3, 9.7, 40)).stack[0]
+        assert np.all(np.diag(a) == 0.0)
 
     def test_exactly_hermitian_by_construction(self):
-        t = galapon_matrix(np.cumsum(np.linspace(0.1, 2.0, 25)))
-        assert np.array_equal(t.generator, -t.generator.T)
-        assert t.hermiticity_defect() == 0.0
+        g = channel(np.cumsum(np.linspace(0.1, 2.0, 25)))
+        assert np.array_equal(g.stack[0], -g.stack[0].T)
+        assert g.hermiticity_defect()[0] == 0.0
 
     def test_pairing_eigenvalues(self):
-        direct = galapon_matrix((0.5, 1.5, 2.5))
-        assert direct.pairing_eigenvalues == (0.5, 1.5, 2.5)
-        ic = galapon_matrix((-2.0, -1.0), MatrixKind.INVERSE_CONJUGATE)
-        assert ic.pairing_eigenvalues == (-0.5, -1.0)
+        # the direct kind pairs with diag(E), the inverse-conjugate kind with diag(1/E)
+        v = np.array([0.5, -1.0, 0.5], dtype=complex)
+        for kind, values, h in ((MatrixKind.DIRECT, (0.5, 1.5, 2.5), (0.5, 1.5, 2.5)),
+                                (MatrixKind.INVERSE_CONJUGATE, (-2.0, -1.0, -0.5), (-0.5, -1.0, -2.0))):
+            g = channel(values, kind)
+            assert residual(g, kind, v) == ccr_residual(np.array(h), g.stack[0], v)
+        assert np.array_equal(pairing((-2.0, -1.0), MatrixKind.INVERSE_CONJUGATE), [-0.5, -1.0])
 
     def test_inverse_conjugate_is_direct_matrix_of_reciprocals(self):
         ev = np.array([-2.0, -1.0, -0.5, -0.2])
-        ic = galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE)
+        ic = channel(ev, MatrixKind.INVERSE_CONJUGATE).stack[0]
         inv = 1.0 / ev
         expected = np.zeros((4, 4), dtype=complex)
         for n in range(4):
             for m in range(4):
                 if n != m:
                     expected[n, m] = 1j / (inv[n] - inv[m])
-        scale = np.max(np.abs(ic.generator))
-        assert np.max(np.abs(1j * ic.generator - expected)) <= 1e-12 * scale
+        scale = np.max(np.abs(ic))
+        assert np.max(np.abs(1j * ic - expected)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_direct_kind_scales_inversely(self, alpha):
         ev = np.array([0.5, 1.1, 2.9, 4.0])
-        base = galapon_matrix(ev).generator
-        scaled = galapon_matrix(alpha * ev).generator
+        base, scaled = ChannelStack([ev, alpha * ev], MatrixKind.DIRECT).groups[0].stack
         assert np.max(np.abs(scaled - base / alpha)) <= 1e-13 * np.max(np.abs(base))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_inverse_conjugate_kind_scales_directly(self, alpha):
         ev = np.array([-2.0, -1.0, -0.4])
-        base = galapon_matrix(ev, MatrixKind.INVERSE_CONJUGATE).generator
-        scaled = galapon_matrix(alpha * ev, MatrixKind.INVERSE_CONJUGATE).generator
+        base, scaled = ChannelStack([ev, alpha * ev], MatrixKind.INVERSE_CONJUGATE).groups[0].stack
         assert np.max(np.abs(scaled - alpha * base)) <= 1e-13 * np.max(np.abs(scaled))
 
     def test_rejects_unsorted_and_zero_and_oversized(self):
         with pytest.raises(ValueError, match="increasing"):
-            galapon_matrix((2.0, 1.0))
+            channel((2.0, 1.0))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
-            galapon_matrix([math.nan, 1.0])
+            channel([math.nan, 1.0])
         with pytest.raises(ValueError, match="nonzero"):
-            galapon_matrix((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
+            channel((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
         # the one off-diagonal product E_n*E_m is finite, though (1e300)^2 overflows
-        t = galapon_matrix((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE)
-        assert np.array_equal(t.generator, [[0.0, 1.0], [-1.0, 0.0]])
+        g = channel((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE)
+        assert np.array_equal(g.stack[0], [[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match=r"products E_n\*E_m overflow .*largest \|eigenvalue\| inf\)"):
-            galapon_matrix((1.0, math.inf), MatrixKind.INVERSE_CONJUGATE)
+            channel((1.0, math.inf), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match=r"products E_n\*E_m overflow"):
-            galapon_matrix((-1e300, -1e10), MatrixKind.INVERSE_CONJUGATE)
+            channel((-1e300, -1e10), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match="exceeds"):
-            galapon_matrix(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
+            channel(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
+        with pytest.raises(ValueError, match="at least one channel"):
+            ChannelStack([], MatrixKind.DIRECT)
+        with pytest.raises(ValueError, match="nonempty"):
+            ChannelStack([[1.0, 2.0], []], MatrixKind.DIRECT)
 
     @pytest.mark.parametrize("kind,rows", [
         (MatrixKind.DIRECT, np.arange(15.0).reshape(3, 5) + 0.5),
@@ -139,8 +162,10 @@ class TestGalaponMatrix:
     def test_a_stack_builds_every_row_as_its_own_matrix(self, kind, rows):
         stack = _generator_stack(rows, kind)
         assert stack.shape == (*rows.shape, rows.shape[1])
+        (g,) = ChannelStack(rows, kind).groups
+        assert np.array_equal(g.stack, stack)
         for row, a in zip(rows, stack):
-            assert np.array_equal(a, galapon_matrix(row, kind).generator)
+            assert np.array_equal(a, generator(row, kind))
 
     def test_a_stack_refusal_names_the_first_failing_row(self):
         rows = np.array([[-1.0, -0.5], [-1e300, -1e10], [-1e301, -1e300]])
@@ -159,7 +184,7 @@ class TestGalaponMatrix:
     def test_overflowing_entries_are_refused_without_a_warning(self, kind, values):
         # the suite turns RuntimeWarnings into errors, so a warning fails this test
         with pytest.raises(ValueError, match=r"entries .* overflow to a non-finite value"):
-            galapon_matrix(values, kind)
+            channel(values, kind)
 
     @given(
         st.lists(
@@ -170,10 +195,10 @@ class TestGalaponMatrix:
     )
     def test_random_channels_are_hermitian_with_small_residual(self, gaps):
         ev = 0.5 + np.cumsum(gaps)
-        t = galapon_matrix(ev)
-        assert np.array_equal(t.generator, -t.generator.T)
+        g = channel(ev)
+        assert np.array_equal(g.stack[0], -g.stack[0].T)
         v = random_difference_vector(np.random.default_rng(11), ev.size)
-        assert ccr_residual(t, v) <= 1e-10
+        assert residual(g, MatrixKind.DIRECT, v) <= 1e-10
 
 
 class TestDifferenceSpan:
@@ -225,44 +250,45 @@ class TestDifferenceSpan:
 class TestCcrResidual:
     def test_commutator_is_i_times_hollow_ones(self):
         ev = np.array([0.5, 1.7, 3.1])
-        comm = dense_commutator(galapon_matrix(ev))
+        comm = dense_commutator(ev, channel(ev).stack[0])
         expected = 1j * (np.ones((3, 3)) - np.eye(3))
         assert np.max(np.abs(comm - expected)) <= 1e-13
 
     def test_basis_vector_is_rejected(self):
-        ev = np.array([1.0, 2.0, 3.0])
-        t = galapon_matrix(ev)
+        g = channel(np.array([1.0, 2.0, 3.0]))
         e0 = np.zeros(3, dtype=complex)
         e0[0] = 1.0
         with pytest.raises(ValueError, match="difference span"):
-            ccr_residual(t, e0)
+            residual(g, MatrixKind.DIRECT, e0)
 
     def test_difference_of_basis_vectors(self):
         vals = np.array([-1.0 / n ** 2 for n in range(1, 7)])
-        t = galapon_matrix(vals, MatrixKind.INVERSE_CONJUGATE)
+        g = channel(vals, MatrixKind.INVERSE_CONJUGATE)
         v = np.zeros(6, dtype=complex)
         v[0], v[3] = 1.0, -1.0
         v /= np.linalg.norm(v)
-        assert ccr_residual(t, v) <= 1e-12
+        assert residual(g, MatrixKind.INVERSE_CONJUGATE, v) <= 1e-12
 
     def test_random_vectors_on_a_wide_channel(self):
-        ev = 0.5 + 0.37 * np.arange(50)
-        t = galapon_matrix(ev)
+        g = channel(0.5 + 0.37 * np.arange(50))
         rng = np.random.default_rng(7)
         worst = max(
-            ccr_residual(t, random_difference_vector(rng, 50)) for _ in range(20)
+            residual(g, MatrixKind.DIRECT, random_difference_vector(rng, 50)) for _ in range(20)
         )
         assert worst <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        ev = np.array([1.0, 2.0])
-        t = galapon_matrix(ev)
-        with pytest.raises(ValueError):
-            ccr_residual(t, np.zeros(3, dtype=complex))
-        with pytest.raises(ValueError):
-            ccr_residual(t, np.zeros((4, 3), dtype=complex))
+        g = channel(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="vector stack is needed"):
+            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((1, 1, 3), dtype=complex))
+        with pytest.raises(ValueError, match="vector stack is needed"):
+            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((2, 4, 2), dtype=complex))
+        with pytest.raises(ValueError, match="vector stack is needed"):
+            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((4, 2), dtype=complex))
         with pytest.raises(ValueError, match="at least one vector"):
-            ccr_residual(t, np.zeros((0, 2), dtype=complex))
+            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((1, 0, 2), dtype=complex))
+        with pytest.raises(ValueError, match="not a time-operator generator"):
+            ccr_residuals(g, MatrixKind.FORM, np.array([[[1.0, -1.0]]]))
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(60)),
@@ -270,73 +296,66 @@ class TestCcrResidual:
     ])
     def test_stack_is_the_worst_single_vector(self, kind, values):
         # one matrix product sums in another order than one product per row
-        t = galapon_matrix(values, kind)
+        g = channel(values, kind)
+        scale = g.scale[0]
         rng = np.random.default_rng(21)
-        stack = np.array([random_difference_vector(rng, t.dimension) for _ in range(12)])
-        singles = [ccr_residual(t, v.copy()) for v in stack]
-        reference = max(np.linalg.norm(dense_commutator(t) @ v + 1j * v) for v in stack)
-        assert max(singles) == pytest.approx(reference, rel=0.0, abs=1e-13 * t.scale)
-        assert ccr_residual(t, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * t.scale)
-        assert ccr_residual(t, list(stack)) == ccr_residual(t, stack)
-        assert ccr_residual(t, stack) <= 1e-12 * t.scale
+        stack = np.array([random_difference_vector(rng, values.size) for _ in range(12)])
+        singles = [residual(g, kind, v.copy()) for v in stack]
+        comm = dense_commutator(pairing(values, kind), g.stack[0])
+        reference = max(np.linalg.norm(comm @ v + 1j * v) for v in stack)
+        assert max(singles) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
+        assert residual(g, kind, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
+        assert residual(g, kind, list(stack)) == residual(g, kind, stack)
+        assert residual(g, kind, stack) <= 1e-12 * scale
 
     def test_nan_vector_is_rejected(self):
-        ev = np.array([1.0, 2.0, 3.0])
         v = np.array([1.0, -1.0, math.nan], dtype=complex)
         with pytest.raises(ValueError, match="difference span"):
-            ccr_residual(galapon_matrix(ev), v)
+            residual(channel(np.array([1.0, 2.0, 3.0])), MatrixKind.DIRECT, v)
 
     def test_stack_rejects_any_row_outside_the_span(self):
-        ev = np.array([1.0, 2.0, 3.0])
-        t = galapon_matrix(ev)
+        g = channel(np.array([1.0, 2.0, 3.0]))
         rng = np.random.default_rng(4)
         stack = np.array([random_difference_vector(rng, 3) for _ in range(3)])
         stack[1] = [1.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="difference span"):
-            ccr_residual(t, stack)
+            residual(g, MatrixKind.DIRECT, stack)
 
     def test_stack_error_names_the_first_bad_row(self):
-        t = galapon_matrix(np.array([1.0, 2.0, 3.0]))
+        g = channel(np.array([1.0, 2.0, 3.0]))
         rng = np.random.default_rng(4)
         stack = np.array([random_difference_vector(rng, 3) for _ in range(4)])
         stack[1] = [0.25, 0.0, 0.0]
         stack[2] = [math.nan, 0.0, 0.0]
         stack[3] = [2.0, 0.0, 0.0]
         with pytest.raises(ValueError, match=r"coefficient sum 2\.500e-01\)"):
-            ccr_residual(t, stack)
+            residual(g, MatrixKind.DIRECT, stack)
         stack[1] = stack[0]
         with pytest.raises(ValueError, match=r"coefficient sum nan\)"):
-            ccr_residual(t, stack)
+            residual(g, MatrixKind.DIRECT, stack)
 
 
 class TestBlockOperator:
-    """The block time operator: a tuple of per-channel matrices, laid out one after the other."""
+    """The block time operator: one channel stack, its channels laid out one after the other."""
 
     @staticmethod
     def _two_blocks():
-        a = channel_time_operator([-1.0, -0.25, -1.0 / 9.0], Accumulation.TO_ZERO)
-        b = channel_time_operator([-0.0625, -0.04], Accumulation.TO_ZERO)
-        return a, b
+        return ChannelStack([[-1.0, -0.25, -1.0 / 9.0], [-0.0625, -0.04]], MatrixKind.INVERSE_CONJUGATE)
 
     @staticmethod
-    def _pieces(op, v):
-        return np.split(v, np.cumsum([t.dimension for t in op])[:-1])
-
-    @classmethod
-    def _blockwise_residual(cls, op, v):
+    def _blockwise_residual(op, v):
+        """Whole-vector residual: each group's channels take their coordinates of v."""
         total = 0.0
-        for t, piece in zip(op, cls._pieces(op, v)):
-            total += ccr_residual(t, piece) ** 2
+        for g in op.groups:
+            total += float(np.sum(ccr_residuals(g, op.kind, v[g.index][:, None, :]) ** 2))
         return math.sqrt(total)
 
     def test_shapes_and_slices(self):
         op = self._two_blocks()
-        assert [t.dimension for t in op] == [3, 2]
-        first, second = self._pieces(op, np.arange(5.0))
-        np.testing.assert_array_equal(first, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(second, [3.0, 4.0])
+        assert op.total_dimension == 5
+        assert [g.index.tolist() for g in op.groups] == [[[0, 1, 2]], [[3, 4]]]
         np.testing.assert_array_equal(
-            np.concatenate([t.pairing_eigenvalues for t in op]), [-1.0, -4.0, -9.0, -16.0, -25.0]
+            np.concatenate([pairing(ev, op.kind) for ev in op.eigenvalues]), [-1.0, -4.0, -9.0, -16.0, -25.0]
         )
 
     def test_full_residual_with_per_block_membership(self):
@@ -354,34 +373,37 @@ class TestBlockOperator:
             self._blockwise_residual(op, v)
 
 
+def _assembled(values, accumulation):
+    """The time operator of a spectrum of simple values: (decomposition, stack)."""
+    return assemble_time_operator(DiscreteSpectrum(tuple((v, 1) for v in values), accumulation))
+
+
 class TestChannelTimeOperator:
     def test_zero_accumulation_routes_to_inverse_conjugate(self):
-        t = channel_time_operator([-0.5, -0.125], Accumulation.TO_ZERO)
-        assert t.kind is MatrixKind.INVERSE_CONJUGATE
+        _, op = _assembled([-0.5, -0.125], Accumulation.TO_ZERO)
+        assert op.kind is MatrixKind.INVERSE_CONJUGATE
 
     def test_infinity_accumulation_routes_to_direct(self):
-        t = channel_time_operator([0.5, 1.5], Accumulation.TO_INFINITY)
-        assert t.kind is MatrixKind.DIRECT
+        _, op = _assembled([0.5, 1.5], Accumulation.TO_INFINITY)
+        assert op.kind is MatrixKind.DIRECT
 
     def test_values_are_sorted_before_building(self):
-        t = channel_time_operator([2.5, 0.5, 1.5], Accumulation.TO_INFINITY)
-        assert t.eigenvalues == (0.5, 1.5, 2.5)
+        deco = channel_partition([2.5, 0.5, 1.5], [1, 1, 1])
+        assert deco.channel_values(0).tolist() == [2.5, 0.5]
+        op = ChannelStack.of_decomposition(deco, MatrixKind.DIRECT)
+        assert [ev.tolist() for ev in op.eigenvalues] == [[0.5, 2.5], [1.5]]
+        assert all(not ev.flags.writeable for ev in op.eigenvalues)
 
 
 class TestAssembleTimeOperator:
     def test_hydrogen_end_to_end(self):
         deco, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 3))
         assert deco.channel_count == 9
-        assert isinstance(op, tuple) and len(op) == 9
-        assert sum(t.dimension for t in op) == 14
-        rng = np.random.default_rng(13)
-        worst = 0.0
-        for t in op:
-            if t.dimension < 2:
-                continue
-            v = random_difference_vector(rng, t.dimension)
-            worst = max(worst, ccr_residual(t, v))
-        assert worst <= 1e-12
+        assert isinstance(op, ChannelStack) and len(op.eigenvalues) == 9
+        assert op.total_dimension == 14
+        assert sum(g.blocks.size for g in op.groups) == sum(ev.size >= 2 for ev in op.eigenvalues)
+        worst = ccr_check(op, 13, 1)
+        assert worst.shape == (9,) and np.max(worst) <= 1e-12
 
 
 def svd_spectrum(omega: float, n: int) -> np.ndarray:
@@ -403,7 +425,7 @@ def svd_spectrum(omega: float, n: int) -> np.ndarray:
 
 def dense_spectrum(omega: float, n: int) -> np.ndarray:
     """Reference: eigvalsh of the dense n x n Toeplitz matrix."""
-    return np.linalg.eigvalsh(1j * galapon_matrix(omega * (np.arange(n) + 0.5)).generator)
+    return np.linalg.eigvalsh(1j * generator(omega * (np.arange(n) + 0.5)))
 
 
 class TestOscillatorSpectrum:
@@ -517,27 +539,33 @@ def full_hermiticity(data: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.abs(data))), float(np.max(np.abs(data - data.conj().T)))
 
 
-def _generator(dim: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """A writable copy of a direct generator and its eigenvalues."""
+def _generator(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A writable direct generator and its eigenvalues."""
     ev = 0.5 + 0.37 * np.arange(dim)
-    return np.array(galapon_matrix(ev).generator), tuple(ev)
+    return generator(ev), ev
+
+
+def _built_from(monkeypatch, a: np.ndarray, ev: np.ndarray) -> ChannelStack:
+    """The direct one-channel stack whose generator build returns ``a`` as given."""
+    monkeypatch.setattr(timeop, "_generator_stack", lambda rows, kind: a[None])
+    return ChannelStack([ev], MatrixKind.DIRECT)
 
 
 class TestHermiticityPass:
-    """One banded antisymmetry pass over the generator gives the scale and defect of a full recomputation."""
+    """One banded antisymmetry pass over each built row gives the scale and defect of a full recomputation."""
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(101)),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 71) ** 2),
     ])
     def test_stored_values_match_a_full_recomputation(self, kind, values):
-        t = galapon_matrix(values, kind)
-        scale, defect = full_antisymmetry(t.generator)
-        assert (scale, defect) == full_hermiticity(1j * t.generator)
-        assert t.scale == scale
-        assert t.hermiticity_defect() == defect / scale == 0.0
+        g = channel(values, kind)
+        scale, defect = full_antisymmetry(g.stack[0])
+        assert (scale, defect) == full_hermiticity(1j * g.stack[0])
+        assert (g.scale[0], g.defect[0]) == (scale, defect)
+        assert g.hermiticity_defect()[0] == defect / scale == 0.0
 
-    def test_banded_defect_of_a_perturbed_matrix(self):
+    def test_banded_defect_of_a_perturbed_matrix(self, monkeypatch):
         assert 2 * HERMITICITY_BAND_ROWS < 77 <= 3 * HERMITICITY_BAND_ROWS
         # the perturbations sit in the first band and in the last
         a, ev = _generator(77)
@@ -546,18 +574,18 @@ class TestHermiticityPass:
         assert _require_hermitian(a, skew=True) == full_antisymmetry(a)
         assert _require_hermitian(1j * a) == full_hermiticity(1j * a) == full_antisymmetry(a)
         scale, defect = full_antisymmetry(a)
-        t = TimeOperatorMatrix(77, a, ev, MatrixKind.DIRECT)
-        assert (t.scale, t.hermiticity_defect()) == (scale, defect / scale)
-        assert t.hermiticity_defect() > 0.0
+        (g,) = _built_from(monkeypatch, a, ev).groups
+        assert (g.scale[0], g.hermiticity_defect()[0]) == (scale, defect / scale)
+        assert g.hermiticity_defect()[0] > 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, 1.0])
-    def test_nan_or_non_hermitian_entry_in_a_late_band_raises(self, bad):
+    def test_nan_or_non_hermitian_entry_in_a_late_band_raises(self, bad, monkeypatch):
         a, ev = _generator(77)
         a[76, 2] = bad
         with pytest.raises(ValueError, match="not Hermitian"):
             _require_hermitian(a, skew=True)
         with pytest.raises(ValueError, match="not Hermitian"):
-            TimeOperatorMatrix(77, a, ev, MatrixKind.DIRECT)
+            _built_from(monkeypatch, a, ev)
 
     def test_a_stack_is_checked_matrix_by_matrix(self):
         a = np.stack([_generator(77)[0] for _ in range(3)])
@@ -569,58 +597,129 @@ class TestHermiticityPass:
         with pytest.raises(ValueError, match="not Hermitian"):
             _require_hermitian(a, skew=True)
 
-    def test_one_entry_breaking_antisymmetry_raises(self):
+    def test_one_entry_breaking_antisymmetry_raises(self, monkeypatch):
         # a symmetric perturbation just above the tolerance, in one entry
         a, ev = _generator(300)
         a[200, 17] += 2.0 * HERMITICITY_RTOL * np.max(np.abs(a))
         with pytest.raises(ValueError, match="not Hermitian"):
-            TimeOperatorMatrix(300, a, ev, MatrixKind.DIRECT)
+            _built_from(monkeypatch, a, ev)
 
-    def test_constructor_takes_ownership_of_a_real_generator(self):
+    def test_constructor_takes_ownership_of_a_real_generator(self, monkeypatch):
+        # a group built in one chunk holds the built array itself, read-only
         a, ev = _generator(5)
-        t = TimeOperatorMatrix(5, a, ev, MatrixKind.DIRECT)
-        assert t.generator is a
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="must be real"):
-            TimeOperatorMatrix(5, 1j * a, ev, MatrixKind.DIRECT)
+        (g,) = _built_from(monkeypatch, a, ev).groups
+        assert np.shares_memory(g.stack, a)
+        assert not g.stack.flags.writeable
+        assert all(g.stack.dtype == np.float64 for kind in MatrixKind
+                   for g in ChannelStack([-1.0 / np.arange(1, 6) ** 2], kind).groups)
 
 
 def _channel(n: int, kind: MatrixKind):
     """The oscillator channel (direct) or the hydrogen-like -1/k^2 one (inverse-conjugate) of size n."""
     if kind is MatrixKind.DIRECT:
-        return galapon_matrix(np.arange(n) + 0.5, kind)
-    return galapon_matrix(-1.0 / np.arange(1, n + 1) ** 2, kind)
+        return channel(np.arange(n) + 0.5, kind)
+    return channel(-1.0 / np.arange(1, n + 1) ** 2, kind)
+
+
+TIME_KINDS = [MatrixKind.DIRECT, MatrixKind.INVERSE_CONJUGATE]
 
 
 class TestBandedCommutator:
-    """``ccr_residual`` streams the commutator in bands; the dense product is the reference."""
+    """``ccr_residuals`` streams the commutator in bands; the dense product and the per-channel kernel are references."""
 
-    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("kind", TIME_KINDS)
     @pytest.mark.parametrize("n", [2, CCR_BAND_ROWS - 1, CCR_BAND_ROWS, CCR_BAND_ROWS + 1, 300, 1501])
     def test_matches_the_dense_commutator_row_by_row(self, n, kind):
-        t = _channel(n, kind)
-        comm = dense_commutator(t)
+        g = _channel(n, kind)
+        h = pairing(g.eigenvalues[0], kind)
+        comm = dense_commutator(h, g.stack[0])
         for k in (1, 20):
             stack = random_difference_stack(np.random.default_rng(n + k), n, k)
             # a single row goes to a matrix-vector product, a stack to a matrix product
             for v in stack:
-                assert abs(ccr_residual(t, v) - dense_residual_rows(comm, v[None])[0]) <= 1e-15 * t.scale
-            assert abs(ccr_residual(t, stack) - np.max(dense_residual_rows(comm, stack))) <= 1e-15 * t.scale
+                assert abs(residual(g, kind, v) - dense_residual_rows(comm, v[None])[0]) <= 1e-15 * g.scale[0]
+            got = residual(g, kind, stack)
+            assert abs(got - np.max(dense_residual_rows(comm, stack))) <= 1e-15 * g.scale[0]
+            assert got == ccr_residual(h, g.stack[0], stack)
 
-    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("kind", TIME_KINDS)
     @pytest.mark.parametrize("row", [0, 299])
     def test_nan_in_one_row_gives_a_nan_residual_and_fails(self, kind, row):
-        t = _channel(300, kind)
-        ev = list(t.eigenvalues)
-        ev[row] = math.nan
-        broken = TimeOperatorMatrix(300, t.generator, ev, kind)
-        worst = ccr_residual(broken, random_difference_stack(np.random.default_rng(3), 300, 20))
+        g = _channel(300, kind)
+        ev = g.eigenvalues.copy()
+        ev[0, row] = math.nan
+        broken = replace(g, eigenvalues=ev)
+        worst = residual(broken, kind, random_difference_stack(np.random.default_rng(3), 300, 20))
         assert math.isnan(worst)
-        assert not worst <= 1e-12 * broken.scale
+        assert not worst <= 1e-12 * broken.scale[0]
+
+
+def reference_ccr_check(op, seed, count):
+    """The per-channel loop the grouped sweep replaced: one draw and one kernel call per channel."""
+    worst = np.zeros(len(op.eigenvalues))
+    for i, ev in enumerate(op.eigenvalues):
+        if ev.size >= 2:
+            vecs = random_difference_stack(np.random.default_rng(seed + 10_000 + i), ev.size, count)
+            worst[i] = ccr_residual(pairing(ev, op.kind), generator(ev, op.kind), vecs)
+    return worst
+
+
+class TestGroupedKernel:
+    """Each group is swept at once and gets the bits of the per-channel kernel."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    @pytest.mark.parametrize("n_max", [4, 16])
+    def test_hydrogen_sweep_matches_the_per_channel_loop_bit_for_bit(self, n_max, seed):
+        _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, n_max))
+        assert np.array_equal(ccr_check(op, seed, 20), reference_ccr_check(op, seed, 20))
+
+    def test_oscillator_sweep_matches_the_per_channel_loop_bit_for_bit(self):
+        _, op = assemble_time_operator(harmonic_spectrum([1.0], 1501))
+        (g,) = op.groups
+        assert g.stack.shape == (1, 1502, 1502)
+        assert np.array_equal(ccr_check(op, 7, 20), reference_ccr_check(op, 7, 20))
+
+    def test_stacks_equal_the_channels_built_alone(self):
+        _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 16))
+        for g in op.groups:
+            for block, row, a, scale, defect in zip(g.blocks, g.eigenvalues, g.stack, g.scale, g.defect):
+                assert np.array_equal(row, op.eigenvalues[block])
+                assert np.array_equal(a, generator(row, op.kind))
+                assert (scale, defect) == full_antisymmetry(a)
+
+    def test_broadcast_difference_stacks_match_the_per_channel_kernel(self):
+        for s in (hydrogen_point_spectrum(1.0, 1.0, 4), harmonic_spectrum([1.0], 50)):
+            _, op = assemble_time_operator(s)
+            for g in op.groups:
+                c, d = g.eigenvalues.shape
+                k, l = np.triu_indices(d, 1)
+                stack = np.zeros((k.size, d), dtype=complex)
+                stack[np.arange(k.size), k], stack[np.arange(k.size), l] = 1.0, -1.0
+                got = ccr_residuals(g, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
+                expected = [ccr_residual(pairing(row, op.kind), a, stack) for row, a in zip(g.eigenvalues, g.stack)]
+                assert np.array_equal(got, expected)
+
+    def test_chunked_sweep_and_build_give_the_same_bits(self, monkeypatch):
+        s = hydrogen_point_spectrum(1.0, 1.0, 8)
+        _, whole = assemble_time_operator(s)
+        expected = ccr_check(whole, 5, 6)
+        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 50)
+        _, chunked = assemble_time_operator(s)
+        for a, b in zip(whole.groups, chunked.groups):
+            assert np.array_equal(a.stack, b.stack) and np.array_equal(a.scale, b.scale)
+        assert np.array_equal(ccr_check(chunked, 5, 6), expected)
+        assert np.array_equal(ccr_check(whole, 5, 6), expected)
+
+    def test_one_dimensional_channels_read_zero_and_an_empty_sweep_is_refused(self):
+        op = ChannelStack([[0.3, 1.7], [3.0], [4.1, 5.3, 6.9]], MatrixKind.DIRECT)
+        worst = ccr_check(op, 0, 3)
+        assert worst[1] == 0.0 and 0.0 < worst[0] <= 1e-12 and 0.0 < worst[2] <= 1e-12
+        with pytest.raises(ValueError, match="checks nothing"):
+            ccr_check(op, 0, 0)
 
 
 class TestMemory:
-    """The oscillator channel at n = 1501 holds one real n x n array and no complex one."""
+    """The oscillator channel at n = 1501 is a group of one real n x n array, never copied."""
 
     def test_build_and_residual_stay_within_their_budgets(self):
         n = 1501
@@ -630,11 +729,13 @@ class TestMemory:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            t = galapon_matrix(ev)
+            (g,) = ChannelStack([ev], MatrixKind.DIRECT).groups
             held, peak = tracemalloc.get_traced_memory()
+            assert g.stack.nbytes == square and g.stack.base is None
             assert peak - before < 1.5 * square
+            assert held - before < 1.01 * square
             tracemalloc.reset_peak()
-            ccr_residual(t, stack)
+            ccr_residuals(g, MatrixKind.DIRECT, stack[None])
             _, peak = tracemalloc.get_traced_memory()
             assert peak - held < 0.5 * square
         finally:

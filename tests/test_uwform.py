@@ -6,17 +6,17 @@ import pytest
 
 from dataclasses import dataclass, replace
 
-from timeops import uwform
+from timeops import timeop, uwform
 from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.decompose import decompose_spectrum
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
+from timeops.timeop import ChannelStack, MatrixKind
 from timeops.uwform import (
     CCR_DOMAIN_RTOL,
     UNIT_NORM_ATOL,
     AdmissibilityError,
     FunctionKind,
     FunctionSpec,
-    UltraWeakForm,
     assemble_uwform,
     describe_domains,
     f_condition_check,
@@ -26,36 +26,36 @@ from timeops.uwform import (
     uw_ccr_sweep,
 )
 
-from dense_reference import form_evaluator
+from dense_reference import complex_apply, complex_evaluator_stack, form_evaluator
 from recording_rng import RecordingRng
 
 
 def form_of(*channels):
     """Ultra-weak form of a direct sum of channels, one per eigenvalue list."""
-    return UltraWeakForm(channels)
+    return ChannelStack(channels, MatrixKind.FORM)
 
 
 def with_groups(form, groups):
-    """``form`` with its groups swapped for ``groups``, evaluators and eigenvalues as given."""
-    changed = object.__new__(UltraWeakForm)
-    for name, value in (("eigenvalues", form.eigenvalues), ("groups", tuple(groups)),
+    """``form`` with its groups swapped for ``groups``, stacks and eigenvalues as given."""
+    changed = object.__new__(ChannelStack)
+    for name, value in (("kind", form.kind), ("eigenvalues", form.eigenvalues), ("groups", tuple(groups)),
                         ("total_dimension", form.total_dimension)):
         object.__setattr__(changed, name, value)
     return changed
 
 
 def channel_evaluators(form):
-    """Each channel's evaluator, read from its group's row; a dimension-1 channel's is zero."""
+    """Each channel's evaluator iR, read from its group's row; a dimension-1 channel's is zero."""
     evaluators = [np.zeros((1, 1), dtype=complex)] * len(form.eigenvalues)
     for g in form.groups:
-        for block, a in zip(g.blocks, g.evaluators):
-            evaluators[block] = a
+        for block, r in zip(g.blocks, g.stack):
+            evaluators[block] = 1j * r
     return evaluators
 
 
 def channel_form(form, i):
     """Channel ``i`` of ``form`` as a one-channel form of its own."""
-    return UltraWeakForm([form.eigenvalues[i]])
+    return form_of(form.eigenvalues[i])
 
 
 def pieces(form, v):
@@ -169,7 +169,10 @@ class TestFormChannel:
         assert evaluate_form(form, e1, e0) == 2.5j
 
     def test_evaluator_is_exactly_hermitian(self):
-        (a,) = form_of([-1.0, -0.31, -0.17, -0.056]).groups[0].evaluators
+        (r,) = form_of([-1.0, -0.31, -0.17, -0.056]).groups[0].stack
+        assert r.dtype == np.float64
+        assert np.array_equal(r, -r.T)
+        a = 1j * r
         assert np.array_equal(a, a.conj().T)
 
     def test_form_symmetry_and_sesquilinearity(self):
@@ -342,12 +345,18 @@ def reference_uw_ccr_sweep(rng, form, count):
 
 
 def reference_uncertainty_sweep(rng, form, count):
-    """The hand-written uncertainty loop the sweep kernel replaced."""
+    """The hand-written uncertainty loop the sweep kernel replaced.
+
+    The centers scale with the form: a with its largest |R| entry, b with
+    its largest |E|, over the channels of dimension 2 or more.
+    """
+    r_max = max(float(np.max(np.abs(g.stack))) for g in form.groups)
+    e_max = max(float(np.max(np.abs(g.eigenvalues))) for g in form.groups)
     min_value = math.inf
     im_defect = 0.0
     for _ in range(count):
-        a = float(rng.uniform(-2.0, 2.0))
-        b = float(rng.uniform(-2.0, 2.0))
+        a = float(rng.uniform(-2.0, 2.0)) * r_max
+        b = float(rng.uniform(-2.0, 2.0)) * e_max
         psi = random_domain_vector(rng, form)
         res = uncertainty_check(form, psi, a, b)
         min_value = min(min_value, res.value)
@@ -423,7 +432,8 @@ class TestSweepKernels:
             assert max(got, expected) <= 1e-10
         (low, im), (ref_low, ref_im) = (uncertainty_sweep(np.random.default_rng(3), form, pairs),
                                         reference_uncertainty_sweep(np.random.default_rng(3), form, pairs))
-        assert low == pytest.approx(ref_low, abs=AGREEMENT) and im == pytest.approx(ref_im, abs=AGREEMENT)
+        # |z| grows with the centers, which scale with the form: its agreement is relative
+        assert low == pytest.approx(ref_low, rel=AGREEMENT, abs=AGREEMENT) and im == pytest.approx(ref_im, abs=AGREEMENT)
         assert min(low, ref_low) >= 0.5 - 1e-10 and max(im, ref_im) <= 1e-10
 
     def test_draws_match_the_loop_bit_for_bit(self, monkeypatch):
@@ -475,7 +485,7 @@ class TestSweepKernels:
             return values, rngs
 
         whole, whole_rngs = sweeps()
-        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 2 * form.total_dimension)
+        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 2 * form.total_dimension)
         chunked, chunked_rngs = sweeps()
         assert chunked == pytest.approx(whole, abs=AGREEMENT)
         assert [r.calls for r in chunked_rngs[:2]] == [4, 4] and [r.calls for r in whole_rngs[:2]] == [1, 1]
@@ -484,7 +494,7 @@ class TestSweepKernels:
         assert all(r.calls > 1 for r in chunked_rngs[2].values())
 
     def test_chunks_hold_at_most_the_budget_or_one_wider_row(self, monkeypatch):
-        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 10)
+        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 10)
         assert list(uwform._chunks(3, 7)) == [(0, 3), (3, 6), (6, 7)]
         assert list(uwform._chunks(5, 4)) == [(0, 2), (2, 4)]
         assert list(uwform._chunks(10, 2)) == [(0, 1), (1, 2)]
@@ -495,13 +505,13 @@ class TestSweepKernels:
         form = _hydrogen_form(8, transform)
         dims = [g.eigenvalues.shape[1] for g in form.groups]
         assert len(dims) == len(set(dims)) == len({e.size for e in form.eigenvalues} - {1})
-        assert all(not g.evaluators.flags.writeable for g in form.groups)
+        assert all(not g.stack.flags.writeable for g in form.groups)
         # every other channel, built again: the same rows in new stacks
-        sparse = UltraWeakForm(form.eigenvalues[::2])
+        sparse = form_of(*form.eigenvalues[::2])
         old = channel_evaluators(form)[::2]
         assert all(np.array_equal(a, b) for a, b in zip(channel_evaluators(sparse), old))
         expected = reference_uw_ccr_sweep(np.random.default_rng(14), sparse, 4)
-        monkeypatch.setattr(uwform, "_evaluator_stack", None)   # a sweep builds no evaluator
+        monkeypatch.setattr(timeop, "_build_stack", None)   # a sweep builds no evaluator
         assert uw_ccr_sweep(np.random.default_rng(14), sparse, 4) == pytest.approx(expected, abs=AGREEMENT)
 
     def test_channel_sweep_reads_zero_on_one_dimensional_blocks(self):
@@ -533,24 +543,25 @@ class TestSweepKernels:
         # a NaN evaluator entry makes every residual it touches NaN, never a pass
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
         d3, d2 = form.groups
-        poisoned = d2.evaluators.copy()
+        poisoned = d2.stack.copy()
         poisoned[0, 0, 1] = math.nan
-        form = with_groups(form, [d3, replace(d2, evaluators=poisoned)])
+        form = with_groups(form, [d3, replace(d2, stack=poisoned)])
         assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), form, 3))
         worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 3)
         assert worst[0] <= 1e-10 and math.isnan(worst[1])
         assert all(math.isnan(x) for x in uncertainty_sweep(np.random.default_rng(0), form, 3))
 
-    @pytest.mark.parametrize("field", ["evaluators", "eigenvalues"])
-    def test_a_perturbed_channel_fails_every_gate(self, field):
+    @pytest.mark.parametrize("perturbed_part", ["evaluators", "eigenvalues"])
+    def test_a_perturbed_channel_fails_every_gate(self, perturbed_part):
         # an evaluator entry off by a relative 1e-6, or an eigenvalue of H by 1e-9:
         # the identities no longer hold, and only the perturbed channel fails on its own
         tol = DEFAULT_TOLERANCES
         form = _sweep_cases()["hydrogen"]
         k = next(k for k, g in enumerate(form.groups) if len(g.blocks) > 1)
         groups = list(form.groups)
+        field = "stack" if perturbed_part == "evaluators" else "eigenvalues"
         changed = getattr(groups[k], field).copy()
-        if field == "evaluators":
+        if field == "stack":
             changed[1, 0, 1] *= 1.0 + 1e-6
         else:
             changed[1, 1] *= 1.0 + 1e-9
@@ -636,9 +647,10 @@ class TestEvaluatorStacks:
     @staticmethod
     def _assert_rows_match_the_reference(form):
         for g in form.groups:
-            for block, row, a in zip(g.blocks, g.eigenvalues, g.evaluators):
+            for block, row, r in zip(g.blocks, g.eigenvalues, g.stack):
                 assert np.array_equal(row, form.eigenvalues[block])
-                assert np.array_equal(a, form_evaluator(row))
+                reference = form_evaluator(row)
+                assert np.all(reference.real == 0.0) and np.array_equal(r, reference.imag)
 
     @pytest.mark.parametrize("n_max,transform", [
         (4, "none"), (16, "none"), (40, "none"), (16, "exp"), (16, "identity"), (16, "sin"),
@@ -657,13 +669,14 @@ class TestEvaluatorStacks:
 
     def test_chunked_build_gives_the_same_rows(self, monkeypatch):
         whole = _hydrogen_form(8, "none")
-        monkeypatch.setattr(uwform, "SWEEP_CHUNK", 20)
+        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 20)
         chunked = _hydrogen_form(8, "none")
         for a, b in zip(whole.groups, chunked.groups):
-            assert np.array_equal(a.evaluators, b.evaluators)
+            assert np.array_equal(a.stack, b.stack)
+            assert np.array_equal(a.scale, b.scale) and np.array_equal(a.defect, b.defect)
 
     def test_assembly_peak_stays_near_the_stack_bytes(self):
-        # hydrogen n_max = 40: 1600 channels whose stacks hold 6.8 MiB
+        # hydrogen n_max = 40: 1600 channels whose real stacks hold 3.4 MiB
         s = hydrogen_point_spectrum(1.0, 1.0, 40)
         tracemalloc.start()
         try:
@@ -677,10 +690,66 @@ class TestEvaluatorStacks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        stacks = sum(g.evaluators.nbytes for g in form.groups)
-        assert stacks > 6.5 * 2 ** 20
+        stacks = sum(g.stack.nbytes for g in form.groups)
+        assert stacks > 3.25 * 2 ** 20
         # beyond the decomposition it keeps, assembly peaks at the stacks and a little more
         assert peak - before - kept < 1.25 * stacks
+
+    @pytest.mark.parametrize("transform", ["none", "sin"])
+    def test_a_form_holds_one_real_entry_per_evaluator_entry(self, transform):
+        # 8 * sum(c * d^2) bytes of stacks, and beyond them only per-coordinate arrays
+        channels = [np.array(ev) for ev in _hydrogen_form(24, transform).eigenvalues]
+        square_entries = sum(ev.size ** 2 for ev in channels if ev.size >= 2)
+        coordinates = sum(ev.size for ev in channels)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            form = form_of(*channels)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(g.stack.dtype == np.float64 for g in form.groups)
+        assert sum(g.stack.nbytes for g in form.groups) == 8 * square_entries
+        # eigenvalue and coordinate copies, per-channel scale and defect, object overhead
+        assert held - before < 8 * square_entries + 4 * 8 * coordinates + 2 ** 16
+
+
+class TestRealEvaluators:
+    """The real stacks R against the complex evaluators -(S D + D S)/2 and their product."""
+
+    @pytest.mark.parametrize("n_max,gamma,transform", [
+        (4, 1.0, "none"), (16, 1.0, "none"), (16, 0.01, "none"), (16, 100.0, "none"),
+        (16, 1.0, "sin"), (16, 1.0, "exp"),
+    ])
+    def test_real_apply_matches_the_complex_product_bit_for_bit(self, n_max, gamma, transform):
+        s = hydrogen_point_spectrum(1.0, gamma, n_max)
+        form = assemble_uwform(s)[1] if TRANSFORMS[transform] is None else f_transform_form(TRANSFORMS[transform], s)[2]
+        rng = np.random.default_rng(n_max)
+        for g in form.groups:
+            evaluators = complex_evaluator_stack(g.eigenvalues)
+            assert np.all(evaluators.real == 0.0) and np.array_equal(g.stack, evaluators.imag)
+            c, d = g.eigenvalues.shape
+            v = rng.uniform(-1.0, 1.0, (c, 7, d)) + 1j * rng.uniform(-1.0, 1.0, (c, 7, d))
+            assert np.array_equal(uwform._apply(g, v), complex_apply(evaluators, v))
+
+    def test_real_apply_agrees_with_the_complex_product_at_n_max_40(self):
+        form = _hydrogen_form(40, "none")
+        rng = np.random.default_rng(40)
+        for g in form.groups:
+            c, d = g.eigenvalues.shape
+            v = rng.uniform(-1.0, 1.0, (c, 3, d)) + 1j * rng.uniform(-1.0, 1.0, (c, 3, d))
+            expected = complex_apply(complex_evaluator_stack(g.eigenvalues), v)
+            bound = 1e-15 * d * np.max(g.scale)
+            assert np.max(np.abs(uwform._apply(g, v) - expected)) <= bound
+
+    def test_sweeps_refuse_a_time_operator_stack(self):
+        op = ChannelStack([[-1.0, -0.5, -0.25]], MatrixKind.INVERSE_CONJUGATE)
+        with pytest.raises(ValueError, match="ultra-weak form"):
+            uw_ccr_sweep(np.random.default_rng(0), op, 1)
+        with pytest.raises(ValueError, match="ultra-weak form"):
+            uncertainty_sweep(np.random.default_rng(0), op, 1)
+        with pytest.raises(ValueError, match="ultra-weak form"):
+            uw_ccr_channel_sweep({0: np.random.default_rng(0)}, op, 1)
 
 
 class TestFunctionSpec:
