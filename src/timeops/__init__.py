@@ -19,7 +19,6 @@ from .spectra import (
 from .decompose import (
     ChannelDecomposition,
     DecompositionReport,
-    bucket_index,
     channel_partition,
     decompose_spectrum,
     verify_decomposition,

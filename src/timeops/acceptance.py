@@ -199,10 +199,10 @@ def criterion_oscillator_bound(tol: dict, seed: int) -> tuple[bool, dict]:
 def criterion_partition(tol: dict, seed: int) -> tuple[bool, dict]:
     """Hand-traced partitions plus invariants on random null sequences."""
     harmonic_tail = channel_partition([-1.0 / n for n in range(1, 9)], [1] * 8)
-    trace_one = harmonic_tail.channels == ((0, 1, 2, 3, 4, 5, 6, 7),)
+    trace_one = harmonic_tail.to_json()["channels"] == [[0, 1, 2, 3, 4, 5, 6, 7]]
 
     sqrt_tail = channel_partition([-1.0 / math.sqrt(n) for n in range(1, 9)], [1] * 8)
-    trace_two = sqrt_tail.channels == ((0, 3), (1, 4), (2, 5), (6,), (7,))
+    trace_two = sqrt_tail.to_json()["channels"] == [[0, 3], [1, 4], [2, 5], [6], [7]]
 
     rng = np.random.default_rng(seed + 5000)
     zeta_two = math.pi ** 2 / 6.0

@@ -42,10 +42,10 @@ from .spectra import (
 )
 from .timeop import assemble_time_operator, ccr_check, osc_timeop_extremes, oscillator_bound_rows
 from .uwform import (
+    AdmissibilityError,
     FunctionSpec,
     assemble_uwform,
     describe_domains,
-    f_condition_check,
     f_transform_form,
     uncertainty_sweep,
     uw_ccr_check,
@@ -224,15 +224,6 @@ class RunConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "RunConfig":
-        return cls(
-            model=payload.get("model") or {},
-            pipeline=payload.get("pipeline") or {},
-            tolerances=payload.get("tolerances") or {},
-            seed=payload.get("seed", 7),
-        )
-
 
 def _jsonable(obj):
     if isinstance(obj, (np.generic, np.ndarray)):
@@ -305,21 +296,20 @@ def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict) -> dict:
 
     witnesses: list[dict] = []
     if payload is not None:
-        f = FunctionSpec.from_json(payload)
-        check = f_condition_check(f, s)
-        witnesses = [dict(w) for w in check.witnesses]
-        if not check.admissible:
+        try:
+            check, deco, form = f_transform_form(FunctionSpec.from_json(payload), s, pl["p"])
+        except AdmissibilityError as refused:
             return {
                 "function": payload,
                 "admissible": False,
-                "witnesses": witnesses,
-                "admissibility_details": dict(check.details),
+                "witnesses": [dict(w) for w in refused.report.witnesses],
+                "admissibility_details": dict(refused.report.details),
                 "max_uw_ccr_residual": None,
                 "min_uncertainty_value": None,
                 "im_identity_defect": None,
                 "passed": False,
             }
-        _, deco, form = f_transform_form(f, s, pl["p"])
+        witnesses = [dict(w) for w in check.witnesses]
     else:
         deco, form = assemble_uwform(s, pl["p"])
 
@@ -556,7 +546,7 @@ def cmd_decompose(args) -> int:
     report = {
         "spectrum": s.to_json(),
         "channel_count": deco.channel_count,
-        "channel_sizes": [len(ch) for ch in deco.channels],
+        "channel_sizes": np.diff(deco.offsets).tolist(),
         "verification": verification.to_json(),
         "passed": verification.ok,
     }

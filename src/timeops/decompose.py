@@ -16,7 +16,9 @@ value set and is partitioned by the bucket procedure; for spectra that
 accumulate at infinity the procedure runs on reciprocals.  One rescaling,
 by the largest magnitude over the whole spectrum, is shared by every
 column so that channel structure is a property of the spectrum rather
-than of any single column.
+than of any single column.  The rounds are not run one by one: a slot's
+round is its rank in its (column, level) bucket, so two sorts of the slots
+give every channel at once, held as flat integer arrays.
 
 The untruncated theory needs extra bookkeeping to keep infinitely many
 infinite channels alive; none of that survives truncation, so the column
@@ -24,8 +26,10 @@ construction above is the entire algorithm here.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .spectra import Accumulation, DiscreteSpectrum
 __all__ = [
     "ChannelDecomposition",
     "DecompositionReport",
-    "bucket_index",
     "channel_partition",
     "decompose_spectrum",
     "verify_decomposition",
@@ -48,95 +51,108 @@ DEFAULT_EXPONENT = 2.0
 BUCKET_LEVEL_LIMIT = 2.0 ** 53
 
 
-def bucket_index(a: float) -> int:
-    """Bucket level of a magnitude in (0, 1].
+def _bucket_levels(mag: np.ndarray) -> np.ndarray:
+    """Bucket level of each magnitude in (0, 1].
 
-    Returns the unique k >= 1 with 1/(k+1) < |a| <= 1/k.  The boundary
-    |a| = 1/k belongs to bucket k (right-closed).
-
-    Raises
-    ------
-    ValueError
-        If |a| is zero, exceeds 1, or is so small that 1/|a| >= 2**53:
-        beyond that, neighbouring levels k and k + 1 round to the same
-        float 1/k and cannot be told apart.
+    Returns, per magnitude a, the unique k >= 1 with 1/(k+1) < a <= 1/k,
+    where 1/k is the float quotient.  The boundary a = 1/k belongs to
+    bucket k (right-closed).  Raises ValueError when some 1/a reaches
+    2**53: beyond that, neighbouring levels k and k + 1 round to the same
+    float 1/k and cannot be told apart.
     """
-    mag = abs(float(a))
-    if not 0.0 < mag <= 1.0:
-        raise ValueError(f"bucket_index needs 0 < |a| <= 1, got {a!r}")
-    inverse = 1.0 / mag
-    # written so that an infinite reciprocal fails too
+    lowest = float(np.minimum.reduce(mag))   # it has the largest 1/a
+    inverse = 1.0 / lowest if lowest else math.inf
     if not inverse < BUCKET_LEVEL_LIMIT:
-        raise ValueError(
-            f"scaled magnitude {mag!r} is too small to bucket: the dynamic range "
-            f"{inverse:.3e} of the bucketed magnitudes reaches 2**53, beyond which "
-            "float bucket levels cannot be told apart"
-        )
-    k = int(inverse)
+        raise ValueError(f"scaled magnitude {lowest!r} is too small to bucket: the dynamic range {inverse:.3e} "
+                         "of the bucketed magnitudes reaches 2**53, beyond which float bucket levels cannot be "
+                         "told apart")
+    k = (1.0 / mag).astype(np.int64)
     # Float division can land on either side of an integer boundary; nudge
     # k until the defining inequality holds for the actual float value.
-    while mag <= 1.0 / (k + 1):
-        k += 1
-    while mag > 1.0 / k:
-        k -= 1
+    while np.count_nonzero(up := mag <= 1.0 / (k + 1)):
+        k[up] += 1
+    while np.count_nonzero(down := mag > 1.0 / k):
+        k[down] -= 1
     return k
 
 
-@dataclass(frozen=True)
+def _ragged(flat: list, offsets: list) -> list[list]:
+    """``flat`` cut at ``offsets``: one list per channel."""
+    return list(map(flat.__getitem__, map(slice, offsets[:-1], offsets[1:])))
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelDecomposition:
     """Assignment of the multiplicity slots of a value multiset to simple channels.
 
-    ``values`` and ``multiplicities`` describe the multiset; ``slots``,
-    derived from them, enumerates its (value index, copy index) pairs
-    value-major.  ``channels`` lists slot indices per channel.
-    ``certificates`` records, channel by channel, the strictly increasing
-    bucket levels occupied (certifying the p-power summability bound), and
-    ``prescale`` is the reciprocal of the largest bucketed magnitude (of the
-    values themselves, or of their reciprocals for spectra accumulating at
-    infinity).
+    Slots are value-major: copy c of value n is slot
+    ``sum(multiplicities[:n]) + c``.  Channel i is positions
+    ``offsets[i]:offsets[i + 1]`` of the read-only int arrays ``flat_slots``
+    (its slots) and ``flat_levels`` (their bucket levels: its certificate,
+    which certifies the p-power summability bound).  ``prescale`` is the
+    reciprocal of the largest bucketed magnitude (of the values, or of
+    their reciprocals for spectra accumulating at infinity).
+
+    Built from one slot and one level sequence per channel, where any
+    assignment of known slots is accepted, so ``verify_decomposition`` can
+    inspect a broken one; or, given ``offsets``, from the two flat int
+    arrays, which it takes over and freezes.
     """
 
     values: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    channels: tuple[tuple[int, ...], ...]
-    certificates: tuple[tuple[int, ...], ...]
     p: float
     prescale: float
-    slots: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    flat_slots: np.ndarray = field(init=False, repr=False)
+    flat_levels: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        slots = tuple(
-            (n, copy) for n, m in enumerate(self.multiplicities) for copy in range(m)
-        )
-        object.__setattr__(self, "slots", slots)
-        for chan in self.channels:
-            for slot in chan:
-                if not 0 <= slot < len(slots):
-                    raise ValueError("channel references an unknown slot")
-        if len(self.certificates) != len(self.channels):
-            raise ValueError("need one certificate per channel")
+    def __init__(self, values, multiplicities, channels, certificates, p: float, prescale: float,
+                 *, offsets=None) -> None:
+        if offsets is None:   # one sequence per channel
+            sizes = [*map(len, channels)]
+            if [*map(len, certificates)] != sizes:
+                raise ValueError("need one certificate level per channel slot")
+            offsets = np.cumsum([0, *sizes])
+            channels, certificates = list(chain.from_iterable(channels)), list(chain.from_iterable(certificates))
+            if channels and not 0 <= min(channels) <= max(channels) < sum(multiplicities):
+                raise ValueError("channel references an unknown slot")
+        slots, levels, offsets = (np.asarray(a, dtype=np.int64) for a in (channels, certificates, offsets))
+        for a in (slots, levels, offsets):
+            a.flags.writeable = False
+        vars(self).update(values=tuple(values), multiplicities=tuple(multiplicities), p=p, prescale=prescale,
+                          flat_slots=slots, flat_levels=levels, offsets=offsets)
 
     @property
     def channel_count(self) -> int:
-        return len(self.channels)
+        return self.offsets.size - 1
 
-    def slot_value(self, slot: int) -> float:
-        eig, _ = self.slots[slot]
-        return self.values[eig]
+    @property
+    def channels(self) -> tuple[np.ndarray, ...]:
+        """Slots of each channel, in extraction order: read-only views of ``flat_slots``."""
+        return tuple(np.split(self.flat_slots, self.offsets[1:-1]))
 
-    def channel_values(self, index: int) -> np.ndarray:
-        """Values of one channel, in extraction order."""
-        return np.array([self.slot_value(s) for s in self.channels[index]])
+    @property
+    def certificates(self) -> tuple[np.ndarray, ...]:
+        """Bucket levels of each channel: read-only views of ``flat_levels``."""
+        return tuple(np.split(self.flat_levels, self.offsets[1:-1]))
 
-    def channel_eigenvalue_indices(self, index: int) -> tuple[int, ...]:
-        return tuple(self.slots[s][0] for s in self.channels[index])
+    def channel_of_slot(self) -> np.ndarray:
+        """Channel index of each position of ``flat_slots``."""
+        sizes = self.offsets[1:] - self.offsets[:-1]
+        return np.arange(sizes.size).repeat(sizes)
+
+    def value_indices(self) -> np.ndarray:
+        """Value index of each position of ``flat_slots``."""
+        return np.arange(len(self.values)).repeat(self.multiplicities)[self.flat_slots]
 
     def to_json(self) -> dict:
+        bounds = self.offsets.tolist()
         return {
             "prescale": self.prescale,
             "p": self.p,
-            "channels": [list(c) for c in self.channels],
-            "certificates": [list(c) for c in self.certificates],
+            "channels": _ragged(self.flat_slots.tolist(), bounds),
+            "certificates": _ragged(self.flat_levels.tolist(), bounds),
         }
 
 
@@ -156,7 +172,7 @@ def channel_partition(
     Parameters
     ----------
     values : array-like of float
-        Distinct nonzero values.
+        Distinct, finite, nonzero values.
     multiplicities : sequence of int
         Copy count per value, all >= 1.
     p : float
@@ -165,19 +181,21 @@ def channel_partition(
         Bucket the reciprocals 1/value instead of the values themselves
         (used for spectra accumulating at infinity).
     """
-    vals = np.asarray(values, dtype=float)
-    mults = [int(m) for m in multiplicities]
+    vals, mults = np.asarray(values, dtype=float), tuple(multiplicities)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
     if len(mults) != vals.size:
         raise ValueError("need one multiplicity per value")
-    if any(m < 1 for m in mults):
+    if not all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, mults))):
+        raise ValueError("multiplicities must be integers")
+    if min(mults) < 1:
         raise ValueError("multiplicities must be >= 1")
     if not 1.0 < float(p) < np.inf:   # written so that NaN fails
         raise ValueError("summability exponent must be finite and exceed 1")
-    if np.any(vals == 0.0):
-        raise ValueError("values must be nonzero")
-    if np.unique(vals).size != vals.size:
+    ordered = np.sort(vals)   # NaN sorts last
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])) or np.count_nonzero(vals == 0.0):
+        raise ValueError("values must be finite and nonzero")
+    if np.count_nonzero(ordered[1:] == ordered[:-1]):
         raise ValueError("values must be pairwise distinct")
 
     seq = vals
@@ -192,35 +210,46 @@ def channel_partition(
     # Dividing by the largest magnitude (rather than multiplying by its
     # reciprocal) makes the extremal ratio exactly 1.0, so every scaled
     # magnitude is a valid bucket argument.
-    divisor = float(np.max(np.abs(seq)))
-    scaled = np.abs(seq) / divisor
+    mags = np.abs(seq)
+    divisor = float(np.maximum.reduce(mags))
+    levels = _bucket_levels(mags / divisor)
 
-    # Slots are value-major, so copy c of value n is slot first_slot[n] + c.
-    first_slot = [0, *accumulate(mults[:-1])]
-    levels = [bucket_index(a) for a in scaled]
-    channels: list[tuple[int, ...]] = []
-    certificates: list[tuple[int, ...]] = []
-    for column in range(max(mults)):
-        # the column's members per bucket level, in input order
-        buckets: dict[int, list[int]] = {}
-        for n, m in enumerate(mults):
-            if m > column:
-                buckets.setdefault(levels[n], []).append(n)
-        # round r takes the r-th member of every bucket that still has one
-        occupied = sorted(buckets)
-        rank = 0
-        while occupied:
-            channels.append(tuple(first_slot[buckets[k][rank]] + column for k in occupied))
-            certificates.append(tuple(occupied))
-            rank += 1
-            occupied = [k for k in occupied if len(buckets[k]) > rank]
+    # Slot s is copy column[s] of value owner[s].  Sorting the slots by
+    # (column, level) lines up each bucket's members in input order; a
+    # member's rank in its bucket is its extraction round, and a channel is
+    # the slots of one (column, round), in level order.  first[s]: sorted
+    # slot s opens a bucket, later a channel; first[-1] closes the last.
+    total = sum(mults)
+    steps = np.arange(total + 1)
+    first = np.empty(total + 1, dtype=bool)
+    first[0] = first[-1] = True
+    if total == vals.size:   # one column, and slot n is value n
+        by_bucket = levels.argsort(kind="stable")
+        level = levels[by_bucket]
+        np.not_equal(level[1:], level[:-1], out=first[1:-1])
+        channel = steps[:-1] - np.maximum.accumulate(steps[:-1] * first[:-1])
+    else:
+        counts = np.array(mults, dtype=np.int64)
+        owner = np.arange(vals.size).repeat(counts)
+        column = steps[:-1] - (counts.cumsum() - counts).repeat(counts)
+        by_bucket = np.lexsort((levels[owner], column))
+        column, level = column[by_bucket], levels[owner[by_bucket]]
+        np.not_equal(column[1:], column[:-1], out=first[1:-1])
+        first[1:-1] |= level[1:] != level[:-1]
+        rank = steps[:-1] - np.maximum.accumulate(steps[:-1] * first[:-1])
+        channel = column * (int(np.maximum.reduce(rank)) + 1) + rank
+    # the stable sort keeps each channel's slots in level order
+    by_channel = channel.argsort(kind="stable")
+    channel = channel[by_channel]
+    np.not_equal(channel[1:], channel[:-1], out=first[1:-1])
     return ChannelDecomposition(
-        values=tuple(vals.tolist()),
-        multiplicities=tuple(mults),
-        channels=tuple(channels),
-        certificates=tuple(certificates),
+        values=vals.tolist(),
+        multiplicities=list(map(int, mults)),
+        channels=by_bucket[by_channel],
+        certificates=level[by_channel],
         p=float(p),
         prescale=1.0 / divisor,
+        offsets=first.nonzero()[0],
     )
 
 
@@ -263,14 +292,6 @@ class DecompositionReport:
         }
 
 
-def _certificate_term(k: int, p: float) -> float:
-    """1/k^p; when k^p overflows, k^-p, which underflows gracefully instead."""
-    try:
-        return 1.0 / float(k) ** p
-    except OverflowError:
-        return float(k) ** -p
-
-
 def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
     """Check the structural invariants of a decomposition.
 
@@ -279,32 +300,38 @@ def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
     witnesses of per-channel p-power summability.
     """
     violations: list[str] = []
-
-    seen: list[int] = []
-    for chan in c.channels:
-        seen.extend(chan)
-    disjoint_cover = sorted(seen) == list(range(len(c.slots)))
+    size, total, levels = len(c.values), sum(c.multiplicities), c.flat_levels
+    disjoint_cover = not np.count_nonzero(np.bincount(c.flat_slots, minlength=total) != 1)
     if not disjoint_cover:
         violations.append("channels do not partition the slot set")
 
-    simple = True
-    for i, chan in enumerate(c.channels):
-        eigs = c.channel_eigenvalue_indices(i)
-        if len(set(eigs)) != len(eigs):
-            simple = False
-            violations.append(f"channel {i} repeats an eigenvalue")
+    chan = c.channel_of_slot()
+    simple = disjoint_cover and total == size   # slot n is value n, and a cover repeats no slot
+    if not simple:
+        pairs = np.sort(chan * size + c.value_indices())
+        repeats = pairs[1:] == pairs[:-1]
+        simple = not np.count_nonzero(repeats)
+        if not simple:
+            violations += [f"channel {i} repeats an eigenvalue" for i in np.unique(pairs[1:][repeats] // size)]
+    reversals = (chan[1:] == chan[:-1]) & (levels[1:] <= levels[:-1])
+    increasing = not np.count_nonzero(reversals)
+    if not increasing:
+        violations += [f"channel {i} certificate is not strictly increasing" for i in np.unique(chan[1:][reversals])]
 
-    increasing = True
-    for i, cert in enumerate(c.certificates):
-        if any(b <= a for a, b in zip(cert, cert[1:])):
-            increasing = False
-            violations.append(f"channel {i} certificate is not strictly increasing")
-
-    sums = tuple(float(sum(_certificate_term(k, c.p) for k in cert)) for cert in c.certificates)
+    # 1/k^p once per distinct level, with Python's float pow; when k^p
+    # overflows, k^-p, which underflows gracefully instead
+    levels, terms = levels.tolist(), {}
+    for k in set(levels):
+        try:
+            terms[k] = 1.0 / float(k) ** c.p
+        except OverflowError:
+            terms[k] = float(k) ** -c.p
+    # the running Python's sum, channel by channel, in level order
+    sums = map(sum, _ragged(list(map(terms.__getitem__, levels)), c.offsets.tolist()))
     return DecompositionReport(
         disjoint_cover=disjoint_cover,
         simple_channels=simple,
         increasing_certificates=increasing,
-        certificate_sums=sums,
+        certificate_sums=tuple(map(float, sums)),
         violations=tuple(violations),
     )

@@ -166,7 +166,11 @@ class ChannelStack:
     @classmethod
     def of_decomposition(cls, deco: ChannelDecomposition, kind: MatrixKind) -> "ChannelStack":
         """One channel per decomposition channel, eigenvalues ascending."""
-        return cls((np.sort(deco.channel_values(i)) for i in range(deco.channel_count)), kind)
+        ev = np.asarray(deco.values)[deco.value_indices()]
+        ev = ev[np.lexsort((ev, deco.channel_of_slot()))]
+        # a list iterator drops its list once exhausted, so the channels are released before the stacks are built
+        channels, ev = iter(np.split(ev, deco.offsets[1:-1])), None
+        return cls(channels, kind)
 
 
 def _build_stack(e: np.ndarray, kind: MatrixKind):

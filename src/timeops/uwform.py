@@ -405,17 +405,7 @@ class AdmissibilityReport:
     admissible: bool
     witnesses: tuple[dict, ...]
     shifted_values: tuple[float, ...]
-    distinct_count: int
     details: dict
-
-    def to_json(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "witnesses": [dict(w) for w in self.witnesses],
-            "shifted_values": list(self.shifted_values),
-            "distinct_count": self.distinct_count,
-            "details": dict(self.details),
-        }
 
 
 class AdmissibilityError(ValueError):
@@ -425,14 +415,6 @@ class AdmissibilityError(ValueError):
         self.report = report
         heads = ", ".join(w.get("reason", "violation") for w in report.witnesses[:3])
         super().__init__(f"function fails the transform precondition ({heads})")
-
-
-def _census(values: np.ndarray, tol: float) -> int:
-    """Count of distinct values under an absolute merge tolerance."""
-    ordered = np.sort(values)
-    if ordered.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(np.diff(ordered) > tol))
 
 
 def f_condition_check(f: FunctionSpec, s: DiscreteSpectrum) -> AdmissibilityReport:
@@ -516,7 +498,6 @@ def f_condition_check(f: FunctionSpec, s: DiscreteSpectrum) -> AdmissibilityRepo
         admissible=not witnesses,
         witnesses=tuple(witnesses),
         shifted_values=tuple(float(v) for v in shifted),
-        distinct_count=_census(shifted, 1e-12 * max(scale, 1e-300)),
         details=details,
     )
 
@@ -525,8 +506,8 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     """Ultra-weak form of f~(H) over a zero-accumulating spectrum.
 
     Checks admissibility first (raising AdmissibilityError with the full
-    report on failure), merges shifted values that coincide within the
-    census tolerance by adding their multiplicities, partitions the
+    report on failure), merges shifted values that coincide within 1e-12 times the
+    largest |shifted value| by adding their multiplicities, partitions the
     resulting value set, and assembles the channel forms.
 
     Returns (report, ChannelDecomposition, ChannelStack).
@@ -540,12 +521,10 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     scale = float(np.max(np.abs(shifted)))
     merge_tol = 1e-12 * scale
 
-    order = np.argsort(shifted)
     merged_values: list[float] = []
     merged_mults: list[int] = []
-    for idx in order:
-        value = float(shifted[idx])
-        mult = int(mults[idx])
+    for idx in np.argsort(shifted):
+        value, mult = float(shifted[idx]), int(mults[idx])
         if merged_values and value - merged_values[-1] <= merge_tol:
             merged_mults[-1] += mult
         else:

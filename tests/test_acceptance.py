@@ -5,7 +5,6 @@ line for its criterion (visible even under capture) and fails if the
 criterion misses either its numeric tolerance or its runtime limit.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 from timeops import acceptance, cli, spectra, timeop
 from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
 from timeops.cli import RunConfig, run
+from timeops.decompose import ChannelDecomposition
 from timeops.spectra import HermitianMatrix, harmonic_spectrum, hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, ccr_residuals
 
@@ -141,12 +141,17 @@ def test_zero_residual_tolerance_fails_a_criterion(name, readers):
     assert any(not criterion(tol, 7)[0] for criterion in readers[name])
 
 
+def rebuilt(deco, channels, certificates):
+    """``deco`` with its channels and certificates replaced, one sequence per channel."""
+    return ChannelDecomposition(deco.values, deco.multiplicities, channels, certificates, deco.p, deco.prescale)
+
+
 class TestEveryCriterionCanFail:
     """A perturbed kernel or input makes each of these criteria report passed: false."""
 
     @pytest.mark.parametrize("perturb", [
-        lambda deco: replace(deco, channels=deco.channels[:-1], certificates=deco.certificates[:-1]),
-        lambda deco: replace(deco, certificates=tuple(cert[::-1] for cert in deco.certificates)),
+        lambda deco: rebuilt(deco, deco.channels[:-1], deco.certificates[:-1]),
+        lambda deco: rebuilt(deco, deco.channels, tuple(cert[::-1] for cert in deco.certificates)),
     ], ids=["a channel dropped", "certificates reversed"])
     def test_partition(self, monkeypatch, perturb):
         partition = acceptance.channel_partition

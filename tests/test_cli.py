@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import timeops
-from timeops import acceptance, cli, timeop
+from timeops import acceptance, cli, timeop, uwform
 from timeops.acceptance import DEFAULT_TOLERANCES
 from timeops.cli import RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
@@ -73,16 +73,6 @@ def assert_usage_error(*args, match, timeout=60.0):
 
 
 class TestRunConfig:
-    def test_roundtrip(self):
-        cfg = RunConfig(
-            model={"kind": "hydrogen", "n_max": 3},
-            pipeline={"kind": "uwform"},
-            tolerances={"uw_ccr": 1e-9},
-            seed=11,
-        )
-        back = RunConfig.from_json(cfg.to_json())
-        assert back == cfg
-
     def test_rejects_unknown_pipeline(self):
         with pytest.raises(ValueError, match="pipeline kind"):
             RunConfig(model={}, pipeline={"kind": "nonsense"}, tolerances={})
@@ -391,6 +381,22 @@ class TestSubcommands:
         assert report["witnesses"][0]["reason"] == "sine resonance"
         assert report["admissibility_details"]["scanned_integer_range"] == 2
         assert report["max_uw_ccr_residual"] is None
+
+    @pytest.mark.parametrize("function, code", [("sin:0.3", 0), ("sin:-1.0", 1)], ids=["admissible", "resonant"])
+    def test_ftransform_checks_admissibility_once(self, tmp_path, monkeypatch, function, code):
+        calls = []
+        check = uwform.f_condition_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(uwform, "f_condition_check", counted)
+        # a pipeline that imported the check under its own name would bypass the patch above
+        monkeypatch.setattr(cli, "f_condition_check", counted, raising=False)
+        assert main(["ftransform", "--model", "hydrogen", "--n-max", "4",
+                     "--function", function, "--out", str(tmp_path)]) == code
+        assert len(calls) == 1
 
     def test_ftransform_rejects_an_overflowing_transform(self, tmp_path, capsys):
         code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",

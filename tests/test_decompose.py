@@ -1,12 +1,15 @@
-import dataclasses
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from timeops.decompose import (
-    bucket_index,
+    BUCKET_LEVEL_LIMIT,
+    ChannelDecomposition,
+    _bucket_levels,
     channel_partition,
     decompose_spectrum,
     verify_decomposition,
@@ -19,6 +22,47 @@ from timeops.spectra import (
 )
 
 ZETA_2 = math.pi ** 2 / 6.0
+
+
+def bucket_index(a: float) -> int:
+    """Reference: the bucket level of one magnitude, nudged one float comparison at a time.
+
+    Returns the unique k >= 1 with 1/(k+1) < |a| <= 1/k (right-closed),
+    and raises ValueError where ``channel_partition`` refuses: |a| outside
+    (0, 1], or 1/|a| >= 2**53.
+    """
+    mag = abs(float(a))
+    if not 0.0 < mag <= 1.0:
+        raise ValueError(f"bucket_index needs 0 < |a| <= 1, got {a!r}")
+    inverse = 1.0 / mag
+    if not inverse < BUCKET_LEVEL_LIMIT:
+        raise ValueError(f"scaled magnitude {mag!r} is too small to bucket: the dynamic range reaches 2**53")
+    k = int(inverse)
+    while mag <= 1.0 / (k + 1):
+        k += 1
+    while mag > 1.0 / k:
+        k -= 1
+    return k
+
+
+def as_tuples(arrays):
+    """Channels or certificates as nested tuples of ints."""
+    return tuple(tuple(a.tolist()) for a in arrays)
+
+
+def layout(deco):
+    return as_tuples(deco.channels), as_tuples(deco.certificates)
+
+
+def channel_values(deco, index):
+    """Values of one channel, in extraction order."""
+    start, stop = deco.offsets[index], deco.offsets[index + 1]
+    return np.asarray(deco.values)[deco.value_indices()[start:stop]]
+
+
+def rebuilt(deco, channels, certificates):
+    """``deco`` with its channels and certificates replaced, one sequence per channel."""
+    return ChannelDecomposition(deco.values, deco.multiplicities, channels, certificates, deco.p, deco.prescale)
 
 
 class TestBucketIndex:
@@ -64,6 +108,27 @@ class TestBucketIndex:
         assert 2 ** 53 - 2 <= k < 2 ** 53
 
 
+class TestBucketLevels:
+    """The array level function against the scalar reference."""
+
+    def test_every_reciprocal_and_its_float_neighbours(self):
+        inverse = 1.0 / np.arange(1, 5000, dtype=float)
+        mags = np.concatenate([inverse, np.nextafter(inverse, 0.0), np.nextafter(inverse, 2.0)])
+        mags = mags[mags <= 1.0]
+        assert _bucket_levels(mags).tolist() == [bucket_index(a) for a in mags]
+
+    def test_random_magnitudes_down_to_the_level_limit(self):
+        rng = np.random.default_rng(17)
+        mags = np.concatenate([10.0 ** rng.uniform(-15.9, 0.0, 5000), rng.uniform(0.0, 1.0, 5000) + 1e-300,
+                               [2.0 ** -52, math.nextafter(2.0 ** -53, 1.0), 1.0]])
+        assert _bucket_levels(mags).tolist() == [bucket_index(a) for a in mags]
+
+    @pytest.mark.parametrize("mag", [2.0 ** -53, 1e-16, 1e-300, 5e-324, 0.0])
+    def test_rejects_levels_that_are_not_distinct_floats(self, mag):
+        with pytest.raises(ValueError, match="dynamic range"):
+            _bucket_levels(np.array([0.5, mag]))
+
+
 class TestPartitionNullSequence:
     """Simple null sequences: channel_partition with every multiplicity 1."""
 
@@ -73,27 +138,35 @@ class TestPartitionNullSequence:
 
     def test_harmonic_reciprocals_fill_one_channel(self):
         deco = self.partition([-1.0 / n for n in range(1, 9)])
-        assert deco.channels == ((0, 1, 2, 3, 4, 5, 6, 7),)
-        assert deco.certificates == ((1, 2, 3, 4, 5, 6, 7, 8),)
+        assert layout(deco) == (((0, 1, 2, 3, 4, 5, 6, 7),), ((1, 2, 3, 4, 5, 6, 7, 8),))
 
     def test_slow_sequence_needs_five_channels(self):
         deco = self.partition([-1.0 / math.sqrt(n) for n in range(1, 9)])
-        assert deco.channels == ((0, 3), (1, 4), (2, 5), (6,), (7,))
-        assert deco.certificates == ((1, 2), (1, 2), (1, 2), (2,), (2,))
+        assert layout(deco) == (
+            ((0, 3), (1, 4), (2, 5), (6,), (7,)),
+            ((1, 2), (1, 2), (1, 2), (2,), (2,)),
+        )
 
     def test_channels_reference_original_input_positions(self):
         deco = self.partition([-0.3, -1.0])
-        assert deco.channels == ((1, 0),)
-        assert deco.slot_value(1) == -1.0
-        np.testing.assert_allclose(deco.channel_values(0), [-1.0, -0.3])
+        assert as_tuples(deco.channels) == ((1, 0),)
+        assert deco.value_indices().tolist() == [1, 0]
+        np.testing.assert_allclose(channel_values(deco, 0), [-1.0, -0.3])
 
     def test_deterministic(self):
         vals = [-1.0 / math.sqrt(n) for n in range(1, 20)]
         a = self.partition(vals)
         b = self.partition(vals)
-        assert a.channels == b.channels
-        assert a.certificates == b.certificates
+        assert layout(a) == layout(b)
         assert a.prescale == b.prescale
+
+    def test_arrays_are_flat_and_read_only(self):
+        deco = self.partition([-1.0 / math.sqrt(n) for n in range(1, 9)])
+        assert deco.flat_slots.tolist() == [0, 3, 1, 4, 2, 5, 6, 7]
+        assert deco.flat_levels.tolist() == [1, 2, 1, 2, 1, 2, 2, 2]
+        assert deco.offsets.tolist() == [0, 2, 4, 6, 7, 8]
+        views = (deco.flat_slots, deco.flat_levels, deco.offsets, *deco.channels, *deco.certificates)
+        assert all(not a.flags.writeable for a in views)
 
     def test_certificate_sums_stay_below_zeta_two(self):
         deco = self.partition([-1.0 / n for n in range(1, 101)])
@@ -118,6 +191,19 @@ class TestChannelPartition:
                 channel_partition([0.5, 0.25], [1, 1], p=p)
         with pytest.raises(ValueError):
             channel_partition([], [])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                channel_partition([0.5, bad], [1, 1])
+
+    @pytest.mark.parametrize("mults", [[1.5, True], [2, True], [1, 2.0], [1, "2"], [1, None]])
+    def test_rejects_multiplicities_that_are_not_integers(self, mults):
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            channel_partition([-1.0, -0.5], mults)
+
+    def test_accepts_numpy_integer_multiplicities(self):
+        part = channel_partition([-1.0, -0.5], np.array([2, 1]))
+        assert part.multiplicities == (2, 1)
+        assert all(type(m) is int for m in part.multiplicities)
 
     def test_extremal_value_lands_in_bucket_one(self):
         part = channel_partition([-7.3], [1])
@@ -137,26 +223,25 @@ class TestChannelPartition:
         alpha = 2.0 ** j
         base = channel_partition(vals, [1] * len(vals))
         scaled = channel_partition([alpha * v for v in vals], [1] * len(vals))
-        assert scaled.channels == base.channels
-        assert scaled.certificates == base.certificates
+        assert layout(scaled) == layout(base)
         assert scaled.prescale == pytest.approx(base.prescale / alpha)
 
     def test_slots_are_value_major(self):
         part = channel_partition([-1.0], [3])
-        assert part.slots == ((0, 0), (0, 1), (0, 2))
-        assert part.channels == ((0,), (1,), (2,))
+        assert as_tuples(part.channels) == ((0,), (1,), (2,))
+        assert part.value_indices().tolist() == [0, 0, 0]
         part = channel_partition([-1.0, -0.5], [2, 1])
-        assert part.slots == ((0, 0), (0, 1), (1, 0))
-        assert part.channels == ((0, 2), (1,))
-        np.testing.assert_array_equal(part.channel_values(1), [-1.0])
+        # slots 0 and 1 are the copies of -1.0, slot 2 is -0.5
+        assert as_tuples(part.channels) == ((0, 2), (1,))
+        assert part.value_indices().tolist() == [0, 1, 0]
+        np.testing.assert_array_equal(channel_values(part, 1), [-1.0])
 
     def test_spot_check_generic_rescaling(self):
         vals = [-0.5, -0.125, -1.0 / 18.0, -0.03125]
         mults = [1, 4, 9, 16]
         base = channel_partition(vals, mults)
         scaled = channel_partition([3.7 * v for v in vals], mults)
-        assert scaled.channels == base.channels
-        assert scaled.certificates == base.certificates
+        assert layout(scaled) == layout(base)
 
 
 def greedy_partition(values, multiplicities, reciprocals=False):
@@ -194,7 +279,31 @@ class TestPartitionMatchesTheGreedyRounds:
             values = rng.permutation(np.unique(-rng.uniform(1e-4, 1.0, size)))
             mults = rng.integers(1, 6, values.size).tolist()
             part = channel_partition(values, mults)
-            assert (part.channels, part.certificates) == greedy_partition(values, mults)
+            assert layout(part) == greedy_partition(values, mults)
+
+    def test_mixed_signs_and_reciprocals(self):
+        rng = np.random.default_rng(2025)
+        for trial in range(300):
+            size = int(rng.integers(1, 61))
+            values = np.unique(10.0 ** rng.uniform(-6.0, 0.0, size) * rng.choice([-1.0, 1.0], size))
+            values = rng.permutation(values)
+            # every other pair of trials has only simple values, a single column
+            mults = [1] * values.size if trial % 4 < 2 else rng.integers(1, 6, values.size).tolist()
+            reciprocals = bool(trial % 2)
+            part = channel_partition(values, mults, reciprocals=reciprocals)
+            assert layout(part) == greedy_partition(values, mults, reciprocals)
+
+    def test_a_large_multiset_like_the_spectrum_build_benchmark(self):
+        # 2000 distinct values -U[1e-3, 1] with multiplicities 1..4, as the benchmark's seeded document
+        rng = random.Random(3)
+        magnitudes = set()
+        while len(magnitudes) < 2000:
+            magnitudes.add(rng.uniform(1e-3, 1.0))
+        values = [-m for m in sorted(magnitudes, reverse=True)]
+        mults = [rng.randint(1, 4) for _ in values]
+        part = channel_partition(values, mults)
+        assert layout(part) == greedy_partition(values, mults)
+        assert verify_decomposition(part).ok
 
     @pytest.mark.parametrize("spectrum", [
         hydrogen_point_spectrum(1.0, 1.0, 30),
@@ -204,36 +313,37 @@ class TestPartitionMatchesTheGreedyRounds:
         deco = decompose_spectrum(spectrum)
         reciprocals = spectrum.accumulation is Accumulation.TO_INFINITY
         reference = greedy_partition(spectrum.values, list(spectrum.multiplicities), reciprocals)
-        assert (deco.channels, deco.certificates) == reference
+        assert layout(deco) == reference
 
 
 class TestDecomposeSpectrum:
     def test_hydrogen_column_structure(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
         assert deco.channel_count == 9
-        assert len(deco.slots) == 14
-        index_sets = [set(deco.channel_eigenvalue_indices(i)) for i in range(9)]
+        assert deco.flat_slots.size == deco.flat_levels.size == 14
+        indices = deco.value_indices().tolist()
+        bounds = deco.offsets.tolist()
+        index_sets = [set(indices[a:b]) for a, b in zip(bounds, bounds[1:])]
         assert index_sets.count({0, 1, 2}) == 1
         assert index_sets.count({1, 2}) == 3
         assert index_sets.count({2}) == 5
         # Extraction order walks the buckets upward, which for a spectrum
         # accumulating at zero means eigenvalues come out ascending.
         np.testing.assert_allclose(
-            deco.channel_values(0), [-0.5, -0.125, -1.0 / 18.0]
+            channel_values(deco, 0), [-0.5, -0.125, -1.0 / 18.0]
         )
         assert verify_decomposition(deco).ok
 
     def test_degenerate_oscillator_columns(self):
         deco = decompose_spectrum(harmonic_spectrum([1.0, 1.0], 2))
         value_sets = sorted(
-            tuple(sorted(deco.channel_values(i))) for i in range(deco.channel_count)
+            tuple(sorted(channel_values(deco, i))) for i in range(deco.channel_count)
         )
         assert value_sets == [(1.0, 2.0, 3.0), (2.0, 3.0), (3.0,)]
 
     def test_infinity_side_buckets_reciprocals(self):
         deco = decompose_spectrum(harmonic_spectrum([1.0], 3))
-        assert deco.channels == ((0, 1, 2, 3),)
-        assert deco.certificates == ((1, 3, 5, 7),)
+        assert layout(deco) == (((0, 1, 2, 3),), ((1, 3, 5, 7),))
         assert deco.prescale == pytest.approx(0.5)
 
     def test_rejects_a_dynamic_range_beyond_the_bucket_levels(self):
@@ -255,30 +365,73 @@ class TestDecomposeSpectrum:
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 2))
         doc = deco.to_json()
         assert set(doc) == {"prescale", "p", "channels", "certificates"}
-        assert doc["channels"] == [list(c) for c in deco.channels]
+        assert doc["channels"] == [c.tolist() for c in deco.channels]
+        assert doc["certificates"] == [c.tolist() for c in deco.certificates]
+        assert all(type(k) is int for c in doc["channels"] for k in c)
+
+    def test_hydrogen_seventy_holds_a_few_integer_arrays(self):
+        # 116 795 slots: two int64 arrays of them are 1.8 MiB; one Python tuple per slot held 16 MiB
+        s = hydrogen_point_spectrum(1.0, 1.0, 70)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            deco = decompose_spectrum(s)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert deco.flat_slots.size == 116_795
+        assert held <= 4 * 2 ** 20
 
 
 class TestVerifyDecomposition:
     def test_adversarial_duplicate_slot(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
-        bad = dataclasses.replace(
-            deco, channels=((0, 0, 5),) + deco.channels[1:]
-        )
+        bad = rebuilt(deco, ((0, 0, 5),) + deco.channels[1:], deco.certificates)
         report = verify_decomposition(bad)
         assert not report.disjoint_cover
         assert not report.simple_channels
         assert not report.ok
-        assert report.violations
+        assert report.violations == (
+            "channels do not partition the slot set",
+            "channel 0 repeats an eigenvalue",
+        )
+
+    def test_adversarial_duplicate_slot_of_simple_values(self):
+        deco = channel_partition([-1.0 / math.sqrt(n) for n in range(1, 9)], [1] * 8)
+        bad = rebuilt(deco, ((0, 0),) + deco.channels[1:], deco.certificates)
+        report = verify_decomposition(bad)
+        assert not report.disjoint_cover and not report.simple_channels
+        assert "channel 0 repeats an eigenvalue" in report.violations
 
     def test_adversarial_decreasing_certificate(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
-        bad = dataclasses.replace(
-            deco,
-            certificates=((9, 4, 1),) + deco.certificates[1:],
-        )
+        bad = rebuilt(deco, deco.channels, ((9, 4, 1),) + deco.certificates[1:])
         report = verify_decomposition(bad)
         assert not report.increasing_certificates
         assert not report.ok
+        assert report.violations == ("channel 0 certificate is not strictly increasing",)
+
+    def test_adversarial_dropped_channel(self):
+        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
+        bad = rebuilt(deco, deco.channels[:-1], deco.certificates[:-1])
+        report = verify_decomposition(bad)
+        assert not report.disjoint_cover and report.simple_channels and report.increasing_certificates
+        assert len(report.certificate_sums) == deco.channel_count - 1
+
+    def test_rebuilt_from_its_own_channels_is_the_same(self):
+        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 5))
+        again = rebuilt(deco, deco.channels, deco.certificates)
+        assert again.to_json() == deco.to_json()
+        assert verify_decomposition(again) == verify_decomposition(deco)
+
+    def test_constructor_refuses_unknown_slots_and_unmatched_certificates(self):
+        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
+        with pytest.raises(ValueError, match="unknown slot"):
+            rebuilt(deco, ((0, 1, 14),) + deco.channels[1:], deco.certificates)
+        with pytest.raises(ValueError, match="unknown slot"):
+            rebuilt(deco, ((-1,),), ((1,),))
+        with pytest.raises(ValueError, match="certificate level per channel slot"):
+            rebuilt(deco, deco.channels, deco.certificates[:-1])
 
     @pytest.mark.parametrize("p", [1e308, 1e300, 1100.0])
     def test_huge_exponent_terms_underflow_instead_of_raising(self, p):
@@ -289,9 +442,10 @@ class TestVerifyDecomposition:
         assert report.certificate_sums == tuple(1.0 if cert[0] == 1 else 0.0 for cert in deco.certificates)
 
     def test_certificate_terms_keep_their_bits_below_overflow(self):
-        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 6), 2.5)
-        expected = tuple(float(sum(1.0 / float(k) ** 2.5 for k in cert)) for cert in deco.certificates)
-        assert verify_decomposition(deco).certificate_sums == expected
+        for p in (2.5, 3.7):
+            deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 6), p)
+            expected = tuple(float(sum(1.0 / float(k) ** p for k in cert.tolist())) for cert in deco.certificates)
+            assert verify_decomposition(deco).certificate_sums == expected
 
     def test_report_json_carries_ok_flag(self):
         deco = decompose_spectrum(harmonic_spectrum([1.0], 5))
