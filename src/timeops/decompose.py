@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -76,8 +75,8 @@ def _bucket_levels(mag: np.ndarray) -> np.ndarray:
     return k
 
 
-def _ragged(flat: list, offsets: list) -> list[list]:
-    """``flat`` cut at ``offsets``: one list per channel."""
+def _ragged(flat, offsets: list) -> list:
+    """``flat`` (a list or an array) cut at ``offsets``: one piece per channel."""
     return list(map(flat.__getitem__, map(slice, offsets[:-1], offsets[1:])))
 
 
@@ -93,34 +92,34 @@ class ChannelDecomposition:
     reciprocal of the largest bucketed magnitude (of the values, or of
     their reciprocals for spectra accumulating at infinity).
 
-    Built from one slot and one level sequence per channel, where any
-    assignment of known slots is accepted, so ``verify_decomposition`` can
-    inspect a broken one; or, given ``offsets``, from the two flat int
-    arrays, which it takes over and freezes.
+    Any assignment of known slots is accepted, so ``verify_decomposition``
+    can inspect a broken one.  Int64 array arguments are taken over and
+    made read-only, not copied.
     """
 
     values: tuple[float, ...]
     multiplicities: tuple[int, ...]
+    flat_slots: np.ndarray = field(repr=False)
+    flat_levels: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     p: float
     prescale: float
-    flat_slots: np.ndarray = field(init=False, repr=False)
-    flat_levels: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, values, multiplicities, channels, certificates, p: float, prescale: float,
-                 *, offsets=None) -> None:
-        if offsets is None:   # one sequence per channel
-            sizes = [*map(len, channels)]
-            if [*map(len, certificates)] != sizes:
-                raise ValueError("need one certificate level per channel slot")
-            offsets = np.cumsum([0, *sizes])
-            channels, certificates = list(chain.from_iterable(channels)), list(chain.from_iterable(certificates))
-            if channels and not 0 <= min(channels) <= max(channels) < sum(multiplicities):
-                raise ValueError("channel references an unknown slot")
-        slots, levels, offsets = (np.asarray(a, dtype=np.int64) for a in (channels, certificates, offsets))
+    def __post_init__(self) -> None:
+        slots = np.asarray(self.flat_slots, dtype=np.int64)
+        levels = np.asarray(self.flat_levels, dtype=np.int64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if levels.shape != slots.shape or slots.ndim != 1:
+            raise ValueError("need one certificate level per channel slot")
+        bounds = offsets.tolist()
+        if offsets.ndim != 1 or bounds[:1] + bounds[-1:] != [0, slots.size] or bounds != sorted(bounds):
+            raise ValueError("channel offsets must rise from 0 to the slot count")
+        # as unsigned, a negative slot is out of range too
+        if np.count_nonzero(slots.view(np.uint64) >= sum(self.multiplicities)):
+            raise ValueError("channel references an unknown slot")
         for a in (slots, levels, offsets):
-            a.flags.writeable = False
-        vars(self).update(values=tuple(values), multiplicities=tuple(multiplicities), p=p, prescale=prescale,
+            a.setflags(write=False)
+        vars(self).update(values=tuple(self.values), multiplicities=tuple(self.multiplicities),
                           flat_slots=slots, flat_levels=levels, offsets=offsets)
 
     @property
@@ -129,13 +128,11 @@ class ChannelDecomposition:
 
     @property
     def channels(self) -> tuple[np.ndarray, ...]:
-        """Slots of each channel, in extraction order: read-only views of ``flat_slots``."""
-        return tuple(np.split(self.flat_slots, self.offsets[1:-1]))
+        """Slots of each channel, in extraction order, as read-only views of ``flat_slots``.
 
-    @property
-    def certificates(self) -> tuple[np.ndarray, ...]:
-        """Bucket levels of each channel: read-only views of ``flat_levels``."""
-        return tuple(np.split(self.flat_levels, self.offsets[1:-1]))
+        The benchmark counts channels and slots through this view.
+        """
+        return tuple(_ragged(self.flat_slots, self.offsets.tolist()))
 
     def channel_of_slot(self) -> np.ndarray:
         """Channel index of each position of ``flat_slots``."""
@@ -192,26 +189,26 @@ def channel_partition(
         raise ValueError("multiplicities must be >= 1")
     if not 1.0 < float(p) < np.inf:   # written so that NaN fails
         raise ValueError("summability exponent must be finite and exceed 1")
-    ordered = np.sort(vals)   # NaN sorts last
-    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])) or np.count_nonzero(vals == 0.0):
+    mags = np.abs(vals)
+    divisor = float(np.maximum.reduce(mags))
+    if not 0.0 < np.minimum.reduce(mags) <= divisor < np.inf:   # written so that NaN fails
         raise ValueError("values must be finite and nonzero")
+    ordered = np.sort(vals)
     if np.count_nonzero(ordered[1:] == ordered[:-1]):
         raise ValueError("values must be pairwise distinct")
 
-    seq = vals
     if reciprocals:
         with np.errstate(over="ignore"):
-            seq = 1.0 / vals
-        overflowed = np.flatnonzero(np.isinf(seq))
+            mags = 1.0 / mags
+        overflowed = np.flatnonzero(np.isinf(mags))
         if overflowed.size:
             raise ValueError(f"the reciprocal of value {float(vals[overflowed[0]])!r} overflows; "
                              "its bucket level cannot be computed")
+        divisor = float(np.maximum.reduce(mags))
 
     # Dividing by the largest magnitude (rather than multiplying by its
     # reciprocal) makes the extremal ratio exactly 1.0, so every scaled
     # magnitude is a valid bucket argument.
-    mags = np.abs(seq)
-    divisor = float(np.maximum.reduce(mags))
     levels = _bucket_levels(mags / divisor)
 
     # Slot s is copy column[s] of value owner[s].  Sorting the slots by
@@ -223,7 +220,7 @@ def channel_partition(
     steps = np.arange(total + 1)
     first = np.empty(total + 1, dtype=bool)
     first[0] = first[-1] = True
-    if total == vals.size:   # one column, and slot n is value n
+    if total == vals.size:   # one column and slot n is value n: a plain sort, cheaper on small inputs
         by_bucket = levels.argsort(kind="stable")
         level = levels[by_bucket]
         np.not_equal(level[1:], level[:-1], out=first[1:-1])
@@ -245,11 +242,11 @@ def channel_partition(
     return ChannelDecomposition(
         values=vals.tolist(),
         multiplicities=list(map(int, mults)),
-        channels=by_bucket[by_channel],
-        certificates=level[by_channel],
+        flat_slots=by_bucket[by_channel],
+        flat_levels=level[by_channel],
+        offsets=first.nonzero()[0],
         p=float(p),
         prescale=1.0 / divisor,
-        offsets=first.nonzero()[0],
     )
 
 

@@ -506,9 +506,9 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     """Ultra-weak form of f~(H) over a zero-accumulating spectrum.
 
     Checks admissibility first (raising AdmissibilityError with the full
-    report on failure), merges shifted values that coincide within 1e-12 times the
-    largest |shifted value| by adding their multiplicities, partitions the
-    resulting value set, and assembles the channel forms.
+    report on failure), merges shifted values that coincide within 1e-12
+    times the largest |shifted value| by adding their multiplicities,
+    partitions the resulting value set, and assembles the channel forms.
 
     Returns (report, ChannelDecomposition, ChannelStack).
     """
@@ -521,10 +521,12 @@ def f_transform_form(f: FunctionSpec, s: DiscreteSpectrum, p: float = 2.0):
     scale = float(np.max(np.abs(shifted)))
     merge_tol = 1e-12 * scale
 
+    order = np.argsort(shifted)
     merged_values: list[float] = []
     merged_mults: list[int] = []
-    for idx in np.argsort(shifted):
-        value, mult = float(shifted[idx]), int(mults[idx])
+    for idx in order:
+        value = float(shifted[idx])
+        mult = int(mults[idx])
         if merged_values and value - merged_values[-1] <= merge_tol:
             merged_mults[-1] += mult
         else:

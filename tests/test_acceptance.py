@@ -141,17 +141,25 @@ def test_zero_residual_tolerance_fails_a_criterion(name, readers):
     assert any(not criterion(tol, 7)[0] for criterion in readers[name])
 
 
-def rebuilt(deco, channels, certificates):
-    """``deco`` with its channels and certificates replaced, one sequence per channel."""
-    return ChannelDecomposition(deco.values, deco.multiplicities, channels, certificates, deco.p, deco.prescale)
+def rebuilt(deco, channels, levels):
+    """``deco`` with its channels and certificates replaced, given one sequence per channel."""
+    flat = [np.concatenate([np.zeros(0, dtype=np.int64), *map(np.asarray, seqs)]) for seqs in (channels, levels)]
+    return ChannelDecomposition(deco.values, deco.multiplicities, *flat, np.cumsum([0, *map(len, channels)]),
+                                deco.p, deco.prescale)
+
+
+def certificates(deco):
+    """Bucket levels of each channel: ``flat_levels`` cut at ``offsets``."""
+    bounds = deco.offsets.tolist()
+    return tuple(deco.flat_levels[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 class TestEveryCriterionCanFail:
     """A perturbed kernel or input makes each of these criteria report passed: false."""
 
     @pytest.mark.parametrize("perturb", [
-        lambda deco: rebuilt(deco, deco.channels[:-1], deco.certificates[:-1]),
-        lambda deco: rebuilt(deco, deco.channels, tuple(cert[::-1] for cert in deco.certificates)),
+        lambda deco: rebuilt(deco, deco.channels[:-1], certificates(deco)[:-1]),
+        lambda deco: rebuilt(deco, deco.channels, tuple(cert[::-1] for cert in certificates(deco))),
     ], ids=["a channel dropped", "certificates reversed"])
     def test_partition(self, monkeypatch, perturb):
         partition = acceptance.channel_partition

@@ -50,8 +50,14 @@ def as_tuples(arrays):
     return tuple(tuple(a.tolist()) for a in arrays)
 
 
+def certificates(deco):
+    """Bucket levels of each channel: ``flat_levels`` cut at ``offsets``."""
+    bounds = deco.offsets.tolist()
+    return tuple(deco.flat_levels[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 def layout(deco):
-    return as_tuples(deco.channels), as_tuples(deco.certificates)
+    return as_tuples(deco.channels), as_tuples(certificates(deco))
 
 
 def channel_values(deco, index):
@@ -60,9 +66,15 @@ def channel_values(deco, index):
     return np.asarray(deco.values)[deco.value_indices()[start:stop]]
 
 
-def rebuilt(deco, channels, certificates):
-    """``deco`` with its channels and certificates replaced, one sequence per channel."""
-    return ChannelDecomposition(deco.values, deco.multiplicities, channels, certificates, deco.p, deco.prescale)
+def flattened(sequences):
+    return np.concatenate([np.zeros(0, dtype=np.int64), *map(np.asarray, sequences)])
+
+
+def rebuilt(deco, channels, levels):
+    """``deco`` with its channels and certificates replaced, given one sequence per channel."""
+    offsets = np.cumsum([0, *map(len, channels)])
+    return ChannelDecomposition(deco.values, deco.multiplicities, flattened(channels), flattened(levels), offsets,
+                                deco.p, deco.prescale)
 
 
 class TestBucketIndex:
@@ -165,7 +177,7 @@ class TestPartitionNullSequence:
         assert deco.flat_slots.tolist() == [0, 3, 1, 4, 2, 5, 6, 7]
         assert deco.flat_levels.tolist() == [1, 2, 1, 2, 1, 2, 2, 2]
         assert deco.offsets.tolist() == [0, 2, 4, 6, 7, 8]
-        views = (deco.flat_slots, deco.flat_levels, deco.offsets, *deco.channels, *deco.certificates)
+        views = (deco.flat_slots, deco.flat_levels, deco.offsets, *deco.channels)
         assert all(not a.flags.writeable for a in views)
 
     def test_certificate_sums_stay_below_zeta_two(self):
@@ -207,7 +219,7 @@ class TestChannelPartition:
 
     def test_extremal_value_lands_in_bucket_one(self):
         part = channel_partition([-7.3], [1])
-        assert part.certificates == ((1,),)
+        assert as_tuples(certificates(part)) == ((1,),)
         assert part.prescale == pytest.approx(1.0 / 7.3)
 
     @given(
@@ -366,7 +378,7 @@ class TestDecomposeSpectrum:
         doc = deco.to_json()
         assert set(doc) == {"prescale", "p", "channels", "certificates"}
         assert doc["channels"] == [c.tolist() for c in deco.channels]
-        assert doc["certificates"] == [c.tolist() for c in deco.certificates]
+        assert doc["certificates"] == [c.tolist() for c in certificates(deco)]
         assert all(type(k) is int for c in doc["channels"] for k in c)
 
     def test_hydrogen_seventy_holds_a_few_integer_arrays(self):
@@ -386,7 +398,7 @@ class TestDecomposeSpectrum:
 class TestVerifyDecomposition:
     def test_adversarial_duplicate_slot(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
-        bad = rebuilt(deco, ((0, 0, 5),) + deco.channels[1:], deco.certificates)
+        bad = rebuilt(deco, ((0, 0, 5),) + deco.channels[1:], certificates(deco))
         report = verify_decomposition(bad)
         assert not report.disjoint_cover
         assert not report.simple_channels
@@ -398,40 +410,51 @@ class TestVerifyDecomposition:
 
     def test_adversarial_duplicate_slot_of_simple_values(self):
         deco = channel_partition([-1.0 / math.sqrt(n) for n in range(1, 9)], [1] * 8)
-        bad = rebuilt(deco, ((0, 0),) + deco.channels[1:], deco.certificates)
+        bad = rebuilt(deco, ((0, 0),) + deco.channels[1:], certificates(deco))
         report = verify_decomposition(bad)
         assert not report.disjoint_cover and not report.simple_channels
         assert "channel 0 repeats an eigenvalue" in report.violations
 
     def test_adversarial_decreasing_certificate(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
-        bad = rebuilt(deco, deco.channels, ((9, 4, 1),) + deco.certificates[1:])
+        bad = rebuilt(deco, deco.channels, ((9, 4, 1),) + certificates(deco)[1:])
         report = verify_decomposition(bad)
         assert not report.increasing_certificates
         assert not report.ok
         assert report.violations == ("channel 0 certificate is not strictly increasing",)
 
-    def test_adversarial_dropped_channel(self):
-        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
-        bad = rebuilt(deco, deco.channels[:-1], deco.certificates[:-1])
+    @pytest.mark.parametrize("spectrum", [hydrogen_point_spectrum(1.0, 1.0, 3), harmonic_spectrum([1.0], 3)],
+                             ids=["nine-channels", "one-channel"])
+    def test_adversarial_dropped_channel(self, spectrum):
+        deco = decompose_spectrum(spectrum)
+        bad = rebuilt(deco, deco.channels[:-1], certificates(deco)[:-1])
         report = verify_decomposition(bad)
         assert not report.disjoint_cover and report.simple_channels and report.increasing_certificates
-        assert len(report.certificate_sums) == deco.channel_count - 1
+        assert len(report.certificate_sums) == bad.channel_count == deco.channel_count - 1
+        assert len(bad.channels) == bad.channel_count
+        assert len(bad.to_json()["channels"]) == bad.channel_count
 
     def test_rebuilt_from_its_own_channels_is_the_same(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 5))
-        again = rebuilt(deco, deco.channels, deco.certificates)
+        again = rebuilt(deco, deco.channels, certificates(deco))
         assert again.to_json() == deco.to_json()
         assert verify_decomposition(again) == verify_decomposition(deco)
 
     def test_constructor_refuses_unknown_slots_and_unmatched_certificates(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
         with pytest.raises(ValueError, match="unknown slot"):
-            rebuilt(deco, ((0, 1, 14),) + deco.channels[1:], deco.certificates)
+            rebuilt(deco, ((0, 1, 14),) + deco.channels[1:], certificates(deco))
         with pytest.raises(ValueError, match="unknown slot"):
             rebuilt(deco, ((-1,),), ((1,),))
         with pytest.raises(ValueError, match="certificate level per channel slot"):
-            rebuilt(deco, deco.channels, deco.certificates[:-1])
+            rebuilt(deco, deco.channels, certificates(deco)[:-1])
+
+    def test_constructor_refuses_offsets_that_do_not_cut_the_slots(self):
+        deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
+        args = deco.values, deco.multiplicities, deco.flat_slots, deco.flat_levels
+        for offsets in ([], [1, 14], [0, 13], [0, 9, 3, 14], [[0, 14]]):
+            with pytest.raises(ValueError, match="offsets must rise"):
+                ChannelDecomposition(*args, offsets, deco.p, deco.prescale)
 
     @pytest.mark.parametrize("p", [1e308, 1e300, 1100.0])
     def test_huge_exponent_terms_underflow_instead_of_raising(self, p):
@@ -439,12 +462,12 @@ class TestVerifyDecomposition:
         report = verify_decomposition(deco)
         assert report.ok
         # 1/1^p is 1 and every other 1/k^p underflows to 0
-        assert report.certificate_sums == tuple(1.0 if cert[0] == 1 else 0.0 for cert in deco.certificates)
+        assert report.certificate_sums == tuple(1.0 if cert[0] == 1 else 0.0 for cert in certificates(deco))
 
     def test_certificate_terms_keep_their_bits_below_overflow(self):
         for p in (2.5, 3.7):
             deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 6), p)
-            expected = tuple(float(sum(1.0 / float(k) ** p for k in cert.tolist())) for cert in deco.certificates)
+            expected = tuple(float(sum(1.0 / float(k) ** p for k in cert.tolist())) for cert in certificates(deco))
             assert verify_decomposition(deco).certificate_sums == expected
 
     def test_report_json_carries_ok_flag(self):
