@@ -27,10 +27,10 @@ from .timeop import (
     ChannelStack,
     MatrixKind,
     assemble_time_operator,
+    ccr_allowed,
     ccr_check,
     ccr_residuals,
     osc_timeop_extremes,
-    oscillator_bound_rows,
     random_difference_stack,
 )
 from .uwform import (
@@ -57,7 +57,7 @@ from .contspec import (
     s0_symmetry_residual,
     weak_weyl_residuals,
 )
-from .acceptance import DEFAULT_TOLERANCES, CriterionResult, resolve_tolerances, run_all
-from .cli import RunConfig, run
+from .acceptance import CriterionResult, run_all
+from .cli import DEFAULT_TOLERANCES, RunConfig, resolve_tolerances, run
 
 __version__ = "0.1.0"

@@ -3,10 +3,17 @@
 Each criterion function runs one end-to-end check with frozen inputs and
 explicit tolerances and returns (passed, details), the details carrying
 the measured numbers, so a failure report says what was observed, not
-just that something went wrong.  A criterion measures its identity with
-the same kernel the CLI pipeline for that identity calls, and adds only
-its own extra assertions.  The CLI selftest and the test suite both drive
-``run_all``; neither owns a private copy of the thresholds.
+just that something went wrong.
+
+A criterion that checks a pipeline's identity is a frozen ``RunConfig``
+run through ``cli.run`` under the suite's tolerances: it takes ``passed``
+and its numbers from the report and adds only its own extra assertions,
+so each verdict and each tolerance lookup is written once, in the
+pipeline.  The exact CCR over every difference e_k - e_l, the partition
+traces, the Rabi cutoff stability and scaling covariance have no
+pipeline that checks them, and are measured here.  The CLI selftest and
+the test suite both drive ``run_all``; neither owns a private copy of
+the thresholds.
 
 ``run_all`` times every criterion and records the wall-clock limit
 alongside the numeric outcome, but keeps it out of the pass/fail verdict
@@ -16,50 +23,21 @@ for the numbers themselves: ``passed`` reflects arithmetic,
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contspec import ExpCombination, make_packet, s0_strong_relation_check, s0_symmetry_residual, weak_weyl_residuals
+from .cli import RunConfig, resolve_tolerances, run
+from .contspec import make_packet, weak_weyl_residuals
 from .decompose import channel_partition, verify_decomposition
 from .spectra import harmonic_spectrum, hydrogen_point_spectrum, rabi_check, rabi_hamiltonian
-from .timeop import (
-    ChannelStack,
-    MatrixKind,
-    assemble_time_operator,
-    ccr_residuals,
-    osc_timeop_extremes,
-    oscillator_bound_rows,
-)
-from .uwform import (
-    FunctionKind,
-    FunctionSpec,
-    assemble_uwform,
-    f_condition_check,
-    f_transform_form,
-    uncertainty_sweep,
-    uw_ccr_check,
-)
+from .timeop import ChannelStack, MatrixKind, assemble_time_operator, ccr_allowed, ccr_residuals
 
-__all__ = ["CriterionResult", "DEFAULT_TOLERANCES", "resolve_tolerances", "run_all"]
+__all__ = ["CriterionResult", "run_all"]
 
-#: Every threshold used anywhere in the suite, by name.  Reports echo the
-#: values they actually used; overriding one here (or per run) moves the
-#: goalposts everywhere at once.  ``resolve_tolerances`` is the one place
-#: that applies and checks overrides.
-DEFAULT_TOLERANCES = {
-    "ccr_relative": 1e-12,
-    "uw_ccr": 1e-10,
-    "uncertainty_slack": 1e-10,
-    "im_identity": 1e-10,
-    "toeplitz_bound_slack": 1e-9,
-    "rabi_stability": 1e-8,
-    "grid_residual": 1e-6,
-    "s0_symmetry": 1e-9,
-    "scaling_entrywise": 1e-13,
-}
+#: The hydrogen model of the ultra-weak criteria: n = 1..4, 30 states.
+_HYDROGEN = {"kind": "hydrogen", "n_max": 4}
 
 
 @dataclass(frozen=True)
@@ -76,25 +54,6 @@ class CriterionResult:
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": dict(self.details)}
-
-
-def resolve_tolerances(overrides: dict | None = None) -> dict:
-    """DEFAULT_TOLERANCES with ``overrides`` applied, every name and value checked.
-
-    A value must be a finite, nonnegative real number (not a bool): an
-    infinite tolerance would switch its check off, and the comparison is
-    written so that NaN fails it too.
-    """
-    out = dict(DEFAULT_TOLERANCES)
-    for name, value in (overrides or {}).items():
-        if name not in out:
-            raise ValueError(f"unknown tolerance {name!r}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"tolerance {name!r} must be a number, not {type(value).__name__}")
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"tolerance {name!r} must be finite and nonnegative, not {value!r}")
-        out[name] = float(value)
-    return out
 
 
 def _difference_stack(dimension: int) -> np.ndarray:
@@ -130,7 +89,7 @@ def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
             stack = _difference_stack(d)
             worst = ccr_residuals(g, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
             pairs_total += c * len(stack)
-            allowed = tol["ccr_relative"] * g.scale
+            allowed = ccr_allowed(g, tol)
             ok = ok and bool(np.all(worst <= allowed))
             worst_abs = max(worst_abs, float(np.max(worst)))
             ratio = np.divide(worst, allowed, out=np.zeros_like(worst), where=allowed > 0.0)
@@ -146,32 +105,22 @@ def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
     }
 
 
-def criterion_ultraweak_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Ultra-weak CCR on hydrogen channels and their direct sum, by the ``uwform`` pipeline's sweeps."""
-    hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
-    _, form = assemble_uwform(hyd)
-    pairs = 100
-    per_channel, whole = uw_ccr_check(form, seed + 2000, pairs)
-    worst = float(np.max([*per_channel, whole]))
-    ok = worst <= tol["uw_ccr"]
-    return ok, {
-        "pairs_checked": pairs * (sum(g.blocks.size for g in form.groups) + 1),
-        "max_uw_ccr_residual": worst,
+def _run(tol: dict, seed: int, model: dict, **pipeline) -> dict:
+    """The report of one frozen pipeline run under the suite's tolerances."""
+    return run(RunConfig(model=model, pipeline=pipeline, tolerances=tol, seed=seed))
+
+
+def criterion_ultraweak_form(tol: dict, seed: int) -> tuple[bool, dict]:
+    """Ultra-weak CCR and the time-energy uncertainty identity and bound: ``uwform`` on hydrogen."""
+    report = _run(tol, seed + 2000, _HYDROGEN, kind="uwform", vectors=100)
+    vectors = report["vectors_per_channel"]
+    return report["passed"], {
+        "pairs_checked": vectors * (sum(c["dimension"] >= 2 for c in report["channels"]) + 1),
+        "max_uw_ccr_residual": report["max_uw_ccr_residual"],
         "tolerance_uw_ccr": tol["uw_ccr"],
-    }
-
-
-def criterion_uncertainty(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Time-energy uncertainty identity and bound on the hydrogen form."""
-    hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
-    _, form = assemble_uwform(hyd)
-    rng = np.random.default_rng(seed + 3000)
-    min_value, worst_im = uncertainty_sweep(rng, form, 100)
-    ok = (min_value >= 0.5 - tol["uncertainty_slack"]) and (worst_im <= tol["im_identity"])
-    return ok, {
-        "samples": 100,
-        "min_uncertainty_value": min_value,
-        "im_identity_defect": worst_im,
+        "samples": vectors,
+        "min_uncertainty_value": report["min_uncertainty_value"],
+        "im_identity_defect": report["im_identity_defect"],
         "tolerance_uncertainty_slack": tol["uncertainty_slack"],
         "tolerance_im_identity": tol["im_identity"],
     }
@@ -182,16 +131,12 @@ def criterion_oscillator_bound(tol: dict, seed: int) -> tuple[bool, dict]:
 
     The ``oscspec`` verdict at omega = 1, plus lambda_max(800) >= 3.
     """
-    sizes = (100, 200, 400, 800)
-    slack = tol["toeplitz_bound_slack"]
-    extremes = [osc_timeop_extremes(1.0, n) for n in sizes]
-    rows, monotone = oscillator_bound_rows(sizes, extremes, 1.0, slack)
-    maxima = [row["lambda_max"] for row in rows]
-    ok = monotone and all(row["within_bound"] for row in rows) and maxima[-1] >= 3.0
-    return ok, {
-        "sizes": list(sizes),
+    report = _run(tol, seed, {}, kind="oscspec", omega=1.0, sizes=[100, 200, 400, 800])
+    maxima = [row["lambda_max"] for row in report["rows"]]
+    return report["passed"] and maxima[-1] >= 3.0, {
+        "sizes": [row["size"] for row in report["rows"]],
         "lambda_max": maxima,
-        "pi_bound_slack": slack,
+        "pi_bound_slack": tol["toeplitz_bound_slack"],
         "largest_size_lambda_max": maxima[-1],
     }
 
@@ -252,29 +197,22 @@ def criterion_rabi(tol: dict, seed: int) -> tuple[bool, dict]:
 
 
 def criterion_weak_weyl(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Grid weak Weyl relation: accuracy at defaults, decay under refinement.
+    """Grid weak Weyl relation: the ``abweyl`` verdict at its defaults, plus decay under refinement.
 
     The default packet is so well resolved that both grids sit at the
     round-off floor, where "finer is smaller" is a coin flip; refinement
-    is therefore measured on a deliberately under-resolved packet whose
-    N = 1024 truncation error is far above that floor.
+    is therefore measured, at the same times, on a deliberately
+    under-resolved packet whose N = 1024 truncation error is far above
+    that floor.
     """
-    times = (0.25, 0.5, 1.0)
-
-    default_packet = make_packet(50.0, 1024, 1.0, 0.0, 5.0, 2.0)
-    default_residuals = weak_weyl_residuals(default_packet, times)
-    defaults_ok = all(r <= tol["grid_residual"] for r in default_residuals)
-
-    coarse = make_packet(50.0, 1024, 1.0, -19.0, 19.0, 0.3)
-    fine = make_packet(50.0, 2048, 1.0, -19.0, 19.0, 0.3)
-    coarse_residuals = weak_weyl_residuals(coarse, times)
-    fine_residuals = weak_weyl_residuals(fine, times)
+    report = _run(tol, seed, {}, kind="abweyl")
+    times = [t for t, _ in report["sweep"]]
+    coarse_residuals = weak_weyl_residuals(make_packet(50.0, 1024, 1.0, -19.0, 19.0, 0.3), times)
+    fine_residuals = weak_weyl_residuals(make_packet(50.0, 2048, 1.0, -19.0, 19.0, 0.3), times)
     refinement_ok = all(f <= c for c, f in zip(coarse_residuals, fine_residuals))
-
-    ok = defaults_ok and refinement_ok
-    return ok, {
-        "times": list(times),
-        "default_residuals": default_residuals,
+    return report["passed"] and refinement_ok, {
+        "times": times,
+        "default_residuals": [r for _, r in report["sweep"]],
         "tolerance_grid_residual": tol["grid_residual"],
         "refinement_coarse_residuals": coarse_residuals,
         "refinement_fine_residuals": fine_residuals,
@@ -283,72 +221,40 @@ def criterion_weak_weyl(tol: dict, seed: int) -> tuple[bool, dict]:
 
 
 def criterion_s0(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Symbolic strong relation and quadrature symmetry for the S0 class."""
-    rng = np.random.default_rng(seed + 8000)
-
-    all_exact = True
-    for _ in range(100):
-        s, t = rng.uniform(-4.0, 4.0, 2)
-        exact, defect = s0_strong_relation_check(float(s), float(t))
-        all_exact = all_exact and exact and defect == 0.0
-
-    def random_combo() -> ExpCombination:
-        coeffs = rng.uniform(-1.0, 1.0, 3) + 1j * rng.uniform(-1.0, 1.0, 3)
-        freqs = rng.uniform(-4.0, 4.0, 3)
-        return ExpCombination(terms=tuple((c, float(s)) for c, s in zip(coeffs, freqs)))
-
-    worst = 0.0
-    for _ in range(25):
-        worst = max(worst, s0_symmetry_residual(random_combo(), random_combo()))
-
-    ok = all_exact and worst <= tol["s0_symmetry"]
-    return ok, {
-        "strong_relation_samples": 100,
-        "strong_relation_all_exact": all_exact,
-        "symmetry_pairs": 25,
-        "symmetry_max_residual": worst,
-        "tolerance_s0_symmetry": tol["s0_symmetry"],
-    }
+    """Symbolic strong relation and quadrature symmetry for the S0 class: the ``s0check`` verdict."""
+    report = _run(tol, seed, {}, kind="s0check")
+    keys = ("strong_relation_samples", "strong_relation_all_exact", "symmetry_pairs", "symmetry_max_residual")
+    return report["passed"], {**{key: report[key] for key in keys}, "tolerance_s0_symmetry": tol["s0_symmetry"]}
 
 
 def criterion_transforms(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Transformed hydrogen forms: admissibility gates and uw-CCR residuals."""
-    hyd = hydrogen_point_spectrum(1.0, 1.0, 4)
-
-    specs = {
-        "exp": FunctionSpec(FunctionKind.EXP, (1.0,)),
-        "identity": FunctionSpec(FunctionKind.POLYNOMIAL, (0.0, 1.0)),
-        "sin": FunctionSpec(FunctionKind.SIN, (0.3,)),
+    """Transformed hydrogen forms: the ``ftransform`` verdicts, plus the witness of a refused resonant sine."""
+    functions = {
+        "exp": {"kind": "exp", "params": [1.0]},
+        "identity": {"kind": "poly", "params": [0.0, 1.0]},
+        "sin": {"kind": "sin", "params": [0.3]},
     }
-    residuals = {}
-    channel_counts = {}
-    admissible_ok = True
-    for k, (name, spec) in enumerate(specs.items()):
-        report, deco, form = f_transform_form(spec, hyd)
-        admissible_ok = admissible_ok and report.admissible
-        channel_counts[name] = deco.channel_count
-        per_channel, whole = uw_ccr_check(form, seed + 9000 + 1000 * k, 20)
-        residuals[name] = float(np.max([*per_channel, whole]))
+    reports = {name: _run(tol, seed + 9000 + 1000 * k, _HYDROGEN, kind="ftransform", vectors=20, function=f)
+               for k, (name, f) in enumerate(functions.items())}
+    residuals = {name: r["max_uw_ccr_residual"] for name, r in reports.items()}
 
     # the resonant parameter beta = 1/(2 E_1) sends the ground state to zero
-    e1 = float(hyd.values[0])
-    bad = FunctionSpec(FunctionKind.SIN, (1.0 / (2.0 * e1),))
-    bad_report = f_condition_check(bad, hyd)
-    witness_ok = (not bad_report.admissible) and any(
+    beta = 1.0 / (2.0 * reports["sin"]["spectrum"]["entries"][0][0])
+    refused = _run(tol, seed, _HYDROGEN, kind="ftransform", function={"kind": "sin", "params": [beta]})
+    witness_ok = (not refused["admissible"]) and any(
         w.get("reason") == "sine resonance"
         and w.get("eigenvalue_index") == 1
         and w.get("integer") in (-1, 1)
-        for w in bad_report.witnesses
+        for w in refused["witnesses"]
     )
 
-    worst = max(residuals.values())
-    ok = admissible_ok and witness_ok and worst <= tol["uw_ccr"]
+    ok = all(r["passed"] for r in reports.values()) and witness_ok
     return ok, {
-        "admissible_all": admissible_ok,
-        "channel_counts": channel_counts,
-        "max_uw_ccr_residual": worst,
+        "admissible_all": all(r["admissible"] for r in reports.values()),
+        "channel_counts": {name: r["channel_count"] for name, r in reports.items()},
+        "max_uw_ccr_residual": max(residuals.values()),
         "per_transform_residuals": residuals,
-        "resonant_beta": 1.0 / (2.0 * e1),
+        "resonant_beta": beta,
         "resonant_witness_correct": witness_ok,
         "tolerance_uw_ccr": tol["uw_ccr"],
     }
@@ -381,8 +287,7 @@ def criterion_scaling(tol: dict, seed: int) -> tuple[bool, dict]:
 #: (name, criterion, runtime limit in seconds), in suite order.
 _CRITERIA = (
     ("exact-ccr", criterion_exact_ccr, 1.0),
-    ("ultraweak-ccr", criterion_ultraweak_ccr, 1.0),
-    ("uncertainty", criterion_uncertainty, 1.0),
+    ("ultraweak-form", criterion_ultraweak_form, 1.0),
     ("oscillator-bound", criterion_oscillator_bound, 30.0),
     ("partition", criterion_partition, 1.0),
     ("rabi-bounds", criterion_rabi, 5.0),

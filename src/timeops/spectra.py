@@ -191,11 +191,10 @@ def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Block-diagonal Hermitian matrix; ``basis_labels`` lists the basis in block order."""
+    """Block-diagonal Hermitian matrix."""
 
     dimension: int
     blocks: tuple[np.ndarray, ...]
-    basis_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         blocks = tuple(np.array(b, dtype=complex if np.iscomplexobj(b) else float) for b in self.blocks)
@@ -203,13 +202,10 @@ class HermitianMatrix:
             raise ValueError("every block must be a square matrix")
         if sum(b.shape[0] for b in blocks) != self.dimension:
             raise ValueError("block sizes do not add up to the declared dimension")
-        if len(self.basis_labels) != self.dimension:
-            raise ValueError("need one basis label per dimension")
         for b in blocks:
             _require_hermitian(b)
             b.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of all blocks, merged in ascending order."""
@@ -359,9 +355,7 @@ def rabi_hamiltonian(
     if not np.all(np.isfinite(np.concatenate([coupling, *diagonals]))):
         raise ValueError("the Rabi matrix entries overflow for these parameters")
     chains = [np.diag(d) + np.diag(coupling, 1) + np.diag(coupling, -1) for d in diagonals]
-    spins = ("up", "down")
-    labels = tuple(f"{spins[(n + first) % 2]}|n={n}" for first in (0, 1) for n in range(fock_cutoff + 1))
-    return HermitianMatrix(2 * (fock_cutoff + 1), tuple(chains), labels)
+    return HermitianMatrix(2 * (fock_cutoff + 1), tuple(chains))
 
 
 def rabi_bound_check(

@@ -43,11 +43,11 @@ __all__ = [
     "MatrixKind",
     "ChannelStack",
     "ccr_residuals",
+    "ccr_allowed",
     "ccr_check",
     "random_difference_stack",
     "assemble_time_operator",
     "osc_timeop_extremes",
-    "oscillator_bound_rows",
 ]
 
 #: A vector belongs to the difference span when its coefficient sum is
@@ -344,6 +344,11 @@ def ccr_residuals(g: _Group, kind: MatrixKind, vecs) -> np.ndarray:
     return np.max(np.linalg.norm(out, axis=2), axis=1)
 
 
+def ccr_allowed(g: _Group, tol: dict) -> np.ndarray:
+    """The exact-CCR gate of each channel of g: ``ccr_relative`` times its largest |entry|."""
+    return tol["ccr_relative"] * g.scale
+
+
 def ccr_check(op: ChannelStack, seed: int, count: int) -> np.ndarray:
     """The exact-CCR sweep of the ``timeop`` pipeline: the worst residual of each channel.
 
@@ -425,25 +430,3 @@ def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:
         b[-1] /= math.sqrt(2.0)
     high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
     return -high, high
-
-
-def oscillator_bound_rows(sizes, extremes, omega: float, slack: float) -> tuple[list[dict], bool]:
-    """Check oscillator truncation extremes against the symbol bound pi/omega.
-
-    ``extremes`` holds one ``osc_timeop_extremes(omega, n)`` pair per size,
-    sizes ascending.  Returns one row per size (size, lambda_min, lambda_max
-    and whether both lie within pi/omega + slack) and whether lambda_max is
-    nondecreasing in the size.
-    """
-    bound = math.pi / omega
-    rows = [
-        {
-            "size": n,
-            "lambda_min": low,
-            "lambda_max": high,
-            "within_bound": bool(high <= bound + slack and low >= -bound - slack),
-        }
-        for n, (low, high) in zip(sizes, extremes)
-    ]
-    maxima = [row["lambda_max"] for row in rows]
-    return rows, all(b >= a for a, b in zip(maxima, maxima[1:]))

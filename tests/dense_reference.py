@@ -3,7 +3,8 @@
 ``ccr_residual`` is the one-channel exact-CCR kernel that ``ccr_residuals``
 replaced, arithmetic for arithmetic; ``complex_evaluator_stack`` and
 ``complex_apply`` are the complex form evaluators and their product that
-the real stacks R replaced.
+the real stacks R replaced.  ``rabi_chain_labels`` names the product
+basis states of the Rabi parity chains, in block order.
 """
 
 import numpy as np
@@ -82,3 +83,13 @@ def form_evaluator(eigenvalues) -> np.ndarray:
 def complex_apply(evaluators: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each channel's complex evaluator applied to its (c, k, d) rows: one complex product per channel."""
     return v @ evaluators.transpose(0, 2, 1)
+
+
+def rabi_chain_labels(cutoff: int) -> tuple[str, ...]:
+    """The product states ``spin|n=k`` of the two Rabi parity chains, in block order.
+
+    The first chain is |up,0>, |down,1>, |up,2>, ..., the second
+    |down,0>, |up,1>, |down,2>, ...: the spin alternates along each chain.
+    """
+    spins = ("up", "down")
+    return tuple(f"{spins[(n + first) % 2]}|n={n}" for first in (0, 1) for n in range(cutoff + 1))

@@ -9,9 +9,9 @@ criterion misses either its numeric tolerance or its runtime limit.
 import numpy as np
 import pytest
 
-from timeops import acceptance, cli, spectra, timeop
-from timeops.acceptance import DEFAULT_TOLERANCES, resolve_tolerances, run_all
-from timeops.cli import RunConfig, run
+from timeops import acceptance, spectra, timeop
+from timeops.acceptance import run_all
+from timeops.cli import DEFAULT_TOLERANCES, RunConfig, resolve_tolerances
 from timeops.decompose import ChannelDecomposition
 from timeops.spectra import HermitianMatrix, harmonic_spectrum, hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, ccr_residuals
@@ -20,8 +20,7 @@ from dense_reference import dense_commutator, pairing
 
 EXPECTED_ORDER = (
     "exact-ccr",
-    "ultraweak-ccr",
-    "uncertainty",
+    "ultraweak-form",
     "oscillator-bound",
     "partition",
     "rabi-bounds",
@@ -33,9 +32,9 @@ EXPECTED_ORDER = (
 
 HEADLINE = {
     "exact-ccr": lambda d: f"worst residual {d['worst_residual']:.3e}",
-    "ultraweak-ccr": lambda d: f"max residual {d['max_uw_ccr_residual']:.3e}",
-    "uncertainty": lambda d: (
-        f"min value {d['min_uncertainty_value']:.12f}, "
+    "ultraweak-form": lambda d: (
+        f"max residual {d['max_uw_ccr_residual']:.3e}, "
+        f"min uncertainty value {d['min_uncertainty_value']:.12f}, "
         f"im defect {d['im_identity_defect']:.3e}"
     ),
     "oscillator-bound": lambda d: (
@@ -109,20 +108,28 @@ class RecordingTable(dict):
         return super().__getitem__(name)
 
 
+def record_reads(monkeypatch, table):
+    """Every pipeline run gets ``table`` as its resolved tolerances, so a read through RunConfig is recorded too."""
+    monkeypatch.setattr(RunConfig, "resolved_tolerances", lambda config: table)
+
+
 def test_every_tolerance_is_read_by_run_all(monkeypatch):
     table = RecordingTable(DEFAULT_TOLERANCES)
     monkeypatch.setattr(acceptance, "resolve_tolerances", lambda overrides: table)
+    record_reads(monkeypatch, table)
     run_all()
     assert table.read == set(DEFAULT_TOLERANCES)
 
 
 @pytest.fixture(scope="module")
 def readers():
-    """Tolerance name -> the criteria that read it."""
+    """Tolerance name -> the criteria that read it, directly or through the pipelines they run."""
     out = {}
     for _, criterion, _ in acceptance._CRITERIA:
         table = RecordingTable(DEFAULT_TOLERANCES)
-        criterion(table, 7)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            record_reads(monkeypatch, table)
+            criterion(table, 7)
         for name in table.read:
             out.setdefault(name, []).append(criterion)
     return out
@@ -172,7 +179,7 @@ class TestEveryCriterionCanFail:
         """``build`` with every eigenvalue of its Rabi matrix moved by ``shift``."""
         def shifted(*args):
             h = build(*args)
-            return HermitianMatrix(h.dimension, tuple(b + shift * np.eye(len(b)) for b in h.blocks), h.basis_labels)
+            return HermitianMatrix(h.dimension, tuple(b + shift * np.eye(len(b)) for b in h.blocks))
         return shifted
 
     def test_rabi_bounds(self, monkeypatch):
@@ -258,58 +265,68 @@ def test_exact_ccr_details_match_the_pair_loop():
     assert details["difference_pairs_checked"] == pairs
 
 
-def test_oscillator_criterion_is_the_oscspec_verdict(tmp_path):
-    tol = resolve_tolerances()
-    passed, details = acceptance.criterion_oscillator_bound(tol, 7)
-    report = run(RunConfig(model={}, pipeline={"kind": "oscspec", "omega": 1.0, "sizes": details["sizes"]},
-                           tolerances={}))
-    assert passed is report["passed"] is True
-    assert details["lambda_max"] == [row["lambda_max"] for row in report["rows"]]
+_HYDROGEN = {"kind": "hydrogen", "n_max": 4}
 
 
-def test_rabi_criterion_is_the_timeop_bound_check():
-    tol = resolve_tolerances()
-    passed, details = acceptance.criterion_rabi(tol, 7)
-    model = {"kind": "rabi", "mu": 0.5, "omega": 1.0, "g": 0.3, "cutoff": 200, "count": 20}
-    report = run(RunConfig(model=model, pipeline={"kind": "timeop"}, tolerances={}))
-    assert passed is report["passed"] is True
-    assert details["ground_energy"] == report["ground_energy"]
-    assert details["bounds_true"] == sum(report["bound_checks"]) == details["bounds_checked"]
+def spy_on_runs(monkeypatch, edit=lambda report: None):
+    """Record the (config, report) of every pipeline run the criteria make, each report passed through ``edit``."""
+    runs = []
+    real = acceptance.run
+
+    def spy(config):
+        report = real(config)
+        edit(report)
+        runs.append((config, report))
+        return report
+
+    monkeypatch.setattr(acceptance, "run", spy)
+    return runs
 
 
-def test_s0check_reports_the_s0_criterion():
-    tol = resolve_tolerances()
-    passed, details = acceptance.criterion_s0(tol, 11)
-    report = run(RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={}, seed=11))
-    assert report["passed"] is passed
-    assert report["symmetry_max_residual"] == details["symmetry_max_residual"]
+def refine_worse(monkeypatch):
+    """Weak Weyl residuals that grow with the grid size, so refinement never helps."""
+    monkeypatch.setattr(acceptance, "weak_weyl_residuals", lambda state, times: [float(state.size)] * len(times))
 
 
-def test_ultraweak_criteria_and_pipelines_share_one_ccr_check(monkeypatch):
-    calls = []
-    check = acceptance.uw_ccr_check
+#: Criterion -> each run it makes, as (model, pipeline, seed offset, whether its
+#: report must pass), and a change that leaves every report's verdict as it is
+#: but breaks the criterion's own assertion (None when it adds none).
+PIPELINE_CRITERIA = {
+    "ultraweak-form": ([(_HYDROGEN, {"kind": "uwform", "vectors": 100}, 2000, True)], None),
+    "oscillator-bound": (
+        [({}, {"kind": "oscspec", "omega": 1.0, "sizes": [100, 200, 400, 800]}, 0, True)],
+        lambda mp: spy_on_runs(mp, lambda report: report["rows"][-1].update(lambda_max=2.9)),
+    ),
+    "weak-weyl": ([({}, {"kind": "abweyl"}, 0, True)], refine_worse),
+    "s0-class": ([({}, {"kind": "s0check"}, 0, True)], None),
+    "transforms": (
+        [(_HYDROGEN, {"kind": "ftransform", "vectors": 20, "function": {"kind": kind, "params": params}}, offset, True)
+         for kind, params, offset in (("exp", [1.0], 9000), ("poly", [0.0, 1.0], 10000), ("sin", [0.3], 11000))]
+        # the resonant sine beta = 1/(2 E_1) = -1, refused: the criterion reads its witness
+        + [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": "sin", "params": [-1.0]}}, 0, False)],
+        lambda mp: spy_on_runs(mp, lambda report: report["witnesses"].clear()),
+    ),
+}
 
-    def spy(form, seed, count):
-        per_channel, whole = check(form, seed, count)
-        calls.append((seed, count, float(np.max([*per_channel, whole]))))
-        return per_channel, whole
 
-    monkeypatch.setattr(acceptance, "uw_ccr_check", spy)
-    monkeypatch.setattr(cli, "uw_ccr_check", spy)
-    results = {r.name: r.details for r in run_all(None, seed=7)}
-    # ultraweak-ccr at seed + 2000, then the transforms exp, identity and sin
-    assert [c[:2] for c in calls] == [(2007, 100), (9007, 20), (10007, 20), (11007, 20)]
-    ultraweak, exp, identity, sin = (worst for _, _, worst in calls)
-    assert results["ultraweak-ccr"]["max_uw_ccr_residual"] == ultraweak
-    assert results["transforms"]["per_transform_residuals"] == {"exp": exp, "identity": identity, "sin": sin}
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", PIPELINE_CRITERIA)
+def test_a_pipeline_criterion_is_the_verdict_of_its_frozen_runs(monkeypatch, name, seed):
+    criterion = {n: c for n, c, _ in acceptance._CRITERIA}[name]
+    expected, spoil = PIPELINE_CRITERIA[name]
+    # not the defaults: the suite's own table must reach every run
+    tol = resolve_tolerances({"uw_ccr": 2e-10})
+    runs = spy_on_runs(monkeypatch)
+    assert criterion(tol, seed)[0] is True
+    assert [(c.model, c.pipeline, c.seed) for c, _ in runs] == [(m, pl, seed + k) for m, pl, k, _ in expected]
+    assert all(c.resolved_tolerances() == tol for c, _ in runs)
+    assert [r["passed"] for _, r in runs] == [must for *_, must in expected]
 
-    # the pipelines reach the same check: at the criteria's seeds and counts, the same residuals
-    hydrogen = {"kind": "hydrogen", "n_max": 4}
-    uwform_report = run(RunConfig(model=hydrogen, pipeline={"kind": "uwform", "vectors": 100},
-                                  tolerances={}, seed=2007))
-    sin_report = run(RunConfig(model=hydrogen, pipeline={"kind": "ftransform", "vectors": 20,
-                                                         "function": {"kind": "sin", "params": [0.3]}},
-                               tolerances={}, seed=11007))
-    assert [c[:2] for c in calls[4:]] == [(2007, 100), (11007, 20)]
-    assert uwform_report["max_uw_ccr_residual"] == ultraweak
-    assert sin_report["max_uw_ccr_residual"] == sin
+    with monkeypatch.context() as mp:
+        spy_on_runs(mp, lambda report: report.update(passed=False))
+        assert criterion(tol, seed)[0] is False
+    if spoil is not None:
+        spoil(monkeypatch)
+        runs = spy_on_runs(monkeypatch)
+        assert criterion(tol, seed)[0] is False
+        assert [r["passed"] for _, r in runs] == [must for *_, must in expected]

@@ -16,11 +16,10 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import timeops
-from timeops import acceptance, cli, timeop, uwform
-from timeops.acceptance import DEFAULT_TOLERANCES
-from timeops.cli import RunConfig, main, run
+from timeops import cli, timeop, uwform
+from timeops.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
-from timeops.timeop import assemble_time_operator
+from timeops.timeop import assemble_time_operator, osc_timeop_extremes
 
 
 def _strip_timings(obj):
@@ -194,15 +193,27 @@ class TestSubcommands:
         assert report["passed"] is True
         assert report["channel_count"] == 9
 
-    def test_decompose_reads_the_config_exponent(self, tmp_path):
+    @pytest.mark.parametrize("section,p", [
+        ({"kind": "timeop"}, 50.0),
+        ({"kind": "uwform"}, 50.0),
+        ({"kind": "ftransform", "function": {"kind": "sin", "params": [0.3]}}, 50.0),
+        # an ftransform section gives p even before it names its function
+        ({"kind": "ftransform"}, 50.0),
+        # oscspec has no p field: its section is not read
+        ({"kind": "oscspec"}, 2.0),
+    ])
+    def test_decompose_reads_the_config_exponent(self, tmp_path, section, p):
         cfg = {
             "model": {"kind": "hydrogen", "n_max": 3},
-            "pipeline": {"kind": "timeop", "p": 50.0},
+            "pipeline": {**section, "p": 50.0},
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["decompose", "--config", str(path), "--out", str(tmp_path)]) == 0
-        assert _read(tmp_path / "decomposition.json")["p"] == 50.0
+        doc = _read(tmp_path / "decomposition.json")
+        assert doc["p"] == p
+        # the decomposition the form pipelines build from the same file
+        assert doc == json.loads(json.dumps(uwform.assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 3), p)[0].to_json()))
         # a flag overrides the file, as it does for timeop
         assert main(["decompose", "--config", str(path), "--p", "3",
                      "--out", str(tmp_path)]) == 0
@@ -449,6 +460,38 @@ class TestSubcommands:
         assert csv_text[0] == "size,lambda_min,lambda_max"
         assert len(csv_text) == 3
 
+    def test_oscspec_rows_are_the_measured_extremes(self):
+        sizes = [4, 16, 64]
+        report = run(RunConfig(model={}, pipeline={"kind": "oscspec", "omega": 2.0, "sizes": sizes}, tolerances={}))
+        assert [row["size"] for row in report["rows"]] == sizes
+        assert [(row["lambda_min"], row["lambda_max"]) for row in report["rows"]] == [
+            osc_timeop_extremes(2.0, n) for n in sizes]
+        assert all(row["within_bound"] is True for row in report["rows"])
+        assert report["monotone_nondecreasing"] is True and report["passed"] is True
+
+    @staticmethod
+    def _oscspec_with(monkeypatch, extremes, slack):
+        """The oscspec report at omega = 2 when sizes 2, 3, ... have the given extremes."""
+        monkeypatch.setattr(cli, "osc_timeop_extremes", lambda omega, n: extremes[n - 2])
+        return run(RunConfig(model={}, pipeline={"kind": "oscspec", "omega": 2.0,
+                                                   "sizes": list(range(2, 2 + len(extremes)))},
+                             tolerances={"toeplitz_bound_slack": slack}))
+
+    def test_oscspec_bound_is_pi_over_omega_plus_slack(self, monkeypatch):
+        bound = math.pi / 2.0
+        report = self._oscspec_with(monkeypatch, [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, bound + 1e-3)], 2e-3)
+        assert report["symbol_bound"] == bound
+        assert [row["within_bound"] for row in report["rows"]] == [True, True, True]
+        report = self._oscspec_with(monkeypatch, [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, 1.0)], 0.0)
+        assert [row["within_bound"] for row in report["rows"]] == [False, False, True]
+        assert report["passed"] is False
+
+    def test_oscspec_a_falling_maximum_is_not_monotone(self, monkeypatch):
+        report = self._oscspec_with(monkeypatch, [(-1.0, 1.0), (-1.1, 1.1), (-1.05, 1.05)], 0.0)
+        assert report["monotone_nondecreasing"] is False and report["passed"] is False
+        report = self._oscspec_with(monkeypatch, [(-1.0, 1.0), (-1.0, 1.0)], 0.0)
+        assert report["monotone_nondecreasing"] is True and report["passed"] is True
+
     def test_abweyl(self, tmp_path):
         code = main(["abweyl", "--N", "512", "--steps", "2",
                      "--out", str(tmp_path)])
@@ -635,14 +678,14 @@ class TestEveryVerdictCanFail:
 
     @pytest.mark.parametrize("kernel", ["s0_strong_relation_check", "s0_symmetry_residual"])
     def test_s0check(self, tmp_path, monkeypatch, kernel):
-        real = getattr(acceptance, kernel)
+        real = getattr(cli, kernel)
         if kernel == "s0_strong_relation_check":
             # the 50th of 100 samples of the strong relation off by one ulp
             samples = iter(range(100))
             perturbed = lambda s, t: (False, 2.0 ** -52) if next(samples) == 49 else real(s, t)
         else:
             perturbed = lambda f, g, *rest: real(f, g, *rest) + 1e-8
-        monkeypatch.setattr(acceptance, kernel, perturbed)
+        monkeypatch.setattr(cli, kernel, perturbed)
         report = self._run(tmp_path, "s0check")
         if kernel == "s0_strong_relation_check":
             assert report["strong_relation_all_exact"] is False
@@ -841,10 +884,10 @@ class TestSelftestCommand:
         code = main(["selftest", "--out", str(tmp_path)])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert sum(1 for ln in lines if ln.startswith("PASS ")) >= 10
+        assert sum(1 for ln in lines if ln.startswith("PASS ")) >= 9
         report = _read(tmp_path / "selftest_report.json")
         assert report["passed"] is True
-        assert len(report["criteria"]) == 10
+        assert len(report["criteria"]) == 9
         assert all(c["passed"] for c in report["criteria"])
 
     def test_zero_tolerance_forces_failure(self, tmp_path):
@@ -871,6 +914,15 @@ class TestSelftestCommand:
         assert err.startswith("error: ")
         assert not (tmp_path / "selftest_report.json").exists()
 
+    @pytest.mark.parametrize("args,config", [(["--seed", "-1"], {}), ([], {"seed": -3})])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, args, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["selftest", *args, "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not (tmp_path / "selftest_report.json").exists()
+
     def test_reports_are_byte_deterministic(self, tmp_path):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
@@ -885,6 +937,18 @@ class TestEntryPoints:
     def test_package_exports_the_cli(self):
         assert timeops.run is cli.run
         assert timeops.RunConfig is cli.RunConfig
+
+    @pytest.mark.parametrize("first,second", [("acceptance", "cli"), ("cli", "acceptance")])
+    def test_cli_and_acceptance_import_in_either_order(self, first, second):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = (f"import timeops.{first}, timeops.{second}\n"
+                "assert timeops.acceptance.run is timeops.cli.run\n"
+                "assert timeops.cli.acceptance is timeops.acceptance")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_module_runs_without_a_runtime_warning(self, tmp_path):
         # ``python -m timeops.cli`` still warns: the package imports the CLI

@@ -19,6 +19,8 @@ from timeops.spectra import (
     rabi_hamiltonian,
 )
 
+from dense_reference import rabi_chain_labels
+
 
 class TestHarmonic:
     def test_one_dimensional_levels(self):
@@ -230,8 +232,9 @@ class TestRabiParityBlocks:
     def test_labels_permute_the_dense_matrix_into_the_blocks(self, cutoff):
         h = rabi_hamiltonian(0.5, 1.3, 0.7, cutoff)
         dense, labels = dense_rabi(0.5, 1.3, 0.7, cutoff)
-        assert sorted(h.basis_labels) == sorted(labels)
-        order = [labels.index(label) for label in h.basis_labels]
+        chains = rabi_chain_labels(cutoff)
+        assert sorted(chains) == sorted(labels)
+        order = [labels.index(label) for label in chains]
         permuted = dense[np.ix_(order, order)]
         size = cutoff + 1
         expected = np.zeros_like(dense)
@@ -240,8 +243,7 @@ class TestRabiParityBlocks:
         np.testing.assert_allclose(permuted, expected, rtol=0.0, atol=1e-14 * np.max(np.abs(dense)))
 
     def test_chains_alternate_the_spin(self):
-        h = rabi_hamiltonian(0.5, 1.0, 0.3, 3)
-        assert h.basis_labels == (
+        assert rabi_chain_labels(3) == (
             "up|n=0", "down|n=1", "up|n=2", "down|n=3",
             "down|n=0", "up|n=1", "down|n=2", "up|n=3",
         )
@@ -250,9 +252,8 @@ class TestRabiParityBlocks:
 class TestRabi:
     def test_dimension_and_labels(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 5)
-        assert h.dimension == 12
-        assert h.basis_labels[0] == "up|n=0"
-        assert h.basis_labels[6] == "down|n=0"
+        assert h.dimension == 12 == len(rabi_chain_labels(5))
+        assert [b.shape for b in h.blocks] == [(6, 6), (6, 6)]
 
     def test_uncoupled_eigenvalues_are_shifted_ladders(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.0, 30)
@@ -316,21 +317,19 @@ class TestHermitianMatrix:
     def test_rejects_non_hermitian_data(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
-            HermitianMatrix(2, (bad,), ("a", "b"))
+            HermitianMatrix(2, (bad,))
         with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianMatrix(3, (np.eye(1), bad), ("a", "b", "c"))
+            HermitianMatrix(3, (np.eye(1), bad))
 
     def test_rejects_nan_data(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianMatrix(2, (np.eye(1), [[math.nan]]), ("a", "b"))
+            HermitianMatrix(2, (np.eye(1), [[math.nan]]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            HermitianMatrix(3, (np.zeros((2, 2), dtype=complex),), ("a", "b", "c"))
+            HermitianMatrix(3, (np.zeros((2, 2), dtype=complex),))
         with pytest.raises(ValueError, match="square"):
-            HermitianMatrix(2, (np.zeros((1, 2)),), ("a", "b"))
-        with pytest.raises(ValueError, match="label"):
-            HermitianMatrix(2, (np.eye(2),), ("a",))
+            HermitianMatrix(2, (np.zeros((1, 2)),))
 
     def test_data_is_read_only(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 3)
@@ -339,5 +338,5 @@ class TestHermitianMatrix:
                 block[0, 0] = 5.0
 
     def test_eigenvalues_merge_the_blocks(self):
-        h = HermitianMatrix(3, (np.diag([4.0, -1.0]), [[2.0]]), ("a", "b", "c"))
+        h = HermitianMatrix(3, (np.diag([4.0, -1.0]), [[2.0]]))
         assert np.array_equal(h.eigenvalues(), [-1.0, 2.0, 4.0])

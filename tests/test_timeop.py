@@ -29,7 +29,6 @@ from timeops.timeop import (
     ccr_check,
     ccr_residuals,
     osc_timeop_extremes,
-    oscillator_bound_rows,
     random_difference_stack,
 )
 
@@ -485,34 +484,6 @@ class TestOscillatorSpectrum:
         assert np.max(np.abs(svd_spectrum(2.5, n) - dense_spectrum(2.5, n))) <= 1e-14 * math.pi / 2.5
 
 
-class TestOscillatorBoundRows:
-    """The one bound-and-monotone verdict that oscspec and the acceptance suite share."""
-
-    def test_rows_from_measured_extremes(self):
-        sizes = (4, 16, 64)
-        extremes = [osc_timeop_extremes(2.0, n) for n in sizes]
-        rows, monotone = oscillator_bound_rows(sizes, extremes, 2.0, 1e-9)
-        assert [row["size"] for row in rows] == list(sizes)
-        assert [(row["lambda_min"], row["lambda_max"]) for row in rows] == extremes
-        assert all(row["within_bound"] is True for row in rows)
-        assert monotone is True
-
-    def test_bound_is_pi_over_omega_plus_slack(self):
-        bound = math.pi / 2.0
-        rows, _ = oscillator_bound_rows(
-            (2, 3, 4), [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, bound + 1e-3)], 2.0, 2e-3)
-        assert [row["within_bound"] for row in rows] == [True, True, True]
-        rows, _ = oscillator_bound_rows(
-            (2, 3, 4), [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, 1.0)], 2.0, 0.0)
-        assert [row["within_bound"] for row in rows] == [False, False, True]
-
-    def test_a_falling_maximum_is_not_monotone(self):
-        _, monotone = oscillator_bound_rows((2, 3, 4), [(-1.0, 1.0), (-1.1, 1.1), (-1.05, 1.05)], 1.0, 0.0)
-        assert monotone is False
-        _, monotone = oscillator_bound_rows((2, 3), [(-1.0, 1.0), (-1.0, 1.0)], 1.0, 0.0)
-        assert monotone is True
-
-
 class TestRealHermitianSolve:
     """Blocks are solved as given: real symmetric stays real, complex stays complex."""
 
@@ -525,7 +496,7 @@ class TestRealHermitianSolve:
 
     def test_complex_data_keeps_the_complex_solve(self):
         data = np.array([[1.0, 2.0j], [-2.0j, -1.0]])
-        ev = HermitianMatrix(2, (data,), ("a", "b")).eigenvalues()
+        ev = HermitianMatrix(2, (data,)).eigenvalues()
         np.testing.assert_allclose(ev, [-math.sqrt(5.0), math.sqrt(5.0)], rtol=1e-14)
 
 

@@ -7,7 +7,7 @@ import pytest
 from dataclasses import dataclass, replace
 
 from timeops import timeop, uwform
-from timeops.acceptance import DEFAULT_TOLERANCES
+from timeops.cli import DEFAULT_TOLERANCES
 from timeops.decompose import decompose_spectrum
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
 from timeops.timeop import ChannelStack, MatrixKind
