@@ -48,7 +48,6 @@ from .uwform import (
     uw_ccr_sweep,
 )
 from .contspec import (
-    AffineExpCombination,
     ExpCombination,
     GridState,
     make_packet,

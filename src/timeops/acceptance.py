@@ -91,9 +91,10 @@ def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
             pairs_total += c * len(stack)
             allowed = ccr_allowed(g, tol)
             ok = ok and bool(np.all(worst <= allowed))
-            worst_abs = max(worst_abs, float(np.max(worst)))
+            # np.maximum, not max: a NaN residual shows in the details
+            worst_abs = float(np.maximum(worst_abs, np.max(worst)))
             ratio = np.divide(worst, allowed, out=np.zeros_like(worst), where=allowed > 0.0)
-            worst_ratio = max(worst_ratio, float(np.max(ratio)))
+            worst_ratio = float(np.maximum(worst_ratio, np.max(ratio)))
     return ok, {
         "hydrogen_states": hyd.total_states,
         "hydrogen_channels": deco.channel_count,
@@ -252,11 +253,15 @@ def criterion_transforms(tol: dict, seed: int) -> tuple[bool, dict]:
     return ok, {
         "admissible_all": all(r["admissible"] for r in reports.values()),
         "channel_counts": {name: r["channel_count"] for name, r in reports.items()},
-        "max_uw_ccr_residual": max(residuals.values()),
+        "max_uw_ccr_residual": float(np.max(list(residuals.values()))),
         "per_transform_residuals": residuals,
+        "min_uncertainty_value": float(np.min([r["min_uncertainty_value"] for r in reports.values()])),
+        "im_identity_defect": float(np.max([r["im_identity_defect"] for r in reports.values()])),
         "resonant_beta": beta,
         "resonant_witness_correct": witness_ok,
         "tolerance_uw_ccr": tol["uw_ccr"],
+        "tolerance_uncertainty_slack": tol["uncertainty_slack"],
+        "tolerance_im_identity": tol["im_identity"],
     }
 
 
@@ -270,12 +275,13 @@ def criterion_scaling(tol: dict, seed: int) -> tuple[bool, dict]:
         np.sort(np.array([-1.0 / n ** 2 for n in range(1, 7)])),
     ]
     alphas = (0.5, 2.0, 10.0)
-    worst = 0.0
+    defects = []
     for base in bases:
         (g,) = ChannelStack([base, *(alpha * base for alpha in alphas)], MatrixKind.DIRECT).groups
         reference = 1j * g.stack[0]
-        for alpha, generator in zip(alphas, g.stack[1:]):
-            worst = max(worst, float(np.max(np.abs(1j * generator - reference / alpha))))
+        defects += [np.max(np.abs(1j * generator - reference / alpha)) for alpha, generator in zip(alphas, g.stack[1:])]
+    # np.max, not max: a NaN defect fails the gate instead of being skipped
+    worst = float(np.max(defects))
     ok = worst <= tol["scaling_entrywise"]
     return ok, {
         "alphas": list(alphas),

@@ -32,8 +32,9 @@ is mapped by the model time operator into affine combinations
 
     Y exp(i s lambda) = (-s - i lambda) exp(i s lambda),
 
-so the strong relation exp(itH) Y exp(-itH) = Y + t can be verified as
-an identity between coefficient lists, with no quadrature at all.
+held as (a, b, s) coefficient triples, so the strong relation
+exp(itH) Y exp(-itH) = Y + t can be verified as an identity between
+triples in exact rational arithmetic, with no quadrature at all.
 Symmetry of Y in the rho inner product is the one statement that does
 need integration; Gauss-Hermite handles it to near machine precision
 once the order clears a frequency-dependent floor.
@@ -43,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +53,6 @@ __all__ = [
     "make_packet",
     "weak_weyl_residuals",
     "ExpCombination",
-    "AffineExpCombination",
     "s0_apply",
     "s0_strong_relation_check",
     "s0_symmetry_residual",
@@ -414,84 +415,62 @@ def _gauss_hermite(order: int):
 
 @dataclass(frozen=True)
 class ExpCombination:
-    """Finite combination sum_j c_j exp(i s_j lambda)."""
+    """Finite combination sum_j c_j exp(i s_j lambda); its (c, s) terms keep their number type until evaluated."""
 
-    terms: tuple[tuple[complex, float], ...]
+    terms: tuple
 
     def __post_init__(self) -> None:
-        packed = tuple((complex(c), float(s)) for c, s in self.terms)
-        if not packed:
+        terms = tuple(self.terms)
+        if not terms:
             raise ValueError("an exponential combination needs at least one term")
-        object.__setattr__(self, "terms", packed)
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, lam):
         lam = np.asarray(lam, dtype=float)
         out = np.zeros(lam.shape, dtype=complex)
         for c, s in self.terms:
-            out += c * np.exp(1j * s * lam)
+            out += complex(c) * np.exp(1j * float(s) * lam)
         return out
 
     @property
     def max_frequency(self) -> float:
-        return max(abs(s) for _, s in self.terms)
+        return float(max(abs(s) for _, s in self.terms))
 
 
-@dataclass(frozen=True)
-class AffineExpCombination:
-    """Finite combination sum_j (a_j + b_j lambda) exp(i s_j lambda)."""
-
-    terms: tuple[tuple[complex, complex, float], ...]
-
-    def __post_init__(self) -> None:
-        packed = tuple((complex(a), complex(b), float(s)) for a, b, s in self.terms)
-        if not packed:
-            raise ValueError("an affine combination needs at least one term")
-        object.__setattr__(self, "terms", packed)
-
-    def evaluate(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros(lam.shape, dtype=complex)
-        for a, b, s in self.terms:
-            out += (a + b * lam) * np.exp(1j * s * lam)
-        return out
-
-    @property
-    def max_frequency(self) -> float:
-        return max(abs(s) for _, _, s in self.terms)
-
-
-def s0_apply(f: ExpCombination) -> AffineExpCombination:
+def s0_apply(f: ExpCombination) -> tuple:
     """Action of the model time operator on an exponential combination.
 
-    Termwise, c exp(i s lambda) goes to (-s c - i c lambda) exp(i s lambda).
+    Termwise, c exp(i s lambda) goes to (-s c - i c lambda) exp(i s lambda),
+    returned as (a, b, s) = (-s c, -i c, s) triples of
+    sum_j (a_j + b_j lambda) exp(i s_j lambda), in the terms' number type.
     The coefficient map encodes the log-derivative -2 lambda of the
     Gaussian reference density, the only density this class is defined on.
     """
-    return AffineExpCombination(
-        terms=tuple((-s * c, -1j * c, s) for c, s in f.terms)
-    )
+    return tuple((-s * c, -1j * c, s) for c, s in f.terms)
 
 
-def s0_strong_relation_check(s: float, t: float):
+def _affine_values(triples: tuple, lam: np.ndarray) -> np.ndarray:
+    """sum_j (a_j + b_j lambda) exp(i s_j lambda) at the points ``lam``."""
+    out = np.zeros(lam.shape, dtype=complex)
+    for a, b, s in triples:
+        out += (complex(a) + complex(b) * lam) * np.exp(1j * float(s) * lam)
+    return out
+
+
+def s0_strong_relation_check(s, t) -> bool:
     """Verify exp(itH) Y exp(-itH) = Y + t on the exponential exp(i s lambda).
 
-    Both sides are reduced to affine coefficient triples through the same
-    termwise machinery: the left side conjugates the frequency by -t and
-    shifts it back, the right side adds t to the constant coefficient.
-    Returns (exact, defect) where defect is the largest coefficient
-    mismatch; exact means the triples agree bit for bit.
+    s and t are read as ``Fraction``s (a float converts exactly), and
+    both sides are reduced to coefficient triples by ``s0_apply``: the
+    left side conjugates the frequency by -t and shifts it back, the
+    right side adds t to the constant coefficient.  True when the
+    triples are equal, which exact arithmetic decides without rounding.
     """
-    s = float(s)
-    t = float(t)
-    conjugated = s0_apply(ExpCombination(terms=((1.0 + 0.0j, s - t),)))
-    # multiply by exp(i t lambda): frequencies shift, coefficients stay
-    left = tuple((a, b, freq + t) for a, b, freq in conjugated.terms)
-    plain = s0_apply(ExpCombination(terms=((1.0 + 0.0j, s),)))
-    right = tuple((a + t, b, freq) for a, b, freq in plain.terms)
-    defect = 0.0
-    for (la, lb, lf), (ra, rb, rf) in zip(left, right):
-        defect = max(defect, abs(la - ra), abs(lb - rb), abs(lf - rf))
-    return defect == 0.0, defect
+    s, t = Fraction(s), Fraction(t)
+    ((la, lb, lf),) = s0_apply(ExpCombination(((Fraction(1), s - t),)))
+    ((ra, rb, rf),) = s0_apply(ExpCombination(((Fraction(1), s),)))
+    # multiplying by exp(i t lambda) shifts the frequency and keeps the coefficients
+    return (la, lb, lf + t) == (ra + t, rb, rf)
 
 
 def _required_order(max_frequency: float) -> int:
@@ -516,8 +495,8 @@ def s0_symmetry_residual(f: ExpCombination, g: ExpCombination, order: int | None
             f"for maximum frequency {smax:.3g}"
         )
     nodes, weights = _gauss_hermite(order)
-    yf = s0_apply(f).evaluate(nodes)
-    yg = s0_apply(g).evaluate(nodes)
+    yf = _affine_values(s0_apply(f), nodes)
+    yg = _affine_values(s0_apply(g), nodes)
     fv = f.evaluate(nodes)
     gv = g.evaluate(nodes)
     left = np.sum(weights * np.conj(yf) * gv)

@@ -385,9 +385,6 @@ class FunctionSpec:
         """f~(x) = f(x) - f(0)."""
         return self.evaluate(x) - self.evaluate(0.0)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "params": list(self.params)}
-
     @classmethod
     def from_json(cls, payload: dict) -> "FunctionSpec":
         return cls(kind=FunctionKind(payload["kind"]), params=tuple(payload["params"]))

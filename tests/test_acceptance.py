@@ -6,6 +6,10 @@ criterion misses either its numeric tolerance or its runtime limit.
 """
 
 
+import math
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -148,6 +152,15 @@ def test_zero_residual_tolerance_fails_a_criterion(name, readers):
     assert any(not criterion(tol, 7)[0] for criterion in readers[name])
 
 
+def test_transforms_details_show_the_uncertainty_checks():
+    (transforms,) = [r for r in run_all({"im_identity": 0.0}) if r.name == "transforms"]
+    details = transforms.details
+    assert transforms.passed is False
+    assert details["im_identity_defect"] > details["tolerance_im_identity"] == 0.0
+    assert details["min_uncertainty_value"] >= 0.5 - details["tolerance_uncertainty_slack"]
+    assert details["max_uw_ccr_residual"] <= details["tolerance_uw_ccr"]
+
+
 def rebuilt(deco, channels, levels):
     """``deco`` with its channels and certificates replaced, given one sequence per channel."""
     flat = [np.concatenate([np.zeros(0, dtype=np.int64), *map(np.asarray, seqs)]) for seqs in (channels, levels)]
@@ -195,7 +208,8 @@ class TestEveryCriterionCanFail:
         assert passed is False and details["bounds_true"] == details["bounds_checked"]
         assert details["cutoff_stability"] > details["tolerance_rabi_stability"]
 
-    def test_scaling(self, monkeypatch):
+    @staticmethod
+    def _rescaled_off(monkeypatch):
         # every rescaled generator off by a relative 1e-11, still antisymmetric
         build = timeop._generator_stack
 
@@ -205,9 +219,27 @@ class TestEveryCriterionCanFail:
             return a
 
         monkeypatch.setattr(timeop, "_generator_stack", perturbed)
+
+    @staticmethod
+    def _one_nan(monkeypatch):
+        # one NaN entry in one rescaled stack row, which Python's max would skip;
+        # the stack build refuses NaN, so it is planted after the build
+        build = acceptance.ChannelStack
+
+        def poisoned(channels, kind):
+            (g,) = build(channels, kind).groups
+            stack = g.stack.copy()
+            stack[2, 0, 1] = math.nan
+            return SimpleNamespace(groups=(replace(g, stack=stack),))
+
+        monkeypatch.setattr(acceptance, "ChannelStack", poisoned)
+
+    @pytest.mark.parametrize("perturb", ["_rescaled_off", "_one_nan"])
+    def test_scaling(self, monkeypatch, perturb):
+        getattr(self, perturb)(monkeypatch)
         passed, details = acceptance.criterion_scaling(resolve_tolerances(), 7)
         assert passed is False
-        assert details["worst_entrywise_defect"] > details["tolerance_scaling_entrywise"]
+        assert not details["worst_entrywise_defect"] <= details["tolerance_scaling_entrywise"]
 
 
 # ------------------------------------------------ one check per identity

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import timeops
-from timeops import cli, timeop, uwform
+from timeops import cli, contspec, timeop, uwform
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, osc_timeop_extremes
@@ -492,13 +492,16 @@ class TestSubcommands:
         report = self._oscspec_with(monkeypatch, [(-1.0, 1.0), (-1.0, 1.0)], 0.0)
         assert report["monotone_nondecreasing"] is True and report["passed"] is True
 
-    def test_abweyl(self, tmp_path):
+    def test_abweyl(self, tmp_path, monkeypatch):
+        grids = []
+        sweep = cli.weak_weyl_residuals
+        monkeypatch.setattr(cli, "weak_weyl_residuals", lambda state, times: grids.append(state.size) or sweep(state, times))
         code = main(["abweyl", "--N", "512", "--steps", "2",
                      "--out", str(tmp_path)])
         assert code == 0
+        assert grids == [512]   # one sweep, on the N grid only
         report = _read(tmp_path / "abweyl_report.json")
         assert report["max_residual"] <= 1e-6
-        assert "refinement_ratio" in report
         csv_text = (tmp_path / "abweyl_sweep.csv").read_text().splitlines()
         assert csv_text[0] == "t,residual"
         assert len(csv_text) == 3
@@ -676,21 +679,26 @@ class TestEveryVerdictCanFail:
         report = self._run(tmp_path, "abweyl")
         assert report["max_residual"] > report["tolerances"]["grid_residual"]
 
-    @pytest.mark.parametrize("kernel", ["s0_strong_relation_check", "s0_symmetry_residual"])
-    def test_s0check(self, tmp_path, monkeypatch, kernel):
-        real = getattr(cli, kernel)
-        if kernel == "s0_strong_relation_check":
-            # the 50th of 100 samples of the strong relation off by one ulp
-            samples = iter(range(100))
-            perturbed = lambda s, t: (False, 2.0 ** -52) if next(samples) == 49 else real(s, t)
+    @pytest.mark.parametrize("case", ["s0_apply", "s0_symmetry_residual", "nan_symmetry_residual"])
+    def test_s0check(self, tmp_path, monkeypatch, case):
+        if case == "s0_apply":
+            # the coefficient map with a = -2sc in place of -sc: the strong relation's Y + t no longer comes out
+            apply = contspec.s0_apply
+            monkeypatch.setattr(contspec, "s0_apply", lambda f: tuple((2 * a, b, s) for a, b, s in apply(f)))
         else:
-            perturbed = lambda f, g, *rest: real(f, g, *rest) + 1e-8
-        monkeypatch.setattr(cli, kernel, perturbed)
+            residual = cli.s0_symmetry_residual
+            pairs = iter(range(25))
+            if case == "s0_symmetry_residual":
+                perturbed = lambda f, g: residual(f, g) + 1e-8
+            else:
+                # a NaN at the 13th of 25 pairs, which Python's max would skip
+                perturbed = lambda f, g: math.nan if next(pairs) == 12 else residual(f, g)
+            monkeypatch.setattr(cli, "s0_symmetry_residual", perturbed)
         report = self._run(tmp_path, "s0check")
-        if kernel == "s0_strong_relation_check":
+        if case == "s0_apply":
             assert report["strong_relation_all_exact"] is False
         else:
-            assert report["strong_relation_all_exact"] is True and report["symmetry_max_residual"] > 1e-8
+            assert report["strong_relation_all_exact"] is True and not report["symmetry_max_residual"] <= 1e-8
 
 
 class TestFieldTable:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -556,44 +557,87 @@ class TestGaussianDensity:
         first = s0_symmetry_residual(f, g)
         nodes, weights = np.polynomial.hermite.hermgauss(64)
         weights = weights / math.sqrt(math.pi)
-        yf, yg = s0_apply(f).evaluate(nodes), s0_apply(g).evaluate(nodes)
+        yf, yg = (affine_values(s0_apply(h), nodes) for h in (f, g))
         left = np.sum(weights * np.conj(yf) * g.evaluate(nodes))
         right = np.sum(weights * np.conj(f.evaluate(nodes)) * yg)
         assert first == s0_symmetry_residual(f, g) == float(abs(left - right))
 
 
+def affine_values(triples, lam):
+    """Reference: sum_j (a_j + b_j lambda) exp(i s_j lambda), term by term."""
+    out = np.zeros(np.shape(lam), dtype=complex)
+    for a, b, s in triples:
+        out += (complex(a) + complex(b) * lam) * np.exp(1j * float(s) * lam)
+    return out
+
+
+def float_strong_relation(s, t):
+    """The strong relation on floats: fl(fl(s - t) + t) == s, which rounding alone can break."""
+    return (s - t) + t == s
+
+
 class TestS0Class:
     def test_constant_maps_to_minus_i_lambda(self):
-        out = s0_apply(ExpCombination(terms=((1.0 + 0.0j, 0.0),)))
-        ((a, b, s),) = out.terms
+        ((a, b, s),) = out = s0_apply(ExpCombination(terms=((1.0 + 0.0j, 0.0),)))
         assert a == 0.0 and b == -1.0j and s == 0.0
         lam = np.linspace(-2.0, 2.0, 9)
-        np.testing.assert_allclose(out.evaluate(lam), -1j * lam, atol=1e-15)
+        np.testing.assert_allclose(affine_values(out, lam), -1j * lam, atol=1e-15)
 
     def test_plane_wave_picks_up_affine_factor(self):
-        out = s0_apply(ExpCombination(terms=((1.0 + 0.0j, 1.0),)))
-        ((a, b, s),) = out.terms
+        ((a, b, s),) = out = s0_apply(ExpCombination(terms=((1.0 + 0.0j, 1.0),)))
         assert (a, b, s) == (-1.0 + 0.0j, -1.0j, 1.0)
         lam = 0.7
         expected = (-1.0 - 1j * lam) * np.exp(1j * lam)
-        assert out.evaluate(np.array([lam]))[0] == pytest.approx(expected, abs=1e-15)
+        assert affine_values(out, np.array([lam]))[0] == pytest.approx(expected, abs=1e-15)
 
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
             ExpCombination(terms=())
 
+    def test_terms_keep_their_number_type(self):
+        f = ExpCombination(terms=((Fraction(1, 3), Fraction(-7, 10)),))
+        assert f.terms == ((Fraction(1, 3), Fraction(-7, 10)),)
+        ((a, b, s),) = s0_apply(f)
+        assert a == Fraction(7, 30) and type(a) is Fraction and s == Fraction(-7, 10)
+        assert b == -1j / 3
+        # converted only when evaluated
+        assert f.evaluate(np.array([0.5]))[0] == (1 / 3) * np.exp(1j * -0.7 * 0.5)
+        assert f.max_frequency == 0.7
+
     def test_strong_relation_examples(self):
-        exact, defect = s0_strong_relation_check(2.0, 3.0)
-        assert exact and defect == 0.0
-        exact, defect = s0_strong_relation_check(0.0, 0.0)
-        assert exact and defect == 0.0
+        assert s0_strong_relation_check(2.0, 3.0) is True
+        assert s0_strong_relation_check(0.0, 0.0) is True
+        assert s0_strong_relation_check(Fraction(1, 3), Fraction(-2, 7)) is True
 
     def test_strong_relation_random_parameters(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             s, t = rng.uniform(-4.0, 4.0, 2)
-            exact, defect = s0_strong_relation_check(s, t)
-            assert exact, f"defect {defect} at (s={s}, t={t})"
+            assert s0_strong_relation_check(s, t), f"(s={s}, t={t})"
+
+    @pytest.mark.parametrize("draw", [
+        # one-decimal values, and |t| up to 1e3 against |s| <= 4
+        lambda rng: np.round(rng.uniform(-4.0, 4.0, 2), 1),
+        lambda rng: (rng.uniform(-4.0, 4.0), rng.uniform(-1e3, 1e3)),
+    ], ids=["one decimal", "large t"])
+    def test_strong_relation_is_exact_where_floats_round(self, draw):
+        rng = np.random.default_rng(2)
+        pairs = [tuple(map(float, draw(rng))) for _ in range(1000)]
+        assert all(s0_strong_relation_check(s, t) for s, t in pairs)
+        # the same draws on floats: a third or more fail from rounding alone
+        assert sum(not float_strong_relation(s, t) for s, t in pairs) > 300
+
+    def test_strong_relation_fails_under_a_perturbed_map(self, monkeypatch):
+        apply = contspec.s0_apply
+        monkeypatch.setattr(contspec, "s0_apply", lambda f: tuple((2 * a, b, s) for a, b, s in apply(f)))
+        assert s0_strong_relation_check(1.5, 0.0) is True   # t = 0 conjugates nothing
+        assert s0_strong_relation_check(1.5, 0.1) is False
+        assert s0_strong_relation_check(Fraction(1, 3), Fraction(-2, 7)) is False
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_strong_relation_refuses_non_finite_parameters(self, value):
+        with pytest.raises((ValueError, OverflowError)):
+            s0_strong_relation_check(value, 1.0)
 
     def test_symmetry_residual_plane_wave(self):
         f = ExpCombination(terms=((1.0 + 0.0j, 1.0),))

@@ -402,6 +402,27 @@ def _hydrogen_form(n_max, transform):
     return f_transform_form(TRANSFORMS[transform], s)[2]
 
 
+def planted_uncertainty_draw(form, seed, count):
+    """The uncertainty sweep's draw for ``count`` checks, each center a planted where Re z = 0.
+
+    z = t[(H - b) psi, psi] - a <(H - b) psi, psi> with a real second
+    factor, so a = Re t[(H - b) psi, psi] / <(H - b) psi, psi> leaves
+    z = i Im z: the bound |z| >= 1/2 at its edge.  psi and b come from
+    the draw as the sweep reads it, through the per-vector references.
+    """
+    n = form.total_dimension
+    draw = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 2 + 2 * n))
+    a_span = 2.0 * max(float(np.max(g.scale)) for g in form.groups)
+    b_span = 2.0 * max(float(np.max(np.abs(g.eigenvalues))) for g in form.groups)
+    h = np.concatenate(form.eigenvalues)
+    for row in draw:
+        psi = project_to_ccr_domain(form, row[2:2 + n] + 1j * row[2 + n:])
+        psi /= np.linalg.norm(psi)
+        shifted = h * psi - b_span * row[1] * psi
+        row[0] = evaluate_form(form, shifted, psi).real / np.vdot(shifted, psi).real / a_span
+    return draw
+
+
 class TestSweepKernels:
     @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
     def test_uw_ccr_sweep_matches_the_loop(self, case):
@@ -474,6 +495,21 @@ class TestSweepKernels:
             reference_uw_ccr_sweep(rng, channel_form(form, i), 3)
             assert np.array_equal(batched[i].stream(), rng.stream())
             assert batched[i].calls == 1
+
+    def test_uncertainty_bound_is_checked_at_its_edge(self):
+        tol = DEFAULT_TOLERANCES
+        form = _hydrogen_form(16, "none")
+        # random centers keep |z| far above 1/2; planted ones put it on the bound
+        assert uncertainty_sweep(np.random.default_rng(4), form, 10)[0] > 10.0
+        low, _ = uncertainty_sweep(RecordingRng(4, {0: planted_uncertainty_draw(form, 4, 10)}), form, 10)
+        assert abs(low - 0.5) <= tol["im_identity"]
+        # T scaled by 1 - 4 slack: Im z = -(1 - 4 slack)/2, so |z| can fall 2 slack under 1/2
+        shrink = 1.0 - 4.0 * tol["uncertainty_slack"]
+        shrunk = with_groups(form, [replace(g, stack=g.stack * shrink) for g in form.groups])
+        assert uncertainty_sweep(np.random.default_rng(4), shrunk, 10)[0] >= 0.5 - tol["uncertainty_slack"]
+        low, _ = uncertainty_sweep(RecordingRng(4, {0: planted_uncertainty_draw(shrunk, 4, 10)}), shrunk, 10)
+        assert low < 0.5 - tol["uncertainty_slack"]
+        assert low == pytest.approx(0.5 * shrink, abs=tol["im_identity"])
 
     def test_long_sweeps_run_in_chunks_of_the_same_stream(self, monkeypatch):
         form = _sweep_cases()["hydrogen"]
@@ -780,9 +816,10 @@ class TestFunctionSpec:
         assert f.shifted(0.0) == 0.0
 
     def test_json_roundtrip(self):
-        f = FunctionSpec(FunctionKind.SIN, (0.3,))
-        back = FunctionSpec.from_json(f.to_json())
-        assert back == f
+        payload = {"kind": "sin", "params": [0.3]}
+        f = FunctionSpec.from_json(payload)
+        assert f == FunctionSpec(FunctionKind.SIN, (0.3,))
+        assert {"kind": f.kind.value, "params": list(f.params)} == payload
 
 
 class TestAdmissibility:
