@@ -42,10 +42,7 @@ from .uwform import (
     describe_domains,
     f_condition_check,
     f_transform_form,
-    uncertainty_sweep,
-    uw_ccr_channel_sweep,
-    uw_ccr_check,
-    uw_ccr_sweep,
+    uw_ccr_bounds,
 )
 from .contspec import (
     ExpCombination,

@@ -113,13 +113,11 @@ def _run(tol: dict, seed: int, model: dict, **pipeline) -> dict:
 
 def criterion_ultraweak_form(tol: dict, seed: int) -> tuple[bool, dict]:
     """Ultra-weak CCR and the time-energy uncertainty identity and bound: ``uwform`` on hydrogen."""
-    report = _run(tol, seed + 2000, _HYDROGEN, kind="uwform", vectors=100)
-    vectors = report["vectors_per_channel"]
+    report = _run(tol, seed + 2000, _HYDROGEN, kind="uwform")
     return report["passed"], {
-        "pairs_checked": vectors * (sum(c["dimension"] >= 2 for c in report["channels"]) + 1),
+        "channels_certified": sum(c["dimension"] >= 2 for c in report["channels"]),
         "max_uw_ccr_residual": report["max_uw_ccr_residual"],
         "tolerance_uw_ccr": tol["uw_ccr"],
-        "samples": vectors,
         "min_uncertainty_value": report["min_uncertainty_value"],
         "im_identity_defect": report["im_identity_defect"],
         "tolerance_uncertainty_slack": tol["uncertainty_slack"],
@@ -235,7 +233,7 @@ def criterion_transforms(tol: dict, seed: int) -> tuple[bool, dict]:
         "identity": {"kind": "poly", "params": [0.0, 1.0]},
         "sin": {"kind": "sin", "params": [0.3]},
     }
-    reports = {name: _run(tol, seed + 9000 + 1000 * k, _HYDROGEN, kind="ftransform", vectors=20, function=f)
+    reports = {name: _run(tol, seed + 9000 + 1000 * k, _HYDROGEN, kind="ftransform", function=f)
                for k, (name, f) in enumerate(functions.items())}
     residuals = {name: r["max_uw_ccr_residual"] for name, r in reports.items()}
 

@@ -25,7 +25,8 @@ R = -(A D + D A)/2 and D = diag(1/E^2), again real and antisymmetric.
 A direct sum of simple channels is one ``ChannelStack`` of one of these
 three kinds.  It stacks the channels of each dimension d >= 2 into one
 group, whose real (c, d, d) stack is built in one vectorized pass and
-read in place by every kernel.  A channel of dimension 1 has a trivial
+read in place: by the exact-CCR sweep here, by the form's certificate
+in ``uwform``.  A channel of dimension 1 has a trivial
 difference span and no stack row.
 """
 from __future__ import annotations

@@ -16,13 +16,15 @@ ultra-weak commutation identity
 exactly, and drags the time-energy uncertainty bound along with it: for a
 unit vector in that domain the quantity (t - a)[(H - b) psi, psi] has
 imaginary part exactly -1/2 for every choice of real centers a, b, hence
-modulus at least 1/2.
+modulus at least 1/2.  Both identities are certified, not sampled: the
+defect is linear in one matrix per channel, and ``uw_ccr_bounds`` bounds
+it by that matrix's norm, for every pair of unit domain vectors at once.
 
 A form over a direct sum of simple channels is a ``timeop.ChannelStack``
 of kind ``FORM``: for every dimension d >= 2 one group whose channels'
 evaluators iR, R real and antisymmetric, are built in one vectorized
-pass and read in place by every sweep.  A channel of dimension 1 has a
-trivial domain and no evaluator.
+pass and read in place by the certificate.  A channel of dimension 1 has
+a trivial domain and no evaluator.
 
 The second half of the module transports the construction along functions
 of the Hamiltonian.  A shifted symbol f~(x) = f(x) - f(0) applied to the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .decompose import channel_partition, decompose_spectrum
 from .spectra import Accumulation, DiscreteSpectrum
-from .timeop import ChannelStack, MatrixKind, _chunks, _Group
+from .timeop import ChannelStack, MatrixKind, _chunks
 
 __all__ = [
     "FunctionKind",
@@ -52,19 +54,10 @@ __all__ = [
     "AdmissibilityError",
     "describe_domains",
     "assemble_uwform",
-    "uw_ccr_sweep",
-    "uw_ccr_channel_sweep",
-    "uw_ccr_check",
-    "uncertainty_sweep",
+    "uw_ccr_bounds",
     "f_condition_check",
     "f_transform_form",
 ]
-
-#: Per-block membership tolerance for the form's commutation domain.
-CCR_DOMAIN_RTOL = 1e-10
-
-#: Unit-vector tolerance for the uncertainty check.
-UNIT_NORM_ATOL = 1e-12
 
 #: Sin-resonance detector: 2*beta*E within this of a nonzero integer fails.
 SIN_RESONANCE_ATOL = 1e-9
@@ -96,241 +89,46 @@ def assemble_uwform(s: DiscreteSpectrum, p: float = 2.0):
     return deco, ChannelStack.of_decomposition(deco, MatrixKind.FORM)
 
 
-# ------------------------------------------------------------ sweep kernels
+# ------------------------------------------------------------ certificate
 #
-# A sweep checks an identity on stacks of random unit vectors in the
-# commutation domain, group by group.  The vectors of a sweep are held as
-# (c, k, d) arrays, one per group: c channels, k rows.  A row is one
-# vector: a whole-form vector spans every group, a channel vector only
-# its own channel.  Channels of dimension 1 have a trivial domain and
-# hold no coefficients.
+# The ultra-weak CCR is linear in a matrix each channel already holds.
+# With H = diag(E) and the form t[phi, psi] = phi^H (iR) psi,
+#
+#     t[H phi, psi] - t[phi, H psi] + i (phi, psi) = i phi^H M psi,
+#     M = HR - RH + I,   M_nm = (E_n - E_m) R_nm + delta_nm,
+#
+# M real symmetric.  The channel's domain is the orthogonal complement of
+# its eigenvalue row e, with projector P = I - e e^T / |e|^2, so for unit
+# phi and psi there |phi^H M psi| <= |PMP|_2 <= |PMP|_F: one norm covers
+# every pair of unit domain vectors of the channel at once.
 
 
-def _form_groups(form: ChannelStack, nontrivial: bool = True) -> tuple[_Group, ...]:
+def uw_ccr_bounds(form: ChannelStack) -> np.ndarray:
+    """Certified ultra-weak CCR residual of each channel: |PMP|_F, 0 for channels of dimension 1.
+
+    A pair of unit whole-form domain vectors is bounded by the largest
+    value, by Cauchy-Schwarz over the blocks; the uncertainty identity is
+    the phi = psi case, so |Im z + 1/2| is at most half of it.  PMP is
+    built entry by entry, SWEEP_CHUNK entries of a group at a time, and
+    never expanded as |M|^2 - 2|Me|^2/|e|^2 + ...: the entries of M reach
+    the ratio of the channel's extreme eigenvalues, and that expansion
+    cancels to noise.  NaN propagates.
+    """
     if form.kind is not MatrixKind.FORM:
-        raise ValueError(f"the sweeps read an ultra-weak form, not a {form.kind.value} channel stack")
-    if nontrivial and not form.groups:
-        raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
-    return form.groups
-
-
-def _project(e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remove from each (c, k, d) row its component along its channel's eigenvalue row of e (c, d).
-
-    The second pass scrubs the cancellation residue of the first.
-    """
-    ee = np.einsum("cd,cd->c", e, e)[:, None, None]
-    w = v - np.einsum("cd,ckd->ck", e, v)[..., None] / ee * e[:, None, :]
-    return w - np.einsum("cd,ckd->ck", e, w)[..., None] / ee * e[:, None, :]
-
-
-def _squared_norms(v: np.ndarray) -> np.ndarray:
-    """|row|^2 of each (c, k, d) row, shape (c, k)."""
-    return np.einsum("ckd,ckd->ck", v.real, v.real) + np.einsum("ckd,ckd->ck", v.imag, v.imag)
-
-
-def _whole_norms(pieces: list[np.ndarray]) -> np.ndarray:
-    """Norm of each whole-form row, shape (k,)."""
-    return np.sqrt(sum(_squared_norms(p).sum(axis=0) for p in pieces))
-
-
-def _random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-
-
-def _whole_rows(groups: tuple[_Group, ...], v: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Project the (k, n) whole-form vectors v blockwise and normalize each one.
-
-    A row whose projection has norm <= 1e-8 is replaced by a fresh draw
-    from ``rng`` until it clears that, one row at a time after the batch.
-    A NaN row is kept, so the domain check refuses it.
-    """
-    pieces = [_project(g.eigenvalues, v[:, g.index].transpose(1, 0, 2)) for g in groups]
-    norms = _whole_norms(pieces)
-    for row in np.flatnonzero(norms <= 1e-8):
-        while norms[row] <= 1e-8:
-            fresh_row = _random_vector(rng, v.shape[1])
-            fresh = [_project(g.eigenvalues, fresh_row[g.index][:, None, :]) for g in groups]
-            norms[row] = _whole_norms(fresh)[0]
-        for p, f in zip(pieces, fresh):
-            p[:, row] = f[:, 0]
-    with np.errstate(invalid="ignore"):   # a NaN row stays NaN
-        units = [p / norms[:, None] for p in pieces]
-    _require_domain(groups, units, [_whole_norms(units)] * len(groups))
-    return units
-
-
-def _channel_rows(groups: tuple[_Group, ...], v: list[np.ndarray], rngs) -> list[np.ndarray]:
-    """Project each group's (c, k, d) channel vectors and normalize each one on its own.
-
-    A vector whose projection has norm <= 1e-8 is replaced by a fresh
-    draw from its block's generator in ``rngs`` until it clears that, one
-    at a time after the batch.
-    """
-    units = []
-    for g, raw in zip(groups, v):
-        p = _project(g.eigenvalues, raw)
-        norms = np.sqrt(_squared_norms(p))
-        for c, row in zip(*np.nonzero(norms <= 1e-8)):
-            while norms[c, row] <= 1e-8:
-                fresh_row = _random_vector(rngs[g.blocks[c]], raw.shape[2])
-                fresh = _project(g.eigenvalues[c:c + 1], fresh_row[None, None, :])
-                norms[c, row] = math.sqrt(float(_squared_norms(fresh)[0, 0]))
-            p[c, row] = fresh[0, 0]
-        with np.errstate(invalid="ignore"):   # a NaN row stays NaN
-            units.append(p / norms[..., None])
-    _require_domain(groups, units, [np.sqrt(_squared_norms(u)) for u in units])
-    return units
-
-
-def _require_domain(groups: tuple[_Group, ...], units: list[np.ndarray], row_norms: list[np.ndarray]) -> None:
-    """Refuse a vector with any channel piece off its channel's commutation domain.
-
-    The tolerance of a piece is anchored to the norm of its whole row
-    (``row_norms``, broadcast to (c, k)): a nearly annihilated piece is
-    round-off, not a violation.
-    """
-    for g, u, whole in zip(groups, units, row_norms):
-        defects = np.abs(np.einsum("cd,ckd->ck", g.eigenvalues, u))
-        scale = np.linalg.norm(g.eigenvalues, axis=1)[:, None] * whole
-        # written so that NaN fails
-        if not np.all(defects <= CCR_DOMAIN_RTOL * np.maximum(scale, 1e-300)):
-            raise ValueError(
-                "vector lies outside the form's commutation domain "
-                "(some block is not orthogonal to its eigenvalue vector)"
-            )
-
-
-def _apply(g: _Group, v: np.ndarray) -> np.ndarray:
-    """Each channel's evaluator iR applied to its (c, k, d) rows.
-
-    R is real, so one real matrix product per channel takes the real and
-    imaginary parts of the rows stacked, and iR(x + iy) = -Ry + iRx.
-    """
-    k = v.shape[1]
-    parts = np.concatenate([v.real, v.imag], axis=1) @ g.stack.transpose(0, 2, 1)
-    out = np.empty(v.shape, dtype=complex)
-    np.negative(parts[:, k:], out=out.real)
-    out.imag = parts[:, :k]
-    return out
-
-
-def _ccr_terms(groups: tuple[_Group, ...], phi: list[np.ndarray], psi: list[np.ndarray]) -> list[np.ndarray]:
-    """t[H phi, psi] - t[phi, H psi] + i (phi, psi) per channel and row, (c, k) per group."""
-    terms = []
-    for g, f, s in zip(groups, phi, psi):
-        h = g.eigenvalues[:, None, :]
-        a_psi, a_h_psi = np.split(_apply(g, np.concatenate([s, h * s], axis=1)), 2, axis=1)
-        lhs = np.einsum("ckd,ckd->ck", (h * f).conj(), a_psi)
-        rhs = np.einsum("ckd,ckd->ck", f.conj(), a_h_psi)
-        terms.append(lhs - rhs + 1j * np.einsum("ckd,ckd->ck", f.conj(), s))
-    return terms
-
-
-def _whole_pair_residuals(groups: tuple[_Group, ...], draws: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Ultra-weak CCR residual of each pair of whole-form vectors in draws (k, 2, 2, n)."""
-    phi = _whole_rows(groups, draws[:, 0, 0] + 1j * draws[:, 0, 1], rng)
-    psi = _whole_rows(groups, draws[:, 1, 0] + 1j * draws[:, 1, 1], rng)
-    return np.abs(sum(t.sum(axis=0) for t in _ccr_terms(groups, phi, psi)))
-
-
-def uw_ccr_sweep(rng: np.random.Generator, form: ChannelStack, count: int) -> float:
-    """Worst ultra-weak CCR residual over ``count`` random domain pairs of the whole form.
-
-    |t[H phi, psi] - t[phi, H psi] + i (phi, psi)| for unit vectors phi,
-    psi in the commutation domain.  Every coefficient comes from one draw
-    (one per chunk of pairs, in the same order): pair by pair, phi's real
-    then imaginary parts, then psi's.  The reduction is ``np.max``, so a
-    NaN residual propagates instead of being skipped.
-    """
-    if count < 1:
-        raise ValueError("need at least one pair; a sweep over none checks nothing")
-    groups = _form_groups(form)
-    n = form.total_dimension
-    residuals = [_whole_pair_residuals(groups, rng.uniform(-1.0, 1.0, (stop - start, 2, 2, n)), rng)
-                 for start, stop in _chunks(n, count)]
-    return float(np.max(np.concatenate(residuals)))
-
-
-def uw_ccr_channel_sweep(rngs, form: ChannelStack, count: int) -> np.ndarray:
-    """Worst ultra-weak CCR residual of each channel over ``count`` random pairs of its own.
-
-    ``rngs[i]`` draws the pairs of block i, for every block of dimension
-    2 or more, in one call (one per chunk of pairs, in the same order):
-    pair by pair, phi's real then imaginary parts, then psi's.  The
-    channels of one dimension are then checked together.  Returns one
-    value per block, 0 for blocks of dimension 1; a NaN residual
-    propagates.
-    """
-    if count < 1:
-        raise ValueError("need at least one pair; a sweep over none checks nothing")
-    worst = np.zeros(len(form.eigenvalues))
-    groups = _form_groups(form, nontrivial=False)
-    if not groups:
-        return worst
-    for start, stop in _chunks(sum(g.index.size for g in groups), count):
-        draws = [np.stack([rngs[i].uniform(-1.0, 1.0, (stop - start, 2, 2, g.index.shape[1])) for i in g.blocks])
-                 for g in groups]
-        phi = _channel_rows(groups, [x[:, :, 0, 0] + 1j * x[:, :, 0, 1] for x in draws], rngs)
-        psi = _channel_rows(groups, [x[:, :, 1, 0] + 1j * x[:, :, 1, 1] for x in draws], rngs)
-        for g, terms in zip(groups, _ccr_terms(groups, phi, psi)):
-            # np.maximum, not np.fmax: a NaN stays
-            worst[g.blocks] = np.maximum(worst[g.blocks], np.max(np.abs(terms), axis=1))
-    return worst
-
-
-def uw_ccr_check(form: ChannelStack, seed: int, count: int) -> tuple[np.ndarray, float]:
-    """The ultra-weak CCR sweeps of the ``uwform`` pipeline: (worst per channel, worst over the whole form).
-
-    ``count`` pairs per channel of dimension 2 or more, channel i drawing
-    from a generator seeded ``seed + 20_000 + i`` (``uw_ccr_channel_sweep``,
-    0 for channels of dimension 1), then ``count`` whole-form pairs from
-    one seeded ``seed + 30_000`` (``uw_ccr_sweep``, which refuses a
-    trivial domain).
-    """
-    rngs = {i: np.random.default_rng(seed + 20_000 + i) for i, ev in enumerate(form.eigenvalues) if ev.size >= 2}
-    return uw_ccr_channel_sweep(rngs, form, count), uw_ccr_sweep(np.random.default_rng(seed + 30_000), form, count)
-
-
-def _uncertainty_extremes(rng: np.random.Generator, groups: tuple[_Group, ...], n: int, count: int):
-    """(smallest |z|, worst |Im z + 1/2|) over ``count`` checks, every number from one draw."""
-    draws = rng.uniform(-1.0, 1.0, (count, 2 + 2 * n))
-    spans = 2.0 * np.array([max(float(np.max(g.scale)) for g in groups),
-                            max(float(np.max(np.abs(g.eigenvalues))) for g in groups)])
-    a, b = spans[0] * draws[:, 0], spans[1] * draws[:, 1]
-    psi = _whole_rows(groups, draws[:, 2:2 + n] + 1j * draws[:, 2 + n:], rng)
-    # written so that NaN fails
-    if not np.all(np.abs(_whole_norms(psi) - 1.0) <= UNIT_NORM_ATOL):
-        raise ValueError("psi must be a unit vector")
-    form_value = inner = 0.0
-    for g, p in zip(groups, psi):
-        shifted = (g.eigenvalues[:, None, :] * p - b[:, None] * p).conj()
-        form_value = form_value + np.einsum("ckd,ckd->k", shifted, _apply(g, p))
-        inner = inner + np.einsum("ckd,ckd->k", shifted, p)
-    z = form_value - a * inner
-    return np.min(np.abs(z)), np.max(np.abs(z.imag + 0.5))
-
-
-def uncertainty_sweep(rng: np.random.Generator, form: ChannelStack, count: int) -> tuple[float, float]:
-    """(smallest value, worst |Im + 1/2|) over ``count`` random checks.
-
-    Each check takes a unit domain vector psi and centers a and b, drawn
-    from [-2, 2] in units of the form's largest |R| entry and largest
-    |E| (over channels of dimension 2 or more), so that they scale with
-    the form.  It evaluates z = (t - a)[(H - b) psi, psi]: its imaginary
-    part equals -1/2 identically on the domain, so |z| is bounded below
-    by 1/2 for every real center pair.  Every number comes
-    from one draw (one per chunk of checks, in the same order): check by
-    check, a, b, then psi's real and imaginary parts.  NaN propagates
-    through both reductions.
-    """
-    if count < 1:
-        raise ValueError("need at least one sample; a sweep over none checks nothing")
-    groups = _form_groups(form)
-    n = form.total_dimension
-    lows, defects = zip(*(_uncertainty_extremes(rng, groups, n, stop - start)
-                          for start, stop in _chunks(n, count)))
-    return float(np.min(lows)), float(np.max(defects))
+        raise ValueError(f"the certificate reads an ultra-weak form, not a {form.kind.value} channel stack")
+    bounds = np.zeros(len(form.eigenvalues))
+    for g in form.groups:
+        c, d = g.eigenvalues.shape
+        for start, stop in _chunks(d * d, c):
+            e = g.eigenvalues[start:stop]
+            u = e / np.max(np.abs(e), axis=1, keepdims=True)   # |e|^2 itself may overflow
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            m = (e[:, :, None] - e[:, None, :]) * g.stack[start:stop]
+            m.reshape(-1, d * d)[:, ::d + 1] += 1.0
+            m -= (m @ u[:, :, None]) * u[:, None, :]      # M P
+            m -= u[:, :, None] * (u[:, None, :] @ m)      # P M P
+            bounds[g.blocks[start:stop]] = np.linalg.norm(m, axis=(1, 2))
+    return bounds
 
 
 class FunctionKind(str, Enum):

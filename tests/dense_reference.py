@@ -1,9 +1,8 @@
 """Per-channel and dense references for the stacked time-operator and form kernels.
 
 ``ccr_residual`` is the one-channel exact-CCR kernel that ``ccr_residuals``
-replaced, arithmetic for arithmetic; ``complex_evaluator_stack`` and
-``complex_apply`` are the complex form evaluators and their product that
-the real stacks R replaced.  ``rabi_chain_labels`` names the product
+replaced, arithmetic for arithmetic; ``complex_evaluator_stack`` holds
+the complex form evaluators that the real stacks R replaced.  ``rabi_chain_labels`` names the product
 basis states of the Rabi parity chains, in block order.
 """
 
@@ -78,11 +77,6 @@ def complex_evaluator_stack(e: np.ndarray) -> np.ndarray:
 def form_evaluator(eigenvalues) -> np.ndarray:
     """One channel's complex ultra-weak form evaluator, built on its own."""
     return complex_evaluator_stack(np.asarray(eigenvalues, dtype=float)[None])[0]
-
-
-def complex_apply(evaluators: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each channel's complex evaluator applied to its (c, k, d) rows: one complex product per channel."""
-    return v @ evaluators.transpose(0, 2, 1)
 
 
 def rabi_chain_labels(cutoff: int) -> tuple[str, ...]:

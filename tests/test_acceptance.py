@@ -152,6 +152,14 @@ def test_zero_residual_tolerance_fails_a_criterion(name, readers):
     assert any(not criterion(tol, 7)[0] for criterion in readers[name])
 
 
+def test_ultraweak_form_details_count_the_certified_channels(results):
+    # hydrogen n_max = 4: channels of dimension 4, 3, 3, 3 and five of 2, one certificate each
+    details = results["ultraweak-form"].details
+    assert details["channels_certified"] == 9
+    assert "pairs_checked" not in details and "samples" not in details
+    assert details["im_identity_defect"] == details["max_uw_ccr_residual"] / 2 > 0.0
+
+
 def test_transforms_details_show_the_uncertainty_checks():
     (transforms,) = [r for r in run_all({"im_identity": 0.0}) if r.name == "transforms"]
     details = transforms.details
@@ -324,7 +332,7 @@ def refine_worse(monkeypatch):
 #: report must pass), and a change that leaves every report's verdict as it is
 #: but breaks the criterion's own assertion (None when it adds none).
 PIPELINE_CRITERIA = {
-    "ultraweak-form": ([(_HYDROGEN, {"kind": "uwform", "vectors": 100}, 2000, True)], None),
+    "ultraweak-form": ([(_HYDROGEN, {"kind": "uwform"}, 2000, True)], None),
     "oscillator-bound": (
         [({}, {"kind": "oscspec", "omega": 1.0, "sizes": [100, 200, 400, 800]}, 0, True)],
         lambda mp: spy_on_runs(mp, lambda report: report["rows"][-1].update(lambda_max=2.9)),
@@ -332,7 +340,7 @@ PIPELINE_CRITERIA = {
     "weak-weyl": ([({}, {"kind": "abweyl"}, 0, True)], refine_worse),
     "s0-class": ([({}, {"kind": "s0check"}, 0, True)], None),
     "transforms": (
-        [(_HYDROGEN, {"kind": "ftransform", "vectors": 20, "function": {"kind": kind, "params": params}}, offset, True)
+        [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": kind, "params": params}}, offset, True)
          for kind, params, offset in (("exp", [1.0], 9000), ("poly", [0.0, 1.0], 10000), ("sin", [0.3], 11000))]
         # the resonant sine beta = 1/(2 E_1) = -1, refused: the criterion reads its witness
         + [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": "sin", "params": [-1.0]}}, 0, False)],

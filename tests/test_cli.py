@@ -365,7 +365,7 @@ class TestSubcommands:
         assert [c["channel_id"] for c in report["channels"] if not c["max_uw_ccr_residual"] <= tol] == [target]
 
     def test_uwform_verdict_is_scale_covariant(self, tmp_path):
-        # E -> gamma^2 E: the uncertainty centers scale with the form, so every gamma passes alike
+        # E -> gamma^2 E leaves M = HR - RH + I as it is, so the certificate and the verdict stay put
         values = []
         for gamma in ("0.01", "1", "100"):
             out = tmp_path / gamma
@@ -374,6 +374,52 @@ class TestSubcommands:
             assert report["passed"] is True and report["im_identity_defect"] <= 1e-12
             values.append(report["min_uncertainty_value"])
         assert values == pytest.approx([values[1]] * 3, rel=1e-12)
+
+    def test_ultraweak_pipelines_fail_on_a_nan_evaluator_entry(self, tmp_path, monkeypatch):
+        build = timeop._build_stack
+
+        def poisoned(e, kind):
+            stack, scale, defect = build(e, kind)
+            stack = stack.copy()
+            stack[0, 0, 1] = math.nan
+            return stack, scale, defect
+
+        monkeypatch.setattr(timeop, "_build_stack", poisoned)
+        assert main(["uwform", "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)]) == 1
+        report = _read(tmp_path / "uwform_report.json")
+        assert report["passed"] is False
+        assert all(math.isnan(report[key]) for key in ("max_uw_ccr_residual", "im_identity_defect",
+                                                         "min_uncertainty_value"))
+
+    @pytest.mark.parametrize("n_max", ["16", "40", "70", "100"])
+    def test_uwform_certifies_hydrogen(self, tmp_path, n_max):
+        assert main(["uwform", "--model", "hydrogen", "--n-max", n_max, "--out", str(tmp_path)]) == 0
+        report = _read(tmp_path / "uwform_report.json")
+        worst = max(c["max_uw_ccr_residual"] for c in report["channels"])
+        assert 0.0 < report["max_uw_ccr_residual"] == worst <= report["tolerances"]["uw_ccr"]
+        assert report["im_identity_defect"] == worst / 2
+        assert report["min_uncertainty_value"] == 0.5 - worst / 2
+        assert all(c["max_uw_ccr_residual"] == 0.0 for c in report["channels"] if c["dimension"] == 1)
+        assert "vectors_per_channel" not in report
+
+    @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
+    def test_ultraweak_reports_read_no_seed_and_no_vectors(self, tmp_path, command):
+        # the certificate draws nothing: only the echoed config may differ
+        reports = set()
+        for flags in (["--seed", "1"], ["--seed", "7"], ["--vectors", "1"], ["--vectors", "10000"]):
+            out = tmp_path / "-".join(flags)
+            assert main([*command, "--model", "hydrogen", "--n-max", "16", *flags, "--out", str(out)]) == 0
+            report = _read(out / f"{command[0]}_report.json")
+            del report["timings"], report["config"]
+            reports.add(json.dumps(report, sort_keys=True))
+        assert len(reports) == 1
+
+    def test_vectors_help_says_the_ultraweak_pipelines_ignore_it(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
+        for kind in ("timeop", "uwform", "ftransform"):
+            (flag,) = [a for a in sub.choices[kind]._actions if a.dest == "vectors"]
+            assert flag.help.startswith("ignored") == (kind != "timeop")
 
     def test_ftransform_admissible_sine(self, tmp_path):
         code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
@@ -608,7 +654,8 @@ class TestSubcommands:
         assert code == 0
         report = _read(tmp_path / "uwform_report.json")
         assert report["config"]["seed"] == 3
-        assert report["vectors_per_channel"] == 5
+        # uwform certifies its identities and draws no vectors: the field is echoed, not read
+        assert report["config"]["pipeline"]["vectors"] == 5 and "vectors_per_channel" not in report
 
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "timeop", "uwform"])
     def test_custom_model_without_a_path_names_the_flag_and_the_field(self, tmp_path, capsys, command):

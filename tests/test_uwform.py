@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from timeops.decompose import decompose_spectrum
 from timeops.spectra import Accumulation, DiscreteSpectrum, hydrogen_point_spectrum
 from timeops.timeop import ChannelStack, MatrixKind
 from timeops.uwform import (
-    CCR_DOMAIN_RTOL,
-    UNIT_NORM_ATOL,
     AdmissibilityError,
     FunctionKind,
     FunctionSpec,
@@ -21,13 +20,16 @@ from timeops.uwform import (
     describe_domains,
     f_condition_check,
     f_transform_form,
-    uncertainty_sweep,
-    uw_ccr_channel_sweep,
-    uw_ccr_sweep,
+    uw_ccr_bounds,
 )
 
-from dense_reference import complex_apply, complex_evaluator_stack, form_evaluator
-from recording_rng import RecordingRng
+from dense_reference import complex_evaluator_stack, form_evaluator
+
+#: Per-block membership tolerance of the reference sweeps' commutation domain.
+CCR_DOMAIN_RTOL = 1e-10
+
+#: Unit-vector tolerance of the reference uncertainty check.
+UNIT_NORM_ATOL = 1e-12
 
 
 def form_of(*channels):
@@ -54,8 +56,12 @@ def channel_evaluators(form):
 
 
 def channel_form(form, i):
-    """Channel ``i`` of ``form`` as a one-channel form of its own."""
-    return form_of(form.eigenvalues[i])
+    """Channel ``i`` of ``form`` as a one-channel form of its own, holding the evaluator row ``form`` holds."""
+    single = form_of(form.eigenvalues[i])
+    for g in form.groups:
+        for row in np.flatnonzero(g.blocks == i):
+            return with_groups(single, [replace(single.groups[0], stack=g.stack[row:row + 1])])
+    return single
 
 
 def pieces(form, v):
@@ -67,8 +73,9 @@ def pieces(form, v):
 
 # ------------------------------------------------ per-vector references
 #
-# The per-vector functions the batched sweep kernels replaced, operation
-# for operation: one vector, one block, one np.vdot at a time.
+# The identities evaluated on vectors, one vector, one block, one np.vdot
+# at a time: the random sweeps that the certificate replaced, kept to
+# check it from the other side.
 
 
 def project_channel(e, v):
@@ -335,7 +342,7 @@ class TestUncertainty:
 
 
 def reference_uw_ccr_sweep(rng, form, count):
-    """The hand-written pair loop the sweep kernel replaced."""
+    """Worst ultra-weak CCR residual over ``count`` random pairs of whole-form domain vectors."""
     worst = 0.0
     for _ in range(count):
         phi = random_domain_vector(rng, form)
@@ -345,7 +352,7 @@ def reference_uw_ccr_sweep(rng, form, count):
 
 
 def reference_uncertainty_sweep(rng, form, count):
-    """The hand-written uncertainty loop the sweep kernel replaced.
+    """(smallest |z|, worst |Im z + 1/2|) over ``count`` random checks.
 
     The centers scale with the form: a with its largest |R| entry, b with
     its largest |E|, over the channels of dimension 2 or more.
@@ -364,28 +371,32 @@ def reference_uncertainty_sweep(rng, form, count):
     return min_value, im_defect
 
 
+def reference_edge_uncertainty(rng, form, count):
+    """Smallest |z| over ``count`` random checks whose center a is planted where Re z = 0.
+
+    z = t[(H - b) psi, psi] - a <(H - b) psi, psi> with a real second
+    factor, so a = Re t[(H - b) psi, psi] / <(H - b) psi, psi> leaves
+    z = i Im z: the bound |z| >= 1/2 at its edge.
+    """
+    e_max = max(float(np.max(np.abs(g.eigenvalues))) for g in form.groups)
+    h = np.concatenate(form.eigenvalues)
+    low = math.inf
+    for _ in range(count):
+        b = float(rng.uniform(-2.0, 2.0)) * e_max
+        psi = random_domain_vector(rng, form)
+        shifted = h * psi - b * psi
+        a = evaluate_form(form, shifted, psi).real / np.vdot(shifted, psi).real
+        low = min(low, uncertainty_check(form, psi, a, b).value)
+    return low
+
+
 def reference_channel_sweep(form, seed, count):
-    """The CLI's per-channel loop: one generator and ``count`` pairs per channel of dimension >= 2."""
+    """Worst residual of each channel of dimension >= 2 over ``count`` random pairs of its own."""
     return {
         i: reference_uw_ccr_sweep(np.random.default_rng(seed + i), channel_form(form, i), count)
         for i, e in enumerate(form.eigenvalues) if e.size >= 2
     }
 
-
-def _channel_rngs(form, seed, factory=np.random.default_rng):
-    return {i: factory(seed + i) for i, e in enumerate(form.eigenvalues) if e.size >= 2}
-
-
-def _sweep_cases():
-    s = hydrogen_point_spectrum(1.0, 1.0, 4)
-    _, hydrogen = assemble_uwform(s)
-    _, _, transformed = f_transform_form(FunctionSpec(FunctionKind.SIN, (0.3,)), s)
-    return {"hydrogen": hydrogen, "channel": channel_form(hydrogen, 0), "sin": transformed}
-
-
-#: The batched kernels sum in another order than the per-vector loops;
-#: both sit at the round-off floor, far under the 1e-10 tolerances.
-AGREEMENT = 1e-13
 
 TRANSFORMS = {
     "none": None,
@@ -395,139 +406,165 @@ TRANSFORMS = {
 }
 
 
-def _hydrogen_form(n_max, transform):
-    s = hydrogen_point_spectrum(1.0, 1.0, n_max)
+def _hydrogen_form(n_max, transform, gamma=1.0):
+    s = hydrogen_point_spectrum(1.0, gamma, n_max)
     if TRANSFORMS[transform] is None:
         return assemble_uwform(s)[1]
     return f_transform_form(TRANSFORMS[transform], s)[2]
 
 
-def planted_uncertainty_draw(form, seed, count):
-    """The uncertainty sweep's draw for ``count`` checks, each center a planted where Re z = 0.
+EPS = np.finfo(float).eps
 
-    z = t[(H - b) psi, psi] - a <(H - b) psi, psi> with a real second
-    factor, so a = Re t[(H - b) psi, psi] / <(H - b) psi, psi> leaves
-    z = i Im z: the bound |z| >= 1/2 at its edge.  psi and b come from
-    the draw as the sweep reads it, through the per-vector references.
+
+def sweep_allowance(form):
+    """Round-off of one swept residual, per channel: 4 d eps max|E| |R|_F, 0 for dimension 1.
+
+    A sweep evaluates t[H phi, psi] and t[phi, H psi], each a sum of d^2
+    products E_n R_nm phi_n psi_m; for unit vectors each sum rounds by at
+    most 2 d eps max|E| |R|_F (to first order), whatever the certificate.
     """
-    n = form.total_dimension
-    draw = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 2 + 2 * n))
-    a_span = 2.0 * max(float(np.max(g.scale)) for g in form.groups)
-    b_span = 2.0 * max(float(np.max(np.abs(g.eigenvalues))) for g in form.groups)
-    h = np.concatenate(form.eigenvalues)
-    for row in draw:
-        psi = project_to_ccr_domain(form, row[2:2 + n] + 1j * row[2 + n:])
-        psi /= np.linalg.norm(psi)
-        shifted = h * psi - b_span * row[1] * psi
-        row[0] = evaluate_form(form, shifted, psi).real / np.vdot(shifted, psi).real / a_span
-    return draw
+    out = np.zeros(len(form.eigenvalues))
+    for g in form.groups:
+        d = g.eigenvalues.shape[1]
+        out[g.blocks] = 4 * d * EPS * np.max(np.abs(g.eigenvalues), axis=1) * np.linalg.norm(g.stack, axis=(1, 2))
+    return out
 
 
-class TestSweepKernels:
-    @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
-    def test_uw_ccr_sweep_matches_the_loop(self, case):
-        form = _sweep_cases()[case]
-        expected = reference_uw_ccr_sweep(np.random.default_rng(11), form, 20)
-        assert uw_ccr_sweep(np.random.default_rng(11), form, 20) == pytest.approx(expected, abs=AGREEMENT)
-        assert expected <= 1e-10
+def exact_certificate(e, r):
+    """|PMP|_F of one channel, computed in Fractions from its stored eigenvalues e and evaluator R."""
+    e = [Fraction(float(x)) for x in e]
+    d = len(e)
+    m = [[(e[n] - e[k]) * Fraction(float(r[n, k])) + (n == k) for k in range(d)] for n in range(d)]
+    ee = sum(x * x for x in e)
+    p = [[(n == k) - e[n] * e[k] / ee for k in range(d)] for n in range(d)]
 
-    @pytest.mark.parametrize("case", ["hydrogen", "channel", "sin"])
-    def test_uncertainty_sweep_matches_the_loop(self, case):
-        form = _sweep_cases()[case]
-        expected = reference_uncertainty_sweep(np.random.default_rng(13), form, 20)
-        got = uncertainty_sweep(np.random.default_rng(13), form, 20)
-        assert got == pytest.approx(expected, abs=AGREEMENT)
+    def product(a, b):
+        return [[sum(a[i][j] * b[j][k] for j in range(d)) for k in range(d)] for i in range(d)]
 
-    @pytest.mark.parametrize("n_max", [4, 16])
-    @pytest.mark.parametrize("transform", list(TRANSFORMS))
-    def test_kernels_match_the_references_under_tolerance(self, n_max, transform):
-        form = _hydrogen_form(n_max, transform)
-        pairs = 20 if n_max == 4 else 8
-        checks = [(uw_ccr_sweep(np.random.default_rng(1), form, pairs),
-                   reference_uw_ccr_sweep(np.random.default_rng(1), form, pairs))]
-        per_channel = uw_ccr_channel_sweep(_channel_rngs(form, 100), form, 2)
-        for i, expected in reference_channel_sweep(form, 100, 2).items():
-            checks.append((per_channel[i], expected))
-        for got, expected in checks:
-            assert got == pytest.approx(expected, abs=AGREEMENT)
-            assert max(got, expected) <= 1e-10
-        (low, im), (ref_low, ref_im) = (uncertainty_sweep(np.random.default_rng(3), form, pairs),
-                                        reference_uncertainty_sweep(np.random.default_rng(3), form, pairs))
-        # |z| grows with the centers, which scale with the form: its agreement is relative
-        assert low == pytest.approx(ref_low, rel=AGREEMENT, abs=AGREEMENT) and im == pytest.approx(ref_im, abs=AGREEMENT)
-        assert min(low, ref_low) >= 0.5 - 1e-10 and max(im, ref_im) <= 1e-10
+    return math.sqrt(sum(x * x for row in product(product(p, m), p) for x in row))
 
-    def test_draws_match_the_loop_bit_for_bit(self, monkeypatch):
-        form = _sweep_cases()["hydrogen"]
-        raw = []
-        whole_rows = uwform._whole_rows
-        monkeypatch.setattr(uwform, "_whole_rows", lambda groups, v, redraw: raw.append(v) or whole_rows(groups, v, redraw))
 
-        batched = RecordingRng(5)
-        uw_ccr_sweep(batched, form, 6)
-        looped = RecordingRng(5)
-        reference_uw_ccr_sweep(looped, form, 6)
-        assert np.array_equal(batched.stream(), looped.stream())
-        assert batched.calls == 1
-        # the pairs, as projected: phi of every pair, then psi of every pair
-        vectors = looped.stream().reshape(6, 2, 2, -1)
-        assert np.array_equal(raw[0], vectors[:, 0, 0] + 1j * vectors[:, 0, 1])
-        assert np.array_equal(raw[1], vectors[:, 1, 0] + 1j * vectors[:, 1, 1])
+def perturbed_form(form, part):
+    """``form`` with the second channel of its first shared dimension perturbed, and that channel's position.
 
-    def test_uncertainty_draws_match_the_loop_bit_for_bit(self):
-        form = _sweep_cases()["sin"]
-        batched = RecordingRng(6)
-        uncertainty_sweep(batched, form, 9)
-        looped = RecordingRng(6)
-        reference_uncertainty_sweep(looped, form, 9)
-        rows = batched.stream().reshape(9, -1)
-        centers = rows[:, :2] * 2.0   # drawn from [-1, 1], used doubled
-        expected = looped.stream().reshape(9, -1)
-        assert np.array_equal(centers, expected[:, :2])
-        assert np.array_equal(rows[:, 2:], expected[:, 2:])
+    ``part`` "evaluators" scales one entry of R and its mirror by 1 + 1e-6,
+    so that R stays antisymmetric; "eigenvalues" scales one eigenvalue of
+    H by 1 + 1e-9, leaving R as built.
+    """
+    k = next(k for k, g in enumerate(form.groups) if len(g.blocks) > 1)
+    groups = list(form.groups)
+    field = "stack" if part == "evaluators" else "eigenvalues"
+    changed = getattr(groups[k], field).copy()
+    if field == "stack":
+        changed[1, 0, 1] *= 1.0 + 1e-6
+        changed[1, 1, 0] *= 1.0 + 1e-6
+    else:
+        changed[1, 1] *= 1.0 + 1e-9
+    groups[k] = replace(groups[k], **{field: changed})
+    return with_groups(form, groups), groups[k].blocks[1]
 
-    def test_channel_draws_match_the_loop_bit_for_bit(self):
-        form = _sweep_cases()["hydrogen"]
-        batched = _channel_rngs(form, 40, RecordingRng)
-        uw_ccr_channel_sweep(batched, form, 3)
-        looped = _channel_rngs(form, 40, RecordingRng)
-        for i, rng in looped.items():
-            reference_uw_ccr_sweep(rng, channel_form(form, i), 3)
-            assert np.array_equal(batched[i].stream(), rng.stream())
-            assert batched[i].calls == 1
 
-    def test_uncertainty_bound_is_checked_at_its_edge(self):
+class TestCertificate:
+    """``uw_ccr_bounds`` against the random sweeps it replaced, exact arithmetic, and broken forms."""
+
+    @pytest.mark.parametrize("n_max,gamma,transform", [
+        (4, 0.01, "none"), (4, 1.0, "none"), (4, 100.0, "none"),
+        (16, 0.01, "none"), (16, 1.0, "none"), (16, 100.0, "none"),
+        (4, 1.0, "exp"), (4, 1.0, "identity"), (4, 1.0, "sin"), (16, 1.0, "exp"), (16, 1.0, "sin"),
+    ])
+    def test_the_sweeps_stay_within_the_certificate(self, n_max, gamma, transform):
+        form = _hydrogen_form(n_max, transform, gamma)
+        self._assert_sweeps_within(form, count=20 if n_max == 4 else 6)
+
+    def test_the_sweeps_stay_within_the_certificate_of_a_perturbed_form(self):
+        # the swept defect is far above either round-off: the bound must really cover it
+        form, target = perturbed_form(_hydrogen_form(4, "none"), "evaluators")
+        swept = self._assert_sweeps_within(form, count=20)
+        assert swept[target] > 1e3 * DEFAULT_TOLERANCES["uw_ccr"]
+
+    @staticmethod
+    def _assert_sweeps_within(form, count):
+        bounds, allowance = uw_ccr_bounds(form), sweep_allowance(form)
+        swept = reference_channel_sweep(form, 100, count)
+        for i, value in swept.items():
+            assert value <= bounds[i] + allowance[i]
+        worst, slack = float(np.max(bounds)), float(np.max(allowance))
+        assert reference_uw_ccr_sweep(np.random.default_rng(1), form, count) <= worst + slack
+        # the uncertainty identity is the phi = psi case: |Im z + 1/2| <= worst / 2, |z| >= 1/2 - worst / 2
+        low, im = reference_uncertainty_sweep(np.random.default_rng(3), form, count)
+        assert im <= worst / 2 + slack and low >= 0.5 - worst / 2 - slack
+        # at the edge center |z| = |Im z| comes down to the bound
+        edge = reference_edge_uncertainty(np.random.default_rng(5), form, count)
+        assert 0.5 - worst / 2 - slack <= edge <= 0.5 + worst / 2 + slack
+        return swept
+
+    @pytest.mark.parametrize("channels,exact", [
+        # M = [[1, 5/4], [5/4, 1]] and e^perp = (1, -2)/sqrt(5): (1 + 4 - 5)/5 = 0
+        (([-1.0, -0.5],), 0.0),
+        (([-1.0, -0.3],), None),
+    ])
+    def test_a_hand_channel_matches_exact_arithmetic(self, channels, exact):
+        form = form_of(*channels)
+        (g,) = form.groups
+        reference = exact_certificate(g.eigenvalues[0], g.stack[0])
+        if exact is not None:
+            assert reference == exact
+        self._assert_within_rounding(uw_ccr_bounds(form)[0], reference, g.eigenvalues[0], g.stack[0])
+
+    @pytest.mark.parametrize("gamma,transform", [
+        (1.0, "none"), (0.01, "none"), (100.0, "none"), (1.0, "exp"), (1.0, "sin"),
+    ])
+    def test_hydrogen_channels_match_exact_arithmetic(self, gamma, transform):
+        form = _hydrogen_form(4, transform, gamma)
+        bounds = uw_ccr_bounds(form)
+        for g in form.groups:
+            for block, e, r in zip(g.blocks, g.eigenvalues, g.stack):
+                self._assert_within_rounding(bounds[block], exact_certificate(e, r), e, r)
+
+    @staticmethod
+    def _assert_within_rounding(bound, exact, e, r):
+        """The float evaluation rounds M's entries and the two rank-one projections: 2 (d + 2) eps |M|_F."""
+        d = e.size
+        m = (e[:, None] - e[None, :]) * r + np.eye(d)
+        assert abs(bound - exact) <= 2 * (d + 2) * EPS * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("part", ["evaluators", "eigenvalues"])
+    def test_a_perturbed_channel_fails_every_gate(self, part):
+        # an evaluator entry off by a relative 1e-6, or an eigenvalue of H by 1e-9:
+        # the identities no longer hold, and only the perturbed channel fails
         tol = DEFAULT_TOLERANCES
-        form = _hydrogen_form(16, "none")
-        # random centers keep |z| far above 1/2; planted ones put it on the bound
-        assert uncertainty_sweep(np.random.default_rng(4), form, 10)[0] > 10.0
-        low, _ = uncertainty_sweep(RecordingRng(4, {0: planted_uncertainty_draw(form, 4, 10)}), form, 10)
-        assert abs(low - 0.5) <= tol["im_identity"]
-        # T scaled by 1 - 4 slack: Im z = -(1 - 4 slack)/2, so |z| can fall 2 slack under 1/2
-        shrink = 1.0 - 4.0 * tol["uncertainty_slack"]
-        shrunk = with_groups(form, [replace(g, stack=g.stack * shrink) for g in form.groups])
-        assert uncertainty_sweep(np.random.default_rng(4), shrunk, 10)[0] >= 0.5 - tol["uncertainty_slack"]
-        low, _ = uncertainty_sweep(RecordingRng(4, {0: planted_uncertainty_draw(shrunk, 4, 10)}), shrunk, 10)
-        assert low < 0.5 - tol["uncertainty_slack"]
-        assert low == pytest.approx(0.5 * shrink, abs=tol["im_identity"])
+        form = _hydrogen_form(4, "none")
+        assert np.all(uw_ccr_bounds(form) <= tol["uw_ccr"]) and np.all(uw_ccr_bounds(form) / 2 <= tol["im_identity"])
+        perturbed, target = perturbed_form(form, part)
+        bounds = uw_ccr_bounds(perturbed)
+        assert bounds[target] > tol["uw_ccr"] and bounds[target] / 2 > tol["im_identity"]
+        others = np.delete(bounds, target)
+        assert np.all(others <= tol["uw_ccr"]) and np.all(others / 2 <= tol["im_identity"])
 
-    def test_long_sweeps_run_in_chunks_of_the_same_stream(self, monkeypatch):
-        form = _sweep_cases()["hydrogen"]
+    def test_a_nan_entry_gives_a_nan_bound(self):
+        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
+        d3, d2 = form.groups
+        poisoned = d2.stack.copy()
+        poisoned[0, 0, 1] = math.nan
+        bounds = uw_ccr_bounds(with_groups(form, [d3, replace(d2, stack=poisoned)]))
+        assert bounds[0] <= 1e-10 and math.isnan(bounds[1])
 
-        def sweeps():
-            rngs = (RecordingRng(4), RecordingRng(5), _channel_rngs(form, 6, RecordingRng))
-            values = (uw_ccr_sweep(rngs[0], form, 7), *uncertainty_sweep(rngs[1], form, 7),
-                      *uw_ccr_channel_sweep(rngs[2], form, 7))
-            return values, rngs
+    def test_reads_zero_on_one_dimensional_channels(self):
+        bounds = uw_ccr_bounds(form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1]))
+        assert bounds.shape == (3,) and bounds[1] == 0.0
+        assert 0.0 < bounds[0] <= 1e-10 and 0.0 < bounds[2] <= 1e-10
+        assert np.array_equal(uw_ccr_bounds(form_of([-1.0], [-0.5])), [0.0, 0.0])
 
-        whole, whole_rngs = sweeps()
-        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 2 * form.total_dimension)
-        chunked, chunked_rngs = sweeps()
-        assert chunked == pytest.approx(whole, abs=AGREEMENT)
-        assert [r.calls for r in chunked_rngs[:2]] == [4, 4] and [r.calls for r in whole_rngs[:2]] == [1, 1]
-        for a, b in zip([*whole_rngs[:2], *whole_rngs[2].values()], [*chunked_rngs[:2], *chunked_rngs[2].values()]):
-            assert np.array_equal(a.stream(), b.stream())
-        assert all(r.calls > 1 for r in chunked_rngs[2].values())
+    def test_refuses_a_time_operator_stack(self):
+        op = ChannelStack([[-1.0, -0.5, -0.25]], MatrixKind.INVERSE_CONJUGATE)
+        with pytest.raises(ValueError, match="ultra-weak form"):
+            uw_ccr_bounds(op)
+
+    def test_chunks_give_the_same_bits(self, monkeypatch):
+        form = _hydrogen_form(8, "sin")
+        whole = uw_ccr_bounds(form)
+        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 20)
+        assert np.array_equal(uw_ccr_bounds(form), whole)
 
     def test_chunks_hold_at_most_the_budget_or_one_wider_row(self, monkeypatch):
         monkeypatch.setattr(timeop, "SWEEP_CHUNK", 10)
@@ -535,128 +572,6 @@ class TestSweepKernels:
         assert list(uwform._chunks(5, 4)) == [(0, 2), (2, 4)]
         assert list(uwform._chunks(10, 2)) == [(0, 1), (1, 2)]
         assert list(uwform._chunks(20, 3)) == [(0, 1), (1, 2), (2, 3)]
-
-    @pytest.mark.parametrize("transform", ["none", "sin"])
-    def test_an_assembled_form_is_swept_without_copying_its_evaluators(self, transform, monkeypatch):
-        form = _hydrogen_form(8, transform)
-        dims = [g.eigenvalues.shape[1] for g in form.groups]
-        assert len(dims) == len(set(dims)) == len({e.size for e in form.eigenvalues} - {1})
-        assert all(not g.stack.flags.writeable for g in form.groups)
-        # every other channel, built again: the same rows in new stacks
-        sparse = form_of(*form.eigenvalues[::2])
-        old = channel_evaluators(form)[::2]
-        assert all(np.array_equal(a, b) for a, b in zip(channel_evaluators(sparse), old))
-        expected = reference_uw_ccr_sweep(np.random.default_rng(14), sparse, 4)
-        monkeypatch.setattr(timeop, "_build_stack", None)   # a sweep builds no evaluator
-        assert uw_ccr_sweep(np.random.default_rng(14), sparse, 4) == pytest.approx(expected, abs=AGREEMENT)
-
-    def test_channel_sweep_reads_zero_on_one_dimensional_blocks(self):
-        form = form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1])
-        worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 4)
-        assert worst.shape == (3,) and worst[1] == 0.0
-        assert 0.0 < worst[0] <= 1e-10 and 0.0 < worst[2] <= 1e-10
-        trivial = form_of([-1.0], [-0.5])
-        assert np.array_equal(uw_ccr_channel_sweep({}, trivial, 4), [0.0, 0.0])
-
-    def test_empty_sweeps_are_rejected(self):
-        form = form_of([-1.0, -0.5])
-        with pytest.raises(ValueError, match="checks nothing"):
-            uw_ccr_sweep(np.random.default_rng(0), form, 0)
-        with pytest.raises(ValueError, match="checks nothing"):
-            uncertainty_sweep(np.random.default_rng(0), form, 0)
-        with pytest.raises(ValueError, match="checks nothing"):
-            uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 0)
-
-    @pytest.mark.parametrize("channels", [([-1.0],), ([-1.0], [-0.5], [-0.25])])
-    def test_trivial_domains_are_rejected(self, channels):
-        form = form_of(*channels)
-        with pytest.raises(ValueError, match="trivial"):
-            uw_ccr_sweep(np.random.default_rng(0), form, 1)
-        with pytest.raises(ValueError, match="trivial"):
-            uncertainty_sweep(np.random.default_rng(0), form, 1)
-
-    def test_a_nan_residual_propagates(self):
-        # a NaN evaluator entry makes every residual it touches NaN, never a pass
-        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
-        d3, d2 = form.groups
-        poisoned = d2.stack.copy()
-        poisoned[0, 0, 1] = math.nan
-        form = with_groups(form, [d3, replace(d2, stack=poisoned)])
-        assert math.isnan(uw_ccr_sweep(np.random.default_rng(0), form, 3))
-        worst = uw_ccr_channel_sweep(_channel_rngs(form, 0), form, 3)
-        assert worst[0] <= 1e-10 and math.isnan(worst[1])
-        assert all(math.isnan(x) for x in uncertainty_sweep(np.random.default_rng(0), form, 3))
-
-    @pytest.mark.parametrize("perturbed_part", ["evaluators", "eigenvalues"])
-    def test_a_perturbed_channel_fails_every_gate(self, perturbed_part):
-        # an evaluator entry off by a relative 1e-6, or an eigenvalue of H by 1e-9:
-        # the identities no longer hold, and only the perturbed channel fails on its own
-        tol = DEFAULT_TOLERANCES
-        form = _sweep_cases()["hydrogen"]
-        k = next(k for k, g in enumerate(form.groups) if len(g.blocks) > 1)
-        groups = list(form.groups)
-        field = "stack" if perturbed_part == "evaluators" else "eigenvalues"
-        changed = getattr(groups[k], field).copy()
-        if field == "stack":
-            changed[1, 0, 1] *= 1.0 + 1e-6
-        else:
-            changed[1, 1] *= 1.0 + 1e-9
-        groups[k] = replace(groups[k], **{field: changed})
-        perturbed = with_groups(form, groups)
-        target = groups[k].blocks[1]
-        assert uw_ccr_sweep(np.random.default_rng(0), form, 20) <= tol["uw_ccr"]
-        assert uw_ccr_sweep(np.random.default_rng(0), perturbed, 20) > tol["uw_ccr"]
-        assert uncertainty_sweep(np.random.default_rng(1), form, 20)[1] <= tol["im_identity"]
-        assert uncertainty_sweep(np.random.default_rng(1), perturbed, 20)[1] > tol["im_identity"]
-        worst = uw_ccr_channel_sweep(_channel_rngs(perturbed, 2), perturbed, 20)
-        assert worst[target] > tol["uw_ccr"]
-        assert np.all(np.delete(worst, target) <= tol["uw_ccr"])
-
-    def test_a_nan_vector_is_refused(self):
-        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
-        nan_draw = np.full((2, 2, 2, 5), 0.5)
-        nan_draw[1, 0, 1, 3] = math.nan
-        with pytest.raises(ValueError, match="commutation domain"):
-            uw_ccr_sweep(RecordingRng(0, {0: nan_draw}), form, 2)
-        channel_draw = np.full((2, 2, 2, 3), 0.5)
-        channel_draw[0, 1, 0, 2] = math.nan
-        rngs = {0: RecordingRng(0, {0: channel_draw}), 1: RecordingRng(1)}
-        with pytest.raises(ValueError, match="commutation domain"):
-            uw_ccr_channel_sweep(rngs, form, 2)
-        unc_draw = np.full((2, 12), 0.5)
-        unc_draw[1, 4] = math.nan
-        with pytest.raises(ValueError, match="commutation domain"):
-            uncertainty_sweep(RecordingRng(0, {0: unc_draw}), form, 2)
-
-    def test_a_near_zero_projection_is_redrawn_after_the_batch(self):
-        # pair 0's phi is parallel to the eigenvalue vector: its projection is round-off
-        form = form_of([-1.0, -0.5, -0.25])
-        draw = np.random.default_rng(9).uniform(-1.0, 1.0, (2, 2, 2, 3))
-        draw[0, 0, 0] = form.eigenvalues[0]
-        draw[0, 0, 1] = 0.0
-        rng = RecordingRng(3, {0: draw})
-        assert uw_ccr_sweep(rng, form, 2) <= 1e-10
-        assert rng.calls == 3   # the batch, then one redraw: real, imaginary
-        rngs = {0: RecordingRng(3, {0: draw})}
-        assert uw_ccr_channel_sweep(rngs, form, 2)[0] <= 1e-10
-        assert rngs[0].calls == 3
-
-    def test_batched_domain_check_anchors_to_the_whole_row(self):
-        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
-        groups = form.groups
-        v = np.zeros((1, 5), dtype=complex)
-        v[0, :3] = random_domain_vector(np.random.default_rng(2), channel_form(form, 0))
-        units = [v[:, g.index].transpose(1, 0, 2) for g in groups]
-        norms = [uwform._whole_norms(units)] * len(groups)
-        uwform._require_domain(groups, units, norms)
-        units[1][0, 0] = [1e-3, 0.0]
-        with pytest.raises(ValueError, match="commutation domain"):
-            uwform._require_domain(groups, units, norms)
-        units[1][0, 0] = [1e-12, 0.0]
-        uwform._require_domain(groups, units, norms)
-        units[0][0, 0, 1] = math.nan
-        with pytest.raises(ValueError, match="commutation domain"):
-            uwform._require_domain(groups, units, norms)
 
 
 class TestAssembleUwform:
@@ -751,41 +666,16 @@ class TestEvaluatorStacks:
 
 
 class TestRealEvaluators:
-    """The real stacks R against the complex evaluators -(S D + D S)/2 and their product."""
+    """The real stacks R against the complex evaluators -(S D + D S)/2."""
 
     @pytest.mark.parametrize("n_max,gamma,transform", [
         (4, 1.0, "none"), (16, 1.0, "none"), (16, 0.01, "none"), (16, 100.0, "none"),
         (16, 1.0, "sin"), (16, 1.0, "exp"),
     ])
-    def test_real_apply_matches_the_complex_product_bit_for_bit(self, n_max, gamma, transform):
-        s = hydrogen_point_spectrum(1.0, gamma, n_max)
-        form = assemble_uwform(s)[1] if TRANSFORMS[transform] is None else f_transform_form(TRANSFORMS[transform], s)[2]
-        rng = np.random.default_rng(n_max)
-        for g in form.groups:
+    def test_real_stacks_match_the_complex_evaluators_bit_for_bit(self, n_max, gamma, transform):
+        for g in _hydrogen_form(n_max, transform, gamma).groups:
             evaluators = complex_evaluator_stack(g.eigenvalues)
             assert np.all(evaluators.real == 0.0) and np.array_equal(g.stack, evaluators.imag)
-            c, d = g.eigenvalues.shape
-            v = rng.uniform(-1.0, 1.0, (c, 7, d)) + 1j * rng.uniform(-1.0, 1.0, (c, 7, d))
-            assert np.array_equal(uwform._apply(g, v), complex_apply(evaluators, v))
-
-    def test_real_apply_agrees_with_the_complex_product_at_n_max_40(self):
-        form = _hydrogen_form(40, "none")
-        rng = np.random.default_rng(40)
-        for g in form.groups:
-            c, d = g.eigenvalues.shape
-            v = rng.uniform(-1.0, 1.0, (c, 3, d)) + 1j * rng.uniform(-1.0, 1.0, (c, 3, d))
-            expected = complex_apply(complex_evaluator_stack(g.eigenvalues), v)
-            bound = 1e-15 * d * np.max(g.scale)
-            assert np.max(np.abs(uwform._apply(g, v) - expected)) <= bound
-
-    def test_sweeps_refuse_a_time_operator_stack(self):
-        op = ChannelStack([[-1.0, -0.5, -0.25]], MatrixKind.INVERSE_CONJUGATE)
-        with pytest.raises(ValueError, match="ultra-weak form"):
-            uw_ccr_sweep(np.random.default_rng(0), op, 1)
-        with pytest.raises(ValueError, match="ultra-weak form"):
-            uncertainty_sweep(np.random.default_rng(0), op, 1)
-        with pytest.raises(ValueError, match="ultra-weak form"):
-            uw_ccr_channel_sweep({0: np.random.default_rng(0)}, op, 1)
 
 
 class TestFunctionSpec:
