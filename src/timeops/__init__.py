@@ -20,6 +20,7 @@ from .decompose import (
     ChannelDecomposition,
     DecompositionReport,
     channel_partition,
+    channel_partition_sets,
     decompose_spectrum,
     verify_decomposition,
 )

@@ -11,7 +11,10 @@ and its numbers from the report and adds only its own extra assertions,
 so each verdict and each tolerance lookup is written once, in the
 pipeline.  The exact CCR over every difference e_k - e_l, the partition
 traces, the Rabi cutoff stability and scaling covariance have no
-pipeline that checks them, and are measured here.  The CLI selftest and
+pipeline that checks them, and are measured here.  The partition
+criterion draws its 1000 random null sequences in bulk and partitions
+them in one ``channel_partition_sets`` batch, verified once as a whole,
+plus a check that no channel spans two sequences.  The CLI selftest and
 the test suite both drive ``run_all``; neither owns a private copy of
 the thresholds.
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .cli import RunConfig, resolve_tolerances, run
 from .contspec import make_packet, weak_weyl_residuals
-from .decompose import channel_partition, verify_decomposition
+from .decompose import _repeating_segments, channel_partition, channel_partition_sets, verify_decomposition
 from .spectra import harmonic_spectrum, hydrogen_point_spectrum, rabi_check, rabi_hamiltonian
 from .timeop import ChannelStack, MatrixKind, assemble_time_operator, ccr_allowed, ccr_residuals
 
@@ -140,36 +143,50 @@ def criterion_oscillator_bound(tol: dict, seed: int) -> tuple[bool, dict]:
     }
 
 
+def _random_null_sets(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` sets of 2 to 24 distinct values +-10^U(-5, 0), one after another, and their sizes.
+
+    A set that draws a repeated value is drawn again.
+    """
+    sizes = rng.integers(2, 25, count)
+    segment = np.arange(count).repeat(sizes)
+    redraw = np.ones(segment.size, dtype=bool)
+    values = np.empty(segment.size)
+    while (n := np.count_nonzero(redraw)):
+        values[redraw] = 10.0 ** rng.uniform(-5.0, 0.0, n) * rng.choice([-1.0, 1.0], n)
+        redraw = np.isin(segment, _repeating_segments(values, segment))
+    return values, sizes
+
+
 def criterion_partition(tol: dict, seed: int) -> tuple[bool, dict]:
-    """Hand-traced partitions plus invariants on random null sequences."""
+    """Hand-traced partitions plus invariants on 1000 random null sequences, partitioned in one batch.
+
+    The batch must verify as one decomposition, keep every channel inside
+    its own set, and hold every certificate sum under zeta(2).
+    """
     harmonic_tail = channel_partition([-1.0 / n for n in range(1, 9)], [1] * 8)
     trace_one = harmonic_tail.to_json()["channels"] == [[0, 1, 2, 3, 4, 5, 6, 7]]
 
     sqrt_tail = channel_partition([-1.0 / math.sqrt(n) for n in range(1, 9)], [1] * 8)
     trace_two = sqrt_tail.to_json()["channels"] == [[0, 3], [1, 4], [2, 5], [6], [7]]
 
-    rng = np.random.default_rng(seed + 5000)
+    values, sizes = _random_null_sets(np.random.default_rng(seed + 5000), 1000)
+    deco = channel_partition_sets(values, sizes.tolist())
+    report = verify_decomposition(deco)
+    set_of = np.arange(sizes.size).repeat(sizes)[deco.value_indices()]
+    chan = deco.channel_of_slot()
+    contained = not np.count_nonzero((chan[1:] == chan[:-1]) & (set_of[1:] != set_of[:-1]))
     zeta_two = math.pi ** 2 / 6.0
-    random_ok = True
-    for _ in range(1000):
-        size = int(rng.integers(2, 25))
-        magnitudes = 10.0 ** rng.uniform(-5.0, 0.0, size)
-        signs = rng.choice([-1.0, 1.0], size)
-        values = magnitudes * signs
-        while np.unique(values).size < size:
-            values = 10.0 ** rng.uniform(-5.0, 0.0, size) * rng.choice([-1.0, 1.0], size)
-        deco = channel_partition(values, [1] * size)
-        report = verify_decomposition(deco)
-        sums_ok = all(s <= zeta_two + 1e-12 for s in report.certificate_sums)
-        random_ok = random_ok and report.ok and sums_ok
-        if not random_ok:
-            break
+    sums_ok = all(s <= zeta_two + 1e-12 for s in report.certificate_sums)
+    random_ok = report.ok and contained and sums_ok
 
     ok = trace_one and trace_two and random_ok
     return ok, {
         "harmonic_tail_single_channel": trace_one,
         "sqrt_tail_channels_match": trace_two,
-        "random_sequences_checked": 1000,
+        "random_sequences_checked": int(sizes.size),
+        "random_values_checked": len(deco.values),
+        "random_channels_checked": deco.channel_count,
         "random_invariants_ok": random_ok,
     }
 

@@ -436,8 +436,10 @@ def _pipeline_abweyl(config: RunConfig, pl: dict, tol: dict) -> dict:
 
     times = [t_max * j / steps for j in range(1, steps + 1)]
     state = make_packet(pl["L"], n, pl["m"], pl["x0"], pl["k0"], pl["sigma"])
-    rows = [[t, r] for t, r in zip(times, weak_weyl_residuals(state, times))]
-    max_residual = max(r for _, r in rows)
+    residuals = weak_weyl_residuals(state, times)
+    rows = [[t, r] for t, r in zip(times, residuals)]
+    # np.max, not max: a NaN residual anywhere is the maximum, and fails the gate
+    max_residual = float(np.max(residuals))
     return {
         "grid": pl,
         "sweep": rows,

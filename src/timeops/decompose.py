@@ -20,6 +20,12 @@ than of any single column.  The rounds are not run one by one: a slot's
 round is its rank in its (column, level) bucket, so two sorts of the slots
 give every channel at once, held as flat integer arrays.
 
+The same two sorts partition many simple value sets in one pass
+(``channel_partition_sets``): the set takes the place of the column, and
+each set is rescaled by its own largest magnitude, so every set gets the
+channels that ``channel_partition`` gives it alone and no channel spans
+two sets.
+
 The untruncated theory needs extra bookkeeping to keep infinitely many
 infinite channels alive; none of that survives truncation, so the column
 construction above is the entire algorithm here.
@@ -38,6 +44,7 @@ __all__ = [
     "ChannelDecomposition",
     "DecompositionReport",
     "channel_partition",
+    "channel_partition_sets",
     "decompose_spectrum",
     "verify_decomposition",
 ]
@@ -153,6 +160,64 @@ class ChannelDecomposition:
         }
 
 
+def _check_exponent(p) -> float:
+    p = float(p)
+    if not 1.0 < p < np.inf:   # written so that NaN fails
+        raise ValueError("summability exponent must be finite and exceed 1")
+    return p
+
+
+def _check_counts(counts: tuple, what: str) -> None:
+    if not all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, counts))):
+        raise ValueError(f"{what} must be integers")
+
+
+def _repeating_segments(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """The segments in which some value occurs more than once, ascending, once per repeat."""
+    order = np.lexsort((values, segment))
+    later, earlier = order[1:], order[:-1]
+    return segment[later[(values[later] == values[earlier]) & (segment[later] == segment[earlier])]]
+
+
+def _channels(slot_levels: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat_slots, flat_levels, offsets)`` of the bucket partition of the slots.
+
+    Slot s has bucket level ``slot_levels[s]`` and lies in segment
+    ``segment[s]`` (a multiplicity column or a value set); each segment is
+    partitioned on its own.  Sorting the slots by (segment, level) lines up
+    each bucket's members in slot order; a member's rank in its bucket is
+    its extraction round, and a channel is the slots of one (segment,
+    round), in level order.  Each per-slot temporary is dropped once used,
+    so the peak stays a few arrays above the two that are returned.
+    """
+    by_bucket = np.lexsort((slot_levels, segment))
+    # first[i]: sorted position i opens a bucket, later a channel; first[-1] closes the last
+    first = np.empty(by_bucket.size + 1, dtype=bool)
+    first[0] = first[-1] = True
+    key = segment[by_bucket]
+    np.not_equal(key[1:], key[:-1], out=first[1:-1])
+    level = slot_levels[by_bucket]
+    first[1:-1] |= level[1:] != level[:-1]
+    del level
+    rank = np.arange(by_bucket.size)
+    opened = rank * first[:-1]
+    np.maximum.accumulate(opened, out=opened)
+    rank -= opened
+    del opened
+    # the segment key becomes the channel key (segment, round) in place
+    key *= int(np.maximum.reduce(rank)) + 1
+    key += rank
+    del rank
+    # the stable sort keeps each channel's slots in level order
+    by_channel = key.argsort(kind="stable")
+    key = key[by_channel]
+    np.not_equal(key[1:], key[:-1], out=first[1:-1])
+    del key
+    flat_slots = by_bucket[by_channel]
+    del by_bucket, by_channel
+    return flat_slots, slot_levels[flat_slots], first.nonzero()[0]
+
+
 def channel_partition(
     values,
     multiplicities,
@@ -183,12 +248,10 @@ def channel_partition(
         raise ValueError("values must be a nonempty 1-d array")
     if len(mults) != vals.size:
         raise ValueError("need one multiplicity per value")
-    if not all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, mults))):
-        raise ValueError("multiplicities must be integers")
+    _check_counts(mults, "multiplicities")
     if min(mults) < 1:
         raise ValueError("multiplicities must be >= 1")
-    if not 1.0 < float(p) < np.inf:   # written so that NaN fails
-        raise ValueError("summability exponent must be finite and exceed 1")
+    p = _check_exponent(p)
     mags = np.abs(vals)
     divisor = float(np.maximum.reduce(mags))
     if not 0.0 < np.minimum.reduce(mags) <= divisor < np.inf:   # written so that NaN fails
@@ -210,43 +273,67 @@ def channel_partition(
     # reciprocal) makes the extremal ratio exactly 1.0, so every scaled
     # magnitude is a valid bucket argument.
     levels = _bucket_levels(mags / divisor)
-
-    # Slot s is copy column[s] of value owner[s].  Sorting the slots by
-    # (column, level) lines up each bucket's members in input order; a
-    # member's rank in its bucket is its extraction round, and a channel is
-    # the slots of one (column, round), in level order.  first[s]: sorted
-    # slot s opens a bucket, later a channel; first[-1] closes the last.
-    total = sum(mults)
-    steps = np.arange(total + 1)
-    first = np.empty(total + 1, dtype=bool)
-    first[0] = first[-1] = True
-    if total == vals.size:   # one column and slot n is value n: a plain sort, cheaper on small inputs
-        by_bucket = levels.argsort(kind="stable")
-        level = levels[by_bucket]
-        np.not_equal(level[1:], level[:-1], out=first[1:-1])
-        channel = steps[:-1] - np.maximum.accumulate(steps[:-1] * first[:-1])
-    else:
-        counts = np.array(mults, dtype=np.int64)
-        owner = np.arange(vals.size).repeat(counts)
-        column = steps[:-1] - (counts.cumsum() - counts).repeat(counts)
-        by_bucket = np.lexsort((levels[owner], column))
-        column, level = column[by_bucket], levels[owner[by_bucket]]
-        np.not_equal(column[1:], column[:-1], out=first[1:-1])
-        first[1:-1] |= level[1:] != level[:-1]
-        rank = steps[:-1] - np.maximum.accumulate(steps[:-1] * first[:-1])
-        channel = column * (int(np.maximum.reduce(rank)) + 1) + rank
-    # the stable sort keeps each channel's slots in level order
-    by_channel = channel.argsort(kind="stable")
-    channel = channel[by_channel]
-    np.not_equal(channel[1:], channel[:-1], out=first[1:-1])
+    # slot s is copy column[s] of its value: slots are value-major
+    counts = np.array(mults, dtype=np.int64)
+    column = np.arange(counts.sum())
+    column -= (counts.cumsum() - counts).repeat(counts)
+    flat_slots, flat_levels, offsets = _channels(levels.repeat(counts), column)
     return ChannelDecomposition(
         values=vals.tolist(),
         multiplicities=list(map(int, mults)),
-        flat_slots=by_bucket[by_channel],
-        flat_levels=level[by_channel],
-        offsets=first.nonzero()[0],
-        p=float(p),
+        flat_slots=flat_slots,
+        flat_levels=flat_levels,
+        offsets=offsets,
+        p=p,
         prescale=1.0 / divisor,
+    )
+
+
+def channel_partition_sets(values, sizes, p: float = DEFAULT_EXPONENT) -> ChannelDecomposition:
+    """Partition many sets of distinct nonzero values at once, each set on its own.
+
+    ``values`` holds the sets one after another, ``sizes[i]`` values for
+    set i.  Every set is divided by its own largest magnitude, as
+    :func:`channel_partition` divides it, and then partitioned by the same
+    two sorts with the set in place of the column.  The result is one
+    decomposition of the disjoint union: every multiplicity is 1, slot i
+    is position i of ``values``, and the channels of set i, less the set's
+    first slot, are those of ``channel_partition(set_i, [1] * sizes[i], p)``
+    in the same order.  The union stores each set's values already
+    divided, so its largest magnitude, and so its ``prescale``, is 1.0.
+    Inputs are refused with ``channel_partition``'s messages, naming the
+    set; a value may repeat in two sets, not in one.
+    """
+    vals, counts = np.asarray(values, dtype=float), tuple(sizes)
+    _check_counts(counts, "set sizes")
+    if not counts:
+        raise ValueError("need at least one value set")
+    for i, n in enumerate(counts):
+        if n < 1:
+            raise ValueError(f"set {i}: values must be a nonempty 1-d array")
+    if vals.ndim != 1 or sum(counts) != vals.size:
+        raise ValueError("values must be a 1-d array of the sets' values, one set after another")
+    p = _check_exponent(p)
+    segment = np.arange(len(counts)).repeat(counts)
+    mags = np.abs(vals)
+    bad = np.flatnonzero(~((0.0 < mags) & (mags < np.inf)))   # written so that NaN is bad
+    if bad.size:
+        raise ValueError(f"set {segment[bad[0]]}: values must be finite and nonzero")
+    repeating = _repeating_segments(vals, segment)
+    if repeating.size:
+        raise ValueError(f"set {repeating[0]}: values must be pairwise distinct")
+
+    # each set divided by its own largest magnitude, as channel_partition divides it
+    divisors = np.maximum.reduceat(mags, np.cumsum(counts) - counts).repeat(counts)
+    flat_slots, flat_levels, offsets = _channels(_bucket_levels(mags / divisors), segment)
+    return ChannelDecomposition(
+        values=(vals / divisors).tolist(),
+        multiplicities=[1] * vals.size,
+        flat_slots=flat_slots,
+        flat_levels=flat_levels,
+        offsets=offsets,
+        p=p,
+        prescale=1.0,
     )
 
 
@@ -303,13 +390,11 @@ def verify_decomposition(c: ChannelDecomposition) -> DecompositionReport:
         violations.append("channels do not partition the slot set")
 
     chan = c.channel_of_slot()
-    simple = disjoint_cover and total == size   # slot n is value n, and a cover repeats no slot
+    pairs = np.sort(chan * size + c.value_indices())
+    repeats = pairs[1:] == pairs[:-1]
+    simple = not np.count_nonzero(repeats)
     if not simple:
-        pairs = np.sort(chan * size + c.value_indices())
-        repeats = pairs[1:] == pairs[:-1]
-        simple = not np.count_nonzero(repeats)
-        if not simple:
-            violations += [f"channel {i} repeats an eigenvalue" for i in np.unique(pairs[1:][repeats] // size)]
+        violations += [f"channel {i} repeats an eigenvalue" for i in np.unique(pairs[1:][repeats] // size)]
     reversals = (chan[1:] == chan[:-1]) & (levels[1:] <= levels[:-1])
     increasing = not np.count_nonzero(reversals)
     if not increasing:

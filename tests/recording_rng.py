@@ -24,3 +24,7 @@ class RecordingRng:
 
     def stream(self):
         return np.concatenate(self.drawn)
+
+    def __getattr__(self, name):
+        """Every other method (``integers``, ``choice``) is the wrapped generator's, unrecorded."""
+        return getattr(self.rng, name)

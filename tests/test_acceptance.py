@@ -16,11 +16,12 @@ import pytest
 from timeops import acceptance, spectra, timeop
 from timeops.acceptance import run_all
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, resolve_tolerances
-from timeops.decompose import ChannelDecomposition
+from timeops.decompose import ChannelDecomposition, verify_decomposition
 from timeops.spectra import HermitianMatrix, harmonic_spectrum, hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, ccr_residuals
 
 from dense_reference import dense_commutator, pairing
+from recording_rng import RecordingRng
 
 EXPECTED_ORDER = (
     "exact-ccr",
@@ -45,7 +46,8 @@ HEADLINE = {
         f"lambda_max(800) = {d['largest_size_lambda_max']:.9f} < pi"
     ),
     "partition": lambda d: (
-        f"{d['random_sequences_checked']} random sequences ok"
+        f"{d['random_sequences_checked']} random sequences, {d['random_values_checked']} values, "
+        f"{d['random_channels_checked']} channels ok"
     ),
     "rabi-bounds": lambda d: (
         f"{d['bounds_true']}/{d['bounds_checked']} bounds, "
@@ -160,6 +162,25 @@ def test_ultraweak_form_details_count_the_certified_channels(results):
     assert details["im_identity_defect"] == details["max_uw_ccr_residual"] / 2 > 0.0
 
 
+def test_partition_details_count_what_the_batch_checked(results):
+    # 1000 sets of 2 to 24 values; each set has at least one channel
+    details = results["partition"].details
+    assert details["random_sequences_checked"] == 1000
+    assert 2000 <= details["random_values_checked"] <= 24_000
+    assert 1000 <= details["random_channels_checked"] <= details["random_values_checked"]
+
+
+def test_random_null_sets_redraw_a_set_with_a_repeated_value():
+    # the first magnitude draw is planted: every value is +-1e-5, so every set of three or more repeats one
+    total = int(np.random.default_rng(3).integers(2, 25, 1000).sum())
+    rng = RecordingRng(3, replace={0: np.full(total, -5.0)})
+    values, sizes = acceptance._random_null_sets(rng, 1000)
+    assert rng.calls == 2 and int(sizes.sum()) == total
+    bounds = np.cumsum([0, *sizes])
+    assert all(np.unique(values[a:b]).size == b - a for a, b in zip(bounds, bounds[1:]))
+    assert np.count_nonzero(np.abs(values) == 1e-5) < total
+
+
 def test_transforms_details_show_the_uncertainty_checks():
     (transforms,) = [r for r in run_all({"im_identity": 0.0}) if r.name == "transforms"]
     details = transforms.details
@@ -182,16 +203,39 @@ def certificates(deco):
     return tuple(deco.flat_levels[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
+def merged_across_sets(deco, sizes):
+    """``deco`` with a channel of set 0 merged, in level order, into a channel of set 1 with none of its levels.
+
+    The result still verifies (a disjoint cover by simple channels with
+    strictly increasing certificates under zeta(2)); only its merged
+    channel spans two sets.
+    """
+    channels, levels = list(deco.channels), list(certificates(deco))
+    set_of = np.searchsorted(np.cumsum(sizes), [c[0] for c in channels], side="right")
+    i, j = next((i, j) for i in np.flatnonzero(set_of == 0) for j in np.flatnonzero(set_of == 1)
+                if not set(levels[i].tolist()) & set(levels[j].tolist()))
+    order = np.argsort(np.concatenate([levels[i], levels[j]]))
+    channels[i] = np.concatenate([channels[i], channels[j]])[order]
+    levels[i] = np.concatenate([levels[i], levels[j]])[order]
+    del channels[j], levels[j]
+    merged = rebuilt(deco, channels, levels)
+    report = verify_decomposition(merged)
+    assert report.ok and max(report.certificate_sums) < math.pi ** 2 / 6.0
+    return merged
+
+
 class TestEveryCriterionCanFail:
     """A perturbed kernel or input makes each of these criteria report passed: false."""
 
     @pytest.mark.parametrize("perturb", [
-        lambda deco: rebuilt(deco, deco.channels[:-1], certificates(deco)[:-1]),
-        lambda deco: rebuilt(deco, deco.channels, tuple(cert[::-1] for cert in certificates(deco))),
-    ], ids=["a channel dropped", "certificates reversed"])
+        lambda deco, sizes: rebuilt(deco, deco.channels[:-1], certificates(deco)[:-1]),
+        lambda deco, sizes: rebuilt(deco, deco.channels, tuple(cert[::-1] for cert in certificates(deco))),
+        merged_across_sets,
+    ], ids=["a channel dropped", "certificates reversed", "two sets' channels merged"])
     def test_partition(self, monkeypatch, perturb):
-        partition = acceptance.channel_partition
-        monkeypatch.setattr(acceptance, "channel_partition", lambda *args: perturb(partition(*args)))
+        partition = acceptance.channel_partition_sets
+        monkeypatch.setattr(acceptance, "channel_partition_sets",
+                            lambda values, sizes: perturb(partition(values, sizes), sizes))
         passed, details = acceptance.criterion_partition(resolve_tolerances(), 7)
         assert passed is False and details["random_invariants_ok"] is False
 

@@ -726,6 +726,15 @@ class TestEveryVerdictCanFail:
         report = self._run(tmp_path, "abweyl")
         assert report["max_residual"] > report["tolerances"]["grid_residual"]
 
+    def test_abweyl_nan_residual(self, tmp_path, monkeypatch):
+        # a NaN at the second time, which Python's max would skip behind the finite first residual
+        residuals = cli.weak_weyl_residuals
+        monkeypatch.setattr(cli, "weak_weyl_residuals",
+                            lambda state, times: [r if j != 1 else math.nan
+                                                  for j, r in enumerate(residuals(state, times))])
+        report = self._run(tmp_path, "abweyl")
+        assert math.isnan(report["max_residual"]) and not math.isnan(report["sweep"][0][1])
+
     @pytest.mark.parametrize("case", ["s0_apply", "s0_symmetry_residual", "nan_symmetry_residual"])
     def test_s0check(self, tmp_path, monkeypatch, case):
         if case == "s0_apply":

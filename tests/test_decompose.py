@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from timeops.acceptance import _random_null_sets
 from timeops.decompose import (
     BUCKET_LEVEL_LIMIT,
     ChannelDecomposition,
     _bucket_levels,
     channel_partition,
+    channel_partition_sets,
     decompose_spectrum,
     verify_decomposition,
 )
@@ -328,6 +330,94 @@ class TestPartitionMatchesTheGreedyRounds:
         assert layout(deco) == reference
 
 
+def per_set_layouts(deco, sizes):
+    """The union's channels and certificates, grouped by the set of each channel's first slot, in set-local slots.
+
+    A channel that spans two sets keeps slots outside its set's range, so it
+    cannot equal a per-set ``channel_partition`` layout.
+    """
+    starts = np.cumsum([0, *sizes])
+    grouped = [([], []) for _ in sizes]
+    for slots, levels in zip(deco.channels, certificates(deco)):
+        i = int(np.searchsorted(starts, slots[0], side="right")) - 1
+        grouped[i][0].append(tuple((slots - starts[i]).tolist()))
+        grouped[i][1].append(tuple(levels.tolist()))
+    return [(tuple(channels), tuple(levels)) for channels, levels in grouped]
+
+
+def reference_set_layouts(values, sizes):
+    """Reference: one ``channel_partition`` call per set."""
+    starts = np.cumsum([0, *sizes])
+    return [layout(channel_partition(values[a:b], [1] * (b - a))) for a, b in zip(starts, starts[1:])]
+
+
+def assert_batch_matches_each_set(values, sizes):
+    values = np.asarray(values, dtype=float)
+    deco = channel_partition_sets(values, sizes)
+    assert per_set_layouts(deco, sizes) == reference_set_layouts(values, sizes)
+    starts = np.cumsum([0, *sizes])
+    rescaled = [values[a:b] / np.max(np.abs(values[a:b])) for a, b in zip(starts, starts[1:])]
+    assert deco.values == tuple(np.concatenate(rescaled).tolist())
+    assert deco.multiplicities == (1,) * values.size and deco.prescale == 1.0
+    assert verify_decomposition(deco).ok
+    return deco
+
+
+class TestPartitionSets:
+    """One pass over many simple value sets against one ``channel_partition`` call per set."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_the_selftest_draws(self, seed):
+        values, sizes = _random_null_sets(np.random.default_rng(seed + 5000), 1000)
+        deco = assert_batch_matches_each_set(values, sizes.tolist())
+        assert deco.channel_count > 1000
+
+    def test_hand_traced_sets_side_by_side(self):
+        harmonic = [-1.0 / n for n in range(1, 9)]
+        sqrt_tail = [-1.0 / math.sqrt(n) for n in range(1, 9)]
+        deco = assert_batch_matches_each_set([*sqrt_tail, *harmonic, -7.3], [8, 8, 1])
+        assert deco.to_json()["channels"] == [[0, 3], [1, 4], [2, 5], [6], [7], list(range(8, 16)), [16]]
+
+    def test_a_value_may_repeat_across_sets(self):
+        deco = assert_batch_matches_each_set([0.5, -0.25, 0.5, 2.0], [2, 2])
+        assert deco.values == (1.0, -0.5, 0.25, 1.0)
+
+    @pytest.mark.parametrize("bad_set", [[], [0.5, 0.0], [0.5, math.nan], [math.inf, 0.5], [0.3, -0.1, 0.3]],
+                             ids=["empty", "zero", "nan", "inf", "repeated"])
+    def test_refuses_a_bad_set_with_the_single_set_message(self, bad_set):
+        with pytest.raises(ValueError) as single:
+            channel_partition(bad_set, [1] * len(bad_set))
+        good = [0.5, -0.25]
+        values, sizes = [*good, *bad_set, *good], [2, len(bad_set), 2]
+        with pytest.raises(ValueError) as batch:
+            channel_partition_sets(values, sizes)
+        assert str(batch.value) == f"set 1: {single.value}"
+
+    def test_refuses_malformed_sizes_and_exponents(self):
+        with pytest.raises(ValueError, match="at least one value set"):
+            channel_partition_sets([], [])
+        with pytest.raises(ValueError, match="set sizes must be integers"):
+            channel_partition_sets([0.5, 0.25], [2.0])
+        with pytest.raises(ValueError, match="one set after another"):
+            channel_partition_sets([0.5, 0.25], [1])
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            channel_partition_sets([0.5, 0.25], [2], p=1.0)
+        with pytest.raises(ValueError, match="dynamic range"):
+            channel_partition_sets([1.0, 1e-300, 1.0], [2, 1])
+
+
+class TestPartitionSetsFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                           st.floats(min_value=-6.0, max_value=0.0), st.sampled_from([-1.0, 1.0])),
+                 min_size=1, max_size=30, unique=True),
+        min_size=1, max_size=12,
+    ))
+    def test_batch_equals_the_per_set_calls(self, sets):
+        assert_batch_matches_each_set([v for s in sets for v in s], [len(s) for s in sets])
+
+
 class TestDecomposeSpectrum:
     def test_hydrogen_column_structure(self):
         deco = decompose_spectrum(hydrogen_point_spectrum(1.0, 1.0, 3))
@@ -382,17 +472,21 @@ class TestDecomposeSpectrum:
         assert all(type(k) is int for c in doc["channels"] for k in c)
 
     def test_hydrogen_seventy_holds_a_few_integer_arrays(self):
-        # 116 795 slots: two int64 arrays of them are 1.8 MiB; one Python tuple per slot held 16 MiB
+        # 116 795 slots: two int64 arrays of them are 1.8 MiB; one Python tuple per slot held 16 MiB.
+        # Each per-slot temporary of the partition is dropped once used, so the peak stays within 4x of that.
         s = hydrogen_point_spectrum(1.0, 1.0, 70)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             deco = decompose_spectrum(s)
-            held = tracemalloc.get_traced_memory()[0] - before
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert deco.flat_slots.size == 116_795
         assert held <= 4 * 2 ** 20
+        arrays = (deco.flat_slots, deco.flat_levels, deco.offsets)
+        assert all(a.dtype == np.int64 for a in arrays)
+        assert peak <= 4 * sum(a.nbytes for a in arrays)
 
 
 class TestVerifyDecomposition:
