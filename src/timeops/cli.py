@@ -316,12 +316,9 @@ def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict) -> dict:
     if not op.groups:
         raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
-    worst = ccr_check(op, config.seed, vectors)
-    defect = np.zeros(len(op.eigenvalues))
-    ok = True
-    for g in op.groups:
-        defect[g.blocks] = g.hermiticity_defect()
-        ok = ok and bool(np.all(worst[g.blocks] <= ccr_allowed(g, tol)))
+    worst, scale, defect = ccr_check(op, config.seed, vectors)
+    ok = bool(np.all(worst <= ccr_allowed(scale, tol)))
+    defect = np.divide(defect, scale, out=np.zeros_like(defect), where=scale != 0.0)   # relative to the scale
     channels = [{"channel_id": i, "dimension": ev.size, "max_ccr_residual": float(worst[i]),
                  "hermiticity_defect": float(defect[i])} for i, ev in enumerate(op.eigenvalues)]
     return {

@@ -183,10 +183,15 @@ def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple:
             # np.maximum, unlike max(), carries a NaN forward
             scale = np.maximum(scale, np.max(np.abs(band), axis=(-2, -1)))
             defect = np.maximum(defect, np.max(np.abs(band + mirror if skew else band - mirror.conj()), axis=(-2, -1)))
+    _refuse_defect(scale, defect)
+    return scale, defect
+
+
+def _refuse_defect(scale, defect) -> None:
+    """Raise ValueError for the first matrix whose defect exceeds ``HERMITICITY_RTOL`` times its scale; NaN fails."""
     failed = ~(defect <= HERMITICITY_RTOL * np.maximum(scale, 1e-300))
     if np.any(failed):
         raise ValueError(f"matrix is not Hermitian (defect {np.ravel(defect)[np.argmax(failed)]:.3e})")
-    return scale, defect
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ identically on the span of eigenvector differences.  That cancellation is
 algebraic, not asymptotic, which is why the residual checks here demand
 machine precision rather than convergence.
 
-Every entry is purely imaginary, so a matrix is stored as T = iA with A
+Every entry is purely imaginary, so a matrix is built as T = iA with A
 real and antisymmetric.  The residual kernel streams the commutator
 [H, T] = i(hA - Ah) in row bands and never holds it whole.
 
@@ -23,22 +23,25 @@ inverse-conjugate generator A: its evaluator is iR with
 R = -(A D + D A)/2 and D = diag(1/E^2), again real and antisymmetric.
 
 A direct sum of simple channels is one ``ChannelStack`` of one of these
-three kinds.  It stacks the channels of each dimension d >= 2 into one
-group, whose real (c, d, d) stack is built in one vectorized pass and
-read in place: by the exact-CCR sweep here, by the form's certificate
-in ``uwform``.  A channel of dimension 1 has a trivial
-difference span and no stack row.
+three kinds.  It groups the channels of each dimension d >= 2 and keeps
+only their eigenvalues.  No matrix outlives the kernel that reads it:
+``_entries`` builds any row band of any channels' matrices, and each
+consumer builds the part it reads, checks it, uses it and drops it.  The
+exact-CCR sweep here builds row bands and their mirror columns, the
+form's certificate in ``uwform`` whole matrices, SWEEP_CHUNK entries at
+a time.  A channel of dimension 1 has a trivial difference span and no
+matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .decompose import ChannelDecomposition, decompose_spectrum
-from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum, _require_hermitian
+from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum, _refuse_defect
 
 __all__ = [
     "MatrixKind",
@@ -56,18 +59,17 @@ __all__ = [
 #: summation functional).
 DIFFERENCE_SPAN_RTOL = 1e-10
 
-#: Rows per band of the commutator that ``ccr_residuals`` streams, and of the
-#: products E_n*E_m that ``_generator_stack`` forms.
+#: Rows per band of the generator and the commutator that ``ccr_residuals`` streams.
 CCR_BAND_ROWS = 128
 
-#: Entries a stack build or a kernel handles at once (rows x width).  Longer
-#: work runs in chunks of rows, in the same order, so its memory grows with
-#: the chunk, not with the stack or the number of vectors.
+#: Entries a kernel builds or handles at once (rows x width).  Longer work
+#: runs in chunks of rows, in the same order, so its memory grows with the
+#: chunk, not with the channels or the number of vectors.
 SWEEP_CHUNK = 2 ** 18
 
 
 class MatrixKind(str, Enum):
-    """What the stack row of a channel holds.
+    """What the matrix of a channel is.
 
     ``DIRECT`` and ``INVERSE_CONJUGATE``: the real generator A of the
     time-operator matrix T = iA of that kind.  ``FORM``: the real R of the
@@ -93,38 +95,28 @@ def _chunks(width: int, count: int):
 
 @dataclass(frozen=True, eq=False)
 class _Group:
-    """The c channels of dimension d >= 2 of a ``ChannelStack``, stacked.
+    """The c channels of dimension d >= 2 of a ``ChannelStack``, by their eigenvalues.
 
-    ``scale`` and ``defect`` are each row's largest |entry| and largest
-    |A + A^T| entry, from the one antisymmetry pass of the build.
+    Their matrices are not kept: each consumer builds the band it reads
+    with ``_entries``, checks it, uses it and drops it.
     """
 
     blocks: np.ndarray        # (c,) channel positions in the stack
     index: np.ndarray         # (c, d) coordinates of each channel in a whole vector
     eigenvalues: np.ndarray   # (c, d)
-    stack: np.ndarray         # (c, d, d) real, antisymmetric, read-only
-    scale: np.ndarray         # (c,)
-    defect: np.ndarray        # (c,)
-
-    def __getitem__(self, rows: slice) -> "_Group":
-        """The channels ``rows`` of this group, as views."""
-        return _Group(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    def hermiticity_defect(self) -> np.ndarray:
-        """Each row's max entrywise deviation from antisymmetry, relative to its scale."""
-        return np.divide(self.defect, self.scale, out=np.zeros_like(self.defect), where=self.scale != 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelStack:
-    """A direct sum of simple channels of one ``MatrixKind``, stacked by dimension.
+    """A direct sum of simple channels of one ``MatrixKind``, grouped by dimension.
 
     Built from one eigenvalue array per channel, each strictly increasing;
     ``eigenvalues`` keeps them, read-only.  For every dimension d >= 2, in
     the order the dimensions first appear, ``groups`` holds a ``_Group``
-    of the channels of that dimension, in channel order, with their rows
-    in one read-only real (c, d, d) stack.  A form's channels must have
-    finite, nonzero eigenvalues, dimension 1 included.
+    of the channels of that dimension, in channel order.  The eigenvalues
+    are checked here; the entries, which only the kernels build, are
+    checked where they are built.  A form's channels must have finite,
+    nonzero eigenvalues, dimension 1 included.
 
     Frozen, and compared by identity: a field-wise ``__eq__`` over arrays
     is unusable.
@@ -143,25 +135,24 @@ class ChannelStack:
         if any(ev.ndim != 1 or ev.size == 0 for ev in channels):
             raise ValueError("eigenvalues must be a nonempty 1-d array")
         dims = np.array([ev.size for ev in channels])
+        starts = np.cumsum(dims) - dims
         eigenvalues = [None] * len(channels)
-        rows = {}
+        groups = []
         for d in dict.fromkeys(dims.tolist()):   # dimensions in order of first appearance
             blocks = np.flatnonzero(dims == d)
-            e = np.stack([channels[i] for i in blocks])
+            e = np.array([channels[i] for i in blocks])
             # written so that NaN fails
             if kind is MatrixKind.FORM and not np.all(np.isfinite(e) & (e != 0.0)):
                 raise ValueError("form channels require finite, nonzero eigenvalues")
             e.flags.writeable = False
             for i, row in zip(blocks, e):
                 eigenvalues[i] = row
-            rows[d] = blocks, e
-        del channels   # an iterable's arrays are released before the stacks are built
-        starts = np.cumsum(dims) - dims
-        groups = tuple(_Group(blocks, starts[blocks, None] + np.arange(d), e, *_build_stack(e, kind))
-                       for d, (blocks, e) in rows.items() if d >= 2)
+            if d >= 2:
+                _require_rows(e, kind)
+                groups.append(_Group(blocks, starts[blocks, None] + np.arange(d), e))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "total_dimension", int(dims.sum()))
 
     @classmethod
@@ -169,65 +160,15 @@ class ChannelStack:
         """One channel per decomposition channel, eigenvalues ascending."""
         ev = np.asarray(deco.values)[deco.value_indices()]
         ev = ev[np.lexsort((ev, deco.channel_of_slot()))]
-        # a list iterator drops its list once exhausted, so the channels are released before the stacks are built
-        channels, ev = iter(np.split(ev, deco.offsets[1:-1])), None
-        return cls(channels, kind)
+        return cls(np.split(ev, deco.offsets[1:-1]), kind)
 
 
-def _build_stack(e: np.ndarray, kind: MatrixKind):
-    """(stack, scale, defect) of the channels whose eigenvalues are the rows of e (c, d).
+def _require_rows(ev: np.ndarray, kind: MatrixKind) -> None:
+    """Refuse eigenvalue rows (c, d) that no generator of ``kind`` can be built from.
 
-    The rows are built SWEEP_CHUNK entries at a time, and a stack built in
-    one chunk is that chunk's array, not a copy.  The one antisymmetry
-    pass of each chunk gives the scale and defect of its rows.
+    A refusal names the first row that fails it.
     """
-    c, d = e.shape
-    stack = None
-    scale, defect = np.empty(c), np.empty(c)
-    for start, stop in _chunks(d * d, c):
-        rows = slice(start, stop)
-        a = _generator_stack(e[rows], MatrixKind.INVERSE_CONJUGATE if kind is MatrixKind.FORM else kind)
-        if kind is MatrixKind.FORM:
-            _form_stack(e[rows], a)
-        scale[rows], defect[rows] = _require_hermitian(a, skew=True)
-        if stop - start == c:
-            stack = a
-        else:
-            if stack is None:   # only once the kernel has accepted the dimension
-                stack = np.empty((c, d, d))
-            stack[rows] = a
-    stack.flags.writeable = False
-    return stack, scale, defect
-
-
-def _form_stack(e: np.ndarray, a: np.ndarray) -> None:
-    """Turn the generator stack a into R = -(A D + D A)/2, D = diag(1/E^2), in place.
-
-    The two D-products are applied by column and row scaling, which keeps
-    each R antisymmetric to the last bit: the (n, m) and (m, n) entries
-    are built from the same float products.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = 1.0 / (e * e)
-        ad = a * inv[:, None, :]
-        np.multiply(inv[:, :, None], a, out=a)
-        np.add(ad, a, out=a)
-        np.multiply(-0.5, a, out=a)
-    del ad
-    if not np.all(np.isfinite(a)):
-        raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
-
-
-def _generator_stack(ev: np.ndarray, kind: MatrixKind) -> np.ndarray:
-    """Real generators A = -iT of the channels whose eigenvalues are the rows of a (c, d) float array.
-
-    Returns a (c, d, d) stack: A[r] has entries 1/(E_n - E_m) for the
-    direct kind and E_n E_m/(E_m - E_n) for the inverse-conjugate kind,
-    with a zero diagonal.  Each generator is built in the buffer of the
-    gap array E_n - E_m, so the build holds the stack and one band of
-    products.  A refusal names the first row that fails it.
-    """
-    c, d = ev.shape
+    d = ev.shape[1]
     if d > CHANNEL_DIMENSION_LIMIT:
         raise ValueError(
             f"channel dimension {d} exceeds the dense-solver limit "
@@ -235,38 +176,65 @@ def _generator_stack(ev: np.ndarray, kind: MatrixKind) -> np.ndarray:
         )
     if np.any(np.diff(ev, axis=1) <= 0.0):
         raise ValueError("eigenvalues must be strictly increasing")
-    if kind is MatrixKind.INVERSE_CONJUGATE and np.any(ev == 0.0):
+    if kind is MatrixKind.DIRECT:
+        return
+    if np.any(ev == 0.0):
         raise ValueError("inverse-conjugate kind requires nonzero eigenvalues")
     # An overflowing product E_n*E_m and an infinite eigenvalue are refused
-    # here; the entry gate below sees neither, since non-finite eigenvalues
-    # pass to the antisymmetry check.  The largest off-diagonal product is
-    # that of the two largest magnitudes; diagonal ones are overwritten.
-    if kind is MatrixKind.INVERSE_CONJUGATE:
-        top = np.sort(np.abs(ev), axis=1)[:, -2:]   # one magnitude, squared, for a single eigenvalue
-        with np.errstate(over="ignore", invalid="ignore"):
-            overflow = ~np.isfinite(top[:, 0] * top[:, -1])
-        if np.any(overflow):
-            largest = float(top[np.argmax(overflow), -1])
-            raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
+    # here; the entry gate of ``_entries`` sees neither, since non-finite
+    # eigenvalues pass to the antisymmetry check.  The largest off-diagonal
+    # product is that of the two largest magnitudes.
+    top = np.sort(np.abs(ev), axis=1)[:, -2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = ~np.isfinite(top[:, 0] * top[:, -1])
+    if np.any(overflow):
+        largest = float(top[np.argmax(overflow), -1])
+        raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
-    a = ev[:, :, None] - ev[:, None, :]       # gaps[r, n, m] = E_n - E_m, turned into A in place
-    diagonal = a.reshape(c, d * d)[:, ::d + 1]
+
+def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, mirror: bool = False) -> np.ndarray:
+    """Rows start:stop of the real matrix of ``kind`` of each channel whose eigenvalues are the rows of ev (c, d).
+
+    The one entry kernel: a (c, stop - start, d) band of the generator
+    A = -iT, with entries 1/(E_n - E_m) for the direct kind and
+    E_n E_m/(E_m - E_n) for the inverse-conjugate one, or for the form
+    kind of R = -(A D + D A)/2, A inverse-conjugate and D = diag(1/E^2);
+    the diagonal is zero.  With ``mirror`` it builds columns start:stop
+    instead, transposed: entry (i, m) is the (m, start + i) entry.  Both
+    come from the same float products with n and m swapped, so an
+    antisymmetric build gives a mirror that is exactly minus the band.
+    The rows must have passed ``_require_rows``; an entry that overflows
+    is refused, naming the first row that fails.
+    """
+    c, d = ev.shape
+    n, m = ev[:, start:stop, None], ev[:, None, :]
+    if mirror:
+        n, m = m, n
+    a = n - m                                 # the gaps E_n - E_m, turned into the entries in place
+    diagonal = a.reshape(c, -1)[:, start::d + 1]
     diagonal[...] = 1.0                       # placeholder, zeroed below
     # a subnormal gap overflows the quotient; finite eigenvalues must give finite entries
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.reciprocal(a, out=a)
-        if kind is MatrixKind.INVERSE_CONJUGATE:
+        if kind is not MatrixKind.DIRECT:
             # E_n*E_m * (-1/gap): the bits of the complex quotient i E_n E_m / (-gap)
             np.negative(a, out=a)
-            for start in range(0, d, CCR_BAND_ROWS):
-                band = slice(start, start + CCR_BAND_ROWS)
-                a[:, band] *= ev[:, band, None] * ev[:, None, :]
+            a *= n * m
     diagonal[...] = 0.0
     overflow = np.all(np.isfinite(ev), axis=1) & ~np.all(np.isfinite(a), axis=(1, 2))
     if np.any(overflow):
         entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
         raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
                          f"(smallest gap {float(np.min(np.diff(ev[np.argmax(overflow)])))!r})")
+    if kind is MatrixKind.FORM:
+        # column and row scaling by 1/E^2: the (n, m) and (m, n) entries are built from the same float products
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ad = a * (1.0 / (m * m))
+            a *= 1.0 / (n * n)
+            np.add(ad, a, out=a)
+            np.multiply(-0.5, a, out=a)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("form evaluator is not finite: 1/E^2 overflows for these eigenvalues")
     return a
 
 
@@ -305,70 +273,89 @@ def _require_difference_span(vecs: np.ndarray) -> None:
         )
 
 
-def ccr_residuals(g: _Group, kind: MatrixKind, vecs) -> np.ndarray:
-    """Worst norm of ([H,T] + i)v of each channel of g over its k rows of a (c, k, d) stack.
+def ccr_residuals(ev: np.ndarray, kind: MatrixKind, vecs) -> tuple:
+    """(worst, scale, defect) of each channel whose eigenvalues are the rows of ev (c, d), as a group holds them.
 
-    H is diag(E) for the direct kind and diag(1/E) for the
-    inverse-conjugate kind.  The residual is zero in exact arithmetic for
-    any v with zero coefficient sum, because the commutator equals
-    i(J - I); vectors off that span are rejected rather than measured.
+    ``worst`` is the largest norm of ([H,T] + i)v over the channel's k rows
+    of a (c, k, d) vector stack, with H = diag(E) for the direct kind and
+    diag(1/E) for the inverse-conjugate kind.  The residual is zero in
+    exact arithmetic for any v with zero coefficient sum, because the
+    commutator equals i(J - I); vectors off that span are rejected rather
+    than measured.  ``scale`` and ``defect`` are the channel's largest
+    |A| and |A + A^T| entries.
 
-    The commutator is streamed in bands of at most ``CCR_BAND_ROWS`` rows,
-    for SWEEP_CHUNK entries of channels at a time.  A band c = h_n A - A h_m
-    is built entrywise and gives its columns as ``v @ (1j*c).T``, one
-    matrix product per channel, so a stack of 0 and +-1 entries gets the
-    bits of one matrix-vector product per row.  NaN propagates.
+    The generator is built by ``_entries`` in bands of at most
+    ``CCR_BAND_ROWS`` rows, for SWEEP_CHUNK entries of channels at a time,
+    and each band is checked against its mirror columns, built in
+    transposed order; a chunk whose defect exceeds ``HERMITICITY_RTOL``
+    times its scale is refused.  A band c = h_n A - A h_m gives its
+    columns as ``v @ (1j*c).T``, one matrix product per channel, so a
+    stack of 0 and +-1 entries gets the bits of one matrix-vector product
+    per row.  A NaN entry fails the antisymmetry check; a NaN in H
+    propagates to the residual.
     """
     kind = MatrixKind(kind)
     if kind is MatrixKind.FORM:
         raise ValueError("a form's stack is not a time-operator generator")
+    ev = np.asarray(ev, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
-    c, d = g.eigenvalues.shape
+    c, d = ev.shape
     if vecs.ndim != 3 or vecs.shape[0] != c or vecs.shape[2] != d:
         raise ValueError(f"a ({c}, k, {d}) vector stack is needed for this group, not {vecs.shape}")
     if vecs.shape[1] == 0:
         raise ValueError("need at least one vector")
     _require_difference_span(vecs)
-    h = g.eigenvalues if kind is MatrixKind.DIRECT else 1.0 / g.eigenvalues
     out = np.empty(vecs.shape, dtype=complex)
+    scale, defect = np.zeros(c), np.zeros(c)
     # near-equal bands: a one-row band would go to a dot product, which sums in another order
     bands = -(-d // CCR_BAND_ROWS)
     edges = [d * i // bands for i in range(bands + 1)]
     for first, last in _chunks(edges[1] * d, c):
         ch = slice(first, last)
         for start, stop in zip(edges, edges[1:]):
-            rows = slice(start, stop)
-            band = h[ch, rows, None] * g.stack[ch, rows]
-            band -= g.stack[ch, rows] * h[ch, None, :]
-            out[ch, :, rows] = vecs[ch] @ (1j * band).transpose(0, 2, 1)
+            a = _entries(ev[ch], start, stop, kind)
+            # np.maximum, unlike max(), carries a NaN forward; inf - inf is a NaN defect
+            scale[ch] = np.maximum(scale[ch], np.max(np.abs(a), axis=(1, 2)))
+            mirror = _entries(ev[ch], start, stop, kind, mirror=True)
+            with np.errstate(invalid="ignore"):
+                mirror += a
+            defect[ch] = np.maximum(defect[ch], np.max(np.abs(mirror, out=mirror), axis=(1, 2)))
+            del mirror
+            h = ev[ch] if kind is MatrixKind.DIRECT else 1.0 / ev[ch]   # after the entries' overflow gate
+            band = h[:, start:stop, None] * a
+            band -= np.multiply(a, h[:, None, :], out=a)
+            del a
+            out[ch, :, start:stop] = vecs[ch] @ (1j * band).transpose(0, 2, 1)
+        _refuse_defect(scale[ch], defect[ch])
     out += 1j * vecs
-    return np.max(np.linalg.norm(out, axis=2), axis=1)
+    return np.max(np.linalg.norm(out, axis=2), axis=1), scale, defect
 
 
-def ccr_allowed(g: _Group, tol: dict) -> np.ndarray:
-    """The exact-CCR gate of each channel of g: ``ccr_relative`` times its largest |entry|."""
-    return tol["ccr_relative"] * g.scale
+def ccr_allowed(scale: np.ndarray, tol: dict) -> np.ndarray:
+    """The exact-CCR gate of each channel: ``ccr_relative`` times its largest |entry|, as the sweep returns it."""
+    return tol["ccr_relative"] * scale
 
 
-def ccr_check(op: ChannelStack, seed: int, count: int) -> np.ndarray:
-    """The exact-CCR sweep of the ``timeop`` pipeline: the worst residual of each channel.
+def ccr_check(op: ChannelStack, seed: int, count: int) -> tuple:
+    """The exact-CCR sweep of the ``timeop`` pipeline: (worst, scale, defect) of each channel.
 
     ``count`` vectors per channel of dimension 2 or more, channel i drawing
     them with ``random_difference_stack`` from a generator seeded
-    ``seed + 10_000 + i``, checked by group, SWEEP_CHUNK coordinates at a
-    time; 0 for channels of dimension 1.
+    ``seed + 10_000 + i``, checked by group with ``ccr_residuals``,
+    SWEEP_CHUNK coordinates at a time; all three read 0 for channels of
+    dimension 1.
     """
     if count < 1:
         raise ValueError("need at least one vector; a sweep over none checks nothing")
-    worst = np.zeros(len(op.eigenvalues))
+    worst, scale, defect = (np.zeros(len(op.eigenvalues)) for _ in range(3))
     for g in op.groups:
         c, d = g.eigenvalues.shape
         for start, stop in _chunks(count * d, c):
-            part = g[start:stop]
-            vecs = np.stack([random_difference_stack(np.random.default_rng(seed + 10_000 + i), d, count)
-                             for i in part.blocks])
-            worst[part.blocks] = ccr_residuals(part, op.kind, vecs)
-    return worst
+            blocks = g.blocks[start:stop]
+            vecs = np.array([random_difference_stack(np.random.default_rng(seed + 10_000 + i), d, count)
+                             for i in blocks])
+            worst[blocks], scale[blocks], defect[blocks] = ccr_residuals(g.eigenvalues[start:stop], op.kind, vecs)
+    return worst, scale, defect
 
 
 def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):
@@ -424,10 +411,12 @@ def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:
         )
     lags = np.arange(1, n, dtype=float)
     a = np.concatenate([-1.0 / lags[::-1], [0.0], 1.0 / lags])   # a[n - 1 + k] = a(k)
-    p = np.arange((n + 1) // 2)[:, None]
-    q = np.arange(n // 2)[None, :]
-    b = a[n - 1 + p - q] + a[2 * n - 2 - p - q]
+    # win[j, q] = a[2n - 2 - j - q], so B[p, q] = win[n - 1 - p, q] + win[p, q]
+    win = np.lib.stride_tricks.sliding_window_view(a[::-1], n // 2)
+    b = win[n - 1:n - 1 - (n + 1) // 2:-1] + win[:(n + 1) // 2]
     if n % 2:
         b[-1] /= math.sqrt(2.0)
-    high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
+    gram = b.T @ b
+    del b
+    high = math.sqrt(np.linalg.eigvalsh(gram)[-1]) / omega
     return -high, high

@@ -21,10 +21,11 @@ defect is linear in one matrix per channel, and ``uw_ccr_bounds`` bounds
 it by that matrix's norm, for every pair of unit domain vectors at once.
 
 A form over a direct sum of simple channels is a ``timeop.ChannelStack``
-of kind ``FORM``: for every dimension d >= 2 one group whose channels'
-evaluators iR, R real and antisymmetric, are built in one vectorized
-pass and read in place by the certificate.  A channel of dimension 1 has
-a trivial domain and no evaluator.
+of kind ``FORM``: for every dimension d >= 2 one group of channels, kept
+as their eigenvalues.  The certificate builds their evaluators iR, R
+real and antisymmetric, one chunk of whole matrices at a time, and drops
+each chunk once its bounds are taken.  A channel of dimension 1 has a
+trivial domain and no evaluator.
 
 The second half of the module transports the construction along functions
 of the Hamiltonian.  A shifted symbol f~(x) = f(x) - f(0) applied to the
@@ -44,8 +45,8 @@ from enum import Enum
 import numpy as np
 
 from .decompose import channel_partition, decompose_spectrum
-from .spectra import Accumulation, DiscreteSpectrum
-from .timeop import ChannelStack, MatrixKind, _chunks
+from .spectra import Accumulation, DiscreteSpectrum, _require_hermitian
+from .timeop import ChannelStack, MatrixKind, _chunks, _entries
 
 __all__ = [
     "FunctionKind",
@@ -108,11 +109,12 @@ def uw_ccr_bounds(form: ChannelStack) -> np.ndarray:
 
     A pair of unit whole-form domain vectors is bounded by the largest
     value, by Cauchy-Schwarz over the blocks; the uncertainty identity is
-    the phi = psi case, so |Im z + 1/2| is at most half of it.  PMP is
-    built entry by entry, SWEEP_CHUNK entries of a group at a time, and
+    the phi = psi case, so |Im z + 1/2| is at most half of it.  R is built
+    by ``_entries``, SWEEP_CHUNK entries of a group at a time, refused if
+    not antisymmetric (NaN included), and turned into PMP entry by entry,
     never expanded as |M|^2 - 2|Me|^2/|e|^2 + ...: the entries of M reach
     the ratio of the channel's extreme eigenvalues, and that expansion
-    cancels to noise.  NaN propagates.
+    cancels to noise.
     """
     if form.kind is not MatrixKind.FORM:
         raise ValueError(f"the certificate reads an ultra-weak form, not a {form.kind.value} channel stack")
@@ -123,7 +125,9 @@ def uw_ccr_bounds(form: ChannelStack) -> np.ndarray:
             e = g.eigenvalues[start:stop]
             u = e / np.max(np.abs(e), axis=1, keepdims=True)   # |e|^2 itself may overflow
             u /= np.linalg.norm(u, axis=1, keepdims=True)
-            m = (e[:, :, None] - e[:, None, :]) * g.stack[start:stop]
+            m = _entries(e, 0, d, MatrixKind.FORM)
+            _require_hermitian(m, skew=True)
+            m *= e[:, :, None] - e[:, None, :]
             m.reshape(-1, d * d)[:, ::d + 1] += 1.0
             m -= (m @ u[:, :, None]) * u[:, None, :]      # M P
             m -= u[:, :, None] * (u[:, None, :] @ m)      # P M P

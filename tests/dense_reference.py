@@ -1,19 +1,74 @@
-"""Per-channel and dense references for the stacked time-operator and form kernels.
+"""Per-channel and dense references for the streamed time-operator and form kernels.
 
+``generator_stack`` builds whole matrices at once, with the arithmetic of
+the resident stacks that the band kernel ``timeop._entries`` replaced;
 ``ccr_residual`` is the one-channel exact-CCR kernel that ``ccr_residuals``
-replaced, arithmetic for arithmetic; ``complex_evaluator_stack`` holds
-the complex form evaluators that the real stacks R replaced.  ``rabi_chain_labels`` names the product
-basis states of the Rabi parity chains, in block order.
+replaced, arithmetic for arithmetic, and ``block_pair_residuals`` the
+pair-by-pair loop over a whole commutator; ``complex_evaluator_stack``
+holds the complex form evaluators that the real matrices R replaced.
+``plant`` makes a kernel build a chosen matrix for one channel.
+``rabi_chain_labels`` names the product basis states of the Rabi parity
+chains, in block order.
 """
 
 import numpy as np
 
-from timeops.timeop import CCR_BAND_ROWS, MatrixKind, _generator_stack
+from timeops.timeop import CCR_BAND_ROWS, MatrixKind
+
+
+def generator_stack(e, kind=MatrixKind.DIRECT) -> np.ndarray:
+    """Whole real (c, d, d) matrices of ``kind`` of the channels whose eigenvalues are the rows of e, built at once.
+
+    1/(E_n - E_m) for the direct kind, E_n E_m/(E_m - E_n) for the
+    inverse-conjugate one, R = -(A D + D A)/2 with D = diag(1/E^2) for the
+    form kind, zero diagonal; no input is checked.
+    """
+    e = np.asarray(e, dtype=float)
+    kind = MatrixKind(kind)
+    c, d = e.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gaps = e[:, :, None] - e[:, None, :]
+        gaps.reshape(c, -1)[:, ::d + 1] = 1.0
+        a = 1.0 / gaps
+        if kind is not MatrixKind.DIRECT:
+            a = -a * (e[:, :, None] * e[:, None, :])
+        a.reshape(c, -1)[:, ::d + 1] = 0.0
+        if kind is MatrixKind.FORM:
+            inv = 1.0 / (e * e)
+            a = -0.5 * (a * inv[:, None, :] + inv[:, :, None] * a)
+    return a
 
 
 def generator(eigenvalues, kind=MatrixKind.DIRECT) -> np.ndarray:
-    """One channel's real generator A of T = iA, built on its own."""
-    return _generator_stack(np.asarray(eigenvalues, dtype=float)[None], MatrixKind(kind))[0]
+    """One channel's whole real matrix of ``kind``, built on its own."""
+    return generator_stack(np.asarray(eigenvalues, dtype=float)[None], kind)[0]
+
+
+def plant(monkeypatch, module, change, target=None):
+    """Make ``module._entries`` build one channel's bands from a changed whole matrix.
+
+    The channel is the eigenvalue row ``target``, a view into a group's
+    eigenvalues such as ``stack.eigenvalues[i]``; it is matched by memory,
+    so channels with equal eigenvalues are told apart.  Without a target
+    it is the second row of the first call that builds more than one.
+    ``change(e, a)`` returns the matrix to use in place of a, the
+    channel's whole matrix built from its eigenvalues e; every band and
+    mirror of the channel is then cut from it.
+    """
+    build = module._entries
+    held = [target]
+
+    def patched(ev, start, stop, kind, mirror=False):
+        if held[0] is None and len(ev) > 1:
+            held[0] = ev[1]
+        out = build(ev, start, stop, kind, mirror)
+        for r in range(len(ev)):
+            if held[0] is not None and np.shares_memory(ev[r], held[0]):
+                a = change(ev[r], build(ev[r:r + 1], 0, ev.shape[1], kind)[0])
+                out[r] = a[:, start:stop].T if mirror else a[start:stop]
+        return out
+
+    monkeypatch.setattr(module, "_entries", patched)
 
 
 def pairing(eigenvalues, kind) -> np.ndarray:
@@ -61,13 +116,49 @@ def dense_residual_rows(comm: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vecs @ comm.T + 1j * vecs, axis=1)
 
 
+def block_pair_residuals(h, a):
+    """Worst CCR residual over every e_k - e_l of a block, one pair at a time, against the whole commutator.
+
+    H = diag(h) and T = iA.  Acting on e_k - e_l subtracts two columns of
+    the commutator.  Returns (worst residual, matrix max-entry scale, pairs checked).
+    """
+    comm = dense_commutator(h, a)
+    worst = 0.0
+    pairs = 0
+    for k in range(len(h)):
+        for l in range(k + 1, len(h)):
+            diff = comm[:, k] - comm[:, l]
+            diff[k] += 1j
+            diff[l] -= 1j
+            worst = max(worst, float(np.linalg.norm(diff)))
+            pairs += 1
+    return worst, float(np.max(np.abs(a))), pairs
+
+
+def certificate_stack(e) -> np.ndarray:
+    """|PMP|_F of the channels whose eigenvalues are the rows of e, from their whole evaluators R built at once.
+
+    The arithmetic of ``uw_ccr_bounds`` on one resident (c, d, d) stack:
+    M = (E_n - E_m) R + I, P = I - u u^T with u the normalized row.
+    """
+    e = np.asarray(e, dtype=float)
+    d = e.shape[1]
+    u = e / np.max(np.abs(e), axis=1, keepdims=True)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    m = (e[:, :, None] - e[:, None, :]) * generator_stack(e, MatrixKind.FORM)
+    m.reshape(-1, d * d)[:, ::d + 1] += 1.0
+    m -= (m @ u[:, :, None]) * u[:, None, :]
+    m -= u[:, :, None] * (u[:, None, :] @ m)
+    return np.linalg.norm(m, axis=(1, 2))
+
+
 def complex_evaluator_stack(e: np.ndarray) -> np.ndarray:
     """Complex (c, d, d) evaluators -(S D + D S)/2 of the channels whose eigenvalues are the rows of e.
 
     S = iA with A the inverse-conjugate generator and D = diag(1/E^2), the
     two D-products applied by column and row scaling.
     """
-    s = 1j * _generator_stack(np.asarray(e, dtype=float), MatrixKind.INVERSE_CONJUGATE)
+    s = 1j * generator_stack(e, MatrixKind.INVERSE_CONJUGATE)
     inv = 1.0 / (e * e)
     sd = s * inv[:, None, :]
     s = inv[:, :, None] * s

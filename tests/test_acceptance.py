@@ -7,20 +7,18 @@ criterion misses either its numeric tolerance or its runtime limit.
 
 
 import math
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from timeops import acceptance, spectra, timeop
+from timeops import acceptance, spectra
 from timeops.acceptance import run_all
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, resolve_tolerances
 from timeops.decompose import ChannelDecomposition, verify_decomposition
 from timeops.spectra import HermitianMatrix, harmonic_spectrum, hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, ccr_residuals
 
-from dense_reference import dense_commutator, pairing
+from dense_reference import block_pair_residuals, generator, pairing
 from recording_rng import RecordingRng
 
 EXPECTED_ORDER = (
@@ -263,28 +261,27 @@ class TestEveryCriterionCanFail:
     @staticmethod
     def _rescaled_off(monkeypatch):
         # every rescaled generator off by a relative 1e-11, still antisymmetric
-        build = timeop._generator_stack
+        build = acceptance._entries
 
-        def perturbed(ev, kind):
-            a = build(ev, kind)
+        def perturbed(ev, start, stop, kind, mirror=False):
+            a = build(ev, start, stop, kind, mirror)
             a[1:] *= 1.0 + 1e-11
             return a
 
-        monkeypatch.setattr(timeop, "_generator_stack", perturbed)
+        monkeypatch.setattr(acceptance, "_entries", perturbed)
 
     @staticmethod
     def _one_nan(monkeypatch):
-        # one NaN entry in one rescaled stack row, which Python's max would skip;
-        # the stack build refuses NaN, so it is planted after the build
-        build = acceptance.ChannelStack
+        # one NaN entry in one rescaled generator, which Python's max would skip;
+        # the criterion builds its four rows with no gate, so it reaches the defect
+        build = acceptance._entries
 
-        def poisoned(channels, kind):
-            (g,) = build(channels, kind).groups
-            stack = g.stack.copy()
-            stack[2, 0, 1] = math.nan
-            return SimpleNamespace(groups=(replace(g, stack=stack),))
+        def poisoned(ev, start, stop, kind, mirror=False):
+            a = build(ev, start, stop, kind, mirror)
+            a[2, 0, 1] = math.nan
+            return a
 
-        monkeypatch.setattr(acceptance, "ChannelStack", poisoned)
+        monkeypatch.setattr(acceptance, "_entries", poisoned)
 
     @pytest.mark.parametrize("perturb", ["_rescaled_off", "_one_nan"])
     def test_scaling(self, monkeypatch, perturb):
@@ -297,40 +294,21 @@ class TestEveryCriterionCanFail:
 # ------------------------------------------------ one check per identity
 
 
-def reference_block_pair_residuals(h, a):
-    """Reference: worst CCR residual over every e_k - e_l of a block, one pair at a time.
-
-    H = diag(h) and T = iA.  Acting on e_k - e_l subtracts two columns of
-    the commutator.  Returns (worst residual, matrix max-entry scale, pairs checked).
-    """
-    comm = dense_commutator(h, a)
-    worst = 0.0
-    pairs = 0
-    for k in range(len(h)):
-        for l in range(k + 1, len(h)):
-            diff = comm[:, k] - comm[:, l]
-            diff[k] += 1j
-            diff[l] -= 1j
-            worst = max(worst, float(np.linalg.norm(diff)))
-            pairs += 1
-    return worst, float(np.max(np.abs(a))), pairs
-
-
 def _exact_ccr_blocks():
-    """(group, kind, row) of every channel of dimension >= 2 that the exact-CCR criterion checks."""
+    """(eigenvalues, kind) of every channel of dimension >= 2 that the exact-CCR criterion checks."""
     ops = [assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))[1],
            assemble_time_operator(harmonic_spectrum([1.0], 50))[1]]
-    return [(g, op.kind, r) for op in ops for g in op.groups for r in range(len(g.blocks))]
+    return [(e, op.kind) for op in ops for g in op.groups for e in g.eigenvalues]
 
 
 def test_difference_stack_matches_the_pair_loop_bit_for_bit():
     blocks = _exact_ccr_blocks()
-    assert len(blocks) >= 2 and max(g.stack.shape[1] for g, _, _ in blocks) == 51
-    for g, kind, r in blocks:
-        one = g[r:r + 1]
-        stack = acceptance._difference_stack(one.stack.shape[1])
-        got = (float(ccr_residuals(one, kind, stack[None])[0]), float(one.scale[0]), len(stack))
-        assert got == reference_block_pair_residuals(pairing(one.eigenvalues[0], kind), one.stack[0])
+    assert len(blocks) >= 2 and max(e.size for e, _ in blocks) == 51
+    for e, kind in blocks:
+        stack = acceptance._difference_stack(e.size)
+        worst, scale, _ = ccr_residuals(e[None], kind, stack[None])
+        got = (float(worst[0]), float(scale[0]), len(stack))
+        assert got == block_pair_residuals(pairing(e, kind), generator(e, kind))
 
 
 def test_exact_ccr_details_match_the_pair_loop():
@@ -338,8 +316,8 @@ def test_exact_ccr_details_match_the_pair_loop():
     passed, details = acceptance.criterion_exact_ccr(tol, 7)
     worst = ratio = 0.0
     pairs = 0
-    for g, kind, r in _exact_ccr_blocks():
-        residual, scale, count = reference_block_pair_residuals(pairing(g.eigenvalues[r], kind), g.stack[r])
+    for e, kind in _exact_ccr_blocks():
+        residual, scale, count = block_pair_residuals(pairing(e, kind), generator(e, kind))
         worst = max(worst, residual)
         ratio = max(ratio, residual / (tol["ccr_relative"] * scale))
         pairs += count

@@ -21,6 +21,8 @@ from timeops.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, osc_timeop_extremes
 
+from dense_reference import generator, plant
+
 
 def _strip_timings(obj):
     if isinstance(obj, dict):
@@ -231,12 +233,14 @@ class TestSubcommands:
         }
 
     def test_timeop_fails_on_a_perturbed_pairing_diagonal(self, tmp_path, monkeypatch):
-        # one pairing eigenvalue off by a relative 1e-9: its commutator row no longer cancels
+        # one pairing eigenvalue off by a relative 1e-9, the generator built from the exact ones:
+        # its commutator row no longer cancels
         def perturbed(s, p):
             deco, op = assemble_time_operator(s, p)
             (g,) = op.groups
             ev = g.eigenvalues.copy()
             ev[0, 7] *= 1.0 + 1e-9
+            plant(monkeypatch, timeop, lambda e, a: generator(g.eigenvalues[0], op.kind), target=ev[0])
             object.__setattr__(op, "groups", (replace(g, eigenvalues=ev),))
             return deco, op
 
@@ -342,26 +346,22 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
     def test_ultraweak_pipelines_fail_on_a_perturbed_evaluator_entry(self, tmp_path, monkeypatch, command):
-        # one evaluator entry of one hydrogen channel off by a relative 1e-6: that channel alone fails
-        build = timeop._build_stack
-        perturbed_dimension = []
+        # R[0, 1] and R[1, 0] of one hydrogen channel off by a relative 1e-6: R stays antisymmetric,
+        # so only the certificate can catch it, and that channel alone fails
+        def perturbed(e, r):
+            r[[0, 1], [1, 0]] *= 1.0 + 1e-6
+            return r
 
-        def perturbed(e, kind):
-            stack, scale, defect = build(e, kind)
-            if len(e) > 1 and not perturbed_dimension:
-                stack = stack.copy()
-                stack[1, 0, 1] *= 1.0 + 1e-6
-                perturbed_dimension.append(e.shape[1])
-            return stack, scale, defect
-
-        monkeypatch.setattr(timeop, "_build_stack", perturbed)
+        plant(monkeypatch, uwform, perturbed)
         code = main([*command, "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)])
         assert code == 1
         report = _read(tmp_path / f"{command[0]}_report.json")
         tol = report["tolerances"]["uw_ccr"]
         assert report["passed"] is False and report["max_uw_ccr_residual"] > tol
-        # the stack's second row is the second channel of that dimension, in channel order
-        target = [c["channel_id"] for c in report["channels"] if c["dimension"] == perturbed_dimension[0]][1]
+        # the second row of the first multi-channel chunk is the second channel of that dimension, in channel order
+        dimension = next(d for d in (c["dimension"] for c in report["channels"])
+                         if sum(c["dimension"] == d for c in report["channels"]) > 1)
+        target = [c["channel_id"] for c in report["channels"] if c["dimension"] == dimension][1]
         assert [c["channel_id"] for c in report["channels"] if not c["max_uw_ccr_residual"] <= tol] == [target]
 
     def test_uwform_verdict_is_scale_covariant(self, tmp_path):
@@ -375,21 +375,17 @@ class TestSubcommands:
             values.append(report["min_uncertainty_value"])
         assert values == pytest.approx([values[1]] * 3, rel=1e-12)
 
-    def test_ultraweak_pipelines_fail_on_a_nan_evaluator_entry(self, tmp_path, monkeypatch):
-        build = timeop._build_stack
+    def test_ultraweak_pipelines_refuse_a_nan_evaluator_entry(self, tmp_path, monkeypatch, capsys):
+        # a NaN pair R[0, 1], R[1, 0] in one channel: the certificate's antisymmetry check refuses it
+        # before it reaches a bound, so the run is an error, not a FAIL, and writes no report
+        def poisoned(e, r):
+            r[[0, 1], [1, 0]] = math.nan
+            return r
 
-        def poisoned(e, kind):
-            stack, scale, defect = build(e, kind)
-            stack = stack.copy()
-            stack[0, 0, 1] = math.nan
-            return stack, scale, defect
-
-        monkeypatch.setattr(timeop, "_build_stack", poisoned)
-        assert main(["uwform", "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)]) == 1
-        report = _read(tmp_path / "uwform_report.json")
-        assert report["passed"] is False
-        assert all(math.isnan(report[key]) for key in ("max_uw_ccr_residual", "im_identity_defect",
-                                                         "min_uncertainty_value"))
+        plant(monkeypatch, uwform, poisoned)
+        assert main(["uwform", "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: matrix is not Hermitian (defect nan)\n"
+        assert not (tmp_path / "uwform_report.json").exists()
 
     @pytest.mark.parametrize("n_max", ["16", "40", "70", "100"])
     def test_uwform_certifies_hydrogen(self, tmp_path, n_max):

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from timeops import timeop
+from timeops import timeop, uwform
+from timeops.acceptance import _difference_stack
+from timeops.cli import main
 from timeops.decompose import channel_partition
 from timeops.spectra import (
     HERMITICITY_BAND_ROWS,
@@ -24,7 +26,8 @@ from timeops.timeop import (
     CHANNEL_DIMENSION_LIMIT,
     ChannelStack,
     MatrixKind,
-    _generator_stack,
+    _entries,
+    _require_rows,
     assemble_time_operator,
     ccr_check,
     ccr_residuals,
@@ -32,7 +35,17 @@ from timeops.timeop import (
     random_difference_stack,
 )
 
-from dense_reference import ccr_residual, dense_commutator, dense_residual_rows, generator, pairing
+from dense_reference import (
+    block_pair_residuals,
+    ccr_residual,
+    certificate_stack,
+    dense_commutator,
+    dense_residual_rows,
+    generator,
+    generator_stack,
+    pairing,
+    plant,
+)
 from recording_rng import RecordingRng
 
 
@@ -59,58 +72,70 @@ def random_difference_vector(rng, dim):
             return v / norm
 
 
-def channel(eigenvalues, kind=MatrixKind.DIRECT):
-    """The group of a one-channel stack: its row, scale and defect."""
+def built(eigenvalues, kind=MatrixKind.DIRECT):
+    """One channel's whole matrix, built by the entry kernel once its stack has checked the eigenvalues."""
     (g,) = ChannelStack([eigenvalues], kind).groups
-    return g
+    return _entries(g.eigenvalues, 0, g.eigenvalues.shape[1], kind)[0]
 
 
-def residual(g, kind, v):
-    """``ccr_residuals`` of a one-channel group over one vector or the rows of a (k, n) stack."""
+def sweep(eigenvalues, kind, v):
+    """(worst, scale, defect) of ``ccr_residuals`` on one channel, over one vector or the rows of a (k, n) stack."""
     vecs = np.asarray(v)
-    return float(ccr_residuals(g, kind, vecs.reshape(1, -1, vecs.shape[-1]))[0])
+    worst, scale, defect = ccr_residuals(np.asarray(eigenvalues, dtype=float)[None], kind,
+                                         vecs.reshape(1, -1, vecs.shape[-1]))
+    return float(worst[0]), float(scale[0]), float(defect[0])
+
+
+def residual(eigenvalues, kind, v):
+    """``ccr_residuals`` of one channel over one vector or the rows of a (k, n) stack."""
+    return sweep(eigenvalues, kind, v)[0]
+
+
+#: The difference e_0 - e_1 of a two-dimensional channel, normalized.
+PAIR = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
 
 class TestGalaponMatrix:
-    """The time-operator matrix of one channel, as the row of a one-channel stack."""
+    """The time-operator matrix of one channel, as the entry kernel builds it."""
 
     def test_two_by_two_direct_entries(self):
-        a = channel((1.0, 2.0)).stack[0]
+        a = built((1.0, 2.0))
         expected = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         assert a.dtype == np.float64
         assert np.array_equal(1j * a, expected)
 
     def test_wide_gap_entry(self):
-        a = channel((1.0, 7.0)).stack[0]
+        a = built((1.0, 7.0))
         assert 1j * a[0, 1] == 1j / -6.0
         assert 1j * a[1, 0] == 1j / 6.0
 
     def test_inverse_conjugate_entries(self):
         op = ChannelStack([(1.0, 2.0)], MatrixKind.INVERSE_CONJUGATE)
-        assert op.groups[0].stack[0, 0, 1] == 2.0
+        assert built((1.0, 2.0), op.kind)[0, 1] == 2.0
         assert op.kind is MatrixKind.INVERSE_CONJUGATE
 
     def test_diagonal_is_exactly_zero(self):
-        a = channel(np.linspace(0.3, 9.7, 40)).stack[0]
+        a = built(np.linspace(0.3, 9.7, 40))
         assert np.all(np.diag(a) == 0.0)
 
     def test_exactly_hermitian_by_construction(self):
-        g = channel(np.cumsum(np.linspace(0.1, 2.0, 25)))
-        assert np.array_equal(g.stack[0], -g.stack[0].T)
-        assert g.hermiticity_defect()[0] == 0.0
+        ev = np.cumsum(np.linspace(0.1, 2.0, 25))
+        a = built(ev)
+        assert np.array_equal(a, -a.T)
+        v = random_difference_stack(np.random.default_rng(1), ev.size, 3)
+        assert sweep(ev, MatrixKind.DIRECT, v)[1:] == (np.max(np.abs(a)), 0.0)
 
     def test_pairing_eigenvalues(self):
         # the direct kind pairs with diag(E), the inverse-conjugate kind with diag(1/E)
         v = np.array([0.5, -1.0, 0.5], dtype=complex)
         for kind, values, h in ((MatrixKind.DIRECT, (0.5, 1.5, 2.5), (0.5, 1.5, 2.5)),
                                 (MatrixKind.INVERSE_CONJUGATE, (-2.0, -1.0, -0.5), (-0.5, -1.0, -2.0))):
-            g = channel(values, kind)
-            assert residual(g, kind, v) == ccr_residual(np.array(h), g.stack[0], v)
+            assert residual(values, kind, v) == ccr_residual(np.array(h), generator(values, kind), v)
         assert np.array_equal(pairing((-2.0, -1.0), MatrixKind.INVERSE_CONJUGATE), [-0.5, -1.0])
 
     def test_inverse_conjugate_is_direct_matrix_of_reciprocals(self):
         ev = np.array([-2.0, -1.0, -0.5, -0.2])
-        ic = channel(ev, MatrixKind.INVERSE_CONJUGATE).stack[0]
+        ic = built(ev, MatrixKind.INVERSE_CONJUGATE)
         inv = 1.0 / ev
         expected = np.zeros((4, 4), dtype=complex)
         for n in range(4):
@@ -123,31 +148,32 @@ class TestGalaponMatrix:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_direct_kind_scales_inversely(self, alpha):
         ev = np.array([0.5, 1.1, 2.9, 4.0])
-        base, scaled = ChannelStack([ev, alpha * ev], MatrixKind.DIRECT).groups[0].stack
+        base, scaled = _entries(np.stack([ev, alpha * ev]), 0, ev.size, MatrixKind.DIRECT)
         assert np.max(np.abs(scaled - base / alpha)) <= 1e-13 * np.max(np.abs(base))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_inverse_conjugate_kind_scales_directly(self, alpha):
         ev = np.array([-2.0, -1.0, -0.4])
-        base, scaled = ChannelStack([ev, alpha * ev], MatrixKind.INVERSE_CONJUGATE).groups[0].stack
+        base, scaled = _entries(np.stack([ev, alpha * ev]), 0, ev.size, MatrixKind.INVERSE_CONJUGATE)
         assert np.max(np.abs(scaled - alpha * base)) <= 1e-13 * np.max(np.abs(scaled))
 
     def test_rejects_unsorted_and_zero_and_oversized(self):
         with pytest.raises(ValueError, match="increasing"):
-            channel((2.0, 1.0))
+            built((2.0, 1.0))
+        # a NaN eigenvalue passes the stack and fails the sweep's antisymmetry check
+        (g,) = ChannelStack([[math.nan, 1.0]], MatrixKind.DIRECT).groups
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
-            channel([math.nan, 1.0])
+            ccr_residuals(g.eigenvalues, MatrixKind.DIRECT, PAIR[None, None])
         with pytest.raises(ValueError, match="nonzero"):
-            channel((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
+            built((-1.0, 0.0), MatrixKind.INVERSE_CONJUGATE)
         # the one off-diagonal product E_n*E_m is finite, though (1e300)^2 overflows
-        g = channel((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE)
-        assert np.array_equal(g.stack[0], [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(built((-1e300, -1.0), MatrixKind.INVERSE_CONJUGATE), [[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match=r"products E_n\*E_m overflow .*largest \|eigenvalue\| inf\)"):
-            channel((1.0, math.inf), MatrixKind.INVERSE_CONJUGATE)
+            built((1.0, math.inf), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match=r"products E_n\*E_m overflow"):
-            channel((-1e300, -1e10), MatrixKind.INVERSE_CONJUGATE)
+            built((-1e300, -1e10), MatrixKind.INVERSE_CONJUGATE)
         with pytest.raises(ValueError, match="exceeds"):
-            channel(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
+            built(np.arange(CHANNEL_DIMENSION_LIMIT + 1, dtype=float))
         with pytest.raises(ValueError, match="at least one channel"):
             ChannelStack([], MatrixKind.DIRECT)
         with pytest.raises(ValueError, match="nonempty"):
@@ -156,23 +182,28 @@ class TestGalaponMatrix:
     @pytest.mark.parametrize("kind,rows", [
         (MatrixKind.DIRECT, np.arange(15.0).reshape(3, 5) + 0.5),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 16).reshape(3, 5) ** 2),
+        (MatrixKind.FORM, -1.0 / np.arange(1, 16).reshape(3, 5) ** 2),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 2 * CCR_BAND_ROWS + 3).reshape(2, -1) ** 2),
     ])
-    def test_a_stack_builds_every_row_as_its_own_matrix(self, kind, rows):
-        stack = _generator_stack(rows, kind)
-        assert stack.shape == (*rows.shape, rows.shape[1])
-        (g,) = ChannelStack(rows, kind).groups
-        assert np.array_equal(g.stack, stack)
-        for row, a in zip(rows, stack):
-            assert np.array_equal(a, generator(row, kind))
+    def test_every_band_and_mirror_is_cut_from_the_whole_matrices(self, kind, rows):
+        # the whole-matrix reference, and each row built alone, give the same bits
+        whole = generator_stack(rows, kind)
+        assert all(np.array_equal(a, generator(row, kind)) for row, a in zip(rows, whole))
+        d = rows.shape[1]
+        for start, stop in ((0, d), (0, 1), (1, 3), (d - 2, d), (d // 2, d // 2 + 1)):
+            band = _entries(rows, start, stop, kind)
+            assert band.dtype == np.float64 and np.array_equal(band, whole[:, start:stop])
+            mirror = _entries(rows, start, stop, kind, mirror=True)
+            assert np.array_equal(mirror, whole[:, :, start:stop].transpose(0, 2, 1))
+            assert np.array_equal(mirror, -band)
 
-    def test_a_stack_refusal_names_the_first_failing_row(self):
+    def test_a_refusal_names_the_first_failing_row(self):
         rows = np.array([[-1.0, -0.5], [-1e300, -1e10], [-1e301, -1e300]])
         with pytest.raises(ValueError, match=r"largest \|eigenvalue\| 1e\+300\)$"):
-            _generator_stack(rows, MatrixKind.INVERSE_CONJUGATE)
+            _require_rows(rows, MatrixKind.INVERSE_CONJUGATE)
         rows = np.array([[1.0, 2.0], [0.0, 5e-324], [0.0, 1e-323]])
         with pytest.raises(ValueError, match=r"smallest gap 5e-324\)$"):
-            _generator_stack(rows, MatrixKind.DIRECT)
+            _entries(rows, 0, 2, MatrixKind.DIRECT)
 
     @pytest.mark.parametrize("kind,values", [
         # E_n*E_m/(E_m - E_n) with subnormal eigenvalues: 1/gap overflows
@@ -183,7 +214,9 @@ class TestGalaponMatrix:
     def test_overflowing_entries_are_refused_without_a_warning(self, kind, values):
         # the suite turns RuntimeWarnings into errors, so a warning fails this test
         with pytest.raises(ValueError, match=r"entries .* overflow to a non-finite value"):
-            channel(values, kind)
+            built(values, kind)
+        with pytest.raises(ValueError, match=r"entries .* overflow to a non-finite value"):
+            residual(values, kind, PAIR)
 
     @given(
         st.lists(
@@ -194,10 +227,10 @@ class TestGalaponMatrix:
     )
     def test_random_channels_are_hermitian_with_small_residual(self, gaps):
         ev = 0.5 + np.cumsum(gaps)
-        g = channel(ev)
-        assert np.array_equal(g.stack[0], -g.stack[0].T)
+        a = built(ev)
+        assert np.array_equal(a, -a.T)
         v = random_difference_vector(np.random.default_rng(11), ev.size)
-        assert residual(g, MatrixKind.DIRECT, v) <= 1e-10
+        assert residual(ev, MatrixKind.DIRECT, v) <= 1e-10
 
 
 class TestDifferenceSpan:
@@ -249,45 +282,43 @@ class TestDifferenceSpan:
 class TestCcrResidual:
     def test_commutator_is_i_times_hollow_ones(self):
         ev = np.array([0.5, 1.7, 3.1])
-        comm = dense_commutator(ev, channel(ev).stack[0])
+        comm = dense_commutator(ev, built(ev))
         expected = 1j * (np.ones((3, 3)) - np.eye(3))
         assert np.max(np.abs(comm - expected)) <= 1e-13
 
     def test_basis_vector_is_rejected(self):
-        g = channel(np.array([1.0, 2.0, 3.0]))
         e0 = np.zeros(3, dtype=complex)
         e0[0] = 1.0
         with pytest.raises(ValueError, match="difference span"):
-            residual(g, MatrixKind.DIRECT, e0)
+            residual([1.0, 2.0, 3.0], MatrixKind.DIRECT, e0)
 
     def test_difference_of_basis_vectors(self):
         vals = np.array([-1.0 / n ** 2 for n in range(1, 7)])
-        g = channel(vals, MatrixKind.INVERSE_CONJUGATE)
         v = np.zeros(6, dtype=complex)
         v[0], v[3] = 1.0, -1.0
         v /= np.linalg.norm(v)
-        assert residual(g, MatrixKind.INVERSE_CONJUGATE, v) <= 1e-12
+        assert residual(vals, MatrixKind.INVERSE_CONJUGATE, v) <= 1e-12
 
     def test_random_vectors_on_a_wide_channel(self):
-        g = channel(0.5 + 0.37 * np.arange(50))
+        ev = 0.5 + 0.37 * np.arange(50)
         rng = np.random.default_rng(7)
         worst = max(
-            residual(g, MatrixKind.DIRECT, random_difference_vector(rng, 50)) for _ in range(20)
+            residual(ev, MatrixKind.DIRECT, random_difference_vector(rng, 50)) for _ in range(20)
         )
         assert worst <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        g = channel(np.array([1.0, 2.0]))
+        ev = np.array([[1.0, 2.0]])
         with pytest.raises(ValueError, match="vector stack is needed"):
-            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((1, 1, 3), dtype=complex))
+            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((1, 1, 3), dtype=complex))
         with pytest.raises(ValueError, match="vector stack is needed"):
-            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((2, 4, 2), dtype=complex))
+            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((2, 4, 2), dtype=complex))
         with pytest.raises(ValueError, match="vector stack is needed"):
-            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((4, 2), dtype=complex))
+            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((4, 2), dtype=complex))
         with pytest.raises(ValueError, match="at least one vector"):
-            ccr_residuals(g, MatrixKind.DIRECT, np.zeros((1, 0, 2), dtype=complex))
+            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((1, 0, 2), dtype=complex))
         with pytest.raises(ValueError, match="not a time-operator generator"):
-            ccr_residuals(g, MatrixKind.FORM, np.array([[[1.0, -1.0]]]))
+            ccr_residuals(ev, MatrixKind.FORM, np.array([[[1.0, -1.0]]]))
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(60)),
@@ -295,43 +326,42 @@ class TestCcrResidual:
     ])
     def test_stack_is_the_worst_single_vector(self, kind, values):
         # one matrix product sums in another order than one product per row
-        g = channel(values, kind)
-        scale = g.scale[0]
+        a = generator(values, kind)
+        scale = np.max(np.abs(a))
         rng = np.random.default_rng(21)
         stack = np.array([random_difference_vector(rng, values.size) for _ in range(12)])
-        singles = [residual(g, kind, v.copy()) for v in stack]
-        comm = dense_commutator(pairing(values, kind), g.stack[0])
+        singles = [residual(values, kind, v.copy()) for v in stack]
+        comm = dense_commutator(pairing(values, kind), a)
         reference = max(np.linalg.norm(comm @ v + 1j * v) for v in stack)
         assert max(singles) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
-        assert residual(g, kind, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
-        assert residual(g, kind, list(stack)) == residual(g, kind, stack)
-        assert residual(g, kind, stack) <= 1e-12 * scale
+        assert residual(values, kind, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
+        assert residual(values, kind, list(stack)) == residual(values, kind, stack)
+        assert residual(values, kind, stack) <= 1e-12 * scale
 
     def test_nan_vector_is_rejected(self):
         v = np.array([1.0, -1.0, math.nan], dtype=complex)
         with pytest.raises(ValueError, match="difference span"):
-            residual(channel(np.array([1.0, 2.0, 3.0])), MatrixKind.DIRECT, v)
+            residual([1.0, 2.0, 3.0], MatrixKind.DIRECT, v)
 
     def test_stack_rejects_any_row_outside_the_span(self):
-        g = channel(np.array([1.0, 2.0, 3.0]))
         rng = np.random.default_rng(4)
         stack = np.array([random_difference_vector(rng, 3) for _ in range(3)])
         stack[1] = [1.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="difference span"):
-            residual(g, MatrixKind.DIRECT, stack)
+            residual([1.0, 2.0, 3.0], MatrixKind.DIRECT, stack)
 
     def test_stack_error_names_the_first_bad_row(self):
-        g = channel(np.array([1.0, 2.0, 3.0]))
+        ev = [1.0, 2.0, 3.0]
         rng = np.random.default_rng(4)
         stack = np.array([random_difference_vector(rng, 3) for _ in range(4)])
         stack[1] = [0.25, 0.0, 0.0]
         stack[2] = [math.nan, 0.0, 0.0]
         stack[3] = [2.0, 0.0, 0.0]
         with pytest.raises(ValueError, match=r"coefficient sum 2\.500e-01\)"):
-            residual(g, MatrixKind.DIRECT, stack)
+            residual(ev, MatrixKind.DIRECT, stack)
         stack[1] = stack[0]
         with pytest.raises(ValueError, match=r"coefficient sum nan\)"):
-            residual(g, MatrixKind.DIRECT, stack)
+            residual(ev, MatrixKind.DIRECT, stack)
 
 
 class TestBlockOperator:
@@ -346,7 +376,7 @@ class TestBlockOperator:
         """Whole-vector residual: each group's channels take their coordinates of v."""
         total = 0.0
         for g in op.groups:
-            total += float(np.sum(ccr_residuals(g, op.kind, v[g.index][:, None, :]) ** 2))
+            total += float(np.sum(ccr_residuals(g.eigenvalues, op.kind, v[g.index][:, None, :])[0] ** 2))
         return math.sqrt(total)
 
     def test_shapes_and_slices(self):
@@ -401,8 +431,8 @@ class TestAssembleTimeOperator:
         assert isinstance(op, ChannelStack) and len(op.eigenvalues) == 9
         assert op.total_dimension == 14
         assert sum(g.blocks.size for g in op.groups) == sum(ev.size >= 2 for ev in op.eigenvalues)
-        worst = ccr_check(op, 13, 1)
-        assert worst.shape == (9,) and np.max(worst) <= 1e-12
+        worst, scale, defect = ccr_check(op, 13, 1)
+        assert worst.shape == scale.shape == defect.shape == (9,) and np.max(worst) <= 1e-12
 
 
 def svd_spectrum(omega: float, n: int) -> np.ndarray:
@@ -516,38 +546,42 @@ def _generator(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return generator(ev), ev
 
 
-def _built_from(monkeypatch, a: np.ndarray, ev: np.ndarray) -> ChannelStack:
-    """The direct one-channel stack whose generator build returns ``a`` as given."""
-    monkeypatch.setattr(timeop, "_generator_stack", lambda rows, kind: a[None])
-    return ChannelStack([ev], MatrixKind.DIRECT)
+def _swept_with(monkeypatch, a: np.ndarray, ev: np.ndarray) -> tuple[float, float]:
+    """(scale, defect) that the direct sweep of one channel reports when the kernel builds its bands from ``a``."""
+    (g,) = ChannelStack([ev], MatrixKind.DIRECT).groups
+    plant(monkeypatch, timeop, lambda e, built: a, target=g.eigenvalues[0])
+    vecs = random_difference_stack(np.random.default_rng(0), ev.size, 2)
+    _, scale, defect = ccr_residuals(g.eigenvalues, MatrixKind.DIRECT, vecs[None])
+    return float(scale[0]), float(defect[0])
 
 
 class TestHermiticityPass:
-    """One banded antisymmetry pass over each built row gives the scale and defect of a full recomputation."""
+    """Each band is checked against its mirror columns: the sweep's scale and defect are a full recomputation's."""
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(101)),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 71) ** 2),
     ])
-    def test_stored_values_match_a_full_recomputation(self, kind, values):
-        g = channel(values, kind)
-        scale, defect = full_antisymmetry(g.stack[0])
-        assert (scale, defect) == full_hermiticity(1j * g.stack[0])
-        assert (g.scale[0], g.defect[0]) == (scale, defect)
-        assert g.hermiticity_defect()[0] == defect / scale == 0.0
+    def test_swept_values_match_a_full_recomputation(self, kind, values, monkeypatch):
+        monkeypatch.setattr(timeop, "CCR_BAND_ROWS", 32)
+        a = generator(values, kind)
+        scale, defect = full_antisymmetry(a)
+        assert (scale, defect) == full_hermiticity(1j * a)
+        v = random_difference_stack(np.random.default_rng(2), values.size, 3)
+        assert sweep(values, kind, v)[1:] == (scale, defect) and defect == 0.0
 
     def test_banded_defect_of_a_perturbed_matrix(self, monkeypatch):
         assert 2 * HERMITICITY_BAND_ROWS < 77 <= 3 * HERMITICITY_BAND_ROWS
-        # the perturbations sit in the first band and in the last
+        # the perturbations sit in the first band and in the last, their mirrors in the other
         a, ev = _generator(77)
         a[70, 3] += 1e-14 * abs(a[70, 3])
         a[5, 60] *= 1.0 + 3e-15
         assert _require_hermitian(a, skew=True) == full_antisymmetry(a)
         assert _require_hermitian(1j * a) == full_hermiticity(1j * a) == full_antisymmetry(a)
         scale, defect = full_antisymmetry(a)
-        (g,) = _built_from(monkeypatch, a, ev).groups
-        assert (g.scale[0], g.hermiticity_defect()[0]) == (scale, defect / scale)
-        assert g.hermiticity_defect()[0] > 0.0
+        monkeypatch.setattr(timeop, "CCR_BAND_ROWS", 32)
+        assert _swept_with(monkeypatch, a, ev) == (scale, defect)
+        assert defect > 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, 1.0])
     def test_nan_or_non_hermitian_entry_in_a_late_band_raises(self, bad, monkeypatch):
@@ -555,8 +589,9 @@ class TestHermiticityPass:
         a[76, 2] = bad
         with pytest.raises(ValueError, match="not Hermitian"):
             _require_hermitian(a, skew=True)
+        monkeypatch.setattr(timeop, "CCR_BAND_ROWS", 32)
         with pytest.raises(ValueError, match="not Hermitian"):
-            _built_from(monkeypatch, a, ev)
+            _swept_with(monkeypatch, a, ev)
 
     def test_a_stack_is_checked_matrix_by_matrix(self):
         a = np.stack([_generator(77)[0] for _ in range(3)])
@@ -573,23 +608,21 @@ class TestHermiticityPass:
         a, ev = _generator(300)
         a[200, 17] += 2.0 * HERMITICITY_RTOL * np.max(np.abs(a))
         with pytest.raises(ValueError, match="not Hermitian"):
-            _built_from(monkeypatch, a, ev)
+            _swept_with(monkeypatch, a, ev)
 
-    def test_constructor_takes_ownership_of_a_real_generator(self, monkeypatch):
-        # a group built in one chunk holds the built array itself, read-only
-        a, ev = _generator(5)
-        (g,) = _built_from(monkeypatch, a, ev).groups
-        assert np.shares_memory(g.stack, a)
-        assert not g.stack.flags.writeable
-        assert all(g.stack.dtype == np.float64 for kind in MatrixKind
-                   for g in ChannelStack([-1.0 / np.arange(1, 6) ** 2], kind).groups)
+    def test_a_stack_keeps_only_eigenvalues(self):
+        # no (c, d, d) array outlives the kernel that built it
+        _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 8))
+        for g in op.groups:
+            assert [f.name for f in fields(g)] == ["blocks", "index", "eigenvalues"]
+            assert g.blocks.shape == g.eigenvalues.shape[:1] and g.index.shape == g.eigenvalues.shape
 
 
-def _channel(n: int, kind: MatrixKind):
-    """The oscillator channel (direct) or the hydrogen-like -1/k^2 one (inverse-conjugate) of size n."""
+def _channel(n: int, kind: MatrixKind) -> np.ndarray:
+    """The eigenvalues of the oscillator channel (direct) or of the hydrogen-like -1/k^2 one (inverse-conjugate), size n."""
     if kind is MatrixKind.DIRECT:
-        return channel(np.arange(n) + 0.5, kind)
-    return channel(-1.0 / np.arange(1, n + 1) ** 2, kind)
+        return np.arange(n) + 0.5
+    return -1.0 / np.arange(1, n + 1) ** 2
 
 
 TIME_KINDS = [MatrixKind.DIRECT, MatrixKind.INVERSE_CONJUGATE]
@@ -601,38 +634,49 @@ class TestBandedCommutator:
     @pytest.mark.parametrize("kind", TIME_KINDS)
     @pytest.mark.parametrize("n", [2, CCR_BAND_ROWS - 1, CCR_BAND_ROWS, CCR_BAND_ROWS + 1, 300, 1501])
     def test_matches_the_dense_commutator_row_by_row(self, n, kind):
-        g = _channel(n, kind)
-        h = pairing(g.eigenvalues[0], kind)
-        comm = dense_commutator(h, g.stack[0])
+        ev = _channel(n, kind)
+        h = pairing(ev, kind)
+        a = generator(ev, kind)
+        scale = np.max(np.abs(a))
+        comm = dense_commutator(h, a)
         for k in (1, 20):
             stack = random_difference_stack(np.random.default_rng(n + k), n, k)
             # a single row goes to a matrix-vector product, a stack to a matrix product
             for v in stack:
-                assert abs(residual(g, kind, v) - dense_residual_rows(comm, v[None])[0]) <= 1e-15 * g.scale[0]
-            got = residual(g, kind, stack)
-            assert abs(got - np.max(dense_residual_rows(comm, stack))) <= 1e-15 * g.scale[0]
-            assert got == ccr_residual(h, g.stack[0], stack)
+                assert abs(residual(ev, kind, v) - dense_residual_rows(comm, v[None])[0]) <= 1e-15 * scale
+            got = residual(ev, kind, stack)
+            assert abs(got - np.max(dense_residual_rows(comm, stack))) <= 1e-15 * scale
+            assert got == ccr_residual(h, a, stack)
 
     @pytest.mark.parametrize("kind", TIME_KINDS)
     @pytest.mark.parametrize("row", [0, 299])
-    def test_nan_in_one_row_gives_a_nan_residual_and_fails(self, kind, row):
-        g = _channel(300, kind)
-        ev = g.eigenvalues.copy()
-        ev[0, row] = math.nan
-        broken = replace(g, eigenvalues=ev)
-        worst = residual(broken, kind, random_difference_stack(np.random.default_rng(3), 300, 20))
-        assert math.isnan(worst)
-        assert not worst <= 1e-12 * broken.scale[0]
+    def test_nan_in_one_row_gives_a_nan_residual_and_fails(self, kind, row, monkeypatch):
+        # a NaN in the pairing diagonal H; the generator is the one built from the finite eigenvalues
+        values = _channel(300, kind)
+        broken = values[None].copy()
+        broken[0, row] = math.nan
+        plant(monkeypatch, timeop, lambda e, a: generator(values, kind), target=broken[0])
+        vecs = random_difference_stack(np.random.default_rng(3), 300, 20)
+        worst, scale, _ = ccr_residuals(broken, kind, vecs[None])
+        assert math.isnan(worst[0])
+        assert not worst[0] <= 1e-12 * scale[0]
 
 
 def reference_ccr_check(op, seed, count):
-    """The per-channel loop the grouped sweep replaced: one draw and one kernel call per channel."""
-    worst = np.zeros(len(op.eigenvalues))
+    """The per-channel loop the grouped sweep replaced: one draw and one kernel call per whole generator."""
+    worst, scale, defect = (np.zeros(len(op.eigenvalues)) for _ in range(3))
     for i, ev in enumerate(op.eigenvalues):
         if ev.size >= 2:
             vecs = random_difference_stack(np.random.default_rng(seed + 10_000 + i), ev.size, count)
-            worst[i] = ccr_residual(pairing(ev, op.kind), generator(ev, op.kind), vecs)
-    return worst
+            a = generator(ev, op.kind)
+            worst[i] = ccr_residual(pairing(ev, op.kind), a, vecs)
+            scale[i], defect[i] = full_antisymmetry(a)
+    return worst, scale, defect
+
+
+def assert_same_bits(got, expected):
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class TestGroupedKernel:
@@ -642,72 +686,113 @@ class TestGroupedKernel:
     @pytest.mark.parametrize("n_max", [4, 16])
     def test_hydrogen_sweep_matches_the_per_channel_loop_bit_for_bit(self, n_max, seed):
         _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, n_max))
-        assert np.array_equal(ccr_check(op, seed, 20), reference_ccr_check(op, seed, 20))
+        assert_same_bits(ccr_check(op, seed, 20), reference_ccr_check(op, seed, 20))
 
     def test_oscillator_sweep_matches_the_per_channel_loop_bit_for_bit(self):
         _, op = assemble_time_operator(harmonic_spectrum([1.0], 1501))
         (g,) = op.groups
-        assert g.stack.shape == (1, 1502, 1502)
-        assert np.array_equal(ccr_check(op, 7, 20), reference_ccr_check(op, 7, 20))
+        assert g.eigenvalues.shape == (1, 1502)
+        assert_same_bits(ccr_check(op, 7, 20), reference_ccr_check(op, 7, 20))
 
-    def test_stacks_equal_the_channels_built_alone(self):
+    def test_groups_build_the_channels_built_alone(self):
         _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 16))
         for g in op.groups:
-            for block, row, a, scale, defect in zip(g.blocks, g.eigenvalues, g.stack, g.scale, g.defect):
+            d = g.eigenvalues.shape[1]
+            for block, row, a in zip(g.blocks, g.eigenvalues, _entries(g.eigenvalues, 0, d, op.kind)):
                 assert np.array_equal(row, op.eigenvalues[block])
                 assert np.array_equal(a, generator(row, op.kind))
-                assert (scale, defect) == full_antisymmetry(a)
 
     def test_broadcast_difference_stacks_match_the_per_channel_kernel(self):
         for s in (hydrogen_point_spectrum(1.0, 1.0, 4), harmonic_spectrum([1.0], 50)):
             _, op = assemble_time_operator(s)
             for g in op.groups:
                 c, d = g.eigenvalues.shape
-                k, l = np.triu_indices(d, 1)
-                stack = np.zeros((k.size, d), dtype=complex)
-                stack[np.arange(k.size), k], stack[np.arange(k.size), l] = 1.0, -1.0
-                got = ccr_residuals(g, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
-                expected = [ccr_residual(pairing(row, op.kind), a, stack) for row, a in zip(g.eigenvalues, g.stack)]
+                stack = _difference_stack(d)
+                got, _, _ = ccr_residuals(g.eigenvalues, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
+                expected = [ccr_residual(pairing(row, op.kind), generator(row, op.kind), stack) for row in g.eigenvalues]
                 assert np.array_equal(got, expected)
 
-    def test_chunked_sweep_and_build_give_the_same_bits(self, monkeypatch):
-        s = hydrogen_point_spectrum(1.0, 1.0, 8)
-        _, whole = assemble_time_operator(s)
-        expected = ccr_check(whole, 5, 6)
+    def test_chunked_sweep_gives_the_same_bits(self, monkeypatch):
+        _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 8))
+        expected = ccr_check(op, 5, 6)
         monkeypatch.setattr(timeop, "SWEEP_CHUNK", 50)
-        _, chunked = assemble_time_operator(s)
-        for a, b in zip(whole.groups, chunked.groups):
-            assert np.array_equal(a.stack, b.stack) and np.array_equal(a.scale, b.scale)
-        assert np.array_equal(ccr_check(chunked, 5, 6), expected)
-        assert np.array_equal(ccr_check(whole, 5, 6), expected)
+        assert_same_bits(ccr_check(op, 5, 6), expected)
 
     def test_one_dimensional_channels_read_zero_and_an_empty_sweep_is_refused(self):
         op = ChannelStack([[0.3, 1.7], [3.0], [4.1, 5.3, 6.9]], MatrixKind.DIRECT)
-        worst = ccr_check(op, 0, 3)
-        assert worst[1] == 0.0 and 0.0 < worst[0] <= 1e-12 and 0.0 < worst[2] <= 1e-12
+        worst, scale, defect = ccr_check(op, 0, 3)
+        assert worst[1] == scale[1] == defect[1] == 0.0
+        assert 0.0 < worst[0] <= 1e-12 and 0.0 < worst[2] <= 1e-12 and scale[0] > 0.0 < scale[2]
         with pytest.raises(ValueError, match="checks nothing"):
             ccr_check(op, 0, 0)
 
 
-class TestMemory:
-    """The oscillator channel at n = 1501 is a group of one real n x n array, never copied."""
+def traced_peak_mib(call) -> float:
+    """Peak traced allocation of ``call()`` above what was held before it, in MiB."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / 2 ** 20
 
-    def test_build_and_residual_stay_within_their_budgets(self):
+
+class TestMemory:
+    """No channel matrix is held whole: traced peaks of the pipelines that read the largest ones."""
+
+    def test_oscillator_timeop_pipeline(self, tmp_path, capsys):
+        # its one 1501-dimensional generator alone would hold 17.2 MiB
+        argv = ["timeop", "--model", "oscillator", "--n-max", "1500", "--out", str(tmp_path)]
+        assert traced_peak_mib(lambda: main(argv)) <= 8.0
+
+    def test_hydrogen_uwform_pipeline(self, tmp_path, capsys):
+        # the form's evaluators at n_max = 100 would hold 129.7 MiB
+        argv = ["uwform", "--model", "hydrogen", "--n-max", "100", "--out", str(tmp_path)]
+        assert traced_peak_mib(lambda: main(argv)) <= 32.0
+
+    def test_oscillator_spectrum_extremes(self):
+        # the half-size block B and its Gram matrix, 4.9 MiB each, never with the solve
+        assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 1600)) <= 10.5
+
+    def test_the_sweep_holds_a_few_bands(self):
         n = 1501
-        square = 8 * n * n
-        ev = np.arange(n) + 0.5
-        stack = random_difference_stack(np.random.default_rng(1), n, 20)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            (g,) = ChannelStack([ev], MatrixKind.DIRECT).groups
-            held, peak = tracemalloc.get_traced_memory()
-            assert g.stack.nbytes == square and g.stack.base is None
-            assert peak - before < 1.5 * square
-            assert held - before < 1.01 * square
-            tracemalloc.reset_peak()
-            ccr_residuals(g, MatrixKind.DIRECT, stack[None])
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak - held < 0.5 * square
-        finally:
-            tracemalloc.stop()
+        vecs = random_difference_stack(np.random.default_rng(1), n, 20)
+        ev = (np.arange(n) + 0.5)[None]
+        assert traced_peak_mib(lambda: ccr_residuals(ev, MatrixKind.DIRECT, vecs[None])) * 2 ** 20 < 0.5 * 8 * n * n
+
+
+class TestStreamedKernelsFuzz:
+    """Streamed in bands of 1, 3 or 7 rows and chunks of one channel, the kernels give the whole-matrix references' bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        low=st.floats(min_value=-50.0, max_value=50.0),
+        gaps=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=39),
+        copies=st.integers(min_value=1, max_value=3),
+        band_rows=st.sampled_from([1, 3, 7]),
+        kind=st.sampled_from(list(MatrixKind)),
+    )
+    def test_bits_match_the_whole_matrix_references(self, low, gaps, copies, band_rows, kind):
+        values = low + np.concatenate([[0.0], np.cumsum(gaps)])
+        if kind is not MatrixKind.DIRECT:
+            # keep 1/E and 1/E^2 in range: the values are pushed away from zero, order kept
+            values = np.where(values < 0.0, values - 1e-3, values + 1e-3)
+        rows = np.array([values * (1 + j) for j in range(copies)])   # channels of one dimension
+        assert np.all(np.diff(rows, axis=1) > 0.0) and rows.shape[1] <= 40
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timeop, "CCR_BAND_ROWS", band_rows)
+            mp.setattr(timeop, "SWEEP_CHUNK", 1)
+            if kind is MatrixKind.FORM:
+                got = uwform.uw_ccr_bounds(ChannelStack(rows, kind))
+                assert np.array_equal(got, certificate_stack(rows))
+                return
+            stack = _difference_stack(rows.shape[1])
+            got = ccr_residuals(rows, kind, np.broadcast_to(stack, (copies, *stack.shape)))
+        expected = []
+        for row in rows:
+            a = generator(row, kind)
+            worst, scale, _ = block_pair_residuals(pairing(row, kind), a)
+            expected.append((worst, scale, full_antisymmetry(a)[1]))
+        assert_same_bits(got, np.array(expected).T)

@@ -23,7 +23,7 @@ from timeops.uwform import (
     uw_ccr_bounds,
 )
 
-from dense_reference import complex_evaluator_stack, form_evaluator
+from dense_reference import complex_evaluator_stack, form_evaluator, generator, plant
 
 #: Per-block membership tolerance of the reference sweeps' commutation domain.
 CCR_DOMAIN_RTOL = 1e-10
@@ -46,21 +46,26 @@ def with_groups(form, groups):
     return changed
 
 
+def evaluator_stack(g):
+    """The real evaluators R of a group's channels, built as the certificate builds them."""
+    return uwform._entries(g.eigenvalues, 0, g.eigenvalues.shape[1], MatrixKind.FORM)
+
+
 def channel_evaluators(form):
-    """Each channel's evaluator iR, read from its group's row; a dimension-1 channel's is zero."""
+    """Each channel's evaluator iR, built from its group's row; a dimension-1 channel's is zero."""
     evaluators = [np.zeros((1, 1), dtype=complex)] * len(form.eigenvalues)
     for g in form.groups:
-        for block, r in zip(g.blocks, g.stack):
+        for block, r in zip(g.blocks, evaluator_stack(g)):
             evaluators[block] = 1j * r
     return evaluators
 
 
 def channel_form(form, i):
-    """Channel ``i`` of ``form`` as a one-channel form of its own, holding the evaluator row ``form`` holds."""
+    """Channel ``i`` of ``form`` as a one-channel form of its own, viewing its group row so that a planted evaluator follows."""
     single = form_of(form.eigenvalues[i])
     for g in form.groups:
         for row in np.flatnonzero(g.blocks == i):
-            return with_groups(single, [replace(single.groups[0], stack=g.stack[row:row + 1])])
+            return with_groups(single, [replace(single.groups[0], eigenvalues=g.eigenvalues[row:row + 1])])
     return single
 
 
@@ -176,7 +181,7 @@ class TestFormChannel:
         assert evaluate_form(form, e1, e0) == 2.5j
 
     def test_evaluator_is_exactly_hermitian(self):
-        (r,) = form_of([-1.0, -0.31, -0.17, -0.056]).groups[0].stack
+        (r,) = evaluator_stack(form_of([-1.0, -0.31, -0.17, -0.056]).groups[0])
         assert r.dtype == np.float64
         assert np.array_equal(r, -r.T)
         a = 1j * r
@@ -216,7 +221,7 @@ class TestFormChannel:
     def test_rejects_an_overflowing_evaluator(self):
         # 1/E^2 overflows; the evaluator would hold inf and NaN entries
         with pytest.raises(ValueError, match="not finite"):
-            form_of([-0.5, -0.25], [-3e-170, -2e-170, -1e-170])
+            uw_ccr_bounds(form_of([-0.5, -0.25], [-3e-170, -2e-170, -1e-170]))
         # a channel of dimension 1 has a trivial domain and no evaluator to overflow
         assert [g.blocks.tolist() for g in form_of([-0.5, -0.25], [-1e-170]).groups] == [[0]]
 
@@ -357,7 +362,7 @@ def reference_uncertainty_sweep(rng, form, count):
     The centers scale with the form: a with its largest |R| entry, b with
     its largest |E|, over the channels of dimension 2 or more.
     """
-    r_max = max(float(np.max(np.abs(g.stack))) for g in form.groups)
+    r_max = max(float(np.max(np.abs(evaluator_stack(g)))) for g in form.groups)
     e_max = max(float(np.max(np.abs(g.eigenvalues))) for g in form.groups)
     min_value = math.inf
     im_defect = 0.0
@@ -426,7 +431,7 @@ def sweep_allowance(form):
     out = np.zeros(len(form.eigenvalues))
     for g in form.groups:
         d = g.eigenvalues.shape[1]
-        out[g.blocks] = 4 * d * EPS * np.max(np.abs(g.eigenvalues), axis=1) * np.linalg.norm(g.stack, axis=(1, 2))
+        out[g.blocks] = 4 * d * EPS * np.max(np.abs(g.eigenvalues), axis=1) * np.linalg.norm(evaluator_stack(g), axis=(1, 2))
     return out
 
 
@@ -444,23 +449,26 @@ def exact_certificate(e, r):
     return math.sqrt(sum(x * x for row in product(product(p, m), p) for x in row))
 
 
-def perturbed_form(form, part):
+def perturbed_form(monkeypatch, form, part):
     """``form`` with the second channel of its first shared dimension perturbed, and that channel's position.
 
-    ``part`` "evaluators" scales one entry of R and its mirror by 1 + 1e-6,
-    so that R stays antisymmetric; "eigenvalues" scales one eigenvalue of
-    H by 1 + 1e-9, leaving R as built.
+    ``part`` "evaluators" plants R with one entry and its mirror scaled by
+    1 + 1e-6, so that R stays antisymmetric; "eigenvalues" scales one
+    eigenvalue of H by 1 + 1e-9 and plants R as built from the exact ones.
     """
     k = next(k for k, g in enumerate(form.groups) if len(g.blocks) > 1)
     groups = list(form.groups)
-    field = "stack" if part == "evaluators" else "eigenvalues"
-    changed = getattr(groups[k], field).copy()
-    if field == "stack":
-        changed[1, 0, 1] *= 1.0 + 1e-6
-        changed[1, 1, 0] *= 1.0 + 1e-6
+    original = groups[k].eigenvalues[1]
+    if part == "evaluators":
+        def change(e, r):
+            r[[0, 1], [1, 0]] *= 1.0 + 1e-6
+            return r
+        plant(monkeypatch, uwform, change, target=original)
     else:
+        changed = groups[k].eigenvalues.copy()
         changed[1, 1] *= 1.0 + 1e-9
-    groups[k] = replace(groups[k], **{field: changed})
+        plant(monkeypatch, uwform, lambda e, r: generator(original, MatrixKind.FORM), target=changed[1])
+        groups[k] = replace(groups[k], eigenvalues=changed)
     return with_groups(form, groups), groups[k].blocks[1]
 
 
@@ -476,9 +484,9 @@ class TestCertificate:
         form = _hydrogen_form(n_max, transform, gamma)
         self._assert_sweeps_within(form, count=20 if n_max == 4 else 6)
 
-    def test_the_sweeps_stay_within_the_certificate_of_a_perturbed_form(self):
+    def test_the_sweeps_stay_within_the_certificate_of_a_perturbed_form(self, monkeypatch):
         # the swept defect is far above either round-off: the bound must really cover it
-        form, target = perturbed_form(_hydrogen_form(4, "none"), "evaluators")
+        form, target = perturbed_form(monkeypatch, _hydrogen_form(4, "none"), "evaluators")
         swept = self._assert_sweeps_within(form, count=20)
         assert swept[target] > 1e3 * DEFAULT_TOLERANCES["uw_ccr"]
 
@@ -506,10 +514,11 @@ class TestCertificate:
     def test_a_hand_channel_matches_exact_arithmetic(self, channels, exact):
         form = form_of(*channels)
         (g,) = form.groups
-        reference = exact_certificate(g.eigenvalues[0], g.stack[0])
+        (r,) = evaluator_stack(g)
+        reference = exact_certificate(g.eigenvalues[0], r)
         if exact is not None:
             assert reference == exact
-        self._assert_within_rounding(uw_ccr_bounds(form)[0], reference, g.eigenvalues[0], g.stack[0])
+        self._assert_within_rounding(uw_ccr_bounds(form)[0], reference, g.eigenvalues[0], r)
 
     @pytest.mark.parametrize("gamma,transform", [
         (1.0, "none"), (0.01, "none"), (100.0, "none"), (1.0, "exp"), (1.0, "sin"),
@@ -518,7 +527,7 @@ class TestCertificate:
         form = _hydrogen_form(4, transform, gamma)
         bounds = uw_ccr_bounds(form)
         for g in form.groups:
-            for block, e, r in zip(g.blocks, g.eigenvalues, g.stack):
+            for block, e, r in zip(g.blocks, g.eigenvalues, evaluator_stack(g)):
                 self._assert_within_rounding(bounds[block], exact_certificate(e, r), e, r)
 
     @staticmethod
@@ -529,25 +538,39 @@ class TestCertificate:
         assert abs(bound - exact) <= 2 * (d + 2) * EPS * np.linalg.norm(m)
 
     @pytest.mark.parametrize("part", ["evaluators", "eigenvalues"])
-    def test_a_perturbed_channel_fails_every_gate(self, part):
+    def test_a_perturbed_channel_fails_every_gate(self, part, monkeypatch):
         # an evaluator entry off by a relative 1e-6, or an eigenvalue of H by 1e-9:
         # the identities no longer hold, and only the perturbed channel fails
         tol = DEFAULT_TOLERANCES
         form = _hydrogen_form(4, "none")
         assert np.all(uw_ccr_bounds(form) <= tol["uw_ccr"]) and np.all(uw_ccr_bounds(form) / 2 <= tol["im_identity"])
-        perturbed, target = perturbed_form(form, part)
+        perturbed, target = perturbed_form(monkeypatch, form, part)
         bounds = uw_ccr_bounds(perturbed)
         assert bounds[target] > tol["uw_ccr"] and bounds[target] / 2 > tol["im_identity"]
         others = np.delete(bounds, target)
         assert np.all(others <= tol["uw_ccr"]) and np.all(others / 2 <= tol["im_identity"])
 
-    def test_a_nan_entry_gives_a_nan_bound(self):
+    def test_a_nan_entry_is_refused_before_it_reaches_a_bound(self, monkeypatch):
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
-        d3, d2 = form.groups
-        poisoned = d2.stack.copy()
-        poisoned[0, 0, 1] = math.nan
-        bounds = uw_ccr_bounds(with_groups(form, [d3, replace(d2, stack=poisoned)]))
-        assert bounds[0] <= 1e-10 and math.isnan(bounds[1])
+
+        def poisoned(e, r):
+            r[0, 1] = math.nan
+            return r
+
+        plant(monkeypatch, uwform, poisoned, target=form.eigenvalues[1])
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect nan\)"):
+            uw_ccr_bounds(form)
+
+    def test_an_asymmetric_entry_is_refused(self, monkeypatch):
+        form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
+
+        def bent(e, r):
+            r[0, 1] *= 1.0 + 1e-9
+            return r
+
+        plant(monkeypatch, uwform, bent, target=form.eigenvalues[0])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            uw_ccr_bounds(form)
 
     def test_reads_zero_on_one_dimensional_channels(self):
         bounds = uw_ccr_bounds(form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1]))
@@ -598,7 +621,7 @@ class TestEvaluatorStacks:
     @staticmethod
     def _assert_rows_match_the_reference(form):
         for g in form.groups:
-            for block, row, r in zip(g.blocks, g.eigenvalues, g.stack):
+            for block, row, r in zip(g.blocks, g.eigenvalues, evaluator_stack(g)):
                 assert np.array_equal(row, form.eigenvalues[block])
                 reference = form_evaluator(row)
                 assert np.all(reference.real == 0.0) and np.array_equal(r, reference.imag)
@@ -619,15 +642,23 @@ class TestEvaluatorStacks:
         self._assert_rows_match_the_reference(form)
 
     def test_chunked_build_gives_the_same_rows(self, monkeypatch):
-        whole = _hydrogen_form(8, "none")
+        form = _hydrogen_form(8, "none")
+        whole = [evaluator_stack(g) for g in form.groups]
         monkeypatch.setattr(timeop, "SWEEP_CHUNK", 20)
-        chunked = _hydrogen_form(8, "none")
-        for a, b in zip(whole.groups, chunked.groups):
-            assert np.array_equal(a.stack, b.stack)
-            assert np.array_equal(a.scale, b.scale) and np.array_equal(a.defect, b.defect)
+        built = []
+        build = uwform._entries
 
-    def test_assembly_peak_stays_near_the_stack_bytes(self):
-        # hydrogen n_max = 40: 1600 channels whose real stacks hold 3.4 MiB
+        def recorded(ev, start, stop, kind, mirror=False):
+            built.append(build(ev, start, stop, kind, mirror))
+            return built[-1].copy()
+
+        monkeypatch.setattr(uwform, "_entries", recorded)
+        uw_ccr_bounds(form)
+        assert len(built) > len(whole)
+        assert np.array_equal(np.concatenate([r.ravel() for r in built]), np.concatenate([r.ravel() for r in whole]))
+
+    def test_assembly_builds_no_evaluator(self):
+        # hydrogen n_max = 40: 1600 channels whose real evaluators would hold 3.4 MiB
         s = hydrogen_point_spectrum(1.0, 1.0, 40)
         tracemalloc.start()
         try:
@@ -641,14 +672,15 @@ class TestEvaluatorStacks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        stacks = sum(g.stack.nbytes for g in form.groups)
+        stacks = sum(8 * g.eigenvalues.size * g.eigenvalues.shape[1] for g in form.groups)
         assert stacks > 3.25 * 2 ** 20
-        # beyond the decomposition it keeps, assembly peaks at the stacks and a little more
-        assert peak - before - kept < 1.25 * stacks
+        # beyond the decomposition it keeps, assembly peaks at the decomposition's own transient,
+        # well under the evaluators' bytes
+        assert peak - before - kept < 0.5 * stacks
 
     @pytest.mark.parametrize("transform", ["none", "sin"])
-    def test_a_form_holds_one_real_entry_per_evaluator_entry(self, transform):
-        # 8 * sum(c * d^2) bytes of stacks, and beyond them only per-coordinate arrays
+    def test_a_form_holds_no_evaluator_entry(self, transform):
+        # only per-coordinate arrays: the 8 * sum(c * d^2) bytes of evaluators are never held
         channels = [np.array(ev) for ev in _hydrogen_form(24, transform).eigenvalues]
         square_entries = sum(ev.size ** 2 for ev in channels if ev.size >= 2)
         coordinates = sum(ev.size for ev in channels)
@@ -659,10 +691,9 @@ class TestEvaluatorStacks:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(g.stack.dtype == np.float64 for g in form.groups)
-        assert sum(g.stack.nbytes for g in form.groups) == 8 * square_entries
-        # eigenvalue and coordinate copies, per-channel scale and defect, object overhead
-        assert held - before < 8 * square_entries + 4 * 8 * coordinates + 2 ** 16
+        assert 8 * square_entries > 4 * 8 * coordinates + 2 ** 16
+        # eigenvalue and coordinate copies, object overhead
+        assert held - before < 4 * 8 * coordinates + 2 ** 16
 
 
 class TestRealEvaluators:
@@ -675,7 +706,7 @@ class TestRealEvaluators:
     def test_real_stacks_match_the_complex_evaluators_bit_for_bit(self, n_max, gamma, transform):
         for g in _hydrogen_form(n_max, transform, gamma).groups:
             evaluators = complex_evaluator_stack(g.eigenvalues)
-            assert np.all(evaluators.real == 0.0) and np.array_equal(g.stack, evaluators.imag)
+            assert np.all(evaluators.real == 0.0) and np.array_equal(evaluator_stack(g), evaluators.imag)
 
 
 class TestFunctionSpec:
