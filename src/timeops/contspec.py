@@ -22,9 +22,11 @@ T psi take four FFTs per grid, and each time four more.  Both the k = 0
 gate and the box-containment gate run on every evolved state.  The FFTs
 are cache-blocked four-step transforms (``_FourStep``) that leave k-space
 in a transposed order; every k-space step of the sweep is diagonal, so
-the multipliers 1/k and k^2/2m are simply built in that order.  Packet
-parameters, multipliers and defects that overflow on the grid are
-refused where they are formed.
+the multipliers 1/k and k^2/2m are simply built in that order.  The
+sweep's grid vectors are allocated once per grid, and every step, the
+transforms included, writes into one of them, so a time allocates
+nothing.  Packet parameters, multipliers and defects that overflow on the
+grid are refused where they are formed.
 
 Symbolic side.  On the weighted line with Gaussian reference density
 rho = exp(-lambda^2)/sqrt(pi), the span of exponentials exp(i s lambda)
@@ -155,19 +157,26 @@ def make_packet(box_half_width: float, size: int, mass: float,
     state = GridState(box_half_width, size, mass,
                       np.zeros(size, dtype=complex))
     x = state.x
+    # one real buffer holds k0 x, then (x - x0)^2, the envelope and |psi|^2
+    work = np.empty(size)
     with np.errstate(over="ignore"):   # an overflow leaves inf, refused below
-        angle = carrier * x
-        offset = (x - center) ** 2
-    _require_finite("k0 x", angle)
-    _require_finite("(x - x0)^2", offset)
+        np.multiply(carrier, x, out=work)
+    _require_finite("k0 x", work)
+    psi = _cis(work, np.empty(size, dtype=complex))
+    with np.errstate(over="ignore"):
+        np.subtract(x, center, out=work)
+        np.square(work, out=work)
+    _require_finite("(x - x0)^2", work)
     # max |x - x0| exceeds L > 6 sigma, so 2 sigma^2 is finite here
     if not 2.0 * width ** 2 > 0.0:
         raise ValueError("2 sigma^2 underflows to zero; the packet is too narrow for floating point")
     with np.errstate(over="ignore"):   # the envelope's far tail is exp(-inf) = 0
-        envelope = -offset / (2.0 * width ** 2)
-    psi = _cis(angle, np.empty(size, dtype=complex))
-    psi *= np.exp(envelope)
-    norm = np.sqrt(np.sum(np.abs(psi) ** 2) * state.dx)
+        np.negative(work, out=work)
+        work /= 2.0 * width ** 2
+    psi *= np.exp(work, out=work)
+    np.abs(psi, out=work)
+    work *= work
+    norm = np.sqrt(np.sum(work) * state.dx)
     if not norm > 0.0:
         raise ValueError("packet vanishes on every grid point; its width is far below the grid spacing")
     psi /= norm
@@ -184,15 +193,17 @@ def _require_no_zero_mode(hat: np.ndarray) -> None:
         )
 
 
-def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float) -> None:
+def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float,
+                       density: np.ndarray) -> None:
     """Demand that the position distribution sits well inside the box.
 
     A packet that wraps around the periodic boundary still has a finite
     residual, but the number stops meaning anything about the line
     problem, so it is rejected.  The moments weight x by the real
-    density |e|^2, one real temporary; NaN fails the gate.
+    density |e|^2, formed in the real buffer ``density``; NaN fails the
+    gate.
     """
-    density = np.abs(samples)
+    np.abs(samples, out=density)
     density *= density
     total = density.sum()
     mean = np.dot(density, x) / total
@@ -227,12 +238,11 @@ class _FourStep:
     stages backwards, back to natural position order.
 
     The twiddle factors through j2 = j2a nb + j2b into an (n1, na) and an
-    (n1, nb) table, not one of N entries.  Each stage is one ``np.fft``
-    call, so a transform costs two.  The first stage reads the input as
-    it is: a transform into a new array copies nothing, an in-place one
-    copies each stage's result back.  The twiddle runs in place once the
-    first stage's temporary is gone, because numpy buffers broadcast
-    products and that buffer must not meet the temporary at the peak.
+    (n1, nb) table, not one of N entries; the tables and their conjugates
+    are built once.  Each stage is one ``np.fft`` call that writes into the
+    target buffer with ``out=``, so a transform costs two calls and, given
+    a buffer, allocates nothing.  The target may be the input itself; a
+    stage run in place reads and writes one grid instead of two.
     """
 
     def __init__(self, size: int) -> None:
@@ -243,35 +253,28 @@ class _FourStep:
         self._blocks = (n1, n2 // nb, nb)
         rows = np.arange(n1)[:, None]
         step = -2.0 * np.pi / size
-        self._outer = _cis(step * (rows * (nb * np.arange(n2 // nb))), np.empty((n1, n2 // nb), dtype=complex))
-        self._inner = _cis(step * (rows * np.arange(nb)), np.empty((n1, nb), dtype=complex))
+        outer = _cis(step * (rows * (nb * np.arange(n2 // nb))), np.empty((n1, n2 // nb), dtype=complex))
+        inner = _cis(step * (rows * np.arange(nb)), np.empty((n1, nb), dtype=complex))
+        self._forward_twiddle = (outer, inner)
+        self._inverse_twiddle = (outer.conj(), inner.conj())
 
     def forward(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform of ``a`` in transposed k-order, into ``out`` (a new array if None; ``a`` itself is fine)."""
-        grid = self._store(np.fft.fft(a.reshape(self.shape), axis=0), out)
-        self._twiddle(grid, self._outer, self._inner)
-        return self._store(np.fft.fft(grid, axis=1), out).reshape(-1)
+        grid = np.empty(self.shape, dtype=complex) if out is None else out.reshape(self.shape)
+        np.fft.fft(a.reshape(self.shape), axis=0, out=grid)
+        self._twiddle(grid, *self._forward_twiddle)
+        np.fft.fft(grid, axis=1, out=grid)
+        return grid.reshape(-1)
 
     def inverse(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of ``forward``: transposed k-order in, natural position order out."""
-        grid = self._store(np.fft.ifft(a.reshape(self.shape), axis=1), out)
-        self._twiddle(grid, self._outer.conj(), self._inner.conj())
-        stage = np.fft.ifft(grid, axis=0)
-        # numpy 1.x returns this stage as a transposed view, which the
-        # flattening below copies; grid must be gone by then
-        del grid
-        return self._store(stage, out).reshape(-1)
-
-    def _store(self, stage: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """A stage's result as (n1, n2): ``stage`` itself, or ``out`` holding it."""
-        if out is None:
-            return stage
-        grid = out.reshape(self.shape)
-        grid[...] = stage
-        return grid
+        grid = np.empty(self.shape, dtype=complex) if out is None else out.reshape(self.shape)
+        np.fft.ifft(a.reshape(self.shape), axis=1, out=grid)
+        self._twiddle(grid, *self._inverse_twiddle)
+        np.fft.ifft(grid, axis=0, out=grid)
+        return grid.reshape(-1)
 
     def _twiddle(self, grid: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> None:
-        # splitting the row axis is a view in any layout, so this works in place
         blocks = grid.reshape(self._blocks)
         blocks *= outer[:, :, None]
         blocks *= inner[:, None, :]
@@ -294,34 +297,36 @@ def weak_weyl_residuals(state: GridState, times) -> list[float]:
     F^-1(s F(x psi)), so psi^ and (T psi)^ take four transforms per grid;
     each t takes four more (see ``_weyl_defect``).  Every transform is a
     ``_FourStep`` one, so k-space arrays are held in its transposed
-    order.  Raises ValueError for a non-finite time, a zero state, an
-    overflowing (m/2)/k, k^2/2m or defect, zero-mode mass, or an evolved
-    packet that reaches the box boundary.
+    order.  The grid buffers are made once: psi^, (T psi)^, three complex
+    work vectors, and a real half-grid and full-grid scratch; each t
+    writes only into them.  Raises ValueError for a non-finite time, a
+    state of zero or overflowing norm, an overflowing (m/2)/k, k^2/2m or
+    defect, zero-mode mass, or an evolved packet that reaches the box
+    boundary.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
         raise ValueError("evolution times must be finite")
-    norm = state.norm()
-    if not norm > 0.0:
-        raise ValueError("the weak Weyl residual needs a nonzero state")
+    with np.errstate(over="ignore"):   # an overflow leaves inf, refused below
+        norm = state.norm()
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"the weak Weyl residual needs a nonzero state of finite norm, not norm {norm:.6g}")
     plan = _FourStep(state.size)
-    # psi^, (T psi)^, x, s and E live through the sweep and are made
-    # before T's temporaries, so the heap those leave behind can be reused
-    hat = plan.forward(state.samples)
-    t_hat = np.empty_like(hat)
     x = state.x
     scale, energy = _multipliers(plan, state)
+    hat = plan.forward(state.samples)
+    t_hat, shifted, h_hat, rhs = (np.empty_like(hat) for _ in range(4))
+    work = (shifted, h_hat, rhs, np.empty(energy.shape), np.empty(state.size))
     _require_no_zero_mode(hat)
     np.multiply(hat, scale, out=t_hat)
     plan.inverse(t_hat, out=t_hat)
     t_hat *= x
     plan.forward(t_hat, out=t_hat)
-    work = np.multiply(x, state.samples)
-    plan.forward(work, out=work)
-    work *= scale
-    t_hat += work
-    del work
-    return [_weyl_defect(state, plan, t, hat, t_hat, energy, x, scale) / norm for t in times]
+    np.multiply(x, state.samples, out=rhs)
+    plan.forward(rhs, out=rhs)
+    rhs *= scale
+    t_hat += rhs
+    return [_weyl_defect(state, plan, t, hat, t_hat, energy, x, scale, work) / norm for t in times]
 
 
 def _multipliers(plan: _FourStep, state: GridState) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +343,7 @@ def _multipliers(plan: _FourStep, state: GridState) -> tuple[np.ndarray, np.ndar
 
 
 def _weyl_defect(state: GridState, plan: _FourStep, t: float, hat: np.ndarray, t_hat: np.ndarray,
-                 energy: np.ndarray, x: np.ndarray, scale: np.ndarray) -> float:
+                 energy: np.ndarray, x: np.ndarray, scale: np.ndarray, work: tuple) -> float:
     """||T e^{-itH} psi - e^{-itH} (T + t) psi|| in four transforms.
 
     h^ = phi_t psi^ is the transform of the evolved state e and the one
@@ -346,25 +351,25 @@ def _weyl_defect(state: GridState, plan: _FourStep, t: float, hat: np.ndarray, t
     x . F^-1(s h^) + F^-1[s F(x e) - phi_t (T psi)^ - t h^].  Its norm is
     taken in position space: a Parseval or Gram expansion would cancel
     away the round-off being measured.  The phase is built once and
-    spent on phi_t (T psi)^ while h^ is still whole.
+    spent on phi_t (T psi)^ while h^ is still whole.  ``work`` holds the
+    sweep's buffers, which every step writes into: three complex grid
+    vectors, then a real half-grid and full-grid scratch.
     """
-    shifted = _phase(energy, t)
-    h_hat = shifted * hat
+    shifted, h_hat, rhs, angle, density = work
+    _phase(energy, t, angle, shifted)
+    np.multiply(shifted, hat, out=h_hat)
     _require_no_zero_mode(h_hat)
     shifted *= t_hat
-    evolved = plan.inverse(h_hat)
-    _require_contained(evolved, x, state.box_half_width)
-    evolved *= x
-    rhs = plan.forward(evolved, out=evolved)
-    del evolved
+    plan.inverse(h_hat, out=rhs)
+    _require_contained(rhs, x, state.box_half_width, density)
+    rhs *= x
+    plan.forward(rhs, out=rhs)
     rhs *= scale
     rhs -= shifted
     np.multiply(h_hat, t, out=shifted)
     rhs -= shifted
-    del shifted
     h_hat *= scale
     lhs = plan.inverse(h_hat, out=h_hat)
-    del h_hat
     lhs *= x
     lhs += plan.inverse(rhs, out=rhs)
     defect = math.sqrt(np.vdot(lhs, lhs).real * state.dx)
@@ -373,28 +378,27 @@ def _weyl_defect(state: GridState, plan: _FourStep, t: float, hat: np.ndarray, t
     return defect
 
 
-def _phase(energy: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t E) in transposed k-order, mirrored from E on rows 0..n1/2.
+def _phase(energy: np.ndarray, t: float, angle: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-i t E) into ``out`` in transposed k-order, mirrored from E on rows 0..n1/2.
 
     Row n1 - k1 is row k1 reversed, [k1, k2] <-> [n1 - k1, n2 - 1 - k2].
+    The angle -t E goes into the real buffer ``angle``, shaped like E.
     """
     half, n2 = energy.shape
-    phase = np.empty((2 * (half - 1), n2), dtype=complex)
-    _cis(energy * -t, phase[:half])
+    phase = out.reshape(2 * (half - 1), n2)
+    _cis(np.multiply(energy, -t, out=angle), phase[:half])
     phase[half:] = phase[half - 2:0:-1, ::-1]
-    return phase.reshape(-1)
+    return out
 
 
 def _cis(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(i angle) into ``out`` as cos + i sin, spending ``angle``.
+    """exp(i angle) into ``out``: cos and sin written straight into its real and imaginary parts.
 
-    The same bits as the complex exp at about half the cost.  cos and
-    sin run on contiguous arrays: buffered ufunc output into the strided
-    ``.real``/``.imag`` views left the heap unable to shrink after a sweep.
+    The same bits as the complex exp at about half the cost; ``angle``
+    is left as it was.
     """
-    out.imag = np.sin(angle)
-    np.cos(angle, out=angle)
-    out.real = angle
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     return out
 
 

@@ -273,11 +273,14 @@ class TestAbApply:
         # finite samples whose spectral mass overflows: the zero-mode
         # fraction is inf/inf = NaN, which must fail the gate
         huge = GridState(50.0, 64, 1.0, np.full(64, 1e200, dtype=complex))
+        # the sweep refuses a norm that overflows first; this norm is finite
+        # (1e154) while |psi^(0)|^2 = (6.4e154)^2 is not
+        loud = GridState(50.0, 64, 1.0, np.full(64, 1e153, dtype=complex))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="zero-mode"):
                 ab_apply(huge)
             with pytest.raises(ValueError, match="zero-mode"):
-                weak_weyl_residuals(huge, [0.5])
+                weak_weyl_residuals(loud, [0.5])
 
     def test_stationary_phase_window(self):
         # On the window where the envelope is slowly varying, T acts like
@@ -339,25 +342,21 @@ class TestFourStep:
         plan.inverse(work, out=work)
         assert np.array_equal(work, back)
 
-    @pytest.mark.parametrize("size", [16, 2 ** 12])
-    def test_stage_results_laid_out_as_numpy_1_returns_them(self, monkeypatch, size):
-        # numpy 1.x transforms a non-last axis on a contiguous copy and
-        # returns a swapped, non-C-ordered view of it
-        def swapped(fn):
-            def wrapper(a, axis=-1):
-                return np.swapaxes(fn(np.ascontiguousarray(np.swapaxes(a, axis, -1))), axis, -1)
-            return wrapper
-
+    @pytest.mark.parametrize("size", [16, 2 ** 12, 2 ** 14, 2 ** 18])
+    def test_a_new_a_separate_and_an_in_place_target_give_the_same_bits(self, size):
         rng = np.random.default_rng(size)
         data = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        original = data.copy()
         plan = _FourStep(size)
-        hat, back = plan.forward(data), plan.inverse(data)
-        monkeypatch.setattr(np.fft, "fft", swapped(np.fft.fft))
-        monkeypatch.setattr(np.fft, "ifft", swapped(np.fft.ifft))
-        assert np.array_equal(plan.forward(data), hat)
-        assert np.array_equal(plan.inverse(data), back)
-        work = data.copy()
-        assert np.array_equal(plan.forward(work, out=work), hat)
+        for transform in (plan.forward, plan.inverse):
+            new = transform(data)
+            separate = np.empty_like(data)
+            written = transform(data, out=separate)
+            assert np.shares_memory(written, separate) and np.array_equal(separate, new)
+            assert np.array_equal(data, original)
+            work = data.copy()
+            written = transform(work, out=work)
+            assert np.shares_memory(written, work) and np.array_equal(work, new)
 
 
 class TestWeakWeyl:
@@ -401,7 +400,8 @@ class TestWeakWeyl:
     def test_containment_gate_fails_on_nan(self):
         state = default_packet()
         with pytest.raises(ValueError, match="box boundary"):
-            contspec._require_contained(np.full(state.size, complex(math.nan, 0.0)), state.x, 50.0)
+            contspec._require_contained(np.full(state.size, complex(math.nan, 0.0)), state.x, 50.0,
+                                        np.empty(state.size))
 
     def test_sweep_keeps_every_rejection(self):
         flat = GridState(50.0, 64, 1.0, np.ones(64, dtype=complex))
@@ -420,7 +420,7 @@ class TestWeakWeyl:
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
+                calls.append(kwargs.get("out"))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -429,6 +429,8 @@ class TestWeakWeyl:
         weak_weyl_residuals(state, times)
         # a four-step transform is two np.fft calls: columns, then rows
         assert len(calls) == 2 * (4 + 4 * len(times))
+        # each writes into a buffer, not a new array
+        assert all(out is not None for out in calls)
 
     def test_gates_read_psi_and_every_evolved_state(self, monkeypatch):
         seen = {"_zero_mode_mass": 0, "_require_contained": 0}
@@ -461,7 +463,8 @@ class TestWeakWeyl:
             assert np.array_equal(scale, np.divide(mass / 2.0, k, out=np.zeros_like(k), where=k != 0.0)[order])
             full = k ** 2 / (2.0 * mass)
             for t in (0.25, 0.75, 1.0, -3.7):
-                assert np.array_equal(_phase(half, t), reference_phase(full, t)[order])
+                phase = _phase(half, t, np.empty(half.shape), np.empty(size, dtype=complex))
+                assert np.array_equal(phase, reference_phase(full, t)[order])
 
     @pytest.mark.parametrize("state", [default_packet(), narrow_packet(2048),
                                        make_packet(50.0, 2 ** 16, 1.0, 0.0, 5.0, 2.0)],
@@ -480,20 +483,37 @@ class TestWeakWeyl:
         with pytest.raises(ValueError, match=match):
             weak_weyl_residuals(state, [0.5])
 
+    @staticmethod
+    def _traced_peak(state, times):
+        weak_weyl_residuals(state, times)
+        tracemalloc.start()
+        try:
+            weak_weyl_residuals(state, times)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_sweep_peak_memory_stays_at_the_parent_bound(self):
         # the six-FFT-per-time sweep this one replaced peaked at 7 865 984
         # traced bytes here (numpy 2.4): 7.5 complex grid vectors, 120 a point
         size = 2 ** 16
         state = make_packet(50.0, size, 1.0, 0.0, 5.0, 2.0)
-        times = [0.25, 0.5, 0.75, 1.0]
-        weak_weyl_residuals(state, times)
-        tracemalloc.start()
-        try:
-            weak_weyl_residuals(state, times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 120 * size
+        assert self._traced_peak(state, [0.25, 0.5, 0.75, 1.0]) <= 120 * size
+
+    def test_sweep_peak_does_not_grow_with_the_number_of_times(self):
+        # every time writes into the buffers made for the grid
+        state = make_packet(50.0, 2 ** 16, 1.0, 0.0, 5.0, 2.0)
+        one = self._traced_peak(state, [1.0])
+        eight = self._traced_peak(state, [0.125 * j for j in range(1, 9)])
+        assert abs(eight - one) <= 4096
+
+    def test_sweep_refuses_a_state_whose_norm_overflows(self):
+        # finite samples whose norm does not fit a float: refused by norm,
+        # without a RuntimeWarning, before the zero-mode gate reads NaN
+        state = default_packet()
+        huge = GridState(50.0, 1024, 1.0, 1e160 * state.samples)
+        with pytest.raises(ValueError, match="finite norm, not norm inf"):
+            weak_weyl_residuals(huge, [0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_sweep_rejects_non_finite_times(self, bad):
