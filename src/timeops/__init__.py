@@ -51,7 +51,7 @@ from .contspec import (
     make_packet,
     s0_apply,
     s0_strong_relation_check,
-    s0_symmetry_residual,
+    s0_symmetry_bound,
     weak_weyl_residuals,
 )
 from .acceptance import CriterionResult, run_all

@@ -36,10 +36,11 @@ is mapped by the model time operator into affine combinations
 
 held as (a, b, s) coefficient triples, so the strong relation
 exp(itH) Y exp(-itH) = Y + t can be verified as an identity between
-triples in exact rational arithmetic, with no quadrature at all.
-Symmetry of Y in the rho inner product is the one statement that does
-need integration; Gauss-Hermite handles it to near machine precision
-once the order clears a frequency-dependent floor.
+triples in exact rational arithmetic, with no quadrature at all, on a
+fixed rational lattice of (s, t).  Symmetry of Y in the rho inner
+product is the one statement that does need integration: on a fixed
+frequency set, one Gauss-Hermite matrix K bounds the symmetry defect of
+every combination of those exponentials at once.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ __all__ = [
     "ExpCombination",
     "s0_apply",
     "s0_strong_relation_check",
-    "s0_symmetry_residual",
+    "s0_symmetry_bound",
 ]
 
 #: Largest tolerated relative weight of the k = 0 Fourier mode.
@@ -66,8 +67,15 @@ ZERO_MODE_MASS_LIMIT = 1e-10
 #: Minimum carrier frequency in units of the packet's spectral width.
 CARRIER_WIDTH_FACTOR = 4.0
 
-#: Quadrature floor: orders below max(64, ceil(8 smax + 16)) are refused.
+#: Quadrature floor: the order for frequencies up to smax is max(64, ceil(8 smax + 16)).
 QUADRATURE_ORDER_FLOOR = 64
+
+#: The strong relation's fixed rational lattice: s and t each run over
+#: 4k/3 for |k| <= 3, which holds 0, +-4 and non-dyadic thirds.
+S0_LATTICE = tuple(Fraction(4 * k, 3) for k in range(-3, 4))
+
+#: The symmetry certificate's frequencies: 33 equispaced points on [-4, 4].
+S0_FREQUENCIES = tuple(k / 4 for k in range(-16, 17))
 
 
 @dataclass(frozen=True)
@@ -419,7 +427,7 @@ def _gauss_hermite(order: int):
 
 @dataclass(frozen=True)
 class ExpCombination:
-    """Finite combination sum_j c_j exp(i s_j lambda); its (c, s) terms keep their number type until evaluated."""
+    """Finite combination sum_j c_j exp(i s_j lambda); its (c, s) terms keep their number type."""
 
     terms: tuple
 
@@ -428,17 +436,6 @@ class ExpCombination:
         if not terms:
             raise ValueError("an exponential combination needs at least one term")
         object.__setattr__(self, "terms", terms)
-
-    def evaluate(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros(lam.shape, dtype=complex)
-        for c, s in self.terms:
-            out += complex(c) * np.exp(1j * float(s) * lam)
-        return out
-
-    @property
-    def max_frequency(self) -> float:
-        return float(max(abs(s) for _, s in self.terms))
 
 
 def s0_apply(f: ExpCombination) -> tuple:
@@ -451,14 +448,6 @@ def s0_apply(f: ExpCombination) -> tuple:
     Gaussian reference density, the only density this class is defined on.
     """
     return tuple((-s * c, -1j * c, s) for c, s in f.terms)
-
-
-def _affine_values(triples: tuple, lam: np.ndarray) -> np.ndarray:
-    """sum_j (a_j + b_j lambda) exp(i s_j lambda) at the points ``lam``."""
-    out = np.zeros(lam.shape, dtype=complex)
-    for a, b, s in triples:
-        out += (complex(a) + complex(b) * lam) * np.exp(1j * float(s) * lam)
-    return out
 
 
 def s0_strong_relation_check(s, t) -> bool:
@@ -481,28 +470,29 @@ def _required_order(max_frequency: float) -> int:
     return max(QUADRATURE_ORDER_FLOOR, math.ceil(8.0 * max_frequency + 16.0))
 
 
-def s0_symmetry_residual(f: ExpCombination, g: ExpCombination, order: int | None = None) -> float:
-    """|(Yf, g)_rho - (f, Yg)_rho| by Gauss-Hermite quadrature.
+def _s0_symmetry_matrix(freqs: np.ndarray) -> np.ndarray:
+    """K = (YE)^H W E - E^H W (YE) on the frequencies ``freqs``, by Gauss-Hermite quadrature.
 
-    The integrands are entire functions times the Gaussian weight, and
-    the quadrature error collapses once the order comfortably exceeds
-    the oscillation scale; the floor max(64, ceil(8 smax + 16)) is
-    enforced, and asking for less is an error instead of a warning.
+    E holds exp(i s_k lambda) at the nodes, one column per frequency; YE
+    holds the image of each column, read from the triples of ``s0_apply``;
+    W is the diagonal of weights.  For f = sum c_k exp(i s_k lambda) and
+    g = sum d_k exp(i s_k lambda), (Yf, g)_rho - (f, Yg)_rho = c^H K d.
+    The second product of K is the conjugate transpose of the first.
     """
-    smax = max(f.max_frequency, g.max_frequency)
-    floor = _required_order(smax)
-    if order is None:
-        order = floor
-    elif order < floor:
-        raise ValueError(
-            f"quadrature order {order} is below the safe floor {floor} "
-            f"for maximum frequency {smax:.3g}"
-        )
-    nodes, weights = _gauss_hermite(order)
-    yf = _affine_values(s0_apply(f), nodes)
-    yg = _affine_values(s0_apply(g), nodes)
-    fv = f.evaluate(nodes)
-    gv = g.evaluate(nodes)
-    left = np.sum(weights * np.conj(yf) * gv)
-    right = np.sum(weights * np.conj(fv) * yg)
-    return float(abs(left - right))
+    nodes, weights = _gauss_hermite(_required_order(float(np.max(np.abs(freqs)))))
+    a, b, s = (np.array(part) for part in zip(*s0_apply(ExpCombination(tuple((1.0, freq) for freq in freqs)))))
+    image = (a + np.multiply.outer(nodes, b)) * np.exp(1j * np.multiply.outer(nodes, s))
+    weighted = weights[:, None] * np.exp(1j * np.multiply.outer(nodes, freqs))
+    gram = image.conj().T @ weighted
+    return gram - gram.conj().T
+
+
+def s0_symmetry_bound(freqs) -> float:
+    """||K||_F of ``_s0_symmetry_matrix``: the symmetry certificate of Y on a frequency set.
+
+    |(Yf, g)_rho - (f, Yg)_rho| <= ||K||_F ||c|| ||d|| for every pair of
+    combinations on ``freqs`` with coefficient vectors c and d.  The
+    exact K is 0, since Y is symmetric on L^2(rho); the computed one holds
+    the quadrature error and round-off, and a NaN entry makes the bound NaN.
+    """
+    return float(np.linalg.norm(_s0_symmetry_matrix(np.asarray(freqs, dtype=float))))

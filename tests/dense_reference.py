@@ -8,11 +8,14 @@ pair-by-pair loop over a whole commutator; ``complex_evaluator_stack``
 holds the complex form evaluators that the real matrices R replaced.
 ``plant`` makes a kernel build a chosen matrix for one channel.
 ``rabi_chain_labels`` names the product basis states of the Rabi parity
-chains, in block order.
+chains, in block order.  ``s0_symmetry_residual`` is the pair-by-pair
+quadrature symmetry check of the S0 class that the certificate
+``contspec.s0_symmetry_bound`` replaced.
 """
 
 import numpy as np
 
+from timeops.contspec import _gauss_hermite, _required_order, s0_apply
 from timeops.timeop import CCR_BAND_ROWS, MatrixKind
 
 
@@ -178,3 +181,44 @@ def rabi_chain_labels(cutoff: int) -> tuple[str, ...]:
     """
     spins = ("up", "down")
     return tuple(f"{spins[(n + first) % 2]}|n={n}" for first in (0, 1) for n in range(cutoff + 1))
+
+
+def combination_values(f, lam) -> np.ndarray:
+    """sum_j c_j exp(i s_j lambda) of an ``ExpCombination`` at the points ``lam``, term by term."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.zeros(lam.shape, dtype=complex)
+    for c, s in f.terms:
+        out += complex(c) * np.exp(1j * float(s) * lam)
+    return out
+
+
+def affine_values(triples, lam) -> np.ndarray:
+    """sum_j (a_j + b_j lambda) exp(i s_j lambda) at the points ``lam``, term by term."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.zeros(lam.shape, dtype=complex)
+    for a, b, s in triples:
+        out += (complex(a) + complex(b) * lam) * np.exp(1j * float(s) * lam)
+    return out
+
+
+def s0_symmetry_residual(f, g, order=None) -> float:
+    """|(Yf, g)_rho - (f, Yg)_rho| of one pair of ``ExpCombination``s by Gauss-Hermite quadrature.
+
+    The order defaults to the floor max(64, ceil(8 smax + 16)) for the
+    largest frequency smax of the pair; asking for less is an error.
+    """
+    smax = float(max(abs(s) for h in (f, g) for _, s in h.terms))
+    floor = _required_order(smax)
+    if order is None:
+        order = floor
+    elif order < floor:
+        raise ValueError(
+            f"quadrature order {order} is below the safe floor {floor} "
+            f"for maximum frequency {smax:.3g}"
+        )
+    nodes, weights = _gauss_hermite(order)
+    yf = affine_values(s0_apply(f), nodes)
+    yg = affine_values(s0_apply(g), nodes)
+    left = np.sum(weights * np.conj(yf) * combination_values(g, nodes))
+    right = np.sum(weights * np.conj(combination_values(f, nodes)) * yg)
+    return float(abs(left - right))

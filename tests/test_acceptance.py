@@ -37,8 +37,7 @@ HEADLINE = {
     "exact-ccr": lambda d: f"worst residual {d['worst_residual']:.3e}",
     "ultraweak-form": lambda d: (
         f"max residual {d['max_uw_ccr_residual']:.3e}, "
-        f"min uncertainty value {d['min_uncertainty_value']:.12f}, "
-        f"im defect {d['im_identity_defect']:.3e}"
+        f"min uncertainty value {d['min_uncertainty_value']:.12f}"
     ),
     "oscillator-bound": lambda d: (
         f"lambda_max(800) = {d['largest_size_lambda_max']:.9f} < pi"
@@ -98,6 +97,9 @@ def test_results_serialize_without_timing_fields(results):
 
 def test_every_tolerance_has_a_positive_default():
     assert all(v > 0.0 for v in DEFAULT_TOLERANCES.values())
+    # uw_ccr gates the one ultra-weak certificate; the uncertainty bound is its phi = psi case
+    assert set(DEFAULT_TOLERANCES) == {"ccr_relative", "uw_ccr", "toeplitz_bound_slack", "rabi_stability",
+                                       "grid_residual", "s0_symmetry", "scaling_entrywise"}
 
 
 class RecordingTable(dict):
@@ -140,11 +142,10 @@ def readers():
 
 
 # Residual tolerances: a measured residual is never exactly zero, so a zero
-# tolerance must fail some criterion.  uncertainty_slack and
-# toeplitz_bound_slack are slacks under bounds that the measured values
-# clear, so zero does not flip them.
+# tolerance must fail some criterion.  toeplitz_bound_slack is a slack
+# under a bound that the measured values clear, so zero does not flip it.
 @pytest.mark.parametrize("name", [
-    "ccr_relative", "uw_ccr", "im_identity", "rabi_stability",
+    "ccr_relative", "uw_ccr", "rabi_stability",
     "grid_residual", "s0_symmetry", "scaling_entrywise",
 ])
 def test_zero_residual_tolerance_fails_a_criterion(name, readers):
@@ -157,7 +158,8 @@ def test_ultraweak_form_details_count_the_certified_channels(results):
     details = results["ultraweak-form"].details
     assert details["channels_certified"] == 9
     assert "pairs_checked" not in details and "samples" not in details
-    assert details["im_identity_defect"] == details["max_uw_ccr_residual"] / 2 > 0.0
+    assert details["min_uncertainty_value"] == 0.5 - details["max_uw_ccr_residual"] / 2 < 0.5
+    assert "im_identity_defect" not in details
 
 
 def test_partition_details_count_what_the_batch_checked(results):
@@ -180,12 +182,13 @@ def test_random_null_sets_redraw_a_set_with_a_repeated_value():
 
 
 def test_transforms_details_show_the_uncertainty_checks():
-    (transforms,) = [r for r in run_all({"im_identity": 0.0}) if r.name == "transforms"]
+    # uw_ccr gates the certificate, and the uncertainty bound it certifies fails with it
+    (transforms,) = [r for r in run_all({"uw_ccr": 0.0}) if r.name == "transforms"]
     details = transforms.details
     assert transforms.passed is False
-    assert details["im_identity_defect"] > details["tolerance_im_identity"] == 0.0
-    assert details["min_uncertainty_value"] >= 0.5 - details["tolerance_uncertainty_slack"]
-    assert details["max_uw_ccr_residual"] <= details["tolerance_uw_ccr"]
+    assert details["max_uw_ccr_residual"] > details["tolerance_uw_ccr"] == 0.0
+    assert details["min_uncertainty_value"] == 0.5 - details["max_uw_ccr_residual"] / 2 < 0.5
+    assert "im_identity_defect" not in details and "tolerance_im_identity" not in details
 
 
 def rebuilt(deco, channels, levels):
@@ -350,22 +353,22 @@ def refine_worse(monkeypatch):
     monkeypatch.setattr(acceptance, "weak_weyl_residuals", lambda state, times: [float(state.size)] * len(times))
 
 
-#: Criterion -> each run it makes, as (model, pipeline, seed offset, whether its
-#: report must pass), and a change that leaves every report's verdict as it is
-#: but breaks the criterion's own assertion (None when it adds none).
+#: Criterion -> each run it makes, as (model, pipeline, whether its report must
+#: pass), and a change that leaves every report's verdict as it is but breaks
+#: the criterion's own assertion (None when it adds none).
 PIPELINE_CRITERIA = {
-    "ultraweak-form": ([(_HYDROGEN, {"kind": "uwform"}, 2000, True)], None),
+    "ultraweak-form": ([(_HYDROGEN, {"kind": "uwform"}, True)], None),
     "oscillator-bound": (
-        [({}, {"kind": "oscspec", "omega": 1.0, "sizes": [100, 200, 400, 800]}, 0, True)],
+        [({}, {"kind": "oscspec", "omega": 1.0, "sizes": [100, 200, 400, 800]}, True)],
         lambda mp: spy_on_runs(mp, lambda report: report["rows"][-1].update(lambda_max=2.9)),
     ),
-    "weak-weyl": ([({}, {"kind": "abweyl"}, 0, True)], refine_worse),
-    "s0-class": ([({}, {"kind": "s0check"}, 0, True)], None),
+    "weak-weyl": ([({}, {"kind": "abweyl"}, True)], refine_worse),
+    "s0-class": ([({}, {"kind": "s0check"}, True)], None),
     "transforms": (
-        [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": kind, "params": params}}, offset, True)
-         for kind, params, offset in (("exp", [1.0], 9000), ("poly", [0.0, 1.0], 10000), ("sin", [0.3], 11000))]
+        [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": kind, "params": params}}, True)
+         for kind, params in (("exp", [1.0]), ("poly", [0.0, 1.0]), ("sin", [0.3]))]
         # the resonant sine beta = 1/(2 E_1) = -1, refused: the criterion reads its witness
-        + [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": "sin", "params": [-1.0]}}, 0, False)],
+        + [(_HYDROGEN, {"kind": "ftransform", "function": {"kind": "sin", "params": [-1.0]}}, False)],
         lambda mp: spy_on_runs(mp, lambda report: report["witnesses"].clear()),
     ),
 }
@@ -380,7 +383,8 @@ def test_a_pipeline_criterion_is_the_verdict_of_its_frozen_runs(monkeypatch, nam
     tol = resolve_tolerances({"uw_ccr": 2e-10})
     runs = spy_on_runs(monkeypatch)
     assert criterion(tol, seed)[0] is True
-    assert [(c.model, c.pipeline, c.seed) for c, _ in runs] == [(m, pl, seed + k) for m, pl, k, _ in expected]
+    # no pipeline a criterion runs reads a seed, so every run keeps the default
+    assert [(c.model, c.pipeline, c.seed) for c, _ in runs] == [(m, pl, 7) for m, pl, _ in expected]
     assert all(c.resolved_tolerances() == tol for c, _ in runs)
     assert [r["passed"] for _, r in runs] == [must for *_, must in expected]
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import timeops
-from timeops import cli, contspec, timeop, uwform
+from timeops import acceptance, cli, contspec, timeop, uwform
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, osc_timeop_extremes
@@ -116,8 +116,8 @@ class TestRunExamples:
         assert report["passed"]
         assert report["admissible"] is True
         assert report["max_uw_ccr_residual"] <= 1e-10
-        assert report["min_uncertainty_value"] >= 0.5 - 1e-10
-        assert report["im_identity_defect"] <= 1e-10
+        assert report["min_uncertainty_value"] == 0.5 - report["max_uw_ccr_residual"] / 2 >= 0.5 - 1e-10
+        assert "im_identity_defect" not in report
         assert report["tolerances"]["uw_ccr"] == 1e-10
 
     def test_oscillator_timeop_pipeline(self):
@@ -332,7 +332,7 @@ class TestSubcommands:
         assert code == 0
         report = _read(tmp_path / "uwform_report.json")
         for key in ("admissible", "witnesses", "channels", "max_uw_ccr_residual",
-                    "min_uncertainty_value", "im_identity_defect", "passed"):
+                    "min_uncertainty_value", "passed"):
             assert key in report
         assert report["max_uw_ccr_residual"] <= 1e-10
 
@@ -371,7 +371,7 @@ class TestSubcommands:
             out = tmp_path / gamma
             assert main(["uwform", "--model", "hydrogen", "--n-max", "16", "--gamma", gamma, "--out", str(out)]) == 0
             report = _read(out / "uwform_report.json")
-            assert report["passed"] is True and report["im_identity_defect"] <= 1e-12
+            assert report["passed"] is True and report["max_uw_ccr_residual"] <= 2e-12
             values.append(report["min_uncertainty_value"])
         assert values == pytest.approx([values[1]] * 3, rel=1e-12)
 
@@ -393,22 +393,44 @@ class TestSubcommands:
         report = _read(tmp_path / "uwform_report.json")
         worst = max(c["max_uw_ccr_residual"] for c in report["channels"])
         assert 0.0 < report["max_uw_ccr_residual"] == worst <= report["tolerances"]["uw_ccr"]
-        assert report["im_identity_defect"] == worst / 2
         assert report["min_uncertainty_value"] == 0.5 - worst / 2
         assert all(c["max_uw_ccr_residual"] == 0.0 for c in report["channels"] if c["dimension"] == 1)
         assert "vectors_per_channel" not in report
 
-    @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
-    def test_ultraweak_reports_read_no_seed_and_no_vectors(self, tmp_path, command):
-        # the certificate draws nothing: only the echoed config may differ
+    @pytest.mark.parametrize("command", [
+        ["s0check"],
+        ["uwform", "--model", "hydrogen", "--n-max", "16"],
+        ["ftransform", "--model", "hydrogen", "--n-max", "16", "--function", "sin:0.3"],
+    ], ids=["s0check", "uwform", "ftransform"])
+    def test_certified_reports_read_no_seed(self, tmp_path, command):
+        # the certificates draw nothing: only the echoed config may differ
         reports = set()
-        for flags in (["--seed", "1"], ["--seed", "7"], ["--vectors", "1"], ["--vectors", "10000"]):
+        for seed in ("1", "7"):
+            out = tmp_path / seed
+            assert main([*command, "--seed", seed, "--out", str(out)]) == 0
+            report = _read(out / f"{command[0]}_report.json")
+            del report["timings"], report["config"]
+            reports.add(json.dumps(report, sort_keys=True))
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
+    def test_ultraweak_reports_read_no_vectors(self, tmp_path, command):
+        reports = set()
+        for flags in (["--vectors", "1"], ["--vectors", "10000"]):
             out = tmp_path / "-".join(flags)
             assert main([*command, "--model", "hydrogen", "--n-max", "16", *flags, "--out", str(out)]) == 0
             report = _read(out / f"{command[0]}_report.json")
             del report["timings"], report["config"]
             reports.add(json.dumps(report, sort_keys=True))
         assert len(reports) == 1
+
+    def test_seed_help_names_the_runs_that_read_it(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
+        for kind in ("timeop", "uwform", "s0check", "selftest"):
+            (flag,) = [a for a in sub.choices[kind]._actions if a.dest == "seed"]
+            assert "timeop's random vectors" in flag.help and "selftest's partition sequences" in flag.help
+            assert "ignore it" in flag.help
 
     def test_vectors_help_says_the_ultraweak_pipelines_ignore_it(self):
         parser = cli._build_parser()
@@ -575,7 +597,18 @@ class TestSubcommands:
         assert code == 0
         report = _read(tmp_path / "s0check_report.json")
         assert report["strong_relation_all_exact"] is True
-        assert report["symmetry_max_residual"] <= 1e-9
+        assert report["strong_relation_pairs"] == len(contspec.S0_LATTICE) ** 2 <= 100
+        assert report["symmetry_frequencies"] == 33
+        assert 0.0 < report["symmetry_max_residual"] <= 1e-13
+        assert not {"strong_relation_samples", "symmetry_pairs"} & set(report)
+
+    def test_s0check_and_its_criterion_draw_no_random_numbers(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(["s0check", "--out", str(tmp_path)]) == 0
+        assert acceptance.criterion_s0(DEFAULT_TOLERANCES, 7)[0] is True
 
     def test_no_model_is_a_usage_error(self, tmp_path):
         code = main(["timeop", "--out", str(tmp_path)])
@@ -731,26 +764,41 @@ class TestEveryVerdictCanFail:
         report = self._run(tmp_path, "abweyl")
         assert math.isnan(report["max_residual"]) and not math.isnan(report["sweep"][0][1])
 
-    @pytest.mark.parametrize("case", ["s0_apply", "s0_symmetry_residual", "nan_symmetry_residual"])
+    @pytest.mark.parametrize("case", ["s0_apply", "shifted_entry", "nan_entry"])
     def test_s0check(self, tmp_path, monkeypatch, case):
         if case == "s0_apply":
-            # the coefficient map with a = -2sc in place of -sc: the strong relation's Y + t no longer comes out
+            # the coefficient map with a = -2sc in place of -sc: neither Y + t nor the symmetry comes out
             apply = contspec.s0_apply
             monkeypatch.setattr(contspec, "s0_apply", lambda f: tuple((2 * a, b, s) for a, b, s in apply(f)))
         else:
-            residual = cli.s0_symmetry_residual
-            pairs = iter(range(25))
-            if case == "s0_symmetry_residual":
-                perturbed = lambda f, g: residual(f, g) + 1e-8
-            else:
-                # a NaN at the 13th of 25 pairs, which Python's max would skip
-                perturbed = lambda f, g: math.nan if next(pairs) == 12 else residual(f, g)
-            monkeypatch.setattr(cli, "s0_symmetry_residual", perturbed)
+            # one entry of K, in the middle of the frequency set, off by 1e-8 or NaN
+            matrix = contspec._s0_symmetry_matrix
+
+            def planted(freqs):
+                k = matrix(freqs)
+                k[16, 17] = k[16, 17] + 1e-8 if case == "shifted_entry" else math.nan
+                return k
+
+            monkeypatch.setattr(contspec, "_s0_symmetry_matrix", planted)
         report = self._run(tmp_path, "s0check")
-        if case == "s0_apply":
-            assert report["strong_relation_all_exact"] is False
-        else:
-            assert report["strong_relation_all_exact"] is True and not report["symmetry_max_residual"] <= 1e-8
+        assert report["strong_relation_all_exact"] is (case != "s0_apply")
+        assert not report["symmetry_max_residual"] <= 1e-8
+        assert math.isnan(report["symmetry_max_residual"]) is (case == "nan_entry")
+
+    def test_uwform_nan_certificate(self, tmp_path, monkeypatch):
+        # a NaN bound in one channel, which Python's max would skip behind the finite ones
+        bounds = cli.uw_ccr_bounds
+
+        def poisoned(form):
+            out = bounds(form)
+            out[2] = math.nan
+            return out
+
+        monkeypatch.setattr(cli, "uw_ccr_bounds", poisoned)
+        code = main(["uwform", "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)])
+        report = _read(tmp_path / "uwform_report.json")
+        assert code == 1 and report["passed"] is False
+        assert math.isnan(report["max_uw_ccr_residual"]) and math.isnan(report["min_uncertainty_value"])
 
 
 class TestFieldTable:
@@ -973,6 +1021,18 @@ class TestSelftestCommand:
         assert code == 2
         assert err.startswith("error: ")
         assert not (tmp_path / "selftest_report.json").exists()
+
+    @pytest.mark.parametrize("args,config", [
+        (["selftest", "--tolerance", "im_identity=0"], {}),
+        (["uwform", "--model", "hydrogen"], {"tolerances": {"uncertainty_slack": 1e-10}}),
+    ], ids=["im_identity", "uncertainty_slack"])
+    def test_the_folded_tolerances_are_unknown(self, tmp_path, capsys, args, config):
+        # both were gates on the one uw_ccr certificate, and folded into uw_ccr
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([*args, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unknown tolerance" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_report.json"))
 
     @pytest.mark.parametrize("args,config", [(["--seed", "-1"], {}), ([], {"seed": -3})])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, args, config):

@@ -4,24 +4,32 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeops import contspec
 from timeops.cli import RunConfig, run
 from timeops.contspec import (
+    S0_FREQUENCIES,
+    S0_LATTICE,
     ExpCombination,
     GridState,
     _FourStep,
     _gauss_hermite,
     _multipliers,
     _phase,
+    _required_order,
     _require_no_zero_mode,
+    _s0_symmetry_matrix,
     _zero_mode_mass,
     make_packet,
     s0_apply,
     s0_strong_relation_check,
-    s0_symmetry_residual,
+    s0_symmetry_bound,
     weak_weyl_residuals,
 )
+
+from dense_reference import affine_values, combination_values, s0_symmetry_residual
 
 
 def default_packet():
@@ -571,24 +579,15 @@ class TestGaussianDensity:
         finally:
             _gauss_hermite.cache_clear()
 
-    def test_cached_rule_gives_the_uncached_residual_bits(self):
-        f = ExpCombination(terms=((1.0 + 0.0j, -2.5), (0.3 - 0.2j, 1.1), (-0.7j, 4.0)))
-        g = ExpCombination(terms=((0.2 + 0.0j, -4.0), (1.0j, 0.5), (0.5 + 0.0j, 3.3)))
-        first = s0_symmetry_residual(f, g)
-        nodes, weights = np.polynomial.hermite.hermgauss(64)
-        weights = weights / math.sqrt(math.pi)
-        yf, yg = (affine_values(s0_apply(h), nodes) for h in (f, g))
-        left = np.sum(weights * np.conj(yf) * g.evaluate(nodes))
-        right = np.sum(weights * np.conj(f.evaluate(nodes)) * yg)
-        assert first == s0_symmetry_residual(f, g) == float(abs(left - right))
+    def test_cached_rule_gives_the_uncached_certificate_bits(self, monkeypatch):
+        cached = s0_symmetry_bound(S0_FREQUENCIES)
 
+        def fresh(order):
+            nodes, weights = np.polynomial.hermite.hermgauss(order)
+            return nodes, weights / math.sqrt(math.pi)
 
-def affine_values(triples, lam):
-    """Reference: sum_j (a_j + b_j lambda) exp(i s_j lambda), term by term."""
-    out = np.zeros(np.shape(lam), dtype=complex)
-    for a, b, s in triples:
-        out += (complex(a) + complex(b) * lam) * np.exp(1j * float(s) * lam)
-    return out
+        monkeypatch.setattr(contspec, "_gauss_hermite", fresh)
+        assert s0_symmetry_bound(S0_FREQUENCIES) == cached
 
 
 def float_strong_relation(s, t):
@@ -621,13 +620,19 @@ class TestS0Class:
         assert a == Fraction(7, 30) and type(a) is Fraction and s == Fraction(-7, 10)
         assert b == -1j / 3
         # converted only when evaluated
-        assert f.evaluate(np.array([0.5]))[0] == (1 / 3) * np.exp(1j * -0.7 * 0.5)
-        assert f.max_frequency == 0.7
+        assert combination_values(f, np.array([0.5]))[0] == (1 / 3) * np.exp(1j * -0.7 * 0.5)
 
     def test_strong_relation_examples(self):
         assert s0_strong_relation_check(2.0, 3.0) is True
         assert s0_strong_relation_check(0.0, 0.0) is True
         assert s0_strong_relation_check(Fraction(1, 3), Fraction(-2, 7)) is True
+
+    def test_lattice_holds_zero_both_ends_and_a_non_dyadic_rational(self):
+        assert len(S0_LATTICE) ** 2 <= 100
+        assert {Fraction(0), Fraction(-4), Fraction(4)} <= set(S0_LATTICE)
+        # a denominator that is not a power of two has no float
+        assert any(v.denominator & (v.denominator - 1) for v in S0_LATTICE)
+        assert all(s0_strong_relation_check(s, t) for s in S0_LATTICE for t in S0_LATTICE)
 
     def test_strong_relation_random_parameters(self):
         rng = np.random.default_rng(9)
@@ -659,6 +664,8 @@ class TestS0Class:
         with pytest.raises((ValueError, OverflowError)):
             s0_strong_relation_check(value, 1.0)
 
+    # the pair-by-pair reference that the certificate replaced, checked on its own
+
     def test_symmetry_residual_plane_wave(self):
         f = ExpCombination(terms=((1.0 + 0.0j, 1.0),))
         assert s0_symmetry_residual(f, f) <= 1e-10
@@ -684,3 +691,61 @@ class TestS0Class:
     def test_explicit_higher_order_is_accepted(self):
         f = ExpCombination(terms=((1.0 + 0.0j, 4.0),))
         assert s0_symmetry_residual(f, f, order=128) <= 1e-9
+
+
+def closed_form_moments(freqs):
+    """int exp(i w lambda) rho and int lambda exp(i w lambda) rho at w = s_k - s_j, as (j, k) matrices."""
+    w = freqs[None, :] - freqs[:, None]
+    m0 = np.exp(-w * w / 4.0)
+    return m0, 0.5j * w * m0
+
+
+class TestS0Certificate:
+    """K = (YE)^H W E - E^H W (YE): the symmetry of Y on a frequency set, as one matrix."""
+
+    def test_certificate_is_round_off_on_the_pipeline_frequencies(self):
+        freqs = np.asarray(S0_FREQUENCIES)
+        assert freqs.size == 33 and freqs[0] == -4.0 and freqs[-1] == 4.0
+        k = _s0_symmetry_matrix(freqs)
+        assert k.shape == (33, 33) and np.array_equal(k, -k.conj().T)
+        assert 0.0 < s0_symmetry_bound(S0_FREQUENCIES) == np.linalg.norm(k) <= 1e-13
+
+    def test_quadrature_moments_match_the_closed_forms(self):
+        freqs = np.asarray(S0_FREQUENCIES)
+        nodes, weights = _gauss_hermite(_required_order(4.0))
+        basis = np.exp(1j * np.multiply.outer(nodes, freqs))
+        m0, m1 = closed_form_moments(freqs)
+        np.testing.assert_allclose(basis.conj().T @ (weights[:, None] * basis), m0, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(basis.conj().T @ ((weights * nodes)[:, None] * basis), m1, rtol=0.0, atol=1e-14)
+
+    def test_the_exact_certificate_is_zero(self):
+        # with the closed-form moments, (Y e_j, e_k) and (e_j, Y e_k) are both -(s_j + s_k)/2 e^{-w^2/4}
+        freqs = np.asarray(S0_FREQUENCIES)
+        a, b, _ = (np.array(part) for part in zip(*s0_apply(ExpCombination(tuple((1.0, s) for s in freqs)))))
+        m0, m1 = closed_form_moments(freqs)
+        exact = (a.conj()[:, None] * m0 + b.conj()[:, None] * m1) - (a[None, :] * m0 + b[None, :] * m1)
+        assert np.max(np.abs(exact)) <= 4.0 * np.finfo(float).eps
+
+
+#: Terms (frequency index, coefficient); a coefficient of magnitude at least 1e-3 keeps the bound clear of underflow.
+_COMBINATION = st.lists(
+    st.tuples(st.integers(0, len(S0_FREQUENCIES) - 1),
+              st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_infinity=False, allow_nan=False)),
+    min_size=1, max_size=4, unique_by=lambda term: term[0],
+)
+
+
+class TestS0CertificateFuzz:
+    """The certificate bounds the pair-by-pair reference for every pair of combinations on its frequencies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_COMBINATION, _COMBINATION)
+    def test_reference_residual_stays_under_the_certificate(self, f_terms, g_terms):
+        bound = s0_symmetry_bound(S0_FREQUENCIES)
+
+        def combination(terms):
+            norm = math.hypot(*(abs(c) for _, c in terms))
+            return ExpCombination(tuple((c, S0_FREQUENCIES[j]) for j, c in terms)), norm
+
+        (f, c_norm), (g, d_norm) = combination(f_terms), combination(g_terms)
+        assert s0_symmetry_residual(f, g) <= bound * c_norm * d_norm

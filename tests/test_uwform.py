@@ -538,17 +538,16 @@ class TestCertificate:
         assert abs(bound - exact) <= 2 * (d + 2) * EPS * np.linalg.norm(m)
 
     @pytest.mark.parametrize("part", ["evaluators", "eigenvalues"])
-    def test_a_perturbed_channel_fails_every_gate(self, part, monkeypatch):
+    def test_a_perturbed_channel_fails_the_gate(self, part, monkeypatch):
         # an evaluator entry off by a relative 1e-6, or an eigenvalue of H by 1e-9:
         # the identities no longer hold, and only the perturbed channel fails
         tol = DEFAULT_TOLERANCES
         form = _hydrogen_form(4, "none")
-        assert np.all(uw_ccr_bounds(form) <= tol["uw_ccr"]) and np.all(uw_ccr_bounds(form) / 2 <= tol["im_identity"])
+        assert np.all(uw_ccr_bounds(form) <= tol["uw_ccr"])
         perturbed, target = perturbed_form(monkeypatch, form, part)
         bounds = uw_ccr_bounds(perturbed)
-        assert bounds[target] > tol["uw_ccr"] and bounds[target] / 2 > tol["im_identity"]
-        others = np.delete(bounds, target)
-        assert np.all(others <= tol["uw_ccr"]) and np.all(others / 2 <= tol["im_identity"])
+        assert bounds[target] > tol["uw_ccr"]
+        assert np.all(np.delete(bounds, target) <= tol["uw_ccr"])
 
     def test_a_nan_entry_is_refused_before_it_reaches_a_bound(self, monkeypatch):
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
