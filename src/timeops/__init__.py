@@ -8,6 +8,7 @@ residual.
 """
 from .spectra import (
     Accumulation,
+    CertifiedEigenvalues,
     DiscreteSpectrum,
     HermitianMatrix,
     harmonic_spectrum,

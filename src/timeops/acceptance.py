@@ -192,20 +192,27 @@ def criterion_rabi(tol: dict, seed: int) -> tuple[bool, dict]:
     """Eigenvalue lower bounds and cutoff stability for the Rabi model.
 
     The ``timeop --model rabi`` bound check at cutoff 200, plus agreement
-    of the lowest 2 * count eigenvalues with cutoff 150.
+    of the lowest 2 * count eigenvalues with cutoff 150.  Both spectra are
+    certified, so the drift of the exact eigenvalues is at most the gap of
+    the certified values plus both radii; the details give that bound and
+    the larger leading block and radius.
     """
     mu, omega, g = 0.5, 1.0, 0.3
     count = 20
-    ev_big, bounds = rabi_check(mu, omega, g, 200, count)
-    ev_small = rabi_hamiltonian(mu, omega, g, 150).eigenvalues()
-    stability = float(np.max(np.abs(ev_big[: 2 * count] - ev_small[: 2 * count])))
-    ok = all(bounds) and stability < tol["rabi_stability"]
+    big, bounds = rabi_check(mu, omega, g, 200, count)
+    small = rabi_hamiltonian(mu, omega, g, 150).eigenvalues(2 * count)
+    stability = float(np.max(np.abs(big.values - small.values) + big.radii + small.radii))
+    certified = big.failed_index is None and small.failed_index is None
+    ok = certified and all(bounds) and stability < tol["rabi_stability"]
     return ok, {
         "bounds_true": int(sum(bounds)),
         "bounds_checked": count,
-        "ground_energy": float(ev_big[0]),
+        "ground_energy": float(big.values[0]),
         "cutoff_stability": stability,
         "tolerance_rabi_stability": tol["rabi_stability"],
+        "certified": certified,
+        "leading_block": max(big.leading_block, small.leading_block),
+        "certificate_radius": float(max(np.max(big.radii), np.max(small.radii))),
     }
 
 

@@ -302,13 +302,16 @@ def _spectrum_from_model(model: dict) -> DiscreteSpectrum:
 
 def _rabi_report(model: dict) -> dict:
     v = _resolve("model", model)
-    ev, checks = rabi_check(v["mu"], v["omega"], v["g"], v["cutoff"], v["count"])
+    spectrum, checks = rabi_check(v["mu"], v["omega"], v["g"], v["cutoff"], v["count"])
     return {
-        "model_dimension": ev.size,
-        "ground_energy": float(ev[0]),
+        "model_dimension": 2 * (v["cutoff"] + 1),
+        "ground_energy": float(spectrum.values[0]),
         "bound_checks": checks,
         "all_bounds_true": all(checks),
-        "passed": all(checks),
+        "leading_block": spectrum.leading_block,
+        "certificate_radius": float(np.max(spectrum.radii)),
+        "certificate_failed_index": spectrum.failed_index,
+        "passed": spectrum.failed_index is None and all(checks),
     }
 
 

@@ -78,6 +78,23 @@ S0_LATTICE = tuple(Fraction(4 * k, 3) for k in range(-3, 4))
 S0_FREQUENCIES = tuple(k / 4 for k in range(-16, 17))
 
 
+def _require_grid(box_half_width: float, size: int, mass: float) -> None:
+    """Refuse a box, size or mass that gives no grid; written so that NaN fails."""
+    if not 0.0 < box_half_width < math.inf:
+        raise ValueError("box half-width must be finite and positive")
+    if not 0.0 < mass < math.inf:
+        raise ValueError("mass must be finite and positive")
+    if size < 16 or (size & (size - 1)) != 0:
+        raise ValueError("grid size must be a power of two, at least 16")
+    if not 0.0 < 2.0 * box_half_width / size < math.inf:
+        raise ValueError("grid spacing 2L/N must be finite and positive")
+
+
+def _grid_points(box_half_width: float, size: int) -> np.ndarray:
+    """The sample positions -L + j 2L/N, j = 0..N-1, of the periodic box [-L, L)."""
+    return -box_half_width + (2.0 * box_half_width / size) * np.arange(size)
+
+
 @dataclass(frozen=True)
 class GridState:
     """Complex wave function sampled on the periodic box [-L, L)."""
@@ -88,16 +105,8 @@ class GridState:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        # written so that NaN fails: a NaN width or mass is no grid
-        if not 0.0 < self.box_half_width < math.inf:
-            raise ValueError("box half-width must be finite and positive")
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError("mass must be finite and positive")
+        _require_grid(self.box_half_width, self.size, self.mass)
         n = self.size
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError("grid size must be a power of two, at least 16")
-        if not 0.0 < 2.0 * self.box_half_width / n < math.inf:
-            raise ValueError("grid spacing 2L/N must be finite and positive")
         samples = np.array(self.samples, dtype=complex)
         if samples.shape != (n,):
             raise ValueError("sample count does not match the grid size")
@@ -112,10 +121,7 @@ class GridState:
 
     @property
     def x(self) -> np.ndarray:
-        return -self.box_half_width + self.dx * np.arange(self.size)
-
-    def with_samples(self, samples) -> "GridState":
-        return GridState(self.box_half_width, self.size, self.mass, samples)
+        return _grid_points(self.box_half_width, self.size)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.dx))
@@ -162,9 +168,8 @@ def make_packet(box_half_width: float, size: int, mass: float,
         )
     if abs(center) + 6.0 * width >= box_half_width:
         raise ValueError("packet does not fit in the box with a six-sigma margin")
-    state = GridState(box_half_width, size, mass,
-                      np.zeros(size, dtype=complex))
-    x = state.x
+    _require_grid(box_half_width, size, mass)
+    x = _grid_points(box_half_width, size)
     # one real buffer holds k0 x, then (x - x0)^2, the envelope and |psi|^2
     work = np.empty(size)
     with np.errstate(over="ignore"):   # an overflow leaves inf, refused below
@@ -184,11 +189,12 @@ def make_packet(box_half_width: float, size: int, mass: float,
     psi *= np.exp(work, out=work)
     np.abs(psi, out=work)
     work *= work
-    norm = np.sqrt(np.sum(work) * state.dx)
+    norm = np.sqrt(np.sum(work) * (2.0 * box_half_width / size))
     if not norm > 0.0:
         raise ValueError("packet vanishes on every grid point; its width is far below the grid spacing")
     psi /= norm
-    return state.with_samples(psi)
+    del x, work   # the state copies psi: only psi and its copy are held then
+    return GridState(box_half_width, size, mass, psi)
 
 
 def _require_no_zero_mode(hat: np.ndarray) -> None:

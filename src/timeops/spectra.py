@@ -4,8 +4,10 @@ Discrete spectra are the common currency of the toolkit: a sorted list of
 distinct eigenvalues with multiplicities, tagged with where the untruncated
 sequence accumulates (at zero from below, or at infinity).  This module
 generates the standard model spectra (harmonic oscillator in d dimensions,
-hydrogen-like point spectra) and the truncated Rabi Hamiltonian, which is
-the one model here that requires an actual eigensolve.
+hydrogen-like point spectra) and the truncated Rabi Hamiltonian, the one
+model here that needs an eigensolver: its two parity chains are
+tridiagonal, and their lowest eigenvalues are certified from leading
+blocks by Sturm counts over the whole chains.
 """
 from __future__ import annotations
 
@@ -14,12 +16,14 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Accumulation",
     "DiscreteSpectrum",
+    "CertifiedEigenvalues",
     "HermitianMatrix",
     "harmonic_spectrum",
     "hydrogen_point_spectrum",
@@ -29,8 +33,9 @@ __all__ = [
 ]
 
 #: Hard cap on the dimension of any dense block (a time-operator channel,
-#: an oscillator truncation, a Rabi parity chain); dense eigensolves and
-#: matrix products beyond this are not worth their O(N^3) cost here.
+#: an oscillator truncation, a Rabi parity chain, whose leading block may
+#: grow to the whole chain); dense eigensolves and matrix products beyond
+#: this are not worth their O(N^3) cost here.
 CHANNEL_DIMENSION_LIMIT = 4096
 
 #: Hard cap on the states of a spectrum, counted with multiplicity (hydrogen
@@ -164,11 +169,10 @@ class DiscreteSpectrum:
 HERMITICITY_BAND_ROWS = 32
 
 
-def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple:
-    """Return (scale, defect): the largest |A| and |A - A^H| entries of a square A.
+def _require_hermitian(data: np.ndarray) -> tuple:
+    """Return (scale, defect): the largest |A| and |A + A^T| entries of a real generator A.
 
-    With ``skew``, ``data`` is the real generator A of T = iA and the
-    defect is the largest |A + A^T| entry, which is the |T - T^H| entry.
+    A is the generator of T = iA, so |A + A^T| is the |T - T^H| entry.
     A (c, d, d) stack is checked matrix by matrix, and gives one scale
     and one defect per matrix.  Raises ValueError when a defect exceeds
     ``HERMITICITY_RTOL`` times its scale, written as
@@ -182,7 +186,7 @@ def _require_hermitian(data: np.ndarray, skew: bool = False) -> tuple:
             mirror = np.swapaxes(data[..., start:start + rows], -1, -2)
             # np.maximum, unlike max(), carries a NaN forward
             scale = np.maximum(scale, np.max(np.abs(band), axis=(-2, -1)))
-            defect = np.maximum(defect, np.max(np.abs(band + mirror if skew else band - mirror.conj()), axis=(-2, -1)))
+            defect = np.maximum(defect, np.max(np.abs(band + mirror), axis=(-2, -1)))
     _refuse_defect(scale, defect)
     return scale, defect
 
@@ -194,27 +198,186 @@ def _refuse_defect(scale, defect) -> None:
         raise ValueError(f"matrix is not Hermitian (defect {np.ravel(defect)[np.argmax(failed)]:.3e})")
 
 
+#: Rows a chain's first leading block holds beyond the k eigenvalues it
+#: must certify: the block starts at min(n, k + LEADING_BLOCK_PAD) rows.
+LEADING_BLOCK_PAD = 64
+
+#: Rounding slack of a certified eigenvalue, in units of eps times the
+#: size of the arithmetic behind it.  The chains are first scaled by a
+#: power of two sigma (exactly) so that no entry reaches 2; in those units
+#: a Ritz pair (theta, y) of a chain's leading block T_b gets
+#: s = CERTIFICATE_SLACK_ULPS * eps * (|| |T_b| |y| || + |theta| + e_max)
+#: + 6 PIVMIN, with e_max the largest coupling of all the chains.  Half of
+#: s is the margin by which the Sturm shifts theta -+ (rho + s/2) clear the
+#: computed residual rho, whose three-term sums round by at most gamma_4
+#: (|| |T_b| |y| || + |theta|) (Higham, *Accuracy and Stability of
+#: Numerical Algorithms*, sec. 3.5), so that the counts can pass.  The
+#: other half covers what the counts prove: each is exact for chains whose
+#: couplings moved by 2.5 eps relative (Kahan's analysis; Demmel, *Applied
+#: Numerical Linear Algebra*, sec. 5.3), 5 eps e_max in norm, plus three
+#: PIVMIN for a guarded pivot and underflow, and each shift is rounded by
+#: eps |theta| at most.  So the radius rho + s holds; eigh's own error is
+#: not assumed, it is measured in rho.
+CERTIFICATE_SLACK_ULPS = 16.0
+
+#: The pivot guard of the Sturm counts, in units of the chains' scale
+#: sigma: a pivot at most PIVMIN counts as negative and becomes
+#: min(d, -PIVMIN), as in LAPACK's dstebz.  It sits 1/eps above dstebz's
+#: safe minimum, so that an underflowed e^2 moves e^2/d by eps^2 at most,
+#: and every e^2/d < 4/PIVMIN stays finite: no 0/0 on a zero coupling.
+PIVMIN = np.finfo(float).tiny / np.finfo(float).eps
+
+#: Rows per chunk of the Sturm pass, whose shifted diagonals are formed a
+#: chunk at a time.
+STURM_CHUNK_ROWS = 64
+
+
+class CertifiedEigenvalues(NamedTuple):
+    """The lowest eigenvalues of a ``HermitianMatrix``, each with a certified radius.
+
+    ``values`` ascend, counted with multiplicity; the j-th eigenvalue of
+    the whole matrix lies within ``radii[j]`` of ``values[j]``.  The Ritz
+    values came from ``leading_block`` rows of each chain.  When
+    ``failed_index`` is not None the Sturm counts failed to prove the
+    radius at that index (the first such) even at full size, and nothing
+    is claimed.
+    """
+
+    values: np.ndarray
+    radii: np.ndarray
+    leading_block: int
+    failed_index: int | None
+
+
+def _leading_ritz(diagonal: np.ndarray, coupling: np.ndarray, b: int, k: int) -> tuple:
+    """The lowest k Ritz values of a chain's leading b x b block, with residuals and scales.
+
+    Returns (theta, inner, tail, scale).  y_j extended by zeros leaves the
+    residual r = T_b y - theta y inside the block and e_{b-1} y[b-1] in row
+    b, so inner = |r| and tail = |e_{b-1} y[b-1]| (zero at b = n) sum to its
+    residual in the whole chain; scale = || |T_b| |y| || + |theta| sizes the
+    rounding of r.
+    """
+    block = np.zeros((b, b))
+    block.flat[::b + 1] = diagonal[:b]
+    block.flat[b::b + 1] = coupling[:b - 1]   # the lower triangle, which eigh reads
+    theta, y = np.linalg.eigh(block)
+    theta, y = theta[:k], y[:, :k]
+    tail = np.abs(coupling[b - 1] * y[-1]) if b < diagonal.size else np.zeros(k)
+    a, e = diagonal[:b, None], coupling[:b - 1, None]
+    r = (a - theta) * y
+    r[1:] += e * y[:-1]
+    r[:-1] += e * y[1:]
+    y = np.abs(y)
+    s = np.abs(a) * y
+    s[1:] += np.abs(e) * y[:-1]
+    s[:-1] += np.abs(e) * y[1:]
+    return theta, np.linalg.norm(r, axis=0), tail, np.linalg.norm(s, axis=0) + np.abs(theta)
+
+
+def _sturm_counts(diagonals: np.ndarray, squared_couplings: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift, summed over the chains, from the LDL^T pivots of T - x.
+
+    The pivots are d_0 = a_0 - x and d_i = (a_i - x) - e_{i-1}^2 / d_{i-1};
+    T - x has as many negative eigenvalues as negative pivots (Sylvester),
+    and the pivots of every chain and shift advance together, one row at a
+    time.  A pivot at most PIVMIN counts as negative and becomes
+    min(d, -PIVMIN).  The caller scales the chains so that no entry
+    reaches 2, which keeps every e^2/d below 4/PIVMIN.
+    """
+    c, n = diagonals.shape
+    counts = np.zeros(shifts.size, dtype=np.intp)
+    chunk = np.empty((min(n, STURM_CHUNK_ROWS), c, shifts.size))
+    q = np.empty((c, shifts.size))
+    negative = np.empty((c, shifts.size), dtype=bool)
+    d = q   # never read: row 0 has no coupling before it
+    for start in range(0, n, STURM_CHUNK_ROWS):
+        rows = chunk[:min(n - start, STURM_CHUNK_ROWS)]
+        np.subtract(diagonals.T[start:start + len(rows), :, None], shifts, out=rows)
+        for i, pivot in enumerate(rows, start):
+            if i:
+                np.divide(squared_couplings[:, i - 1, None], d, out=q)
+                pivot -= q
+            np.less_equal(pivot, PIVMIN, out=negative)
+            np.minimum(pivot, -PIVMIN, out=pivot, where=negative)
+            d = pivot
+        counts += np.count_nonzero(rows < 0.0, axis=(0, 1))   # guarded: every pivot is > PIVMIN or <= -PIVMIN
+        d = d.copy()   # the next chunk overwrites the row d views
+    return counts
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Block-diagonal Hermitian matrix."""
+    """Direct sum of real symmetric tridiagonal chains of one length n.
 
-    dimension: int
-    blocks: tuple[np.ndarray, ...]
+    Chain c has the diagonal ``diagonals[c]``, and ``couplings[c, i]``
+    couples its states i and i + 1.  Entries must be finite; the arrays
+    are copied and made read-only.  Only the lowest eigenvalues are ever
+    read, and ``eigenvalues`` certifies them from leading blocks.
+    """
+
+    diagonals: np.ndarray
+    couplings: np.ndarray
 
     def __post_init__(self) -> None:
-        blocks = tuple(np.array(b, dtype=complex if np.iscomplexobj(b) else float) for b in self.blocks)
-        if any(b.ndim != 2 or b.shape[0] != b.shape[1] for b in blocks):
-            raise ValueError("every block must be a square matrix")
-        if sum(b.shape[0] for b in blocks) != self.dimension:
-            raise ValueError("block sizes do not add up to the declared dimension")
-        for b in blocks:
-            _require_hermitian(b)
-            b.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
+        if np.iscomplexobj(self.diagonals) or np.iscomplexobj(self.couplings):
+            raise ValueError("chain entries must be real")
+        diagonals = np.array(self.diagonals, dtype=float)
+        couplings = np.array(self.couplings, dtype=float)
+        if diagonals.ndim != 2 or diagonals.shape[1] < 1 or couplings.shape != (len(diagonals), diagonals.shape[1] - 1):
+            raise ValueError("chains need a (c, n) diagonal array and a (c, n - 1) coupling array")
+        if not (np.all(np.isfinite(diagonals)) and np.all(np.isfinite(couplings))):
+            raise ValueError("chain entries must be finite")
+        for name, array in (("diagonals", diagonals), ("couplings", couplings)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of all blocks, merged in ascending order."""
-        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in self.blocks]))
+    @property
+    def dimension(self) -> int:
+        return self.diagonals.size
+
+    def eigenvalues(self, count: int) -> CertifiedEigenvalues:
+        """The lowest ``count`` eigenvalues, ascending with multiplicity, each certified.
+
+        Each chain's leading b x b block gives Ritz pairs by a dense
+        ``eigh`` (``_leading_ritz``); the lowest ``count`` over all chains
+        are kept.  The block starts at min(n, count + LEADING_BLOCK_PAD)
+        rows and doubles until every kept pair's tail residual is within
+        its rounding slack (``CERTIFICATE_SLACK_ULPS``).  Then one Sturm
+        pass over the whole chains counts the eigenvalues below
+        theta_j -+ (rho_j + s_j/2); at most j below the lower shift and
+        at least j + 1 below the upper one put the j-th eigenvalue within
+        rho_j + s_j of theta_j.  Counts that fail double the block again;
+        at full size their first failing index is returned, not raised.
+        """
+        c, n = self.diagonals.shape
+        if not 1 <= count <= c * n:
+            raise ValueError(f"cannot certify {count} eigenvalues of a {c * n}-dimensional matrix")
+        # scaled by a power of two, exactly, so that no entry reaches 2 and no norm overflows
+        largest = max(float(np.max(np.abs(self.diagonals))), float(np.max(np.abs(self.couplings), initial=0.0)))
+        sigma = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+        diagonals, couplings = self.diagonals / sigma, self.couplings / sigma
+        e_max = float(np.max(np.abs(couplings), initial=0.0))
+        b = min(n, count + LEADING_BLOCK_PAD)
+        while True:
+            k = min(count, b)
+            theta, inner, tail, scale = (np.concatenate(parts) for parts in zip(*(
+                _leading_ritz(diagonals[i], couplings[i], b, k) for i in range(c))))
+            keep = np.argsort(theta, kind="stable")[:count]
+            theta, inner, tail, scale = theta[keep], inner[keep], tail[keep], scale[keep]
+            slack = CERTIFICATE_SLACK_ULPS * np.finfo(float).eps * (scale + e_max) + 6.0 * PIVMIN
+            if b < n and not np.all(tail <= slack):
+                b = min(n, 2 * b)
+                continue
+            rho = inner + tail
+            shift = rho + slack / 2.0
+            counts = _sturm_counts(diagonals, np.square(couplings), np.concatenate([theta - shift, theta + shift]))
+            index = np.arange(count)
+            failed = np.flatnonzero(~((counts[:count] <= index) & (counts[count:] >= index + 1)))
+            if failed.size == 0 or b == n:
+                return CertifiedEigenvalues(sigma * theta, sigma * (rho + slack), b,
+                                            int(failed[0]) if failed.size else None)
+            b = min(n, 2 * b)
 
 
 def _lattice_points(dims: int, total: int):
@@ -334,7 +497,7 @@ def rabi_hamiltonian(
     matrix exactly Hermitian (variational truncation).
 
     H commutes with the parity sz (x) (-1)^N, so the 2(fock_cutoff+1)-
-    dimensional matrix is returned as its two parity blocks, each a real
+    dimensional matrix is returned as its two parity chains, each a real
     symmetric tridiagonal chain of fock_cutoff+1 states: |up,0>, |down,1>,
     |up,2>, ... and |down,0>, |up,1>, |down,2>, ...  Chain state n has
     diagonal +-mu(-1)^n + omega*n, and g*sqrt(n) couples it to state n-1.
@@ -359,8 +522,7 @@ def rabi_hamiltonian(
         coupling = g * np.sqrt(n[1:])
     if not np.all(np.isfinite(np.concatenate([coupling, *diagonals]))):
         raise ValueError("the Rabi matrix entries overflow for these parameters")
-    chains = [np.diag(d) + np.diag(coupling, 1) + np.diag(coupling, -1) for d in diagonals]
-    return HermitianMatrix(2 * (fock_cutoff + 1), tuple(chains))
+    return HermitianMatrix(np.stack(diagonals), np.stack([coupling, coupling]))
 
 
 def rabi_bound_check(
@@ -386,9 +548,15 @@ def rabi_bound_check(
 
 
 def rabi_check(mu: float, omega: float, g: float, fock_cutoff: int, count: int):
-    """Build and solve the truncated Rabi matrix, then run ``rabi_bound_check``.
+    """Build the truncated Rabi matrix, certify its lowest 2 * count eigenvalues, then run ``rabi_bound_check``.
 
-    Returns (eigenvalues ascending, list of ``count`` bound verdicts).
+    Returns (``CertifiedEigenvalues``, list of ``count`` bound verdicts).
     """
-    eigenvalues = rabi_hamiltonian(mu, omega, g, fock_cutoff).eigenvalues()
-    return eigenvalues, rabi_bound_check(eigenvalues, mu, omega, g, count)
+    h = rabi_hamiltonian(mu, omega, g, fock_cutoff)
+    count = int(count)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if 2 * count > h.dimension:
+        raise ValueError("count too large for the eigenvalue list")
+    spectrum = h.eigenvalues(2 * count)
+    return spectrum, rabi_bound_check(spectrum.values, mu, omega, g, count)

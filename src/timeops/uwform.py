@@ -126,7 +126,7 @@ def uw_ccr_bounds(form: ChannelStack) -> np.ndarray:
             u = e / np.max(np.abs(e), axis=1, keepdims=True)   # |e|^2 itself may overflow
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             m = _entries(e, 0, d, MatrixKind.FORM)
-            _require_hermitian(m, skew=True)
+            _require_hermitian(m)
             m *= e[:, :, None] - e[:, None, :]
             m.reshape(-1, d * d)[:, ::d + 1] += 1.0
             m -= (m @ u[:, :, None]) * u[:, None, :]      # M P

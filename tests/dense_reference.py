@@ -8,10 +8,16 @@ pair-by-pair loop over a whole commutator; ``complex_evaluator_stack``
 holds the complex form evaluators that the real matrices R replaced.
 ``plant`` makes a kernel build a chosen matrix for one channel.
 ``rabi_chain_labels`` names the product basis states of the Rabi parity
-chains, in block order.  ``s0_symmetry_residual`` is the pair-by-pair
-quadrature symmetry check of the S0 class that the certificate
-``contspec.s0_symmetry_bound`` replaced.
+chains, in block order; ``dense_rabi`` builds the whole Rabi matrix from
+Kronecker products, and ``dense_chain_eigenvalues`` solves the parity
+chains as whole dense blocks with ``eigvalsh``, which the certified
+leading-block kernel ``HermitianMatrix.eigenvalues`` replaced.
+``s0_symmetry_residual`` is the pair-by-pair quadrature symmetry check
+of the S0 class that the certificate ``contspec.s0_symmetry_bound``
+replaced.
 """
+
+import math
 
 import numpy as np
 
@@ -181,6 +187,35 @@ def rabi_chain_labels(cutoff: int) -> tuple[str, ...]:
     """
     spins = ("up", "down")
     return tuple(f"{spins[(n + first) % 2]}|n={n}" for first in (0, 1) for n in range(cutoff + 1))
+
+
+def dense_rabi(mu: float, omega: float, g: float, cutoff: int) -> tuple[np.ndarray, list[str]]:
+    """The Rabi matrix built densely from Kronecker products, with its basis labels.
+
+    Product basis spin (x) number state, spin-up block first, with the
+    ladder entries that leave the retained number states dropped.
+    """
+    dim = cutoff + 1
+    lower = np.zeros((dim, dim))
+    for n in range(1, dim):
+        lower[n - 1, n] = math.sqrt(n)
+    number = lower.T @ lower
+    quad = lower + lower.T
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = mu * np.kron(sz, np.eye(dim)) + omega * np.kron(np.eye(2), number) + g * np.kron(sx, quad)
+    labels = [f"{s}|n={n}" for s in ("up", "down") for n in range(dim)]
+    return h, labels
+
+
+def dense_chains(h) -> list[np.ndarray]:
+    """The chains of a ``HermitianMatrix`` as dense symmetric blocks."""
+    return [np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(h.diagonals, h.couplings)]
+
+
+def dense_chain_eigenvalues(h) -> np.ndarray:
+    """Every eigenvalue of a ``HermitianMatrix``, ascending: one dense ``eigvalsh`` per whole chain."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in dense_chains(h)]))
 
 
 def combination_values(f, lam) -> np.ndarray:

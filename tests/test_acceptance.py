@@ -48,7 +48,8 @@ HEADLINE = {
     ),
     "rabi-bounds": lambda d: (
         f"{d['bounds_true']}/{d['bounds_checked']} bounds, "
-        f"stability {d['cutoff_stability']:.3e}"
+        f"stability {d['cutoff_stability']:.3e}, "
+        f"block {d['leading_block']}, radius {d['certificate_radius']:.1e}"
     ),
     "weak-weyl": lambda d: f"max residual {max(d['default_residuals']):.3e}",
     "s0-class": lambda d: f"symmetry residual {d['symmetry_max_residual']:.3e}",
@@ -77,6 +78,15 @@ def test_criterion(name, results, capsys):
         f"{name} overran its runtime limit: "
         f"{result.runtime:.3f} s > {result.runtime_limit:g} s"
     )
+
+
+def test_rabi_details_say_how_much_was_certified(results):
+    details = results["rabi-bounds"].details
+    # 2 * 20 + 64 rows of each chain, at both cutoffs: the same block, the same values,
+    # so the certified drift is the two radii alone
+    assert details["certified"] is True and details["leading_block"] == 104
+    assert 0.0 < details["certificate_radius"] <= 1e-12
+    assert 0.0 < details["cutoff_stability"] <= 2.0 * details["certificate_radius"]
 
 
 def test_suite_covers_all_criteria(results):
@@ -242,10 +252,10 @@ class TestEveryCriterionCanFail:
 
     @staticmethod
     def _shifted(build, shift):
-        """``build`` with every eigenvalue of its Rabi matrix moved by ``shift``."""
+        """``build`` with every eigenvalue of its Rabi matrix moved by ``shift``: each chain's diagonal moves."""
         def shifted(*args):
             h = build(*args)
-            return HermitianMatrix(h.dimension, tuple(b + shift * np.eye(len(b)) for b in h.blocks))
+            return HermitianMatrix(h.diagonals + shift, h.couplings)
         return shifted
 
     def test_rabi_bounds(self, monkeypatch):
@@ -253,6 +263,15 @@ class TestEveryCriterionCanFail:
         monkeypatch.setattr(spectra, "rabi_hamiltonian", self._shifted(spectra.rabi_hamiltonian, 1.0))
         passed, details = acceptance.criterion_rabi(resolve_tolerances(), 7)
         assert passed is False and details["bounds_true"] == 0
+
+    def test_rabi_certificate(self, monkeypatch):
+        # every count one too high: neither spectrum is certified, though every bound holds
+        counts = spectra._sturm_counts
+        monkeypatch.setattr(spectra, "_sturm_counts", lambda *args: counts(*args) + 1)
+        passed, details = acceptance.criterion_rabi(resolve_tolerances(), 7)
+        assert passed is False and details["certified"] is False
+        assert details["bounds_true"] == details["bounds_checked"]
+        assert details["leading_block"] == 201
 
     def test_rabi_stability(self, monkeypatch):
         # the cutoff-150 spectrum moved by 1e-6: the bounds hold, the cutoff drift does not

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import timeops
-from timeops import acceptance, cli, contspec, timeop, uwform
+from timeops import acceptance, cli, contspec, spectra, timeop, uwform
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
 from timeops.timeop import assemble_time_operator, osc_timeop_extremes
@@ -325,6 +325,25 @@ class TestSubcommands:
         report = _read(tmp_path / "timeop_report.json")
         assert report["all_bounds_true"] is True
         assert len(report["bound_checks"]) == 12
+        # the whole 121-state chains are certified from a 2 * 12 + 64 = 88-row block
+        assert report["model_dimension"] == 242 and report["leading_block"] == 88
+        assert report["certificate_failed_index"] is None
+        assert 0.0 < report["certificate_radius"] <= 1e-12
+
+    @pytest.mark.parametrize("where", ["diagonals", "couplings"])
+    def test_timeop_rabi_refuses_a_planted_nan(self, tmp_path, capsys, monkeypatch, where):
+        build = spectra.rabi_hamiltonian
+
+        def planted(*args):
+            h = build(*args)
+            arrays = {"diagonals": h.diagonals.copy(), "couplings": h.couplings.copy()}
+            arrays[where][0, 3] = math.nan
+            return spectra.HermitianMatrix(**arrays)
+
+        monkeypatch.setattr(spectra, "rabi_hamiltonian", planted)
+        code = main(["timeop", "--model", "rabi", "--cutoff", "20", "--count", "5", "--out", str(tmp_path)])
+        assert code == 2 and capsys.readouterr().err == "error: chain entries must be finite\n"
+        assert not (tmp_path / "timeop_report.json").exists()
 
     def test_uwform(self, tmp_path):
         code = main(["uwform", "--model", "hydrogen", "--n-max", "4",
@@ -726,11 +745,25 @@ class TestEveryVerdictCanFail:
     """A perturbed kernel makes each of these runs exit 1, with a report that says FAIL."""
 
     @staticmethod
-    def _run(tmp_path, command):
-        code = main([command, "--out", str(tmp_path)])
+    def _run(tmp_path, command, *flags):
+        code = main([command, *flags, "--out", str(tmp_path)])
         report = _read(tmp_path / f"{command}_report.json")
         assert code == 1 and report["passed"] is False
         return report
+
+    def test_rabi_certificate_with_a_planted_pivot(self, tmp_path, monkeypatch):
+        # every count one too high: the lower shift of the ground state fails at every block size
+        counts = spectra._sturm_counts
+        monkeypatch.setattr(spectra, "_sturm_counts", lambda *args: counts(*args) + 1)
+        report = self._run(tmp_path, "timeop", "--model", "rabi", "--cutoff", "150", "--count", "10")
+        assert report["certificate_failed_index"] == 0 and report["leading_block"] == 151
+        assert report["all_bounds_true"] is True
+
+    def test_rabi_certificate_without_slack(self, tmp_path, monkeypatch):
+        # uncoupled, the Ritz values are exact; with no slack each shift sits on its eigenvalue
+        monkeypatch.setattr(spectra, "CERTIFICATE_SLACK_ULPS", 0.0)
+        report = self._run(tmp_path, "timeop", "--model", "rabi", "--g", "0", "--cutoff", "30", "--count", "5")
+        assert report["certificate_failed_index"] == 0 and report["all_bounds_true"] is True
 
     @pytest.mark.parametrize("perturb,failing", [
         # every extreme 10 % wider: past the symbol bound pi/omega at the largest sizes

@@ -81,16 +81,21 @@ def _apply_t(psi, x, invk, mass):
     return out
 
 
+def with_samples(state, samples):
+    """The state's grid and mass with other samples."""
+    return GridState(state.box_half_width, state.size, state.mass, samples)
+
+
 def ab_apply(state):
     """T = (m/2)(x . 1/k + 1/k . x) in mixed position/Fourier form."""
-    return state.with_samples(
-        _apply_t(state.samples, state.x, _inverse_k(wavenumbers(state)), state.mass))
+    return with_samples(
+        state, _apply_t(state.samples, state.x, _inverse_k(wavenumbers(state)), state.mass))
 
 
 def free_evolve(state, t):
     """exp(-i t k^2 / 2m) in Fourier space; exactly unitary on the grid."""
     phase = np.exp(-1j * float(t) * wavenumbers(state) ** 2 / (2.0 * state.mass))
-    return state.with_samples(np.fft.ifft(phase * np.fft.fft(state.samples)))
+    return with_samples(state, np.fft.ifft(phase * np.fft.fft(state.samples)))
 
 
 def weak_weyl_residual(state, t):
@@ -107,8 +112,8 @@ def reference_residual(state, t):
     evolved = free_evolve(state, t)
     lhs = ab_apply(evolved).samples
     shifted = ab_apply(state).samples + t * state.samples
-    rhs = free_evolve(state.with_samples(shifted), t).samples
-    return state.with_samples(lhs - rhs).norm() / state.norm()
+    rhs = free_evolve(with_samples(state, shifted), t).samples
+    return with_samples(state, lhs - rhs).norm() / state.norm()
 
 
 def reference_phase(energy, t):
@@ -152,8 +157,8 @@ def transposed_order(plan):
 
 
 def reference_packet(box, size, mass, center, carrier, width):
-    """make_packet's samples with the carrier from the complex exp."""
-    x = GridState(box, size, mass, np.zeros(size)).x
+    """make_packet's samples with the carrier from the complex exp, on the grid -L + j dx written out."""
+    x = -box + (2.0 * box / size) * np.arange(size)
     psi = np.exp(1j * carrier * x) * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (2.0 * box / size))
     return psi
@@ -251,6 +256,28 @@ class TestMakePacket:
     def test_carrier_matches_the_complex_exp_bit_for_bit(self, params):
         assert np.array_equal(make_packet(*params).samples, reference_packet(*params))
 
+    def test_grid_points_are_the_state_axis(self):
+        state = make_packet(50.0, 2048, 1.0, 7.0, -6.0, 1.5)
+        assert np.array_equal(state.x, -50.0 + state.dx * np.arange(2048))
+
+    def test_packet_holds_no_grid_vector_it_does_not_read(self):
+        # psi and the state's copy of it, 32 bytes a point; a zero state built
+        # for its x, and its copy of the zeros, once took 32 more
+        size = 2 ** 16
+        make_packet(50.0, size, 1.0, 0.0, 5.0, 2.0)
+        tracemalloc.start()
+        try:
+            make_packet(50.0, size, 1.0, 0.0, 5.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * size
+
+    def test_packet_validates_the_grid_before_allocating(self):
+        # a size that is no power of two is refused before an N-point buffer exists
+        with pytest.raises(ValueError, match="power of two"):
+            make_packet(50.0, 10 ** 15 + 1, 1.0, 0.0, 5.0, 2.0)
+
     def test_rejects_packet_touching_the_boundary(self):
         with pytest.raises(ValueError, match="six-sigma"):
             make_packet(50.0, 1024, 1.0, 45.0, 5.0, 2.0)
@@ -261,7 +288,7 @@ class TestAbApply:
         a = default_packet()
         b = make_packet(50.0, 1024, 1.0, 3.0, 7.0, 1.5)
         za, zb = 0.8 - 0.1j, -0.4 + 1.2j
-        combo = a.with_samples(za * a.samples + zb * b.samples)
+        combo = with_samples(a, za * a.samples + zb * b.samples)
         lhs = ab_apply(combo).samples
         rhs = za * ab_apply(a).samples + zb * ab_apply(b).samples
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)

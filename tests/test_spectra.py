@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from timeops import timeop
 from timeops import spectra
@@ -19,7 +20,7 @@ from timeops.spectra import (
     rabi_hamiltonian,
 )
 
-from dense_reference import rabi_chain_labels
+from dense_reference import dense_chain_eigenvalues, dense_chains, dense_rabi, rabi_chain_labels
 
 
 class TestHarmonic:
@@ -165,25 +166,6 @@ class TestDiscreteSpectrum:
             DiscreteSpectrum((), Accumulation.TO_ZERO)
 
 
-def dense_rabi(mu: float, omega: float, g: float, cutoff: int) -> tuple[np.ndarray, list[str]]:
-    """Reference: the Rabi matrix built densely from Kronecker products.
-
-    Product basis spin (x) number state, spin-up block first, with the
-    ladder entries that leave the retained number states dropped.
-    """
-    dim = cutoff + 1
-    lower = np.zeros((dim, dim))
-    for n in range(1, dim):
-        lower[n - 1, n] = math.sqrt(n)
-    number = lower.T @ lower
-    quad = lower + lower.T
-    sz = np.diag([1.0, -1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = mu * np.kron(sz, np.eye(dim)) + omega * np.kron(np.eye(2), number) + g * np.kron(sx, quad)
-    labels = [f"{s}|n={n}" for s in ("up", "down") for n in range(dim)]
-    return h, labels
-
-
 class TestStateCountLimit:
     def test_hydrogen_admits_the_last_level_below_the_cap(self):
         assert 143 * 144 * 287 // 6 <= STATE_COUNT_LIMIT < 144 * 145 * 289 // 6
@@ -215,18 +197,37 @@ class TestStateCountLimit:
         assert DiscreteSpectrum(((-1.0, 10 ** 6),), Accumulation.TO_ZERO).total_states == 10 ** 6
 
 
-class TestRabiParityBlocks:
-    """The two parity chains against the dense Kronecker-product matrix."""
+#: (cutoff, g) grid on which the certified spectrum is held to the dense one.
+RABI_GRID = [(cutoff, g) for cutoff in (2, 3, 10, 150, 200, 600) for g in (0.0, 0.3, 2.0, 5.0)]
 
-    @pytest.mark.parametrize("g", [0.0, 0.3, 2.0])
-    @pytest.mark.parametrize("cutoff", [2, 3, 10, 150, 600])
+
+def _rabi_count(cutoff: int) -> int:
+    return min(40, cutoff + 1)
+
+
+class TestRabiParityBlocks:
+    """The two parity chains against the dense Kronecker-product matrix and the dense chain solve."""
+
+    @pytest.mark.parametrize("cutoff,g", RABI_GRID)
     def test_eigenvalues_match_the_dense_reference(self, cutoff, g):
+        # the Kronecker solve rounds on its own, by a few eps |H|
+        count = 2 * _rabi_count(cutoff)
         h = rabi_hamiltonian(0.5, 1.0, g, cutoff)
         dense, _ = dense_rabi(0.5, 1.0, g, cutoff)
-        reference = np.linalg.eigvalsh(dense)
-        ev = h.eigenvalues()
-        assert h.dimension == ev.size == 2 * (cutoff + 1)
-        assert np.max(np.abs(ev - reference)) <= 1e-12 * np.max(np.abs(reference))
+        reference = np.linalg.eigvalsh(dense)[:count]
+        spectrum = h.eigenvalues(count)
+        assert h.dimension == dense.shape[0] == 2 * (cutoff + 1)
+        assert spectrum.failed_index is None and spectrum.values.shape == spectrum.radii.shape == (count,)
+        own = 4.0 * np.finfo(float).eps * np.linalg.norm(dense, 2)
+        assert np.all(np.abs(spectrum.values - reference) <= spectrum.radii + own)
+
+    @pytest.mark.parametrize("cutoff,g", RABI_GRID)
+    def test_bound_checks_and_values_match_the_dense_chain_solve(self, cutoff, g):
+        count = _rabi_count(cutoff)
+        spectrum, bounds = rabi_check(0.5, 1.0, g, cutoff, count)
+        reference = dense_chain_eigenvalues(rabi_hamiltonian(0.5, 1.0, g, cutoff))[:2 * count]
+        assert bounds == rabi_bound_check(reference, 0.5, 1.0, g, count)
+        assert np.all(np.abs(spectrum.values - reference) <= spectrum.radii)
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10])
     def test_labels_permute_the_dense_matrix_into_the_blocks(self, cutoff):
@@ -238,8 +239,8 @@ class TestRabiParityBlocks:
         permuted = dense[np.ix_(order, order)]
         size = cutoff + 1
         expected = np.zeros_like(dense)
-        expected[:size, :size], expected[size:, size:] = h.blocks
-        assert [b.shape for b in h.blocks] == [(size, size), (size, size)]
+        expected[:size, :size], expected[size:, size:] = dense_chains(h)
+        assert h.diagonals.shape == (2, size) and h.couplings.shape == (2, size - 1)
         np.testing.assert_allclose(permuted, expected, rtol=0.0, atol=1e-14 * np.max(np.abs(dense)))
 
     def test_chains_alternate_the_spin(self):
@@ -253,19 +254,19 @@ class TestRabi:
     def test_dimension_and_labels(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 5)
         assert h.dimension == 12 == len(rabi_chain_labels(5))
-        assert [b.shape for b in h.blocks] == [(6, 6), (6, 6)]
+        assert h.diagonals.shape == (2, 6) and h.couplings.shape == (2, 5)
 
     def test_uncoupled_eigenvalues_are_shifted_ladders(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.0, 30)
         expected = sorted(n + s for n in range(31) for s in (-0.5, 0.5))
-        np.testing.assert_allclose(h.eigenvalues()[:40], expected[:40], atol=1e-12)
+        np.testing.assert_allclose(h.eigenvalues(40).values, expected[:40], atol=1e-12)
 
     def test_bound_check_at_coupled_parameters(self):
-        ev = rabi_hamiltonian(0.5, 1.0, 0.3, 120).eigenvalues()
+        ev = rabi_hamiltonian(0.5, 1.0, 0.3, 120).eigenvalues(30).values
         assert all(rabi_bound_check(ev, 0.5, 1.0, 0.3, 15))
 
     def test_shifting_the_spectrum_breaks_the_first_bound(self):
-        ev = rabi_hamiltonian(0.5, 1.0, 0.3, 120).eigenvalues()
+        ev = rabi_hamiltonian(0.5, 1.0, 0.3, 120).eigenvalues(30).values
         shifted = rabi_bound_check(ev + 2 * 0.5, 0.5, 1.0, 0.3, 15)
         assert shifted[0] is False
 
@@ -286,12 +287,15 @@ class TestRabi:
         assert timeop.CHANNEL_DIMENSION_LIMIT is CHANNEL_DIMENSION_LIMIT
 
     def test_check_solves_and_bounds(self):
-        ev, bounds = rabi_check(0.5, 1.0, 0.3, 120, 15)
-        np.testing.assert_array_equal(ev, rabi_hamiltonian(0.5, 1.0, 0.3, 120).eigenvalues())
-        assert bounds == rabi_bound_check(ev, 0.5, 1.0, 0.3, 15)
+        spectrum, bounds = rabi_check(0.5, 1.0, 0.3, 120, 15)
+        reference = dense_chain_eigenvalues(rabi_hamiltonian(0.5, 1.0, 0.3, 120))[:30]
+        assert np.all(np.abs(spectrum.values - reference) <= spectrum.radii)
+        assert bounds == rabi_bound_check(reference, 0.5, 1.0, 0.3, 15)
         assert all(bounds)
         with pytest.raises(ValueError, match="count too large"):
             rabi_check(0.5, 1.0, 0.3, 10, 12)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            rabi_check(0.5, 1.0, 0.3, 10, 0)
 
     def test_rejects_infinite_coupling(self):
         # the coupling is rejected by name before any matrix entry is formed
@@ -314,29 +318,153 @@ class TestRabi:
 
 
 class TestHermitianMatrix:
-    def test_rejects_non_hermitian_data(self):
-        bad = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            HermitianMatrix(2, (bad,))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianMatrix(3, (np.eye(1), bad))
+    def test_rejects_complex_data(self):
+        with pytest.raises(ValueError, match="real"):
+            HermitianMatrix([[0.0, 1.0]], [[1j]])
 
-    def test_rejects_nan_data(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianMatrix(2, (np.eye(1), [[math.nan]]))
+    @pytest.mark.parametrize("where", ["diagonals", "couplings"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_data(self, where, bad):
+        h = rabi_hamiltonian(0.5, 1.0, 0.3, 10)
+        arrays = {"diagonals": h.diagonals.copy(), "couplings": h.couplings.copy()}
+        arrays[where][1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(**arrays)
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(3, (np.zeros((2, 2), dtype=complex),))
-        with pytest.raises(ValueError, match="square"):
-            HermitianMatrix(2, (np.zeros((1, 2)),))
+        with pytest.raises(ValueError, match="coupling array"):
+            HermitianMatrix(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="coupling array"):
+            HermitianMatrix(np.zeros(3), np.zeros(2))
 
     def test_data_is_read_only(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 3)
-        for block in h.blocks:
+        for array in (h.diagonals, h.couplings):
             with pytest.raises(ValueError):
-                block[0, 0] = 5.0
+                array[0, 0] = 5.0
 
     def test_eigenvalues_merge_the_blocks(self):
-        h = HermitianMatrix(3, (np.diag([4.0, -1.0]), [[2.0]]))
-        assert np.array_equal(h.eigenvalues(), [-1.0, 2.0, 4.0])
+        h = HermitianMatrix([[4.0, -1.0], [2.0, 7.0]], [[0.0], [0.0]])
+        spectrum = h.eigenvalues(4)
+        assert np.array_equal(spectrum.values, [-1.0, 2.0, 4.0, 7.0])
+        assert spectrum.failed_index is None and spectrum.leading_block == 2
+
+    def test_count_must_fit_the_dimension(self):
+        h = HermitianMatrix([[4.0, -1.0], [2.0, 7.0]], [[0.5], [0.0]])
+        for count in (0, 5):
+            with pytest.raises(ValueError, match="cannot certify"):
+                h.eigenvalues(count)
+
+
+def _sturm_reference(h, shifts) -> np.ndarray:
+    """Eigenvalues of the dense chains below each shift."""
+    ev = dense_chain_eigenvalues(h)
+    return np.array([np.count_nonzero(ev < x) for x in shifts])
+
+
+class TestCertificate:
+    """The leading-block certificate: its radius, its block, its counts and its failures."""
+
+    def test_radius_and_block_at_the_benchmark_parameters(self):
+        spectrum, bounds = rabi_check(0.5, 1.0, 0.3, 600, 40)
+        assert spectrum.leading_block == 2 * 40 + spectra.LEADING_BLOCK_PAD < 601
+        assert spectrum.failed_index is None and all(bounds)
+        assert np.max(spectrum.radii) <= 1e-12
+
+    def test_no_whole_chain_is_formed(self):
+        # a dense 601 x 601 block alone would take 2.8 MiB
+        rabi_check(0.5, 1.0, 0.3, 600, 40)
+        tracemalloc.start()
+        try:
+            rabi_check(0.5, 1.0, 0.3, 600, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_the_block_grows_at_strong_coupling(self):
+        # at g = 5 a 144-row block leaves tail residuals near 1e-5
+        spectrum = rabi_hamiltonian(0.5, 1.0, 5.0, 600).eigenvalues(80)
+        assert spectrum.leading_block == 288 and spectrum.failed_index is None
+        reference = dense_chain_eigenvalues(rabi_hamiltonian(0.5, 1.0, 5.0, 600))[:80]
+        assert np.all(np.abs(spectrum.values - reference) <= spectrum.radii)
+
+    def test_zero_coupling_with_a_double_eigenvalue_certifies_quietly(self):
+        # chain |up,0>, |down,1>, ... holds 0.5 twice at omega = 1, mu = 0.5
+        with np.errstate(all="raise"):
+            spectrum = rabi_hamiltonian(0.5, 1.0, 0.0, 30).eigenvalues(40)
+        assert spectrum.failed_index is None
+        assert list(spectrum.values[:5]) == [-0.5, 0.5, 0.5, 1.5, 1.5]
+
+    @pytest.mark.parametrize("mu,g", [(1.7e308, 0.3), (0.5, 1e200), (0.5, 1e-300)])
+    def test_extreme_entries_certify_without_overflow(self, mu, g):
+        # the chains are scaled by a power of two, so no norm or e^2 overflows (underflow is harmless)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            spectrum = rabi_hamiltonian(mu, 1.0, g, 200).eigenvalues(10)
+        assert spectrum.failed_index is None and np.all(np.isfinite(spectrum.radii))
+        reference = dense_chain_eigenvalues(rabi_hamiltonian(mu, 1.0, g, 200))[:10]
+        own = 4.0 * np.finfo(float).eps * np.max(np.abs(reference))
+        assert np.all(np.abs(spectrum.values - reference) <= spectrum.radii + own)
+
+    def test_counts_match_the_dense_chains(self):
+        # entries below 2, as the kernel scales them; 70 rows span two chunks
+        rng = np.random.default_rng(3)
+        h = HermitianMatrix(rng.uniform(-1.0, 1.0, (3, 70)), rng.uniform(-1.0, 1.0, (3, 69)))
+        shifts = np.sort(rng.uniform(-3.0, 3.0, 50))
+        assert np.array_equal(spectra._sturm_counts(h.diagonals, np.square(h.couplings), shifts),
+                              _sturm_reference(h, shifts))
+
+    def test_the_pivot_guard_keeps_zero_couplings_finite(self, monkeypatch):
+        # a shift on a diagonal entry of an uncoupled chain makes a zero pivot, then 0/0;
+        # the chains and shifts are scaled by 16 as the kernel scales them
+        h = rabi_hamiltonian(0.5, 1.0, 0.0, 10)
+        args = h.diagonals / 16.0, np.square(h.couplings / 16.0), np.array([0.5, 1.0, 2.5]) / 16.0
+        with np.errstate(all="raise"):
+            counts = spectra._sturm_counts(*args)
+        assert list(counts) == [3, 3, 7]   # a pivot at the guard counts as negative
+        monkeypatch.setattr(spectra, "PIVMIN", 0.0)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            spectra._sturm_counts(*args)
+
+    def test_a_planted_pivot_fails_at_full_size(self, monkeypatch):
+        counts = spectra._sturm_counts
+        monkeypatch.setattr(spectra, "_sturm_counts", lambda *args: counts(*args) + 1)
+        spectrum = rabi_hamiltonian(0.5, 1.0, 0.3, 150).eigenvalues(20)
+        assert spectrum.failed_index == 0 and spectrum.leading_block == 151
+
+    def test_no_slack_fails_where_the_ritz_values_are_exact(self, monkeypatch):
+        monkeypatch.setattr(spectra, "CERTIFICATE_SLACK_ULPS", 0.0)
+        spectrum = rabi_hamiltonian(0.5, 1.0, 0.0, 30).eigenvalues(10)
+        assert spectrum.failed_index == 0
+
+
+_POSITIVE = st.floats(0.05, 3.0)
+
+
+class TestRabiCertificateFuzz:
+    """Certified Rabi spectra against the dense chain solve, over the model's parameters."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_POSITIVE, _POSITIVE, st.one_of(st.just(0.0), st.floats(0.0, 6.0)), st.integers(2, 300), st.data())
+    def test_certificate_matches_the_dense_solve(self, mu, omega, g, cutoff, data):
+        count = data.draw(st.integers(1, min(40, cutoff + 1)))
+        spectrum, bounds = rabi_check(mu, omega, g, cutoff, count)
+        h = rabi_hamiltonian(mu, omega, g, cutoff)
+        reference = dense_chain_eigenvalues(h)[:2 * count]
+        assert spectrum.failed_index is None
+        # the dense solve rounds on its own, by a few eps |T|
+        own = 4.0 * np.finfo(float).eps * max(np.linalg.norm(block, 2) for block in dense_chains(h))
+        assert np.all(np.abs(spectrum.values - reference) <= spectrum.radii + own)
+        # a verdict is the reference's wherever neither solve's error can reach a bound's edge
+        # (at small g, an eigenvalue sits within an ulp of omega n - g^2/omega - mu)
+        nu = omega * np.arange(count) - g * g / omega
+        clear = np.minimum(np.abs(reference[::2] - (nu - mu)), np.abs(reference[::2] - (nu + mu)))
+        clear = clear > spectrum.radii[::2] + own
+        expected = rabi_bound_check(reference, mu, omega, g, count)
+        assert [b for b, c in zip(bounds, clear) if c] == [b for b, c in zip(expected, clear) if c]
+        # the block grows when the first one's Ritz values are off
+        first = min(cutoff + 1, 2 * count + spectra.LEADING_BLOCK_PAD)
+        ritz = np.sort(np.concatenate([np.linalg.eigvalsh(block[:first, :first]) for block in dense_chains(h)]))
+        if np.max(np.abs(ritz[:2 * count] - reference)) > 1e-9:
+            assert spectrum.leading_block > first
+        assert spectrum.leading_block >= first

@@ -515,19 +515,19 @@ class TestOscillatorSpectrum:
 
 
 class TestRealHermitianSolve:
-    """Blocks are solved as given: real symmetric stays real, complex stays complex."""
+    """Chains are real symmetric: they match the complex solve, and complex entries are refused."""
 
     def test_rabi_matches_the_complex_solve(self):
         h = rabi_hamiltonian(0.5, 1.0, 0.3, 150)
-        assert all(b.dtype == np.float64 for b in h.blocks)
-        reference = np.sort(np.concatenate([np.linalg.eigvalsh(b.astype(complex)) for b in h.blocks]))
-        ev = h.eigenvalues()
-        assert np.max(np.abs(ev - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert h.diagonals.dtype == h.couplings.dtype == np.float64
+        blocks = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(h.diagonals, h.couplings)]
+        reference = np.sort(np.concatenate([np.linalg.eigvalsh(b.astype(complex)) for b in blocks]))[:60]
+        spectrum = h.eigenvalues(60)
+        assert np.max(np.abs(spectrum.values - reference)) <= 1e-12 * np.max(np.abs(reference))
 
-    def test_complex_data_keeps_the_complex_solve(self):
-        data = np.array([[1.0, 2.0j], [-2.0j, -1.0]])
-        ev = HermitianMatrix(2, (data,)).eigenvalues()
-        np.testing.assert_allclose(ev, [-math.sqrt(5.0), math.sqrt(5.0)], rtol=1e-14)
+    def test_complex_data_is_refused(self):
+        with pytest.raises(ValueError, match="real"):
+            HermitianMatrix(np.array([[1.0, -1.0]]), np.array([[2.0j]]))
 
 
 def full_antisymmetry(a: np.ndarray) -> tuple[float, float]:
@@ -576,8 +576,7 @@ class TestHermiticityPass:
         a, ev = _generator(77)
         a[70, 3] += 1e-14 * abs(a[70, 3])
         a[5, 60] *= 1.0 + 3e-15
-        assert _require_hermitian(a, skew=True) == full_antisymmetry(a)
-        assert _require_hermitian(1j * a) == full_hermiticity(1j * a) == full_antisymmetry(a)
+        assert _require_hermitian(a) == full_antisymmetry(a) == full_hermiticity(1j * a)
         scale, defect = full_antisymmetry(a)
         monkeypatch.setattr(timeop, "CCR_BAND_ROWS", 32)
         assert _swept_with(monkeypatch, a, ev) == (scale, defect)
@@ -588,7 +587,7 @@ class TestHermiticityPass:
         a, ev = _generator(77)
         a[76, 2] = bad
         with pytest.raises(ValueError, match="not Hermitian"):
-            _require_hermitian(a, skew=True)
+            _require_hermitian(a)
         monkeypatch.setattr(timeop, "CCR_BAND_ROWS", 32)
         with pytest.raises(ValueError, match="not Hermitian"):
             _swept_with(monkeypatch, a, ev)
@@ -596,12 +595,12 @@ class TestHermiticityPass:
     def test_a_stack_is_checked_matrix_by_matrix(self):
         a = np.stack([_generator(77)[0] for _ in range(3)])
         a[1, 70, 3] += 1e-14 * abs(a[1, 70, 3])
-        scale, defect = _require_hermitian(a, skew=True)
+        scale, defect = _require_hermitian(a)
         assert [(s, d) for s, d in zip(scale, defect)] == [full_antisymmetry(m) for m in a]
         assert defect[0] == defect[2] == 0.0 < defect[1]
         a[2, 76, 2] = math.nan
         with pytest.raises(ValueError, match="not Hermitian"):
-            _require_hermitian(a, skew=True)
+            _require_hermitian(a)
 
     def test_one_entry_breaking_antisymmetry_raises(self, monkeypatch):
         # a symmetric perturbation just above the tolerance, in one entry
