@@ -28,6 +28,7 @@ from .decompose import (
 from .timeop import (
     ChannelStack,
     MatrixKind,
+    OscillatorExtremes,
     assemble_time_operator,
     ccr_allowed,
     ccr_check,

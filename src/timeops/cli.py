@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import numbers
@@ -77,8 +78,8 @@ TIME_STEPS_LIMIT = 10_000
 #: 4096 on the default 1024-point grid.
 SWEEP_POINTS_LIMIT = 2 ** 22
 
-#: Largest summed n^3 over an ``oscspec`` size list: two solves at the
-#: size cap, about 2.5 s on one core.
+#: Largest summed n^3 over an ``oscspec`` size list: two certificates at
+#: the size cap, about 0.35 s on one core.
 OSCSPEC_WORK_LIMIT = 2 * CHANNEL_DIMENSION_LIMIT ** 3
 
 
@@ -392,6 +393,11 @@ def _pipeline_uwform(config: RunConfig, pl: dict, tol: dict) -> dict:
 
 
 def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict) -> dict:
+    """The certified extremes of each size, inside pi/omega + slack with their radii, and lambda_max nondecreasing.
+
+    A size whose certificate failed even on the whole space is named in
+    ``certificate_failed_sizes`` and fails the run.
+    """
     omega = pl["omega"]
     sizes = sorted(pl["sizes"])
     if not sizes:
@@ -403,17 +409,20 @@ def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict) -> dict:
     extremes = [osc_timeop_extremes(omega, n) for n in sizes]
     bound = math.pi / omega   # omega was validated by osc_timeop_extremes
     slack = tol["toeplitz_bound_slack"]
-    rows = [{"size": n, "lambda_min": low, "lambda_max": high,
-             "within_bound": bool(high <= bound + slack and low >= -bound - slack)}
-            for n, (low, high) in zip(sizes, extremes)]
-    maxima = [high for _, high in extremes]
+    rows = [{"size": n, "lambda_min": e.low, "lambda_max": e.high, "certificate_radius": e.radius,
+             "subspace_dimension": e.subspace_dimension,
+             "within_bound": bool(e.high + e.radius <= bound + slack and e.low - e.radius >= -bound - slack)}
+            for n, e in zip(sizes, extremes)]
+    failed = [e.failed_size for e in extremes if e.failed_size is not None]
+    maxima = [e.high for e in extremes]
     monotone = all(b >= a for a, b in zip(maxima, maxima[1:]))
     return {
         "omega": omega,
         "symbol_bound": bound,
         "rows": rows,
         "monotone_nondecreasing": monotone,
-        "passed": monotone and all(row["within_bound"] for row in rows),
+        "certificate_failed_sizes": failed,
+        "passed": monotone and not failed and all(row["within_bound"] for row in rows),
         "csv": {
             "name": "oscspec_lambda.csv",
             "header": ["size", "lambda_min", "lambda_max"],
@@ -679,7 +688,9 @@ def _add_model_flags(parser) -> None:
                             help="; ".join(f"{kind}: {_describe(t, d)}" for kind, t, d in specs))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, and only read by ``parse_args``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="RunConfig JSON file")
     common.add_argument("--out", type=Path, default=Path("."), help="report directory")

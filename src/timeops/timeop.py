@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "ccr_check",
     "random_difference_stack",
     "assemble_time_operator",
+    "OscillatorExtremes",
     "osc_timeop_extremes",
 ]
 
@@ -372,31 +374,188 @@ def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):
     return deco, ChannelStack.of_decomposition(deco, MatrixKind.DIRECT)
 
 
-def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the oscillator time-operator truncation.
+class OscillatorExtremes(NamedTuple):
+    """The certified extremes of an oscillator time-operator truncation.
+
+    ``low`` = -``high``, and the largest eigenvalue lies within ``radius``
+    of ``high`` (so the smallest within ``radius`` of ``low``).  ``high``
+    came from a smooth subspace of ``subspace_dimension`` columns.  When
+    ``failed_size`` is not None it is the matrix size, and the Schur pass
+    failed to prove the upper end even on the whole space: nothing is
+    claimed.
+    """
+
+    low: float
+    high: float
+    radius: float
+    subspace_dimension: int
+    failed_size: int | None
+
+
+#: Columns of the first smooth subspace of ``osc_timeop_extremes``: it
+#: starts at min(floor(n/2), RITZ_START_COLUMNS) and doubles until its
+#: Ritz pair has converged or it is the whole space.
+RITZ_START_COLUMNS = 128
+
+#: Rounding slack of the Schur pass, in units of eps n^2 s for the
+#: n x n matrix M = s I - iA.  A step of the mixed form maps the
+#: generator rows (x, y) to (x', y') with [x + dx; y' - dy] = Q [x'; y],
+#: Q = [[c, conj(rho)], [-rho, c]] from the computed rho and c, where
+#: ||Q^H Q - I|| <= 8u and each entry of dx and dy is within 8u of
+#: |x| + |y| and |y| + |x'| (u = eps/2; the dropped pivot entry of y'
+#: included).  So the step's displacement x'^H x' - y'^H y' misses
+#: x^H x - y^H y by at most u (48 |x|^2 + 32 |x'|^2), to first order,
+#: since y is never longer than x.  Its n - k shifted copies reach the
+#: computed factor R, so R^H R = M + E with ||E|| at most 80u n times the
+#: sum of the squared rows of R, which is trace(M + E) = n s + tr E:
+#: ||E|| <= 40 eps n^2 s.  The rest covers rounding the entries i/k, the
+#: first generator and the shift, and the lower end (see
+#: ``osc_timeop_extremes``).  The analysis follows Bojanczyk, Brent,
+#: de Hoog & Sweet, SIAM J. Matrix Anal. Appl. 16 (1995), who show this
+#: form stable; the Levinson recursion's inner products are only weakly
+#: stable (Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980).
+SCHUR_SLACK_ULPS = 48.0
+
+
+def _half_block(n: int) -> np.ndarray:
+    """The real half-size block B of the even/odd split, ceil(n/2) x floor(n/2) (see ``osc_timeop_extremes``)."""
+    lags = np.arange(1, n, dtype=float)
+    a = np.concatenate([-1.0 / lags[::-1], [0.0], 1.0 / lags])   # a[n - 1 + k] = a(k)
+    # win[j, q] = a[2n - 2 - j - q], so B[p, q] = win[n - 1 - p, q] + win[p, q]
+    win = np.lib.stride_tricks.sliding_window_view(a[::-1], n // 2)
+    b = win[n - 1:n - 1 - (n + 1) // 2:-1] + win[:(n + 1) // 2]
+    if n % 2:
+        b[-1] /= math.sqrt(2.0)
+    return b
+
+
+def _smooth_basis(n: int, r: int) -> np.ndarray:
+    """An orthonormal basis of r smooth J-odd vectors of length n, in the o coordinates (floor(n/2) x r).
+
+    The QR of a Chebyshev-Vandermonde: column j samples the odd
+    Chebyshev polynomial T_{2j+1} at the first floor(n/2) of the grid
+    points t_q = (2q + 1 - n)/n, whose odd extension is the J-odd vector;
+    the columns come from T_{k+2} = 2 T_2 T_k - T_{k-2}, T_{-1} = T_1.
+    The high columns are nearly dependent on the grid, but Householder's
+    Q is orthonormal whatever they are, and for r = floor(n/2) it spans
+    the whole space.
+    """
+    t = (2.0 * np.arange(n // 2) + 1.0 - n) / n
+    twice_t2 = 4.0 * t * t - 2.0
+    v = np.empty((r, t.size))   # one row per polynomial, transposed for the QR
+    v[0] = t
+    if r > 1:
+        v[1] = (twice_t2 - 1.0) * t
+    for j in range(2, r):
+        np.multiply(twice_t2, v[j - 1], out=v[j])
+        v[j] -= v[j - 2]
+    return np.linalg.qr(v.T)[0]
+
+
+def _ritz(b: np.ndarray, n: int, r: int) -> tuple:
+    """(high, theta, theta_2, residual) of B^T B on the r-column smooth subspace.
+
+    theta and theta_2 are its two largest Ritz values (theta_2 = 0 when
+    r = 1) and residual = ||B^T B x - theta x|| for the unit Ritz vector
+    x of theta.  high = ||B x||/||x||, computed from x itself: a Rayleigh
+    quotient, so it is at most sigma_max(B) up to the rounding of one
+    product with B, whether or not the basis is exactly orthonormal.
+    """
+    v = _smooth_basis(n, r)
+    w = b @ v
+    theta, y = np.linalg.eigh(w.T @ w)
+    x = v @ y[:, -1]
+    z = b @ x
+    high = float(np.linalg.norm(z) / np.linalg.norm(x))
+    residual = float(np.linalg.norm(b.T @ z - theta[-1] * x))
+    return high, float(theta[-1]), float(theta[-2]) if r > 1 else 0.0, residual
+
+
+def _schur_pivots(first_row: np.ndarray) -> np.ndarray:
+    """The pivots of the LDL^H factorization of the Hermitian Toeplitz matrix with this first row.
+
+    One O(n^2) pass of the Schur algorithm with its hyperbolic rotations
+    in the mixed form: from the generator rows (x, y), whose first
+    entries give rho = y_k/x_k and c = sqrt(1 - |rho|^2), it forms
+    x' = (x - conj(rho) y)/c and then y' = c y - rho x' from x', not
+    from x.  x' is a row of the Cholesky factor; shifted one place it is
+    the next x.  Both rows are held unscaled, with their scales alpha and
+    beta kept apart, so each rotation is two in-place updates: the x row
+    by a multiple of the y row, then the y row by a multiple of the new
+    x row.  Pivot k is the previous one times (1 - |rho|)(1 + |rho|),
+    and pivot 0 the diagonal entry first_row[0], which must be real.
+
+    In exact arithmetic the matrix is positive definite exactly when
+    every pivot is positive.  The pass stops at the first pivot that is
+    not (a NaN included) and leaves NaN after it.
+    """
+    n = first_row.size
+    pivots = np.full(n, math.nan)
+    pivot = pivots[0] = first_row[0].real
+    if not pivot > 0.0:
+        return pivots
+    x = first_row.astype(complex)   # x_k[j] = alpha * x[j - k]
+    y = x.copy()                     # y_k[j] = beta * y[j]
+    y[0] = 0.0
+    alpha = beta = 1.0 / math.sqrt(pivot)
+    work = np.empty(n, dtype=complex)
+    multiply, subtract = np.multiply, np.subtract
+    for k in range(1, n):
+        rho = beta * y.item(k) / (alpha * x.item(0).real)
+        size = abs(rho)
+        shrink = (1.0 - size) * (1.0 + size)
+        pivot = pivots[k] = pivot * shrink
+        if not size < 1.0:
+            return pivots
+        c = math.sqrt(shrink)
+        xs, ys, tmp = x[:n - k], y[k:], work[:n - k]
+        subtract(xs, multiply(ys, rho.conjugate() * beta / alpha, out=tmp), out=xs)
+        alpha /= c
+        subtract(ys, multiply(xs, rho * alpha / (c * beta), out=tmp), out=ys)
+        beta *= c
+    return pivots
+
+
+def osc_timeop_extremes(omega: float, n: int) -> OscillatorExtremes:
+    """The smallest and largest eigenvalue of the oscillator time-operator truncation, certified.
 
     The matrix is Toeplitz with entries (i/omega)/(n - m); its symbol has
     range (-pi/omega, pi/omega), so the truncation eigenvalues fill that
     interval from the inside as the size grows.
 
-    The extremes come from a real matrix of half the size (the even/odd
-    split of Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Write
-    T = iA/omega with A[n, m] = a(n - m), a(k) = 1/k, a(0) = 0: A is real
-    antisymmetric Toeplitz, so J A J = -A for the exchange matrix J and A
-    maps J-even vectors to J-odd ones.  Take the orthonormal bases
-    e_p = (d_p + d_{n-1-p})/sqrt(2) for p < ceil(n/2), with the middle
-    e_p = d_p alone when n is odd, and o_q = (d_q - d_{n-1-q})/sqrt(2) for
-    q < floor(n/2).  In the basis (e, o),
+    The even/odd split of Cantoni & Butler (Linear Algebra Appl. 13,
+    1976) halves the problem.  Write T = iA/omega with A[n, m] = a(n - m),
+    a(k) = 1/k, a(0) = 0: A is real antisymmetric Toeplitz, so J A J = -A
+    for the exchange matrix J and A maps J-even vectors to J-odd ones.
+    Take the orthonormal bases e_p = (d_p + d_{n-1-p})/sqrt(2) for
+    p < ceil(n/2), with the middle e_p = d_p alone when n is odd, and
+    o_q = (d_q - d_{n-1-q})/sqrt(2) for q < floor(n/2).  In the basis
+    (e, o),
 
         A = [[0, B], [-B^T, 0]],   B[p, q] = e_p . A o_q = a(p - q) + a(n-1-p-q),
 
     with the middle row of B scaled by 1/sqrt(2) when n is odd.  The
     Hermitian matrix [[0, iB], [-iB^T, 0]] has eigenvalues +-sigma(B) and
-    one 0 when n is odd, so the extremes of spec(T) are +-sigma_max(B)/omega,
-    and sigma_max(B)^2 is the largest eigenvalue of the floor(n/2)-square
-    Gram matrix B^T B.  No n x n matrix is formed.
+    one 0 when n is odd, so the extremes of spec(T) are
+    +-sigma_max(B)/omega.  No n x n matrix is formed.
 
-    Returns (lambda_min, lambda_max) = (-sigma_max/omega, sigma_max/omega).
+    The lower end: ``_ritz`` takes the largest Ritz value theta of B^T B
+    on a smooth subspace (``_smooth_basis``) of r = min(floor(n/2),
+    RITZ_START_COLUMNS) columns, doubling r until its residual rho has
+    rho^2 <= eps theta (theta - theta_2), and returns high, the Rayleigh
+    quotient ||Bx||/||x|| of its Ritz vector x: sigma_max(B) >= high, up
+    to one product's rounding, far below the slack d below.  The upper
+    end: with d = SCHUR_SLACK_ULPS * eps * n^2 * high, one Schur pass
+    (``_schur_pivots``) over the n x n matrix M = (high + d) I - iA, first
+    row (high + d, i/1, i/2, ...).  When every pivot is positive the pass
+    ran to the end, and its factor R has R^H R = M + E with ||E|| <= d;
+    a Gram matrix is semidefinite, so lambda_min(M) >= -d and
+    sigma_max(B) <= high + 2d.  The radius 2d is derived, not measured; a
+    pass that fails enlarges the subspace, and one that fails on the
+    whole space is reported in ``failed_size``, not raised.
+
+    Returns ``OscillatorExtremes`` with low = -high/omega,
+    high/omega and radius 2d/omega.
     """
     omega = float(omega)
     n = int(n)
@@ -409,14 +568,21 @@ def osc_timeop_extremes(omega: float, n: int) -> tuple[float, float]:
         raise ValueError(
             f"matrix size {n} exceeds the dense-solver limit {CHANNEL_DIMENSION_LIMIT}"
         )
-    lags = np.arange(1, n, dtype=float)
-    a = np.concatenate([-1.0 / lags[::-1], [0.0], 1.0 / lags])   # a[n - 1 + k] = a(k)
-    # win[j, q] = a[2n - 2 - j - q], so B[p, q] = win[n - 1 - p, q] + win[p, q]
-    win = np.lib.stride_tricks.sliding_window_view(a[::-1], n // 2)
-    b = win[n - 1:n - 1 - (n + 1) // 2:-1] + win[:(n + 1) // 2]
-    if n % 2:
-        b[-1] /= math.sqrt(2.0)
-    gram = b.T @ b
-    del b
-    high = math.sqrt(np.linalg.eigvalsh(gram)[-1]) / omega
-    return -high, high
+    b = _half_block(n)
+    m = n // 2
+    r = min(m, RITZ_START_COLUMNS)
+    eps = float(np.finfo(float).eps)
+    row = np.empty(n, dtype=complex)
+    row[1:] = 1j / np.arange(1, n)
+    while True:
+        high, theta, theta_2, residual = _ritz(b, n, r)
+        if r < m and not residual * residual <= eps * theta * (theta - theta_2):
+            r = min(m, 2 * r)
+            continue
+        slack = SCHUR_SLACK_ULPS * eps * n * n * high
+        row[0] = high + slack
+        certified = bool(np.all(_schur_pivots(row) > 0.0))
+        if certified or r == m:
+            return OscillatorExtremes(-high / omega, high / omega, 2.0 * slack / omega, r,
+                                      None if certified else n)
+        r = min(m, 2 * r)

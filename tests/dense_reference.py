@@ -12,6 +12,9 @@ chains, in block order; ``dense_rabi`` builds the whole Rabi matrix from
 Kronecker products, and ``dense_chain_eigenvalues`` solves the parity
 chains as whole dense blocks with ``eigvalsh``, which the certified
 leading-block kernel ``HermitianMatrix.eigenvalues`` replaced.
+``gram_extremes`` is the oscillator truncation's extremes from one
+``eigvalsh`` of the floor(n/2)-square Gram matrix B^T B, which the
+certified Ritz-and-Schur pair ``timeop.osc_timeop_extremes`` replaced.
 ``s0_symmetry_residual`` is the pair-by-pair quadrature symmetry check
 of the S0 class that the certificate ``contspec.s0_symmetry_bound``
 replaced.
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 from timeops.contspec import _gauss_hermite, _required_order, s0_apply
-from timeops.timeop import CCR_BAND_ROWS, MatrixKind
+from timeops.timeop import CCR_BAND_ROWS, MatrixKind, _half_block
 
 
 def generator_stack(e, kind=MatrixKind.DIRECT) -> np.ndarray:
@@ -216,6 +219,18 @@ def dense_chains(h) -> list[np.ndarray]:
 def dense_chain_eigenvalues(h) -> np.ndarray:
     """Every eigenvalue of a ``HermitianMatrix``, ascending: one dense ``eigvalsh`` per whole chain."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in dense_chains(h)]))
+
+
+def gram_extremes(omega: float, n: int) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the oscillator truncation: +-sqrt(lambda_max(B^T B))/omega.
+
+    B is the real half-size block of the even/odd split that
+    ``osc_timeop_extremes`` documents; every eigenvalue of its Gram matrix
+    is computed to report the largest.
+    """
+    b = _half_block(n)
+    high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
+    return -high, high
 
 
 def combination_values(f, lam) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from timeops import acceptance, spectra
+from timeops import acceptance, spectra, timeop
 from timeops.acceptance import run_all
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, resolve_tolerances
 from timeops.decompose import ChannelDecomposition, verify_decomposition
@@ -40,7 +40,8 @@ HEADLINE = {
         f"min uncertainty value {d['min_uncertainty_value']:.12f}"
     ),
     "oscillator-bound": lambda d: (
-        f"lambda_max(800) = {d['largest_size_lambda_max']:.9f} < pi"
+        f"lambda_max(800) = {d['largest_size_lambda_max']:.9f} < pi, "
+        f"subspace {d['subspace_dimension']}, radius {d['certificate_radius']:.1e}"
     ),
     "partition": lambda d: (
         f"{d['random_sequences_checked']} random sequences, {d['random_values_checked']} values, "
@@ -279,6 +280,21 @@ class TestEveryCriterionCanFail:
         passed, details = acceptance.criterion_rabi(resolve_tolerances(), 7)
         assert passed is False and details["bounds_true"] == details["bounds_checked"]
         assert details["cutoff_stability"] > details["tolerance_rabi_stability"]
+
+    def test_oscillator_certificate(self, monkeypatch):
+        # every Schur pass's last pivot negated: no size is certified, though every bound holds
+        pivots = timeop._schur_pivots
+
+        def planted(row):
+            out = pivots(row)
+            out[-1] = -out[-1]
+            return out
+
+        monkeypatch.setattr(timeop, "_schur_pivots", planted)
+        passed, details = acceptance.criterion_oscillator_bound(resolve_tolerances(), 7)
+        assert passed is False and details["certified"] is False
+        assert details["largest_size_lambda_max"] >= 3.0
+        assert details["subspace_dimension"] == 400
 
     @staticmethod
     def _rescaled_off(monkeypatch):

@@ -19,7 +19,7 @@ import timeops
 from timeops import acceptance, cli, contspec, spectra, timeop, uwform
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from timeops.spectra import hydrogen_point_spectrum
-from timeops.timeop import assemble_time_operator, osc_timeop_extremes
+from timeops.timeop import OscillatorExtremes, assemble_time_operator, osc_timeop_extremes
 
 from dense_reference import generator, plant
 
@@ -543,19 +543,22 @@ class TestSubcommands:
         assert csv_text[0] == "size,lambda_min,lambda_max"
         assert len(csv_text) == 3
 
-    def test_oscspec_rows_are_the_measured_extremes(self):
+    def test_oscspec_rows_are_the_certified_extremes(self):
         sizes = [4, 16, 64]
         report = run(RunConfig(model={}, pipeline={"kind": "oscspec", "omega": 2.0, "sizes": sizes}, tolerances={}))
         assert [row["size"] for row in report["rows"]] == sizes
-        assert [(row["lambda_min"], row["lambda_max"]) for row in report["rows"]] == [
-            osc_timeop_extremes(2.0, n) for n in sizes]
+        expected = [osc_timeop_extremes(2.0, n) for n in sizes]
+        assert [(row["lambda_min"], row["lambda_max"], row["certificate_radius"], row["subspace_dimension"])
+                for row in report["rows"]] == [e[:4] for e in expected]
         assert all(row["within_bound"] is True for row in report["rows"])
+        assert report["certificate_failed_sizes"] == []
         assert report["monotone_nondecreasing"] is True and report["passed"] is True
 
     @staticmethod
-    def _oscspec_with(monkeypatch, extremes, slack):
-        """The oscspec report at omega = 2 when sizes 2, 3, ... have the given extremes."""
-        monkeypatch.setattr(cli, "osc_timeop_extremes", lambda omega, n: extremes[n - 2])
+    def _oscspec_with(monkeypatch, extremes, slack, radius=0.0):
+        """The oscspec report at omega = 2 when sizes 2, 3, ... have the given (low, high) and radius."""
+        monkeypatch.setattr(cli, "osc_timeop_extremes",
+                            lambda omega, n: OscillatorExtremes(*extremes[n - 2], radius, 1, None))
         return run(RunConfig(model={}, pipeline={"kind": "oscspec", "omega": 2.0,
                                                    "sizes": list(range(2, 2 + len(extremes)))},
                              tolerances={"toeplitz_bound_slack": slack}))
@@ -568,6 +571,14 @@ class TestSubcommands:
         report = self._oscspec_with(monkeypatch, [(-1.0, bound + 1e-3), (-bound - 1e-3, 1.0), (-1.0, 1.0)], 0.0)
         assert [row["within_bound"] for row in report["rows"]] == [False, False, True]
         assert report["passed"] is False
+
+    def test_oscspec_bound_holds_the_certified_ends(self, monkeypatch):
+        # the values sit inside the bound, their radius reaches past it
+        bound = math.pi / 2.0
+        extremes = [(-bound + 1e-3, 1.0), (-1.0, bound - 1e-3)]
+        assert self._oscspec_with(monkeypatch, extremes, 0.0, radius=5e-4)["passed"] is True
+        report = self._oscspec_with(monkeypatch, extremes, 0.0, radius=2e-3)
+        assert [row["within_bound"] for row in report["rows"]] == [False, False] and report["passed"] is False
 
     def test_oscspec_a_falling_maximum_is_not_monotone(self, monkeypatch):
         report = self._oscspec_with(monkeypatch, [(-1.0, 1.0), (-1.1, 1.1), (-1.05, 1.05)], 0.0)
@@ -767,18 +778,35 @@ class TestEveryVerdictCanFail:
 
     @pytest.mark.parametrize("perturb,failing", [
         # every extreme 10 % wider: past the symbol bound pi/omega at the largest sizes
-        (lambda low, high, n: (1.1 * low, 1.1 * high), "within_bound"),
+        (lambda e, n: e._replace(low=1.1 * e.low, high=1.1 * e.high), "within_bound"),
         # the largest size's maximum below the one before it
-        (lambda low, high, n: (low, high - 0.1) if n == 800 else (low, high), "monotone_nondecreasing"),
+        (lambda e, n: e._replace(high=e.high - 0.1) if n == 800 else e, "monotone_nondecreasing"),
     ])
     def test_oscspec(self, tmp_path, monkeypatch, perturb, failing):
         extremes = cli.osc_timeop_extremes
-        monkeypatch.setattr(cli, "osc_timeop_extremes", lambda omega, n: perturb(*extremes(omega, n), n))
+        monkeypatch.setattr(cli, "osc_timeop_extremes", lambda omega, n: perturb(extremes(omega, n), n))
         report = self._run(tmp_path, "oscspec")
+        assert report["certificate_failed_sizes"] == []
         if failing == "within_bound":
             assert not all(row["within_bound"] for row in report["rows"]) and report["monotone_nondecreasing"]
         else:
             assert all(row["within_bound"] for row in report["rows"]) and not report["monotone_nondecreasing"]
+
+    def test_oscspec_certificate_with_a_planted_pivot(self, tmp_path, monkeypatch):
+        # the last pivot of every pass at size 400 negated: uncertified even on the whole space
+        pivots = timeop._schur_pivots
+
+        def planted(row):
+            out = pivots(row)
+            if row.size == 400:
+                out[-1] = -out[-1]
+            return out
+
+        monkeypatch.setattr(timeop, "_schur_pivots", planted)
+        report = self._run(tmp_path, "oscspec")
+        assert report["certificate_failed_sizes"] == [400]
+        assert [row["subspace_dimension"] for row in report["rows"]] == [50, 100, 200, 128]
+        assert all(row["within_bound"] for row in report["rows"]) and report["monotone_nondecreasing"]
 
     def test_abweyl(self, tmp_path, monkeypatch):
         # a weak Weyl residual just over the 1e-6 gate at every time
@@ -842,6 +870,13 @@ class TestFieldTable:
         parser = cli._build_parser()
         (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
         return sub.choices
+
+    def test_two_runs_build_one_parser(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["s0check", "--out", str(tmp_path)]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("kind", cli.PIPELINE_KINDS)
     def test_pipeline_flags_are_exactly_its_fields(self, kind):

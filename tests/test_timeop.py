@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import fields
@@ -43,6 +44,7 @@ from dense_reference import (
     dense_residual_rows,
     generator,
     generator_stack,
+    gram_extremes,
     pairing,
     plant,
 )
@@ -457,26 +459,50 @@ def dense_spectrum(omega: float, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(1j * generator(omega * (np.arange(n) + 0.5)))
 
 
+@functools.cache
+def svd_sigma_max(n: int) -> float:
+    """sigma_max(B) from ``svd_spectrum`` at omega = 1, kept: the SVD at n = 4096 takes seconds."""
+    return float(svd_spectrum(1.0, n)[-1])
+
+
+def toeplitz_row(shift: float, n: int) -> np.ndarray:
+    """The first row (shift, i/1, i/2, ...) of shift I - iA."""
+    return np.concatenate([[complex(shift)], 1j / np.arange(1, n)])
+
+
+def toeplitz_matrix(row: np.ndarray) -> np.ndarray:
+    """The dense Hermitian Toeplitz matrix with this first row."""
+    n = row.size
+    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+    return np.where(lag >= 0, row[np.abs(lag)], np.conj(row[np.abs(lag)]))
+
+
+def reference_rounding(omega: float, n: int) -> float:
+    """What a certified value is held to beyond its radius: a reference's own rounding, n eps in units of pi/omega."""
+    return n * np.finfo(float).eps * math.pi / omega
+
+
 class TestOscillatorSpectrum:
     def test_smallest_truncation(self):
-        lo, hi = osc_timeop_extremes(1.0, 2)
-        assert lo == pytest.approx(-1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
+        lo, hi, radius, dimension, failed = osc_timeop_extremes(1.0, 2)
+        assert (lo, hi, dimension, failed) == (-1.0, 1.0, 1, None)
+        assert 0.0 < radius <= 1e-12
 
     def test_bounded_by_symbol_and_monotone(self):
         omega = 2.0
         tops = []
         for n in (4, 16, 64):
-            lo, hi = osc_timeop_extremes(omega, n)
-            assert hi < math.pi / omega
-            assert lo > -math.pi / omega
-            tops.append(hi)
+            e = osc_timeop_extremes(omega, n)
+            assert e.failed_size is None
+            assert e.high + e.radius < math.pi / omega
+            assert e.low - e.radius > -math.pi / omega
+            tops.append(e.high)
         assert tops[0] < tops[1] < tops[2]
 
     def test_scales_like_inverse_frequency(self):
-        _, hi1 = osc_timeop_extremes(1.0, 50)
-        _, hi2 = osc_timeop_extremes(2.0, 50)
-        assert hi2 == pytest.approx(hi1 / 2.0, rel=1e-12)
+        one, two = osc_timeop_extremes(1.0, 50), osc_timeop_extremes(2.0, 50)
+        assert two.high == pytest.approx(one.high / 2.0, rel=1e-12)
+        assert two.radius == pytest.approx(one.radius / 2.0, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -495,23 +521,121 @@ class TestOscillatorSpectrum:
 
     @pytest.mark.parametrize("omega", [1.0, 2.5])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 100, 101, 400, 801])
-    def test_matches_the_dense_reference(self, omega, n):
-        lo, hi = osc_timeop_extremes(omega, n)
+    def test_matches_the_gram_and_dense_references(self, omega, n):
+        e = osc_timeop_extremes(omega, n)
+        assert e.failed_size is None and e.low == -e.high
+        gram_lo, gram_hi = gram_extremes(omega, n)
+        allowed = e.radius + reference_rounding(omega, n)
+        assert abs(e.high - gram_hi) <= allowed and abs(e.low - gram_lo) <= allowed
+        # the value itself, not only its interval, is the dense solve's
         reference = dense_spectrum(omega, n)
-        assert lo == -hi
-        assert abs(lo - reference[0]) <= 1e-14 * math.pi / omega
-        assert abs(hi - reference[-1]) <= 1e-14 * math.pi / omega
+        assert abs(e.low - reference[0]) <= 1e-14 * math.pi / omega
+        assert abs(e.high - reference[-1]) <= 1e-14 * math.pi / omega
 
     @pytest.mark.parametrize("n", [1600, 1601, 3200, 4096])
     def test_matches_the_svd_reference(self, n):
-        lo, hi = osc_timeop_extremes(1.0, n)
-        reference = svd_spectrum(1.0, n)
-        assert abs(hi - reference[-1]) <= 1e-14 * reference[-1]
-        assert abs(lo - reference[0]) <= 1e-14 * reference[-1]
+        e = osc_timeop_extremes(1.0, n)
+        sigma = svd_sigma_max(n)
+        assert e.failed_size is None and e.low == -e.high
+        assert abs(e.high - sigma) <= e.radius + reference_rounding(1.0, n)
+        assert abs(e.high - sigma) <= 1e-14 * sigma
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 101])
     def test_svd_reference_is_the_dense_spectrum(self, n):
         assert np.max(np.abs(svd_spectrum(2.5, n) - dense_spectrum(2.5, n))) <= 1e-14 * math.pi / 2.5
+
+
+class TestOscillatorCertificate:
+    """The Ritz value is a lower end, one Schur pass proves the upper end, and each planted defect fails."""
+
+    @pytest.mark.parametrize("n", [400, 800, 1600, 4096])
+    def test_schur_pass_separates_the_largest_eigenvalue(self, n):
+        sigma = svd_sigma_max(n)
+        radius = osc_timeop_extremes(1.0, n).radius
+        assert np.all(timeop._schur_pivots(toeplitz_row(sigma + radius, n)) > 0.0)
+        assert not np.all(timeop._schur_pivots(toeplitz_row(sigma - 1e-12, n)) > 0.0)
+
+    @pytest.mark.parametrize("shift", [math.pi, 2.5])
+    def test_pivots_match_the_dense_factor(self, shift):
+        row = toeplitz_row(shift, 40)
+        mat = toeplitz_matrix(row)
+        pivots = timeop._schur_pivots(row)
+        # the first leading block that is not positive definite holds the first failed pivot
+        minors = [np.linalg.eigvalsh(mat[:k, :k])[0] for k in range(1, 41)]
+        first = next((k for k, low in enumerate(minors) if low <= 0.0), None)
+        if first is None:
+            assert shift == math.pi
+            dense = np.abs(np.diag(np.linalg.cholesky(mat))) ** 2
+            assert np.max(np.abs(pivots - dense) / dense) <= 1e-12
+        else:
+            assert shift == 2.5 and 0 < first < 40
+            assert np.all(pivots[:first] > 0.0) and pivots[first] <= 0.0 and np.all(np.isnan(pivots[first + 1:]))
+
+    def test_the_whole_space_is_reached_by_doubling(self, monkeypatch):
+        sizes = []
+        basis = timeop._smooth_basis
+        monkeypatch.setattr(timeop, "_smooth_basis", lambda n, r: sizes.append(r) or basis(n, r))
+        e = osc_timeop_extremes(1.0, 4096)
+        assert e.failed_size is None and e.subspace_dimension == 256 and sizes == [128, 256]
+        monkeypatch.setattr(timeop, "RITZ_START_COLUMNS", 3)
+        sizes.clear()
+        e = osc_timeop_extremes(1.0, 40)
+        assert e.failed_size is None and sizes == [3, 6, 12, 20][:len(sizes)] and e.subspace_dimension == sizes[-1]
+
+    def test_a_ritz_value_from_a_capped_subspace_fails(self, monkeypatch):
+        basis = timeop._smooth_basis
+        monkeypatch.setattr(timeop, "_smooth_basis", lambda n, r: basis(n, min(r, 2)))
+        e = osc_timeop_extremes(1.0, 400)
+        assert e.failed_size == 400 and e.subspace_dimension == 200
+        assert e.high + e.radius < svd_sigma_max(400)   # a Rayleigh quotient: low, not wrong
+
+    def test_a_planted_pivot_fails(self, monkeypatch):
+        pivots = timeop._schur_pivots
+
+        def planted(row):
+            out = pivots(row)
+            out[-1] = -out[-1]
+            return out
+
+        monkeypatch.setattr(timeop, "_schur_pivots", planted)
+        e = osc_timeop_extremes(1.0, 400)
+        assert e.failed_size == 400 and e.subspace_dimension == 200
+        assert abs(e.high - svd_sigma_max(400)) <= 1e-14 * math.pi
+
+    def test_a_zero_radius_fails_where_the_ritz_value_is_exact(self, monkeypatch):
+        # n = 2: B = [[1]], so the shift sits on the eigenvalue 1 and |rho| = 1
+        monkeypatch.setattr(timeop, "SCHUR_SLACK_ULPS", 0.0)
+        e = osc_timeop_extremes(1.0, 2)
+        assert (e.high, e.radius, e.failed_size) == (1.0, 0.0, 2)
+
+    def test_a_nan_fails_without_raising(self, monkeypatch):
+        block = timeop._half_block
+
+        def poisoned(n):
+            b = block(n)
+            b[3, 5] = math.nan
+            return b
+
+        monkeypatch.setattr(timeop, "_half_block", poisoned)
+        with np.errstate(all="raise"):
+            e = osc_timeop_extremes(1.0, 400)
+        assert e.failed_size == 400 and math.isnan(e.high)
+
+    def test_the_pass_stops_at_a_nan_shift(self):
+        pivots = timeop._schur_pivots(toeplitz_row(math.nan, 10))
+        assert np.all(np.isnan(pivots))
+
+
+class TestOscillatorCertificateFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=1200), omega=st.floats(min_value=0.05, max_value=20.0))
+    def test_certified_within_the_radius_of_the_gram_reference(self, n, omega):
+        e = osc_timeop_extremes(omega, n)
+        assert e.failed_size is None and e.low == -e.high
+        assert 1 <= e.subspace_dimension <= n // 2
+        _, gram_hi = gram_extremes(omega, n)
+        assert abs(e.high - gram_hi) <= e.radius + reference_rounding(omega, n)
+        assert e.high + e.radius < math.pi / omega
 
 
 class TestRealHermitianSolve:
@@ -752,8 +876,8 @@ class TestMemory:
         assert traced_peak_mib(lambda: main(argv)) <= 32.0
 
     def test_oscillator_spectrum_extremes(self):
-        # the half-size block B and its Gram matrix, 4.9 MiB each, never with the solve
-        assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 1600)) <= 10.5
+        # the half-size block B, 4.9 MiB, and a 128-column subspace with its QR and image, 0.8 MiB each
+        assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 1600)) <= 8.0
 
     def test_the_sweep_holds_a_few_bands(self):
         n = 1501
