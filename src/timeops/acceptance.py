@@ -90,7 +90,7 @@ def criterion_exact_ccr(tol: dict, seed: int) -> tuple[bool, dict]:
         for g in op.groups:
             c, d = g.eigenvalues.shape
             stack = _difference_stack(d)
-            worst, scale, _ = ccr_residuals(g.eigenvalues, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
+            worst, scale = ccr_residuals(g.eigenvalues, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
             pairs_total += c * len(stack)
             allowed = ccr_allowed(scale, tol)
             ok = ok and bool(np.all(worst <= allowed))

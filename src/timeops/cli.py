@@ -325,11 +325,10 @@ def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict) -> dict:
     if not op.groups:
         raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
 
-    worst, scale, defect = ccr_check(op, config.seed, vectors)
+    worst, scale = ccr_check(op, config.seed, vectors)
     ok = bool(np.all(worst <= ccr_allowed(scale, tol)))
-    defect = np.divide(defect, scale, out=np.zeros_like(defect), where=scale != 0.0)   # relative to the scale
-    channels = [{"channel_id": i, "dimension": ev.size, "max_ccr_residual": float(worst[i]),
-                 "hermiticity_defect": float(defect[i])} for i, ev in enumerate(op.eigenvalues)]
+    channels = [{"channel_id": i, "dimension": ev.size, "max_ccr_residual": float(worst[i])}
+                for i, ev in enumerate(op.eigenvalues)]
     return {
         "spectrum": s.to_json(),
         "decomposition": deco.to_json(),

@@ -42,9 +42,6 @@ CHANNEL_DIMENSION_LIMIT = 4096
 #: n_max = 143, say).  Generators check it before they enumerate a level.
 STATE_COUNT_LIMIT = 10 ** 6
 
-#: Relative tolerance for the Hermiticity check on constructed matrices.
-HERMITICITY_RTOL = 1e-12
-
 #: Values of a d-dimensional harmonic spectrum closer than this (relative to
 #: the largest frequency) are merged into one degenerate level.  Floating
 #: summation of incommensurate frequencies never collides beyond round-off,
@@ -163,39 +160,6 @@ class DiscreteSpectrum:
             accumulation=Accumulation(doc.get("accumulation")),
             label=str(doc.get("label", "")),
         )
-
-
-#: Rows per band of the Hermiticity pass, which builds no n x n temporary.
-HERMITICITY_BAND_ROWS = 32
-
-
-def _require_hermitian(data: np.ndarray) -> tuple:
-    """Return (scale, defect): the largest |A| and |A + A^T| entries of a real generator A.
-
-    A is the generator of T = iA, so |A + A^T| is the |T - T^H| entry.
-    A (c, d, d) stack is checked matrix by matrix, and gives one scale
-    and one defect per matrix.  Raises ValueError when a defect exceeds
-    ``HERMITICITY_RTOL`` times its scale, written as
-    ``not (defect <= bound)`` so that NaN entries fail.
-    """
-    scale = defect = np.zeros(data.shape[:-2])
-    rows = HERMITICITY_BAND_ROWS
-    with np.errstate(invalid="ignore"):   # inf - inf is a NaN defect, rejected below
-        for start in range(0, data.shape[-2], rows):
-            band = data[..., start:start + rows, :]
-            mirror = np.swapaxes(data[..., start:start + rows], -1, -2)
-            # np.maximum, unlike max(), carries a NaN forward
-            scale = np.maximum(scale, np.max(np.abs(band), axis=(-2, -1)))
-            defect = np.maximum(defect, np.max(np.abs(band + mirror), axis=(-2, -1)))
-    _refuse_defect(scale, defect)
-    return scale, defect
-
-
-def _refuse_defect(scale, defect) -> None:
-    """Raise ValueError for the first matrix whose defect exceeds ``HERMITICITY_RTOL`` times its scale; NaN fails."""
-    failed = ~(defect <= HERMITICITY_RTOL * np.maximum(scale, 1e-300))
-    if np.any(failed):
-        raise ValueError(f"matrix is not Hermitian (defect {np.ravel(defect)[np.argmax(failed)]:.3e})")
 
 
 #: Rows a chain's first leading block holds beyond the k eigenvalues it

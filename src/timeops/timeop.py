@@ -26,11 +26,12 @@ A direct sum of simple channels is one ``ChannelStack`` of one of these
 three kinds.  It groups the channels of each dimension d >= 2 and keeps
 only their eigenvalues.  No matrix outlives the kernel that reads it:
 ``_entries`` builds any row band of any channels' matrices, and each
-consumer builds the part it reads, checks it, uses it and drops it.  The
-exact-CCR sweep here builds row bands and their mirror columns, the
-form's certificate in ``uwform`` whole matrices, SWEEP_CHUNK entries at
-a time.  A channel of dimension 1 has a trivial difference span and no
-matrix.
+consumer builds the part it reads, uses it and drops it.  The exact-CCR
+sweep here builds row bands, the form's certificate in ``uwform`` whole
+matrices, SWEEP_CHUNK entries at a time.  Every matrix is antisymmetric
+by construction (see ``_entries``); only the eigenvalues are checked, where
+they enter.  A channel of dimension 1 has a trivial difference span and
+no matrix.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .decompose import ChannelDecomposition, decompose_spectrum
-from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum, _refuse_defect
+from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum
 
 __all__ = [
     "MatrixKind",
@@ -100,7 +101,7 @@ class _Group:
     """The c channels of dimension d >= 2 of a ``ChannelStack``, by their eigenvalues.
 
     Their matrices are not kept: each consumer builds the band it reads
-    with ``_entries``, checks it, uses it and drops it.
+    with ``_entries``, uses it and drops it.
     """
 
     blocks: np.ndarray        # (c,) channel positions in the stack
@@ -116,9 +117,9 @@ class ChannelStack:
     ``eigenvalues`` keeps them, read-only.  For every dimension d >= 2, in
     the order the dimensions first appear, ``groups`` holds a ``_Group``
     of the channels of that dimension, in channel order.  The eigenvalues
-    are checked here; the entries, which only the kernels build, are
-    checked where they are built.  A form's channels must have finite,
-    nonzero eigenvalues, dimension 1 included.
+    of every channel, dimension 1 included, pass ``_require_rows`` here;
+    the entries, which only the kernels build, are checked for overflow
+    where they are built.
 
     Frozen, and compared by identity: a field-wise ``__eq__`` over arrays
     is unusable.
@@ -143,14 +144,11 @@ class ChannelStack:
         for d in dict.fromkeys(dims.tolist()):   # dimensions in order of first appearance
             blocks = np.flatnonzero(dims == d)
             e = np.array([channels[i] for i in blocks])
-            # written so that NaN fails
-            if kind is MatrixKind.FORM and not np.all(np.isfinite(e) & (e != 0.0)):
-                raise ValueError("form channels require finite, nonzero eigenvalues")
+            _require_rows(e, kind)
             e.flags.writeable = False
             for i, row in zip(blocks, e):
                 eigenvalues[i] = row
             if d >= 2:
-                _require_rows(e, kind)
                 groups.append(_Group(blocks, starts[blocks, None] + np.arange(d), e))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
@@ -166,10 +164,15 @@ class ChannelStack:
 
 
 def _require_rows(ev: np.ndarray, kind: MatrixKind) -> None:
-    """Refuse eigenvalue rows (c, d) that no generator of ``kind`` can be built from.
+    """Refuse eigenvalue rows (c, d) that no matrix of ``kind`` can be built from.
 
-    A refusal names the first row that fails it.
+    Eigenvalues must be finite and strictly increasing, and nonzero for
+    the inverse-conjugate and form kinds, whose H is diag(1/E).  A
+    refusal names the first row that fails it.
     """
+    finite = np.isfinite(ev)
+    if not np.all(finite):
+        raise ValueError(f"eigenvalues must be finite (got {float(ev[~finite][0])!r})")
     d = ev.shape[1]
     if d > CHANNEL_DIMENSION_LIMIT:
         raise ValueError(
@@ -181,37 +184,37 @@ def _require_rows(ev: np.ndarray, kind: MatrixKind) -> None:
     if kind is MatrixKind.DIRECT:
         return
     if np.any(ev == 0.0):
-        raise ValueError("inverse-conjugate kind requires nonzero eigenvalues")
-    # An overflowing product E_n*E_m and an infinite eigenvalue are refused
-    # here; the entry gate of ``_entries`` sees neither, since non-finite
-    # eigenvalues pass to the antisymmetry check.  The largest off-diagonal
-    # product is that of the two largest magnitudes.
+        raise ValueError("inverse-conjugate and form channels require nonzero eigenvalues")
+    if d < 2:
+        return
+    # An overflowing product E_n*E_m is refused here, by the eigenvalue it
+    # comes from; the largest off-diagonal product is that of the two
+    # largest magnitudes.
     top = np.sort(np.abs(ev), axis=1)[:, -2:]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         overflow = ~np.isfinite(top[:, 0] * top[:, -1])
     if np.any(overflow):
         largest = float(top[np.argmax(overflow), -1])
         raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
 
-def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, mirror: bool = False) -> np.ndarray:
+def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind) -> np.ndarray:
     """Rows start:stop of the real matrix of ``kind`` of each channel whose eigenvalues are the rows of ev (c, d).
 
     The one entry kernel: a (c, stop - start, d) band of the generator
     A = -iT, with entries 1/(E_n - E_m) for the direct kind and
     E_n E_m/(E_m - E_n) for the inverse-conjugate one, or for the form
     kind of R = -(A D + D A)/2, A inverse-conjugate and D = diag(1/E^2);
-    the diagonal is zero.  With ``mirror`` it builds columns start:stop
-    instead, transposed: entry (i, m) is the (m, start + i) entry.  Both
-    come from the same float products with n and m swapped, so an
-    antisymmetric build gives a mirror that is exactly minus the band.
-    The rows must have passed ``_require_rows``; an entry that overflows
-    is refused, naming the first row that fails.
+    the diagonal is zero.  The rows must have passed ``_require_rows``;
+    an entry that overflows is refused, naming the first row that fails.
+
+    A = -A^T holds bit for bit for finite eigenvalues, so nothing checks
+    it at run time: the (m, n) entry repeats the float operations of the
+    (n, m) one with the gap's sign flipped, round-to-nearest is symmetric
+    about zero, and products and sums commute.
     """
     c, d = ev.shape
     n, m = ev[:, start:stop, None], ev[:, None, :]
-    if mirror:
-        n, m = m, n
     a = n - m                                 # the gaps E_n - E_m, turned into the entries in place
     diagonal = a.reshape(c, -1)[:, start::d + 1]
     diagonal[...] = 1.0                       # placeholder, zeroed below
@@ -223,7 +226,7 @@ def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, mirror: bo
             np.negative(a, out=a)
             a *= n * m
     diagonal[...] = 0.0
-    overflow = np.all(np.isfinite(ev), axis=1) & ~np.all(np.isfinite(a), axis=(1, 2))
+    overflow = ~np.all(np.isfinite(a), axis=(1, 2))
     if np.any(overflow):
         entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
         raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
@@ -276,25 +279,22 @@ def _require_difference_span(vecs: np.ndarray) -> None:
 
 
 def ccr_residuals(ev: np.ndarray, kind: MatrixKind, vecs) -> tuple:
-    """(worst, scale, defect) of each channel whose eigenvalues are the rows of ev (c, d), as a group holds them.
+    """(worst, scale) of each channel whose eigenvalues are the rows of ev (c, d), as a group holds them.
 
     ``worst`` is the largest norm of ([H,T] + i)v over the channel's k rows
     of a (c, k, d) vector stack, with H = diag(E) for the direct kind and
     diag(1/E) for the inverse-conjugate kind.  The residual is zero in
     exact arithmetic for any v with zero coefficient sum, because the
     commutator equals i(J - I); vectors off that span are rejected rather
-    than measured.  ``scale`` and ``defect`` are the channel's largest
-    |A| and |A + A^T| entries.
+    than measured, and so are rows that fail ``_require_rows``.
+    ``scale`` is the channel's largest |A| entry.
 
     The generator is built by ``_entries`` in bands of at most
-    ``CCR_BAND_ROWS`` rows, for SWEEP_CHUNK entries of channels at a time,
-    and each band is checked against its mirror columns, built in
-    transposed order; a chunk whose defect exceeds ``HERMITICITY_RTOL``
-    times its scale is refused.  A band c = h_n A - A h_m gives its
-    columns as ``v @ (1j*c).T``, one matrix product per channel, so a
-    stack of 0 and +-1 entries gets the bits of one matrix-vector product
-    per row.  A NaN entry fails the antisymmetry check; a NaN in H
-    propagates to the residual.
+    ``CCR_BAND_ROWS`` rows, for SWEEP_CHUNK entries of channels at a
+    time.  A band c = h_n A - A h_m gives its columns as
+    ``v @ (1j*c).T``, one matrix product per channel, so a stack of 0 and
+    +-1 entries gets the bits of one matrix-vector product per row.  A
+    NaN entry gives a NaN worst and scale, which fail any gate.
     """
     kind = MatrixKind(kind)
     if kind is MatrixKind.FORM:
@@ -302,13 +302,14 @@ def ccr_residuals(ev: np.ndarray, kind: MatrixKind, vecs) -> tuple:
     ev = np.asarray(ev, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
     c, d = ev.shape
+    _require_rows(ev, kind)
     if vecs.ndim != 3 or vecs.shape[0] != c or vecs.shape[2] != d:
         raise ValueError(f"a ({c}, k, {d}) vector stack is needed for this group, not {vecs.shape}")
     if vecs.shape[1] == 0:
         raise ValueError("need at least one vector")
     _require_difference_span(vecs)
     out = np.empty(vecs.shape, dtype=complex)
-    scale, defect = np.zeros(c), np.zeros(c)
+    scale = np.zeros(c)
     # near-equal bands: a one-row band would go to a dot product, which sums in another order
     bands = -(-d // CCR_BAND_ROWS)
     edges = [d * i // bands for i in range(bands + 1)]
@@ -316,21 +317,15 @@ def ccr_residuals(ev: np.ndarray, kind: MatrixKind, vecs) -> tuple:
         ch = slice(first, last)
         for start, stop in zip(edges, edges[1:]):
             a = _entries(ev[ch], start, stop, kind)
-            # np.maximum, unlike max(), carries a NaN forward; inf - inf is a NaN defect
+            # np.maximum, unlike max(), carries a NaN forward
             scale[ch] = np.maximum(scale[ch], np.max(np.abs(a), axis=(1, 2)))
-            mirror = _entries(ev[ch], start, stop, kind, mirror=True)
-            with np.errstate(invalid="ignore"):
-                mirror += a
-            defect[ch] = np.maximum(defect[ch], np.max(np.abs(mirror, out=mirror), axis=(1, 2)))
-            del mirror
             h = ev[ch] if kind is MatrixKind.DIRECT else 1.0 / ev[ch]   # after the entries' overflow gate
             band = h[:, start:stop, None] * a
             band -= np.multiply(a, h[:, None, :], out=a)
             del a
             out[ch, :, start:stop] = vecs[ch] @ (1j * band).transpose(0, 2, 1)
-        _refuse_defect(scale[ch], defect[ch])
     out += 1j * vecs
-    return np.max(np.linalg.norm(out, axis=2), axis=1), scale, defect
+    return np.max(np.linalg.norm(out, axis=2), axis=1), scale
 
 
 def ccr_allowed(scale: np.ndarray, tol: dict) -> np.ndarray:
@@ -339,25 +334,25 @@ def ccr_allowed(scale: np.ndarray, tol: dict) -> np.ndarray:
 
 
 def ccr_check(op: ChannelStack, seed: int, count: int) -> tuple:
-    """The exact-CCR sweep of the ``timeop`` pipeline: (worst, scale, defect) of each channel.
+    """The exact-CCR sweep of the ``timeop`` pipeline: (worst, scale) of each channel.
 
     ``count`` vectors per channel of dimension 2 or more, channel i drawing
     them with ``random_difference_stack`` from a generator seeded
     ``seed + 10_000 + i``, checked by group with ``ccr_residuals``,
-    SWEEP_CHUNK coordinates at a time; all three read 0 for channels of
+    SWEEP_CHUNK coordinates at a time; both read 0 for channels of
     dimension 1.
     """
     if count < 1:
         raise ValueError("need at least one vector; a sweep over none checks nothing")
-    worst, scale, defect = (np.zeros(len(op.eigenvalues)) for _ in range(3))
+    worst, scale = np.zeros(len(op.eigenvalues)), np.zeros(len(op.eigenvalues))
     for g in op.groups:
         c, d = g.eigenvalues.shape
         for start, stop in _chunks(count * d, c):
             blocks = g.blocks[start:stop]
             vecs = np.array([random_difference_stack(np.random.default_rng(seed + 10_000 + i), d, count)
                              for i in blocks])
-            worst[blocks], scale[blocks], defect[blocks] = ccr_residuals(g.eigenvalues[start:stop], op.kind, vecs)
-    return worst, scale, defect
+            worst[blocks], scale[blocks] = ccr_residuals(g.eigenvalues[start:stop], op.kind, vecs)
+    return worst, scale
 
 
 def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):

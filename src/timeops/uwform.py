@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .decompose import channel_partition, decompose_spectrum
-from .spectra import Accumulation, DiscreteSpectrum, _require_hermitian
+from .spectra import Accumulation, DiscreteSpectrum
 from .timeop import ChannelStack, MatrixKind, _chunks, _entries
 
 __all__ = [
@@ -110,11 +110,10 @@ def uw_ccr_bounds(form: ChannelStack) -> np.ndarray:
     A pair of unit whole-form domain vectors is bounded by the largest
     value, by Cauchy-Schwarz over the blocks; the uncertainty identity is
     the phi = psi case, so |Im z + 1/2| is at most half of it.  R is built
-    by ``_entries``, SWEEP_CHUNK entries of a group at a time, refused if
-    not antisymmetric (NaN included), and turned into PMP entry by entry,
-    never expanded as |M|^2 - 2|Me|^2/|e|^2 + ...: the entries of M reach
-    the ratio of the channel's extreme eigenvalues, and that expansion
-    cancels to noise.
+    by ``_entries``, SWEEP_CHUNK entries of a group at a time, and turned
+    into PMP entry by entry, never expanded as |M|^2 - 2|Me|^2/|e|^2 + ...:
+    the entries of M reach the ratio of the channel's extreme eigenvalues,
+    and that expansion cancels to noise.  A NaN entry gives a NaN bound.
     """
     if form.kind is not MatrixKind.FORM:
         raise ValueError(f"the certificate reads an ultra-weak form, not a {form.kind.value} channel stack")
@@ -126,7 +125,6 @@ def uw_ccr_bounds(form: ChannelStack) -> np.ndarray:
             u = e / np.max(np.abs(e), axis=1, keepdims=True)   # |e|^2 itself may overflow
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             m = _entries(e, 0, d, MatrixKind.FORM)
-            _require_hermitian(m)
             m *= e[:, :, None] - e[:, None, :]
             m.reshape(-1, d * d)[:, ::d + 1] += 1.0
             m -= (m @ u[:, :, None]) * u[:, None, :]      # M P

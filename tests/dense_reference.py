@@ -64,20 +64,20 @@ def plant(monkeypatch, module, change, target=None):
     so channels with equal eigenvalues are told apart.  Without a target
     it is the second row of the first call that builds more than one.
     ``change(e, a)`` returns the matrix to use in place of a, the
-    channel's whole matrix built from its eigenvalues e; every band and
-    mirror of the channel is then cut from it.
+    channel's whole matrix built from its eigenvalues e; every band of the
+    channel is then cut from it.
     """
     build = module._entries
     held = [target]
 
-    def patched(ev, start, stop, kind, mirror=False):
+    def patched(ev, start, stop, kind):
         if held[0] is None and len(ev) > 1:
             held[0] = ev[1]
-        out = build(ev, start, stop, kind, mirror)
+        out = build(ev, start, stop, kind)
         for r in range(len(ev)):
             if held[0] is not None and np.shares_memory(ev[r], held[0]):
                 a = change(ev[r], build(ev[r:r + 1], 0, ev.shape[1], kind)[0])
-                out[r] = a[:, start:stop].T if mirror else a[start:stop]
+                out[r] = a[start:stop]
         return out
 
     monkeypatch.setattr(module, "_entries", patched)

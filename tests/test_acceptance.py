@@ -301,8 +301,8 @@ class TestEveryCriterionCanFail:
         # every rescaled generator off by a relative 1e-11, still antisymmetric
         build = acceptance._entries
 
-        def perturbed(ev, start, stop, kind, mirror=False):
-            a = build(ev, start, stop, kind, mirror)
+        def perturbed(ev, start, stop, kind):
+            a = build(ev, start, stop, kind)
             a[1:] *= 1.0 + 1e-11
             return a
 
@@ -314,8 +314,8 @@ class TestEveryCriterionCanFail:
         # the criterion builds its four rows with no gate, so it reaches the defect
         build = acceptance._entries
 
-        def poisoned(ev, start, stop, kind, mirror=False):
-            a = build(ev, start, stop, kind, mirror)
+        def poisoned(ev, start, stop, kind):
+            a = build(ev, start, stop, kind)
             a[2, 0, 1] = math.nan
             return a
 
@@ -344,7 +344,7 @@ def test_difference_stack_matches_the_pair_loop_bit_for_bit():
     assert len(blocks) >= 2 and max(e.size for e, _ in blocks) == 51
     for e, kind in blocks:
         stack = acceptance._difference_stack(e.size)
-        worst, scale, _ = ccr_residuals(e[None], kind, stack[None])
+        worst, scale = ccr_residuals(e[None], kind, stack[None])
         got = (float(worst[0]), float(scale[0]), len(stack))
         assert got == block_pair_residuals(pairing(e, kind), generator(e, kind))
 

@@ -228,29 +228,7 @@ class TestSubcommands:
         report = _read(tmp_path / "timeop_report.json")
         assert report["max_ccr_residual"] <= 1e-12
         first = report["channel_reports"][0]
-        assert set(first) == {
-            "channel_id", "dimension", "max_ccr_residual", "hermiticity_defect",
-        }
-
-    def test_timeop_fails_on_a_perturbed_pairing_diagonal(self, tmp_path, monkeypatch):
-        # one pairing eigenvalue off by a relative 1e-9, the generator built from the exact ones:
-        # its commutator row no longer cancels
-        def perturbed(s, p):
-            deco, op = assemble_time_operator(s, p)
-            (g,) = op.groups
-            ev = g.eigenvalues.copy()
-            ev[0, 7] *= 1.0 + 1e-9
-            plant(monkeypatch, timeop, lambda e, a: generator(g.eigenvalues[0], op.kind), target=ev[0])
-            object.__setattr__(op, "groups", (replace(g, eigenvalues=ev),))
-            return deco, op
-
-        monkeypatch.setattr(cli, "assemble_time_operator", perturbed)
-        code = main(["timeop", "--model", "oscillator", "--n-max", "20", "--out", str(tmp_path)])
-        assert code == 1
-        report = _read(tmp_path / "timeop_report.json")
-        assert report["passed"] is False
-        assert report["channel_reports"][0]["hermiticity_defect"] == 0.0
-        assert report["max_ccr_residual"] > 1e-12
+        assert set(first) == {"channel_id", "dimension", "max_ccr_residual"}
 
     def test_timeop_custom_input(self, tmp_path):
         s = hydrogen_point_spectrum(1.0, 1.0, 3)
@@ -394,17 +372,19 @@ class TestSubcommands:
             values.append(report["min_uncertainty_value"])
         assert values == pytest.approx([values[1]] * 3, rel=1e-12)
 
-    def test_ultraweak_pipelines_refuse_a_nan_evaluator_entry(self, tmp_path, monkeypatch, capsys):
-        # a NaN pair R[0, 1], R[1, 0] in one channel: the certificate's antisymmetry check refuses it
-        # before it reaches a bound, so the run is an error, not a FAIL, and writes no report
+    @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
+    def test_ultraweak_pipelines_fail_on_a_nan_evaluator_entry(self, tmp_path, monkeypatch, command):
+        # a NaN pair R[0, 1], R[1, 0] in one channel gives that channel a NaN bound, which fails the gate
         def poisoned(e, r):
             r[[0, 1], [1, 0]] = math.nan
             return r
 
         plant(monkeypatch, uwform, poisoned)
-        assert main(["uwform", "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: matrix is not Hermitian (defect nan)\n"
-        assert not (tmp_path / "uwform_report.json").exists()
+        code = main([*command, "--model", "hydrogen", "--n-max", "4", "--out", str(tmp_path)])
+        report = _read(tmp_path / f"{command[0]}_report.json")
+        assert code == 1 and report["passed"] is False
+        assert math.isnan(report["max_uw_ccr_residual"])
+        assert sum(math.isnan(c["max_uw_ccr_residual"]) for c in report["channels"]) == 1
 
     @pytest.mark.parametrize("n_max", ["16", "40", "70", "100"])
     def test_uwform_certifies_hydrogen(self, tmp_path, n_max):
@@ -761,6 +741,32 @@ class TestEveryVerdictCanFail:
         report = _read(tmp_path / f"{command}_report.json")
         assert code == 1 and report["passed"] is False
         return report
+
+    @pytest.mark.parametrize("case", ["generator_entry", "eigenvalue", "nan_entry"])
+    def test_timeop(self, tmp_path, monkeypatch, case):
+        # one generator entry off by a relative 1e-9 or NaN, or one pairing eigenvalue off by a relative
+        # 1e-9 with the generator built from the exact ones: that commutator row no longer cancels
+        def perturbed(s, p):
+            deco, op = assemble_time_operator(s, p)
+            (g,) = op.groups
+            if case == "eigenvalue":
+                ev = g.eigenvalues.copy()
+                ev[0, 7] *= 1.0 + 1e-9
+                object.__setattr__(op, "groups", (replace(g, eigenvalues=ev),))
+
+            def planted(e, a):
+                a = generator(g.eigenvalues[0], op.kind)
+                if case != "eigenvalue":
+                    a[7, 3] = a[7, 3] * (1.0 + 1e-9) if case == "generator_entry" else math.nan
+                return a
+
+            plant(monkeypatch, timeop, planted, target=op.groups[0].eigenvalues[0])
+            return deco, op
+
+        monkeypatch.setattr(cli, "assemble_time_operator", perturbed)
+        report = self._run(tmp_path, "timeop", "--model", "oscillator", "--n-max", "20")
+        assert not report["max_ccr_residual"] <= 1e-12
+        assert math.isnan(report["max_ccr_residual"]) is (case == "nan_entry")
 
     def test_rabi_certificate_with_a_planted_pivot(self, tmp_path, monkeypatch):
         # every count one too high: the lower shift of the ground state fails at every block size

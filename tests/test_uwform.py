@@ -549,7 +549,7 @@ class TestCertificate:
         assert bounds[target] > tol["uw_ccr"]
         assert np.all(np.delete(bounds, target) <= tol["uw_ccr"])
 
-    def test_a_nan_entry_is_refused_before_it_reaches_a_bound(self, monkeypatch):
+    def test_a_nan_entry_gives_its_channel_a_nan_bound(self, monkeypatch):
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
 
         def poisoned(e, r):
@@ -557,10 +557,11 @@ class TestCertificate:
             return r
 
         plant(monkeypatch, uwform, poisoned, target=form.eigenvalues[1])
-        with pytest.raises(ValueError, match=r"not Hermitian \(defect nan\)"):
-            uw_ccr_bounds(form)
+        bounds = uw_ccr_bounds(form)
+        assert math.isnan(bounds[1]) and bounds[0] <= DEFAULT_TOLERANCES["uw_ccr"]
 
-    def test_an_asymmetric_entry_is_refused(self, monkeypatch):
+    def test_an_asymmetric_entry_fails_the_gate(self, monkeypatch):
+        # the bound covers any real M, symmetric or not: one entry off by a relative 1e-9 shows
         form = form_of([-1.0, -0.5, -0.25], [-0.2, -0.1])
 
         def bent(e, r):
@@ -568,8 +569,8 @@ class TestCertificate:
             return r
 
         plant(monkeypatch, uwform, bent, target=form.eigenvalues[0])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            uw_ccr_bounds(form)
+        bounds = uw_ccr_bounds(form)
+        assert bounds[0] > DEFAULT_TOLERANCES["uw_ccr"] >= bounds[1]
 
     def test_reads_zero_on_one_dimensional_channels(self):
         bounds = uw_ccr_bounds(form_of([-1.0, -0.5], [-0.3], [-0.25, -0.125, -0.1]))
@@ -647,8 +648,8 @@ class TestEvaluatorStacks:
         built = []
         build = uwform._entries
 
-        def recorded(ev, start, stop, kind, mirror=False):
-            built.append(build(ev, start, stop, kind, mirror))
+        def recorded(ev, start, stop, kind):
+            built.append(build(ev, start, stop, kind))
             return built[-1].copy()
 
         monkeypatch.setattr(uwform, "_entries", recorded)
