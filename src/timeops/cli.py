@@ -78,9 +78,10 @@ TIME_STEPS_LIMIT = 10_000
 #: 4096 on the default 1024-point grid.
 SWEEP_POINTS_LIMIT = 2 ** 22
 
-#: Largest summed n^3 over an ``oscspec`` size list: two certificates at
-#: the size cap, about 0.35 s on one core.
-OSCSPEC_WORK_LIMIT = 2 * CHANNEL_DIMENSION_LIMIT ** 3
+#: Largest summed n^2 over an ``oscspec`` size list: two certificates at
+#: the size cap, about 0.2 s on one core.  A certificate costs O(n^2): its
+#: Schur pass, and products of B with a few dozen columns.
+OSCSPEC_WORK_LIMIT = 2 * CHANNEL_DIMENSION_LIMIT ** 2
 
 
 class FieldType(NamedTuple):
@@ -402,9 +403,9 @@ def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict) -> dict:
     if not sizes:
         raise ValueError("sizes must name at least one matrix size; an empty sweep checks nothing")
     # |n|: a negative size, refused later, must not cancel a large one here
-    work = sum(abs(n) ** 3 for n in sizes)
+    work = sum(abs(n) ** 2 for n in sizes)
     if work > OSCSPEC_WORK_LIMIT:
-        raise ValueError(f"sizes sum to n^3 = {work}, beyond the limit {OSCSPEC_WORK_LIMIT}")
+        raise ValueError(f"sizes sum to n^2 = {work}, beyond the limit {OSCSPEC_WORK_LIMIT}")
     extremes = [osc_timeop_extremes(omega, n) for n in sizes]
     bound = math.pi / omega   # omega was validated by osc_timeop_extremes
     slack = tol["toeplitz_bound_slack"]

@@ -374,7 +374,8 @@ class OscillatorExtremes(NamedTuple):
 
     ``low`` = -``high``, and the largest eigenvalue lies within ``radius``
     of ``high`` (so the smallest within ``radius`` of ``low``).  ``high``
-    came from a smooth subspace of ``subspace_dimension`` columns.  When
+    came from a subspace of ``subspace_dimension`` columns: r smooth
+    columns and one Krylov block of r more, or the whole space.  When
     ``failed_size`` is not None it is the matrix size, and the Schur pass
     failed to prove the upper end even on the whole space: nothing is
     claimed.
@@ -387,10 +388,11 @@ class OscillatorExtremes(NamedTuple):
     failed_size: int | None
 
 
-#: Columns of the first smooth subspace of ``osc_timeop_extremes``: it
-#: starts at min(floor(n/2), RITZ_START_COLUMNS) and doubles until its
-#: Ritz pair has converged or it is the whole space.
-RITZ_START_COLUMNS = 128
+#: Smooth columns r of the first Ritz step of ``osc_timeop_extremes``,
+#: which reads them and their Krylov block, 2r columns.  r doubles until
+#: the Ritz pair has converged and is certified; once 2r >= floor(n/2)
+#: the step reads the whole space.
+RITZ_START_COLUMNS = 8
 
 #: Rounding slack of the Schur pass, in units of eps n^2 s for the
 #: n x n matrix M = s I - iA.  A step of the mixed form maps the
@@ -424,16 +426,15 @@ def _half_block(n: int) -> np.ndarray:
     return b
 
 
-def _smooth_basis(n: int, r: int) -> np.ndarray:
-    """An orthonormal basis of r smooth J-odd vectors of length n, in the o coordinates (floor(n/2) x r).
+def _chebyshev_columns(n: int, r: int) -> np.ndarray:
+    """r smooth J-odd vectors of length n, in the o coordinates (floor(n/2) x r), not orthonormal.
 
-    The QR of a Chebyshev-Vandermonde: column j samples the odd
-    Chebyshev polynomial T_{2j+1} at the first floor(n/2) of the grid
-    points t_q = (2q + 1 - n)/n, whose odd extension is the J-odd vector;
-    the columns come from T_{k+2} = 2 T_2 T_k - T_{k-2}, T_{-1} = T_1.
-    The high columns are nearly dependent on the grid, but Householder's
-    Q is orthonormal whatever they are, and for r = floor(n/2) it spans
-    the whole space.
+    A Chebyshev-Vandermonde: column j samples the odd Chebyshev
+    polynomial T_{2j+1} at the first floor(n/2) of the grid points
+    t_q = (2q + 1 - n)/n, whose odd extension is the J-odd vector; the
+    columns come from T_{k+2} = 2 T_2 T_k - T_{k-2}, T_{-1} = T_1.  For
+    r = floor(n/2) they span the whole space, though the high columns are
+    nearly dependent on the grid.
     """
     t = (2.0 * np.arange(n // 2) + 1.0 - n) / n
     twice_t2 = 4.0 * t * t - 2.0
@@ -444,26 +445,46 @@ def _smooth_basis(n: int, r: int) -> np.ndarray:
     for j in range(2, r):
         np.multiply(twice_t2, v[j - 1], out=v[j])
         v[j] -= v[j - 2]
-    return np.linalg.qr(v.T)[0]
+    return v.T
 
 
-def _ritz(b: np.ndarray, n: int, r: int) -> tuple:
-    """(high, theta, theta_2, residual) of B^T B on the r-column smooth subspace.
+def _ritz_basis(b: np.ndarray, n: int, r: int) -> np.ndarray:
+    """An orthonormal basis of the subspace ``_ritz`` reads at step r, in the o coordinates.
 
-    theta and theta_2 are its two largest Ritz values (theta_2 = 0 when
-    r = 1) and residual = ||B^T B x - theta x|| for the unit Ritz vector
-    x of theta.  high = ||B x||/||x||, computed from x itself: a Rayleigh
-    quotient, so it is at most sigma_max(B) up to the rounding of one
-    product with B, whether or not the basis is exactly orthonormal.
+    For 2r < floor(n/2) it spans the r smooth columns V_r of
+    ``_chebyshev_columns`` and one Krylov block B^T B V_r, 2r columns;
+    otherwise it spans all floor(n/2) smooth columns, the whole space.
+    One Householder QR gives it: its Q is orthonormal whatever the
+    columns, nearly dependent ones included.
     """
-    v = _smooth_basis(n, r)
+    m = n // 2
+    if 2 * r >= m:
+        return np.linalg.qr(_chebyshev_columns(n, m))[0]
+    v = _chebyshev_columns(n, r)
+    return np.linalg.qr(np.hstack([v, b.T @ (b @ v)]))[0]
+
+
+def _ritz(b: np.ndarray, v: np.ndarray) -> tuple:
+    """(high, theta, theta_2, residual) of B^T B on the subspace of the orthonormal columns v.
+
+    theta and theta_2 are its two largest Ritz values (theta_2 = 0 for
+    one column) and residual = ||B^T B x - theta x|| for the unit Ritz
+    vector x of theta.  high = ||B x||/||x||, computed from x itself: a
+    Rayleigh quotient, so it is at most sigma_max(B) up to the rounding
+    of one product with B, whatever basis produced x and whether or not
+    it is exactly orthonormal.  A NaN gives NaN for all four, which no
+    certificate passes; ``eigh`` could raise on it instead.
+    """
     w = b @ v
-    theta, y = np.linalg.eigh(w.T @ w)
+    gram = w.T @ w
+    if not np.all(np.isfinite(gram)):
+        return math.nan, math.nan, math.nan, math.nan
+    theta, y = np.linalg.eigh(gram)
     x = v @ y[:, -1]
     z = b @ x
     high = float(np.linalg.norm(z) / np.linalg.norm(x))
     residual = float(np.linalg.norm(b.T @ z - theta[-1] * x))
-    return high, float(theta[-1]), float(theta[-2]) if r > 1 else 0.0, residual
+    return high, float(theta[-1]), float(theta[-2]) if v.shape[1] > 1 else 0.0, residual
 
 
 def _schur_pivots(first_row: np.ndarray) -> np.ndarray:
@@ -535,10 +556,13 @@ def osc_timeop_extremes(omega: float, n: int) -> OscillatorExtremes:
     +-sigma_max(B)/omega.  No n x n matrix is formed.
 
     The lower end: ``_ritz`` takes the largest Ritz value theta of B^T B
-    on a smooth subspace (``_smooth_basis``) of r = min(floor(n/2),
-    RITZ_START_COLUMNS) columns, doubling r until its residual rho has
-    rho^2 <= eps theta (theta - theta_2), and returns high, the Rayleigh
-    quotient ||Bx||/||x|| of its Ritz vector x: sigma_max(B) >= high, up
+    on span{V_r, B^T B V_r} (``_ritz_basis``), r smooth Chebyshev columns
+    and one block Krylov step from them (Golub & Underwood, 1977; Saad,
+    Numerical Methods for Large Eigenvalue Problems, ch. 6), or on the
+    whole space once 2r >= floor(n/2).  r starts at RITZ_START_COLUMNS
+    and doubles until the residual rho has rho^2 <= eps theta
+    (theta - theta_2).  ``_ritz`` returns high, the Rayleigh quotient
+    ||Bx||/||x|| of its Ritz vector x: sigma_max(B) >= high, up
     to one product's rounding, far below the slack d below.  The upper
     end: with d = SCHUR_SLACK_ULPS * eps * n^2 * high, one Schur pass
     (``_schur_pivots``) over the n x n matrix M = (high + d) I - iA, first
@@ -564,20 +588,20 @@ def osc_timeop_extremes(omega: float, n: int) -> OscillatorExtremes:
             f"matrix size {n} exceeds the dense-solver limit {CHANNEL_DIMENSION_LIMIT}"
         )
     b = _half_block(n)
-    m = n // 2
-    r = min(m, RITZ_START_COLUMNS)
+    r = RITZ_START_COLUMNS
     eps = float(np.finfo(float).eps)
     row = np.empty(n, dtype=complex)
     row[1:] = 1j / np.arange(1, n)
     while True:
-        high, theta, theta_2, residual = _ritz(b, n, r)
-        if r < m and not residual * residual <= eps * theta * (theta - theta_2):
-            r = min(m, 2 * r)
+        v = _ritz_basis(b, n, r)
+        high, theta, theta_2, residual = _ritz(b, v)
+        whole = 2 * r >= n // 2
+        r *= 2
+        if not whole and not residual * residual <= eps * theta * (theta - theta_2):
             continue
         slack = SCHUR_SLACK_ULPS * eps * n * n * high
         row[0] = high + slack
         certified = bool(np.all(_schur_pivots(row) > 0.0))
-        if certified or r == m:
-            return OscillatorExtremes(-high / omega, high / omega, 2.0 * slack / omega, r,
+        if certified or whole:
+            return OscillatorExtremes(-high / omega, high / omega, 2.0 * slack / omega, v.shape[1],
                                       None if certified else n)
-        r = min(m, 2 * r)

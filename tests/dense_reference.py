@@ -14,7 +14,10 @@ chains as whole dense blocks with ``eigvalsh``, which the certified
 leading-block kernel ``HermitianMatrix.eigenvalues`` replaced.
 ``gram_extremes`` is the oscillator truncation's extremes from one
 ``eigvalsh`` of the floor(n/2)-square Gram matrix B^T B, which the
-certified Ritz-and-Schur pair ``timeop.osc_timeop_extremes`` replaced.
+certified Ritz-and-Schur pair ``timeop.osc_timeop_extremes`` replaced,
+and ``chebyshev_ritz_extremes`` that pair's first lower end: a plain
+smooth subspace of min(floor(n/2), 128) columns, which the smooth start
+and its Krylov block replaced.
 ``s0_symmetry_residual`` is the pair-by-pair quadrature symmetry check
 of the S0 class that the certificate ``contspec.s0_symmetry_bound``
 replaced.
@@ -25,7 +28,16 @@ import math
 import numpy as np
 
 from timeops.contspec import _gauss_hermite, _required_order, s0_apply
-from timeops.timeop import CCR_BAND_ROWS, MatrixKind, _half_block
+from timeops.timeop import (
+    CCR_BAND_ROWS,
+    SCHUR_SLACK_ULPS,
+    MatrixKind,
+    OscillatorExtremes,
+    _chebyshev_columns,
+    _half_block,
+    _ritz,
+    _schur_pivots,
+)
 
 
 def generator_stack(e, kind=MatrixKind.DIRECT) -> np.ndarray:
@@ -231,6 +243,38 @@ def gram_extremes(omega: float, n: int) -> tuple[float, float]:
     b = _half_block(n)
     high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
     return -high, high
+
+
+#: Columns of the first plain smooth subspace of ``chebyshev_ritz_extremes``.
+CHEBYSHEV_RITZ_START = 128
+
+
+def chebyshev_ritz_extremes(omega: float, n: int) -> OscillatorExtremes:
+    """``osc_timeop_extremes`` with its lower end from plain smooth subspaces, no Krylov block.
+
+    The Householder Q of ``_chebyshev_columns(n, r)`` for
+    r = min(floor(n/2), CHEBYSHEV_RITZ_START), doubled up to the whole
+    space until the Ritz residual rho has rho^2 <= eps theta
+    (theta - theta_2) and the Schur pass certifies its value.
+    """
+    b = _half_block(n)
+    m = n // 2
+    r = min(m, CHEBYSHEV_RITZ_START)
+    eps = float(np.finfo(float).eps)
+    row = np.empty(n, dtype=complex)
+    row[1:] = 1j / np.arange(1, n)
+    while True:
+        high, theta, theta_2, residual = _ritz(b, np.linalg.qr(_chebyshev_columns(n, r))[0])
+        if r < m and not residual * residual <= eps * theta * (theta - theta_2):
+            r = min(m, 2 * r)
+            continue
+        slack = SCHUR_SLACK_ULPS * eps * n * n * high
+        row[0] = high + slack
+        certified = bool(np.all(_schur_pivots(row) > 0.0))
+        if certified or r == m:
+            return OscillatorExtremes(-high / omega, high / omega, 2.0 * slack / omega, r,
+                                      None if certified else n)
+        r = min(m, 2 * r)
 
 
 def combination_values(f, lam) -> np.ndarray:

@@ -593,13 +593,14 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "osc_timeop_extremes", no_solve)
         code = main(["oscspec", f"--sizes={sizes}", "--jobs", "2", "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        work = sum(abs(int(n)) ** 3 for n in sizes.split(","))
+        work = sum(abs(int(n)) ** 2 for n in sizes.split(","))
         assert code == 2
-        assert err == f"error: sizes sum to n^3 = {work}, beyond the limit {cli.OSCSPEC_WORK_LIMIT}\n"
+        assert err == f"error: sizes sum to n^2 = {work}, beyond the limit {cli.OSCSPEC_WORK_LIMIT}\n"
         assert not (tmp_path / "oscspec_report.json").exists()
 
     def test_oscspec_cap_admits_the_dense_benchmark_sizes(self, tmp_path):
-        assert 400 ** 3 + 800 ** 3 + 1600 ** 3 <= cli.OSCSPEC_WORK_LIMIT
+        assert 400 ** 2 + 800 ** 2 + 1600 ** 2 <= cli.OSCSPEC_WORK_LIMIT
+        assert 2 * 4096 ** 2 <= cli.OSCSPEC_WORK_LIMIT   # "4096,4096" is admitted
         assert main(["oscspec", "--sizes", "400,800,1600", "--out", str(tmp_path)]) == 0
 
     def test_s0check(self, tmp_path):
@@ -811,7 +812,8 @@ class TestEveryVerdictCanFail:
         monkeypatch.setattr(timeop, "_schur_pivots", planted)
         report = self._run(tmp_path, "oscspec")
         assert report["certificate_failed_sizes"] == [400]
-        assert [row["subspace_dimension"] for row in report["rows"]] == [50, 100, 200, 128]
+        # 8 smooth columns and their Krylov block, but the whole space at the failing size
+        assert [row["subspace_dimension"] for row in report["rows"]] == [16, 16, 200, 16]
         assert all(row["within_bound"] for row in report["rows"]) and report["monotone_nondecreasing"]
 
     def test_abweyl(self, tmp_path, monkeypatch):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timeops import timeop, uwform
+from timeops import acceptance, timeop, uwform
 from timeops.acceptance import _difference_stack
-from timeops.cli import main
+from timeops.cli import RunConfig, main, resolve_tolerances, run
 from timeops.decompose import channel_partition
 from timeops.spectra import (
     Accumulation,
@@ -37,6 +37,7 @@ from dense_reference import (
     block_pair_residuals,
     ccr_residual,
     certificate_stack,
+    chebyshev_ritz_extremes,
     dense_commutator,
     dense_residual_rows,
     generator,
@@ -543,6 +544,12 @@ class TestOscillatorSpectrum:
         assert abs(e.high - sigma) <= e.radius + reference_rounding(1.0, n)
         assert abs(e.high - sigma) <= 1e-14 * sigma
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 101, 400, 511, 512, 513, 801, 1600, 1601, 4096])
+    def test_matches_the_plain_smooth_subspace_reference(self, n):
+        e, reference = osc_timeop_extremes(1.0, n), chebyshev_ritz_extremes(1.0, n)
+        assert e.failed_size is None and reference.failed_size is None
+        assert abs(e.high - reference.high) <= 1e-14 * reference.high
+
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 101])
     def test_svd_reference_is_the_dense_spectrum(self, n):
         assert np.max(np.abs(svd_spectrum(2.5, n) - dense_spectrum(2.5, n))) <= 1e-14 * math.pi / 2.5
@@ -574,23 +581,47 @@ class TestOscillatorCertificate:
             assert shift == 2.5 and 0 < first < 40
             assert np.all(pivots[:first] > 0.0) and pivots[first] <= 0.0 and np.all(np.isnan(pivots[first + 1:]))
 
+    @staticmethod
+    def _recorded_columns(monkeypatch, record):
+        """Record the columns of every subspace the Ritz step reads."""
+        basis = timeop._ritz_basis
+        monkeypatch.setattr(timeop, "_ritz_basis", lambda b, n, r: record(basis(b, n, r)))
+
     def test_the_whole_space_is_reached_by_doubling(self, monkeypatch):
-        sizes = []
-        basis = timeop._smooth_basis
-        monkeypatch.setattr(timeop, "_smooth_basis", lambda n, r: sizes.append(r) or basis(n, r))
+        columns = []
+        self._recorded_columns(monkeypatch, lambda v: columns.append(v.shape[1]) or v)
+        # smooth columns and their Krylov block, 2r of them, r doubling
         e = osc_timeop_extremes(1.0, 4096)
-        assert e.failed_size is None and e.subspace_dimension == 256 and sizes == [128, 256]
+        assert e.failed_size is None and e.subspace_dimension == 32 and columns == [16, 32]
+        # no pass certifies: the subspace doubles until it is the whole space, 200 columns
+        monkeypatch.setattr(timeop, "_schur_pivots", lambda row: np.full(row.size, -1.0))
+        columns.clear()
+        e = osc_timeop_extremes(1.0, 400)
+        assert e.failed_size == 400 and columns == [16, 32, 64, 128, 200] and e.subspace_dimension == 200
         monkeypatch.setattr(timeop, "RITZ_START_COLUMNS", 3)
-        sizes.clear()
+        columns.clear()
         e = osc_timeop_extremes(1.0, 40)
-        assert e.failed_size is None and sizes == [3, 6, 12, 20][:len(sizes)] and e.subspace_dimension == sizes[-1]
+        assert e.failed_size == 40 and columns == [6, 12, 20] and e.subspace_dimension == 20
 
     def test_a_ritz_value_from_a_capped_subspace_fails(self, monkeypatch):
-        basis = timeop._smooth_basis
-        monkeypatch.setattr(timeop, "_smooth_basis", lambda n, r: basis(n, min(r, 2)))
+        # every subspace, the Krylov block and the whole space included, cut to its first two columns
+        self._recorded_columns(monkeypatch, lambda v: v[:, :2])
         e = osc_timeop_extremes(1.0, 400)
-        assert e.failed_size == 400 and e.subspace_dimension == 200
+        assert e.failed_size == 400 and e.subspace_dimension == 2
         assert e.high + e.radius < svd_sigma_max(400)   # a Rayleigh quotient: low, not wrong
+
+    def test_each_benchmark_size_is_certified_on_its_first_pass(self, monkeypatch):
+        # a work guard without timing: the dense-spectra oscspec sizes and the oscillator-bound ones
+        passes = []
+        pivots = timeop._schur_pivots
+        monkeypatch.setattr(timeop, "_schur_pivots", lambda row: passes.append(row.size) or pivots(row))
+        report = run(RunConfig(model={}, pipeline={"kind": "oscspec", "sizes": [400, 800, 1600]}, tolerances={}))
+        assert report["passed"] is True and passes == [400, 800, 1600]
+        assert all(row["subspace_dimension"] <= 32 for row in report["rows"])
+        passes.clear()
+        passed, details = acceptance.criterion_oscillator_bound(resolve_tolerances(), 7)
+        assert passed is True and passes == details["sizes"] == [100, 200, 400, 800]
+        assert details["subspace_dimension"] <= 32
 
     def test_a_planted_pivot_fails(self, monkeypatch):
         pivots = timeop._schur_pivots
@@ -639,6 +670,18 @@ class TestOscillatorCertificateFuzz:
         _, gram_hi = gram_extremes(omega, n)
         assert abs(e.high - gram_hi) <= e.radius + reference_rounding(omega, n)
         assert e.high + e.radius < math.pi / omega
+
+
+class TestOscillatorExtremesFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=600), exponent=st.floats(min_value=-3.0, max_value=3.0))
+    def test_the_value_is_the_largest_singular_value_from_at_most_32_columns(self, n, exponent):
+        omega = 10.0 ** exponent
+        e = osc_timeop_extremes(omega, n)
+        sigma = float(np.linalg.svd(timeop._half_block(n), compute_uv=False)[0])
+        assert e.failed_size is None
+        assert abs(e.high * omega - sigma) <= 1e-14 * sigma
+        assert e.subspace_dimension <= 32
 
 
 class TestRealHermitianSolve:
@@ -815,7 +858,7 @@ class TestMemory:
         assert traced_peak_mib(lambda: main(argv)) <= 32.0
 
     def test_oscillator_spectrum_extremes(self):
-        # the half-size block B, 4.9 MiB, and a 128-column subspace with its QR and image, 0.8 MiB each
+        # the half-size block B, 4.9 MiB, and subspaces of at most 32 columns with their images, 0.2 MiB each
         assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 1600)) <= 8.0
 
     def test_the_sweep_holds_a_few_bands(self):
