@@ -31,10 +31,8 @@ from .timeop import (
     OscillatorExtremes,
     assemble_time_operator,
     ccr_allowed,
-    ccr_check,
-    ccr_residuals,
+    ccr_certificates,
     osc_timeop_extremes,
-    random_difference_stack,
 )
 from .uwform import (
     AdmissibilityError,

@@ -2,7 +2,7 @@
 
 Every subcommand assembles a RunConfig (flags override an optional
 --config JSON file), executes one pipeline, and writes a report whose
-numeric fields are reproducible bit for bit for a fixed seed.  Wall-clock
+numeric fields are reproducible bit for bit for a fixed configuration.  Wall-clock
 numbers are quarantined under "timings" keys so two runs of the same
 configuration can be compared byte-wise after dropping those.
 
@@ -52,7 +52,7 @@ from .spectra import (
     hydrogen_point_spectrum,
     rabi_check,
 )
-from .timeop import assemble_time_operator, ccr_allowed, ccr_check, osc_timeop_extremes
+from .timeop import assemble_time_operator, ccr_allowed, ccr_certificates, osc_timeop_extremes
 from .uwform import (
     AdmissibilityError,
     FunctionSpec,
@@ -64,8 +64,8 @@ from .uwform import (
 
 __all__ = ["RunConfig", "run", "main", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
-#: Largest random-vector count a pipeline accepts.  At CHANNEL_DIMENSION_LIMIT
-#: a timeop stack this deep is 10^4 x 4096 complex entries, about 655 MB.
+#: Largest --vectors a pipeline accepts.  No pipeline reads the field any
+#: more; the limit stays with the flag.
 VECTORS_LIMIT = 10_000
 
 #: Largest ``abweyl`` grid size N; its sweep holds several N-point complex arrays.
@@ -78,9 +78,11 @@ TIME_STEPS_LIMIT = 10_000
 #: 4096 on the default 1024-point grid.
 SWEEP_POINTS_LIMIT = 2 ** 22
 
-#: Largest summed n^2 over an ``oscspec`` size list: two certificates at
-#: the size cap, about 0.2 s on one core.  A certificate costs O(n^2): its
-#: Schur pass, and products of B with a few dozen columns.
+#: Largest work of an ``oscspec`` size list: two certificates at the size
+#: cap, about 0.2 s on one core.  A certificate costs O(n^2), its Schur
+#: pass and products of B with a few dozen columns, plus about 0.1 ms
+#: whatever its size, which is the n^2 work of n = 128; so each size is
+#: charged max(n, 128)^2.
 OSCSPEC_WORK_LIMIT = 2 * CHANNEL_DIMENSION_LIMIT ** 2
 
 
@@ -157,10 +159,10 @@ PIPELINE_FIELDS = {
     "s0check": {},
 }
 
-#: Pipeline fields that a pipeline admits but does not read.  ``uwform`` and
-#: ``ftransform`` certify their identities with one norm per channel and draw
-#: no vectors; their --vectors flag stays parseable, and its help says so.
-_UNREAD_FIELDS = {"uwform": {"vectors"}, "ftransform": {"vectors"}}
+#: Pipeline fields that a pipeline admits but does not read.  Every pipeline
+#: certifies its identities with one norm per channel and draws no vectors;
+#: the --vectors flag stays parseable, and its help says so.
+_UNREAD_FIELDS = {"timeop": {"vectors"}, "uwform": {"vectors"}, "ftransform": {"vectors"}}
 
 MODEL_KINDS = tuple(MODEL_FIELDS)
 PIPELINE_KINDS = tuple(PIPELINE_FIELDS)
@@ -318,25 +320,35 @@ def _rabi_report(model: dict) -> dict:
 
 
 def _pipeline_timeop(config: RunConfig, pl: dict, tol: dict) -> dict:
+    """The exact CCR, certified per channel by ``ccr_certificates`` and gated by ``ccr_allowed``.
+
+    ``max_ccr_residual`` is the largest certificate, which bounds the
+    residual of every unit difference-span vector of its channel, and
+    ``max_ccr_residual_over_allowed`` the largest ratio of a certificate
+    to its gate.
+    """
     if config.model.get("kind") == "rabi":
         return _rabi_report(config.model)
     s = _spectrum_from_model(config.model)
-    vectors = pl["vectors"]
     deco, op = assemble_time_operator(s, pl["p"])
     if not op.groups:
-        raise ValueError("no channel has dimension 2 or more; the CCR sweep would check nothing")
+        raise ValueError("no channel has dimension 2 or more; the CCR certificate would check nothing")
 
-    worst, scale = ccr_check(op, config.seed, vectors)
-    ok = bool(np.all(worst <= ccr_allowed(scale, tol)))
-    channels = [{"channel_id": i, "dimension": ev.size, "max_ccr_residual": float(worst[i])}
+    certificate, scale = ccr_certificates(op)
+    allowed = ccr_allowed(op, scale, tol)
+    # a zero certificate passes any gate; a NaN one gives a NaN ratio
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(certificate, allowed, out=np.zeros_like(certificate), where=certificate != 0.0)
+    channels = [{"channel_id": i, "dimension": ev.size, "max_ccr_residual": float(certificate[i])}
                 for i, ev in enumerate(op.eigenvalues)]
     return {
         "spectrum": s.to_json(),
         "decomposition": deco.to_json(),
         "channel_reports": channels,
-        "vectors_per_channel": vectors,
-        "max_ccr_residual": float(np.max(worst, initial=0.0)),
-        "passed": ok,
+        # np.max, not max: a NaN certificate is the maximum
+        "max_ccr_residual": float(np.max(certificate)),
+        "max_ccr_residual_over_allowed": float(np.max(ratio)),
+        "passed": bool(np.all(certificate <= allowed)),
     }
 
 
@@ -403,9 +415,9 @@ def _pipeline_oscspec(config: RunConfig, pl: dict, tol: dict) -> dict:
     if not sizes:
         raise ValueError("sizes must name at least one matrix size; an empty sweep checks nothing")
     # |n|: a negative size, refused later, must not cancel a large one here
-    work = sum(abs(n) ** 2 for n in sizes)
+    work = sum(max(abs(n), 128) ** 2 for n in sizes)
     if work > OSCSPEC_WORK_LIMIT:
-        raise ValueError(f"sizes sum to n^2 = {work}, beyond the limit {OSCSPEC_WORK_LIMIT}")
+        raise ValueError(f"sizes cost a summed max(n, 128)^2 = {work}, beyond the limit {OSCSPEC_WORK_LIMIT}")
     extremes = [osc_timeop_extremes(omega, n) for n in sizes]
     bound = math.pi / omega   # omega was validated by osc_timeop_extremes
     slack = tol["toeplitz_bound_slack"]
@@ -696,8 +708,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("."), help="report directory")
     common.add_argument("--jobs", type=int, default=1, help="ignored: every run is serial (N >= 1)")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed of timeop's random vectors and selftest's partition sequences; "
-                             "other runs accept it and ignore it")
+                        help="seed of selftest's partition sequences; every pipeline, timeop "
+                             "included, accepts it and ignores it")
 
     model_flags = argparse.ArgumentParser(add_help=False)
     _add_model_flags(model_flags)

@@ -6,12 +6,14 @@ off-diagonal entries i/(E_n - E_m).  Against H = diag(E) it satisfies
 [H, T] = i(J - I) with J the all-ones matrix, so the commutator defect
 ([H,T]v + iv) collapses to i*(sum of coefficients)*ones: it vanishes
 identically on the span of eigenvector differences.  That cancellation is
-algebraic, not asymptotic, which is why the residual checks here demand
-machine precision rather than convergence.
+algebraic, not asymptotic, which is why the check here demands machine
+precision rather than convergence.
 
 Every entry is purely imaginary, so a matrix is built as T = iA with A
-real and antisymmetric.  The residual kernel streams the commutator
-[H, T] = i(hA - Ah) in row bands and never holds it whole.
+real and antisymmetric.  What is left of the cancellation in floating
+point is the matrix Delta = (h_n - h_m) A_nm - (1 - delta_nm), and
+``ccr_certificates`` bounds the defect of every unit vector of the span by
+its norm, computed error-free, one row band at a time.
 
 Two entry conventions are provided.  ``DIRECT`` pairs with diag(E) itself
 and suits spectra growing to infinity.  ``INVERSE_CONJUGATE`` has entries
@@ -27,8 +29,9 @@ three kinds.  It groups the channels of each dimension d >= 2 and keeps
 only their eigenvalues.  No matrix outlives the kernel that reads it:
 ``_entries`` builds any row band of any channels' matrices, and each
 consumer builds the part it reads, uses it and drops it.  The exact-CCR
-sweep here builds row bands, the form's certificate in ``uwform`` whole
-matrices, SWEEP_CHUNK entries at a time.  Every matrix is antisymmetric
+certificate here builds row bands of the upper triangle, CCR_CHUNK entries
+at a time, and the form's certificate in ``uwform`` whole matrices,
+SWEEP_CHUNK entries at a time.  Every matrix is antisymmetric
 by construction (see ``_entries``); only the eigenvalues are checked, where
 they enter.  A channel of dimension 1 has a trivial difference span and
 no matrix.
@@ -48,27 +51,25 @@ from .spectra import CHANNEL_DIMENSION_LIMIT, Accumulation, DiscreteSpectrum
 __all__ = [
     "MatrixKind",
     "ChannelStack",
-    "ccr_residuals",
+    "ccr_certificates",
     "ccr_allowed",
-    "ccr_check",
-    "random_difference_stack",
     "assemble_time_operator",
     "OscillatorExtremes",
     "osc_timeop_extremes",
 ]
 
-#: A vector belongs to the difference span when its coefficient sum is
-#: this small relative to its norm (the span is exactly the kernel of the
-#: summation functional).
-DIFFERENCE_SPAN_RTOL = 1e-10
-
-#: Rows per band of the generator and the commutator that ``ccr_residuals`` streams.
-CCR_BAND_ROWS = 128
-
 #: Entries a kernel builds or handles at once (rows x width).  Longer work
 #: runs in chunks of rows, in the same order, so its memory grows with the
-#: chunk, not with the channels or the number of vectors.
+#: chunk, not with the channels.
 SWEEP_CHUNK = 2 ** 18
+
+#: Entries of each buffer of ``ccr_certificates``: its error-free
+#: arithmetic makes some thirty passes over every band, which stay in cache
+#: at this size, 96 KiB a buffer.  That is below glibc's 128 KiB mmap
+#: threshold, so no buffer is a fresh mapping whose pages fault in on first
+#: touch: at 2^15 entries the oscillator's 1501-dimensional channel took
+#: 39 ms of CPU instead of 22 ms in a new process.
+CCR_CHUNK = 12 * 1024
 
 
 class MatrixKind(str, Enum):
@@ -85,13 +86,13 @@ class MatrixKind(str, Enum):
     FORM = "form"
 
 
-def _chunks(width: int, count: int):
+def _chunks(width: int, count: int, budget: int | None = None):
     """Consecutive (start, stop) ranges of ``count`` rows of ``width`` entries each.
 
-    A range holds as many rows as fit in SWEEP_CHUNK entries, and at
-    least one.
+    A range holds as many rows as fit in ``budget`` entries, SWEEP_CHUNK
+    unless given, and at least one.
     """
-    rows = max(1, SWEEP_CHUNK // width)
+    rows = max(1, (SWEEP_CHUNK if budget is None else budget) // width)
     for start in range(0, count, rows):
         yield start, min(start + rows, count)
 
@@ -198,10 +199,11 @@ def _require_rows(ev: np.ndarray, kind: MatrixKind) -> None:
         raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
 
-def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind) -> np.ndarray:
-    """Rows start:stop of the real matrix of ``kind`` of each channel whose eigenvalues are the rows of ev (c, d).
+def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, first: int = 0) -> np.ndarray:
+    """Rows start:stop, from column first <= start on, of the real matrix of ``kind`` of each channel in ev (c, d).
 
-    The one entry kernel: a (c, stop - start, d) band of the generator
+    The one entry kernel: a (c, stop - start, d - first) band, for the
+    channels whose eigenvalues are the rows of ev, of the generator
     A = -iT, with entries 1/(E_n - E_m) for the direct kind and
     E_n E_m/(E_m - E_n) for the inverse-conjugate one, or for the form
     kind of R = -(A D + D A)/2, A inverse-conjugate and D = diag(1/E^2);
@@ -214,9 +216,9 @@ def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind) -> np.ndar
     about zero, and products and sums commute.
     """
     c, d = ev.shape
-    n, m = ev[:, start:stop, None], ev[:, None, :]
+    n, m = ev[:, start:stop, None], ev[:, None, first:]
     a = n - m                                 # the gaps E_n - E_m, turned into the entries in place
-    diagonal = a.reshape(c, -1)[:, start::d + 1]
+    diagonal = a.reshape(c, -1)[:, start - first::d - first + 1]
     diagonal[...] = 1.0                       # placeholder, zeroed below
     # a subnormal gap overflows the quotient; finite eigenvalues must give finite entries
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -243,116 +245,122 @@ def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind) -> np.ndar
     return a
 
 
-def random_difference_stack(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` seeded random unit vectors with zero coefficient sum, one per row.
+#: Veltkamp's splitting factor 2^27 + 1: x * SPLIT splits a double into
+#: two halves of at most 26 significant bits each.
+_SPLIT = 134217729.0
 
-    All coefficients come from one draw of shape (count, 2, dim), uniform
-    in [-1, 1]: row by row, the real parts, then the imaginary parts.
-    Each row has its mean removed and is normalized; a row whose
-    projection is near zero is redrawn after the batch, one at a time.
+
+def _defect(a: np.ndarray, hn: np.ndarray, hm: np.ndarray) -> np.ndarray:
+    """(hn - hm) * a - 1 entrywise, error-free up to its last rounding, written into a and returned.
+
+    TwoSum gives the gap hn - hm as s + t exactly (Knuth), and Dekker's
+    TwoProduct gives s * a as p + q exactly, on Veltkamp halves (Dekker,
+    Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
+    2005).  Then (hn - hm) a - 1 = (p - 1) + (q + t a), where p - 1 is
+    exact (Sterbenz) unless the defect is itself of order one, and only
+    t a and the two sums round, each far below the defect.  Before the
+    product, s is written m 2^k with
+    m in [1/2, 1) and a scaled by 2^k, both exact: a is near 1/s, so
+    neither half overflows, whatever the magnitudes.  A NaN gives NaN.
     """
-    if dim < 2:
-        raise ValueError("the difference span is trivial below dimension 2")
-    draws = rng.uniform(-1.0, 1.0, (count, 2, dim))
-    stack = draws[:, 0] + 1j * draws[:, 1]
-    stack -= stack.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(stack, axis=1)
-    for row in np.flatnonzero(norms <= 1e-8):
-        while norms[row] <= 1e-8:
-            v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
-            stack[row] = v - v.mean()
-            norms[row] = np.linalg.norm(stack[row])
-    return stack / norms[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = hn - hm
+        z = s - hn
+        t = s - z
+        np.subtract(hn, t, out=t)
+        z += hm
+        np.subtract(t, z, out=z)       # the gap's rounding error t
+        z *= a                         # t a
+        m, k = np.frexp(s)
+        np.ldexp(a, k, out=a)          # s a = m (a 2^k)
+        p = m * a
+        np.multiply(m, _SPLIT, out=s)
+        np.subtract(s, m, out=t)
+        s -= t                         # high half of m
+        m -= s                         # low half of m
+        np.multiply(a, _SPLIT, out=t)
+        q = t - a
+        t -= q                         # high half of a
+        a -= t                         # low half of a
+        np.multiply(s, t, out=q)
+        q -= p
+        s *= a
+        q += s
+        t *= m
+        q += t
+        m *= a
+        q += m                         # q = m a - p, exactly
+        q += z
+        p -= 1.0
+        return np.add(p, q, out=a)
 
 
-def _require_difference_span(vecs: np.ndarray) -> None:
-    """Refuse any vector of a (..., n) stack whose coefficient sum is off the difference span."""
-    defects = np.abs(vecs.sum(axis=-1))
-    bounds = DIFFERENCE_SPAN_RTOL * np.maximum(np.linalg.norm(vecs, axis=-1), 1e-300)
-    # written so that NaN fails
-    outside = ~(defects <= bounds)
-    if outside.any():
-        raise ValueError(
-            "vector lies outside the difference span "
-            f"(coefficient sum {defects.flat[np.argmax(outside)]:.3e})"
-        )
+def ccr_certificates(op: ChannelStack) -> tuple:
+    """(certificate, scale) of each channel of a time-operator stack: ||Delta||_F and its largest |A|, both 0 in dimension 1.
 
+    With H = diag(h), h = E for the direct kind and 1/E for the
+    inverse-conjugate one, and T = iA, the commutator is
+    [H, T]_nm = i (h_n - h_m) A_nm.  On the difference span, where
+    J v = 0 for the all-ones matrix J,
 
-def ccr_residuals(ev: np.ndarray, kind: MatrixKind, vecs) -> tuple:
-    """(worst, scale) of each channel whose eigenvalues are the rows of ev (c, d), as a group holds them.
+        ([H, T] + i) v = i Delta v,   Delta_nm = (h_n - h_m) A_nm - (1 - delta_nm),
 
-    ``worst`` is the largest norm of ([H,T] + i)v over the channel's k rows
-    of a (c, k, d) vector stack, with H = diag(E) for the direct kind and
-    diag(1/E) for the inverse-conjugate kind.  The residual is zero in
-    exact arithmetic for any v with zero coefficient sum, because the
-    commutator equals i(J - I); vectors off that span are rejected rather
-    than measured, and so are rows that fail ``_require_rows``.
-    ``scale`` is the channel's largest |A| entry.
+    so ||([H, T] + i) v|| <= ||Delta||_F for every unit vector of the
+    span at once.  Delta is entrywise, and ``_defect`` computes it from
+    the stored h and A to a few roundings of each entry's own size.  A is
+    antisymmetric bit for bit (see ``_entries``) and so Delta is symmetric
+    with a zero diagonal: one pass over the pairs n < m gives the norm.
 
-    The generator is built by ``_entries`` in bands of at most
-    ``CCR_BAND_ROWS`` rows, for SWEEP_CHUNK entries of channels at a
-    time.  A band c = h_n A - A h_m gives its columns as
-    ``v @ (1j*c).T``, one matrix product per channel, so a stack of 0 and
-    +-1 entries gets the bits of one matrix-vector product per row.  A
-    NaN entry gives a NaN worst and scale, which fail any gate.
+    The pass runs over row bands of each group.  A band holds the rows
+    start:stop, from column ``start`` on, for as many channels as keep
+    its buffers within CCR_CHUNK entries: ``_entries`` builds A there and
+    ``_defect`` turns it into Delta in place.  A band's rows are at most a
+    quarter of its width, so the lower triangle it builds and drops is at
+    most an eighth of it.  A NaN entry gives a NaN certificate and scale,
+    which fail any gate.
     """
-    kind = MatrixKind(kind)
-    if kind is MatrixKind.FORM:
+    if op.kind is MatrixKind.FORM:
         raise ValueError("a form's stack is not a time-operator generator")
-    ev = np.asarray(ev, dtype=float)
-    vecs = np.asarray(vecs, dtype=complex)
-    c, d = ev.shape
-    _require_rows(ev, kind)
-    if vecs.ndim != 3 or vecs.shape[0] != c or vecs.shape[2] != d:
-        raise ValueError(f"a ({c}, k, {d}) vector stack is needed for this group, not {vecs.shape}")
-    if vecs.shape[1] == 0:
-        raise ValueError("need at least one vector")
-    _require_difference_span(vecs)
-    out = np.empty(vecs.shape, dtype=complex)
-    scale = np.zeros(c)
-    # near-equal bands: a one-row band would go to a dot product, which sums in another order
-    bands = -(-d // CCR_BAND_ROWS)
-    edges = [d * i // bands for i in range(bands + 1)]
-    for first, last in _chunks(edges[1] * d, c):
-        ch = slice(first, last)
-        for start, stop in zip(edges, edges[1:]):
-            a = _entries(ev[ch], start, stop, kind)
-            # np.maximum, unlike max(), carries a NaN forward
-            scale[ch] = np.maximum(scale[ch], np.max(np.abs(a), axis=(1, 2)))
-            h = ev[ch] if kind is MatrixKind.DIRECT else 1.0 / ev[ch]   # after the entries' overflow gate
-            band = h[:, start:stop, None] * a
-            band -= np.multiply(a, h[:, None, :], out=a)
-            del a
-            out[ch, :, start:stop] = vecs[ch] @ (1j * band).transpose(0, 2, 1)
-    out += 1j * vecs
-    return np.max(np.linalg.norm(out, axis=2), axis=1), scale
-
-
-def ccr_allowed(scale: np.ndarray, tol: dict) -> np.ndarray:
-    """The exact-CCR gate of each channel: ``ccr_relative`` times its largest |entry|, as the sweep returns it."""
-    return tol["ccr_relative"] * scale
-
-
-def ccr_check(op: ChannelStack, seed: int, count: int) -> tuple:
-    """The exact-CCR sweep of the ``timeop`` pipeline: (worst, scale) of each channel.
-
-    ``count`` vectors per channel of dimension 2 or more, channel i drawing
-    them with ``random_difference_stack`` from a generator seeded
-    ``seed + 10_000 + i``, checked by group with ``ccr_residuals``,
-    SWEEP_CHUNK coordinates at a time; both read 0 for channels of
-    dimension 1.
-    """
-    if count < 1:
-        raise ValueError("need at least one vector; a sweep over none checks nothing")
-    worst, scale = np.zeros(len(op.eigenvalues)), np.zeros(len(op.eigenvalues))
+    certificate, scale = np.zeros(len(op.eigenvalues)), np.zeros(len(op.eigenvalues))
     for g in op.groups:
         c, d = g.eigenvalues.shape
-        for start, stop in _chunks(count * d, c):
-            blocks = g.blocks[start:stop]
-            vecs = np.array([random_difference_stack(np.random.default_rng(seed + 10_000 + i), d, count)
-                             for i in blocks])
-            worst[blocks], scale[blocks] = ccr_residuals(g.eigenvalues[start:stop], op.kind, vecs)
-    return worst, scale
+        squares, largest = np.zeros(c), np.zeros(c)
+        start = 0
+        while start < d - 1:
+            width = d - start
+            stop = start + max(1, min(width // 4, CCR_CHUNK // width))
+            rows = stop - start
+            lower = np.arange(rows)[:, None] >= np.arange(rows)   # the band's own lower triangle and diagonal
+            for first, last in _chunks(rows * width, c, CCR_CHUNK):
+                e = g.eigenvalues[first:last, start:]
+                a = _entries(g.eigenvalues[first:last], start, stop, op.kind, start)
+                # after the entries' overflow gate; a subnormal E still gives an infinite 1/E, and a NaN below
+                with np.errstate(over="ignore"):
+                    h = e if op.kind is MatrixKind.DIRECT else 1.0 / e
+                # np.maximum, unlike max(), carries a NaN forward
+                largest[first:last] = np.maximum(largest[first:last], np.max(np.abs(a), axis=(1, 2)))
+                delta = _defect(a, h[:, :rows, None], h[:, None, :])
+                np.copyto(delta[:, :, :rows], 0.0, where=lower)
+                squares[first:last] += np.einsum("crw,crw->c", delta, delta)
+            start = stop
+        certificate[g.blocks] = np.sqrt(2.0 * squares)
+        scale[g.blocks] = largest
+    return certificate, scale
+
+
+def ccr_allowed(op: ChannelStack, scale: np.ndarray, tol: dict) -> np.ndarray:
+    """The exact-CCR gate of each channel: ``ccr_relative`` times its largest |h| times ``scale``, its largest |A|.
+
+    Each entry of Delta carries a few roundings of (h_n - h_m) A_nm, so
+    the gate moves with max|h| max|A| and not with the eigenvalues'
+    unit: E -> cE leaves it where it is.  It is 0 in dimension 1.
+    """
+    largest = np.zeros(len(op.eigenvalues))
+    for g in op.groups:
+        e = np.abs(g.eigenvalues)
+        with np.errstate(over="ignore"):   # a subnormal E, whose certificate is NaN
+            largest[g.blocks] = np.max(e, axis=1) if op.kind is MatrixKind.DIRECT else 1.0 / np.min(e, axis=1)
+    return tol["ccr_relative"] * largest * scale
 
 
 def assemble_time_operator(s: DiscreteSpectrum, p: float = 2.0):

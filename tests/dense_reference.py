@@ -1,10 +1,15 @@
 """Per-channel and dense references for the streamed time-operator and form kernels.
 
 ``generator_stack`` builds whole matrices at once, with the arithmetic of
-the resident stacks that the band kernel ``timeop._entries`` replaced;
-``ccr_residual`` is the one-channel exact-CCR kernel that ``ccr_residuals``
-replaced, arithmetic for arithmetic, and ``block_pair_residuals`` the
-pair-by-pair loop over a whole commutator; ``complex_evaluator_stack``
+the resident stacks that the band kernel ``timeop._entries`` replaced.
+``random_difference_stack`` draws seeded unit vectors of the difference
+span and ``ccr_residual`` sweeps them through the commutator in 128-row
+bands: the seeded exact-CCR sweep that the certificate
+``timeop.ccr_certificates`` replaced, arithmetic for arithmetic.
+``sweep_roundoff`` bounds what the sweep's own rounding adds to a
+residual.  ``block_pair_residuals`` is the pair-by-pair loop over a whole
+commutator, and ``exact_defect_squares`` the certificate's squared norm in
+rational arithmetic; ``complex_evaluator_stack``
 holds the complex form evaluators that the real matrices R replaced.
 ``plant`` makes a kernel build a chosen matrix for one channel.
 ``rabi_chain_labels`` names the product basis states of the Rabi parity
@@ -24,12 +29,12 @@ replaced.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from timeops.contspec import _gauss_hermite, _required_order, s0_apply
 from timeops.timeop import (
-    CCR_BAND_ROWS,
     SCHUR_SLACK_ULPS,
     MatrixKind,
     OscillatorExtremes,
@@ -82,14 +87,14 @@ def plant(monkeypatch, module, change, target=None):
     build = module._entries
     held = [target]
 
-    def patched(ev, start, stop, kind):
+    def patched(ev, start, stop, kind, first=0):
         if held[0] is None and len(ev) > 1:
             held[0] = ev[1]
-        out = build(ev, start, stop, kind)
+        out = build(ev, start, stop, kind, first)
         for r in range(len(ev)):
             if held[0] is not None and np.shares_memory(ev[r], held[0]):
                 a = change(ev[r], build(ev[r:r + 1], 0, ev.shape[1], kind)[0])
-                out[r] = a[start:stop]
+                out[r] = a[start:stop, first:]
         return out
 
     monkeypatch.setattr(module, "_entries", patched)
@@ -101,11 +106,37 @@ def pairing(eigenvalues, kind) -> np.ndarray:
     return ev if MatrixKind(kind) is MatrixKind.DIRECT else 1.0 / ev
 
 
+def random_difference_stack(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` seeded random unit vectors with zero coefficient sum, one per row.
+
+    All coefficients come from one draw of shape (count, 2, dim), uniform
+    in [-1, 1]: row by row, the real parts, then the imaginary parts.
+    Each row has its mean removed and is normalized; a row whose
+    projection is near zero is redrawn after the batch, one at a time.
+    """
+    if dim < 2:
+        raise ValueError("the difference span is trivial below dimension 2")
+    draws = rng.uniform(-1.0, 1.0, (count, 2, dim))
+    stack = draws[:, 0] + 1j * draws[:, 1]
+    stack -= stack.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(stack, axis=1)
+    for row in np.flatnonzero(norms <= 1e-8):
+        while norms[row] <= 1e-8:
+            v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
+            stack[row] = v - v.mean()
+            norms[row] = np.linalg.norm(stack[row])
+    return stack / norms[:, None]
+
+
+#: Rows per band of the commutator that ``ccr_residual`` streams.
+SWEEP_BAND_ROWS = 128
+
+
 def ccr_residual(h, a, v) -> float:
     """Worst norm of ([H,T] + i)v over the rows of a (k, n) stack, H = diag(h), T = iA.
 
     The commutator is streamed in near-equal bands of at most
-    ``CCR_BAND_ROWS`` rows; a band c = h_n A - A h_m gives its columns of
+    ``SWEEP_BAND_ROWS`` rows; a band c = h_n A - A h_m gives its columns of
     the product as ``vecs @ (1j*c).T``.
     """
     vecs = np.asarray(v, dtype=complex)
@@ -113,7 +144,7 @@ def ccr_residual(h, a, v) -> float:
         vecs = vecs[None, :]
     n = len(h)
     out = np.empty(vecs.shape, dtype=complex)
-    bands = -(-n // CCR_BAND_ROWS)
+    bands = -(-n // SWEEP_BAND_ROWS)
     edges = [n * i // bands for i in range(bands + 1)]
     for start, stop in zip(edges, edges[1:]):
         rows = slice(start, stop)
@@ -122,6 +153,42 @@ def ccr_residual(h, a, v) -> float:
         out[:, rows] = vecs @ (1j * c).T
     out += 1j * vecs
     return float(np.max(np.linalg.norm(out, axis=1)))
+
+
+def sweep_roundoff(eigenvalues, kind, v):
+    """What the sweep's own rounding can add to ||Delta v||, for each row v of a (k, d) stack.
+
+    The commutator entry fl(h_n A_nm) - fl(A_nm h_m) misses (h_n - h_m) A_nm
+    by at most about 2u (|h_n| + |h_m|) |A_nm|, and the complex product
+    with v adds gamma |C| |v|, with gamma twice the real gamma_{d+2}
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3); the
+    identity term adds one rounding, and a coefficient sum s off zero adds
+    |s| sqrt(d).  u = eps/2.
+    """
+    h = pairing(eigenvalues, kind)
+    entries = (np.abs(h)[:, None] + np.abs(h)[None, :]) * np.abs(generator(eigenvalues, kind))
+    d = h.size
+    u = np.finfo(float).eps / 2
+    gamma = 2 * (d + 2) * u / (1 - (d + 2) * u)
+    vecs = np.atleast_2d(v)
+    norms = np.linalg.norm(vecs, axis=1)
+    return (2 * u + gamma) * (1 + 2 * u) * np.linalg.norm(entries) * norms + 2 * u * norms \
+        + np.abs(vecs.sum(axis=1)) * math.sqrt(d)
+
+
+def exact_defect_squares(h, a) -> Fraction:
+    """||Delta||_F^2 in exact rational arithmetic, Delta_nm = (h_n - h_m) A_nm - (1 - delta_nm).
+
+    Every stored float is a rational, so this is the certificate's square
+    with no rounding at all; it takes O(d^2) Fractions, for small d.
+    """
+    h = [Fraction(float(x)) for x in h]
+    total = Fraction(0)
+    for n, row in enumerate(np.asarray(a, dtype=float).tolist()):
+        for m, entry in enumerate(row):
+            if m != n:
+                total += ((h[n] - h[m]) * Fraction(entry) - 1) ** 2
+    return total
 
 
 def dense_commutator(h, a) -> np.ndarray:
@@ -133,11 +200,6 @@ def dense_commutator(h, a) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     data = 1j * a
     return h[:, None] * data - data * h[None, :]
-
-
-def dense_residual_rows(comm: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Norm of (comm + i)v for each row v of a (k, n) stack, against the whole commutator."""
-    return np.linalg.norm(vecs @ comm.T + 1j * vecs, axis=1)
 
 
 def block_pair_residuals(h, a):

@@ -16,9 +16,9 @@ from timeops.acceptance import run_all
 from timeops.cli import DEFAULT_TOLERANCES, RunConfig, resolve_tolerances
 from timeops.decompose import ChannelDecomposition, verify_decomposition
 from timeops.spectra import HermitianMatrix, harmonic_spectrum, hydrogen_point_spectrum
-from timeops.timeop import assemble_time_operator, ccr_residuals
+from timeops.timeop import assemble_time_operator, ccr_allowed, ccr_certificates
 
-from dense_reference import block_pair_residuals, generator, pairing
+from dense_reference import block_pair_residuals, generator, pairing, sweep_roundoff
 from recording_rng import RecordingRng
 
 EXPECTED_ORDER = (
@@ -332,37 +332,38 @@ class TestEveryCriterionCanFail:
 # ------------------------------------------------ one check per identity
 
 
-def _exact_ccr_blocks():
-    """(eigenvalues, kind) of every channel of dimension >= 2 that the exact-CCR criterion checks."""
-    ops = [assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))[1],
-           assemble_time_operator(harmonic_spectrum([1.0], 50))[1]]
-    return [(e, op.kind) for op in ops for g in op.groups for e in g.eigenvalues]
+def _exact_ccr_stacks():
+    """The time operators the exact-CCR criterion certifies: hydrogen to n = 4 and the oscillator to n = 50."""
+    return [assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 4))[1],
+            assemble_time_operator(harmonic_spectrum([1.0], 50))[1]]
 
 
-def test_difference_stack_matches_the_pair_loop_bit_for_bit():
-    blocks = _exact_ccr_blocks()
-    assert len(blocks) >= 2 and max(e.size for e, _ in blocks) == 51
-    for e, kind in blocks:
-        stack = acceptance._difference_stack(e.size)
-        worst, scale = ccr_residuals(e[None], kind, stack[None])
-        got = (float(worst[0]), float(scale[0]), len(stack))
-        assert got == block_pair_residuals(pairing(e, kind), generator(e, kind))
-
-
-def test_exact_ccr_details_match_the_pair_loop():
+def test_exact_ccr_details_are_the_certificates():
     tol = resolve_tolerances()
     passed, details = acceptance.criterion_exact_ccr(tol, 7)
     worst = ratio = 0.0
-    pairs = 0
-    for e, kind in _exact_ccr_blocks():
-        residual, scale, count = block_pair_residuals(pairing(e, kind), generator(e, kind))
-        worst = max(worst, residual)
-        ratio = max(ratio, residual / (tol["ccr_relative"] * scale))
-        pairs += count
+    for op in _exact_ccr_stacks():
+        certificate, scale = ccr_certificates(op)
+        allowed = ccr_allowed(op, scale, tol)
+        worst = max(worst, float(np.max(certificate)))
+        ratio = max(ratio, float(np.max(certificate[allowed > 0.0] / allowed[allowed > 0.0])))
     assert passed is True
     assert details["worst_residual"] == worst
-    assert details["worst_residual_over_allowed"] == ratio
-    assert details["difference_pairs_checked"] == pairs
+    assert details["worst_residual_over_allowed"] == ratio < 1e-2
+    assert (details["hydrogen_states"], details["hydrogen_channels"], details["oscillator_channels"]) == (30, 16, 1)
+
+
+def test_every_difference_the_criterion_covers_is_within_its_certificate():
+    # the pair loop over every e_k - e_l, of norm sqrt(2), against the whole commutator
+    for op in _exact_ccr_stacks():
+        certificate, _ = ccr_certificates(op)
+        for g in op.groups:
+            for block, e in zip(g.blocks, g.eigenvalues):
+                residual, _, _ = block_pair_residuals(pairing(e, op.kind), generator(e, op.kind))
+                pair = np.zeros(e.size)
+                pair[:2] = 1.0, -1.0
+                roundoff = sweep_roundoff(e, op.kind, pair)[0]
+                assert residual <= math.sqrt(2.0) * certificate[block] * (1 + 1e-12) + roundoff
 
 
 _HYDROGEN = {"kind": "hydrogen", "n_max": 4}
@@ -392,6 +393,11 @@ def refine_worse(monkeypatch):
 #: pass), and a change that leaves every report's verdict as it is but breaks
 #: the criterion's own assertion (None when it adds none).
 PIPELINE_CRITERIA = {
+    "exact-ccr": (
+        [(_HYDROGEN, {"kind": "timeop"}, True), ({"kind": "oscillator", "n_max": 50}, {"kind": "timeop"}, True)],
+        # one hydrogen channel fewer: the structure check fails, though every certificate passes
+        lambda mp: spy_on_runs(mp, lambda report: report["decomposition"]["channels"].pop()),
+    ),
     "ultraweak-form": ([(_HYDROGEN, {"kind": "uwform"}, True)], None),
     "oscillator-bound": (
         [({}, {"kind": "oscspec", "omega": 1.0, "sizes": [100, 200, 400, 800]}, True)],

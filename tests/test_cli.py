@@ -230,6 +230,28 @@ class TestSubcommands:
         first = report["channel_reports"][0]
         assert set(first) == {"channel_id", "dimension", "max_ccr_residual"}
 
+    @pytest.mark.parametrize("flags", [
+        ["--model", "hydrogen", "--n-max", "70"],
+        ["--model", "hydrogen", "--n-max", "100"],
+        *(["--model", "hydrogen", "--n-max", "4", "--gamma", gamma] for gamma in ("0.01", "1", "100")),
+        *(["--model", "oscillator", "--n-max", "200", "--omega", omega] for omega in ("1e-3", "1", "1e3")),
+    ], ids=lambda flags: "-".join(flags[1::2]))
+    def test_timeop_passes_at_every_size_and_scale(self, tmp_path, flags):
+        # the gate moves with max|h| max|A|, so neither the size nor the unit of the spectrum fails it
+        assert main(["timeop", *flags, "--out", str(tmp_path)]) == 0
+        report = _read(tmp_path / "timeop_report.json")
+        assert 0.0 < report["max_ccr_residual_over_allowed"] < 1e-2
+
+    def test_timeop_checks_each_dimension_once(self, tmp_path, monkeypatch):
+        # the stack checks the rows of each dimension on entry, and the certificate does not check them again
+        _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 70))
+        calls = []
+        require = timeop._require_rows
+        monkeypatch.setattr(timeop, "_require_rows", lambda ev, kind: calls.append(ev.shape[1]) or require(ev, kind))
+        assert main(["timeop", "--model", "hydrogen", "--n-max", "70", "--out", str(tmp_path)]) == 0
+        # one call per group, and one for the channels of dimension 1
+        assert sorted(calls) == [1, *sorted(g.eigenvalues.shape[1] for g in op.groups)] == list(range(1, 71))
+
     def test_timeop_custom_input(self, tmp_path):
         s = hydrogen_point_spectrum(1.0, 1.0, 3)
         src = tmp_path / "custom.json"
@@ -398,9 +420,10 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command", [
         ["s0check"],
+        ["timeop", "--model", "hydrogen", "--n-max", "16"],
         ["uwform", "--model", "hydrogen", "--n-max", "16"],
         ["ftransform", "--model", "hydrogen", "--n-max", "16", "--function", "sin:0.3"],
-    ], ids=["s0check", "uwform", "ftransform"])
+    ], ids=["s0check", "timeop", "uwform", "ftransform"])
     def test_certified_reports_read_no_seed(self, tmp_path, command):
         # the certificates draw nothing: only the echoed config may differ
         reports = set()
@@ -412,8 +435,8 @@ class TestSubcommands:
             reports.add(json.dumps(report, sort_keys=True))
         assert len(reports) == 1
 
-    @pytest.mark.parametrize("command", [["uwform"], ["ftransform", "--function", "sin:0.3"]])
-    def test_ultraweak_reports_read_no_vectors(self, tmp_path, command):
+    @pytest.mark.parametrize("command", [["timeop"], ["uwform"], ["ftransform", "--function", "sin:0.3"]])
+    def test_certified_reports_read_no_vectors(self, tmp_path, command):
         reports = set()
         for flags in (["--vectors", "1"], ["--vectors", "10000"]):
             out = tmp_path / "-".join(flags)
@@ -428,15 +451,15 @@ class TestSubcommands:
         (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
         for kind in ("timeop", "uwform", "s0check", "selftest"):
             (flag,) = [a for a in sub.choices[kind]._actions if a.dest == "seed"]
-            assert "timeop's random vectors" in flag.help and "selftest's partition sequences" in flag.help
-            assert "ignore it" in flag.help
+            assert "random vectors" not in flag.help and "selftest's partition sequences" in flag.help
+            assert "timeop included" in flag.help and "ignores it" in flag.help
 
-    def test_vectors_help_says_the_ultraweak_pipelines_ignore_it(self):
+    def test_vectors_help_says_every_pipeline_ignores_it(self):
         parser = cli._build_parser()
         (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
         for kind in ("timeop", "uwform", "ftransform"):
             (flag,) = [a for a in sub.choices[kind]._actions if a.dest == "vectors"]
-            assert flag.help.startswith("ignored") == (kind != "timeop")
+            assert flag.help.startswith("ignored")
 
     def test_ftransform_admissible_sine(self, tmp_path):
         code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
@@ -584,8 +607,9 @@ class TestSubcommands:
         code = main(["abweyl", "--sigma", "-1.0", "--out", str(tmp_path)])
         assert code == 2
 
-    # a negative size must not cancel the work of the others
-    @pytest.mark.parametrize("sizes", ["4096,4096,4096", "-100000000,4096"])
+    # a negative size must not cancel the work of the others, and each size costs at least 128^2
+    @pytest.mark.parametrize("sizes", ["4096,4096,4096", "-100000000,4096", ",".join(["2"] * 5000)],
+                             ids=["three-at-the-cap", "a-negative-size", "5000-sizes-of-2"])
     def test_oscspec_work_beyond_the_cap_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, sizes):
         def no_solve(omega, n):
             raise AssertionError("an over-cap size list reached the solver")
@@ -593,15 +617,18 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "osc_timeop_extremes", no_solve)
         code = main(["oscspec", f"--sizes={sizes}", "--jobs", "2", "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        work = sum(abs(int(n)) ** 2 for n in sizes.split(","))
+        work = sum(max(abs(int(n)), 128) ** 2 for n in sizes.split(","))
         assert code == 2
-        assert err == f"error: sizes sum to n^2 = {work}, beyond the limit {cli.OSCSPEC_WORK_LIMIT}\n"
+        assert err == f"error: sizes cost a summed max(n, 128)^2 = {work}, beyond the limit {cli.OSCSPEC_WORK_LIMIT}\n"
         assert not (tmp_path / "oscspec_report.json").exists()
 
-    def test_oscspec_cap_admits_the_dense_benchmark_sizes(self, tmp_path):
-        assert 400 ** 2 + 800 ** 2 + 1600 ** 2 <= cli.OSCSPEC_WORK_LIMIT
-        assert 2 * 4096 ** 2 <= cli.OSCSPEC_WORK_LIMIT   # "4096,4096" is admitted
+    def test_oscspec_cap_admits_the_dense_benchmark_sizes(self, tmp_path, monkeypatch):
         assert main(["oscspec", "--sizes", "400,800,1600", "--out", str(tmp_path)]) == 0
+        # "4096,4096" is admitted: it reaches the solver
+        solved = []
+        monkeypatch.setattr(cli, "osc_timeop_extremes", lambda omega, n: solved.append(n) or osc_timeop_extremes(omega, 2))
+        main(["oscspec", "--sizes", "4096,4096", "--out", str(tmp_path)])
+        assert solved == [4096, 4096]
 
     def test_s0check(self, tmp_path):
         code = main(["s0check", "--out", str(tmp_path)])
@@ -745,7 +772,8 @@ class TestEveryVerdictCanFail:
 
     @pytest.mark.parametrize("case", ["generator_entry", "eigenvalue", "nan_entry"])
     def test_timeop(self, tmp_path, monkeypatch, case):
-        # one generator entry off by a relative 1e-9 or NaN, or one pairing eigenvalue off by a relative
+        # one generator entry pair off by a relative 1e-9 or NaN, planted antisymmetrically at (7, 3) and
+        # (3, 7) since the certificate reads one triangle, or one pairing eigenvalue off by a relative
         # 1e-9 with the generator built from the exact ones: that commutator row no longer cancels
         def perturbed(s, p):
             deco, op = assemble_time_operator(s, p)
@@ -759,6 +787,7 @@ class TestEveryVerdictCanFail:
                 a = generator(g.eigenvalues[0], op.kind)
                 if case != "eigenvalue":
                     a[7, 3] = a[7, 3] * (1.0 + 1e-9) if case == "generator_entry" else math.nan
+                    a[3, 7] = -a[7, 3]
                 return a
 
             plant(monkeypatch, timeop, planted, target=op.groups[0].eigenvalues[0])
@@ -768,6 +797,20 @@ class TestEveryVerdictCanFail:
         report = self._run(tmp_path, "timeop", "--model", "oscillator", "--n-max", "20")
         assert not report["max_ccr_residual"] <= 1e-12
         assert math.isnan(report["max_ccr_residual"]) is (case == "nan_entry")
+        assert not report["max_ccr_residual_over_allowed"] <= 1.0
+
+    @pytest.mark.parametrize("poisoned", [0, 1], ids=["certificate", "scale"])
+    def test_timeop_nan_gate_input(self, tmp_path, monkeypatch, poisoned):
+        # a NaN certificate, or a NaN scale under a finite certificate, fails the gate
+        certificates = cli.ccr_certificates
+
+        def planted(op):
+            out = certificates(op)
+            out[poisoned][np.argmax(out[0])] = math.nan
+            return out
+
+        monkeypatch.setattr(cli, "ccr_certificates", planted)
+        self._run(tmp_path, "timeop", "--model", "hydrogen", "--n-max", "4")
 
     def test_rabi_certificate_with_a_planted_pivot(self, tmp_path, monkeypatch):
         # every count one too high: the lower shift of the ground state fails at every block size

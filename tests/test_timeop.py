@@ -2,35 +2,33 @@ import functools
 import math
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from timeops import acceptance, timeop, uwform
-from timeops.acceptance import _difference_stack
 from timeops.cli import RunConfig, main, resolve_tolerances, run
 from timeops.decompose import channel_partition
 from timeops.spectra import (
     Accumulation,
     DiscreteSpectrum,
     HermitianMatrix,
-    harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_hamiltonian,
 )
 from timeops.timeop import (
-    CCR_BAND_ROWS,
     CHANNEL_DIMENSION_LIMIT,
     ChannelStack,
     MatrixKind,
+    _defect,
     _entries,
     _require_rows,
     assemble_time_operator,
-    ccr_check,
-    ccr_residuals,
+    ccr_allowed,
+    ccr_certificates,
     osc_timeop_extremes,
-    random_difference_stack,
 )
 
 from dense_reference import (
@@ -39,12 +37,14 @@ from dense_reference import (
     certificate_stack,
     chebyshev_ritz_extremes,
     dense_commutator,
-    dense_residual_rows,
+    exact_defect_squares,
     generator,
     generator_stack,
     gram_extremes,
     pairing,
     plant,
+    random_difference_stack,
+    sweep_roundoff,
 )
 from recording_rng import RecordingRng
 
@@ -78,20 +78,15 @@ def built(eigenvalues, kind=MatrixKind.DIRECT):
     return _entries(g.eigenvalues, 0, g.eigenvalues.shape[1], kind)[0]
 
 
-def sweep(eigenvalues, kind, v):
-    """(worst, scale) of ``ccr_residuals`` on one channel, over one vector or the rows of a (k, n) stack."""
-    vecs = np.asarray(v)
-    worst, scale = ccr_residuals(np.asarray(eigenvalues, dtype=float)[None], kind, vecs.reshape(1, -1, vecs.shape[-1]))
-    return float(worst[0]), float(scale[0])
+def certify(eigenvalues, kind=MatrixKind.DIRECT):
+    """(certificate, scale) of ``ccr_certificates`` for one channel on its own."""
+    certificate, scale = ccr_certificates(ChannelStack([eigenvalues], kind))
+    return float(certificate[0]), float(scale[0])
 
 
-def residual(eigenvalues, kind, v):
-    """``ccr_residuals`` of one channel over one vector or the rows of a (k, n) stack."""
-    return sweep(eigenvalues, kind, v)[0]
-
-
-#: The difference e_0 - e_1 of a two-dimensional channel, normalized.
-PAIR = np.array([1.0, -1.0]) / math.sqrt(2.0)
+def swept(eigenvalues, kind, v):
+    """The reference sweep's worst residual of one channel over one vector or the rows of a (k, n) stack."""
+    return ccr_residual(pairing(eigenvalues, kind), generator(eigenvalues, kind), v)
 
 
 class TestGalaponMatrix:
@@ -121,15 +116,14 @@ class TestGalaponMatrix:
         ev = np.cumsum(np.linspace(0.1, 2.0, 25))
         a = built(ev)
         assert np.array_equal(a, -a.T)
-        v = random_difference_stack(np.random.default_rng(1), ev.size, 3)
-        assert sweep(ev, MatrixKind.DIRECT, v)[1] == np.max(np.abs(a))
+        assert certify(ev)[1] == np.max(np.abs(a))
 
     def test_pairing_eigenvalues(self):
         # the direct kind pairs with diag(E), the inverse-conjugate kind with diag(1/E)
-        v = np.array([0.5, -1.0, 0.5], dtype=complex)
-        for kind, values, h in ((MatrixKind.DIRECT, (0.5, 1.5, 2.5), (0.5, 1.5, 2.5)),
-                                (MatrixKind.INVERSE_CONJUGATE, (-2.0, -1.0, -0.5), (-0.5, -1.0, -2.0))):
-            assert residual(values, kind, v) == ccr_residual(np.array(h), generator(values, kind), v)
+        for kind, values, h in ((MatrixKind.DIRECT, (0.5, 1.7, 3.1), (0.5, 1.7, 3.1)),
+                                (MatrixKind.INVERSE_CONJUGATE, (-2.0, -1.0, -0.3), (-0.5, -1.0, -1.0 / 0.3))):
+            exact = math.sqrt(exact_defect_squares(h, generator(values, kind)))
+            assert 0.0 < exact and certify(values, kind)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert np.array_equal(pairing((-2.0, -1.0), MatrixKind.INVERSE_CONJUGATE), [-0.5, -1.0])
 
     def test_inverse_conjugate_is_direct_matrix_of_reciprocals(self):
@@ -178,20 +172,16 @@ class TestGalaponMatrix:
         rows = -1.0 / np.arange(1, 7).reshape(2, 3) ** 2
         rows[1, 2] = value
         message = f"eigenvalues must be finite \\(got {value!r}\\)$"
-        # the stack refuses them in every dimension, 1 included
+        # the stack refuses them in every dimension, 1 included, before any kernel reads them
         for channels in ([rows[0], rows[1]], [rows[0], rows[1, 2:]]):
             with pytest.raises(ValueError, match=message):
                 ChannelStack(channels, kind)
-        if kind is not MatrixKind.FORM:
-            # and the sweep refuses them on raw rows, before any entry is built
-            with pytest.raises(ValueError, match=message):
-                ccr_residuals(rows, kind, np.array([[[1.0, -1.0, 0.0]]] * 2))
 
     @pytest.mark.parametrize("kind,rows", [
         (MatrixKind.DIRECT, np.arange(15.0).reshape(3, 5) + 0.5),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 16).reshape(3, 5) ** 2),
         (MatrixKind.FORM, -1.0 / np.arange(1, 16).reshape(3, 5) ** 2),
-        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 2 * CCR_BAND_ROWS + 3).reshape(2, -1) ** 2),
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 259).reshape(2, -1) ** 2),
     ])
     def test_every_band_is_cut_from_the_whole_matrices(self, kind, rows):
         # the whole-matrix reference, and each row built alone, give the same bits
@@ -200,8 +190,9 @@ class TestGalaponMatrix:
         assert np.array_equal(whole, -whole.transpose(0, 2, 1))
         d = rows.shape[1]
         for start, stop in ((0, d), (0, 1), (1, 3), (d - 2, d), (d // 2, d // 2 + 1)):
-            band = _entries(rows, start, stop, kind)
-            assert band.dtype == np.float64 and np.array_equal(band, whole[:, start:stop])
+            for first in sorted({0, start // 2, start}):
+                band = _entries(rows, start, stop, kind, first)
+                assert band.dtype == np.float64 and np.array_equal(band, whole[:, start:stop, first:])
 
     def test_a_refusal_names_the_first_failing_row(self):
         rows = np.array([[-1.0, -0.5], [-1e300, -1e10], [-1e301, -1e300]])
@@ -222,7 +213,7 @@ class TestGalaponMatrix:
         with pytest.raises(ValueError, match=r"entries .* overflow to a non-finite value"):
             built(values, kind)
         with pytest.raises(ValueError, match=r"entries .* overflow to a non-finite value"):
-            residual(values, kind, PAIR)
+            certify(values, kind)
 
     @given(
         st.lists(
@@ -231,12 +222,13 @@ class TestGalaponMatrix:
             max_size=20,
         )
     )
-    def test_random_channels_are_hermitian_with_small_residual(self, gaps):
+    def test_random_channels_are_hermitian_and_pass_the_gate(self, gaps):
         ev = 0.5 + np.cumsum(gaps)
         a = built(ev)
         assert np.array_equal(a, -a.T)
-        v = random_difference_vector(np.random.default_rng(11), ev.size)
-        assert residual(ev, MatrixKind.DIRECT, v) <= 1e-10
+        op = ChannelStack([ev], MatrixKind.DIRECT)
+        certificate, scale = ccr_certificates(op)
+        assert certificate[0] <= ccr_allowed(op, scale, resolve_tolerances())[0]
 
 
 class TestDifferenceSpan:
@@ -285,89 +277,110 @@ class TestDifferenceSpan:
         assert np.all(np.abs(stack.sum(axis=1)) <= 1e-13)
 
 
-class TestCcrResidual:
+TIME_KINDS = [MatrixKind.DIRECT, MatrixKind.INVERSE_CONJUGATE]
+
+#: Channels of both kinds, up to dimension 12, whose certificates are compared with rational arithmetic.
+SMALL_CHANNELS = [
+    (MatrixKind.DIRECT, np.array([0.5, 1.7, 3.1])),
+    (MatrixKind.DIRECT, 0.5 + np.arange(12)),
+    (MatrixKind.DIRECT, np.cumsum(np.linspace(0.1, 2.0, 12)) - 3.0),
+    (MatrixKind.DIRECT, 1e3 * (0.5 + np.arange(9))),
+    (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 13) ** 2),
+    (MatrixKind.INVERSE_CONJUGATE, -0.01 / np.arange(1, 7) ** 2),
+    (MatrixKind.INVERSE_CONJUGATE, np.array([-3.0, -0.7, 0.2, 1.9, 40.0])),
+]
+
+
+class TestCertificate:
+    """``ccr_certificates``: ||Delta||_F per channel, exact up to rounding, and what it bounds."""
+
     def test_commutator_is_i_times_hollow_ones(self):
         ev = np.array([0.5, 1.7, 3.1])
         comm = dense_commutator(ev, built(ev))
         expected = 1j * (np.ones((3, 3)) - np.eye(3))
         assert np.max(np.abs(comm - expected)) <= 1e-13
 
-    def test_basis_vector_is_rejected(self):
-        e0 = np.zeros(3, dtype=complex)
-        e0[0] = 1.0
-        with pytest.raises(ValueError, match="difference span"):
-            residual([1.0, 2.0, 3.0], MatrixKind.DIRECT, e0)
+    @pytest.mark.parametrize("kind,values", SMALL_CHANNELS)
+    def test_the_certificate_is_the_exact_defect_norm(self, kind, values):
+        # every stored h and A is a rational: ||Delta||_F^2 computed with no rounding at all
+        exact = exact_defect_squares(pairing(values, kind), generator(values, kind))
+        certificate, scale = certify(values, kind)
+        assert abs(Fraction(certificate) ** 2 - exact) <= Fraction(1e-12) * exact
+        assert scale == np.max(np.abs(generator(values, kind)))
 
-    def test_difference_of_basis_vectors(self):
-        vals = np.array([-1.0 / n ** 2 for n in range(1, 7)])
-        v = np.zeros(6, dtype=complex)
-        v[0], v[3] = 1.0, -1.0
-        v /= np.linalg.norm(v)
-        assert residual(vals, MatrixKind.INVERSE_CONJUGATE, v) <= 1e-12
+    def test_a_channel_of_exact_reciprocals_has_a_zero_certificate(self):
+        # gaps that are powers of two: every entry and every product is exact
+        assert certify([0.0, 0.5, 1.0]) == (0.0, 2.0)
 
-    def test_random_vectors_on_a_wide_channel(self):
-        ev = 0.5 + 0.37 * np.arange(50)
-        rng = np.random.default_rng(7)
-        worst = max(
-            residual(ev, MatrixKind.DIRECT, random_difference_vector(rng, 50)) for _ in range(20)
-        )
-        assert worst <= 1e-12
+    @pytest.mark.parametrize("kind,values", SMALL_CHANNELS)
+    def test_every_difference_of_basis_vectors_is_within_the_certificate(self, kind, values):
+        # e_k - e_l has norm sqrt(2); the pair loop checks each against the whole commutator
+        residual, _, pairs = block_pair_residuals(pairing(values, kind), generator(values, kind))
+        certificate, _ = certify(values, kind)
+        d = values.size
+        diffs = np.eye(d)[:, None, :] - np.eye(d)[None, :, :]
+        roundoff = np.max(sweep_roundoff(values, kind, diffs.reshape(-1, d)))
+        assert pairs == d * (d - 1) // 2
+        assert residual <= math.sqrt(2.0) * certificate * (1 + 1e-12) + roundoff
 
-    def test_dimension_mismatch_rejected(self):
-        ev = np.array([[1.0, 2.0]])
-        with pytest.raises(ValueError, match="vector stack is needed"):
-            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((1, 1, 3), dtype=complex))
-        with pytest.raises(ValueError, match="vector stack is needed"):
-            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((2, 4, 2), dtype=complex))
-        with pytest.raises(ValueError, match="vector stack is needed"):
-            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((4, 2), dtype=complex))
-        with pytest.raises(ValueError, match="at least one vector"):
-            ccr_residuals(ev, MatrixKind.DIRECT, np.zeros((1, 0, 2), dtype=complex))
+    def test_a_form_stack_is_refused(self):
         with pytest.raises(ValueError, match="not a time-operator generator"):
-            ccr_residuals(ev, MatrixKind.FORM, np.array([[[1.0, -1.0]]]))
+            ccr_certificates(ChannelStack([[-1.0, -0.25]], MatrixKind.FORM))
 
-    @pytest.mark.parametrize("kind,values", [
-        (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(60)),
-        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 41) ** 2),
-    ])
-    def test_stack_is_the_worst_single_vector(self, kind, values):
-        # one matrix product sums in another order than one product per row
-        a = generator(values, kind)
-        scale = np.max(np.abs(a))
-        rng = np.random.default_rng(21)
-        stack = np.array([random_difference_vector(rng, values.size) for _ in range(12)])
-        singles = [residual(values, kind, v.copy()) for v in stack]
-        comm = dense_commutator(pairing(values, kind), a)
-        reference = max(np.linalg.norm(comm @ v + 1j * v) for v in stack)
-        assert max(singles) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
-        assert residual(values, kind, stack) == pytest.approx(reference, rel=0.0, abs=1e-13 * scale)
-        assert residual(values, kind, list(stack)) == residual(values, kind, stack)
-        assert residual(values, kind, stack) <= 1e-12 * scale
+    def test_one_dimensional_channels_read_zero(self):
+        op = ChannelStack([[0.3, 1.7], [3.0], [4.1, 5.3, 6.9]], MatrixKind.DIRECT)
+        certificate, scale = ccr_certificates(op)
+        assert certificate[1] == scale[1] == 0.0 == ccr_allowed(op, scale, resolve_tolerances())[1]
+        assert scale[0] > 0.0 < scale[2]
 
-    def test_nan_vector_is_rejected(self):
-        v = np.array([1.0, -1.0, math.nan], dtype=complex)
-        with pytest.raises(ValueError, match="difference span"):
-            residual([1.0, 2.0, 3.0], MatrixKind.DIRECT, v)
+    def test_the_gate_reads_the_largest_pairing_value(self):
+        tol = resolve_tolerances({"ccr_relative": 0.5})
+        for kind, values, largest in ((MatrixKind.DIRECT, [-7.0, 2.0, 3.0], 7.0),
+                                      (MatrixKind.INVERSE_CONJUGATE, [-4.0, -0.25, 2.0], 4.0)):
+            op = ChannelStack([values], kind)
+            _, scale = ccr_certificates(op)
+            assert ccr_allowed(op, scale, tol)[0] == 0.5 * largest * scale[0]
 
-    def test_stack_rejects_any_row_outside_the_span(self):
-        rng = np.random.default_rng(4)
-        stack = np.array([random_difference_vector(rng, 3) for _ in range(3)])
-        stack[1] = [1.0, 0.0, 0.0]
-        with pytest.raises(ValueError, match="difference span"):
-            residual([1.0, 2.0, 3.0], MatrixKind.DIRECT, stack)
 
-    def test_stack_error_names_the_first_bad_row(self):
-        ev = [1.0, 2.0, 3.0]
-        rng = np.random.default_rng(4)
-        stack = np.array([random_difference_vector(rng, 3) for _ in range(4)])
-        stack[1] = [0.25, 0.0, 0.0]
-        stack[2] = [math.nan, 0.0, 0.0]
-        stack[3] = [2.0, 0.0, 0.0]
-        with pytest.raises(ValueError, match=r"coefficient sum 2\.500e-01\)"):
-            residual(ev, MatrixKind.DIRECT, stack)
-        stack[1] = stack[0]
-        with pytest.raises(ValueError, match=r"coefficient sum nan\)"):
-            residual(ev, MatrixKind.DIRECT, stack)
+class TestCertificateFuzz:
+    """Properties of the certificate over random channels of both kinds."""
+
+    @staticmethod
+    def _channel(low, gaps, kind):
+        values = low + np.concatenate([[0.0], np.cumsum(gaps)])
+        if kind is MatrixKind.INVERSE_CONJUGATE:
+            values = np.where(values < 0.0, values - 1e-3, values + 1e-3)   # away from zero, order kept
+        return values
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        low=st.floats(min_value=-50.0, max_value=50.0),
+        gaps=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=39),
+        kind=st.sampled_from(TIME_KINDS),
+    )
+    def test_within_the_a_priori_bound(self, low, gaps, kind):
+        # each entry of Delta is at most 3u (1 + (|h_n| + |h_m|) |A_nm|) (Higham, ch. 3)
+        values = self._channel(low, gaps, kind)
+        h = pairing(values, kind)
+        bound = 1.5 * np.finfo(float).eps * (1.0 + (np.abs(h)[:, None] + np.abs(h)[None, :])
+                                             * np.abs(generator(values, kind)))
+        np.fill_diagonal(bound, 0.0)
+        assert certify(values, kind)[0] <= np.linalg.norm(bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        low=st.floats(min_value=-50.0, max_value=50.0),
+        gaps=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=39),
+        kind=st.sampled_from(TIME_KINDS),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_a_swept_residual_is_within_the_certificate_and_its_own_rounding(self, low, gaps, kind, seed):
+        values = self._channel(low, gaps, kind)
+        vecs = random_difference_stack(np.random.default_rng(seed), values.size, 8)
+        certificate, _ = certify(values, kind)
+        allowed = certificate * (1 + 1e-12) + sweep_roundoff(values, kind, vecs)
+        residuals = [swept(values, kind, v) for v in vecs]
+        assert np.all(residuals <= allowed)
 
 
 class TestBlockOperator:
@@ -382,7 +395,8 @@ class TestBlockOperator:
         """Whole-vector residual: each group's channels take their coordinates of v."""
         total = 0.0
         for g in op.groups:
-            total += float(np.sum(ccr_residuals(g.eigenvalues, op.kind, v[g.index][:, None, :])[0] ** 2))
+            for row, index in zip(g.eigenvalues, g.index):
+                total += swept(row, op.kind, v[index]) ** 2
         return math.sqrt(total)
 
     def test_shapes_and_slices(self):
@@ -394,18 +408,17 @@ class TestBlockOperator:
         )
 
     def test_full_residual_with_per_block_membership(self):
+        # a unit vector of the blocks' difference spans: within the largest certificate, up to rounding
         op = self._two_blocks()
         rng = np.random.default_rng(2)
-        v = np.concatenate(
-            [random_difference_vector(rng, 3), random_difference_vector(rng, 2)]
-        )
-        assert self._blockwise_residual(op, v) <= 1e-10
+        v = np.concatenate([random_difference_vector(rng, 3), random_difference_vector(rng, 2)]) / math.sqrt(2.0)
+        assert self._blockwise_residual(op, v) <= np.max(ccr_certificates(op)[0]) + 1e-14
 
-    def test_globally_balanced_but_blockwise_unbalanced_vector_is_rejected(self):
+    def test_a_globally_balanced_but_blockwise_unbalanced_vector_is_not_certified(self):
+        # its coefficient sum is zero over the whole vector but not per block: the defect is O(1)
         op = self._two_blocks()
         v = np.array([1.0, 0.0, 0.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-        with pytest.raises(ValueError, match="difference span"):
-            self._blockwise_residual(op, v)
+        assert self._blockwise_residual(op, v) >= 0.5 > 1e6 * np.max(ccr_certificates(op)[0])
 
 
 def _assembled(values, accumulation):
@@ -437,8 +450,9 @@ class TestAssembleTimeOperator:
         assert isinstance(op, ChannelStack) and len(op.eigenvalues) == 9
         assert op.total_dimension == 14
         assert sum(g.blocks.size for g in op.groups) == sum(ev.size >= 2 for ev in op.eigenvalues)
-        worst, scale = ccr_check(op, 13, 1)
-        assert worst.shape == scale.shape == (9,) and np.max(worst) <= 1e-12
+        certificate, scale = ccr_certificates(op)
+        assert certificate.shape == scale.shape == (9,)
+        assert np.all(certificate <= ccr_allowed(op, scale, resolve_tolerances()))
 
 
 def svd_spectrum(omega: float, n: int) -> np.ndarray:
@@ -701,16 +715,15 @@ class TestRealHermitianSolve:
 
 
 class TestStackHoldsNoMatrix:
-    """The sweep's scale is a full recomputation's, and a stack keeps nothing but eigenvalues."""
+    """The certificate's scale is a full recomputation's, and a stack keeps nothing but eigenvalues."""
 
     @pytest.mark.parametrize("kind,values", [
         (MatrixKind.DIRECT, 0.5 + 0.37 * np.arange(101)),
         (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 71) ** 2),
     ])
-    def test_swept_scale_matches_a_full_recomputation(self, kind, values, monkeypatch):
-        monkeypatch.setattr(timeop, "CCR_BAND_ROWS", 32)
-        v = random_difference_stack(np.random.default_rng(2), values.size, 3)
-        assert sweep(values, kind, v)[1] == np.max(np.abs(generator(values, kind)))
+    def test_banded_scale_matches_a_full_recomputation(self, kind, values, monkeypatch):
+        monkeypatch.setattr(timeop, "CCR_CHUNK", 200)
+        assert certify(values, kind)[1] == np.max(np.abs(generator(values, kind)))
 
     def test_a_stack_keeps_only_eigenvalues(self):
         # no (c, d, d) array outlives the kernel that built it
@@ -727,56 +740,45 @@ def _channel(n: int, kind: MatrixKind) -> np.ndarray:
     return -1.0 / np.arange(1, n + 1) ** 2
 
 
-TIME_KINDS = [MatrixKind.DIRECT, MatrixKind.INVERSE_CONJUGATE]
+def whole_row_certificate(values, kind, rows=64):
+    """||Delta||_F from whole rows, both triangles, every column: the certificate without its banding."""
+    e = np.asarray(values, dtype=float)[None]
+    h = pairing(values, kind)[None]
+    d = e.shape[1]
+    total = 0.0
+    for start in range(0, d, rows):
+        stop = min(d, start + rows)
+        delta = _defect(_entries(e, start, stop, kind), h[:, start:stop, None], h[:, None, :])
+        delta.reshape(-1)[start::d + 1] = 0.0   # the diagonal of Delta is zero
+        total += float(np.sum(delta * delta))
+    return math.sqrt(total)
 
 
-class TestBandedCommutator:
-    """``ccr_residuals`` streams the commutator in bands; the dense product and the per-channel kernel are references."""
+class TestBandedCertificate:
+    """``ccr_certificates`` builds bands of the upper triangle; whole rows of Delta are the reference."""
 
     @pytest.mark.parametrize("kind", TIME_KINDS)
-    @pytest.mark.parametrize("n", [2, CCR_BAND_ROWS - 1, CCR_BAND_ROWS, CCR_BAND_ROWS + 1, 300, 1501])
-    def test_matches_the_dense_commutator_row_by_row(self, n, kind):
-        ev = _channel(n, kind)
-        h = pairing(ev, kind)
-        a = generator(ev, kind)
-        scale = np.max(np.abs(a))
-        comm = dense_commutator(h, a)
-        for k in (1, 20):
-            stack = random_difference_stack(np.random.default_rng(n + k), n, k)
-            # a single row goes to a matrix-vector product, a stack to a matrix product
-            for v in stack:
-                assert abs(residual(ev, kind, v) - dense_residual_rows(comm, v[None])[0]) <= 1e-15 * scale
-            got = residual(ev, kind, stack)
-            assert abs(got - np.max(dense_residual_rows(comm, stack))) <= 1e-15 * scale
-            assert got == ccr_residual(h, a, stack)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 127, 300, 1501])
+    def test_matches_the_whole_rows(self, n, kind):
+        values = _channel(n, kind)
+        certificate, scale = certify(values, kind)
+        assert certificate == pytest.approx(whole_row_certificate(values, kind), rel=1e-13, abs=0.0)
+        assert scale == np.max(np.abs(generator(values, kind)))
 
     @pytest.mark.parametrize("kind", TIME_KINDS)
     @pytest.mark.parametrize("row", [0, 299])
-    def test_nan_in_one_row_gives_a_nan_residual_and_fails(self, kind, row, monkeypatch):
-        # a NaN in one generator entry of the first or the last band; the eigenvalues are finite
-        values = _channel(300, kind)[None]
+    def test_nan_in_one_entry_pair_gives_a_nan_certificate_and_fails(self, kind, row, monkeypatch):
+        # a NaN at (row, 150) and (150, row), in the first or the last band; the eigenvalues are finite
+        op = ChannelStack([_channel(300, kind)], kind)
 
         def poisoned(e, a):
-            a[row, 150] = math.nan
+            a[row, 150] = a[150, row] = math.nan
             return a
 
-        plant(monkeypatch, timeop, poisoned, target=values[0])
-        vecs = random_difference_stack(np.random.default_rng(3), 300, 20)
-        worst, scale = ccr_residuals(values, kind, vecs[None])
-        assert math.isnan(worst[0]) and math.isnan(scale[0])
-        assert not worst[0] <= 1e-12 * scale[0]
-
-
-def reference_ccr_check(op, seed, count):
-    """The per-channel loop the grouped sweep replaced: one draw and one kernel call per whole generator."""
-    worst, scale = np.zeros(len(op.eigenvalues)), np.zeros(len(op.eigenvalues))
-    for i, ev in enumerate(op.eigenvalues):
-        if ev.size >= 2:
-            vecs = random_difference_stack(np.random.default_rng(seed + 10_000 + i), ev.size, count)
-            a = generator(ev, op.kind)
-            worst[i] = ccr_residual(pairing(ev, op.kind), a, vecs)
-            scale[i] = np.max(np.abs(a))
-    return worst, scale
+        plant(monkeypatch, timeop, poisoned, target=op.groups[0].eigenvalues[0])
+        certificate, scale = ccr_certificates(op)
+        assert math.isnan(certificate[0]) and math.isnan(scale[0])
+        assert not certificate[0] <= ccr_allowed(op, scale, resolve_tolerances())[0]
 
 
 def assert_same_bits(got, expected):
@@ -785,19 +787,13 @@ def assert_same_bits(got, expected):
 
 
 class TestGroupedKernel:
-    """Each group is swept at once and gets the bits of the per-channel kernel."""
+    """Each group is certified at once and gets the bits of each channel certified alone."""
 
-    @pytest.mark.parametrize("seed", [1, 3, 7])
     @pytest.mark.parametrize("n_max", [4, 16])
-    def test_hydrogen_sweep_matches_the_per_channel_loop_bit_for_bit(self, n_max, seed):
+    def test_hydrogen_groups_match_the_channels_alone_bit_for_bit(self, n_max):
         _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, n_max))
-        assert_same_bits(ccr_check(op, seed, 20), reference_ccr_check(op, seed, 20))
-
-    def test_oscillator_sweep_matches_the_per_channel_loop_bit_for_bit(self):
-        _, op = assemble_time_operator(harmonic_spectrum([1.0], 1501))
-        (g,) = op.groups
-        assert g.eigenvalues.shape == (1, 1502)
-        assert_same_bits(ccr_check(op, 7, 20), reference_ccr_check(op, 7, 20))
+        alone = np.array([certify(ev, op.kind) if ev.size >= 2 else (0.0, 0.0) for ev in op.eigenvalues])
+        assert_same_bits(ccr_certificates(op), alone.T)
 
     def test_groups_build_the_channels_built_alone(self):
         _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 16))
@@ -807,29 +803,15 @@ class TestGroupedKernel:
                 assert np.array_equal(row, op.eigenvalues[block])
                 assert np.array_equal(a, generator(row, op.kind))
 
-    def test_broadcast_difference_stacks_match_the_per_channel_kernel(self):
-        for s in (hydrogen_point_spectrum(1.0, 1.0, 4), harmonic_spectrum([1.0], 50)):
-            _, op = assemble_time_operator(s)
-            for g in op.groups:
-                c, d = g.eigenvalues.shape
-                stack = _difference_stack(d)
-                got, _ = ccr_residuals(g.eigenvalues, op.kind, np.broadcast_to(stack, (c, *stack.shape)))
-                expected = [ccr_residual(pairing(row, op.kind), generator(row, op.kind), stack) for row in g.eigenvalues]
-                assert np.array_equal(got, expected)
-
-    def test_chunked_sweep_gives_the_same_bits(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 50, 1000])
+    def test_smaller_chunks_give_the_same_certificates(self, monkeypatch, budget):
+        # a band's rows and channels follow the budget, so only the sums' order changes
         _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 8))
-        expected = ccr_check(op, 5, 6)
-        monkeypatch.setattr(timeop, "SWEEP_CHUNK", 50)
-        assert_same_bits(ccr_check(op, 5, 6), expected)
-
-    def test_one_dimensional_channels_read_zero_and_an_empty_sweep_is_refused(self):
-        op = ChannelStack([[0.3, 1.7], [3.0], [4.1, 5.3, 6.9]], MatrixKind.DIRECT)
-        worst, scale = ccr_check(op, 0, 3)
-        assert worst[1] == scale[1] == 0.0
-        assert 0.0 < worst[0] <= 1e-12 and 0.0 < worst[2] <= 1e-12 and scale[0] > 0.0 < scale[2]
-        with pytest.raises(ValueError, match="checks nothing"):
-            ccr_check(op, 0, 0)
+        certificate, scale = ccr_certificates(op)
+        monkeypatch.setattr(timeop, "CCR_CHUNK", budget)
+        chunked, chunked_scale = ccr_certificates(op)
+        assert np.array_equal(chunked_scale, scale)
+        np.testing.assert_allclose(chunked, certificate, rtol=1e-13, atol=0.0)
 
 
 def traced_peak_mib(call) -> float:
@@ -861,25 +843,23 @@ class TestMemory:
         # the half-size block B, 4.9 MiB, and subspaces of at most 32 columns with their images, 0.2 MiB each
         assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 1600)) <= 8.0
 
-    def test_the_sweep_holds_a_few_bands(self):
-        n = 1501
-        vecs = random_difference_stack(np.random.default_rng(1), n, 20)
-        ev = (np.arange(n) + 0.5)[None]
-        assert traced_peak_mib(lambda: ccr_residuals(ev, MatrixKind.DIRECT, vecs[None])) * 2 ** 20 < 0.5 * 8 * n * n
+    def test_the_certificate_holds_a_few_buffers(self):
+        # a band and the temporaries of its error-free arithmetic, CCR_CHUNK entries each
+        op = ChannelStack([np.arange(1501) + 0.5], MatrixKind.DIRECT)
+        assert traced_peak_mib(lambda: ccr_certificates(op)) * 2 ** 20 <= 16 * 8 * timeop.CCR_CHUNK
 
 
 class TestStreamedKernelsFuzz:
-    """Streamed in bands of 1, 3 or 7 rows and chunks of one channel, the kernels give the whole-matrix references' bits."""
+    """Streamed in bands of one row and chunks of one channel, the kernels give the whole-matrix references."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         low=st.floats(min_value=-50.0, max_value=50.0),
         gaps=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=39),
         copies=st.integers(min_value=1, max_value=3),
-        band_rows=st.sampled_from([1, 3, 7]),
         kind=st.sampled_from(list(MatrixKind)),
     )
-    def test_bits_match_the_whole_matrix_references(self, low, gaps, copies, band_rows, kind):
+    def test_the_whole_matrix_references(self, low, gaps, copies, kind):
         values = low + np.concatenate([[0.0], np.cumsum(gaps)])
         if kind is not MatrixKind.DIRECT:
             # keep 1/E and 1/E^2 in range: the values are pushed away from zero, order kept
@@ -887,16 +867,17 @@ class TestStreamedKernelsFuzz:
         rows = np.array([values * (1 + j) for j in range(copies)])   # channels of one dimension
         assert np.all(np.diff(rows, axis=1) > 0.0) and rows.shape[1] <= 40
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(timeop, "CCR_BAND_ROWS", band_rows)
             mp.setattr(timeop, "SWEEP_CHUNK", 1)
+            mp.setattr(timeop, "CCR_CHUNK", 1)
             if kind is MatrixKind.FORM:
-                got = uwform.uw_ccr_bounds(ChannelStack(rows, kind))
-                assert np.array_equal(got, certificate_stack(rows))
+                assert np.array_equal(uwform.uw_ccr_bounds(ChannelStack(rows, kind)), certificate_stack(rows))
                 return
-            stack = _difference_stack(rows.shape[1])
-            got = ccr_residuals(rows, kind, np.broadcast_to(stack, (copies, *stack.shape)))
-        expected = [block_pair_residuals(pairing(row, kind), generator(row, kind))[:2] for row in rows]
-        assert_same_bits(got, np.array(expected).T)
+            certificate, scale = ccr_certificates(ChannelStack(rows, kind))
+        for row, got, largest in zip(rows, certificate, scale):
+            a = generator(row, kind)
+            exact = exact_defect_squares(pairing(row, kind), a)
+            assert abs(Fraction(float(got)) ** 2 - exact) <= Fraction(1e-12) * exact
+            assert largest == np.max(np.abs(a))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -905,14 +886,18 @@ class TestStreamedKernelsFuzz:
         negative=st.booleans(),
         start=st.integers(0, 39),
         rows_in_band=st.integers(1, 40),
+        first=st.integers(0, 39),
         kind=st.sampled_from(list(MatrixKind)),
     )
-    def test_every_band_is_exactly_minus_its_transpose(self, gaps, exponents, negative, start, rows_in_band, kind):
+    def test_every_band_is_exactly_minus_its_transpose(self, gaps, exponents, negative, start, rows_in_band,
+                                                       first, kind):
         # rows of either sign, scaled by 10^x for x in [-150, 150]: A = -A^T bit for bit, with no run-time check
         values = np.concatenate([[1.0], 1.0 + np.cumsum(gaps)])
         rows = np.array([(-values[::-1] if negative else values) * 10.0 ** x for x in exponents])
         d = rows.shape[1]
         start %= d
         stop = min(d, start + rows_in_band)
+        first %= start + 1
         whole = generator_stack(rows, kind)
-        assert np.array_equal(_entries(rows, start, stop, kind), -whole[:, :, start:stop].transpose(0, 2, 1))
+        assert np.array_equal(_entries(rows, start, stop, kind, first),
+                              -whole[:, first:, start:stop].transpose(0, 2, 1))
