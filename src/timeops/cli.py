@@ -1,10 +1,13 @@
 """Command-line driver: model spectra in, JSON reports and CSV tables out.
 
-Every subcommand assembles a RunConfig (flags override an optional
---config JSON file), executes one pipeline, and writes a report whose
-numeric fields are reproducible bit for bit for a fixed configuration.  Wall-clock
-numbers are quarantined under "timings" keys so two runs of the same
-configuration can be compared byte-wise after dropping those.
+Every subcommand assembles a RunConfig of model, pipeline and tolerances
+(flags override an optional --config JSON file), executes one pipeline,
+and writes a report that is a function of that config alone: no pipeline
+draws a vector or reads a seed.  Wall-clock numbers are quarantined under
+"timings" keys so two runs of the same configuration can be compared
+byte-wise after dropping those.  ``--seed`` is read by ``selftest`` only,
+and ``--jobs`` and the form subcommands' ``--vectors`` by nothing; they stay
+parseable so that existing command lines keep working.
 
 Model and pipeline fields, with their JSON types and defaults, live in
 one table (MODEL_FIELDS, PIPELINE_FIELDS): the flags, the --config type
@@ -63,10 +66,6 @@ from .uwform import (
 )
 
 __all__ = ["RunConfig", "run", "main", "DEFAULT_TOLERANCES", "resolve_tolerances"]
-
-#: Largest --vectors a pipeline accepts.  No pipeline reads the field any
-#: more; the limit stays with the flag.
-VECTORS_LIMIT = 10_000
 
 #: Largest ``abweyl`` grid size N; its sweep holds several N-point complex arrays.
 GRID_POINTS_LIMIT = 2 ** 20
@@ -132,7 +131,7 @@ FUNCTION = FieldType(
 #: Default of a field that has none and must be given.
 REQUIRED = object()
 
-_FORM_FIELDS = {"p": (NUMBER, 2.0), "vectors": (INTEGER, 20)}
+_FORM_FIELDS = {"p": (NUMBER, 2.0)}
 
 #: Every field a model kind reads: name -> (type, default).  This table is
 #: the one place a field's type and default live; flags, --config checks
@@ -159,11 +158,6 @@ PIPELINE_FIELDS = {
     "s0check": {},
 }
 
-#: Pipeline fields that a pipeline admits but does not read.  Every pipeline
-#: certifies its identities with one norm per channel and draws no vectors;
-#: the --vectors flag stays parseable, and its help says so.
-_UNREAD_FIELDS = {"timeop": {"vectors"}, "uwform": {"vectors"}, "ftransform": {"vectors"}}
-
 MODEL_KINDS = tuple(MODEL_FIELDS)
 PIPELINE_KINDS = tuple(PIPELINE_FIELDS)
 
@@ -180,12 +174,11 @@ def _check_fields(section: str, values: dict, fields: dict) -> None:
             raise ValueError(f"{section} field {key!r} must be {ftype.name}, not {type(values[key]).__name__}")
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int; a seed that is not a nonnegative integer is refused."""
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer, on every subcommand, though only selftest reads it."""
     _check_fields("config", {"seed": seed}, {"seed": (INTEGER, None)})
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return int(seed)
 
 
 def _resolve(section: str, values: dict) -> dict:
@@ -238,12 +231,11 @@ def resolve_tolerances(overrides: dict | None = None) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One reproducible pipeline run: model, pipeline, tolerances, seed."""
+    """One pipeline run: model, pipeline, tolerances; its report is a function of these alone."""
 
     model: dict
     pipeline: dict
     tolerances: dict
-    seed: int = 7
 
     def __post_init__(self) -> None:
         model = dict(self.model or {})
@@ -254,18 +246,11 @@ class RunConfig:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}")
         _check_fields("model", model, MODEL_FIELDS.get(model.get("kind"), {}))
         _check_fields("pipeline", pipeline, _ANY_PIPELINE_FIELDS)
-        seed = _check_seed(self.seed)
         resolved = resolve_tolerances(self.tolerances)
         tolerances = {name: resolved[name] for name in self.tolerances or {}}
-        vectors = pipeline.get("vectors")
-        if vectors is not None and vectors < 1:
-            raise ValueError("vectors must be at least 1; a sweep over no vectors checks nothing")
-        if vectors is not None and vectors > VECTORS_LIMIT:
-            raise ValueError(f"vectors must be at most {VECTORS_LIMIT}")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "pipeline", pipeline)
         object.__setattr__(self, "tolerances", tolerances)
-        object.__setattr__(self, "seed", seed)
 
     def resolved_tolerances(self) -> dict:
         return resolve_tolerances(self.tolerances)
@@ -275,7 +260,6 @@ class RunConfig:
             "model": dict(self.model),
             "pipeline": dict(self.pipeline),
             "tolerances": dict(self.tolerances),
-            "seed": self.seed,
         }
 
 
@@ -525,6 +509,8 @@ def _load_config_file(args) -> dict:
     for section in ("model", "pipeline", "tolerances"):
         if not isinstance(raw.get(section) or {}, dict):
             raise ValueError(f"config section {section!r} must be a JSON object")
+    if "seed" in raw:
+        _check_seed(raw["seed"])
     return raw
 
 
@@ -540,8 +526,8 @@ def _model_from_args(args, base: dict | None) -> dict | None:
         value = getattr(args, _MODEL_FLAGS.get(key, key), None)
         if value is None:
             continue
-        if key == "omega":   # one flag: the oscillator's comma list, the Rabi model's first number
-            value = ftype.text(value) if ftype.text else float(value.split(",")[0])
+        if key == "omega":   # one flag: the oscillator's comma list, the Rabi model's one number
+            value = ftype.text(value) if ftype.text else float(value)
         model[key] = value
     return model
 
@@ -562,13 +548,7 @@ def _make_config(args, kind: str, sections: tuple = ()) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = ftype.text(value) if ftype.text else value
-    seed = args.seed if args.seed is not None else raw.get("seed", 7)
-    return RunConfig(
-        model=model or {},
-        pipeline=merged,
-        tolerances=raw.get("tolerances") or {},
-        seed=seed,
-    )
+    return RunConfig(model=model or {}, pipeline=merged, tolerances=raw.get("tolerances") or {})
 
 
 def _out_dir(args) -> Path:
@@ -637,7 +617,7 @@ def cmd_selftest(args) -> int:
         if not sep:
             raise ValueError("tolerance overrides look like name=value")
         overrides[name] = float(value)
-    seed = _check_seed(args.seed if args.seed is not None else raw.get("seed", 7))
+    seed = args.seed if args.seed is not None else raw.get("seed", 7)   # both checked on entry
     tolerances = resolve_tolerances(overrides)
     results = acceptance.run_all(tolerances, seed)
 
@@ -672,17 +652,14 @@ def _describe(ftype: FieldType, default) -> str:
     return ftype.name + ("" if default in (None, REQUIRED) else f", default {default}")
 
 
-def _add_field_flags(parser, fields: dict, unread=()) -> None:
+def _add_field_flags(parser, fields: dict) -> None:
     """One flag per pipeline field: argparse reads numbers, ``FieldType.text`` the rest.
 
     No flag is argparse-required: a REQUIRED field may come from the
     config file instead, and ``_resolve`` refuses it when neither gives it.
-    The help of an ``unread`` field says that the pipeline ignores it.
     """
     for key, (ftype, default) in fields.items():
-        text = f"ignored: the identities are certified, not sampled ({ftype.name})" if key in unread else None
-        parser.add_argument(f"--{key}", type=None if ftype.text else ftype.read,
-                            help=text or _describe(ftype, default))
+        parser.add_argument(f"--{key}", type=None if ftype.text else ftype.read, help=_describe(ftype, default))
 
 
 def _add_model_flags(parser) -> None:
@@ -708,11 +685,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("."), help="report directory")
     common.add_argument("--jobs", type=int, default=1, help="ignored: every run is serial (N >= 1)")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed of selftest's partition sequences; every pipeline, timeop "
-                             "included, accepts it and ignores it")
+                        help="seed of selftest's partition sequences (N >= 0); ignored by every other subcommand")
 
     model_flags = argparse.ArgumentParser(add_help=False)
     _add_model_flags(model_flags)
+    # parse-only: the form subcommands certify their identities and draw no vectors
+    vectors_flag = argparse.ArgumentParser(add_help=False)
+    vectors_flag.add_argument("--vectors", type=int, help="ignored")
+    forms = [common, model_flags, vectors_flag]
 
     parser = argparse.ArgumentParser(
         prog="timeops",
@@ -726,19 +706,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dp = sub.add_parser("decompose", parents=[common, model_flags],
                         help="partition a spectrum into simple channels")
-    _add_field_flags(dp, {"p": PIPELINE_FIELDS["timeop"]["p"]})
+    _add_field_flags(dp, _FORM_FIELDS)
     dp.set_defaults(handler=cmd_decompose)
 
     for kind, parents, text in (
-        ("timeop", [common, model_flags], "build time operators and check the commutation identity"),
-        ("uwform", [common, model_flags], "build the ultra-weak form and check its identities"),
-        ("ftransform", [common, model_flags], "transform a spectrum through a function of the Hamiltonian"),
+        ("timeop", forms, "build time operators and check the commutation identity"),
+        ("uwform", forms, "build the ultra-weak form and check its identities"),
+        ("ftransform", forms, "transform a spectrum through a function of the Hamiltonian"),
         ("oscspec", [common], "oscillator time-operator spectra across truncation sizes"),
         ("abweyl", [common], "weak Weyl residual sweep on the grid"),
         ("s0check", [common], "symbolic strong relation and quadrature symmetry checks"),
     ):
         pp = sub.add_parser(kind, parents=parents, help=text)
-        _add_field_flags(pp, PIPELINE_FIELDS[kind], _UNREAD_FIELDS.get(kind, ()))
+        _add_field_flags(pp, PIPELINE_FIELDS[kind])
         pp.set_defaults(handler=cmd_pipeline)
 
     st = sub.add_parser("selftest", parents=[common],
@@ -755,6 +735,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        if args.seed is not None:
+            _check_seed(args.seed)
         return args.handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

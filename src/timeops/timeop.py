@@ -99,14 +99,13 @@ def _chunks(width: int, count: int, budget: int | None = None):
 
 @dataclass(frozen=True, eq=False)
 class _Group:
-    """The c channels of dimension d >= 2 of a ``ChannelStack``, by their eigenvalues.
+    """The c channels of dimension d >= 2 of a ``ChannelStack``: their positions and eigenvalues, nothing more.
 
     Their matrices are not kept: each consumer builds the band it reads
     with ``_entries``, uses it and drops it.
     """
 
     blocks: np.ndarray        # (c,) channel positions in the stack
-    index: np.ndarray         # (c, d) coordinates of each channel in a whole vector
     eigenvalues: np.ndarray   # (c, d)
 
 
@@ -120,7 +119,8 @@ class ChannelStack:
     of the channels of that dimension, in channel order.  The eigenvalues
     of every channel, dimension 1 included, pass ``_require_rows`` here;
     the entries, which only the kernels build, are checked for overflow
-    where they are built.
+    where they are built.  No kernel takes a whole vector, so the stack
+    keeps no coordinates of its channels in one.
 
     Frozen, and compared by identity: a field-wise ``__eq__`` over arrays
     is unusable.
@@ -129,7 +129,6 @@ class ChannelStack:
     kind: MatrixKind
     eigenvalues: tuple = field(init=False, repr=False)
     groups: tuple = field(init=False, repr=False)
-    total_dimension: int = field(init=False)
 
     def __init__(self, channels, kind: MatrixKind) -> None:
         kind = MatrixKind(kind)
@@ -139,7 +138,6 @@ class ChannelStack:
         if any(ev.ndim != 1 or ev.size == 0 for ev in channels):
             raise ValueError("eigenvalues must be a nonempty 1-d array")
         dims = np.array([ev.size for ev in channels])
-        starts = np.cumsum(dims) - dims
         eigenvalues = [None] * len(channels)
         groups = []
         for d in dict.fromkeys(dims.tolist()):   # dimensions in order of first appearance
@@ -150,11 +148,10 @@ class ChannelStack:
             for i, row in zip(blocks, e):
                 eigenvalues[i] = row
             if d >= 2:
-                groups.append(_Group(blocks, starts[blocks, None] + np.arange(d), e))
+                groups.append(_Group(blocks, e))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
         object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "total_dimension", int(dims.sum()))
 
     @classmethod
     def of_decomposition(cls, deco: ChannelDecomposition, kind: MatrixKind) -> "ChannelStack":

@@ -11,7 +11,9 @@ residual.  ``block_pair_residuals`` is the pair-by-pair loop over a whole
 commutator, and ``exact_defect_squares`` the certificate's squared norm in
 rational arithmetic; ``complex_evaluator_stack``
 holds the complex form evaluators that the real matrices R replaced.
-``plant`` makes a kernel build a chosen matrix for one channel.
+``plant`` makes a kernel build a chosen matrix for one channel, and
+``channel_offsets`` lays a stack's channels out in one whole vector, the
+coordinates that the references taking whole vectors read.
 ``rabi_chain_labels`` names the product basis states of the Rabi parity
 chains, in block order; ``dense_rabi`` builds the whole Rabi matrix from
 Kronecker products, and ``dense_chain_eigenvalues`` solves the parity
@@ -98,6 +100,14 @@ def plant(monkeypatch, module, change, target=None):
         return out
 
     monkeypatch.setattr(module, "_entries", patched)
+
+
+def channel_offsets(stack) -> np.ndarray:
+    """Where each channel of ``stack`` starts in a whole vector, then the whole length: channels + 1 entries.
+
+    Channel i holds the coordinates offsets[i]:offsets[i + 1], in channel order.
+    """
+    return np.cumsum([0, *(ev.size for ev in stack.eigenvalues)])
 
 
 def pairing(eigenvalues, kind) -> np.ndarray:

@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -100,9 +100,32 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="tolerance 'uw_ccr'"):
             RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={"uw_ccr": value})
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={}, seed=-1)
+    def test_holds_exactly_model_pipeline_and_tolerances(self):
+        assert [f.name for f in fields(RunConfig)] == ["model", "pipeline", "tolerances"]
+        with pytest.raises(TypeError, match="seed"):
+            RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={}, seed=7)
+        config = RunConfig(model={}, pipeline={"kind": "s0check"}, tolerances={})
+        assert config.to_json() == {"model": {}, "pipeline": {"kind": "s0check"}, "tolerances": {}}
+
+    @pytest.mark.parametrize("command", [
+        "spectrum", "decompose", "timeop", "uwform", "ftransform", "oscspec", "abweyl", "s0check", "selftest",
+    ])
+    @pytest.mark.parametrize("args,config,message", [
+        (["--seed", "-1"], None, "seed must be nonnegative"),
+        ([], {"seed": -3}, "seed must be nonnegative"),
+        ([], {"seed": "7"}, "config field 'seed' must be an integer, not str"),
+        ([], {"seed": None}, "config field 'seed' must be an integer, not NoneType"),
+    ])
+    def test_every_subcommand_refuses_a_bad_seed(self, tmp_path, capsys, command, args, config, message):
+        # only selftest reads the seed, but every subcommand refuses a bad one, from the flag or the config
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = [*args, "--config", str(path)]
+        code = main([command, *args, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunExamples:
@@ -262,30 +285,6 @@ class TestSubcommands:
         assert report["spectrum"]["entries"] == [list(e) for e in s.entries]
 
     @pytest.mark.parametrize("command", ["timeop", "uwform"])
-    @pytest.mark.parametrize("vectors", ["0", "-3"])
-    def test_sweep_over_no_vectors_is_a_usage_error(self, tmp_path, command, vectors):
-        code = main([command, "--model", "hydrogen", "--n-max", "3",
-                     "--vectors", vectors, "--out", str(tmp_path)])
-        assert code == 2
-        assert not (tmp_path / f"{command}_report.json").exists()
-
-    @pytest.mark.parametrize("command", ["timeop", "uwform"])
-    def test_vectors_above_the_cap_are_a_usage_error(self, tmp_path, capsys, command):
-        config = tmp_path / "config.json"
-        for vectors in (cli.VECTORS_LIMIT + 1, 10 ** 12):
-            config.write_text(json.dumps({
-                "model": {"kind": "hydrogen", "n_max": 3},
-                "pipeline": {"kind": command, "vectors": vectors},
-            }))
-            for source in (["--vectors", str(vectors), "--model", "hydrogen", "--n-max", "3"],
-                           ["--config", str(config)]):
-                code = main([command, *source, "--out", str(tmp_path)])
-                err = capsys.readouterr().err
-                assert code == 2
-                assert err == f"error: vectors must be at most {cli.VECTORS_LIMIT}\n"
-                assert not (tmp_path / f"{command}_report.json").exists()
-
-    @pytest.mark.parametrize("command", ["timeop", "uwform"])
     def test_trivial_domain_is_a_usage_error(self, tmp_path, capsys, command):
         # hydrogen n_max = 1 is one level: one channel of dimension 1
         code = main([command, "--model", "hydrogen", "--n-max", "1", "--out", str(tmp_path)])
@@ -317,6 +316,19 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {flag[2:]} must be finite, not {float(value)!r}\n"
+
+    def test_timeop_rabi_omega_is_one_number(self, tmp_path, capsys):
+        # one --omega flag serves both models: a list is the oscillator's, and the Rabi model refuses it
+        code = main(["timeop", "--model", "rabi", "--omega", "1,2", "--out", str(tmp_path / "list")])
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "list").exists()
+        assert main(["timeop", "--model", "rabi", "--omega", "1", "--cutoff", "20", "--count", "5",
+                     "--out", str(tmp_path / "rabi")]) == 0
+        assert _read(tmp_path / "rabi" / "timeop_report.json")["config"]["model"]["omega"] == 1.0
+        assert main(["timeop", "--model", "oscillator", "--omega", "1,2", "--n-max", "10",
+                     "--out", str(tmp_path / "oscillator")]) == 0
+        assert _read(tmp_path / "oscillator" / "timeop_report.json")["config"]["model"]["omega"] == [1.0, 2.0]
 
     def test_timeop_rabi(self, tmp_path):
         code = main(["timeop", "--model", "rabi", "--cutoff", "120",
@@ -418,48 +430,48 @@ class TestSubcommands:
         assert all(c["max_uw_ccr_residual"] == 0.0 for c in report["channels"] if c["dimension"] == 1)
         assert "vectors_per_channel" not in report
 
+    def test_seed_help_names_the_one_subcommand_that_reads_it(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
+        for subparser in sub.choices.values():
+            (flag,) = [a for a in subparser._actions if a.dest == "seed"]
+            assert "selftest's partition sequences" in flag.help and "ignored by every other" in flag.help
+
+    def test_vectors_is_a_parse_only_flag_of_the_form_subcommands(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
+        for kind, subparser in sub.choices.items():
+            flags = [a for a in subparser._actions if a.dest == "vectors"]
+            if kind in ("timeop", "uwform", "ftransform"):
+                assert [(a.type, a.help) for a in flags] == [(int, "ignored")]
+            else:
+                assert not flags
+
     @pytest.mark.parametrize("command", [
         ["s0check"],
+        ["oscspec", "--sizes", "40,80"],
+        ["abweyl", "--N", "256"],
         ["timeop", "--model", "hydrogen", "--n-max", "16"],
         ["uwform", "--model", "hydrogen", "--n-max", "16"],
         ["ftransform", "--model", "hydrogen", "--n-max", "16", "--function", "sin:0.3"],
-    ], ids=["s0check", "timeop", "uwform", "ftransform"])
-    def test_certified_reports_read_no_seed(self, tmp_path, command):
-        # the certificates draw nothing: only the echoed config may differ
+    ], ids=lambda command: command[0])
+    def test_a_report_is_a_function_of_its_config(self, tmp_path, command):
+        # whole reports, config included: only the timings may differ across the parse-only flags
+        parse_only = {"--seed": ["1", "7"], "--jobs": ["1", "2"]}
+        if command[0] in ("timeop", "uwform", "ftransform"):
+            # neither end of the range that --vectors once had is refused any more
+            parse_only["--vectors"] = ["1", "20", "0", "10001"]
+        base = {flag: values[0] for flag, values in parse_only.items()}
+        variants = [{**base, flag: value} for flag, values in parse_only.items() for value in values]
         reports = set()
-        for seed in ("1", "7"):
-            out = tmp_path / seed
-            assert main([*command, "--seed", seed, "--out", str(out)]) == 0
+        for i, flags in enumerate(variants):
+            out = tmp_path / str(i)
+            assert main([*command, *(x for item in flags.items() for x in item), "--out", str(out)]) == 0
             report = _read(out / f"{command[0]}_report.json")
-            del report["timings"], report["config"]
+            del report["timings"]
             reports.add(json.dumps(report, sort_keys=True))
         assert len(reports) == 1
-
-    @pytest.mark.parametrize("command", [["timeop"], ["uwform"], ["ftransform", "--function", "sin:0.3"]])
-    def test_certified_reports_read_no_vectors(self, tmp_path, command):
-        reports = set()
-        for flags in (["--vectors", "1"], ["--vectors", "10000"]):
-            out = tmp_path / "-".join(flags)
-            assert main([*command, "--model", "hydrogen", "--n-max", "16", *flags, "--out", str(out)]) == 0
-            report = _read(out / f"{command[0]}_report.json")
-            del report["timings"], report["config"]
-            reports.add(json.dumps(report, sort_keys=True))
-        assert len(reports) == 1
-
-    def test_seed_help_names_the_runs_that_read_it(self):
-        parser = cli._build_parser()
-        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
-        for kind in ("timeop", "uwform", "s0check", "selftest"):
-            (flag,) = [a for a in sub.choices[kind]._actions if a.dest == "seed"]
-            assert "random vectors" not in flag.help and "selftest's partition sequences" in flag.help
-            assert "timeop included" in flag.help and "ignores it" in flag.help
-
-    def test_vectors_help_says_every_pipeline_ignores_it(self):
-        parser = cli._build_parser()
-        (sub,) = [a for a in parser._actions if a.choices and "timeop" in a.choices]
-        for kind in ("timeop", "uwform", "ftransform"):
-            (flag,) = [a for a in sub.choices[kind]._actions if a.dest == "vectors"]
-            assert flag.help.startswith("ignored")
+        assert set(json.loads(reports.pop())["config"]) == {"model", "pipeline", "tolerances"}
 
     def test_ftransform_admissible_sine(self, tmp_path):
         code = main(["ftransform", "--model", "hydrogen", "--n-max", "4",
@@ -687,8 +699,6 @@ class TestSubcommands:
         (["timeop"], {"model": 5}),
         (["timeop"], [1, 2]),
         (["uwform"], {"model": {"kind": "hydrogen", "n_max": 3},
-                      "pipeline": {"kind": "uwform", "vectors": "5"}}),
-        (["uwform"], {"model": {"kind": "hydrogen", "n_max": 3},
                       "pipeline": {"kind": "uwform", "function": {"kind": "exp", "params": 3}}}),
         (["oscspec"], {"pipeline": {"kind": "oscspec", "sizes": 100}}),
         (["oscspec"], {"pipeline": {"kind": "oscspec", "sizes": []}}),
@@ -720,9 +730,10 @@ class TestSubcommands:
         code = main(["uwform", "--config", str(path), "--out", str(tmp_path)])
         assert code == 0
         report = _read(tmp_path / "uwform_report.json")
-        assert report["config"]["seed"] == 3
-        # uwform certifies its identities and draws no vectors: the field is echoed, not read
-        assert report["config"]["pipeline"]["vectors"] == 5 and "vectors_per_channel" not in report
+        # the seed is checked but not part of a pipeline's config; pipeline.vectors is
+        # no field, so it is echoed like any unknown key and read by nothing
+        assert report["config"] == {"model": cfg["model"], "pipeline": cfg["pipeline"], "tolerances": {}}
+        assert "vectors_per_channel" not in report
 
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "timeop", "uwform"])
     def test_custom_model_without_a_path_names_the_flag_and_the_field(self, tmp_path, capsys, command):
@@ -934,8 +945,11 @@ class TestFieldTable:
         common = {"help", "config", "out", "jobs", "seed"}
         model = {"model", "omega", "n_max", "mass", "gamma", "mu", "g", "cutoff", "count", "input"}
         takes_model = kind in ("timeop", "uwform", "ftransform")
+        # --vectors is parsed and ignored, no field: the benchmark's command lines still pass it
+        parse_only = {"vectors"} if takes_model else set()
         dests = {a.dest for a in self._subcommands()[kind]._actions}
-        assert dests == common | (model if takes_model else set()) | set(cli.PIPELINE_FIELDS[kind])
+        assert dests == common | (model | parse_only if takes_model else set()) | set(cli.PIPELINE_FIELDS[kind])
+        assert not parse_only & set(cli.PIPELINE_FIELDS[kind])
         # a REQUIRED field may come from --config, so _resolve, not argparse, demands it
         assert not [a.dest for a in self._subcommands()[kind]._actions if a.required]
 

@@ -35,6 +35,7 @@ from dense_reference import (
     block_pair_residuals,
     ccr_residual,
     certificate_stack,
+    channel_offsets,
     chebyshev_ritz_extremes,
     dense_commutator,
     exact_defect_squares,
@@ -393,16 +394,17 @@ class TestBlockOperator:
     @staticmethod
     def _blockwise_residual(op, v):
         """Whole-vector residual: each group's channels take their coordinates of v."""
+        offsets = channel_offsets(op)
         total = 0.0
         for g in op.groups:
-            for row, index in zip(g.eigenvalues, g.index):
-                total += swept(row, op.kind, v[index]) ** 2
+            for block, row in zip(g.blocks, g.eigenvalues):
+                total += swept(row, op.kind, v[offsets[block]:offsets[block + 1]]) ** 2
         return math.sqrt(total)
 
     def test_shapes_and_slices(self):
         op = self._two_blocks()
-        assert op.total_dimension == 5
-        assert [g.index.tolist() for g in op.groups] == [[[0, 1, 2]], [[3, 4]]]
+        assert channel_offsets(op).tolist() == [0, 3, 5]
+        assert [g.blocks.tolist() for g in op.groups] == [[0], [1]]
         np.testing.assert_array_equal(
             np.concatenate([pairing(ev, op.kind) for ev in op.eigenvalues]), [-1.0, -4.0, -9.0, -16.0, -25.0]
         )
@@ -448,7 +450,7 @@ class TestAssembleTimeOperator:
         deco, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 3))
         assert deco.channel_count == 9
         assert isinstance(op, ChannelStack) and len(op.eigenvalues) == 9
-        assert op.total_dimension == 14
+        assert channel_offsets(op)[-1] == 14
         assert sum(g.blocks.size for g in op.groups) == sum(ev.size >= 2 for ev in op.eigenvalues)
         certificate, scale = ccr_certificates(op)
         assert certificate.shape == scale.shape == (9,)
@@ -729,8 +731,8 @@ class TestStackHoldsNoMatrix:
         # no (c, d, d) array outlives the kernel that built it
         _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, 1.0, 8))
         for g in op.groups:
-            assert [f.name for f in fields(g)] == ["blocks", "index", "eigenvalues"]
-            assert g.blocks.shape == g.eigenvalues.shape[:1] and g.index.shape == g.eigenvalues.shape
+            assert [f.name for f in fields(g)] == ["blocks", "eigenvalues"]
+            assert g.blocks.shape == g.eigenvalues.shape[:1]
 
 
 def _channel(n: int, kind: MatrixKind) -> np.ndarray:

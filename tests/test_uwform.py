@@ -23,7 +23,7 @@ from timeops.uwform import (
     uw_ccr_bounds,
 )
 
-from dense_reference import complex_evaluator_stack, form_evaluator, generator, plant
+from dense_reference import channel_offsets, complex_evaluator_stack, form_evaluator, generator, plant
 
 #: Per-block membership tolerance of the reference sweeps' commutation domain.
 CCR_DOMAIN_RTOL = 1e-10
@@ -40,8 +40,7 @@ def form_of(*channels):
 def with_groups(form, groups):
     """``form`` with its groups swapped for ``groups``, stacks and eigenvalues as given."""
     changed = object.__new__(ChannelStack)
-    for name, value in (("kind", form.kind), ("eigenvalues", form.eigenvalues), ("groups", tuple(groups)),
-                        ("total_dimension", form.total_dimension)):
+    for name, value in (("kind", form.kind), ("eigenvalues", form.eigenvalues), ("groups", tuple(groups))):
         object.__setattr__(changed, name, value)
     return changed
 
@@ -71,9 +70,10 @@ def channel_form(form, i):
 
 def pieces(form, v):
     """The channel slices of a whole-form vector, after checking its length."""
-    if v.shape != (form.total_dimension,):
+    offsets = channel_offsets(form)
+    if v.shape != (offsets[-1],):
         raise ValueError("vector length does not match the form dimension")
-    return np.split(v, np.cumsum([ev.size for ev in form.eigenvalues])[:-1])
+    return np.split(v, offsets[1:-1])
 
 
 # ------------------------------------------------ per-vector references
@@ -129,7 +129,7 @@ def random_domain_vector(rng, form):
     """Seeded random unit vector in the commutation domain; a near-zero projection is redrawn."""
     if all(e.size < 2 for e in form.eigenvalues):
         raise ValueError("the commutation domain is trivial: no channel has dimension 2 or more")
-    dim = form.total_dimension
+    dim = channel_offsets(form)[-1]
     while True:
         v = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
         v = project_to_ccr_domain(form, v)
@@ -606,7 +606,7 @@ class TestAssembleUwform:
     def test_channel_count_matches_decomposition(self):
         deco, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
         assert len(form.eigenvalues) == deco.channel_count
-        assert form.total_dimension == deco.flat_slots.size == 30
+        assert channel_offsets(form)[-1] == deco.flat_slots.size == 30
 
     def test_block_eigenvalues_ascend(self):
         _, form = assemble_uwform(hydrogen_point_spectrum(1.0, 1.0, 4))
@@ -636,9 +636,8 @@ class TestEvaluatorStacks:
         channels = [[-1.0, -0.5, -0.25], [-0.3], [-0.2, -0.1], [-0.09, -0.08, -0.07]]
         form = form_of(*channels)
         assert [g.blocks.tolist() for g in form.groups] == [[0, 3], [2]]
-        assert [g.index.tolist() for g in form.groups] == [[[0, 1, 2], [6, 7, 8]], [[4, 5]]]
+        assert channel_offsets(form).tolist() == [0, 3, 4, 6, 9]
         assert [e.tolist() for e in form.eigenvalues] == channels
-        assert form.total_dimension == 9
         self._assert_rows_match_the_reference(form)
 
     def test_chunked_build_gives_the_same_rows(self, monkeypatch):
@@ -871,7 +870,7 @@ class TestTransformForm:
         # x + x^2 sends both eigenvalues to -0.1875: one value with multiplicity 2
         assert partition.values == pytest.approx((-0.1875,))
         assert partition.multiplicities == (2,)
-        assert form.total_dimension == 2
+        assert channel_offsets(form)[-1] == 2
         assert len(form.eigenvalues) == 2
         assert all(e.size == 1 for e in form.eigenvalues) and not form.groups
         assert form.eigenvalues[0][0] == pytest.approx(-0.1875)
@@ -892,4 +891,4 @@ class TestTransformForm:
         assert deco.values == pytest.approx((-0.1875, -0.09))
         assert deco.multiplicities == (3, 1)
         assert deco.channel_count == len(form.eigenvalues)
-        assert sum(len(ch) for ch in deco.channels) == form.total_dimension == 4
+        assert sum(len(ch) for ch in deco.channels) == channel_offsets(form)[-1] == 4
