@@ -135,8 +135,8 @@ _FORM_FIELDS = {"p": (NUMBER, 2.0)}
 
 #: Every field a model kind reads: name -> (type, default).  This table is
 #: the one place a field's type and default live; flags, --config checks
-#: and the values a run receives all derive from it.  Other fields are
-#: ignored.
+#: and the values a run receives all derive from it.  A config key that
+#: names no field of its section's kind is refused.
 MODEL_FIELDS = {
     "oscillator": {"omega": (NUMBERS, [1.0]), "n_max": (INTEGER, 20)},
     "hydrogen": {"m": (NUMBER, 1.0), "gamma": (NUMBER, 1.0), "n_max": (INTEGER, 4)},
@@ -161,14 +161,16 @@ PIPELINE_FIELDS = {
 MODEL_KINDS = tuple(MODEL_FIELDS)
 PIPELINE_KINDS = tuple(PIPELINE_FIELDS)
 
-#: A config's pipeline fields are type-checked whatever its kind.
-_ANY_PIPELINE_FIELDS = {name: spec for fields in PIPELINE_FIELDS.values() for name, spec in fields.items()}
-
 #: Model flags whose name differs from their field.
 _MODEL_FLAGS = {"m": "mass", "path": "input"}
 
 
 def _check_fields(section: str, values: dict, fields: dict) -> None:
+    """Refuse a key of a config section that its kind reads no field for, and a field of the wrong type."""
+    for key in values:
+        if key != "kind" and key not in fields:
+            raise ValueError(f"unknown {section} field {key!r} for the {values.get('kind')} {section}; "
+                             f"it reads {', '.join(map(repr, fields)) or 'no field'}")
     for key, (ftype, _) in fields.items():
         if key in values and not ftype.admits(values[key]):
             raise ValueError(f"{section} field {key!r} must be {ftype.name}, not {type(values[key]).__name__}")
@@ -245,7 +247,7 @@ class RunConfig:
         if model and model.get("kind") not in MODEL_KINDS:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}")
         _check_fields("model", model, MODEL_FIELDS.get(model.get("kind"), {}))
-        _check_fields("pipeline", pipeline, _ANY_PIPELINE_FIELDS)
+        _check_fields("pipeline", pipeline, PIPELINE_FIELDS[pipeline["kind"]])
         resolved = resolve_tolerances(self.tolerances)
         tolerances = {name: resolved[name] for name in self.tolerances or {}}
         object.__setattr__(self, "model", model)
@@ -527,7 +529,11 @@ def _model_from_args(args, base: dict | None) -> dict | None:
         if value is None:
             continue
         if key == "omega":   # one flag: the oscillator's comma list, the Rabi model's one number
-            value = ftype.text(value) if ftype.text else float(value)
+            try:
+                value = ftype.text(value) if ftype.text else float(value)
+            except ValueError:
+                takes = "a comma list of numbers" if ftype.text else "one number"
+                raise ValueError(f"--omega takes {takes} for the {kind} model, not {value!r}") from None
         model[key] = value
     return model
 
@@ -535,14 +541,21 @@ def _model_from_args(args, base: dict | None) -> dict | None:
 def _make_config(args, kind: str, sections: tuple = ()) -> RunConfig:
     """Merge a pipeline kind's flags over the --config file; subcommands with model flags need a model.
 
-    The file's pipeline section is read when its kind is ``kind`` or one of ``sections``.
+    The file's pipeline section is read when its kind is ``kind`` or one of ``sections``.  A
+    section of one of ``sections`` is checked against its own kind's fields, and lends ``kind``
+    the fields that both read.
     """
     raw = _load_config_file(args)
     model = _model_from_args(args, raw.get("model"))
     if hasattr(args, "model") and not model:
         raise ValueError("no model given; pass --model/--input or a --config file")
     base_pipeline = raw.get("pipeline") or {}
-    merged = dict(base_pipeline) if base_pipeline.get("kind") in (kind, *sections) else {}
+    merged = {}
+    if base_pipeline.get("kind") == kind:
+        merged = dict(base_pipeline)
+    elif base_pipeline.get("kind") in sections:
+        _check_fields("pipeline", base_pipeline, PIPELINE_FIELDS[base_pipeline["kind"]])
+        merged = {key: value for key, value in base_pipeline.items() if key in PIPELINE_FIELDS[kind]}
     merged["kind"] = kind
     for key, (ftype, _) in PIPELINE_FIELDS[kind].items():
         value = getattr(args, key, None)

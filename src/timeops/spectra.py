@@ -93,29 +93,31 @@ class DiscreteSpectrum:
         if not self.entries:
             raise ValueError("spectrum must contain at least one entry")
         for v, m in self.entries:
-            if not _is_integer(m):
+            # type() first: the ABC check of _is_integer is slow, and a plain int passes it
+            if type(m) is not int and not _is_integer(m):
                 raise ValueError(f"multiplicity {m!r} of the value {v!r} is not an integer")
-        states = sum(m for _, m in self.entries)
+        raw_values, raw_counts = zip(*self.entries)
+        states = sum(raw_counts)
         if states > STATE_COUNT_LIMIT:
             raise ValueError(f"spectrum has {states} states, beyond the limit {STATE_COUNT_LIMIT}")
-        entries = tuple((float(v), int(m)) for v, m in self.entries)
-        object.__setattr__(self, "entries", entries)
+        floats, counts = list(map(float, raw_values)), list(map(int, raw_counts))
+        object.__setattr__(self, "entries", tuple(zip(floats, counts)))
         accumulation = Accumulation(self.accumulation)
         object.__setattr__(self, "accumulation", accumulation)
-        values = [v for v, _ in entries]
-        if not all(np.isfinite(values)):
+        values = np.array(floats)
+        if not np.all(np.isfinite(values)):
             raise ValueError("spectrum values must be finite")
-        if any(m < 1 for _, m in entries):
+        if min(counts) < 1:
             raise ValueError("multiplicities must be >= 1")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if np.any(values[1:] <= values[:-1]):
             raise ValueError("values must be strictly increasing")
         if accumulation is Accumulation.TO_ZERO:
-            if any(v >= 0.0 for v in values):
+            if np.any(values >= 0.0):
                 raise ValueError(
                     "a spectrum accumulating at zero must consist of "
                     "negative values"
                 )
-        elif len(values) >= 2 and values[-1] <= values[0]:
+        elif values.size >= 2 and values[-1] <= values[0]:
             raise ValueError("spectrum must increase toward its accumulation point")
 
     @property

@@ -196,7 +196,8 @@ def _require_rows(ev: np.ndarray, kind: MatrixKind) -> None:
         raise ValueError(f"the products E_n*E_m overflow to a non-finite value (largest |eigenvalue| {largest!r})")
 
 
-def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, first: int = 0) -> np.ndarray:
+def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, first: int = 0, *,
+             out: np.ndarray | None = None, gaps: np.ndarray | None = None) -> np.ndarray:
     """Rows start:stop, from column first <= start on, of the real matrix of ``kind`` of each channel in ev (c, d).
 
     The one entry kernel: a (c, stop - start, d - first) band, for the
@@ -206,6 +207,12 @@ def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, first: int
     kind of R = -(A D + D A)/2, A inverse-conjugate and D = diag(1/E^2);
     the diagonal is zero.  The rows must have passed ``_require_rows``;
     an entry that overflows is refused, naming the first row that fails.
+    The band is written into ``out`` when given, a C-contiguous array of
+    its shape, and the overflow check is then the caller's: on any entry
+    that is not finite it must build the band again without ``out``,
+    which refuses an overflow.  ``gaps``, when given, holds the band's
+    gaps E_n - E_m, formed by the caller; it is read, not written, and
+    its diagonal is not read.
 
     A = -A^T holds bit for bit for finite eigenvalues, so nothing checks
     it at run time: the (m, n) entry repeats the float operations of the
@@ -214,22 +221,24 @@ def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, first: int
     """
     c, d = ev.shape
     n, m = ev[:, start:stop, None], ev[:, None, first:]
-    a = n - m                                 # the gaps E_n - E_m, turned into the entries in place
-    diagonal = a.reshape(c, -1)[:, start - first::d - first + 1]
-    diagonal[...] = 1.0                       # placeholder, zeroed below
-    # a subnormal gap overflows the quotient; finite eigenvalues must give finite entries
+    checked = out is None
+    if gaps is None:
+        gaps = out = np.subtract(n, m, out=out)   # turned into the entries in place
+    # a zero gap (the diagonal, zeroed below) or a subnormal one overflows the quotient;
+    # finite eigenvalues must give finite entries off the diagonal
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.reciprocal(a, out=a)
+        a = np.reciprocal(gaps, out=out)
         if kind is not MatrixKind.DIRECT:
             # E_n*E_m * (-1/gap): the bits of the complex quotient i E_n E_m / (-gap)
             np.negative(a, out=a)
             a *= n * m
-    diagonal[...] = 0.0
-    overflow = ~np.all(np.isfinite(a), axis=(1, 2))
-    if np.any(overflow):
-        entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
-        raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
-                         f"(smallest gap {float(np.min(np.diff(ev[np.argmax(overflow)])))!r})")
+    a.reshape(c, -1)[:, start - first::d - first + 1] = 0.0
+    if checked:
+        overflow = ~np.all(np.isfinite(a), axis=(1, 2))
+        if np.any(overflow):
+            entry = "1/(E_n - E_m)" if kind is MatrixKind.DIRECT else "E_n*E_m/(E_m - E_n)"
+            raise ValueError(f"the time-operator entries {entry} overflow to a non-finite value "
+                             f"(smallest gap {float(np.min(np.diff(ev[np.argmax(overflow)])))!r})")
     if kind is MatrixKind.FORM:
         # column and row scaling by 1/E^2: the (n, m) and (m, n) entries are built from the same float products
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -247,49 +256,70 @@ def _entries(ev: np.ndarray, start: int, stop: int, kind: MatrixKind, first: int
 _SPLIT = 134217729.0
 
 
-def _defect(a: np.ndarray, hn: np.ndarray, hm: np.ndarray) -> np.ndarray:
-    """(hn - hm) * a - 1 entrywise, error-free up to its last rounding, written into a and returned.
+def _defect(a: np.ndarray, gap: np.ndarray, hn: np.ndarray, hm: np.ndarray, fast: bool, split_in_range: bool,
+            work: tuple) -> np.ndarray:
+    """(h_n - h_m) a - 1 entrywise, error-free up to its last rounding, written into a and returned.
 
-    TwoSum gives the gap hn - hm as s + t exactly (Knuth), and Dekker's
-    TwoProduct gives s * a as p + q exactly, on Veltkamp halves (Dekker,
-    Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
-    2005).  Then (hn - hm) a - 1 = (p - 1) + (q + t a), where p - 1 is
-    exact (Sterbenz) unless the defect is itself of order one, and only
-    t a and the two sums round, each far below the defect.  Before the
-    product, s is written m 2^k with
-    m in [1/2, 1) and a scaled by 2^k, both exact: a is near 1/s, so
-    neither half overflows, whatever the magnitudes.  A NaN gives NaN.
+    gap holds s = fl(h_n - h_m), and hn and hm hold h_n and h_m, at every
+    entry of a; work is three more float arrays of a's shape and a flat
+    int array at least as long.  All of them but a are overwritten.  The
+    caller ignores overflow and invalid operations, so that a NaN gives
+    NaN.
+
+    The rounding error t of s, with h_n - h_m = s + t, comes from Fast2Sum
+    when ``fast``, which needs |h_m| >= |h_n| at every entry kept, and
+    from TwoSum otherwise (Dekker, Numer. Math. 18, 1971; Knuth).
+    Dekker's TwoProduct gives s a as p + q exactly, on Veltkamp halves
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).  Then
+    (h_n - h_m) a - 1 = (p - 1) + (q + t a), where p - 1 is exact
+    (Sterbenz) unless the defect is itself of order one, and only t a and
+    the two sums round, each far below the defect.
+
+    The halves are those of s and a themselves when ``split_in_range``,
+    which needs |s| and |a| below 2^500, so that no half and no partial
+    product overflows.  Otherwise s is first written m 2^k with m in
+    [1/2, 1) and a scaled by 2^k, both exact: a is near 1/s, so neither
+    half overflows, whatever the magnitudes.  The rounding error of a sum,
+    and of a product, is one number, so Fast2Sum and TwoSum give the same
+    t, and both splits the same p and q, bit for bit, wherever their
+    conditions hold.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = hn - hm
-        z = s - hn
-        t = s - z
-        np.subtract(hn, t, out=t)
+    z, u, v, exponents = work
+    if fast:
+        np.add(gap, hm, out=z)
+        np.subtract(hn, z, out=z)          # the gap's rounding error t, as |-h_m| >= |h_n|
+    else:
+        np.subtract(gap, hn, out=z)
+        np.subtract(gap, z, out=u)
+        np.subtract(hn, u, out=u)
         z += hm
-        np.subtract(t, z, out=z)       # the gap's rounding error t
-        z *= a                         # t a
-        m, k = np.frexp(s)
-        np.ldexp(a, k, out=a)          # s a = m (a 2^k)
-        p = m * a
-        np.multiply(m, _SPLIT, out=s)
-        np.subtract(s, m, out=t)
-        s -= t                         # high half of m
-        m -= s                         # low half of m
-        np.multiply(a, _SPLIT, out=t)
-        q = t - a
-        t -= q                         # high half of a
-        a -= t                         # low half of a
-        np.multiply(s, t, out=q)
-        q -= p
-        s *= a
-        q += s
-        t *= m
-        q += t
-        m *= a
-        q += m                         # q = m a - p, exactly
-        q += z
-        p -= 1.0
-        return np.add(p, q, out=a)
+        np.subtract(u, z, out=z)           # the gap's rounding error t
+    z *= a                                 # t a
+    if not split_in_range:
+        k = exponents[:gap.size].reshape(gap.shape)
+        np.frexp(gap, out=(gap, k))
+        np.ldexp(a, k, out=a)              # s a = m (a 2^k)
+    p, x, y, xh, yh, q = hn, gap, a, hm, u, v   # hn and hm are read no more: their buffers take p and xh
+    np.multiply(x, y, out=p)
+    np.multiply(x, _SPLIT, out=xh)
+    np.subtract(xh, x, out=yh)
+    xh -= yh                               # high half of x
+    x -= xh                                # low half of x
+    np.multiply(y, _SPLIT, out=yh)
+    np.subtract(yh, y, out=q)
+    yh -= q                                # high half of y
+    y -= yh                                # low half of y
+    np.multiply(xh, yh, out=q)
+    q -= p
+    xh *= y
+    q += xh
+    yh *= x
+    q += yh
+    x *= y
+    q += x                                 # q = x y - p, exactly
+    q += z
+    p -= 1.0
+    return np.add(p, q, out=a)
 
 
 def ccr_certificates(op: ChannelStack) -> tuple:
@@ -310,38 +340,68 @@ def ccr_certificates(op: ChannelStack) -> tuple:
 
     The pass runs over row bands of each group.  A band holds the rows
     start:stop, from column ``start`` on, for as many channels as keep
-    its buffers within CCR_CHUNK entries: ``_entries`` builds A there and
-    ``_defect`` turns it into Delta in place.  A band's rows are at most a
-    quarter of its width, so the lower triangle it builds and drops is at
-    most an eighth of it.  A NaN entry gives a NaN certificate and scale,
-    which fail any gate.
+    it within CCR_CHUNK entries.  All bands share one workspace of seven
+    float buffers and one int buffer, each allocated on its own; h_n and
+    h_m are copied out into two of them, so that every pass over the band
+    is a plain one, not a slower broadcast.  The gap s = h_n - h_m is
+    formed once: the direct kind's A is built from it, by ``_entries``,
+    and both feed ``_defect``, which turns A into Delta in place.  Its
+    gap error takes Fast2Sum in a group whose |h| is nondecreasing along
+    every row, as it is for every nonnegative direct row and every
+    negative inverse-conjugate one, and TwoSum otherwise; its product
+    takes the unscaled split when the group's largest |h| is below 2^499
+    and the band's largest |A| below 2^500, so that |s| is below 2^500
+    too.  A band's rows are at most a quarter of its width, so the lower
+    triangle it builds and drops is at most an eighth of it.  A NaN entry
+    gives a NaN certificate and scale, which fail any gate.
     """
     if op.kind is MatrixKind.FORM:
         raise ValueError("a form's stack is not a time-operator generator")
+    direct = op.kind is MatrixKind.DIRECT
     certificate, scale = np.zeros(len(op.eigenvalues)), np.zeros(len(op.eigenvalues))
-    for g in op.groups:
-        c, d = g.eigenvalues.shape
-        squares, largest = np.zeros(c), np.zeros(c)
-        start = 0
-        while start < d - 1:
-            width = d - start
-            stop = start + max(1, min(width // 4, CCR_CHUNK // width))
-            rows = stop - start
-            lower = np.arange(rows)[:, None] >= np.arange(rows)   # the band's own lower triangle and diagonal
-            for first, last in _chunks(rows * width, c, CCR_CHUNK):
-                e = g.eigenvalues[first:last, start:]
-                a = _entries(g.eigenvalues[first:last], start, stop, op.kind, start)
-                # after the entries' overflow gate; a subnormal E still gives an infinite 1/E, and a NaN below
-                with np.errstate(over="ignore"):
-                    h = e if op.kind is MatrixKind.DIRECT else 1.0 / e
-                # np.maximum, unlike max(), carries a NaN forward
-                largest[first:last] = np.maximum(largest[first:last], np.max(np.abs(a), axis=(1, 2)))
-                delta = _defect(a, h[:, :rows, None], h[:, None, :])
-                np.copyto(delta[:, :, :rows], 0.0, where=lower)
-                squares[first:last] += np.einsum("crw,crw->c", delta, delta)
-            start = stop
-        certificate[g.blocks] = np.sqrt(2.0 * squares)
-        scale[g.blocks] = largest
+    # a band holds at least one row of one channel, however small CCR_CHUNK
+    size = max([CCR_CHUNK, *(g.eigenvalues.shape[1] for g in op.groups)])
+    buffers = [np.empty(size) for _ in range(7)]
+    exponents = np.empty(size, dtype=np.intc)
+    # a subnormal E gives an infinite 1/E, and a NaN certificate; a NaN runs through _defect to the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in op.groups:
+            ev = g.eigenvalues
+            c, d = ev.shape
+            h = ev if direct else 1.0 / ev
+            fast = bool(np.all(np.diff(np.abs(h), axis=1) >= 0.0))
+            small = bool(np.max(np.abs(h)) < 2.0 ** 499)
+            squares, largest = np.zeros(c), np.zeros(c)
+            start = 0
+            while start < d - 1:
+                width = d - start
+                stop = start + max(1, min(width // 4, CCR_CHUNK // width))
+                rows = stop - start
+                lower = np.arange(rows)[:, None] >= np.arange(rows)   # the band's own lower triangle and diagonal
+                for first, last in _chunks(rows * width, c, CCR_CHUNK):
+                    shape = (last - first, rows, width)
+                    entries = shape[0] * rows * width
+                    hn, hm, gap, a, *work = [b[:entries].reshape(shape) for b in buffers]
+                    np.copyto(hn, h[first:last, start:stop, None])
+                    np.copyto(hm, h[first:last, None, start:])
+                    np.subtract(hn, hm, out=gap)
+                    a = _entries(ev[first:last], start, stop, op.kind, start, out=a, gaps=gap if direct else None)
+                    # max|A| = |max(max A, -min A)|, +0 for an all-zero band; np.maximum carries a NaN forward
+                    flat = a.reshape(shape[0], -1)
+                    band = np.maximum.reduce(flat, axis=1)
+                    np.maximum(band, -np.minimum.reduce(flat, axis=1), out=band)
+                    np.abs(band, out=band)
+                    top = band.max()
+                    if not top < np.inf:
+                        # the checked build refuses an overflow; any other NaN or infinity goes into the certificate
+                        _entries(ev[first:last], start, stop, op.kind, start)
+                    np.maximum(largest[first:last], band, out=largest[first:last])
+                    delta = _defect(a, gap, hn, hm, fast, small and top < 2.0 ** 500, (*work, exponents))
+                    np.copyto(delta[:, :, :rows], 0.0, where=lower)
+                    squares[first:last] += np.einsum("crw,crw->c", delta, delta)
+                start = stop
+            certificate[g.blocks] = np.sqrt(2.0 * squares)
+            scale[g.blocks] = largest
     return certificate, scale
 
 
@@ -350,13 +410,22 @@ def ccr_allowed(op: ChannelStack, scale: np.ndarray, tol: dict) -> np.ndarray:
 
     Each entry of Delta carries a few roundings of (h_n - h_m) A_nm, so
     the gate moves with max|h| max|A| and not with the eigenvalues'
-    unit: E -> cE leaves it where it is.  It is 0 in dimension 1.
+    unit: E -> cE leaves it where it is.  It is 0 in dimension 1.  A
+    channel whose max|h| max|A| overflows is refused, naming it: an
+    infinite gate would pass any certificate.  A NaN scale gives a NaN
+    gate, which fails.
     """
     largest = np.zeros(len(op.eigenvalues))
     for g in op.groups:
         e = np.abs(g.eigenvalues)
-        with np.errstate(over="ignore"):   # a subnormal E, whose certificate is NaN
+        with np.errstate(over="ignore"):   # a subnormal E: its 1/E is infinite, and refused below
             largest[g.blocks] = np.max(e, axis=1) if op.kind is MatrixKind.DIRECT else 1.0 / np.min(e, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = np.isinf(largest * scale)
+    if np.any(overflow):
+        channel = int(np.argmax(overflow))
+        raise ValueError(f"the exact-CCR gate of channel {channel} overflows: its largest |h| "
+                         f"{float(largest[channel])!r} times its largest |A| {float(scale[channel])!r}")
     return tol["ccr_relative"] * largest * scale
 
 

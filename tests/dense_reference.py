@@ -11,6 +11,10 @@ residual.  ``block_pair_residuals`` is the pair-by-pair loop over a whole
 commutator, and ``exact_defect_squares`` the certificate's squared norm in
 rational arithmetic; ``complex_evaluator_stack``
 holds the complex form evaluators that the real matrices R replaced.
+``twosum_dekker_defect`` and ``reference_certificates`` are the
+exact-CCR certificate's kernel before it took one workspace per call,
+Fast2Sum and the unscaled split, and ``checked_entries`` the spectrum
+checks before they moved to numpy.
 ``plant`` makes a kernel build a chosen matrix for one channel, and
 ``channel_offsets`` lays a stack's channels out in one whole vector, the
 coordinates that the references taking whole vectors read.
@@ -35,7 +39,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from timeops import timeop
 from timeops.contspec import _gauss_hermite, _required_order, s0_apply
+from timeops.spectra import STATE_COUNT_LIMIT, Accumulation, _is_integer
 from timeops.timeop import (
     SCHUR_SLACK_ULPS,
     MatrixKind,
@@ -89,10 +95,10 @@ def plant(monkeypatch, module, change, target=None):
     build = module._entries
     held = [target]
 
-    def patched(ev, start, stop, kind, first=0):
+    def patched(ev, start, stop, kind, first=0, **keywords):
         if held[0] is None and len(ev) > 1:
             held[0] = ev[1]
-        out = build(ev, start, stop, kind, first)
+        out = build(ev, start, stop, kind, first, **keywords)
         for r in range(len(ev)):
             if held[0] is not None and np.shares_memory(ev[r], held[0]):
                 a = change(ev[r], build(ev[r:r + 1], 0, ev.shape[1], kind)[0])
@@ -100,6 +106,114 @@ def plant(monkeypatch, module, change, target=None):
         return out
 
     monkeypatch.setattr(module, "_entries", patched)
+
+
+#: Veltkamp's splitting factor 2^27 + 1, as in ``timeop``.
+SPLIT = 134217729.0
+
+
+def twosum_dekker_defect(a, hn, hm) -> np.ndarray:
+    """(hn - hm) * a - 1 entrywise, error-free up to its last rounding, written into a and returned.
+
+    The defect that ``timeop._defect`` replaced, step for step: TwoSum
+    gives the gap hn - hm as s + t exactly (Knuth) on every entry, and
+    Dekker's TwoProduct gives s * a as p + q exactly, on Veltkamp halves,
+    always after writing s = m 2^k with m in [1/2, 1) and scaling a by
+    2^k.  hn and hm broadcast; every temporary is a fresh array.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = hn - hm
+        z = s - hn
+        t = s - z
+        np.subtract(hn, t, out=t)
+        z += hm
+        np.subtract(t, z, out=z)       # the gap's rounding error t
+        z *= a                         # t a
+        m, k = np.frexp(s)
+        np.ldexp(a, k, out=a)          # s a = m (a 2^k)
+        p = m * a
+        np.multiply(m, SPLIT, out=s)
+        np.subtract(s, m, out=t)
+        s -= t                         # high half of m
+        m -= s                         # low half of m
+        np.multiply(a, SPLIT, out=t)
+        q = t - a
+        t -= q                         # high half of a
+        a -= t                         # low half of a
+        np.multiply(s, t, out=q)
+        q -= p
+        s *= a
+        q += s
+        t *= m
+        q += t
+        m *= a
+        q += m                         # q = m a - p, exactly
+        q += z
+        p -= 1.0
+        return np.add(p, q, out=a)
+
+
+def reference_certificates(op) -> tuple:
+    """(certificate, scale) of ``timeop.ccr_certificates``, from the kernel that its one-workspace pass replaced.
+
+    The same row bands in the same order, each built by ``_entries`` into
+    a fresh array and turned into Delta by ``twosum_dekker_defect``, with
+    h_n and h_m broadcast; the band's largest |A| from np.abs.
+    """
+    certificate, scale = np.zeros(len(op.eigenvalues)), np.zeros(len(op.eigenvalues))
+    for g in op.groups:
+        c, d = g.eigenvalues.shape
+        squares, largest = np.zeros(c), np.zeros(c)
+        start = 0
+        while start < d - 1:
+            width = d - start
+            stop = start + max(1, min(width // 4, timeop.CCR_CHUNK // width))
+            rows = stop - start
+            lower = np.arange(rows)[:, None] >= np.arange(rows)
+            for first, last in timeop._chunks(rows * width, c, timeop.CCR_CHUNK):
+                e = g.eigenvalues[first:last, start:]
+                a = timeop._entries(g.eigenvalues[first:last], start, stop, op.kind, start)
+                with np.errstate(over="ignore"):
+                    h = e if op.kind is MatrixKind.DIRECT else 1.0 / e
+                largest[first:last] = np.maximum(largest[first:last], np.max(np.abs(a), axis=(1, 2)))
+                delta = twosum_dekker_defect(a, h[:, :rows, None], h[:, None, :])
+                np.copyto(delta[:, :, :rows], 0.0, where=lower)
+                squares[first:last] += np.einsum("crw,crw->c", delta, delta)
+            start = stop
+        certificate[g.blocks] = np.sqrt(2.0 * squares)
+        scale[g.blocks] = largest
+    return certificate, scale
+
+
+def checked_entries(entries, accumulation) -> tuple:
+    """The entries tuple of ``DiscreteSpectrum(entries, accumulation)``, or its ValueError, checked entry by entry.
+
+    The Python checks that the numpy ones of ``DiscreteSpectrum.__post_init__``
+    replaced, in the same order and with the same messages.
+    """
+    if not entries:
+        raise ValueError("spectrum must contain at least one entry")
+    for v, m in entries:
+        if not _is_integer(m):
+            raise ValueError(f"multiplicity {m!r} of the value {v!r} is not an integer")
+    states = sum(m for _, m in entries)
+    if states > STATE_COUNT_LIMIT:
+        raise ValueError(f"spectrum has {states} states, beyond the limit {STATE_COUNT_LIMIT}")
+    entries = tuple((float(v), int(m)) for v, m in entries)
+    accumulation = Accumulation(accumulation)
+    values = [v for v, _ in entries]
+    if not all(np.isfinite(values)):
+        raise ValueError("spectrum values must be finite")
+    if any(m < 1 for _, m in entries):
+        raise ValueError("multiplicities must be >= 1")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("values must be strictly increasing")
+    if accumulation is Accumulation.TO_ZERO:
+        if any(v >= 0.0 for v in values):
+            raise ValueError("a spectrum accumulating at zero must consist of negative values")
+    elif len(values) >= 2 and values[-1] <= values[0]:
+        raise ValueError("spectrum must increase toward its accumulation point")
+    return entries
 
 
 def channel_offsets(stack) -> np.ndarray:

@@ -321,8 +321,12 @@ class TestSubcommands:
         # one --omega flag serves both models: a list is the oscillator's, and the Rabi model refuses it
         code = main(["timeop", "--model", "rabi", "--omega", "1,2", "--out", str(tmp_path / "list")])
         err = capsys.readouterr().err
-        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err == "error: --omega takes one number for the rabi model, not '1,2'\n"
         assert not (tmp_path / "list").exists()
+        # the oscillator's list names the flag too
+        assert main(["timeop", "--model", "oscillator", "--omega", "1,x", "--out", str(tmp_path / "list")]) == 2
+        assert capsys.readouterr().err == "error: --omega takes a comma list of numbers for the oscillator model, not '1,x'\n"
         assert main(["timeop", "--model", "rabi", "--omega", "1", "--cutoff", "20", "--count", "5",
                      "--out", str(tmp_path / "rabi")]) == 0
         assert _read(tmp_path / "rabi" / "timeop_report.json")["config"]["model"]["omega"] == 1.0
@@ -722,7 +726,7 @@ class TestSubcommands:
     def test_config_file_drives_a_run(self, tmp_path):
         cfg = {
             "model": {"kind": "hydrogen", "n_max": 3},
-            "pipeline": {"kind": "uwform", "vectors": 5},
+            "pipeline": {"kind": "uwform", "p": 2.0},
             "seed": 3,
         }
         path = tmp_path / "config.json"
@@ -730,10 +734,34 @@ class TestSubcommands:
         code = main(["uwform", "--config", str(path), "--out", str(tmp_path)])
         assert code == 0
         report = _read(tmp_path / "uwform_report.json")
-        # the seed is checked but not part of a pipeline's config; pipeline.vectors is
-        # no field, so it is echoed like any unknown key and read by nothing
+        # the seed is checked but not part of a pipeline's config
         assert report["config"] == {"model": cfg["model"], "pipeline": cfg["pipeline"], "tolerances": {}}
         assert "vectors_per_channel" not in report
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("uwform", {"model": {"kind": "hydrogen", "nmax": 40}}, "'nmax'"),       # a misspelt n_max
+        ("timeop", {"model": {"kind": "rabi", "n_max": 4}}, "'n_max'"),           # another kind's field
+        ("uwform", {"model": {"kind": "hydrogen"}, "pipeline": {"kind": "uwform", "vectors": 5}}, "'vectors'"),
+        ("oscspec", {"pipeline": {"kind": "oscspec", "p": 2.0}}, "'p'"),
+        # decompose reads p from a form pipeline's section, which is checked against its own kind
+        ("decompose", {"model": {"kind": "hydrogen"}, "pipeline": {"kind": "uwform", "sizes": [4]}}, "'sizes'"),
+    ])
+    def test_an_unknown_config_key_is_a_usage_error(self, tmp_path, capsys, command, section, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(section))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and key in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*_report.json"))
+
+    def test_decompose_reads_p_from_a_form_pipelines_section(self, tmp_path):
+        # uwform's function is no field of decompose: the section lends only p
+        cfg = {"model": {"kind": "hydrogen", "n_max": 3},
+               "pipeline": {"kind": "uwform", "p": 3.0, "function": {"kind": "sin", "params": [0.3]}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["decompose", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert _read(tmp_path / "decomposition.json")["p"] == 3.0
 
     @pytest.mark.parametrize("command", ["spectrum", "decompose", "timeop", "uwform"])
     def test_custom_model_without_a_path_names_the_flag_and_the_field(self, tmp_path, capsys, command):

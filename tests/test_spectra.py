@@ -20,7 +20,7 @@ from timeops.spectra import (
     rabi_hamiltonian,
 )
 
-from dense_reference import dense_chain_eigenvalues, dense_chains, dense_rabi, rabi_chain_labels
+from dense_reference import checked_entries, dense_chain_eigenvalues, dense_chains, dense_rabi, rabi_chain_labels
 
 
 class TestHarmonic:
@@ -164,6 +164,45 @@ class TestDiscreteSpectrum:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DiscreteSpectrum((), Accumulation.TO_ZERO)
+
+
+_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 5),
+                    st.sampled_from([-0.0, 0.0, "1.5", None, True]))
+_MULTIPLICITIES = st.one_of(st.integers(-2, 4), st.sampled_from([np.int64(2), np.int32(1), 2.0, True, "3", None,
+                                                                STATE_COUNT_LIMIT, 10 ** 30, -10 ** 30]))
+
+
+def outcome(call):
+    """What a call returns, or the type and message of the exception it raises."""
+    try:
+        return call()
+    except (ValueError, TypeError, OverflowError) as exc:   # np.int64 + 10**30 overflows in the sum
+        return type(exc), str(exc)
+
+
+class TestDiscreteSpectrumChecksFuzz:
+    """The numpy checks of DiscreteSpectrum give the entry-by-entry Python checks' entries and refusals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(_VALUES, _MULTIPLICITIES), max_size=6),
+        sorted_values=st.booleans(),
+        accumulation=st.sampled_from(["to_zero", "to_infinity", "sideways"]),
+    )
+    def test_same_entries_and_same_refusals(self, entries, sorted_values, accumulation):
+        if sorted_values:
+            entries = sorted(entries, key=lambda e: e[0] if isinstance(e[0], float) and e[0] == e[0] else 0.0)
+        got = outcome(lambda: DiscreteSpectrum(tuple(entries), accumulation).entries)
+        expected = outcome(lambda: checked_entries(tuple(entries), accumulation))
+        assert got == expected
+        if not isinstance(got[0], type):   # entries, not a refusal
+            assert all(type(v) is float and type(m) is int for v, m in got)
+
+    @pytest.mark.parametrize("spectrum", [harmonic_spectrum([1.0], 1500), hydrogen_point_spectrum(1.0, 1.0, 40),
+                                          harmonic_spectrum([1.0, 2.0 ** 0.5], 30)])
+    def test_model_spectra_keep_their_entries(self, spectrum):
+        assert DiscreteSpectrum(spectrum.entries, spectrum.accumulation).entries == \
+            checked_entries(spectrum.entries, spectrum.accumulation)
 
 
 class TestStateCountLimit:

@@ -15,6 +15,7 @@ from timeops.spectra import (
     Accumulation,
     DiscreteSpectrum,
     HermitianMatrix,
+    harmonic_spectrum,
     hydrogen_point_spectrum,
     rabi_hamiltonian,
 )
@@ -22,7 +23,6 @@ from timeops.timeop import (
     CHANNEL_DIMENSION_LIMIT,
     ChannelStack,
     MatrixKind,
-    _defect,
     _entries,
     _require_rows,
     assemble_time_operator,
@@ -45,7 +45,9 @@ from dense_reference import (
     pairing,
     plant,
     random_difference_stack,
+    reference_certificates,
     sweep_roundoff,
+    twosum_dekker_defect,
 )
 from recording_rng import RecordingRng
 
@@ -333,6 +335,18 @@ class TestCertificate:
         certificate, scale = ccr_certificates(op)
         assert certificate[1] == scale[1] == 0.0 == ccr_allowed(op, scale, resolve_tolerances())[1]
         assert scale[0] > 0.0 < scale[2]
+
+    def test_an_overflowing_gate_is_refused_naming_the_channel(self):
+        # max|h| = 1e100 and max|A| = 1e300: an infinite gate would pass any certificate
+        op = ChannelStack([[0.5, 1.5], [1e-300, 2e-300, 1e100]], MatrixKind.DIRECT)
+        certificate, scale = ccr_certificates(op)
+        assert np.all(np.isfinite(certificate)) and np.all(np.isfinite(scale))
+        with pytest.raises(ValueError, match=r"gate of channel 1 overflows: its largest \|h\| 1e\+100 "):
+            ccr_allowed(op, scale, resolve_tolerances())
+
+    def test_a_nan_scale_gives_a_nan_gate(self):
+        op = ChannelStack([[0.5, 1.5, 4.0]], MatrixKind.DIRECT)
+        assert math.isnan(ccr_allowed(op, np.array([math.nan]), resolve_tolerances())[0])
 
     def test_the_gate_reads_the_largest_pairing_value(self):
         tol = resolve_tolerances({"ccr_relative": 0.5})
@@ -750,7 +764,7 @@ def whole_row_certificate(values, kind, rows=64):
     total = 0.0
     for start in range(0, d, rows):
         stop = min(d, start + rows)
-        delta = _defect(_entries(e, start, stop, kind), h[:, start:stop, None], h[:, None, :])
+        delta = twosum_dekker_defect(_entries(e, start, stop, kind), h[:, start:stop, None], h[:, None, :])
         delta.reshape(-1)[start::d + 1] = 0.0   # the diagonal of Delta is zero
         total += float(np.sum(delta * delta))
     return math.sqrt(total)
@@ -785,7 +799,79 @@ class TestBandedCertificate:
 
 def assert_same_bits(got, expected):
     assert len(got) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+def recorded_paths(monkeypatch) -> list:
+    """Record the (fast, split_in_range) flags of every ``_defect`` call: which gap error and which split ran."""
+    calls = []
+    defect = timeop._defect
+
+    def recording(a, gap, hn, hm, fast, split_in_range, work):
+        calls.append((fast, split_in_range))
+        return defect(a, gap, hn, hm, fast, split_in_range, work)
+
+    monkeypatch.setattr(timeop, "_defect", recording)
+    return calls
+
+
+class TestReferenceKernel:
+    """The one-workspace certificate gives the bits of the TwoSum and scaled-Dekker kernel it replaced."""
+
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
+    def test_the_oscillator(self, omega):
+        _, op = assemble_time_operator(harmonic_spectrum([omega], 1500))
+        assert_same_bits(ccr_certificates(op), reference_certificates(op))
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("n_max", [4, 16, 70])
+    def test_hydrogen(self, n_max, gamma):
+        _, op = assemble_time_operator(hydrogen_point_spectrum(1.0, gamma, n_max))
+        assert_same_bits(ccr_certificates(op), reference_certificates(op))
+
+    @pytest.mark.parametrize("kind,values,fast,split_in_range", [
+        (MatrixKind.DIRECT, np.arange(40) + 0.5, True, True),                 # nonnegative: |h| nondecreasing
+        (MatrixKind.DIRECT, -np.arange(40)[::-1] - 0.5, False, True),         # negative: |h| decreasing
+        (MatrixKind.DIRECT, np.arange(40) - 19.7, False, True),               # mixed signs
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 41) ** 2, True, True),
+        (MatrixKind.INVERSE_CONJUGATE, np.array([-3.0, -0.7, 0.2, 1.9, 40.0]), False, True),
+        (MatrixKind.DIRECT, (np.arange(40) + 0.5) * 2.0 ** 1000, True, False),   # |h| and |s| near 2^1000
+        (MatrixKind.DIRECT, (np.arange(40) + 0.5) * 2.0 ** -1000, True, False),  # |A| near 2^1000
+        (MatrixKind.INVERSE_CONJUGATE, -1.0 / np.arange(1, 41) ** 2 * 2.0 ** -500, True, False),
+    ])
+    def test_each_path_gives_the_reference_bits(self, monkeypatch, kind, values, fast, split_in_range):
+        op = ChannelStack([values, 2.0 * values], kind)
+        calls = recorded_paths(monkeypatch)
+        assert_same_bits(ccr_certificates(op), reference_certificates(op))
+        assert set(calls) == {(fast, split_in_range)}
+
+
+class TestReferenceKernelFuzz:
+    """Random rows of both kinds and every sign, at magnitudes up to 2^+-1000: the reference's bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=60),
+        signs=st.sampled_from(["nonnegative", "negative", "mixed"]),
+        exponent=st.sampled_from([0, 1000, -1000, 498, 500, -500, 30]),
+        copies=st.integers(min_value=1, max_value=3),
+        kind=st.sampled_from(TIME_KINDS),
+        budget=st.sampled_from([timeop.CCR_CHUNK, 1, 64]),
+    )
+    def test_random_rows_give_the_reference_bits(self, gaps, signs, exponent, copies, kind, budget):
+        values = np.concatenate([[1.0], 1.0 + np.cumsum(gaps)])
+        if signs == "negative":
+            values = -values[::-1]
+        elif signs == "mixed":
+            # no value within 2.5e-4 of zero: a gap is at least 1e-3
+            values = values - 0.5 * (values[len(values) // 2] + values[(len(values) - 1) // 2]) - 2.5e-4
+        if kind is MatrixKind.INVERSE_CONJUGATE:
+            exponent = max(-400, min(exponent, 400))   # E_n E_m far from overflow and underflow
+        rows = np.array([values * (1 + j) for j in range(copies)]) * 2.0 ** exponent
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timeop, "CCR_CHUNK", budget)
+            op = ChannelStack(rows, kind)
+            assert_same_bits(ccr_certificates(op), reference_certificates(op))
 
 
 class TestGroupedKernel:
