@@ -90,12 +90,14 @@ class FieldType(NamedTuple):
 
     ``text`` parses a flag's text for types that argparse cannot convert
     with ``read`` (lists and ``--function``); it is None for scalars.
+    ``syntax`` says how a flag writes the type, for a parse error.
     """
 
     name: str
     admits: Callable[[object], bool]
     read: Callable[[object], object]
     text: Callable[[str], object] | None = None
+    syntax: str = ""
 
 
 def _list_of(admits):
@@ -113,19 +115,20 @@ def _function_payload(text: str):
     return json.loads(Path(text).read_text())
 
 
-NUMBER = FieldType("a number", _is_number, float)
-INTEGER = FieldType("an integer", _is_integer, int)
+NUMBER = FieldType("a number", _is_number, float, syntax="one number")
+INTEGER = FieldType("an integer", _is_integer, int, syntax="one integer")
 STRING = FieldType("a string", lambda x: isinstance(x, str), str)
 NUMBERS = FieldType("a list of numbers", _list_of(_is_number), lambda x: [float(v) for v in x],
-                    lambda text: [float(v) for v in text.split(",")])
+                    lambda text: [float(v) for v in text.split(",")], "a comma list of numbers")
 INTEGERS = FieldType("a list of integers", _list_of(_is_integer), lambda x: [int(v) for v in x],
-                     lambda text: [int(v) for v in text.split(",")])
+                     lambda text: [int(v) for v in text.split(",")], "a comma list of integers")
 FUNCTION = FieldType(
     "null or a {kind: string, params: [numbers]} object",
     lambda x: x is None or (isinstance(x, dict) and isinstance(x.get("kind"), str)
                             and _list_of(_is_number)(x.get("params"))),
     lambda x: x,
     _function_payload,
+    "inline JSON, kind:p1,p2 or a JSON file path",
 )
 
 #: Default of a field that has none and must be given.
@@ -501,6 +504,21 @@ def run(config: RunConfig) -> dict:
 # ------------------------------------------------------------ CLI plumbing
 
 
+def _read_flag(flag: str, text: str, parse: Callable[[str], object], takes: str):
+    """``parse(text)`` for the flag ``--flag``; a text it cannot parse is refused naming the flag."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"--{flag} takes {takes}, not {text!r}") from None
+
+
+def _tolerance_override(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError("no '=' in a tolerance override")
+    return name, float(value)
+
+
 def _load_config_file(args) -> dict:
     path = getattr(args, "config", None)
     if path is None:
@@ -508,6 +526,10 @@ def _load_config_file(args) -> dict:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("a config file must hold a JSON object")
+    for key in raw:
+        if key not in ("model", "pipeline", "tolerances", "seed"):
+            raise ValueError(f"unknown config key {key!r}; a config file holds "
+                             "'model', 'pipeline', 'tolerances' and 'seed'")
     for section in ("model", "pipeline", "tolerances"):
         if not isinstance(raw.get(section) or {}, dict):
             raise ValueError(f"config section {section!r} must be a JSON object")
@@ -528,12 +550,11 @@ def _model_from_args(args, base: dict | None) -> dict | None:
         value = getattr(args, _MODEL_FLAGS.get(key, key), None)
         if value is None:
             continue
-        if key == "omega":   # one flag: the oscillator's comma list, the Rabi model's one number
-            try:
-                value = ftype.text(value) if ftype.text else float(value)
-            except ValueError:
-                takes = "a comma list of numbers" if ftype.text else "one number"
-                raise ValueError(f"--omega takes {takes} for the {kind} model, not {value!r}") from None
+        # argparse leaves as text a list and a flag whose kinds disagree on its type, as --omega:
+        # the oscillator's comma list, the Rabi model's one number
+        if isinstance(value, str) and ftype is not STRING:
+            value = _read_flag(_MODEL_FLAGS.get(key, key).replace("_", "-"), value, ftype.text or ftype.read,
+                               f"{ftype.syntax} for the {kind} model")
         model[key] = value
     return model
 
@@ -560,7 +581,7 @@ def _make_config(args, kind: str, sections: tuple = ()) -> RunConfig:
     for key, (ftype, _) in PIPELINE_FIELDS[kind].items():
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = ftype.text(value) if ftype.text else value
+            merged[key] = _read_flag(key, value, ftype.text, ftype.syntax) if ftype.text else value
     return RunConfig(model=model or {}, pipeline=merged, tolerances=raw.get("tolerances") or {})
 
 
@@ -626,10 +647,8 @@ def cmd_selftest(args) -> int:
     raw = _load_config_file(args)
     overrides = dict(raw.get("tolerances") or {})
     for item in args.tolerance or []:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError("tolerance overrides look like name=value")
-        overrides[name] = float(value)
+        name, value = _read_flag("tolerance", item, _tolerance_override, "name=value with a number value")
+        overrides[name] = value
     seed = args.seed if args.seed is not None else raw.get("seed", 7)   # both checked on entry
     tolerances = resolve_tolerances(overrides)
     results = acceptance.run_all(tolerances, seed)

@@ -9,8 +9,8 @@ the symmetrized candidate
 singular at k = 0.  Both 1/k factors are applied in Fourier space with
 the zero mode dropped, which is only legitimate for states carrying no
 weight there; the constructor therefore forces the packet's carrier
-frequency away from zero, and every application of T re-checks the
-actual zero-mode mass before touching a state.  The weak Weyl relation
+frequency away from zero, and the sweep checks the actual zero-mode mass
+of psi before touching it.  The weak Weyl relation
 
     T e^{-itH} psi = e^{-itH} (T + t) psi
 
@@ -18,8 +18,11 @@ is then a measurable identity: its residual is limited by the grid, not
 by the algebra, and refining the grid must push it down whenever the
 truncation error dominates round-off.  ``weak_weyl_residuals`` checks it
 at many times on one grid in Fourier space: the transforms of psi and
-T psi take four FFTs per grid, and each time four more.  Both the k = 0
-gate and the box-containment gate run on every evolved state.  The FFTs
+T psi take four FFTs per grid, and each time four more.  Both gates run
+once per grid: free evolution multiplies psi^ by a phase that is exactly
+1 at k = 0 and of modulus 1 to rounding elsewhere, so the k = 0 gate on
+psi holds for every evolved state, and the box-containment gate bounds
+the packet's reach in closed form over the whole time interval.  The FFTs
 are cache-blocked four-step transforms (``_FourStep``) that leave k-space
 in a transposed order; every k-space step of the sweep is diagonal, so
 the multipliers 1/k and k^2/2m are simply built in that order.  The
@@ -207,32 +210,50 @@ def _require_no_zero_mode(hat: np.ndarray) -> None:
         )
 
 
-def _require_contained(samples: np.ndarray, x: np.ndarray, box_half_width: float,
-                       density: np.ndarray) -> None:
-    """Demand that the position distribution sits well inside the box.
+def _moments(psi: np.ndarray, x_psi: np.ndarray, hat: np.ndarray, x_hat: np.ndarray,
+             k_hat: np.ndarray) -> tuple:
+    """<x>, <p>, Var x, Cov(x, p) and Var p of psi, from psi, x psi and their transforms, and k psi^.
+
+    Position moments are read in position space and the rest in k-space,
+    each over its own space's squared norm; Cov is Re <x p> - <x><p>.
+    """
+    with np.errstate(all="ignore"):   # an overflow leaves inf or NaN, which _require_contained refuses
+        position, momentum = np.vdot(psi, psi).real, np.vdot(hat, hat).real
+        mean_x = np.vdot(psi, x_psi).real / position
+        mean_p = np.vdot(hat, k_hat).real / momentum
+        var_x = np.vdot(x_psi, x_psi).real / position - mean_x * mean_x
+        cov = np.vdot(x_hat, k_hat).real / momentum - mean_x * mean_p
+        var_p = np.vdot(k_hat, k_hat).real / momentum - mean_p * mean_p
+    return mean_x, mean_p, var_x, cov, var_p
+
+
+def _require_contained(moments: tuple, mass: float, span: tuple, box_half_width: float) -> None:
+    """Demand that the position distribution sits well inside the box at every time of ``span``.
 
     A packet that wraps around the periodic boundary still has a finite
     residual, but the number stops meaning anything about the line
-    problem, so it is rejected.  The moments weight x by the real
-    density |e|^2, formed in the real buffer ``density``; NaN fails the
-    gate.
+    problem, so it is rejected.  Free evolution takes x to x + t p/m, so
+    from the ``_moments`` of psi, <x>(t) = <x> + t <p>/m and Var x(t) =
+    Var x + 2t Cov(x, p)/m + t^2 Var p/m^2.  std(t) is the norm of
+    (X - <X> + t (P - <P>)/m) psi/||psi||, an affine map of t, so
+    |<x>(t)| + 6 std(t) is convex in t, and its values at the two ends of
+    the interval ``span`` bound it on the whole interval: a packet that
+    leaves the box between two sampled times is refused too.  NaN fails
+    the gate.
     """
-    np.abs(samples, out=density)
-    density *= density
-    total = density.sum()
-    mean = np.dot(density, x) / total
-    density *= x
-    variance = np.dot(density, x) / total - mean * mean
-    # round-off can leave a point mass a variance just below zero; NaN stays NaN
-    spread = math.sqrt(max(variance, 0.0))
-    reach = abs(mean) + 6.0 * spread
-    if not reach < box_half_width:
-        raise ValueError(
-            "evolved packet reaches the box boundary "
-            f"(|<x>| + 6 std = {reach:.3f} "
-            f">= L = {box_half_width:.3f}); "
-            "shorten the time or enlarge the box"
-        )
+    mean_x, mean_p, var_x, cov, var_p = moments
+    for t in span:
+        with np.errstate(all="ignore"):   # an overflow leaves inf or NaN, refused below
+            variance = var_x + 2.0 * t * cov / mass + t * t * var_p / (mass * mass)
+            # round-off can leave a point mass a variance just below zero; NaN stays NaN
+            reach = abs(mean_x + t * mean_p / mass) + 6.0 * np.sqrt(np.maximum(variance, 0.0))
+        if not reach < box_half_width:
+            raise ValueError(
+                "evolved packet reaches the box boundary "
+                f"(|<x>| + 6 std = {reach:.3f} "
+                f">= L = {box_half_width:.3f}); "
+                "shorten the time or enlarge the box"
+            )
 
 
 #: Longest column transform of the four-step FFT: N = n1 n2 with
@@ -312,11 +333,13 @@ def weak_weyl_residuals(state: GridState, times) -> list[float]:
     each t takes four more (see ``_weyl_defect``).  Every transform is a
     ``_FourStep`` one, so k-space arrays are held in its transposed
     order.  The grid buffers are made once: psi^, (T psi)^, three complex
-    work vectors, and a real half-grid and full-grid scratch; each t
-    writes only into them.  Raises ValueError for a non-finite time, a
-    state of zero or overflowing norm, an overflowing (m/2)/k, k^2/2m or
-    defect, zero-mode mass, or an evolved packet that reaches the box
-    boundary.
+    work vectors and a real half-grid scratch; each t writes only into
+    them.  Both gates run once per grid, on psi: the zero-mode mass of
+    psi^, and containment over [min(0, t_i), max(0, t_i)] from the
+    moments of psi.  Raises ValueError, in this order, for a non-finite
+    time, a state of zero or overflowing norm, an overflowing (m/2)/k or
+    k^2/2m, zero-mode mass, a packet that reaches the box boundary at
+    some time of the interval, or an overflowing defect.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
@@ -330,14 +353,21 @@ def weak_weyl_residuals(state: GridState, times) -> list[float]:
     scale, energy = _multipliers(plan, state)
     hat = plan.forward(state.samples)
     t_hat, shifted, h_hat, rhs = (np.empty_like(hat) for _ in range(4))
-    work = (shifted, h_hat, rhs, np.empty(energy.shape), np.empty(state.size))
+    work = (shifted, h_hat, rhs, np.empty(energy.shape))
     _require_no_zero_mode(hat)
+    # x psi, (x psi)^ and k psi^ = (m/2) psi^/s go into work vectors that the times overwrite
+    np.multiply(x, state.samples, out=h_hat)
+    plan.forward(h_hat, out=rhs)
+    shifted[0] = 0.0
+    np.divide(hat, scale, out=shifted, where=scale != 0.0)
+    shifted *= state.mass / 2.0
+    span = (min([0.0, *times]), max([0.0, *times]))
+    _require_contained(_moments(state.samples, h_hat, hat, rhs, shifted), state.mass, span,
+                       state.box_half_width)
     np.multiply(hat, scale, out=t_hat)
     plan.inverse(t_hat, out=t_hat)
     t_hat *= x
     plan.forward(t_hat, out=t_hat)
-    np.multiply(x, state.samples, out=rhs)
-    plan.forward(rhs, out=rhs)
     rhs *= scale
     t_hat += rhs
     return [_weyl_defect(state, plan, t, hat, t_hat, energy, x, scale, work) / norm for t in times]
@@ -367,15 +397,14 @@ def _weyl_defect(state: GridState, plan: _FourStep, t: float, hat: np.ndarray, t
     away the round-off being measured.  The phase is built once and
     spent on phi_t (T psi)^ while h^ is still whole.  ``work`` holds the
     sweep's buffers, which every step writes into: three complex grid
-    vectors, then a real half-grid and full-grid scratch.
+    vectors, then a real half-grid scratch.  The step checks no gate:
+    ``weak_weyl_residuals`` proved both for every t before the first.
     """
-    shifted, h_hat, rhs, angle, density = work
+    shifted, h_hat, rhs, angle = work
     _phase(energy, t, angle, shifted)
     np.multiply(shifted, hat, out=h_hat)
-    _require_no_zero_mode(h_hat)
     shifted *= t_hat
     plan.inverse(h_hat, out=rhs)
-    _require_contained(rhs, x, state.box_half_width, density)
     rhs *= x
     plan.forward(rhs, out=rhs)
     rhs *= scale

@@ -97,10 +97,12 @@ class DiscreteSpectrum:
             if type(m) is not int and not _is_integer(m):
                 raise ValueError(f"multiplicity {m!r} of the value {v!r} is not an integer")
         raw_values, raw_counts = zip(*self.entries)
-        states = sum(raw_counts)
+        counts = list(map(int, raw_counts))
+        # a sum of Python ints cannot overflow, where np.int64 + 10**30 does
+        states = sum(counts)
         if states > STATE_COUNT_LIMIT:
             raise ValueError(f"spectrum has {states} states, beyond the limit {STATE_COUNT_LIMIT}")
-        floats, counts = list(map(float, raw_values)), list(map(int, raw_counts))
+        floats = list(map(float, raw_values))
         object.__setattr__(self, "entries", tuple(zip(floats, counts)))
         accumulation = Accumulation(self.accumulation)
         object.__setattr__(self, "accumulation", accumulation)

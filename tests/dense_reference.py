@@ -31,7 +31,9 @@ smooth subspace of min(floor(n/2), 128) columns, which the smooth start
 and its Krylov block replaced.
 ``s0_symmetry_residual`` is the pair-by-pair quadrature symmetry check
 of the S0 class that the certificate ``contspec.s0_symmetry_bound``
-replaced.
+replaced.  ``density_reach`` is the weak Weyl sweep's containment
+measure read off one sampled state's density, which the closed form over
+the whole time interval, ``contspec._require_contained``, replaced.
 """
 
 import math
@@ -196,7 +198,7 @@ def checked_entries(entries, accumulation) -> tuple:
     for v, m in entries:
         if not _is_integer(m):
             raise ValueError(f"multiplicity {m!r} of the value {v!r} is not an integer")
-    states = sum(m for _, m in entries)
+    states = sum(int(m) for _, m in entries)
     if states > STATE_COUNT_LIMIT:
         raise ValueError(f"spectrum has {states} states, beyond the limit {STATE_COUNT_LIMIT}")
     entries = tuple((float(v), int(m)) for v, m in entries)
@@ -502,3 +504,16 @@ def s0_symmetry_residual(f, g, order=None) -> float:
     left = np.sum(weights * np.conj(yf) * combination_values(g, nodes))
     right = np.sum(weights * np.conj(combination_values(f, nodes)) * yg)
     return float(abs(left - right))
+
+
+def density_reach(samples, x) -> float:
+    """|<x>| + 6 std of the position density |psi|^2 of ``samples`` on the grid points ``x``.
+
+    The moments weight x by the real density; round-off can leave a
+    point mass a variance just below zero, and NaN stays NaN.
+    """
+    density = np.abs(samples) ** 2
+    total = density.sum()
+    mean = np.dot(density, x) / total
+    variance = np.dot(density * x, x) / total - mean * mean
+    return float(abs(mean) + 6.0 * math.sqrt(max(variance, 0.0)))

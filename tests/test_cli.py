@@ -623,6 +623,15 @@ class TestSubcommands:
         code = main(["abweyl", "--sigma", "-1.0", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("steps", ["1", "2", "40"])
+    def test_abweyl_refuses_a_wrapping_packet_whatever_the_steps(self, tmp_path, capsys, steps):
+        # at t = 20 the default packet has crossed the periodic box: the sampled state at
+        # t = 20 alone sits inside it, so only a gate over the whole interval refuses --steps 1
+        code = main(["abweyl", "--tmax", "20", "--steps", steps, "--out", str(tmp_path)])
+        assert code == 2
+        assert "box boundary (|<x>| + 6 std = 143.267" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*"))
+
     # a negative size must not cancel the work of the others, and each size costs at least 128^2
     @pytest.mark.parametrize("sizes", ["4096,4096,4096", "-100000000,4096", ",".join(["2"] * 5000)],
                              ids=["three-at-the-cap", "a-negative-size", "5000-sizes-of-2"])
@@ -995,6 +1004,33 @@ class TestFieldTable:
     def test_model_defaults_are_admitted_by_their_types(self, kind):
         for ftype, default in cli.MODEL_FIELDS[kind].values():
             assert default is cli.REQUIRED or ftype.admits(default)
+
+    @pytest.mark.parametrize("args,err", [
+        (["oscspec", "--sizes", "4,x"], "--sizes takes a comma list of integers, not '4,x'"),
+        (["oscspec", "--sizes", "4,5.5"], "--sizes takes a comma list of integers, not '4,5.5'"),
+        (["uwform", "--model", "hydrogen", "--function", "sin:abc"],
+         "--function takes inline JSON, kind:p1,p2 or a JSON file path, not 'sin:abc'"),
+        (["ftransform", "--model", "hydrogen", "--function", "{sin"],
+         "--function takes inline JSON, kind:p1,p2 or a JSON file path, not '{sin'"),
+        (["timeop", "--model", "rabi", "--omega", "x"], "--omega takes one number for the rabi model, not 'x'"),
+        (["selftest", "--tolerance", "uw_ccr=abc"], "--tolerance takes name=value with a number value, not 'uw_ccr=abc'"),
+        (["selftest", "--tolerance", "uw_ccr"], "--tolerance takes name=value with a number value, not 'uw_ccr'"),
+    ])
+    def test_a_flag_text_that_does_not_parse_names_the_flag(self, tmp_path, capsys, args, err):
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not list(tmp_path.glob("*"))
+
+    @pytest.mark.parametrize("args", [["uwform"], ["timeop"], ["spectrum"], ["s0check"], ["selftest"]])
+    @pytest.mark.parametrize("key", ["tolerance", "vectors", "Model"])
+    def test_an_unknown_top_level_config_key_is_refused(self, tmp_path, capsys, args, key):
+        # a misspelt section would otherwise be dropped, and the run pass on the defaults
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"kind": "hydrogen", "n_max": 4}, key: {"uw_ccr": 0}}))
+        assert main([*args, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error: unknown config key {key!r}; a config file holds "
+                                           "'model', 'pipeline', 'tolerances' and 'seed'\n")
+        assert not (tmp_path / "out").exists()
 
 
 _JSON_SCALARS = st.one_of(

@@ -19,6 +19,7 @@ from timeops.contspec import (
     _multipliers,
     _phase,
     _required_order,
+    _require_contained,
     _require_no_zero_mode,
     _s0_symmetry_matrix,
     _zero_mode_mass,
@@ -29,7 +30,7 @@ from timeops.contspec import (
     weak_weyl_residuals,
 )
 
-from dense_reference import affine_values, combination_values, s0_symmetry_residual
+from dense_reference import affine_values, combination_values, density_reach, s0_symmetry_residual
 
 
 def default_packet():
@@ -432,11 +433,38 @@ class TestWeakWeyl:
             assert abs(r - reference_residual(state, t)) <= 1e-14
         assert swept == [weak_weyl_residual(state, t) for t in times]
 
-    def test_containment_gate_fails_on_nan(self):
-        state = default_packet()
+    @pytest.mark.parametrize("field", range(5))
+    def test_containment_gate_fails_on_a_nan_moment(self, field):
+        moments = [0.0, 5.0, 2.0, 0.0, 0.125]
+        _require_contained(moments, 1.0, (0.0, 1.0), 50.0)
+        moments[field] = math.nan
         with pytest.raises(ValueError, match="box boundary"):
-            contspec._require_contained(np.full(state.size, complex(math.nan, 0.0)), state.x, 50.0,
-                                        np.empty(state.size))
+            _require_contained(moments, 1.0, (0.0, 1.0), 50.0)
+
+    @pytest.mark.parametrize("times", [[20.0], [-20.0], [0.5, 20.0], [5.0, 20.0, 1.0]])
+    def test_a_packet_that_wraps_between_samples_is_refused(self, times):
+        # at t = 20 the default packet's sampled reach is 43.3 < L, after
+        # it crossed the periodic boundary; the closed form reads 143.3
+        with pytest.raises(ValueError, match="box boundary"):
+            weak_weyl_residuals(default_packet(), times)
+
+    @pytest.mark.parametrize("state", [default_packet(), make_packet(50.0, 2048, 1.0, 7.0, -6.0, 1.5),
+                                       make_packet(50.0, 2 ** 16, 1.0, 0.0, 5.0, 2.0)],
+                             ids=["default-1024", "offcentre-negative-2048", "default-65536"])
+    def test_closed_form_reach_matches_the_evolved_density(self, monkeypatch, state):
+        # the moments the sweep hands its gate, read back through the unpatched gate
+        calls = []
+        monkeypatch.setattr(contspec, "_require_contained", lambda *args: calls.append(args))
+        weak_weyl_residuals(state, [])
+        ((moments, _, span, _),) = calls
+        assert span == (0.0, 0.0)
+        for t in (0.0, 0.25, 1.0, 2.0, 5.0):
+            expected = density_reach(free_evolve(state, t).samples, state.x)
+            # a gate at just above, then just below, the closed-form reach
+            _require_contained(moments, state.mass, (t, t), expected * (1.0 + 1e-6))
+            with pytest.raises(ValueError, match="box boundary") as refused:
+                _require_contained(moments, state.mass, (t, t), expected * (1.0 - 1e-6))
+            assert f"{expected:.3f}" in str(refused.value)
 
     def test_sweep_keeps_every_rejection(self):
         flat = GridState(50.0, 64, 1.0, np.ones(64, dtype=complex))
@@ -467,7 +495,8 @@ class TestWeakWeyl:
         # each writes into a buffer, not a new array
         assert all(out is not None for out in calls)
 
-    def test_gates_read_psi_and_every_evolved_state(self, monkeypatch):
+    @pytest.mark.parametrize("times", [[], [0.5], [0.25, 0.5, 0.75, 1.0], [0.125 * j for j in range(1, 41)]])
+    def test_gates_run_once_per_call(self, monkeypatch, times):
         seen = {"_zero_mode_mass": 0, "_require_contained": 0}
 
         def counted(name):
@@ -480,9 +509,20 @@ class TestWeakWeyl:
 
         for name in seen:
             monkeypatch.setattr(contspec, name, counted(name))
-        times = [0.25, 0.5, 0.75, 1.0]
         weak_weyl_residuals(default_packet(), times)
-        assert seen == {"_zero_mode_mass": 1 + len(times), "_require_contained": len(times)}
+        assert seen == {"_zero_mode_mass": 1, "_require_contained": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(-1e6, 1e6, allow_nan=False),
+           size=st.sampled_from([16, 1024, 2 ** 12]),
+           box=st.floats(1e-3, 1e3), mass=st.floats(1e-3, 1e3))
+    def test_the_phase_keeps_the_zero_mode_and_the_norm(self, t, size, box, mass):
+        # why one zero-mode gate on psi^ covers every evolved state
+        plan = _FourStep(size)
+        _, energy = _multipliers(plan, GridState(box, size, mass, np.zeros(size)))
+        phase = _phase(energy, t, np.empty(energy.shape), np.empty(size, dtype=complex))
+        assert phase[0] == 1.0
+        assert np.max(np.abs(np.abs(phase) - 1.0)) <= 2.0 * 2.0 ** -53
 
     @pytest.mark.parametrize("size", [16, 1024, 2 ** 19])
     def test_half_phase_equals_the_full_phase_bit_for_bit(self, size):
