@@ -79,9 +79,9 @@ SWEEP_POINTS_LIMIT = 2 ** 22
 
 #: Largest work of an ``oscspec`` size list: two certificates at the size
 #: cap, about 0.2 s on one core.  A certificate costs O(n^2), its Schur
-#: pass and products of B with a few dozen columns, plus about 0.1 ms
-#: whatever its size, which is the n^2 work of n = 128; so each size is
-#: charged max(n, 128)^2.
+#: pass, plus FFT products of B with a few dozen columns, O(n log n)
+#: each, and about 0.1 ms whatever its size, which is the n^2 work of
+#: n = 128; so each size is charged max(n, 128)^2.
 OSCSPEC_WORK_LIMIT = 2 * CHANNEL_DIMENSION_LIMIT ** 2
 
 
@@ -105,14 +105,21 @@ def _list_of(admits):
 
 
 def _function_payload(text: str):
-    """Parse --function: inline JSON, shorthand kind:p1,p2, or a file path."""
+    """Parse --function: inline JSON, shorthand kind:p1,p2, or a file path.
+
+    A text that is neither, and names no readable file, is refused as a
+    ValueError, so the error names the flag and its syntax.
+    """
     text = text.strip()
     if text.startswith("{"):
         return json.loads(text)
     if ":" in text:
         kind, _, params = text.partition(":")
         return {"kind": kind.strip(), "params": [float(x) for x in params.split(",")]}
-    return json.loads(Path(text).read_text())
+    try:
+        return json.loads(Path(text).read_text())
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
 
 
 NUMBER = FieldType("a number", _is_number, float, syntax="one number")

@@ -216,15 +216,23 @@ def _moments(psi: np.ndarray, x_psi: np.ndarray, hat: np.ndarray, x_hat: np.ndar
 
     Position moments are read in position space and the rest in k-space,
     each over its own space's squared norm; Cov is Re <x p> - <x><p>.
+    A moment that is not finite is refused here, naming the state's
+    largest |psi|: its squared norms overflow long before the state's
+    norm does, and the containment gate would read it as a packet at
+    the boundary.
     """
-    with np.errstate(all="ignore"):   # an overflow leaves inf or NaN, which _require_contained refuses
+    with np.errstate(all="ignore"):   # an overflow leaves inf or NaN, refused below
         position, momentum = np.vdot(psi, psi).real, np.vdot(hat, hat).real
         mean_x = np.vdot(psi, x_psi).real / position
         mean_p = np.vdot(hat, k_hat).real / momentum
         var_x = np.vdot(x_psi, x_psi).real / position - mean_x * mean_x
         cov = np.vdot(x_hat, k_hat).real / momentum - mean_x * mean_p
         var_p = np.vdot(k_hat, k_hat).real / momentum - mean_p * mean_p
-    return mean_x, mean_p, var_x, cov, var_p
+    moments = (mean_x, mean_p, var_x, cov, var_p)
+    if not np.all(np.isfinite(moments)):
+        raise ValueError(f"the position and momentum moments of the state are not finite "
+                         f"(largest |psi| {float(np.max(np.abs(psi))):.3e}); rescale the state")
+    return moments
 
 
 def _require_contained(moments: tuple, mass: float, span: tuple, box_half_width: float) -> None:
@@ -338,8 +346,9 @@ def weak_weyl_residuals(state: GridState, times) -> list[float]:
     psi^, and containment over [min(0, t_i), max(0, t_i)] from the
     moments of psi.  Raises ValueError, in this order, for a non-finite
     time, a state of zero or overflowing norm, an overflowing (m/2)/k or
-    k^2/2m, zero-mode mass, a packet that reaches the box boundary at
-    some time of the interval, or an overflowing defect.
+    k^2/2m, zero-mode mass, moments of psi that overflow, a packet that
+    reaches the box boundary at some time of the interval, or an
+    overflowing defect.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):

@@ -23,6 +23,9 @@ chains, in block order; ``dense_rabi`` builds the whole Rabi matrix from
 Kronecker products, and ``dense_chain_eigenvalues`` solves the parity
 chains as whole dense blocks with ``eigvalsh``, which the certified
 leading-block kernel ``HermitianMatrix.eigenvalues`` replaced.
+``half_block`` is the oscillator's dense half-size block B, which the
+FFT products ``timeop._block_product`` replaced, and ``dense_ritz`` the
+Ritz step ``timeop._ritz`` with dense products.
 ``gram_extremes`` is the oscillator truncation's extremes from one
 ``eigvalsh`` of the floor(n/2)-square Gram matrix B^T B, which the
 certified Ritz-and-Schur pair ``timeop.osc_timeop_extremes`` replaced,
@@ -49,8 +52,6 @@ from timeops.timeop import (
     MatrixKind,
     OscillatorExtremes,
     _chebyshev_columns,
-    _half_block,
-    _ritz,
     _schur_pivots,
 )
 
@@ -421,6 +422,36 @@ def dense_chain_eigenvalues(h) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in dense_chains(h)]))
 
 
+def half_block(n: int) -> np.ndarray:
+    """The real half-size block B of the even/odd split, ceil(n/2) x floor(n/2), as a dense matrix.
+
+    B[p, q] = a(p - q) + a(n-1-p-q), a(k) = 1/k, a(0) = 0, with the middle
+    row scaled by 1/sqrt(2) when n is odd (see ``osc_timeop_extremes``).
+    """
+    lags = np.arange(1, n, dtype=float)
+    a = np.concatenate([-1.0 / lags[::-1], [0.0], 1.0 / lags])   # a[n - 1 + k] = a(k)
+    # win[j, q] = a[2n - 2 - j - q], so B[p, q] = win[n - 1 - p, q] + win[p, q]
+    win = np.lib.stride_tricks.sliding_window_view(a[::-1], n // 2)
+    b = win[n - 1:n - 1 - (n + 1) // 2:-1] + win[:(n + 1) // 2]
+    if n % 2:
+        b[-1] /= math.sqrt(2.0)
+    return b
+
+
+def dense_ritz(b: np.ndarray, v: np.ndarray) -> tuple:
+    """``timeop._ritz`` with the dense B: (high, theta, theta_2, residual) of B^T B on the orthonormal columns v."""
+    w = b @ v
+    gram = w.T @ w
+    if not np.all(np.isfinite(gram)):
+        return math.nan, math.nan, math.nan, math.nan
+    theta, y = np.linalg.eigh(gram)
+    x = v @ y[:, -1]
+    z = b @ x
+    high = float(np.linalg.norm(z) / np.linalg.norm(x))
+    residual = float(np.linalg.norm(b.T @ z - theta[-1] * x))
+    return high, float(theta[-1]), float(theta[-2]) if v.shape[1] > 1 else 0.0, residual
+
+
 def gram_extremes(omega: float, n: int) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the oscillator truncation: +-sqrt(lambda_max(B^T B))/omega.
 
@@ -428,7 +459,7 @@ def gram_extremes(omega: float, n: int) -> tuple[float, float]:
     ``osc_timeop_extremes`` documents; every eigenvalue of its Gram matrix
     is computed to report the largest.
     """
-    b = _half_block(n)
+    b = half_block(n)
     high = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]) / omega
     return -high, high
 
@@ -445,14 +476,14 @@ def chebyshev_ritz_extremes(omega: float, n: int) -> OscillatorExtremes:
     space until the Ritz residual rho has rho^2 <= eps theta
     (theta - theta_2) and the Schur pass certifies its value.
     """
-    b = _half_block(n)
+    b = half_block(n)
     m = n // 2
     r = min(m, CHEBYSHEV_RITZ_START)
     eps = float(np.finfo(float).eps)
     row = np.empty(n, dtype=complex)
     row[1:] = 1j / np.arange(1, n)
     while True:
-        high, theta, theta_2, residual = _ritz(b, np.linalg.qr(_chebyshev_columns(n, r))[0])
+        high, theta, theta_2, residual = dense_ritz(b, np.linalg.qr(_chebyshev_columns(n, r))[0])
         if r < m and not residual * residual <= eps * theta * (theta - theta_2):
             r = min(m, 2 * r)
             continue

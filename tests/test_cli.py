@@ -539,6 +539,13 @@ class TestSubcommands:
         assert capsys.readouterr().err == "error: the ftransform pipeline needs --function or pipeline.function\n"
         assert not list(tmp_path.glob("*_report.json"))
 
+    def test_a_function_file_is_read(self, tmp_path):
+        path = tmp_path / "function.json"
+        path.write_text(json.dumps({"kind": "sin", "params": [0.3]}))
+        assert main(["ftransform", "--model", "hydrogen", "--n-max", "3", "--function", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert _read(tmp_path / "out" / "ftransform_report.json")["function"] == {"kind": "sin", "params": [0.3]}
+
     @pytest.mark.parametrize("command,config", [
         ("ftransform", {"model": {"kind": "hydrogen", "n_max": 3},
                         "pipeline": {"kind": "ftransform", "function": {"kind": "sin", "params": [0.3]}}}),
@@ -1012,6 +1019,9 @@ class TestFieldTable:
          "--function takes inline JSON, kind:p1,p2 or a JSON file path, not 'sin:abc'"),
         (["ftransform", "--model", "hydrogen", "--function", "{sin"],
          "--function takes inline JSON, kind:p1,p2 or a JSON file path, not '{sin'"),
+        # a bare kind reads as a file path, and a missing file is a usage error naming the flag
+        (["ftransform", "--model", "hydrogen", "--function", "sin"],
+         "--function takes inline JSON, kind:p1,p2 or a JSON file path, not 'sin'"),
         (["timeop", "--model", "rabi", "--omega", "x"], "--omega takes one number for the rabi model, not 'x'"),
         (["selftest", "--tolerance", "uw_ccr=abc"], "--tolerance takes name=value with a number value, not 'uw_ccr=abc'"),
         (["selftest", "--tolerance", "uw_ccr"], "--tolerance takes name=value with a number value, not 'uw_ccr'"),

@@ -441,6 +441,14 @@ class TestWeakWeyl:
         with pytest.raises(ValueError, match="box boundary"):
             _require_contained(moments, 1.0, (0.0, 1.0), 50.0)
 
+    def test_overflowing_moments_are_refused_as_such(self):
+        # the norm is finite, but <p^2> overflows: the refusal names the amplitude, not the box
+        loud = GridState(50.0, 1024, 1.0, 1e153 * default_packet().samples)
+        with pytest.raises(ValueError, match=r"moments of the state are not finite \(largest \|psi\| 5\.311e\+152\)"):
+            weak_weyl_residuals(loud, [0.5])
+        # a hundredfold smaller, the same packet passes
+        assert weak_weyl_residuals(GridState(50.0, 1024, 1.0, 1e151 * default_packet().samples), [0.5])[0] <= 1e-6
+
     @pytest.mark.parametrize("times", [[20.0], [-20.0], [0.5, 20.0], [5.0, 20.0, 1.0]])
     def test_a_packet_that_wraps_between_samples_is_refused(self, times):
         # at t = 20 the default packet's sampled reach is 43.3 < L, after

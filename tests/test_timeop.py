@@ -42,6 +42,7 @@ from dense_reference import (
     generator,
     generator_stack,
     gram_extremes,
+    half_block,
     pairing,
     plant,
     random_difference_stack,
@@ -585,6 +586,74 @@ class TestOscillatorSpectrum:
         assert np.max(np.abs(svd_spectrum(2.5, n) - dense_spectrum(2.5, n))) <= 1e-14 * math.pi / 2.5
 
 
+def product_rounding(n: int) -> float:
+    """The rounding bound of one FFT product with B, per unit 2-norm of the column, as ``osc_timeop_extremes`` states it."""
+    u = np.finfo(float).eps / 2.0
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    length = timeop._block_transform(n).length
+    eta = u + gamma(4) * (math.sqrt(2.0) + u)
+    stages = math.log2(length) * eta
+    transform = stages / (1.0 - stages)
+    beta = (1.0 + transform) ** 3 * (1.0 + math.sqrt(2.0) * gamma(2)) * (1.0 + u) - 1.0
+    return math.sqrt(2.0 * length) * beta * math.pi / math.sqrt(3.0) + gamma(3) * math.pi
+
+
+def dense_rounding(n: int, k: int) -> float:
+    """The dense product's own rounding per unit 2-norm of the column: gamma_{k+4} ||(|T| + |H|)||_2.
+
+    The entries of ``half_block`` round by gamma_4 of |T| + |H|, the
+    absolute Toeplitz and Hankel parts, and a sum of k products by
+    gamma_k (Higham, Accuracy and Stability of Numerical Algorithms,
+    §3.5); a Toeplitz or Hankel matrix of |a| has a 2-norm at most the
+    sum of |a| over its lags, 2(1 + ln n) and 1 + ln n.
+    """
+    u = np.finfo(float).eps / 2.0
+    return (k + 4) * u / (1.0 - (k + 4) * u) * 3.0 * (1.0 + math.log(n))
+
+
+class TestHalfBlockProducts:
+    """The FFT products with B are the dense products, within both sides' rounding."""
+
+    @pytest.mark.parametrize("r", [1, 8, 32])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 400, 801, 1600, 4096])
+    def test_match_the_dense_products(self, n, r):
+        b, dense = timeop._block_transform(n), half_block(n)
+        tall, m = dense.shape
+        rng = np.random.default_rng(n + r)
+        v, w = rng.standard_normal((r, m)), rng.standard_normal((r, tall))   # columns as rows
+        for rows, fft, reference, k in [(v, timeop._block_product(b, v), v @ dense.T, m),
+                                        (w, timeop._block_product(b, w, transpose=True), w @ dense, tall)]:
+            assert fft.shape == reference.shape
+            allowed = (product_rounding(n) + dense_rounding(n, k)) * np.linalg.norm(rows, axis=1)
+            assert np.all(np.linalg.norm(fft - reference, axis=1) <= allowed)
+
+    def test_one_vector_is_one_row(self):
+        b, v = timeop._block_transform(801), np.linspace(-1.0, 1.0, 400)
+        assert np.array_equal(timeop._block_product(b, v), timeop._block_product(b, v[None])[0])
+
+    @pytest.mark.parametrize("target", [1, 2, 7, 11, 599, 600, 601, 6143, 2 ** 20 + 1])
+    def test_the_transform_length_is_the_least_5_smooth_one(self, target):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        length = timeop._smooth_length(target)
+        assert length >= target and smooth(length)
+        assert not any(smooth(k) for k in range(target, length))
+
+    def test_the_bound_sits_below_the_schur_slack(self):
+        # the docstring's figures, with d taken at its least high, 1: at most 0.3 d, and d/1000 from 400 on
+        u = np.finfo(float).eps / 2.0
+        slack = [timeop.SCHUR_SLACK_ULPS * 2.0 * u * n * n for n in range(2, 4097)]   # d at high = 1
+        ratio = [product_rounding(n) / d for n, d in zip(range(2, 4097), slack)]
+        assert max(ratio) <= 0.3 and max(ratio[398:]) <= 1e-3
+
+
 class TestOscillatorCertificate:
     """The Ritz value is a lower end, one Schur pass proves the upper end, and each planted defect fails."""
 
@@ -673,14 +742,14 @@ class TestOscillatorCertificate:
         assert (e.high, e.radius, e.failed_size) == (1.0, 0.0, 2)
 
     def test_a_nan_fails_without_raising(self, monkeypatch):
-        block = timeop._half_block
+        transform = timeop._block_transform
 
         def poisoned(n):
-            b = block(n)
-            b[3, 5] = math.nan
+            b = transform(n)
+            b.symbol[5] = math.nan   # every product with B reads it
             return b
 
-        monkeypatch.setattr(timeop, "_half_block", poisoned)
+        monkeypatch.setattr(timeop, "_block_transform", poisoned)
         with np.errstate(all="raise"):
             e = osc_timeop_extremes(1.0, 400)
         assert e.failed_size == 400 and math.isnan(e.high)
@@ -708,7 +777,7 @@ class TestOscillatorExtremesFuzz:
     def test_the_value_is_the_largest_singular_value_from_at_most_32_columns(self, n, exponent):
         omega = 10.0 ** exponent
         e = osc_timeop_extremes(omega, n)
-        sigma = float(np.linalg.svd(timeop._half_block(n), compute_uv=False)[0])
+        sigma = float(np.linalg.svd(half_block(n), compute_uv=False)[0])
         assert e.failed_size is None
         assert abs(e.high * omega - sigma) <= 1e-14 * sigma
         assert e.subspace_dimension <= 32
@@ -928,8 +997,12 @@ class TestMemory:
         assert traced_peak_mib(lambda: main(argv)) <= 32.0
 
     def test_oscillator_spectrum_extremes(self):
-        # the half-size block B, 4.9 MiB, and subspaces of at most 32 columns with their images, 0.2 MiB each
+        # subspaces of at most 32 columns with their images, 0.2 MiB each; the dense B would hold 4.9 MiB
         assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 1600)) <= 8.0
+
+    def test_oscillator_spectrum_extremes_at_the_size_cap(self):
+        # the dense B alone would hold 32 MiB; the products hold a few dozen rows of the FFT length
+        assert traced_peak_mib(lambda: osc_timeop_extremes(1.0, 4096)) <= 10.0
 
     def test_the_certificate_holds_a_few_buffers(self):
         # a band and the temporaries of its error-free arithmetic, CCR_CHUNK entries each
